@@ -267,49 +267,6 @@ func BenchmarkAblationStage2Rungs(b *testing.B) {
 	}
 }
 
-// BenchmarkStage2IndexedVsNaive pits every indexed packer against its
-// retained O(P·V) reference implementation on the same Twitter-like GSP
-// selection — the complexity gap of this repo's sub-quadratic packing
-// engine, kept visible in every benchmark run. The differential property
-// tests in internal/core prove the pairs byte-identical; this benchmark
-// proves the index is worth its bookkeeping.
-func BenchmarkStage2IndexedVsNaive(b *testing.B) {
-	w, err := experiments.Generate(experiments.Twitter, benchScale())
-	if err != nil {
-		b.Fatal(err)
-	}
-	model := experiments.ModelFor(pricing.C3Large, w)
-	sel := core.GreedySelectPairs(w, 1000)
-	base := core.Config{Tau: 1000, MessageBytes: experiments.MessageBytes, Model: model}
-	cbp := base
-	cbp.Opts = core.OptAll
-	packers := []struct {
-		name string
-		run  func() (*core.Allocation, error)
-	}{
-		{"FFBP/indexed", func() (*core.Allocation, error) { return core.FFBinPacking(sel, base) }},
-		{"FFBP/naive", func() (*core.Allocation, error) { return core.FFBinPackingNaive(sel, base) }},
-		{"CBP/indexed", func() (*core.Allocation, error) { return core.CustomBinPacking(sel, cbp) }},
-		{"CBP/naive", func() (*core.Allocation, error) { return core.CustomBinPackingNaive(sel, cbp) }},
-		{"BFD/indexed", func() (*core.Allocation, error) { return core.BFDBinPacking(sel, base) }},
-		{"BFD/naive", func() (*core.Allocation, error) { return core.BFDBinPackingNaive(sel, base) }},
-	}
-	for _, p := range packers {
-		b.Run(p.name, func(b *testing.B) {
-			var alloc *core.Allocation
-			for i := 0; i < b.N; i++ {
-				var err error
-				alloc, err = p.run()
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(alloc.NumVMs()), "vms")
-			b.ReportMetric(float64(sel.NumPairs()), "pairs")
-		})
-	}
-}
-
 // BenchmarkGreedySelectPairs is the Stage-1 hot-path micro benchmark.
 func BenchmarkGreedySelectPairs(b *testing.B) {
 	w, err := tracegen.Twitter(tracegen.DefaultTwitterConfig().Scale(0.05))
@@ -376,23 +333,23 @@ func BenchmarkEndToEndSolve(b *testing.B) {
 	}
 }
 
-// BenchmarkSolve is the pre-redesign entry point: the deprecated
-// package-level Solve under the paper's default config. Together with
-// BenchmarkPlannerSolve it bounds the cost of the v2 API's context
-// plumbing — CI runs the pair as a smoke comparison, and the acceptance
-// bar is ≤ 2% regression of PlannerSolve vs Solve (both run the same
-// engine; the ctx checks amortize to one poll per 8192 loop units).
+// BenchmarkSolve is the engine without the façade: core.Solve under the
+// paper's default config. Together with BenchmarkPlannerSolve it bounds
+// the cost of the Planner's context plumbing — CI runs the pair as a smoke
+// comparison, and the acceptance bar is ≤ 2% regression of PlannerSolve
+// vs Solve (both run the same engine; the ctx checks amortize to one poll
+// per 8192 loop units).
 func BenchmarkSolve(b *testing.B) {
 	w, err := experiments.Generate(experiments.Twitter, benchScale())
 	if err != nil {
 		b.Fatal(err)
 	}
 	model := experiments.ModelFor(pricing.C3Large, w)
-	cfg := mcss.DefaultConfig(100, model)
+	cfg := core.DefaultConfig(100, model)
 	b.ResetTimer()
-	var res *mcss.Result
+	var res *core.Result
 	for i := 0; i < b.N; i++ {
-		res, err = mcss.Solve(w, cfg)
+		res, err = core.Solve(w, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -494,17 +451,20 @@ func BenchmarkSimulate(b *testing.B) {
 }
 
 // BenchmarkAblationGSPParallel measures the parallel Stage-1 speedup over
-// worker counts (result identical to serial; see
-// core.GreedySelectPairsParallel).
+// worker counts (Config.Parallelism; the result is identical to serial).
 func BenchmarkAblationGSPParallel(b *testing.B) {
 	w, err := experiments.Generate(experiments.Twitter, benchScale())
 	if err != nil {
 		b.Fatal(err)
 	}
+	ctx := context.Background()
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			cfg := core.Config{Tau: 100, Parallelism: workers}
 			for i := 0; i < b.N; i++ {
-				core.GreedySelectPairsParallel(w, 100, workers)
+				if _, err := core.GreedySelectPairsContext(ctx, w, cfg); err != nil {
+					b.Fatal(err)
+				}
 			}
 			b.ReportMetric(float64(w.NumPairs()), "pairs")
 		})

@@ -40,11 +40,16 @@ func saveState(path string, cfg mcss.SolverConfig, s *mcss.ClusterState) error {
 
 // configFromPlan rebuilds the solver configuration a plan's own parameters
 // describe — what apply uses, so a plan file is self-contained.
-func configFromPlan(p *mcss.DeployPlan) mcss.SolverConfig {
-	cfg := mcss.DefaultConfig(p.Tau, p.Model)
-	cfg.MessageBytes = p.MessageBytes
-	cfg.Fleet = p.Fleet
-	return cfg
+func configFromPlan(p *mcss.DeployPlan) (mcss.SolverConfig, error) {
+	opts := []mcss.Option{mcss.WithTau(p.Tau), mcss.WithModel(p.Model), mcss.WithMessageBytes(p.MessageBytes)}
+	if !p.Fleet.IsZero() {
+		opts = append(opts, mcss.WithFleet(p.Fleet))
+	}
+	pl, err := mcss.NewPlanner(opts...)
+	if err != nil {
+		return mcss.SolverConfig{}, fmt.Errorf("plan parameters: %w", err)
+	}
+	return pl.Config(), nil
 }
 
 // printPlan renders the reviewable summary of a plan: the diff, the
@@ -191,7 +196,10 @@ func runApply(args []string) error {
 	if err != nil {
 		return err
 	}
-	cfg := configFromPlan(plan)
+	cfg, err := configFromPlan(plan)
+	if err != nil {
+		return err
+	}
 	prov, err := mcss.RestoreProvisioner(current, cfg)
 	if err != nil {
 		return err

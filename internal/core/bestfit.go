@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"context"
+	"slices"
 	"time"
 
 	"github.com/pubsub-systems/mcss/internal/workload"
@@ -31,8 +33,8 @@ func BFDBinPacking(sel *Selection, cfg Config) (*Allocation, error) {
 // stream plus one pair, and the per-topic host list supplies the tightest
 // VM that already hosts the topic and needs only rb more. The
 // lexicographically smaller (free, index) of the two candidates is
-// exactly the VM the O(P·V) reference scan (BFDBinPackingNaive) selects,
-// which the differential property tests enforce.
+// exactly the VM the O(P·V) reference scan selects, which the
+// differential property tests enforce against the test-only oracle.
 func BFDBinPackingContext(ctx context.Context, sel *Selection, cfg Config) (*Allocation, error) {
 	cfg.Observer = ResolveObserver(ctx, cfg)
 	start := time.Now()
@@ -77,4 +79,42 @@ func BFDBinPackingContext(ctx context.Context, sel *Selection, cfg Config) (*All
 	}
 	tk.finish(time.Since(start))
 	return ix.finish(fleet, cfg), nil
+}
+
+// bfdItem is one pair with its precomputed rate, in BFD's decreasing sort
+// order.
+type bfdItem struct {
+	pair workload.Pair
+	rb   int64
+}
+
+// bfdItems collects and sorts the selection for best-fit-decreasing:
+// non-increasing rate, ties by topic then subscriber.
+func bfdItems(sel *Selection, maxCap, msg int64) ([]bfdItem, error) {
+	items := make([]bfdItem, 0, sel.NumPairs())
+	var err error
+	sel.Pairs(func(p workload.Pair) bool {
+		rb := sel.w.Rate(p.Topic) * msg
+		if 2*rb > maxCap {
+			err = ErrInfeasible
+			return false
+		}
+		items = append(items, bfdItem{pair: p, rb: rb})
+		return true
+	})
+	if err != nil {
+		return nil, err
+	}
+	// (topic, sub) pairs are unique, so the order is total and the
+	// unstable sort is deterministic.
+	slices.SortFunc(items, func(a, b bfdItem) int {
+		if a.rb != b.rb {
+			return cmp.Compare(b.rb, a.rb) // non-increasing rate
+		}
+		if a.pair.Topic != b.pair.Topic {
+			return cmp.Compare(a.pair.Topic, b.pair.Topic)
+		}
+		return cmp.Compare(a.pair.Sub, b.pair.Sub)
+	})
+	return items, nil
 }

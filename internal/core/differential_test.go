@@ -11,7 +11,7 @@ import (
 )
 
 // This file pins the indexed stage-2 packers byte-identical to the naive
-// reference implementations (naive.go) across randomized workloads,
+// reference implementations (naive_test.go) across randomized workloads,
 // fleets, selections, and option sets — the equivalence contract that lets
 // the O(log V) engine replace the O(V) scans without touching a single
 // allocation decision.

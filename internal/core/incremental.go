@@ -607,10 +607,15 @@ func (s *IncrementalState) FinishEpoch(ctx context.Context, improveBudget int64)
 	}, nil
 }
 
-// evictOverfull walks the slots a rate spike pushed over capacity and
-// evicts pairs of the re-rated topics (newest placements first) until each
-// slot fits again. Only touched topics are candidates: untouched groups
-// fit by the pre-epoch invariant, so eviction always terminates.
+// evictOverfull walks the slots a re-rate left over capacity and evicts
+// pairs of the touched topics (newest placements first) until each slot
+// fits again. Usually that suffices, but a slot can enter the epoch
+// already above its recorded capacity: the index may be built over an
+// allocation that was validated against a larger bound (the elastic keep
+// path checks the true fleet while recording headroom-derated
+// capacities). When such a slot runs out of touched pairs, its newest
+// untouched placement is marked touched and evicted next, so the pass
+// still terminates with every slot within its recorded capacity.
 func (s *IncrementalState) evictOverfull(ctx context.Context) error {
 	if len(s.overfull) == 0 {
 		return nil
@@ -635,7 +640,11 @@ func (s *IncrementalState) evictOverfull(ctx context.Context) error {
 				break
 			}
 			if !evicted {
-				return fmt.Errorf("core: slot %d over capacity with no touched pairs left", slot)
+				n := len(vm.Placements)
+				if n == 0 {
+					return fmt.Errorf("core: empty slot %d over capacity", slot)
+				}
+				s.touched[vm.Placements[n-1].Topic] = struct{}{}
 			}
 		}
 	}

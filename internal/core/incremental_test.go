@@ -401,3 +401,65 @@ func TestDrainReleasesVMsAfterRemovalHeavyEpoch(t *testing.T) {
 		t.Fatalf("regret %.4f drifted far above base %.4f despite drain", out.Regret, out.BaseRegret)
 	}
 }
+
+// TestEvictOverfullBeyondTouchedPairs: a slot can enter an epoch above its
+// recorded capacity — the elastic keep path validates allocations against
+// the true fleet while recording headroom-derated capacities — so after a
+// small re-rate on it, evicting every pair of the re-rated topic may not
+// be enough. The pass must then evict the slot's newest untouched
+// placement too, instead of failing the epoch.
+func TestEvictOverfullBeyondTouchedPairs(t *testing.T) {
+	// Topic 0 (rate 2) serves subscriber 0 and topic 1 (rate 20)
+	// subscribers 1–5, both on slot 0; topic 2 (rate 5) serves subscriber
+	// 6 alone on slot 1.
+	w := mustWorkload(t, []int64{2, 20, 5}, [][]workload.TopicID{{0}, {1}, {1}, {1}, {1}, {1}, {2}})
+	cfg := incTestConfig(t)
+	cfg.Model = incTestModel(100)
+	fleet := cfg.EffectiveFleet()
+	alloc := &Allocation{
+		VMs: []*VM{
+			{
+				ID: 0, Instance: fleet.Type(0), CapacityBytesPerHour: 100,
+				Placements: []TopicPlacement{
+					{Topic: 0, Subs: []workload.SubID{0}},
+					{Topic: 1, Subs: []workload.SubID{1, 2, 3, 4, 5}},
+				},
+				InBytesPerHour: 2 + 20, OutBytesPerHour: 2 + 5*20, // 124: 24 over
+			},
+			{
+				ID: 1, Instance: fleet.Type(0), CapacityBytesPerHour: 100,
+				Placements:     []TopicPlacement{{Topic: 2, Subs: []workload.SubID{6}}},
+				InBytesPerHour: 5, OutBytesPerHour: 5,
+			},
+		},
+		Fleet:        fleet,
+		MessageBytes: 1,
+	}
+	s, err := alloc.Index(w, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Re-rate topic 0 from 2 to 3: slot 0 grows to 126, and evicting its
+	// one topic-0 pair only brings it down to 120.
+	next := mutateWorkload(t, w, []int64{3, 20, 5}, nil, nil)
+	if err := s.BeginEpoch(context.Background(), next, []workload.TopicID{0}); err != nil {
+		t.Fatal(err)
+	}
+	out, err := s.FinishEpoch(context.Background(), 0)
+	if err != nil {
+		t.Fatalf("FinishEpoch: %v", err)
+	}
+	if out.Evicted != 2 {
+		t.Errorf("evicted %d pairs, want 2 (topic 0's pair, then topic 1's newest)", out.Evicted)
+	}
+	checkIndexInvariants(t, s)
+	for i, vm := range out.Result.Allocation.VMs {
+		if vm.FreeBytesPerHour() < 0 {
+			t.Errorf("slot %d still %d over its recorded capacity", i, -vm.FreeBytesPerHour())
+		}
+	}
+	if err := VerifyServes(next, out.Result.Allocation, cfg); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -1,45 +1,39 @@
 package core
 
 import (
-	"cmp"
-	"context"
-	"slices"
-	"time"
-
 	"github.com/pubsub-systems/mcss/internal/pricing"
 	"github.com/pubsub-systems/mcss/internal/workload"
 )
 
 // This file retains the literal O(P·V) stage-2 packers — every placement
 // decision re-scans the deployed fleet — exactly as they were before the
-// indexed engine (vmindex.go) replaced them on the hot path. They are the
-// executable specification: the differential property tests pin the
-// indexed packers byte-identical to these on randomized workloads, fleets,
-// and option sets, and BenchmarkStage2IndexedVsNaive keeps the complexity
-// gap visible. Use them when auditing a packing decision; use the
-// exported FFBinPacking/CustomBinPacking/BFDBinPacking for real solves.
+// indexed engine (vmindex.go) replaced them. They are test-only oracles:
+// TestDifferentialIndexedMatchesNaive pins the indexed packers
+// byte-identical to these on randomized workloads, fleets, and option
+// sets, and BenchmarkStage2IndexedVsNaive keeps the complexity gap
+// visible. They are exported so the package's external test files can
+// benchmark them too.
+
+// deltaFor reports the bandwidth this VM would gain by hosting one more pair
+// of topic t.
+func (b *vmState) deltaFor(t workload.TopicID, rb int64) int64 {
+	if b.has(t) {
+		return rb
+	}
+	return 2 * rb
+}
 
 // FFBinPackingNaive is the reference first-fit packer: per pair, a linear
 // scan over all deployed VMs (the paper's Alg. 3 as literally written).
 // Semantics are identical to FFBinPacking, including LenientFirstFit.
 func FFBinPackingNaive(sel *Selection, cfg Config) (*Allocation, error) {
-	return ffBinPackingNaive(context.Background(), sel, cfg)
-}
-
-func ffBinPackingNaive(ctx context.Context, sel *Selection, cfg Config) (*Allocation, error) {
-	cfg.Observer = ResolveObserver(ctx, cfg)
-	start := time.Now()
 	fleet := cfg.EffectiveFleet()
 	maxCap := fleet.MaxCapacity()
 	msg := cfg.MessageBytes
-	tk := newTicker(ctx, cfg.Observer, StagePack, sel.NumPairs())
 	var vms []*vmState
 	var err error
 	one := make([]workload.SubID, 1)
 	sel.Pairs(func(p workload.Pair) bool {
-		if err = tk.tick(1); err != nil {
-			return false
-		}
 		rb := sel.w.Rate(p.Topic) * msg
 		if 2*rb > maxCap && !cfg.LenientFirstFit {
 			err = ErrInfeasible
@@ -71,7 +65,6 @@ func ffBinPackingNaive(ctx context.Context, sel *Selection, cfg Config) (*Alloca
 	if err != nil {
 		return nil, err
 	}
-	tk.finish(time.Since(start))
 	return finishAllocation(vms, fleet, cfg), nil
 }
 
@@ -81,16 +74,9 @@ func ffBinPackingNaive(ctx context.Context, sel *Selection, cfg Config) (*Alloca
 // Semantics are identical to CustomBinPacking for every OptFlags
 // combination.
 func CustomBinPackingNaive(sel *Selection, cfg Config) (*Allocation, error) {
-	return customBinPackingNaive(context.Background(), sel, cfg)
-}
-
-func customBinPackingNaive(ctx context.Context, sel *Selection, cfg Config) (*Allocation, error) {
-	cfg.Observer = ResolveObserver(ctx, cfg)
-	start := time.Now()
 	fleet := cfg.EffectiveFleet()
 	maxCap := fleet.MaxCapacity()
 	msg := cfg.MessageBytes
-	tk := newTicker(ctx, cfg.Observer, StagePack, sel.NumPairs())
 
 	groups := buildGroups(sel, msg)
 	if cfg.Opts&OptExpensiveTopicFirst != 0 {
@@ -107,11 +93,6 @@ func customBinPackingNaive(ctx context.Context, sel *Selection, cfg Config) (*Al
 	addBW := func(d int64) { totalBW += d }
 
 	for _, g := range groups {
-		// One tick per group, weighted by its pair count, so cancellation
-		// latency is bounded in pairs even when groups are huge.
-		if err := tk.tick(int64(len(g.subs))); err != nil {
-			return nil, err
-		}
 		if 2*g.rb > maxCap {
 			return nil, ErrInfeasible
 		}
@@ -170,7 +151,6 @@ func customBinPackingNaive(ctx context.Context, sel *Selection, cfg Config) (*Al
 			remaining = remaining[k:]
 		}
 	}
-	tk.finish(time.Since(start))
 	return finishAllocation(vms, fleet, cfg), nil
 }
 
@@ -178,17 +158,8 @@ func customBinPackingNaive(ctx context.Context, sel *Selection, cfg Config) (*Al
 // item, a linear scan for the tightest fitting VM. Semantics are identical
 // to BFDBinPacking.
 func BFDBinPackingNaive(sel *Selection, cfg Config) (*Allocation, error) {
-	return bfdBinPackingNaive(context.Background(), sel, cfg)
-}
-
-func bfdBinPackingNaive(ctx context.Context, sel *Selection, cfg Config) (*Allocation, error) {
-	cfg.Observer = ResolveObserver(ctx, cfg)
-	start := time.Now()
 	fleet := cfg.EffectiveFleet()
-	msg := cfg.MessageBytes
-	tk := newTicker(ctx, cfg.Observer, StagePack, sel.NumPairs())
-
-	items, err := bfdItems(sel, fleet.MaxCapacity(), msg)
+	items, err := bfdItems(sel, fleet.MaxCapacity(), cfg.MessageBytes)
 	if err != nil {
 		return nil, err
 	}
@@ -196,9 +167,6 @@ func bfdBinPackingNaive(ctx context.Context, sel *Selection, cfg Config) (*Alloc
 	var vms []*vmState
 	one := make([]workload.SubID, 1)
 	for _, it := range items {
-		if err := tk.tick(1); err != nil {
-			return nil, err
-		}
 		var best *vmState
 		var bestFree int64
 		for _, b := range vms {
@@ -215,46 +183,7 @@ func bfdBinPackingNaive(ctx context.Context, sel *Selection, cfg Config) (*Alloc
 		one[0] = it.pair.Sub
 		best.place(it.pair.Topic, it.rb, one)
 	}
-	tk.finish(time.Since(start))
 	return finishAllocation(vms, fleet, cfg), nil
-}
-
-// bfdItem is one pair with its precomputed rate, in BFD's decreasing sort
-// order.
-type bfdItem struct {
-	pair workload.Pair
-	rb   int64
-}
-
-// bfdItems collects and sorts the selection for best-fit-decreasing:
-// non-increasing rate, ties by topic then subscriber.
-func bfdItems(sel *Selection, maxCap, msg int64) ([]bfdItem, error) {
-	items := make([]bfdItem, 0, sel.NumPairs())
-	var err error
-	sel.Pairs(func(p workload.Pair) bool {
-		rb := sel.w.Rate(p.Topic) * msg
-		if 2*rb > maxCap {
-			err = ErrInfeasible
-			return false
-		}
-		items = append(items, bfdItem{pair: p, rb: rb})
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-	// (topic, sub) pairs are unique, so the order is total and the
-	// unstable sort is deterministic.
-	slices.SortFunc(items, func(a, b bfdItem) int {
-		if a.rb != b.rb {
-			return cmp.Compare(b.rb, a.rb) // non-increasing rate
-		}
-		if a.pair.Topic != b.pair.Topic {
-			return cmp.Compare(a.pair.Topic, b.pair.Topic)
-		}
-		return cmp.Compare(a.pair.Sub, b.pair.Sub)
-	})
-	return items, nil
 }
 
 // pickExistingVM chooses the deployed VM to receive (part of) group g:

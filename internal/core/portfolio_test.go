@@ -5,9 +5,11 @@ import (
 	"errors"
 	"math/rand"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
+	"github.com/pubsub-systems/mcss/internal/tracegen"
 	"github.com/pubsub-systems/mcss/internal/workload"
 )
 
@@ -55,6 +57,54 @@ func TestPortfolioParallelismDeterminism(t *testing.T) {
 				t.Fatalf("seed %d: parallelism %d cost %v != serial %v", seed, par, gc, wc)
 			}
 		}
+	}
+}
+
+// A selection is shared read-only by the concurrent portfolio members,
+// each of which reads its lazily built views: the first readers of a fresh
+// selection must not race. The serial determinism test above cannot show
+// this — its serial run builds the views before any parallel one — so
+// every pack here starts from a selection nothing has read yet. Run under
+// -race; not skipped under -short.
+func TestSelectionLazyViewsConcurrentReaders(t *testing.T) {
+	ctx := context.Background()
+	w, err := tracegen.Random(tracegen.RandomConfig{
+		Topics: 60, Subscribers: 400, MaxFollowings: 6, MaxRate: 50, Seed: 19,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Tau: 40, MessageBytes: 1, Model: testModel(4000), Stage2: Stage2Custom, Opts: OptAll}
+	cfg.Fleet = testFleet(t, cfg.Model.CapacityBytesPerHour())
+	want, err := PackSelection(ctx, GreedySelectPairs(w, cfg.Tau), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Parallelism = 8
+	for i := 0; i < 4; i++ {
+		got, err := PackSelection(ctx, GreedySelectPairs(w, cfg.Tau), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := allocationsEqual(want, got); err != nil {
+			t.Fatalf("run %d: parallel pack of a fresh selection differs from serial: %v", i, err)
+		}
+	}
+
+	// Both views, read first by concurrent goroutines.
+	sel := GreedySelectPairs(w, cfg.Tau)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			sel.SelectedSubscribers(workload.TopicID(g))
+			sel.SelectedRate(workload.SubID(g))
+		}(g)
+	}
+	wg.Wait()
+	if !sel.Satisfied(cfg.Tau) {
+		t.Fatal("selection reads unsatisfied after concurrent view builds")
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"sync"
 	"time"
 
 	"github.com/pubsub-systems/mcss/internal/workload"
@@ -13,6 +14,12 @@ import (
 // Selection is Stage 1's output: for every subscriber, the chosen subset of
 // their topic subscriptions. It offers both the subscriber-major pair order
 // (what FFBP consumes) and a topic-grouped view (what CBP consumes).
+//
+// A selection is read-only once built and may be shared by concurrent
+// readers (the stage-2 portfolio members pack one selection at once), so
+// its two lazy views are built under a sync.Once. Building them eagerly
+// instead would charge O(pairs) to every selection constructed, used or
+// not.
 type Selection struct {
 	w *workload.Workload
 
@@ -21,13 +28,15 @@ type Selection struct {
 	subTopics []workload.TopicID
 
 	// Topic-grouped CSR of selected subscribers, derived lazily.
+	topicOnce sync.Once
 	topicOff  []int64
 	topicSubs []workload.SubID
 
 	// selRates caches Σ_{t selected for v} ev_t per subscriber, built
 	// lazily on first use so Satisfied/FirstUnsatisfied cost O(1) per
 	// query after one O(pairs) pass.
-	selRates []int64
+	ratesOnce sync.Once
+	selRates  []int64
 }
 
 // Workload returns the workload the selection was made from.
@@ -48,11 +57,10 @@ func (s *Selection) SelectedRate(v workload.SubID) int64 {
 	return s.selRates[v]
 }
 
-// buildRates materializes the per-subscriber selected-rate cache.
-func (s *Selection) buildRates() {
-	if s.selRates != nil {
-		return
-	}
+// buildRates materializes the per-subscriber selected-rate cache once.
+func (s *Selection) buildRates() { s.ratesOnce.Do(s.computeRates) }
+
+func (s *Selection) computeRates() {
 	n := len(s.subOff) - 1
 	if n < 0 {
 		n = 0
@@ -98,10 +106,10 @@ func (s *Selection) Pairs(fn func(workload.Pair) bool) {
 	}
 }
 
-func (s *Selection) buildTopicView() {
-	if s.topicOff != nil {
-		return
-	}
+// buildTopicView materializes the topic-grouped view once.
+func (s *Selection) buildTopicView() { s.topicOnce.Do(s.computeTopicView) }
+
+func (s *Selection) computeTopicView() {
 	numT := s.w.NumTopics()
 	counts := make([]int64, numT+1)
 	for _, t := range s.subTopics {

@@ -9,22 +9,6 @@ import (
 	"github.com/pubsub-systems/mcss/internal/workload"
 )
 
-// GreedySelectPairsParallel is GreedySelectPairs sharded across worker
-// goroutines. Per-subscriber selection is independent, so the result is
-// bit-identical to the serial algorithm; only wall-clock time changes.
-// workers ≤ 1 (or a workload too small to shard) falls back to the serial
-// path; workers ≤ 0 uses GOMAXPROCS.
-//
-// The paper's §IV-F motivates this: re-provisioning is meant to run
-// periodically, and Stage 1 dominates the solve time on large traces.
-func GreedySelectPairsParallel(w *workload.Workload, tau int64, workers int) *Selection {
-	if workers == 0 {
-		workers = -1 // historical contract: 0 meant GOMAXPROCS
-	}
-	sel, _ := GreedySelectPairsContext(context.Background(), w, Config{Tau: tau, Parallelism: workers})
-	return sel
-}
-
 // stage1Workers resolves Config.Parallelism against the workload size:
 // 0 and 1 are serial, negative means GOMAXPROCS, and workloads too small
 // to shard stay serial regardless.
@@ -39,8 +23,10 @@ func stage1Workers(parallelism, numSubscribers int) int {
 	return workers
 }
 
-// greedySelectParallel shards GSP over worker goroutines. Every worker
-// polls a shared derived context on its own ticker, and the first worker
+// greedySelectParallel shards GSP over worker goroutines. Per-subscriber
+// selection is independent, so the merged result is bit-identical to the
+// serial algorithm; only wall-clock time changes. Every worker polls a
+// shared derived context on its own ticker, and the first worker
 // to fail cancels that context so its siblings abort within one
 // checkInterval batch instead of finishing doomed shards; the goroutines
 // are always joined before returning, leaking nothing. The caller's

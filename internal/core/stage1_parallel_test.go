@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -29,6 +30,17 @@ func selectionsEqual(a, b *Selection) bool {
 	return true
 }
 
+// parallelGSP runs GSP sharded over the given worker count, with
+// Config.Parallelism's convention (negative means GOMAXPROCS).
+func parallelGSP(t testing.TB, w *workload.Workload, tau int64, workers int) *Selection {
+	t.Helper()
+	sel, err := GreedySelectPairsContext(context.Background(), w, Config{Tau: tau, Parallelism: workers})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sel
+}
+
 func TestParallelGSPMatchesSerialExactly(t *testing.T) {
 	w, err := tracegen.Twitter(tracegen.DefaultTwitterConfig().Scale(0.03))
 	if err != nil {
@@ -36,8 +48,8 @@ func TestParallelGSPMatchesSerialExactly(t *testing.T) {
 	}
 	for _, tau := range []int64{10, 100, 1000} {
 		serial := GreedySelectPairs(w, tau)
-		for _, workers := range []int{2, 3, 8, 0} {
-			par := GreedySelectPairsParallel(w, tau, workers)
+		for _, workers := range []int{2, 3, 8, -1} {
+			par := parallelGSP(t, w, tau, workers)
 			if !selectionsEqual(serial, par) {
 				t.Errorf("τ=%d workers=%d: parallel differs from serial", tau, workers)
 			}
@@ -47,7 +59,7 @@ func TestParallelGSPMatchesSerialExactly(t *testing.T) {
 
 func TestParallelGSPSmallWorkloadFallsBack(t *testing.T) {
 	w := mustWorkload(t, []int64{5, 7}, [][]workload.TopicID{{0, 1}, {0}})
-	sel := GreedySelectPairsParallel(w, 6, 8)
+	sel := parallelGSP(t, w, 6, 8)
 	if !sel.Satisfied(6) {
 		t.Error("fallback selection unsatisfied")
 	}
@@ -57,7 +69,7 @@ func TestParallelGSPSmallWorkloadFallsBack(t *testing.T) {
 }
 
 func TestParallelGSPWorkerEdgeCases(t *testing.T) {
-	// More workers than subscribers, worker count 1, and zero workers
+	// More workers than subscribers, worker count 1, and a negative count
 	// (GOMAXPROCS) must all produce the serial result.
 	w, err := tracegen.Random(tracegen.RandomConfig{
 		Topics: 10, Subscribers: 5, MaxFollowings: 3, MaxRate: 50, Seed: 3,
@@ -66,8 +78,8 @@ func TestParallelGSPWorkerEdgeCases(t *testing.T) {
 		t.Fatal(err)
 	}
 	serial := GreedySelectPairs(w, 20)
-	for _, workers := range []int{1, 5, 100, 0} {
-		if !selectionsEqual(serial, GreedySelectPairsParallel(w, 20, workers)) {
+	for _, workers := range []int{1, 5, 100, -1} {
+		if !selectionsEqual(serial, parallelGSP(t, w, 20, workers)) {
 			t.Errorf("workers=%d differs", workers)
 		}
 	}
@@ -81,7 +93,7 @@ func TestPropertyParallelGSPEquivalence(t *testing.T) {
 		workers := int(workersRaw%6) + 2
 		return selectionsEqual(
 			GreedySelectPairs(w, tau),
-			GreedySelectPairsParallel(w, tau, workers),
+			parallelGSP(t, w, tau, workers),
 		)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {

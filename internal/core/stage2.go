@@ -54,15 +54,6 @@ func (b *vmState) place(t workload.TopicID, rb int64, subs []workload.SubID) (ne
 	return !ok
 }
 
-// deltaFor reports the bandwidth this VM would gain by hosting one more pair
-// of topic t.
-func (b *vmState) deltaFor(t workload.TopicID, rb int64) int64 {
-	if b.has(t) {
-		return rb
-	}
-	return 2 * rb
-}
-
 func finishAllocation(vms []*vmState, fleet pricing.Fleet, cfg Config) *Allocation {
 	out := &Allocation{
 		VMs:          make([]*VM, len(vms)),
@@ -163,8 +154,8 @@ func FFBinPacking(sel *Selection, cfg Config) (*Allocation, error) {
 // is answered in O(log V) by a positional segment tree over VM indices
 // (maximum free capacity per subtree), combined with a per-topic host-VM
 // list so the exact rb-vs-2rb capacity delta is preserved. The result is
-// byte-identical to the O(P·V) reference scan (FFBinPackingNaive), which
-// the differential property tests enforce.
+// byte-identical to the O(P·V) reference scan (the test-only
+// FFBinPackingNaive oracle), which the differential property tests enforce.
 func FFBinPackingContext(ctx context.Context, sel *Selection, cfg Config) (*Allocation, error) {
 	cfg.Observer = ResolveObserver(ctx, cfg)
 	start := time.Now()
@@ -262,7 +253,7 @@ func CustomBinPacking(sel *Selection, cfg Config) (*Allocation, error) {
 // first-fit picks combine a tree descent with the per-topic host list, and
 // the Alg. 7 what-if simulation runs against the tree with rollback
 // instead of copying every VM's free capacity per group. Byte-identical to
-// CustomBinPackingNaive.
+// the test-only CustomBinPackingNaive oracle.
 func CustomBinPackingContext(ctx context.Context, sel *Selection, cfg Config) (*Allocation, error) {
 	cfg.Observer = ResolveObserver(ctx, cfg)
 	start := time.Now()
@@ -380,7 +371,7 @@ func (ix *vmIndex) pickExisting(g topicGroup, mostFree bool) *vmState {
 }
 
 // cheaperToDistribute is the indexed form of the naive helper of the same
-// name (see naive.go for the cost comparison it implements). The
+// name (see naive_test.go for the cost comparison it implements). The
 // distribution simulation repeatedly takes the most-free VM from the
 // segment tree, hypothetically updates it, and unwinds every touched leaf
 // afterwards — O(steps·log V) with zero allocations in steady state,

@@ -132,9 +132,9 @@ type Config struct {
 	// Fleet reproduces the paper's homogeneous setting as the one-type
 	// fleet of Model's instance at Model's effective capacity.
 	Fleet pricing.Fleet
-	// Stage1 and Stage2 pick the algorithms; zero values are the paper's
-	// recommended GSP + FFBP... note the recommended full solution is
-	// GSP + CBP with OptAll, which is what DefaultConfig returns.
+	// Stage1 and Stage2 pick the algorithms. The zero values select
+	// GSP + FFBP; the paper's recommended full solution is GSP + CBP with
+	// OptAll, which is what DefaultConfig returns.
 	Stage1 Stage1Algo
 	Stage2 Stage2Algo
 	// Opts toggles CBP optimizations (ignored by FFBP).

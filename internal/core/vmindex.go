@@ -9,7 +9,7 @@ import (
 )
 
 // This file implements the indexed VM state behind the stage-2 packers.
-// The naive packers (retained in naive.go as differential references) scan
+// The naive packers (test-only oracles in naive_test.go) scan
 // every deployed VM per pair or per topic group — O(P·V), quadratic once V
 // grows with P. The index answers the three queries those scans implement
 // in O(log V) (plus amortized-O(1) host-list maintenance), preserving the

@@ -10,6 +10,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/pubsub-systems/mcss/internal/core"
@@ -277,7 +278,7 @@ func (p *Provisioner) Preview(d Delta) (*workload.Workload, *core.Result, Migrat
 // cancellation at bounded intervals and reports progress to the config's
 // Observer.
 func (p *Provisioner) PreviewContext(ctx context.Context, d Delta) (*workload.Workload, *core.Result, MigrationStats, error) {
-	next, err := applyDelta(p.w, d)
+	next, err := ApplyDelta(p.w, d)
 	if err != nil {
 		return nil, nil, MigrationStats{}, err
 	}
@@ -294,15 +295,6 @@ func (p *Provisioner) PreviewContext(ctx context.Context, d Delta) (*workload.Wo
 func (p *Provisioner) Adopt(w *workload.Workload, res *core.Result) {
 	p.w = w
 	p.res = res
-}
-
-// MigrationBetween diffs primary pair hosts by VM position between two
-// allocations, counting pairs kept on the same VM index versus moved
-// (including pairs newly selected or dropped). Cost and VM-count fields of
-// the result are left zero; callers wanting them filled should go through
-// Preview/Update.
-func MigrationBetween(before, after *core.Allocation) MigrationStats {
-	return migrationBetween(before, after)
 }
 
 // ErrUnknownVM reports a repair target outside the fleet.
@@ -549,7 +541,10 @@ func placeOn(vm *core.VM, t workload.TopicID, rb int64, subs []workload.SubID, h
 	vm.OutBytesPerHour += rb * int64(len(subs))
 }
 
-// migrationBetween diffs primary pair hosts by VM position.
+// migrationBetween diffs primary pair hosts by VM position between two
+// allocations, counting pairs kept on the same VM index versus moved
+// (including pairs newly selected or dropped). Cost and VM-count fields of
+// the result are left zero; MigrationStatsBetween fills them.
 func migrationBetween(before, after *core.Allocation) MigrationStats {
 	type key struct {
 		t workload.TopicID
@@ -587,12 +582,13 @@ func migrationBetween(before, after *core.Allocation) MigrationStats {
 // ApplyDelta materializes a new workload with the delta applied (after
 // validating it). Topics orphaned by unsubscriptions are retained (IDs stay
 // stable); subscribers may end up with empty interests, which the solver
-// treats as trivially satisfied.
+// treats as trivially satisfied. Topic and subscriber names are dropped.
+//
+// The new workload is built by patching the CSR arrays directly — a sorted
+// three-way merge per edited subscriber — so the epoch's workload swap
+// costs O(pairs) array copies plus O(delta log delta), keeping the
+// incremental path's constant factor low.
 func ApplyDelta(w *workload.Workload, d Delta) (*workload.Workload, error) {
-	return applyDelta(w, d)
-}
-
-func applyDelta(w *workload.Workload, d Delta) (*workload.Workload, error) {
 	if err := d.Validate(w.NumTopics(), w.NumSubscribers()); err != nil {
 		return nil, err
 	}
@@ -606,34 +602,71 @@ func applyDelta(w *workload.Workload, d Delta) (*workload.Workload, error) {
 		rates[t] = r
 	}
 
-	interests := make([]map[workload.TopicID]bool, numV)
-	for v := 0; v < w.NumSubscribers(); v++ {
-		set := make(map[workload.TopicID]bool, w.Followings(workload.SubID(v)))
-		for _, t := range w.Topics(workload.SubID(v)) {
-			set[t] = true
+	// Group the pair edits per subscriber (delta-sized, not fleet-sized).
+	type rowEdit struct{ add, del []workload.TopicID }
+	edits := make(map[workload.SubID]*rowEdit, len(d.Subscribe)+len(d.Unsubscribe))
+	edit := func(v workload.SubID) *rowEdit {
+		e := edits[v]
+		if e == nil {
+			e = &rowEdit{}
+			edits[v] = e
 		}
-		interests[v] = set
-	}
-	for v := w.NumSubscribers(); v < numV; v++ {
-		interests[v] = make(map[workload.TopicID]bool)
+		return e
 	}
 	for _, pr := range d.Subscribe {
-		interests[pr.Sub][pr.Topic] = true
+		e := edit(pr.Sub)
+		e.add = append(e.add, pr.Topic)
 	}
 	for _, pr := range d.Unsubscribe {
-		delete(interests[pr.Sub], pr.Topic)
+		e := edit(pr.Sub)
+		e.del = append(e.del, pr.Topic)
+	}
+	for _, e := range edits {
+		slices.Sort(e.add)
+		slices.Sort(e.del)
 	}
 
 	subOff := make([]int64, 1, numV+1)
-	var subTopics []workload.TopicID
-	for _, set := range interests {
-		start := len(subTopics)
-		for t := range set {
-			subTopics = append(subTopics, t)
+	subTopics := make([]workload.TopicID, 0, w.NumPairs()+int64(len(d.Subscribe)))
+	for v := 0; v < numV; v++ {
+		var old []workload.TopicID
+		if v < w.NumSubscribers() {
+			old = w.Topics(workload.SubID(v))
 		}
-		seg := subTopics[start:]
-		sort.Slice(seg, func(i, j int) bool { return seg[i] < seg[j] })
+		if e := edits[workload.SubID(v)]; e == nil {
+			subTopics = append(subTopics, old...)
+		} else {
+			subTopics = mergeRow(subTopics, old, e.add, e.del)
+		}
 		subOff = append(subOff, int64(len(subTopics)))
 	}
 	return workload.FromCSR(rates, subOff, subTopics, nil, nil)
+}
+
+// mergeRow appends (old ∪ add) \ del to dst, deduplicated ascending. All
+// three inputs are sorted ascending; add and del never share a topic
+// (Delta.Validate rejects that).
+func mergeRow(dst, old, add, del []workload.TopicID) []workload.TopicID {
+	start := len(dst)
+	i, j := 0, 0
+	emit := func(t workload.TopicID) {
+		if _, dead := slices.BinarySearch(del, t); dead {
+			return
+		}
+		if n := len(dst); n > start && dst[n-1] == t {
+			return // duplicate (re-subscribe of an existing interest)
+		}
+		dst = append(dst, t)
+	}
+	for i < len(old) || j < len(add) {
+		switch {
+		case j >= len(add) || (i < len(old) && old[i] <= add[j]):
+			emit(old[i])
+			i++
+		default:
+			emit(add[j])
+			j++
+		}
+	}
+	return dst
 }

@@ -516,6 +516,10 @@ func TestPreviewDoesNotAdopt(t *testing.T) {
 	}
 }
 
+// TestMigrationBetweenExported checks the exported churn diff,
+// MigrationStatsBetween: a self-diff keeps every pair and carries the
+// allocation's cost and size, and a diff to the empty allocation moves
+// every pair.
 func TestMigrationBetweenExported(t *testing.T) {
 	w := sampleWorkload(t, 14)
 	cfg := testConfig(30, 500)
@@ -523,14 +527,18 @@ func TestMigrationBetweenExported(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	same := MigrationBetween(p.Allocation(), p.Allocation())
+	same := MigrationStatsBetween(p.Allocation(), p.Allocation(), cfg.Model)
 	if same.PairsMoved != 0 || same.PairsKept == 0 {
 		t.Errorf("self-diff moved %d / kept %d, want 0 / >0", same.PairsMoved, same.PairsKept)
 	}
+	if same.CostBefore != p.Cost() || same.CostAfter != p.Cost() || same.VMsAfter != p.Allocation().NumVMs() {
+		t.Errorf("self-diff stats %+v do not carry the allocation's cost and size", same)
+	}
 	empty := &core.Allocation{}
-	gone := MigrationBetween(p.Allocation(), empty)
-	if gone.PairsMoved != same.PairsKept {
-		t.Errorf("diff to empty moved %d, want every pair (%d)", gone.PairsMoved, same.PairsKept)
+	gone := MigrationStatsBetween(p.Allocation(), empty, cfg.Model)
+	if gone.PairsMoved != same.PairsKept || gone.VMsAfter != 0 || gone.CostAfter != 0 {
+		t.Errorf("diff to empty moved %d to %d VMs at %v, want every pair (%d) to none at zero cost",
+			gone.PairsMoved, gone.VMsAfter, gone.CostAfter, same.PairsKept)
 	}
 }
 

@@ -3,7 +3,6 @@ package dynamic
 import (
 	"context"
 	"slices"
-	"sort"
 
 	"github.com/pubsub-systems/mcss/internal/core"
 	"github.com/pubsub-systems/mcss/internal/pricing"
@@ -103,7 +102,7 @@ func (p *Provisioner) PreviewIncremental(ctx context.Context, d Delta) (*workloa
 		}, p.res.Allocation, p.res.Allocation, p.cfg.Model)
 		return p.w, p.res, stats, nil
 	}
-	next, err := applyDeltaFast(p.w, d)
+	next, err := ApplyDelta(p.w, d)
 	if err != nil {
 		return nil, nil, MigrationStats{}, err
 	}
@@ -186,10 +185,11 @@ func (p *Provisioner) ensureIndex() error {
 	return nil
 }
 
-// MigrationStatsBetween diffs two allocations like MigrationBetween and
-// additionally fills the VM-count and cost fields under the given pricing
-// model. Preview, UpdateIncremental, and the deploy planner all route
-// their stats through this one helper.
+// MigrationStatsBetween diffs primary pair hosts by VM position between
+// two allocations — pairs kept on the same VM index versus moved, including
+// pairs newly selected or dropped — and fills the VM-count and cost fields
+// under the given pricing model. Preview, UpdateIncremental, and the deploy
+// planner all route their stats through this one helper.
 func MigrationStatsBetween(before, after *core.Allocation, m pricing.Model) MigrationStats {
 	return finishStats(migrationBetween(before, after), before, after, m)
 }
@@ -201,104 +201,4 @@ func finishStats(stats MigrationStats, before, after *core.Allocation, m pricing
 	stats.CostBefore = before.Cost(m)
 	stats.CostAfter = after.Cost(m)
 	return stats
-}
-
-// applyDeltaFast materializes the delta'd workload by patching the CSR
-// arrays directly — a sorted three-way merge per edited subscriber instead
-// of applyDelta's per-subscriber interest maps — so the epoch's workload
-// swap costs O(pairs) array copies plus O(delta log delta), keeping the
-// incremental path's constant factor low. Semantics are identical to
-// applyDelta (property-tested), including dropping topic/subscriber names.
-func applyDeltaFast(w *workload.Workload, d Delta) (*workload.Workload, error) {
-	if err := d.Validate(w.NumTopics(), w.NumSubscribers()); err != nil {
-		return nil, err
-	}
-	numT := w.NumTopics() + len(d.NewTopics)
-	numV := w.NumSubscribers() + d.NewSubscribers
-
-	rates := make([]int64, numT)
-	copy(rates, w.Rates())
-	copy(rates[w.NumTopics():], d.NewTopics)
-	for t, r := range d.RateChanges {
-		rates[t] = r
-	}
-
-	// Group the pair edits per subscriber (delta-sized, not fleet-sized).
-	type rowEdit struct{ add, del []workload.TopicID }
-	edits := make(map[workload.SubID]*rowEdit, len(d.Subscribe)+len(d.Unsubscribe))
-	edit := func(v workload.SubID) *rowEdit {
-		e := edits[v]
-		if e == nil {
-			e = &rowEdit{}
-			edits[v] = e
-		}
-		return e
-	}
-	for _, pr := range d.Subscribe {
-		e := edit(pr.Sub)
-		e.add = append(e.add, pr.Topic)
-	}
-	for _, pr := range d.Unsubscribe {
-		e := edit(pr.Sub)
-		e.del = append(e.del, pr.Topic)
-	}
-	for _, e := range edits {
-		slices.Sort(e.add)
-		slices.Sort(e.del)
-	}
-
-	subOff := make([]int64, 1, numV+1)
-	subTopics := make([]workload.TopicID, 0, w.NumPairs()+int64(len(d.Subscribe)))
-	for v := 0; v < numV; v++ {
-		var old []workload.TopicID
-		if v < w.NumSubscribers() {
-			old = w.Topics(workload.SubID(v))
-		}
-		if e := edits[workload.SubID(v)]; e == nil {
-			subTopics = append(subTopics, old...)
-		} else {
-			subTopics = mergeRow(subTopics, old, e.add, e.del)
-		}
-		subOff = append(subOff, int64(len(subTopics)))
-	}
-	return workload.FromCSR(rates, subOff, subTopics, nil, nil)
-}
-
-// mergeRow appends (old ∪ add) \ del to dst, deduplicated ascending. All
-// three inputs are sorted ascending; add and del never share a topic
-// (Delta.Validate rejects that).
-func mergeRow(dst, old, add, del []workload.TopicID) []workload.TopicID {
-	start := len(dst)
-	i, j := 0, 0
-	emit := func(t workload.TopicID) {
-		if _, dead := slices.BinarySearch(del, t); dead {
-			return
-		}
-		if n := len(dst); n > start && dst[n-1] == t {
-			return // duplicate (re-subscribe of an existing interest)
-		}
-		dst = append(dst, t)
-	}
-	for i < len(old) || j < len(add) {
-		switch {
-		case j >= len(add) || (i < len(old) && old[i] <= add[j]):
-			emit(old[i])
-			i++
-		default:
-			emit(add[j])
-			j++
-		}
-	}
-	return dst
-}
-
-// sortPairs orders pairs subscriber-major then topic — the canonical order
-// tests and tools use when comparing deltas.
-func sortPairs(ps []workload.Pair) {
-	sort.Slice(ps, func(i, j int) bool {
-		if ps[i].Sub != ps[j].Sub {
-			return ps[i].Sub < ps[j].Sub
-		}
-		return ps[i].Topic < ps[j].Topic
-	})
 }

@@ -1,8 +1,10 @@
 package dynamic
 
 import (
+	"cmp"
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/pubsub-systems/mcss/internal/core"
@@ -214,10 +216,10 @@ func TestUpdateIncrementalRandomChurnSequence(t *testing.T) {
 	t.Logf("%d/%d steps fell back to a full re-solve", fallbacks, steps)
 }
 
-// TestApplyDeltaFastMatchesApplyDelta pins the CSR-patching fast path
-// byte-identical to the reference map-based applyDelta across randomized
-// deltas, including growth, re-subscribes of existing interests, and
-// unsubscribes of absent pairs.
+// TestApplyDeltaFastMatchesApplyDelta pins the CSR-patching ApplyDelta
+// byte-identical to the test-local map-based reference (applyDeltaMaps)
+// across randomized deltas, including growth, re-subscribes of existing
+// interests, and unsubscribes of absent pairs.
 func TestApplyDeltaFastMatchesApplyDelta(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for c := 0; c < 200; c++ {
@@ -254,13 +256,13 @@ func TestApplyDeltaFastMatchesApplyDelta(t *testing.T) {
 		}
 		sortPairs(d.Unsubscribe)
 
-		want, err := applyDelta(w, d)
+		want, err := applyDeltaMaps(w, d)
 		if err != nil {
-			t.Fatalf("case %d: applyDelta: %v", c, err)
+			t.Fatalf("case %d: applyDeltaMaps: %v", c, err)
 		}
-		got, err := applyDeltaFast(w, d)
+		got, err := ApplyDelta(w, d)
 		if err != nil {
-			t.Fatalf("case %d: applyDeltaFast: %v", c, err)
+			t.Fatalf("case %d: ApplyDelta: %v", c, err)
 		}
 		if got.NumTopics() != want.NumTopics() || got.NumSubscribers() != want.NumSubscribers() {
 			t.Fatalf("case %d: shape %d/%d != %d/%d", c,
@@ -284,6 +286,65 @@ func TestApplyDeltaFastMatchesApplyDelta(t *testing.T) {
 			}
 		}
 	}
+}
+
+// applyDeltaMaps is the reference ApplyDelta: it rebuilds every
+// subscriber's interests as a set, applies the pair edits, and re-sorts —
+// obviously correct, and O(pairs) map work per call.
+func applyDeltaMaps(w *workload.Workload, d Delta) (*workload.Workload, error) {
+	if err := d.Validate(w.NumTopics(), w.NumSubscribers()); err != nil {
+		return nil, err
+	}
+	numT := w.NumTopics() + len(d.NewTopics)
+	numV := w.NumSubscribers() + d.NewSubscribers
+
+	rates := make([]int64, numT)
+	copy(rates, w.Rates())
+	copy(rates[w.NumTopics():], d.NewTopics)
+	for t, r := range d.RateChanges {
+		rates[t] = r
+	}
+
+	interests := make([]map[workload.TopicID]bool, numV)
+	for v := 0; v < w.NumSubscribers(); v++ {
+		set := make(map[workload.TopicID]bool, w.Followings(workload.SubID(v)))
+		for _, t := range w.Topics(workload.SubID(v)) {
+			set[t] = true
+		}
+		interests[v] = set
+	}
+	for v := w.NumSubscribers(); v < numV; v++ {
+		interests[v] = make(map[workload.TopicID]bool)
+	}
+	for _, pr := range d.Subscribe {
+		interests[pr.Sub][pr.Topic] = true
+	}
+	for _, pr := range d.Unsubscribe {
+		delete(interests[pr.Sub], pr.Topic)
+	}
+
+	subOff := make([]int64, 1, numV+1)
+	var subTopics []workload.TopicID
+	for _, set := range interests {
+		start := len(subTopics)
+		for t := range set {
+			subTopics = append(subTopics, t)
+		}
+		slices.Sort(subTopics[start:])
+		subOff = append(subOff, int64(len(subTopics)))
+	}
+	return workload.FromCSR(rates, subOff, subTopics, nil, nil)
+}
+
+// sortPairs orders pairs subscriber-major then topic, the canonical order
+// the tests compare deltas in.
+func sortPairs(ps []workload.Pair) {
+	slices.SortFunc(ps, func(a, b workload.Pair) int {
+		if a.Sub != b.Sub {
+			return cmp.Compare(a.Sub, b.Sub)
+		}
+		return cmp.Compare(a.Topic, b.Topic)
+	})
 }
 
 // TestEnsureIndexRebuildsAfterExternalAdopt checks that a state mutation

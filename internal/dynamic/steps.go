@@ -65,8 +65,8 @@ func (s Step) String() string {
 
 // StepsBetween extracts the step sequence transforming the before
 // allocation into the after allocation, diffing placements by VM slot (the
-// same position-based identity MigrationBetween measures churn with). The
-// result replays deterministically: removals first (slot then topic order),
+// same position-based identity MigrationStatsBetween measures churn with).
+// The result replays deterministically: removals first (slot then topic order),
 // then retirements, then boots, then placements, so ReplaySteps on before
 // reproduces after exactly. A kept slot whose instance type or capacity
 // changed is replaced in place (retire + boot).

@@ -72,7 +72,7 @@ func TestStepsBetweenReplayRoundTrip(t *testing.T) {
 		t.Fatalf("replayed cost %v != target %v", got.Cost(cfg.Model), after.Cost(cfg.Model))
 	}
 	// Position-based churn of the replayed state matches the direct diff.
-	if a, b := MigrationBetween(before, got), MigrationBetween(before, after); a != b {
+	if a, b := migrationBetween(before, got), migrationBetween(before, after); a != b {
 		t.Fatalf("replayed migration stats %+v != direct %+v", a, b)
 	}
 }

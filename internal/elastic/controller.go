@@ -221,13 +221,6 @@ func (r *RunReport) MaxBilledVMs() int {
 type Controller struct {
 	cfg    core.Config
 	policy Policy
-	// directAdopt bypasses the plan lifecycle and installs each epoch's
-	// decision straight into the provisioner — no step extraction, no
-	// fingerprint checks, no per-epoch Plan in the report. It exists so
-	// the plan-mediation overhead stays measurable (see
-	// BenchmarkDiurnalControllerDirect and EXPERIMENTS.md); production
-	// paths always go through plans.
-	directAdopt bool
 
 	// schedule, when set, reprices the fleet per epoch (spot markets);
 	// chaos, when set, injects reclamations after each epoch's adoption.
@@ -244,8 +237,7 @@ type Controller struct {
 }
 
 // SetApplyHook attaches a per-epoch Apply option supplier (journal,
-// executor, epoch tag). Call before Start/Run; ignored under direct
-// adoption, which bypasses Apply entirely.
+// executor, epoch tag). Call before Start/Run.
 func (c *Controller) SetApplyHook(h func(epoch int) []deploy.ApplyOption) { c.applyHook = h }
 
 // SetFleetSchedule attaches a per-epoch fleet schedule (price timeline).
@@ -349,17 +341,10 @@ func (c *Controller) Start(ctx context.Context, tl *timeline.Timeline) (*Walk, e
 	ledger := NewLedger(c.cfg.Model.PerGB)
 	report.Ledger = ledger
 
-	// Fresh solves pack with headroom; the true fleet bounds validity.
-	solveCfg := c.cfg
-	if c.policy.HeadroomFrac > 0 && c.policy.HeadroomFrac < 1 {
-		solveCfg.Fleet = fleet.WithCapacityScale(1 - c.policy.HeadroomFrac)
-	}
-	prov, err := deploy.EmptyState().Provisioner(solveCfg)
+	solveCfg := c.packingConfig(c.cfg.Fleet)
+	prov, err := c.provisioner(deploy.EmptyState(), solveCfg)
 	if err != nil {
 		return nil, fmt.Errorf("elastic: %w", err)
-	}
-	if c.policy.Incremental {
-		prov.SetIncrementalPolicy(dynamic.IncrementalPolicy{MaxRegretFrac: c.policy.IncrementalMaxRegret})
 	}
 	return &Walk{
 		c:           c,
@@ -394,12 +379,9 @@ func (c *Controller) StartAt(ctx context.Context, tl *timeline.Timeline, st *dep
 	if next > tl.NumEpochs() {
 		return nil, fmt.Errorf("elastic: resume epoch %d past timeline's %d epochs", next, tl.NumEpochs())
 	}
-	prov, err := st.Provisioner(wk.solveCfg)
+	prov, err := c.provisioner(st, wk.solveCfg)
 	if err != nil {
 		return nil, fmt.Errorf("elastic: resume: %w", err)
-	}
-	if c.policy.Incremental {
-		prov.SetIncrementalPolicy(dynamic.IncrementalPolicy{MaxRegretFrac: c.policy.IncrementalMaxRegret})
 	}
 	wk.prov = prov
 	wk.next = next
@@ -428,12 +410,7 @@ func (c *Controller) StartAt(ctx context.Context, tl *timeline.Timeline, st *dep
 func (c *Controller) ResumeRecovery(ctx context.Context, tl *timeline.Timeline, rec *deploy.Recovery) (*Walk, error) {
 	st, next := rec.State, int(rec.Epoch)+1
 	if rec.InFlight != nil {
-		fleet := c.cfg.EffectiveFleet()
-		solveCfg := c.cfg
-		if c.policy.HeadroomFrac > 0 && c.policy.HeadroomFrac < 1 {
-			solveCfg.Fleet = fleet.WithCapacityScale(1 - c.policy.HeadroomFrac)
-		}
-		prov, err := st.Provisioner(solveCfg)
+		prov, err := c.provisioner(st, c.packingConfig(c.cfg.Fleet))
 		if err != nil {
 			return nil, fmt.Errorf("elastic: resume: %w", err)
 		}
@@ -450,6 +427,33 @@ func (c *Controller) ResumeRecovery(ctx context.Context, tl *timeline.Timeline, 
 		next = epoch + 1
 	}
 	return c.StartAt(ctx, tl, st, next)
+}
+
+// packingConfig is the config the walk's fresh solves pack under for the
+// decision fleet f: the controller's config on f, derated by the policy's
+// packing headroom. Kept allocations are validated against the un-derated
+// fleet instead, so epoch-to-epoch rate drift does not immediately
+// invalidate them.
+func (c *Controller) packingConfig(f pricing.Fleet) core.Config {
+	cfg := c.cfg
+	cfg.Fleet = f
+	if h := c.policy.HeadroomFrac; h > 0 && h < 1 {
+		cfg.Fleet = cfg.EffectiveFleet().WithCapacityScale(1 - h)
+	}
+	return cfg
+}
+
+// provisioner restores st under the packing config with the policy's
+// incremental settings.
+func (c *Controller) provisioner(st *deploy.State, solveCfg core.Config) (*dynamic.Provisioner, error) {
+	prov, err := st.Provisioner(solveCfg)
+	if err != nil {
+		return nil, err
+	}
+	if c.policy.Incremental {
+		prov.SetIncrementalPolicy(dynamic.IncrementalPolicy{MaxRegretFrac: c.policy.IncrementalMaxRegret})
+	}
+	return prov, nil
 }
 
 // refreshFleet pulls epoch e's fleets from the schedule (when one is
@@ -472,10 +476,7 @@ func (wk *Walk) refreshFleet(e int) (bool, error) {
 	}
 	wk.fleet = decision
 	wk.report.Fleet = decision
-	wk.solveCfg.Fleet = decision
-	if h := wk.c.policy.HeadroomFrac; h > 0 && h < 1 {
-		wk.solveCfg.Fleet = decision.WithCapacityScale(1 - h)
-	}
+	wk.solveCfg = wk.c.packingConfig(decision)
 	wk.prov.SetFleet(wk.solveCfg.Fleet)
 	repriceAllocation(wk.prov.Allocation(), decision)
 	return true, nil
@@ -586,10 +587,7 @@ func (wk *Walk) Step(ctx context.Context) (EpochReport, error) {
 
 	// Decide the epoch's target: the fresh solve, or the kept
 	// (repriced, topped-up) previous placements.
-	var (
-		target   *core.Allocation
-		freshSel *core.Selection
-	)
+	var target *core.Allocation
 	if e == 0 {
 		res, err := core.SolveContext(ctx, w, solveCfg)
 		if err != nil {
@@ -598,7 +596,7 @@ func (wk *Walk) Step(ctx context.Context) (EpochReport, error) {
 			}
 			return EpochReport{}, fmt.Errorf("elastic: epoch 0: %w", err)
 		}
-		target, freshSel = res.Allocation, res.Selection
+		target = res.Allocation
 		ep.Adopted, ep.Forced = true, true
 		ep.PairsMoved = countPairs(target)
 		ep.CandidateMoves = ep.PairsMoved
@@ -652,7 +650,7 @@ func (wk *Walk) Step(ctx context.Context) (EpochReport, error) {
 		}
 
 		if ep.Adopted {
-			target, freshSel = fresh.Allocation, fresh.Selection
+			target = fresh.Allocation
 			ep.PairsMoved = stats.PairsMoved
 		} else {
 			target = kept
@@ -660,40 +658,29 @@ func (wk *Walk) Step(ctx context.Context) (EpochReport, error) {
 		}
 	}
 
-	// Enact the decision. The plan path is the production one; the
-	// direct path exists only to measure its overhead.
-	var adopted *core.Allocation
-	if c.directAdopt {
-		sel := freshSel
-		if sel == nil {
-			sel = prov.Selection()
-		}
-		prov.Adopt(w, &core.Result{Selection: sel, Allocation: target})
-		adopted = target
-	} else {
-		planCfg := c.cfg
-		planCfg.Fleet = fleet // record the epoch's (possibly repriced) fleet
-		plan, err := deploy.NewPlan(planCfg, deploy.StateOf(prov), deploy.NewState(w, target))
-		if err != nil {
-			return EpochReport{}, fmt.Errorf("elastic: epoch %d: plan: %w", e, err)
-		}
-		var applyOpts []deploy.ApplyOption
-		if c.applyHook != nil {
-			applyOpts = c.applyHook(e)
-		}
-		if _, err := deploy.Apply(ctx, plan, prov, applyOpts...); err != nil {
-			if cerr := ctx.Err(); cerr != nil {
-				return EpochReport{}, cerr
-			}
-			return EpochReport{}, fmt.Errorf("elastic: epoch %d: apply: %w", e, err)
-		}
-		ep.Plan = plan
-		// The report references the plan's own target allocation
-		// (fingerprint-verified identical to the adopted replay), so
-		// retaining plans in the report does not hold a second full
-		// cluster copy per epoch alive.
-		adopted = plan.Target.Allocation
+	// Enact the decision through a plan.
+	planCfg := c.cfg
+	planCfg.Fleet = fleet // record the epoch's (possibly repriced) fleet
+	plan, err := deploy.NewPlan(planCfg, deploy.StateOf(prov), deploy.NewState(w, target))
+	if err != nil {
+		return EpochReport{}, fmt.Errorf("elastic: epoch %d: plan: %w", e, err)
 	}
+	var applyOpts []deploy.ApplyOption
+	if c.applyHook != nil {
+		applyOpts = c.applyHook(e)
+	}
+	if _, err := deploy.Apply(ctx, plan, prov, applyOpts...); err != nil {
+		if cerr := ctx.Err(); cerr != nil {
+			return EpochReport{}, cerr
+		}
+		return EpochReport{}, fmt.Errorf("elastic: epoch %d: apply: %w", e, err)
+	}
+	ep.Plan = plan
+	// The report references the plan's own target allocation
+	// (fingerprint-verified identical to the adopted replay), so retaining
+	// plans in the report does not hold a second full cluster copy per
+	// epoch alive.
+	adopted := plan.Target.Allocation
 
 	// Fleet accounting: acquire shortfalls immediately (correctness),
 	// release surplus only past the cooldown and the savings bar.

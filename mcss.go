@@ -27,9 +27,9 @@
 // progress. Stage algorithms are pluggable named strategies (WithStage1,
 // WithStage2, WithStrategy; RegisterStrategy adds your own).
 //
-// Beyond the paper, the solver packs onto heterogeneous fleets: set
-// SolverConfig.Fleet (e.g. CatalogFleet) and Stage 2 picks which instance
-// size to deploy next by modeled cost per byte served — big instances for
+// Beyond the paper, the solver packs onto heterogeneous fleets: pass
+// WithFleet (e.g. CatalogFleet) and Stage 2 picks which instance size to
+// deploy next by modeled cost per byte served — big instances for
 // hot topics, small ones for the tail — never costing more than the best
 // homogeneous choice from the same fleet.
 //
@@ -142,8 +142,8 @@ func InstanceByName(name string) (InstanceType, bool) { return pricing.ByName(na
 func NewFleet(types ...InstanceType) (Fleet, error) { return pricing.NewFleet(types...) }
 
 // CatalogFleet returns the full instance catalog as a fleet — pass it via
-// SolverConfig.Fleet (or DefaultFleetConfig) to let the solver deploy big
-// instances for hot topics and small ones for the tail.
+// WithFleet (or SolverConfig.Fleet) to let the solver deploy big instances
+// for hot topics and small ones for the tail.
 func CatalogFleet() Fleet { return pricing.CatalogFleet() }
 
 // Solver.
@@ -199,51 +199,6 @@ func SelectAllPairs(w *Workload) *Selection { return core.SelectAllPairs(w) }
 func SelectionFromPairs(w *Workload, pairs []Pair) (*Selection, error) {
 	return core.SelectionFromPairs(w, pairs)
 }
-
-// DefaultConfig returns the paper's full solution (GSP + CBP with all
-// optimizations, 200-byte messages) for the given τ and pricing model.
-//
-// Deprecated: build a Planner with NewPlanner(WithTau(tau), WithModel(m))
-// instead; DefaultConfig remains for SolverConfig-based call sites.
-func DefaultConfig(tau int64, m Model) SolverConfig { return core.DefaultConfig(tau, m) }
-
-// DefaultFleetConfig is DefaultConfig with a heterogeneous fleet: Stage 2
-// chooses which instance size to deploy next by modeled cost per byte
-// served, and the result never costs more than the best single-type choice
-// from the same fleet.
-//
-// Deprecated: build a Planner with WithFleet(f) instead.
-func DefaultFleetConfig(tau int64, m Model, f Fleet) SolverConfig {
-	cfg := core.DefaultConfig(tau, m)
-	cfg.Fleet = f
-	return cfg
-}
-
-// Solve runs the two-stage MCSS heuristic.
-//
-// Deprecated: use Planner.Solve, which takes a context.Context for
-// cancellation/deadlines and streams progress to an Observer. Solve
-// remains as a thin wrapper over the same engine for one release.
-func Solve(w *Workload, cfg SolverConfig) (*Result, error) { return core.Solve(w, cfg) }
-
-// LowerBound computes the per-instance Alg. 5 lower bound.
-//
-// Deprecated: use Planner.LowerBound.
-func LowerBound(w *Workload, cfg SolverConfig) (Bound, error) { return core.LowerBound(w, cfg) }
-
-// Verify checks the solver's postconditions (satisfaction, capacity,
-// accounting, consistency) and returns the first violation.
-//
-// Deprecated: use Planner.Verify.
-func Verify(w *Workload, sel *Selection, alloc *Allocation, cfg SolverConfig) error {
-	return core.VerifyAllocation(w, sel, alloc, cfg)
-}
-
-// SolveExact computes the optimal solution for tiny instances (at most
-// ExactMaxPairs pairs); it validates heuristic quality in tests and demos.
-//
-// Deprecated: use Planner.SolveExact.
-func SolveExact(w *Workload, cfg SolverConfig) (ExactSolution, error) { return exact.Solve(w, cfg) }
 
 // ExactMaxPairs is the exact solver's instance-size cap.
 const ExactMaxPairs = exact.MaxPairs
@@ -329,13 +284,6 @@ type (
 	IncrementalPolicy = dynamic.IncrementalPolicy
 )
 
-// NewProvisioner solves the initial allocation for online re-provisioning.
-//
-// Deprecated: use Planner.Provision, which takes a context.Context.
-func NewProvisioner(w *Workload, cfg SolverConfig) (*Provisioner, error) {
-	return dynamic.New(w, cfg)
-}
-
 // DeltaBetween computes the Delta transforming one workload snapshot into
 // its successor (IDs stable, counts may only grow) — the bridge from
 // timeline epochs to the provisioner.
@@ -414,15 +362,6 @@ func SaveTimeline(tl *Timeline, path string) error {
 // epochs fail with ErrInvalidTimeline, mirroring SaveTimeline.
 func LoadTimeline(path string) (*Timeline, error) {
 	return traceio.LoadTimeline(path)
-}
-
-// NewElasticController builds an elastic controller that re-solves each
-// timeline epoch under cfg and applies the hysteresis policy. Its Run
-// method takes a context.Context.
-//
-// Deprecated: use Planner.RunTimeline.
-func NewElasticController(cfg SolverConfig, policy ElasticPolicy) *ElasticController {
-	return elastic.NewController(cfg, policy)
 }
 
 // DefaultElasticPolicy is the hysteresis setting of the diurnal

@@ -1,6 +1,7 @@
 package mcss_test
 
 import (
+	"context"
 	"fmt"
 	"path/filepath"
 	"testing"
@@ -32,31 +33,39 @@ func buildDemo(t *testing.T) *mcss.Workload {
 	return w
 }
 
-func demoConfig(tau int64) mcss.SolverConfig {
+// demoPlanner builds the paper's full solution at τ over a VM capacity
+// small enough to force a multi-VM fleet for buildDemo's workload.
+func demoPlanner(t *testing.T, tau int64, opts ...mcss.Option) *mcss.Planner {
+	t.Helper()
 	m := mcss.NewModel(mcss.C3Large)
 	m.CapacityOverrideBytesPerHour = 60_000 // force a multi-VM fleet
-	return mcss.DefaultConfig(tau, m)
+	p, err := mcss.NewPlanner(append([]mcss.Option{mcss.WithTau(tau), mcss.WithModel(m)}, opts...)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
 }
 
 func TestPublicSolveEndToEnd(t *testing.T) {
+	ctx := context.Background()
 	w := buildDemo(t)
-	cfg := demoConfig(50)
-	res, err := mcss.Solve(w, cfg)
+	p := demoPlanner(t, 50)
+	res, err := p.Solve(ctx, w)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Allocation.NumVMs() == 0 {
 		t.Fatal("no VMs")
 	}
-	if err := mcss.Verify(w, res.Selection, res.Allocation, cfg); err != nil {
+	if err := p.Verify(w, res.Selection, res.Allocation); err != nil {
 		t.Errorf("Verify: %v", err)
 	}
-	lb, err := mcss.LowerBound(w, cfg)
+	lb, err := p.LowerBound(ctx, w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lb.Cost > res.Cost(cfg.Model) {
-		t.Errorf("lower bound %v above solution %v", lb.Cost, res.Cost(cfg.Model))
+	if cost := res.Cost(p.Config().Model); lb.Cost > cost {
+		t.Errorf("lower bound %v above solution %v", lb.Cost, cost)
 	}
 }
 
@@ -87,8 +96,9 @@ func TestPublicGeneratorsAndTraceIO(t *testing.T) {
 
 func TestPublicSimulation(t *testing.T) {
 	w := buildDemo(t)
-	cfg := demoConfig(50)
-	res, err := mcss.Solve(w, cfg)
+	p := demoPlanner(t, 50)
+	cfg := p.Config()
+	res, err := p.Solve(context.Background(), w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,8 +116,7 @@ func TestPublicSimulation(t *testing.T) {
 
 func TestPublicCluster(t *testing.T) {
 	w := buildDemo(t)
-	cfg := demoConfig(50)
-	res, err := mcss.Solve(w, cfg)
+	res, err := demoPlanner(t, 50).Solve(context.Background(), w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,8 +136,7 @@ func TestPublicCluster(t *testing.T) {
 
 func TestPublicProvisioner(t *testing.T) {
 	w := buildDemo(t)
-	cfg := demoConfig(50)
-	p, err := mcss.NewProvisioner(w, cfg)
+	p, err := demoPlanner(t, 50).Provision(context.Background(), w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,20 +162,20 @@ func TestPublicExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := demoConfig(6)
-	cfg.MessageBytes = 1
-	sol, err := mcss.SolveExact(w, cfg)
+	ctx := context.Background()
+	p := demoPlanner(t, 6, mcss.WithMessageBytes(1))
+	sol, err := p.SolveExact(ctx, w)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(sol.Selected) != 1 {
 		t.Errorf("Selected = %v, want a single pair", sol.Selected)
 	}
-	res, err := mcss.Solve(w, cfg)
+	res, err := p.Solve(ctx, w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Cost(cfg.Model) < sol.Cost {
+	if res.Cost(p.Config().Model) < sol.Cost {
 		t.Error("heuristic beat exact")
 	}
 }
@@ -182,17 +190,16 @@ func TestInstanceCatalogLookup(t *testing.T) {
 	}
 }
 
-// ExampleSolve demonstrates the minimal end-to-end flow.
-func ExampleSolve() {
+// ExamplePlanner_Solve demonstrates the minimal end-to-end flow.
+func ExamplePlanner_Solve() {
 	w, _ := mcss.NewWorkloadBuilder().
 		AddTopic("artist", 60). // 60 events/hour
 		AddSubscription("alice", "artist").
 		AddSubscription("bob", "artist").
 		Build()
 
-	model := mcss.NewModel(mcss.C3Large)
-	cfg := mcss.DefaultConfig(100, model)
-	res, _ := mcss.Solve(w, cfg)
+	p, _ := mcss.NewPlanner(mcss.WithTau(100), mcss.WithModel(mcss.NewModel(mcss.C3Large)))
+	res, _ := p.Solve(context.Background(), w)
 
 	fmt.Println("VMs:", res.Allocation.NumVMs())
 	fmt.Println("pairs:", res.Selection.NumPairs())
@@ -236,8 +243,7 @@ func TestPublicSatisfactionAPI(t *testing.T) {
 
 func TestPublicUtilization(t *testing.T) {
 	w := buildDemo(t)
-	cfg := demoConfig(50)
-	res, err := mcss.Solve(w, cfg)
+	res, err := demoPlanner(t, 50).Solve(context.Background(), w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,10 +265,11 @@ func maxTopicRate(w *mcss.Workload) int64 {
 }
 
 // TestHeterogeneousNeverWorseThanBestHomogeneous is the public-API
-// guarantee behind heterogeneous fleets: handing Solve the full C3 catalog
-// as the fleet yields cost no worse than the cheapest single-type solve,
-// on Twitter-like, Spotify-like, and uniform random traces.
+// guarantee behind heterogeneous fleets: handing the Planner the full C3
+// catalog as the fleet yields cost no worse than the cheapest single-type
+// solve, on Twitter-like, Spotify-like, and uniform random traces.
 func TestHeterogeneousNeverWorseThanBestHomogeneous(t *testing.T) {
+	ctx := context.Background()
 	twitter, err := mcss.GenerateTwitter(mcss.DefaultTwitterTrace().Scale(0.04))
 	if err != nil {
 		t.Fatal(err)
@@ -290,15 +297,23 @@ func TestHeterogeneousNeverWorseThanBestHomogeneous(t *testing.T) {
 		fleet := mcss.CatalogFleet().WithBytesPerMbps(bpm)
 		model := mcss.NewModel(mcss.C3Large)
 
-		mixed, err := mcss.Solve(w, mcss.DefaultFleetConfig(100, model, fleet))
+		planner := func(f mcss.Fleet) *mcss.Planner {
+			p, err := mcss.NewPlanner(mcss.WithTau(100), mcss.WithModel(model), mcss.WithFleet(f))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return p
+		}
+
+		mixedP := planner(fleet)
+		mixed, err := mixedP.Solve(ctx, w)
 		if err != nil {
 			t.Fatalf("%s mixed solve: %v", name, err)
 		}
-		mixedCfg := mcss.DefaultFleetConfig(100, model, fleet)
-		if err := mcss.Verify(w, mixed.Selection, mixed.Allocation, mixedCfg); err != nil {
+		if err := mixedP.Verify(w, mixed.Selection, mixed.Allocation); err != nil {
 			t.Errorf("%s mixed verify: %v", name, err)
 		}
-		lb, err := mcss.LowerBound(w, mixedCfg)
+		lb, err := mixedP.LowerBound(ctx, w)
 		if err != nil {
 			t.Fatalf("%s lower bound: %v", name, err)
 		}
@@ -313,12 +328,12 @@ func TestHeterogeneousNeverWorseThanBestHomogeneous(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfg := mcss.DefaultFleetConfig(100, model, single.WithBytesPerMbps(bpm))
-			res, err := mcss.Solve(w, cfg)
+			p := planner(single.WithBytesPerMbps(bpm))
+			res, err := p.Solve(ctx, w)
 			if err != nil {
 				continue // type too small for the hottest topic
 			}
-			if err := mcss.Verify(w, res.Selection, res.Allocation, cfg); err != nil {
+			if err := p.Verify(w, res.Selection, res.Allocation); err != nil {
 				t.Errorf("%s %s verify: %v", name, it.Name, err)
 			}
 			if c := res.Cost(model); !found || c < bestHomo {

@@ -188,9 +188,11 @@ func WithObserver(obs Observer) Option {
 	}
 }
 
-// WithParallelism sets the Stage-1 worker count: 0 or 1 solve serially,
-// n > 1 shards across n goroutines, negative uses GOMAXPROCS. Results are
-// bit-identical regardless.
+// WithParallelism sets the solver's worker count (Config.Parallelism): 0
+// or 1 solve serially, n > 1 uses n goroutines, negative uses GOMAXPROCS.
+// It bounds both the Stage-1 subscriber sharding and the Stage-2
+// heterogeneous portfolio, whose members then pack concurrently. Results
+// are bit-identical regardless.
 func WithParallelism(workers int) Option {
 	return func(b *plannerBuilder) { b.cfg.Parallelism = workers }
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	mcss "github.com/pubsub-systems/mcss"
+	"github.com/pubsub-systems/mcss/internal/core"
 )
 
 func demoModel() mcss.Model {
@@ -69,16 +70,13 @@ func TestNewPlannerJoinsAllErrors(t *testing.T) {
 	}
 }
 
-// The Planner path must produce bit-identical results to the deprecated
-// Solve wrapper under the equivalent configuration.
-func TestPlannerMatchesDeprecatedSolve(t *testing.T) {
+// The Planner's defaults are the paper's full solution: its result must be
+// identical to the engine's under core.DefaultConfig.
+func TestPlannerMatchesCoreSolve(t *testing.T) {
 	w := buildDemo(t)
-	cfg := demoConfig(40)
-	old, err := mcss.Solve(w, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := mcss.NewPlanner(mcss.WithTau(40), mcss.WithModel(cfg.Model))
+	p := demoPlanner(t, 40)
+	cfg := core.DefaultConfig(40, p.Config().Model)
+	old, err := core.Solve(w, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,9 +108,9 @@ func TestPlannerMatchesDeprecatedSolve(t *testing.T) {
 // Named strategies dispatch to the same algorithms as the enum config.
 func TestPlannerStrategyDispatch(t *testing.T) {
 	w := buildDemo(t)
-	cfg := demoConfig(40)
+	cfg := demoPlanner(t, 40).Config()
 	cfg.Stage1, cfg.Stage2 = mcss.Stage1Random, mcss.Stage2First
-	old, err := mcss.Solve(w, cfg)
+	old, err := core.Solve(w, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
