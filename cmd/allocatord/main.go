@@ -236,16 +236,8 @@ func (d *daemon) applyTopology(o options, cfg *core.Config) error {
 		if cfg.Fleet, err = topo.RegionalFleet(base, t); err != nil {
 			return err
 		}
-		s1, ok := core.StrategyByName(topo.Stage1Name)
-		if !ok {
-			return fmt.Errorf("topo strategy %q not registered", topo.Stage1Name)
-		}
-		s2, ok := core.StrategyByName(topo.Stage2Name)
-		if !ok {
-			return fmt.Errorf("topo strategy %q not registered", topo.Stage2Name)
-		}
-		cfg.Stage1Strategy = s1
-		cfg.Stage2Strategy = s2
+		cfg.Stage1 = topo.SelectColocated
+		cfg.Stage2 = topo.PackTopo
 	}
 	d.mu.Lock()
 	d.topology = t
@@ -440,11 +432,7 @@ func (d *daemon) runTimeline(ctx context.Context, o options, rec *deploy.Recover
 		if err != nil {
 			return err
 		}
-		strat, ok := core.StrategyByName(spot.StrategyName)
-		if !ok {
-			return fmt.Errorf("spot strategy %q not registered", spot.StrategyName)
-		}
-		cfg.Stage2Strategy = strat
+		cfg.Stage2 = spot.PackRiskAware
 		if sched, err = spot.NewSchedule(market, cfg.Fleet, spot.ScheduleConfig{}); err != nil {
 			return err
 		}

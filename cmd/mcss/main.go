@@ -88,7 +88,7 @@ func registerSolverFlags(fs *flag.FlagSet) *solverFlags {
 		capacity:  fs.Int64("capacity", 0, "per-VM capacity override in bytes/hour for -instance, scaled per-mbps across the fleet (0 = calibrated)"),
 		msgBytes:  fs.Int64("message-bytes", 200, "notification size in bytes"),
 		stage1:    fs.String("stage1", "gsp", "stage 1 algorithm: gsp, rsp, or topo-gsp"),
-		stage2:    fs.String("stage2", "cbp", "stage 2 algorithm: cbp, ffbp, or topo"),
+		stage2:    fs.String("stage2", "cbp", "stage 2 algorithm: cbp, ffbp, bfd, spot, or topo"),
 		optSpec:   fs.String("opts", "all", "CBP optimizations: all, none, or comma list of expensive,mostfree,cost"),
 		strategy:  fs.String("strategy", "", "full-solve strategy replacing both stages (e.g. exact)"),
 		topologyPath: fs.String("topology", "",

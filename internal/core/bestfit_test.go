@@ -16,7 +16,7 @@ func TestBFDPacksTightest(t *testing.T) {
 	// lands on VM1.
 	w := mustWorkload(t, []int64{30, 20, 10}, [][]workload.TopicID{{0}, {1}, {2}})
 	sel := SelectAllPairs(w)
-	cfg := configWith(1000, 70, Stage2FirstFit, 0)
+	cfg := configWith(1000, 70, FFBinPackingContext, 0)
 	alloc, err := BFDBinPacking(sel, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -39,7 +39,7 @@ func TestBFDTieBreaksPreferTighterVM(t *testing.T) {
 		{2},
 	})
 	sel := SelectAllPairs(w)
-	cfg := configWith(1000, 100, Stage2FirstFit, 0)
+	cfg := configWith(1000, 100, FFBinPackingContext, 0)
 	alloc, err := BFDBinPacking(sel, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -56,7 +56,7 @@ func TestBFDTieBreaksPreferTighterVM(t *testing.T) {
 func TestBFDInfeasible(t *testing.T) {
 	w := mustWorkload(t, []int64{100}, [][]workload.TopicID{{0}})
 	sel := SelectAllPairs(w)
-	cfg := configWith(1000, 150, Stage2FirstFit, 0)
+	cfg := configWith(1000, 150, FFBinPackingContext, 0)
 	if _, err := BFDBinPacking(sel, cfg); !errors.Is(err, ErrInfeasible) {
 		t.Errorf("err = %v, want ErrInfeasible", err)
 	}
@@ -77,7 +77,7 @@ func TestPropertyBFDValidAndNoWorseVMsThanFF(t *testing.T) {
 				maxRate = r
 			}
 		}
-		cfg := configWith(tau, 2*maxRate+1000, Stage2FirstFit, 0)
+		cfg := configWith(tau, 2*maxRate+1000, FFBinPackingContext, 0)
 		sel := GreedySelectPairs(w, tau)
 		alloc, err := BFDBinPacking(sel, cfg)
 		if err != nil {
@@ -100,7 +100,7 @@ func TestPropertyBFDValidAndNoWorseVMsThanFF(t *testing.T) {
 func TestBFDEmptySelection(t *testing.T) {
 	w := mustWorkload(t, []int64{5}, [][]workload.TopicID{{0}})
 	empty := &Selection{w: w, subOff: make([]int64, w.NumSubscribers()+1)}
-	alloc, err := BFDBinPacking(empty, configWith(10, 100, Stage2FirstFit, 0))
+	alloc, err := BFDBinPacking(empty, configWith(10, 100, FFBinPackingContext, 0))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,7 +28,7 @@ func testFleet(t *testing.T, baseCap int64) pricing.Fleet {
 }
 
 // fleetConfig is configWith plus a fleet.
-func fleetConfig(tau int64, f pricing.Fleet, s2 Stage2Algo, opts OptFlags) Config {
+func fleetConfig(tau int64, f pricing.Fleet, s2 packFunc, opts OptFlags) Config {
 	cfg := configWith(tau, f.MaxCapacity(), s2, opts)
 	cfg.Fleet = f
 	return cfg
@@ -74,7 +74,7 @@ func TestCBPMixesInstanceSizes(t *testing.T) {
 	w := mustWorkload(t, rates, interests)
 	sel := SelectAllPairs(w)
 	f := testFleet(t, 100)
-	cfg := fleetConfig(10_000, f, Stage2Custom, OptExpensiveTopicFirst)
+	cfg := fleetConfig(10_000, f, CustomBinPackingContext, OptExpensiveTopicFirst)
 	alloc, err := CustomBinPacking(sel, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -97,7 +97,7 @@ func TestCBPMixesInstanceSizes(t *testing.T) {
 func TestSolveFleetInfeasibleOnlyWhenLargestTooSmall(t *testing.T) {
 	w := mustWorkload(t, []int64{150}, [][]workload.TopicID{{0}})
 	f := testFleet(t, 100) // max cap 400 ≥ 2·150
-	res, err := Solve(w, fleetConfig(1000, f, Stage2Custom, OptAll))
+	res, err := Solve(w, fleetConfig(1000, f, CustomBinPackingContext, OptAll))
 	if err != nil {
 		t.Fatalf("feasible fleet solve failed: %v", err)
 	}
@@ -106,7 +106,7 @@ func TestSolveFleetInfeasibleOnlyWhenLargestTooSmall(t *testing.T) {
 	}
 	// Rate 250 needs 500 > max capacity: infeasible.
 	w2 := mustWorkload(t, []int64{250}, [][]workload.TopicID{{0}})
-	if _, err := Solve(w2, fleetConfig(1000, f, Stage2Custom, OptAll)); !errors.Is(err, ErrInfeasible) {
+	if _, err := Solve(w2, fleetConfig(1000, f, CustomBinPackingContext, OptAll)); !errors.Is(err, ErrInfeasible) {
 		t.Errorf("err = %v, want ErrInfeasible", err)
 	}
 }
@@ -150,7 +150,7 @@ func TestPropertyHeteroNeverWorseThanBestHomogeneous(t *testing.T) {
 		// the largest (4×) never is.
 		base := maxRate/2 + 1 + int64(capRaw%1000)
 		f := testFleet(t, base)
-		cfg := fleetConfig(tau, f, Stage2Custom, OptAll)
+		cfg := fleetConfig(tau, f, CustomBinPackingContext, OptAll)
 		res, err := Solve(w, cfg)
 		if err != nil {
 			return false
@@ -181,7 +181,7 @@ func TestVerifyAllocationMixedPerVMCapacities(t *testing.T) {
 	})
 	sel := SelectAllPairs(w)
 	f := testFleet(t, 100) // caps 100/200/400
-	cfg := fleetConfig(1000, f, Stage2Custom, OptAll)
+	cfg := fleetConfig(1000, f, CustomBinPackingContext, OptAll)
 
 	alloc := &Allocation{
 		Fleet:        f,
@@ -250,7 +250,7 @@ func TestLowerBoundOverFleet(t *testing.T) {
 	}
 	res, err := Solve(w, Config{
 		Tau: 1000, MessageBytes: 1, Model: cfg.Model, Fleet: f,
-		Stage1: Stage1Greedy, Stage2: Stage2Custom, Opts: OptAll,
+		Opts: OptAll,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -290,7 +290,7 @@ func TestFFBPFleetDeploysCheapestFittingType(t *testing.T) {
 	w := mustWorkload(t, []int64{60}, [][]workload.TopicID{{0}})
 	sel := SelectAllPairs(w)
 	f := testFleet(t, 100)
-	cfg := fleetConfig(1000, f, Stage2FirstFit, 0)
+	cfg := fleetConfig(1000, f, FFBinPackingContext, 0)
 	alloc, err := FFBinPacking(sel, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -27,8 +27,6 @@ func incTestConfig(t testing.TB) Config {
 		Tau:          40,
 		MessageBytes: 1,
 		Model:        incTestModel(600),
-		Stage1:       Stage1Greedy,
-		Stage2:       Stage2Custom,
 		Opts:         OptAll,
 	}
 }

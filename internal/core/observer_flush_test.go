@@ -129,12 +129,12 @@ func TestObserverRemainderFlushed(t *testing.T) {
 	})
 
 	t.Run("packers", func(t *testing.T) {
-		for _, algo := range []Stage2Algo{Stage2FirstFit, Stage2Custom} {
+		for name, pack := range map[string]packFunc{"ffbp": FFBinPackingContext, "cbp": CustomBinPackingContext} {
 			obs := newFlushRecorder()
 			cfg := smallConfig(obs)
-			cfg.Stage2 = algo
+			cfg.Stage2 = pack
 			if _, err := SolveContext(ctx, w, cfg); err != nil {
-				t.Fatalf("%v: %v", algo, err)
+				t.Fatalf("%s: %v", name, err)
 			}
 			obs.checkFlushed(t, StagePack)
 		}

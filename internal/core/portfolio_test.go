@@ -32,7 +32,6 @@ func TestPortfolioParallelismDeterminism(t *testing.T) {
 			MessageBytes: 1,
 			Model:        diffModel(rng, 2*maxRate+1),
 			Fleet:        randomDiffFleet(t, rng, maxRate),
-			Stage2:       Stage2Custom,
 			Opts:         OptAll,
 		}
 		sel := GreedySelectPairs(w, cfg.Tau)
@@ -74,7 +73,7 @@ func TestSelectionLazyViewsConcurrentReaders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{Tau: 40, MessageBytes: 1, Model: testModel(4000), Stage2: Stage2Custom, Opts: OptAll}
+	cfg := Config{Tau: 40, MessageBytes: 1, Model: testModel(4000), Opts: OptAll}
 	cfg.Fleet = testFleet(t, cfg.Model.CapacityBytesPerHour())
 	want, err := PackSelection(ctx, GreedySelectPairs(w, cfg.Tau), cfg)
 	if err != nil {
@@ -147,7 +146,7 @@ func TestPortfolioPrimaryErrorPropagates(t *testing.T) {
 	// One topic whose rate exceeds every fleet capacity: the mixed pack
 	// (and every restriction) is infeasible.
 	w := mustWorkload(t, []int64{500}, [][]workload.TopicID{{0}})
-	cfg := configWith(1000, 100, Stage2Custom, OptAll)
+	cfg := configWith(1000, 100, CustomBinPackingContext, OptAll)
 	cfg.Fleet = testFleet(t, 25) // caps 25/50/100 < 2·500
 	sel := SelectAllPairs(w)
 	for _, par := range []int{1, -1} {

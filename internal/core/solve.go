@@ -20,10 +20,10 @@ func Solve(w *workload.Workload, cfg Config) (*Result, error) {
 // SolveContext runs the MCSS solve under a context: cancellation (or
 // deadline expiry) is polled at bounded intervals inside every stage's hot
 // loop — the solve returns ctx.Err() promptly without finishing — and
-// Config.Observer receives per-stage progress callbacks. A non-zero
-// Config.SolveStrategy replaces the whole two-stage pipeline; otherwise
-// Stage 1 and Stage 2 dispatch through their strategy overrides or the
-// configured enum algorithms.
+// Config.Observer receives per-stage progress callbacks. A non-nil
+// Config.Solver replaces the whole two-stage pipeline; otherwise Stage 1
+// runs Config.Stage1 (nil = GSP) and Stage 2 runs Config.Stage2 (nil =
+// CBP).
 func SolveContext(ctx context.Context, w *workload.Workload, cfg Config) (*Result, error) {
 	cfg, err := cfg.normalize()
 	if err != nil {
@@ -33,8 +33,8 @@ func SolveContext(ctx context.Context, w *workload.Workload, cfg Config) (*Resul
 		return nil, err
 	}
 	cfg.Observer = ResolveObserver(ctx, cfg)
-	if cfg.SolveStrategy.Solve != nil {
-		return cfg.SolveStrategy.Solve(ctx, w, cfg)
+	if cfg.Solver != nil {
+		return cfg.Solver(ctx, w, cfg)
 	}
 	start := time.Now()
 	sel, err := runStage1(ctx, w, cfg)

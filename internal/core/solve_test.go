@@ -10,8 +10,8 @@ import (
 
 func TestDefaultConfig(t *testing.T) {
 	cfg := DefaultConfig(100, pricing.NewModel(pricing.C3Large))
-	if cfg.Tau != 100 || cfg.MessageBytes != 200 ||
-		cfg.Stage1 != Stage1Greedy || cfg.Stage2 != Stage2Custom || cfg.Opts != OptAll {
+	if cfg.Tau != 100 || cfg.MessageBytes != 200 || cfg.Opts != OptAll ||
+		cfg.Stage1 != nil || cfg.Stage2 != nil || cfg.Solver != nil {
 		t.Errorf("DefaultConfig = %+v", cfg)
 	}
 }
@@ -32,7 +32,7 @@ func TestConfigNormalizeRejectsBadInputs(t *testing.T) {
 
 func TestSolveReportsStageTimes(t *testing.T) {
 	w := mustWorkload(t, []int64{5, 7}, [][]workload.TopicID{{0, 1}, {0}})
-	res, err := Solve(w, configWith(6, 100, Stage2Custom, OptAll))
+	res, err := Solve(w, configWith(6, 100, CustomBinPackingContext, OptAll))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,8 +136,6 @@ func TestSolveNearLowerBoundOnSpotify(t *testing.T) {
 		Tau:          100,
 		MessageBytes: 1,
 		Model:        testModel(4 * maxRate),
-		Stage1:       Stage1Greedy,
-		Stage2:       Stage2Custom,
 		Opts:         OptAll,
 	}
 	res, err := Solve(w, cfg)
@@ -163,7 +161,7 @@ func TestLowerBoundManual(t *testing.T) {
 	// max(6,5)=6. Subscriber 1: topic {0:5}; τ_v=5, min 5 → 5.
 	// Total 11 events/h × msg 1 = 11 bytes/h; BC=4 → ⌈11/4⌉ = 3 VMs.
 	w := mustWorkload(t, []int64{5, 7}, [][]workload.TopicID{{0, 1}, {0}})
-	cfg := configWith(6, 4, Stage2Custom, 0)
+	cfg := configWith(6, 4, CustomBinPackingContext, 0)
 	lb, err := LowerBound(w, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -184,7 +182,7 @@ func TestLowerBoundMinRateClause(t *testing.T) {
 	// When every topic of a subscriber overshoots τ, the bound must use
 	// the smallest topic rate, not τ (Theorem A.1's max clause).
 	w := mustWorkload(t, []int64{50, 80}, [][]workload.TopicID{{0, 1}})
-	cfg := configWith(10, 1000, Stage2Custom, 0)
+	cfg := configWith(10, 1000, CustomBinPackingContext, 0)
 	lb, err := LowerBound(w, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -203,7 +201,7 @@ func TestLowerBoundRejectsBadConfig(t *testing.T) {
 
 func TestVerifyAllocationCatchesViolations(t *testing.T) {
 	w := mustWorkload(t, []int64{5, 7}, [][]workload.TopicID{{0, 1}, {0}})
-	cfg := configWith(6, 100, Stage2Custom, OptAll)
+	cfg := configWith(6, 100, CustomBinPackingContext, OptAll)
 	res, err := Solve(w, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -272,7 +270,7 @@ func TestVMAccessors(t *testing.T) {
 
 func TestAllocationCostUsesModel(t *testing.T) {
 	w := mustWorkload(t, []int64{5}, [][]workload.TopicID{{0}})
-	cfg := configWith(10, 100, Stage2Custom, OptAll)
+	cfg := configWith(10, 100, CustomBinPackingContext, OptAll)
 	res, err := Solve(w, cfg)
 	if err != nil {
 		t.Fatal(err)

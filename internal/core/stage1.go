@@ -350,16 +350,10 @@ func SelectAllPairs(w *workload.Workload) *Selection {
 	return &Selection{w: w, subOff: subOff, subTopics: subTopics}
 }
 
-// runStage1 dispatches Stage 1: a pluggable Stage1Strategy when set,
-// otherwise the configured enum algorithm.
+// runStage1 runs Stage 1: Config.Stage1 when set, otherwise GSP.
 func runStage1(ctx context.Context, w *workload.Workload, cfg Config) (*Selection, error) {
-	if cfg.Stage1Strategy.SelectPairs != nil {
-		return cfg.Stage1Strategy.SelectPairs(ctx, w, cfg)
+	if cfg.Stage1 != nil {
+		return cfg.Stage1(ctx, w, cfg)
 	}
-	switch cfg.Stage1 {
-	case Stage1Random:
-		return RandomSelectPairsContext(ctx, w, cfg)
-	default:
-		return GreedySelectPairsContext(ctx, w, cfg)
-	}
+	return GreedySelectPairsContext(ctx, w, cfg)
 }

@@ -472,18 +472,12 @@ func ceilDiv(a, b int64) int64 {
 	return (a + b - 1) / b
 }
 
-// packStage2 dispatches one packing run: a pluggable Stage2Strategy when
-// set, otherwise the configured enum algorithm.
+// packStage2 is one packing run: Config.Stage2 when set, otherwise CBP.
 func packStage2(ctx context.Context, sel *Selection, cfg Config) (*Allocation, error) {
-	if cfg.Stage2Strategy.Pack != nil {
-		return cfg.Stage2Strategy.Pack(ctx, sel, cfg)
+	if cfg.Stage2 != nil {
+		return cfg.Stage2(ctx, sel, cfg)
 	}
-	switch cfg.Stage2 {
-	case Stage2Custom:
-		return CustomBinPackingContext(ctx, sel, cfg)
-	default:
-		return FFBinPackingContext(ctx, sel, cfg)
-	}
+	return CustomBinPackingContext(ctx, sel, cfg)
 }
 
 // PackSelection runs Stage 2 alone on an existing selection: the
@@ -505,9 +499,8 @@ func PackSelection(ctx context.Context, sel *Selection, cfg Config) (*Allocation
 // portfolioWorkers resolves Config.Parallelism for the stage-2 portfolio
 // with the same convention as stage 1: 0 or 1 is serial, negative means
 // GOMAXPROCS, and the count never exceeds the number of portfolio runs.
-// The serial zero-value default also means a custom Stage2Strategy is
-// never invoked concurrently unless the caller asked for parallelism
-// (see Strategy.Pack's contract).
+// The serial zero-value default also means a custom Config.Stage2 is
+// never invoked concurrently unless the caller asked for parallelism.
 func portfolioWorkers(parallelism, runs int) int {
 	w := parallelism
 	if w < 0 {
@@ -553,14 +546,7 @@ func runStage2(ctx context.Context, sel *Selection, cfg Config) (*Allocation, er
 	runs := fleet.Len() + 1
 	allocs := make([]*Allocation, runs)
 	errs := make([]error, runs)
-	workers := portfolioWorkers(cfg.Parallelism, runs)
-	if cfg.Stage2Strategy.Pack != nil && !cfg.Stage2Strategy.ConcurrencySafe {
-		// A custom packer that has not declared itself safe for
-		// concurrent invocation keeps the pre-portfolio sequential-calls
-		// contract regardless of Parallelism.
-		workers = 1
-	}
-	if workers <= 1 {
+	if workers := portfolioWorkers(cfg.Parallelism, runs); workers <= 1 {
 		for j := 0; j < runs; j++ {
 			allocs[j], errs[j] = portfolioRun(ctx, sel, cfg, fleet, j)
 			if j == 0 && errs[0] != nil {

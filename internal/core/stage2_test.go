@@ -19,12 +19,14 @@ func testModel(capacity int64) pricing.Model {
 	return m
 }
 
-func configWith(tau int64, capacity int64, s2 Stage2Algo, opts OptFlags) Config {
+// packFunc is the Config.Stage2 signature.
+type packFunc = func(context.Context, *Selection, Config) (*Allocation, error)
+
+func configWith(tau int64, capacity int64, s2 packFunc, opts OptFlags) Config {
 	return Config{
 		Tau:          tau,
 		MessageBytes: 1, // 1-byte messages: rates are bytes/hour directly
 		Model:        testModel(capacity),
-		Stage1:       Stage1Greedy,
 		Stage2:       s2,
 		Opts:         opts,
 	}
@@ -35,7 +37,7 @@ func TestFFBPSinglePairPerVMWhenTight(t *testing.T) {
 	// own VM.
 	w := mustWorkload(t, []int64{5}, [][]workload.TopicID{{0}, {0}, {0}})
 	sel := SelectAllPairs(w)
-	cfg := configWith(100, 10, Stage2FirstFit, 0)
+	cfg := configWith(100, 10, FFBinPackingContext, 0)
 	alloc, err := FFBinPacking(sel, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -57,7 +59,7 @@ func TestFFBPReusesVMs(t *testing.T) {
 	// BC = 40 fits topic (rate 5) incoming once plus several pairs.
 	w := mustWorkload(t, []int64{5}, [][]workload.TopicID{{0}, {0}, {0}, {0}})
 	sel := SelectAllPairs(w)
-	cfg := configWith(100, 40, Stage2FirstFit, 0)
+	cfg := configWith(100, 40, FFBinPackingContext, 0)
 	alloc, err := FFBinPacking(sel, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -74,7 +76,7 @@ func TestFFBPReusesVMs(t *testing.T) {
 func TestFFBPInfeasible(t *testing.T) {
 	w := mustWorkload(t, []int64{100}, [][]workload.TopicID{{0}})
 	sel := SelectAllPairs(w)
-	cfg := configWith(1000, 150, Stage2FirstFit, 0) // needs 200 > 150
+	cfg := configWith(1000, 150, FFBinPackingContext, 0) // needs 200 > 150
 	if _, err := FFBinPacking(sel, cfg); !errors.Is(err, ErrInfeasible) {
 		t.Errorf("err = %v, want ErrInfeasible", err)
 	}
@@ -86,7 +88,7 @@ func TestFFBPLenientAllowsOvershoot(t *testing.T) {
 	// 200); the lenient one places it and overshoots.
 	w := mustWorkload(t, []int64{100}, [][]workload.TopicID{{0}})
 	sel := SelectAllPairs(w)
-	cfg := configWith(1000, 150, Stage2FirstFit, 0)
+	cfg := configWith(1000, 150, FFBinPackingContext, 0)
 	cfg.LenientFirstFit = true
 	alloc, err := FFBinPacking(sel, cfg)
 	if err != nil {
@@ -117,12 +119,12 @@ func TestCBPGroupsTopics(t *testing.T) {
 	w := mustWorkload(t, []int64{10, 10}, interests)
 	sel := SelectAllPairs(w)
 
-	cbpCfg := configWith(1000, 100, Stage2Custom, 0)
+	cbpCfg := configWith(1000, 100, CustomBinPackingContext, 0)
 	cbp, err := CustomBinPacking(sel, cbpCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ffCfg := configWith(1000, 100, Stage2FirstFit, 0)
+	ffCfg := configWith(1000, 100, FFBinPackingContext, 0)
 	ff, err := FFBinPacking(sel, ffCfg)
 	if err != nil {
 		t.Fatal(err)
@@ -166,7 +168,7 @@ func TestFigure1Example(t *testing.T) {
 	// with room to spare; total 100 — matching the shape of Fig. 1d where
 	// every topic lives on one VM (50 KB/min in the paper's pre-loaded
 	// variant).
-	cfg := configWith(1000, 70, Stage2Custom, OptExpensiveTopicFirst)
+	cfg := configWith(1000, 70, CustomBinPackingContext, OptExpensiveTopicFirst)
 	cbp, err := CustomBinPacking(sel, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -182,7 +184,7 @@ func TestFigure1Example(t *testing.T) {
 
 	// FFBP on the same instance in pair order splits t2 (and pays its
 	// incoming stream twice), the Fig. 1b phenomenon.
-	ffCfg := configWith(1000, 70, Stage2FirstFit, 0)
+	ffCfg := configWith(1000, 70, FFBinPackingContext, 0)
 	ff, err := FFBinPacking(sel, ffCfg)
 	if err != nil {
 		t.Fatal(err)
@@ -202,7 +204,7 @@ func TestCBPExpensiveTopicFirstOrders(t *testing.T) {
 		{0, 1}, {0, 1},
 	})
 	sel := SelectAllPairs(w)
-	cfg := configWith(1000, 60, Stage2Custom, OptExpensiveTopicFirst)
+	cfg := configWith(1000, 60, CustomBinPackingContext, OptExpensiveTopicFirst)
 	alloc, err := CustomBinPacking(sel, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -269,7 +271,7 @@ func TestCBPMostFreeVMReducesSplitOverhead(t *testing.T) {
 		{2}, {2},
 	})
 	sel := SelectAllPairs(w)
-	cfg := configWith(1000, 100, Stage2Custom, OptExpensiveTopicFirst|OptMostFreeVM)
+	cfg := configWith(1000, 100, CustomBinPackingContext, OptExpensiveTopicFirst|OptMostFreeVM)
 	alloc, err := CustomBinPacking(sel, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -305,7 +307,7 @@ func TestVMBandwidthTradeoff(t *testing.T) {
 		PerGB:                        pricing.MicroUSD(1e12), // $1M/GB: transfer dominates
 		CapacityOverrideBytesPerHour: 90,
 	}
-	base := Config{Tau: 1000, MessageBytes: 1, Model: expensiveBW, Stage1: Stage1Greedy, Stage2: Stage2Custom}
+	base := Config{Tau: 1000, MessageBytes: 1, Model: expensiveBW}
 
 	noCost := base
 	noCost.Opts = OptExpensiveTopicFirst | OptMostFreeVM
@@ -344,7 +346,7 @@ func TestVMBandwidthTradeoff(t *testing.T) {
 func TestCBPInfeasible(t *testing.T) {
 	w := mustWorkload(t, []int64{100}, [][]workload.TopicID{{0}})
 	sel := SelectAllPairs(w)
-	cfg := configWith(1000, 150, Stage2Custom, OptAll)
+	cfg := configWith(1000, 150, CustomBinPackingContext, OptAll)
 	if _, err := CustomBinPacking(sel, cfg); !errors.Is(err, ErrInfeasible) {
 		t.Errorf("err = %v, want ErrInfeasible", err)
 	}
@@ -353,14 +355,14 @@ func TestCBPInfeasible(t *testing.T) {
 func TestEmptySelection(t *testing.T) {
 	w := mustWorkload(t, []int64{5}, [][]workload.TopicID{{0}})
 	empty := &Selection{w: w, subOff: make([]int64, w.NumSubscribers()+1)}
-	for _, algo := range []Stage2Algo{Stage2FirstFit, Stage2Custom} {
-		cfg := configWith(10, 100, algo, OptAll)
+	for name, pack := range map[string]packFunc{"ffbp": FFBinPackingContext, "cbp": CustomBinPackingContext} {
+		cfg := configWith(10, 100, pack, OptAll)
 		alloc, err := runStage2(context.Background(), empty, cfg)
 		if err != nil {
-			t.Fatalf("%v: %v", algo, err)
+			t.Fatalf("%s: %v", name, err)
 		}
 		if alloc.NumVMs() != 0 {
-			t.Errorf("%v: NumVMs = %d, want 0", algo, alloc.NumVMs())
+			t.Errorf("%s: NumVMs = %d, want 0", name, alloc.NumVMs())
 		}
 	}
 }
@@ -383,18 +385,6 @@ func TestOptFlagsString(t *testing.T) {
 	}
 }
 
-func TestAlgoStrings(t *testing.T) {
-	if Stage1Greedy.String() != "GSP" || Stage1Random.String() != "RSP" {
-		t.Error("Stage1Algo strings wrong")
-	}
-	if Stage2FirstFit.String() != "FFBP" || Stage2Custom.String() != "CBP" {
-		t.Error("Stage2Algo strings wrong")
-	}
-	if Stage1Algo(9).String() == "" || Stage2Algo(9).String() == "" {
-		t.Error("unknown algo strings empty")
-	}
-}
-
 func TestCeilDiv(t *testing.T) {
 	tests := []struct {
 		a, b, want int64
@@ -408,15 +398,16 @@ func TestCeilDiv(t *testing.T) {
 	}
 }
 
-// allLadderConfigs enumerates the paper's optimization ladder (§IV-D).
+// allLadderConfigs enumerates the paper's optimization ladder (§IV-D); nil
+// stages run GSP and CBP.
 func allLadderConfigs(tau, capacity int64) []Config {
 	return []Config{
-		{Tau: tau, MessageBytes: 1, Model: testModel(capacity), Stage1: Stage1Random, Stage2: Stage2FirstFit},
-		{Tau: tau, MessageBytes: 1, Model: testModel(capacity), Stage1: Stage1Greedy, Stage2: Stage2FirstFit},
-		{Tau: tau, MessageBytes: 1, Model: testModel(capacity), Stage1: Stage1Greedy, Stage2: Stage2Custom},
-		{Tau: tau, MessageBytes: 1, Model: testModel(capacity), Stage1: Stage1Greedy, Stage2: Stage2Custom, Opts: OptExpensiveTopicFirst},
-		{Tau: tau, MessageBytes: 1, Model: testModel(capacity), Stage1: Stage1Greedy, Stage2: Stage2Custom, Opts: OptExpensiveTopicFirst | OptMostFreeVM},
-		{Tau: tau, MessageBytes: 1, Model: testModel(capacity), Stage1: Stage1Greedy, Stage2: Stage2Custom, Opts: OptAll},
+		{Tau: tau, MessageBytes: 1, Model: testModel(capacity), Stage1: RandomSelectPairsContext, Stage2: FFBinPackingContext},
+		{Tau: tau, MessageBytes: 1, Model: testModel(capacity), Stage2: FFBinPackingContext},
+		{Tau: tau, MessageBytes: 1, Model: testModel(capacity)},
+		{Tau: tau, MessageBytes: 1, Model: testModel(capacity), Opts: OptExpensiveTopicFirst},
+		{Tau: tau, MessageBytes: 1, Model: testModel(capacity), Opts: OptExpensiveTopicFirst | OptMostFreeVM},
+		{Tau: tau, MessageBytes: 1, Model: testModel(capacity), Opts: OptAll},
 	}
 }
 

@@ -10,40 +10,23 @@ import (
 	"github.com/pubsub-systems/mcss/internal/workload"
 )
 
-// Strategy is a named, pluggable solver implementation. A strategy fills
-// one or more roles by setting the corresponding function field: a Stage-1
-// pair selector, a Stage-2 packer, or a complete solver that bypasses the
-// two-stage split entirely (the exact solver registers itself this way).
-// Third parties can register their own via RegisterStrategy and select them
-// by name through the Planner façade.
-//
-// Every role receives the solve's context and the full (normalized) Config,
-// so implementations can honor cancellation, Config.Observer progress
-// callbacks, and Config.Parallelism the same way the built-ins do.
+// Strategy is a named, pluggable solver implementation: the registry's
+// bridge from names that arrive from outside the program (Planner options,
+// deploy specs, CLI flags) to the function fields of Config. A strategy
+// fills one or more roles by setting the corresponding function field — a
+// Stage-1 pair selector (Config.Stage1), a Stage-2 packer
+// (Config.Stage2), or a complete solver that bypasses the two-stage split
+// entirely (Config.Solver; the exact solver registers itself this way).
+// Code inside the program that wants a built-in references its function
+// directly instead of looking it up.
 type Strategy struct {
-	// Description is a one-line human-readable summary for listings.
-	Description string
-	// SelectPairs implements Stage 1: choose the topic–subscriber pairs
-	// that satisfy every subscriber. Nil when the strategy has no Stage-1
-	// role.
+	// SelectPairs implements Stage 1. Nil when the strategy has no
+	// Stage-1 role.
 	SelectPairs func(ctx context.Context, w *workload.Workload, cfg Config) (*Selection, error)
-	// Pack implements Stage 2: place a selection onto VMs. Nil when the
-	// strategy has no Stage-2 role.
-	//
-	// When Config.Parallelism asks for a concurrent solve (n > 1 or
-	// negative), the fleet is heterogeneous, and ConcurrencySafe is set,
-	// the stage-2 portfolio invokes Pack from multiple goroutines at
-	// once (the mixed fleet and each single-type restriction). Without
-	// ConcurrencySafe the portfolio always runs serially for this
-	// strategy, so implementations registered before the parallel
-	// portfolio existed keep their sequential-calls contract.
+	// Pack implements Stage 2. Nil when the strategy has no Stage-2 role.
 	Pack func(ctx context.Context, sel *Selection, cfg Config) (*Allocation, error)
-	// ConcurrencySafe declares that Pack may be invoked from multiple
-	// goroutines simultaneously. The built-ins set it; leave it false
-	// for implementations with shared mutable state.
-	ConcurrencySafe bool
 	// Solve implements a complete solver, replacing both stages. Nil when
-	// the strategy composes from SelectPairs/Pack (or has no full role).
+	// the strategy has no full-solve role.
 	Solve func(ctx context.Context, w *workload.Workload, cfg Config) (*Result, error)
 }
 
@@ -109,29 +92,11 @@ func mustRegisterStrategy(name string, s Strategy) {
 // and a descriptive alias each. The exact solver registers "exact" from
 // its own package.
 func init() {
-	gsp := Strategy{
-		Description: "GreedySelectPairs (Alg. 2): benefit/cost-ratio greedy Stage 1",
-		SelectPairs: GreedySelectPairsContext,
-	}
-	rsp := Strategy{
-		Description: "RandomSelectPairs (Alg. 6): input-order naive Stage 1 baseline",
-		SelectPairs: RandomSelectPairsContext,
-	}
-	cbp := Strategy{
-		Description:     "CustomBinPacking (Alg. 4): topic-grouped packing with OptFlags",
-		Pack:            CustomBinPackingContext,
-		ConcurrencySafe: true,
-	}
-	ffbp := Strategy{
-		Description:     "FFBinPacking (Alg. 3): pair-at-a-time first-fit baseline",
-		Pack:            FFBinPackingContext,
-		ConcurrencySafe: true,
-	}
-	bfd := Strategy{
-		Description:     "BFDBinPacking: best-fit-decreasing pair packing (non-paper baseline)",
-		Pack:            BFDBinPackingContext,
-		ConcurrencySafe: true,
-	}
+	gsp := Strategy{SelectPairs: GreedySelectPairsContext}
+	rsp := Strategy{SelectPairs: RandomSelectPairsContext}
+	cbp := Strategy{Pack: CustomBinPackingContext}
+	ffbp := Strategy{Pack: FFBinPackingContext}
+	bfd := Strategy{Pack: BFDBinPackingContext}
 	for name, s := range map[string]Strategy{
 		"gsp": gsp, "greedy": gsp,
 		"rsp": rsp, "random": rsp,

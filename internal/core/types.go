@@ -13,6 +13,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -22,56 +23,8 @@ import (
 	"github.com/pubsub-systems/mcss/internal/workload"
 )
 
-// Stage1Algo selects which pair-selection algorithm Stage 1 runs.
-type Stage1Algo int
-
-const (
-	// Stage1Greedy is the paper's GreedySelectPairs (GSP, Alg. 2):
-	// benefit/cost-ratio greedy selection per subscriber.
-	Stage1Greedy Stage1Algo = iota
-	// Stage1Random is the paper's RandomSelectPairs baseline (RSP,
-	// Alg. 6): pairs taken in arbitrary (input) order until satisfied.
-	Stage1Random
-)
-
-// String implements fmt.Stringer.
-func (a Stage1Algo) String() string {
-	switch a {
-	case Stage1Greedy:
-		return "GSP"
-	case Stage1Random:
-		return "RSP"
-	default:
-		return fmt.Sprintf("Stage1Algo(%d)", int(a))
-	}
-}
-
-// Stage2Algo selects which allocation algorithm Stage 2 runs.
-type Stage2Algo int
-
-const (
-	// Stage2FirstFit is the paper's FFBinPacking baseline (FFBP, Alg. 3):
-	// pair-at-a-time first-fit.
-	Stage2FirstFit Stage2Algo = iota
-	// Stage2Custom is the paper's CustomBinPacking (CBP, Alg. 4); its
-	// optimizations are toggled by OptFlags.
-	Stage2Custom
-)
-
-// String implements fmt.Stringer.
-func (a Stage2Algo) String() string {
-	switch a {
-	case Stage2FirstFit:
-		return "FFBP"
-	case Stage2Custom:
-		return "CBP"
-	default:
-		return fmt.Sprintf("Stage2Algo(%d)", int(a))
-	}
-}
-
 // OptFlags toggles CustomBinPacking's incremental optimizations, matching
-// the ladder of the paper's §IV-D. Stage2Custom with zero flags is rung (b):
+// the ladder of the paper's §IV-D. CBP with zero flags is rung (b):
 // grouping of pairs by topic, which is inherent to CBP.
 type OptFlags uint8
 
@@ -132,11 +85,17 @@ type Config struct {
 	// Fleet reproduces the paper's homogeneous setting as the one-type
 	// fleet of Model's instance at Model's effective capacity.
 	Fleet pricing.Fleet
-	// Stage1 and Stage2 pick the algorithms. The zero values select
-	// GSP + FFBP; the paper's recommended full solution is GSP + CBP with
-	// OptAll, which is what DefaultConfig returns.
-	Stage1 Stage1Algo
-	Stage2 Stage2Algo
+	// Stage1, Stage2, and Solver pick the algorithms. Stage1 selects the
+	// pairs (nil runs GreedySelectPairsContext, the paper's GSP); Stage2
+	// packs them (nil runs CustomBinPackingContext, the paper's CBP,
+	// under Opts); a non-nil Solver replaces both stages with one
+	// complete solver. Each receives the solve's context and the
+	// normalized Config, so it can honor cancellation, Observer, and
+	// Parallelism like the built-ins. Stage2 must tolerate concurrent
+	// calls when Parallelism asks for a parallel heterogeneous portfolio.
+	Stage1 func(ctx context.Context, w *workload.Workload, cfg Config) (*Selection, error)
+	Stage2 func(ctx context.Context, sel *Selection, cfg Config) (*Allocation, error)
+	Solver func(ctx context.Context, w *workload.Workload, cfg Config) (*Result, error)
 	// Opts toggles CBP optimizations (ignored by FFBP).
 	Opts OptFlags
 	// LenientFirstFit reproduces the paper's literal Alg. 3 capacity test
@@ -169,16 +128,6 @@ type Config struct {
 	// publisher→broker→subscriber RTT must stay at or under it. Zero means
 	// no SLO (the paper's setting).
 	LatencySLOMillis int64
-
-	// Stage1Strategy, Stage2Strategy, and SolveStrategy optionally replace
-	// the enum dispatch with registered pluggable implementations (see
-	// RegisterStrategy): a non-zero Stage1Strategy overrides Stage1, a
-	// non-zero Stage2Strategy overrides Stage2, and a non-zero
-	// SolveStrategy replaces both stages with one complete solver. The
-	// Planner façade fills these from strategy names.
-	Stage1Strategy Strategy
-	Stage2Strategy Strategy
-	SolveStrategy  Strategy
 }
 
 // DefaultConfig returns the paper's full solution: GSP + CBP with all
@@ -188,8 +137,6 @@ func DefaultConfig(tau int64, m pricing.Model) Config {
 		Tau:          tau,
 		MessageBytes: 200,
 		Model:        m,
-		Stage1:       Stage1Greedy,
-		Stage2:       Stage2Custom,
 		Opts:         OptAll,
 	}
 }
@@ -219,15 +166,6 @@ func (c Config) normalize() (Config, error) {
 	}
 	if c.Topology != nil && c.Topology.NumRegions() < 1 {
 		return c, errors.New("core: topology has no regions")
-	}
-	if !c.Stage1Strategy.IsZero() && c.Stage1Strategy.SelectPairs == nil {
-		return c, errors.New("core: Stage1Strategy has no SelectPairs implementation")
-	}
-	if !c.Stage2Strategy.IsZero() && c.Stage2Strategy.Pack == nil {
-		return c, errors.New("core: Stage2Strategy has no Pack implementation")
-	}
-	if !c.SolveStrategy.IsZero() && c.SolveStrategy.Solve == nil {
-		return c, errors.New("core: SolveStrategy has no Solve implementation")
 	}
 	return c, nil
 }

@@ -57,7 +57,7 @@ func TestPropertyUtilizationBounds(t *testing.T) {
 				maxRate = r
 			}
 		}
-		cfg := configWith(tau, 2*maxRate+500, Stage2Custom, OptAll)
+		cfg := configWith(tau, 2*maxRate+500, CustomBinPackingContext, OptAll)
 		res, err := Solve(w, cfg)
 		if err != nil {
 			return false

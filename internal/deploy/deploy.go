@@ -377,7 +377,7 @@ func (p *Planner) Plan(ctx context.Context, spec Spec, current *State) (*Plan, e
 		if !ok || s.Solve == nil {
 			return nil, fmt.Errorf("%w: unknown full-solve strategy %q", ErrInvalidPlan, spec.Strategy)
 		}
-		cfg.SolveStrategy = s
+		cfg.Solver = s.Solve
 	}
 	res, err := core.SolveContext(ctx, spec.Workload, cfg)
 	if err != nil {

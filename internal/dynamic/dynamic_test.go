@@ -23,8 +23,6 @@ func testConfig(tau, capacity int64) core.Config {
 		Tau:          tau,
 		MessageBytes: 1,
 		Model:        testModel(capacity),
-		Stage1:       core.Stage1Greedy,
-		Stage2:       core.Stage2Custom,
 		Opts:         core.OptAll,
 	}
 }
@@ -311,8 +309,6 @@ func TestRepairCrashRedeploysCrashedVMType(t *testing.T) {
 		MessageBytes: 1,
 		Model:        pricing.Model{Instance: pricing.C3Large, Hours: 1, PerGB: 1000},
 		Fleet:        fleet,
-		Stage1:       core.Stage1Greedy,
-		Stage2:       core.Stage2Custom,
 		Opts:         core.OptExpensiveTopicFirst,
 	}
 	p, err := New(w, cfg)

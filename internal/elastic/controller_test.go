@@ -44,8 +44,6 @@ func testTimeline(t testing.TB, epochs int, epochMinutes int64) (*timeline.Timel
 		MessageBytes: 200,
 		Model:        pricing.NewModel(pricing.C3Large),
 		Fleet:        fleet,
-		Stage1:       core.Stage1Greedy,
-		Stage2:       core.Stage2Custom,
 		Opts:         core.OptAll,
 	}
 	return tl, cfg
@@ -358,11 +356,7 @@ func TestControllerChaosWalk(t *testing.T) {
 	}
 
 	spotCfg := cfg
-	strat, ok := core.StrategyByName(spot.StrategyName)
-	if !ok {
-		t.Fatal("spot strategy not registered")
-	}
-	spotCfg.Stage2Strategy = strat
+	spotCfg.Stage2 = spot.PackRiskAware
 	ctl := NewController(spotCfg, DefaultPolicy())
 	ctl.SetFleetSchedule(sched)
 	ctl.SetChaos(chaos, 5)

@@ -251,8 +251,6 @@ func TestPropertyHeuristicNeverBeatsExact(t *testing.T) {
 			Tau:          int64(tauRaw)%100 + 1,
 			MessageBytes: 1,
 			Model:        testModel(2*maxRate + 40),
-			Stage1:       core.Stage1Greedy,
-			Stage2:       core.Stage2Custom,
 			Opts:         core.OptAll,
 		}
 		opt, err := Solve(w, cfg)
@@ -303,8 +301,6 @@ func TestHeuristicQualityOnMicroInstances(t *testing.T) {
 			Tau:          20,
 			MessageBytes: 1,
 			Model:        testModel(2*maxRate + 30),
-			Stage1:       core.Stage1Greedy,
-			Stage2:       core.Stage2Custom,
 			Opts:         core.OptAll,
 		}
 		opt, err := Solve(w, cfg)
@@ -396,8 +392,6 @@ func TestPropertyHeuristicNeverBeatsExactOnFleet(t *testing.T) {
 			MessageBytes: 1,
 			Model:        pricing.Model{Instance: small, Hours: 1, PerGB: 1000},
 			Fleet:        fleet,
-			Stage1:       core.Stage1Greedy,
-			Stage2:       core.Stage2Custom,
 			Opts:         core.OptAll,
 		}
 		opt, err := Solve(w, cfg)

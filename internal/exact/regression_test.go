@@ -38,8 +38,6 @@ func TestRegressionBandwidthRoundingVsLowerBound(t *testing.T) {
 		Tau:          int64(tauRaw)%100 + 1,
 		MessageBytes: 1,
 		Model:        testModel(2*maxRate + 40),
-		Stage1:       core.Stage1Greedy,
-		Stage2:       core.Stage2Custom,
 		Opts:         core.OptAll,
 	}
 	opt, err := Solve(w, cfg)

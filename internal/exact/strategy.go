@@ -9,13 +9,12 @@ import (
 )
 
 // The exact solver registers itself as a full-solve strategy: selecting
-// "exact" through the Planner (or core.Config.SolveStrategy) replaces the
+// "exact" through the Planner (which sets core.Config.Solver) replaces the
 // two-stage heuristic with the optimal subset DP, returning its selection
 // and reconstructed allocation as an ordinary solver result. It refuses
 // instances beyond MaxPairs pairs with ErrTooLarge, exactly like Solve.
 func init() {
 	s := core.Strategy{
-		Description: "optimal subset-DP solver for tiny instances (≤ MaxPairs pairs)",
 		Solve: func(ctx context.Context, w *workload.Workload, cfg core.Config) (*core.Result, error) {
 			start := time.Now()
 			sol, err := SolveContext(ctx, w, cfg)

@@ -51,7 +51,7 @@ func TestExactRegisteredStrategy(t *testing.T) {
 		t.Fatal(`StrategyByName("exact") not registered`)
 	}
 	w := mustWorkload(t, []int64{5, 7}, [][]workload.TopicID{{0, 1}, {0}})
-	cfg := core.Config{Tau: 5, MessageBytes: 1, Model: testModel(40), SolveStrategy: s}
+	cfg := core.Config{Tau: 5, MessageBytes: 1, Model: testModel(40), Solver: s.Solve}
 	res, err := core.SolveContext(context.Background(), w, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -97,8 +97,6 @@ func ChurnSetup(pairs int64) (*workload.Workload, core.Config, error) {
 		MessageBytes: MessageBytes,
 		Model:        model,
 		Fleet:        hetero,
-		Stage1:       core.Stage1Greedy,
-		Stage2:       core.Stage2Custom,
 		Opts:         core.OptAll,
 		Parallelism:  -1,
 	}

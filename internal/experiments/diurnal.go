@@ -70,8 +70,6 @@ func RunDiurnal(ctx context.Context, d Dataset, scale float64) (*DiurnalResult, 
 		MessageBytes: MessageBytes,
 		Model:        pricing.NewModel(pricing.C3Large), // 240 h rental, $0.12/GB
 		Fleet:        fleet,
-		Stage1:       core.Stage1Greedy,
-		Stage2:       core.Stage2Custom,
 		Opts:         core.OptAll,
 	}
 

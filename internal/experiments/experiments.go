@@ -104,8 +104,8 @@ func ModelFor(instance pricing.InstanceType, w *workload.Workload) pricing.Model
 type Rung struct {
 	// Name matches the paper's legend.
 	Name   string
-	Stage1 core.Stage1Algo
-	Stage2 core.Stage2Algo
+	Stage1 func(context.Context, *workload.Workload, core.Config) (*core.Selection, error)
+	Stage2 func(context.Context, *core.Selection, core.Config) (*core.Allocation, error)
 	Opts   core.OptFlags
 }
 
@@ -113,13 +113,14 @@ type Rung struct {
 // the naive baseline, then GSP with incrementally enabled Stage-2
 // optimizations (a)–(e).
 func Ladder() []Rung {
+	gsp, cbp := core.GreedySelectPairsContext, core.CustomBinPackingContext
 	return []Rung{
-		{Name: "RSP+FFBP", Stage1: core.Stage1Random, Stage2: core.Stage2FirstFit},
-		{Name: "(a) GSP+FFBP", Stage1: core.Stage1Greedy, Stage2: core.Stage2FirstFit},
-		{Name: "(b) +group topics", Stage1: core.Stage1Greedy, Stage2: core.Stage2Custom},
-		{Name: "(c) +expensive first", Stage1: core.Stage1Greedy, Stage2: core.Stage2Custom, Opts: core.OptExpensiveTopicFirst},
-		{Name: "(d) +most-free VM", Stage1: core.Stage1Greedy, Stage2: core.Stage2Custom, Opts: core.OptExpensiveTopicFirst | core.OptMostFreeVM},
-		{Name: "(e) +cost decision", Stage1: core.Stage1Greedy, Stage2: core.Stage2Custom, Opts: core.OptAll},
+		{Name: "RSP+FFBP", Stage1: core.RandomSelectPairsContext, Stage2: core.FFBinPackingContext},
+		{Name: "(a) GSP+FFBP", Stage1: gsp, Stage2: core.FFBinPackingContext},
+		{Name: "(b) +group topics", Stage1: gsp, Stage2: cbp},
+		{Name: "(c) +expensive first", Stage1: gsp, Stage2: cbp, Opts: core.OptExpensiveTopicFirst},
+		{Name: "(d) +most-free VM", Stage1: gsp, Stage2: cbp, Opts: core.OptExpensiveTopicFirst | core.OptMostFreeVM},
+		{Name: "(e) +cost decision", Stage1: gsp, Stage2: cbp, Opts: core.OptAll},
 	}
 }
 

@@ -69,8 +69,6 @@ func RunHetero(ctx context.Context, d Dataset, scale float64) (*HeteroResult, er
 			MessageBytes: MessageBytes,
 			Model:        model,
 			Fleet:        f,
-			Stage1:       core.Stage1Greedy,
-			Stage2:       core.Stage2Custom,
 			Opts:         core.OptAll,
 		}
 		sol, err := core.SolveContext(ctx, w, cfg)

@@ -35,8 +35,7 @@ func RunHonestCapacity(ctx context.Context, d Dataset, scale float64) ([]HonestC
 	for _, tau := range Taus {
 		row := HonestCapacityRow{Tau: tau}
 		hres, err := core.SolveContext(ctx, w, core.Config{
-			Tau: tau, MessageBytes: MessageBytes, Model: honest,
-			Stage1: core.Stage1Greedy, Stage2: core.Stage2Custom, Opts: core.OptAll,
+			Tau: tau, MessageBytes: MessageBytes, Model: honest, Opts: core.OptAll,
 		})
 		if err != nil {
 			return nil, err
@@ -45,8 +44,7 @@ func RunHonestCapacity(ctx context.Context, d Dataset, scale float64) ([]HonestC
 		row.HonestCost = hres.Cost(honest)
 
 		cres, err := core.SolveContext(ctx, w, core.Config{
-			Tau: tau, MessageBytes: MessageBytes, Model: calibrated,
-			Stage1: core.Stage1Greedy, Stage2: core.Stage2Custom, Opts: core.OptAll,
+			Tau: tau, MessageBytes: MessageBytes, Model: calibrated, Opts: core.OptAll,
 		})
 		if err != nil {
 			return nil, err

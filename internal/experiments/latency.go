@@ -99,14 +99,6 @@ func RunLatency(ctx context.Context, d Dataset, scale float64, short bool) (*Lat
 	if err != nil {
 		return nil, err
 	}
-	s1, ok := core.StrategyByName(topo.Stage1Name)
-	if !ok {
-		return nil, fmt.Errorf("stage-1 strategy %q not registered", topo.Stage1Name)
-	}
-	s2, ok := core.StrategyByName(topo.Stage2Name)
-	if !ok {
-		return nil, fmt.Errorf("stage-2 strategy %q not registered", topo.Stage2Name)
-	}
 
 	res := &LatencyResult{Dataset: d, Tau: LatencyTau, Regions: LatencyRegions, Topology: t}
 
@@ -120,8 +112,8 @@ func RunLatency(ctx context.Context, d Dataset, scale float64, short bool) (*Lat
 			MessageBytes:     MessageBytes,
 			Model:            model,
 			Fleet:            fleet,
-			Stage1Strategy:   s1,
-			Stage2Strategy:   s2,
+			Stage1:           topo.SelectColocated,
+			Stage2:           topo.PackTopo,
 			Topology:         t,
 			LatencySLOMillis: slo,
 			Opts:             core.OptAll,
@@ -167,12 +159,9 @@ func RunLatency(ctx context.Context, d Dataset, scale float64, short bool) (*Lat
 	one := topo.SyntheticTopology(1)
 	topoCfg := core.Config{
 		Tau: LatencyTau, MessageBytes: MessageBytes, Model: model,
-		Stage1Strategy: s1, Stage2Strategy: s2, Topology: one,
+		Stage1: topo.SelectColocated, Stage2: topo.PackTopo, Topology: one,
 	}
-	paperCfg := core.Config{
-		Tau: LatencyTau, MessageBytes: MessageBytes, Model: model,
-		Stage1: core.Stage1Greedy, Stage2: core.Stage2Custom,
-	}
+	paperCfg := core.Config{Tau: LatencyTau, MessageBytes: MessageBytes, Model: model}
 	topoSol, err := core.SolveContext(ctx, w, topoCfg)
 	if err != nil {
 		return nil, fmt.Errorf("degenerate topo solve: %w", err)

@@ -196,11 +196,11 @@ func RunScale(ctx context.Context, sizes []int64) (*ScaleResult, error) {
 		}
 		packers := []struct {
 			name   string
-			stage2 core.Stage2Algo
+			stage2 func(context.Context, *core.Selection, core.Config) (*core.Allocation, error)
 			opts   core.OptFlags
 		}{
-			{"ffbp", core.Stage2FirstFit, 0},
-			{"cbp", core.Stage2Custom, core.OptAll},
+			{"ffbp", core.FFBinPackingContext, 0},
+			{"cbp", core.CustomBinPackingContext, core.OptAll},
 		}
 		for _, fl := range fleets {
 			for _, p := range packers {

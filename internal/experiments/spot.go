@@ -89,8 +89,6 @@ func RunSpot(ctx context.Context, d Dataset, scale float64) (*SpotResult, error)
 		MessageBytes: MessageBytes,
 		Model:        pricing.NewModel(pricing.C3Large),
 		Fleet:        fleet,
-		Stage1:       core.Stage1Greedy,
-		Stage2:       core.Stage2Custom,
 		Opts:         core.OptAll,
 	}
 
@@ -113,11 +111,7 @@ func RunSpot(ctx context.Context, d Dataset, scale float64) (*SpotResult, error)
 	}
 
 	spotCfg := cfg
-	strat, ok := core.StrategyByName(spot.StrategyName)
-	if !ok {
-		return nil, fmt.Errorf("stage-2 strategy %q not registered", spot.StrategyName)
-	}
-	spotCfg.Stage2Strategy = strat
+	spotCfg.Stage2 = spot.PackRiskAware
 	ctl := elastic.NewController(spotCfg, elastic.DefaultPolicy())
 	ctl.SetFleetSchedule(sched)
 	ctl.SetChaos(chaos, SpotChaosLagMinutes)

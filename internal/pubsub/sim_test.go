@@ -39,8 +39,6 @@ func solveFor(t *testing.T, w *workload.Workload, tau, capacity int64) (*core.Re
 		Tau:          tau,
 		MessageBytes: 1,
 		Model:        testModel(capacity),
-		Stage1:       core.Stage1Greedy,
-		Stage2:       core.Stage2Custom,
 		Opts:         core.OptAll,
 	}
 	res, err := core.Solve(w, cfg)
@@ -267,7 +265,7 @@ func TestPropertySimulationMatchesExpectedEventCounts(t *testing.T) {
 		}
 		cfg := core.Config{
 			Tau: 30, MessageBytes: 1, Model: testModel(4 * maxRate),
-			Stage1: core.Stage1Greedy, Stage2: core.Stage2Custom, Opts: core.OptAll,
+			Opts: core.OptAll,
 		}
 		res, err := core.Solve(w, cfg)
 		if err != nil {

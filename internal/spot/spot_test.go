@@ -251,11 +251,7 @@ func TestPackRiskAwarePinsSingletons(t *testing.T) {
 	model := pricing.NewModel(pricing.C3Large)
 	model.CapacityOverrideBytesPerHour = 40 * 50 * 200
 	cfg := core.DefaultConfig(30, model)
-	strat, ok := core.StrategyByName(spot.StrategyName)
-	if !ok {
-		t.Fatal("spot strategy not registered")
-	}
-	cfg.Stage2Strategy = strat
+	cfg.Stage2 = spot.PackRiskAware
 
 	base, err := pricing.NewFleetWithCapacities(
 		[]pricing.InstanceType{pricing.C3Large}, []int64{model.CapacityOverrideBytesPerHour})
@@ -314,11 +310,7 @@ func TestPackRiskAwareDegradesToCBP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	strat, ok := core.StrategyByName(spot.StrategyName)
-	if !ok {
-		t.Fatal("spot strategy not registered")
-	}
-	cfg.Stage2Strategy = strat
+	cfg.Stage2 = spot.PackRiskAware
 	risk, err := core.SolveContext(context.Background(), w, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -9,28 +9,25 @@ import (
 	"github.com/pubsub-systems/mcss/internal/workload"
 )
 
-// StrategyName selects the risk-aware packer via Planner options or
-// Config.Stage2Strategy lookups.
+// StrategyName is the registry name of PackRiskAware, for Planner options
+// and other names that arrive from outside the program.
 const StrategyName = "spot"
 
 func init() {
-	if err := core.RegisterStrategy(StrategyName, core.Strategy{
-		Description:     "risk-aware spot packing: replicated topics on interruptible types, singletons pinned on-demand",
-		Pack:            PackRiskAware,
-		ConcurrencySafe: true,
-	}); err != nil {
+	if err := core.RegisterStrategy(StrategyName, core.Strategy{Pack: PackRiskAware}); err != nil {
 		panic(err)
 	}
 }
 
-// PackRiskAware is the registered risk-aware stage-2 packer. It partitions
-// the selection by topic replication degree: topics with a single selected
+// PackRiskAware is the risk-aware stage-2 packer. It partitions the
+// selection by topic replication degree: topics with a single selected
 // subscriber are packed with CBP against the on-demand types only (a
 // reclamation there would lose the topic's sole copy until repair), while
 // replicated topics pack against the full fleet, where the risk-adjusted
 // spot variants' lower rates win the deploy-type choice (a reclaimed
 // replica costs a repair, never delivery — Beaumont et al.'s allocation
-// rule). The two partial allocations merge with renumbered VM IDs.
+// rule). The two parts pack and merge through core.PackParts, singletons
+// first.
 //
 // On a fleet without interruptible variants it degrades to plain CBP, so
 // the strategy is safe as a standing default. A fleet with interruptible
@@ -39,70 +36,41 @@ func init() {
 // skips.
 func PackRiskAware(ctx context.Context, sel *core.Selection, cfg core.Config) (*core.Allocation, error) {
 	fleet := cfg.EffectiveFleet()
-	var odTypes, odCaps = fleetPartition(fleet)
+	odTypes, odCaps := fleetPartition(fleet)
 	if len(odTypes) == fleet.Len() { // no interruptible capacity offered
 		return core.CustomBinPackingContext(ctx, sel, cfg)
 	}
 
 	w := sel.Workload()
-	var safePairs, riskyPairs []workload.Pair
+	var singles, replicated []workload.Pair
 	for t := 0; t < w.NumTopics(); t++ {
 		id := workload.TopicID(t)
 		subs := sel.SelectedSubscribers(id)
 		switch {
 		case len(subs) == 0:
 		case len(subs) == 1:
-			safePairs = append(safePairs, workload.Pair{Topic: id, Sub: subs[0]})
+			singles = append(singles, workload.Pair{Topic: id, Sub: subs[0]})
 		default:
 			for _, v := range subs {
-				riskyPairs = append(riskyPairs, workload.Pair{Topic: id, Sub: v})
+				replicated = append(replicated, workload.Pair{Topic: id, Sub: v})
 			}
 		}
 	}
 
-	if len(odTypes) == 0 {
-		if len(safePairs) > 0 {
-			return nil, fmt.Errorf("%w: %d singleton pairs require on-demand capacity", core.ErrInfeasible, len(safePairs))
+	var odFleet pricing.Fleet
+	if len(singles) > 0 {
+		if len(odTypes) == 0 {
+			return nil, fmt.Errorf("%w: %d singleton pairs require on-demand capacity", core.ErrInfeasible, len(singles))
 		}
-		return core.CustomBinPackingContext(ctx, sel, cfg)
+		var err error
+		if odFleet, err = pricing.NewFleetWithCapacities(odTypes, odCaps); err != nil {
+			return nil, err
+		}
 	}
-
-	var vms []*core.VM
-	if len(safePairs) > 0 {
-		safeSel, err := core.SelectionFromPairs(w, safePairs)
-		if err != nil {
-			return nil, err
-		}
-		safeCfg := cfg
-		odFleet, err := pricingFleet(odTypes, odCaps)
-		if err != nil {
-			return nil, err
-		}
-		safeCfg.Fleet = odFleet
-		// The safe pack runs silently; stage events come from the risky
-		// (bulk) pack below.
-		safeCfg.Observer = nil
-		alloc, err := core.CustomBinPackingContext(core.ContextWithObserver(ctx, nil), safeSel, safeCfg)
-		if err != nil {
-			return nil, err
-		}
-		vms = append(vms, alloc.VMs...)
-	}
-	if len(riskyPairs) > 0 {
-		riskySel, err := core.SelectionFromPairs(w, riskyPairs)
-		if err != nil {
-			return nil, err
-		}
-		alloc, err := core.CustomBinPackingContext(ctx, riskySel, cfg)
-		if err != nil {
-			return nil, err
-		}
-		vms = append(vms, alloc.VMs...)
-	}
-	for i, vm := range vms {
-		vm.ID = i
-	}
-	return &core.Allocation{VMs: vms, Fleet: fleet, MessageBytes: cfg.MessageBytes}, nil
+	return core.PackParts(ctx, w, cfg, []core.Part{
+		{Pairs: singles, Fleet: odFleet},
+		{Pairs: replicated, Fleet: fleet},
+	})
 }
 
 // fleetPartition returns the on-demand (non-interruptible) types of a
@@ -118,8 +86,4 @@ func fleetPartition(f pricing.Fleet) ([]pricing.InstanceType, []int64) {
 		caps = append(caps, f.Capacity(i))
 	}
 	return types, caps
-}
-
-func pricingFleet(types []pricing.InstanceType, caps []int64) (pricing.Fleet, error) {
-	return pricing.NewFleetWithCapacities(types, caps)
 }

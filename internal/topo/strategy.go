@@ -5,13 +5,15 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"time"
 
 	"github.com/pubsub-systems/mcss/internal/core"
 	"github.com/pubsub-systems/mcss/internal/pricing"
 	"github.com/pubsub-systems/mcss/internal/workload"
 )
 
-// Strategy names in the core registry.
+// Registry names of SelectColocated and PackTopo, for Planner options and
+// other names that arrive from outside the program.
 const (
 	// Stage1Name selects the co-location-preferring pair selection.
 	Stage1Name = "topo-gsp"
@@ -20,23 +22,15 @@ const (
 )
 
 func init() {
-	if err := core.RegisterStrategy(Stage1Name, core.Strategy{
-		Description:     "region-aware GSP: prefers co-located topics per subscriber, plain GSP without a multi-region topology",
-		SelectPairs:     SelectColocated,
-		ConcurrencySafe: true,
-	}); err != nil {
+	if err := core.RegisterStrategy(Stage1Name, core.Strategy{SelectPairs: SelectColocated}); err != nil {
 		panic(err)
 	}
-	if err := core.RegisterStrategy(Stage2Name, core.Strategy{
-		Description:     "topology-aware packing: pairs routed to the cheapest SLO-feasible region, CBP per region, plain CBP without a multi-region topology",
-		Pack:            PackTopo,
-		ConcurrencySafe: true,
-	}); err != nil {
+	if err := core.RegisterStrategy(Stage2Name, core.Strategy{Pack: PackTopo}); err != nil {
 		panic(err)
 	}
 }
 
-// SelectColocated is the registered "topo-gsp" stage-1 selection. Without a
+// SelectColocated is the "topo-gsp" stage-1 selection. Without a
 // multi-region topology (or on a region-agnostic workload) it IS
 // GreedySelectPairsContext — the degenerate case delegates outright, so the
 // selection is byte-identical to the paper's GSP by construction. With one,
@@ -45,10 +39,17 @@ func init() {
 // favoring them (at equal satisfaction) removes both the inter-region hop
 // from the delivery path and the egress charge, at the price of sometimes
 // carrying a slightly higher selected rate than pure rate-descending GSP.
+// Like GSP it reports the stage to the observer in subscriber units.
 func SelectColocated(ctx context.Context, w *workload.Workload, cfg core.Config) (*core.Selection, error) {
 	t := cfg.Topology
 	if t == nil || t.NumRegions() <= 1 || !w.HasRegions() {
 		return core.GreedySelectPairsContext(ctx, w, cfg)
+	}
+	start := time.Now()
+	n := w.NumSubscribers()
+	obs := core.ResolveObserver(ctx, cfg)
+	if obs != nil {
+		obs.OnStageStart(core.StageSelect, int64(n))
 	}
 	type scored struct {
 		rate  int64
@@ -57,7 +58,6 @@ func SelectColocated(ctx context.Context, w *workload.Workload, cfg core.Config)
 	}
 	var scratch []scored
 	pairs := make([]workload.Pair, 0, w.NumPairs()/2+1)
-	n := w.NumSubscribers()
 	for v := 0; v < n; v++ {
 		if v%1024 == 0 {
 			if err := ctx.Err(); err != nil {
@@ -118,10 +118,15 @@ func SelectColocated(ctx context.Context, w *workload.Workload, cfg core.Config)
 			pairs = append(pairs, workload.Pair{Topic: scratch[fallback].topic, Sub: id})
 		}
 	}
-	return core.SelectionFromPairs(w, pairs)
+	sel, err := core.SelectionFromPairs(w, pairs)
+	if err != nil {
+		return nil, err
+	}
+	core.FinishStage(obs, core.StageSelect, int64(n), int64(n), time.Since(start))
+	return sel, nil
 }
 
-// PackTopo is the registered "topo" stage-2 packer. Without a multi-region
+// PackTopo is the "topo" stage-2 packer. Without a multi-region
 // topology it IS CustomBinPackingContext — the degenerate case delegates
 // outright, so the allocation is byte-identical to the paper's CBP by
 // construction. With one, it filters candidate broker regions by SLO
@@ -129,9 +134,9 @@ func SelectColocated(ctx context.Context, w *workload.Workload, cfg core.Config)
 // the region minimizing its per-GB egress price (publisher→broker plus
 // broker→subscriber) among regions that hold fleet capacity and whose
 // modeled publisher→broker→subscriber RTT meets the ceiling, ties broken
-// by lower RTT then region index. Each region's pair bucket then packs
-// independently with the paper's CBP against that region's sub-fleet, and
-// the partial allocations merge with renumbered VM IDs.
+// by lower RTT then region index. core.PackParts then packs each region's
+// pairs with the paper's CBP against that region's sub-fleet (part i is
+// region i) and merges the partial allocations.
 //
 // A pair with no feasible region reports infeasibility (which the
 // heterogeneous portfolio skips for single-type restrictions whose sole
@@ -153,7 +158,7 @@ func PackTopo(ctx context.Context, sel *core.Selection, cfg core.Config) (*core.
 
 	w := sel.Workload()
 	slo := cfg.LatencySLOMillis
-	pairsByRegion := make([][]workload.Pair, n)
+	parts := make([]core.Part, n)
 	for topic := 0; topic < w.NumTopics(); topic++ {
 		id := workload.TopicID(topic)
 		subs := sel.SelectedSubscribers(id)
@@ -183,47 +188,17 @@ func PackTopo(ctx context.Context, sel *core.Selection, cfg core.Config) (*core.
 				return nil, fmt.Errorf("%w: no SLO-feasible region with capacity for pair (topic %d, subscriber %d) under %d ms",
 					core.ErrInfeasible, id, v, slo)
 			}
-			pairsByRegion[best] = append(pairsByRegion[best], workload.Pair{Topic: id, Sub: v})
+			parts[best].Pairs = append(parts[best].Pairs, workload.Pair{Topic: id, Sub: v})
 		}
 	}
-
-	// The largest bucket is the bulk pack and keeps the observer; the
-	// other regional packs run silently, like the spot packer's split.
-	bulk := -1
-	for r := 0; r < n; r++ {
-		if len(pairsByRegion[r]) > 0 && (bulk < 0 || len(pairsByRegion[r]) > len(pairsByRegion[bulk])) {
-			bulk = r
-		}
-	}
-	var vms []*core.VM
-	for r := 0; r < n; r++ {
-		ps := pairsByRegion[r]
-		if len(ps) == 0 {
+	for r := range parts {
+		if len(parts[r].Pairs) == 0 {
 			continue
 		}
-		rsel, err := core.SelectionFromPairs(w, ps)
-		if err != nil {
+		var err error
+		if parts[r].Fleet, err = pricing.NewFleetWithCapacities(typesByRegion[r], capsByRegion[r]); err != nil {
 			return nil, err
 		}
-		rfleet, err := pricing.NewFleetWithCapacities(typesByRegion[r], capsByRegion[r])
-		if err != nil {
-			return nil, err
-		}
-		rcfg := cfg
-		rcfg.Fleet = rfleet
-		rctx := ctx
-		if r != bulk {
-			rcfg.Observer = nil
-			rctx = core.ContextWithObserver(ctx, nil)
-		}
-		alloc, err := core.CustomBinPackingContext(rctx, rsel, rcfg)
-		if err != nil {
-			return nil, fmt.Errorf("topo: packing region %q: %w", t.RegionName(r), err)
-		}
-		vms = append(vms, alloc.VMs...)
 	}
-	for i, vm := range vms {
-		vm.ID = i
-	}
-	return &core.Allocation{VMs: vms, Fleet: fleet, MessageBytes: cfg.MessageBytes}, nil
+	return core.PackParts(ctx, w, cfg, parts)
 }

@@ -195,17 +195,9 @@ func taggedWorkload(t *testing.T, n int, seed int64) *workload.Workload {
 
 func topoConfig(t *testing.T, tau int64) core.Config {
 	t.Helper()
-	s1, ok := core.StrategyByName(Stage1Name)
-	if !ok {
-		t.Fatalf("strategy %q not registered", Stage1Name)
-	}
-	s2, ok := core.StrategyByName(Stage2Name)
-	if !ok {
-		t.Fatalf("strategy %q not registered", Stage2Name)
-	}
 	cfg := core.DefaultConfig(tau, pricing.NewModel(pricing.C3Large))
-	cfg.Stage1Strategy = s1
-	cfg.Stage2Strategy = s2
+	cfg.Stage1 = SelectColocated
+	cfg.Stage2 = PackTopo
 	return cfg
 }
 

@@ -1,15 +1,11 @@
 package traceio
 
 import (
-	"bytes"
-	"compress/gzip"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math"
-	"os"
 	"sort"
-	"strings"
 
 	"github.com/pubsub-systems/mcss/internal/core"
 	"github.com/pubsub-systems/mcss/internal/deploy"
@@ -238,57 +234,18 @@ func ReadPlan(in io.Reader) (*deploy.Plan, error) {
 }
 
 // SavePlan writes a validated plan to path; a ".gz" suffix enables gzip.
-func SavePlan(p *deploy.Plan, path string) (err error) {
-	// Validate before creating the file so a bad plan does not truncate
-	// an existing good one.
+// A plan that fails validation never truncates an existing file.
+func SavePlan(p *deploy.Plan, path string) error {
 	if err := p.Validate(); err != nil {
 		return err
 	}
-	var buf bytes.Buffer
-	if err := WritePlan(p, &buf); err != nil {
-		return err
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-	}()
-	var out io.Writer = f
-	if strings.HasSuffix(path, ".gz") {
-		gz := gzip.NewWriter(f)
-		defer func() {
-			if cerr := gz.Close(); err == nil {
-				err = cerr
-			}
-		}()
-		out = gz
-	}
-	_, err = out.Write(buf.Bytes())
-	return err
+	return saveFile(path, func(out io.Writer) error { return WritePlan(p, out) })
 }
 
 // LoadPlan reads a validated plan from path, transparently decompressing
 // ".gz" files.
 func LoadPlan(path string) (*deploy.Plan, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	var in io.Reader = f
-	if strings.HasSuffix(path, ".gz") {
-		gz, err := gzip.NewReader(f)
-		if err != nil {
-			return nil, err
-		}
-		defer gz.Close()
-		in = gz
-	}
-	return ReadPlan(in)
+	return loadFile(path, ReadPlan)
 }
 
 func instToDoc(it pricing.InstanceType) instanceDoc {

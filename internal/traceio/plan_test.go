@@ -260,13 +260,8 @@ func TestPlanRoundTripRegions(t *testing.T) {
 	if cfg.Fleet, err = topo.RegionalFleet(model.SingleFleet(), net); err != nil {
 		t.Fatal(err)
 	}
-	var ok bool
-	if cfg.Stage1Strategy, ok = core.StrategyByName(topo.Stage1Name); !ok {
-		t.Fatalf("strategy %q not registered", topo.Stage1Name)
-	}
-	if cfg.Stage2Strategy, ok = core.StrategyByName(topo.Stage2Name); !ok {
-		t.Fatalf("strategy %q not registered", topo.Stage2Name)
-	}
+	cfg.Stage1 = topo.SelectColocated
+	cfg.Stage2 = topo.PackTopo
 	plan, err := deploy.NewPlanner(cfg).Plan(context.Background(), deploy.SpecFromWorkload(w), nil)
 	if err != nil {
 		t.Fatal(err)

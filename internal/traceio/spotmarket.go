@@ -1,13 +1,9 @@
 package traceio
 
 import (
-	"bytes"
-	"compress/gzip"
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"strings"
 
 	"github.com/pubsub-systems/mcss/internal/pricing"
 	"github.com/pubsub-systems/mcss/internal/spot"
@@ -119,56 +115,17 @@ func ReadSpotMarket(in io.Reader) (*spot.Market, error) {
 }
 
 // SaveSpotMarket writes a validated market to path; a ".gz" suffix
-// enables gzip.
-func SaveSpotMarket(m *spot.Market, path string) (err error) {
-	// Validate before creating the file so a bad market does not truncate
-	// an existing good one.
+// enables gzip. A market that fails validation never truncates an
+// existing file.
+func SaveSpotMarket(m *spot.Market, path string) error {
 	if err := m.Validate(); err != nil {
 		return err
 	}
-	var buf bytes.Buffer
-	if err := WriteSpotMarket(m, &buf); err != nil {
-		return err
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-	}()
-	var out io.Writer = f
-	if strings.HasSuffix(path, ".gz") {
-		gz := gzip.NewWriter(f)
-		defer func() {
-			if cerr := gz.Close(); err == nil {
-				err = cerr
-			}
-		}()
-		out = gz
-	}
-	_, err = out.Write(buf.Bytes())
-	return err
+	return saveFile(path, func(out io.Writer) error { return WriteSpotMarket(m, out) })
 }
 
 // LoadSpotMarket reads a validated market from path, transparently
 // decompressing ".gz" files.
 func LoadSpotMarket(path string) (*spot.Market, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	var in io.Reader = f
-	if strings.HasSuffix(path, ".gz") {
-		gz, err := gzip.NewReader(f)
-		if err != nil {
-			return nil, err
-		}
-		defer gz.Close()
-		in = gz
-	}
-	return ReadSpotMarket(in)
+	return loadFile(path, ReadSpotMarket)
 }

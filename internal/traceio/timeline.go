@@ -2,10 +2,8 @@ package traceio
 
 import (
 	"bufio"
-	"compress/gzip"
 	"fmt"
 	"io"
-	"os"
 	"strings"
 
 	"github.com/pubsub-systems/mcss/internal/timeline"
@@ -99,48 +97,15 @@ func ReadTimeline(in io.Reader) (*timeline.Timeline, error) {
 
 // SaveTimeline writes a validated timeline to path; a ".gz" suffix enables
 // gzip.
-func SaveTimeline(tl *timeline.Timeline, path string) (err error) {
+func SaveTimeline(tl *timeline.Timeline, path string) error {
 	if err := tl.Validate(); err != nil {
 		return err
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-	}()
-	var out io.Writer = f
-	if strings.HasSuffix(path, ".gz") {
-		gz := gzip.NewWriter(f)
-		defer func() {
-			if cerr := gz.Close(); err == nil {
-				err = cerr
-			}
-		}()
-		out = gz
-	}
-	return WriteTimeline(tl, out)
+	return saveFile(path, func(out io.Writer) error { return WriteTimeline(tl, out) })
 }
 
 // LoadTimeline reads a validated timeline from path, transparently
 // decompressing ".gz" files.
 func LoadTimeline(path string) (*timeline.Timeline, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	var in io.Reader = f
-	if strings.HasSuffix(path, ".gz") {
-		gz, err := gzip.NewReader(f)
-		if err != nil {
-			return nil, err
-		}
-		defer gz.Close()
-		in = gz
-	}
-	return ReadTimeline(in)
+	return loadFile(path, ReadTimeline)
 }

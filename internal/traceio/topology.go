@@ -1,13 +1,9 @@
 package traceio
 
 import (
-	"bytes"
-	"compress/gzip"
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"strings"
 
 	"github.com/pubsub-systems/mcss/internal/pricing"
 	"github.com/pubsub-systems/mcss/internal/topo"
@@ -94,53 +90,14 @@ func ReadTopology(in io.Reader) (*topo.Topology, error) {
 	return topo.New(doc.Regions, doc.RTTMillis, doc.EgressPerGB)
 }
 
-// SaveTopology writes a topology to path; a ".gz" suffix enables gzip. The
-// document is staged in memory first so a rejected topology cannot
-// truncate an existing good file.
-func SaveTopology(t *topo.Topology, path string) (err error) {
-	var buf bytes.Buffer
-	if err := WriteTopology(t, &buf); err != nil {
-		return err
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-	}()
-	var out io.Writer = f
-	if strings.HasSuffix(path, ".gz") {
-		gz := gzip.NewWriter(f)
-		defer func() {
-			if cerr := gz.Close(); err == nil {
-				err = cerr
-			}
-		}()
-		out = gz
-	}
-	_, err = out.Write(buf.Bytes())
-	return err
+// SaveTopology writes a topology to path; a ".gz" suffix enables gzip. A
+// rejected topology never truncates an existing file.
+func SaveTopology(t *topo.Topology, path string) error {
+	return saveFile(path, func(out io.Writer) error { return WriteTopology(t, out) })
 }
 
 // LoadTopology reads a validated topology from path, transparently
 // decompressing ".gz" files.
 func LoadTopology(path string) (*topo.Topology, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	var in io.Reader = f
-	if strings.HasSuffix(path, ".gz") {
-		gz, err := gzip.NewReader(f)
-		if err != nil {
-			return nil, err
-		}
-		defer gz.Close()
-		in = gz
-	}
-	return ReadTopology(in)
+	return loadFile(path, ReadTopology)
 }

@@ -26,6 +26,7 @@ package traceio
 
 import (
 	"bufio"
+	"bytes"
 	"compress/gzip"
 	"errors"
 	"fmt"
@@ -206,7 +207,32 @@ func readRegionLine(sc *bufio.Scanner, want int, kind string) ([]int32, error) {
 // Save writes w to path. A ".gz" suffix enables gzip compression and a
 // ".bin" extension (before any ".gz") selects the v2 binary format, so
 // "trace.bin.gz" is binary+gzip. The file is created or truncated.
-func Save(w *workload.Workload, path string) (err error) {
+func Save(w *workload.Workload, path string) error {
+	enc := func(out io.Writer) error { return Write(w, out) }
+	if isBinaryPath(path) {
+		enc = func(out io.Writer) error { return WriteBinary(w, out) }
+	}
+	return saveFile(path, enc)
+}
+
+// Load reads a trace from path, transparently decompressing ".gz" files and
+// decoding ".bin" files with the v2 binary format.
+func Load(path string) (*workload.Workload, error) {
+	if isBinaryPath(path) {
+		return loadFile(path, ReadBinary)
+	}
+	return loadFile(path, Read)
+}
+
+// saveFile encodes a document with enc and writes it to path, gzipped when
+// the path ends in ".gz". The whole document is encoded in memory before
+// the file is created, so a document enc rejects never truncates an
+// existing file.
+func saveFile(path string, enc func(io.Writer) error) (err error) {
+	var buf bytes.Buffer
+	if err := enc(&buf); err != nil {
+		return err
+	}
 	f, err := os.Create(path)
 	if err != nil {
 		return err
@@ -216,43 +242,36 @@ func Save(w *workload.Workload, path string) (err error) {
 			err = cerr
 		}
 	}()
-	var out io.Writer = f
-	if strings.HasSuffix(path, ".gz") {
-		gz := gzip.NewWriter(f)
-		defer func() {
-			if cerr := gz.Close(); err == nil {
-				err = cerr
-			}
-		}()
-		out = gz
+	if !strings.HasSuffix(path, ".gz") {
+		_, err = f.Write(buf.Bytes())
+		return err
 	}
-	if isBinaryPath(path) {
-		return WriteBinary(w, out)
+	gz := gzip.NewWriter(f)
+	if _, err := gz.Write(buf.Bytes()); err != nil {
+		return err
 	}
-	return Write(w, out)
+	return gz.Close()
 }
 
-// Load reads a trace from path, transparently decompressing ".gz" files and
-// decoding ".bin" files with the v2 binary format.
-func Load(path string) (*workload.Workload, error) {
+// loadFile opens path, transparently decompressing ".gz" files, and
+// decodes it with dec.
+func loadFile[T any](path string, dec func(io.Reader) (T, error)) (T, error) {
+	var zero T
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, err
+		return zero, err
 	}
 	defer f.Close()
 	var in io.Reader = f
 	if strings.HasSuffix(path, ".gz") {
 		gz, err := gzip.NewReader(f)
 		if err != nil {
-			return nil, err
+			return zero, err
 		}
 		defer gz.Close()
 		in = gz
 	}
-	if isBinaryPath(path) {
-		return ReadBinary(in)
-	}
-	return Read(in)
+	return dec(in)
 }
 
 func isBinaryPath(path string) bool {

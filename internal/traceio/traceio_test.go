@@ -10,6 +10,10 @@ import (
 	"testing"
 	"testing/quick"
 
+	"github.com/pubsub-systems/mcss/internal/deploy"
+	"github.com/pubsub-systems/mcss/internal/spot"
+	"github.com/pubsub-systems/mcss/internal/timeline"
+	"github.com/pubsub-systems/mcss/internal/topo"
 	"github.com/pubsub-systems/mcss/internal/tracegen"
 	"github.com/pubsub-systems/mcss/internal/workload"
 )
@@ -275,6 +279,39 @@ func TestRegionTaggedRoundTrip(t *testing.T) {
 	} {
 		if _, err := Read(strings.NewReader(in)); !errors.Is(err, ErrBadFormat) {
 			t.Errorf("%q: err = %v, want ErrBadFormat", in, err)
+		}
+	}
+}
+
+// A Save whose document is rejected leaves an existing file byte-identical,
+// with or without gzip.
+func TestRejectedSaveKeepsExistingFile(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		save func(path string) error
+		want error
+	}{
+		{"timeline", func(p string) error { return SaveTimeline(&timeline.Timeline{}, p) }, timeline.ErrInvalidTimeline},
+		{"topology", func(p string) error { return SaveTopology(nil, p) }, topo.ErrInvalidTopology},
+		{"spot market", func(p string) error { return SaveSpotMarket(&spot.Market{}, p) }, spot.ErrInvalidMarket},
+		{"plan", func(p string) error { return SavePlan(&deploy.Plan{}, p) }, deploy.ErrInvalidPlan},
+	} {
+		for _, ext := range []string{".json", ".json.gz"} {
+			path := filepath.Join(t.TempDir(), "doc"+ext)
+			old := []byte("existing contents\n")
+			if err := os.WriteFile(path, old, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if err := tc.save(path); !errors.Is(err, tc.want) {
+				t.Errorf("%s%s: Save err = %v, want %v", tc.name, ext, err, tc.want)
+			}
+			got, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, old) {
+				t.Errorf("%s%s: rejected Save changed the file to %q", tc.name, ext, got)
+			}
 		}
 	}
 }

@@ -164,19 +164,10 @@ type (
 	Bound = core.Bound
 	// OptFlags toggles CustomBinPacking optimizations.
 	OptFlags = core.OptFlags
-	// Stage1Algo selects the pair-selection algorithm.
-	Stage1Algo = core.Stage1Algo
-	// Stage2Algo selects the packing algorithm.
-	Stage2Algo = core.Stage2Algo
 )
 
-// Algorithm selectors and optimization flags (see the paper's §III).
+// CustomBinPacking's optimization flags (see the paper's §IV-D).
 const (
-	Stage1Greedy = core.Stage1Greedy
-	Stage1Random = core.Stage1Random
-	Stage2Custom = core.Stage2Custom
-	Stage2First  = core.Stage2FirstFit
-
 	OptExpensiveTopicFirst = core.OptExpensiveTopicFirst
 	OptMostFreeVM          = core.OptMostFreeVM
 	OptCostBased           = core.OptCostBased

@@ -228,8 +228,6 @@ type Planner struct {
 // than surfacing later from inside a solve.
 func NewPlanner(opts ...Option) (*Planner, error) {
 	b := &plannerBuilder{}
-	b.cfg.Stage1 = Stage1Greedy
-	b.cfg.Stage2 = Stage2Custom
 	b.cfg.Opts = OptAll
 	b.cfg.MessageBytes = 200
 	for _, opt := range opts {
@@ -249,7 +247,7 @@ func NewPlanner(opts ...Option) (*Planner, error) {
 		case s.SelectPairs == nil:
 			b.addErr("WithStage1: strategy %q has no Stage-1 role", b.stage1Name)
 		default:
-			b.cfg.Stage1Strategy = s
+			b.cfg.Stage1 = s.SelectPairs
 		}
 	}
 	if b.stage2Name != "" {
@@ -260,7 +258,7 @@ func NewPlanner(opts ...Option) (*Planner, error) {
 		case s.Pack == nil:
 			b.addErr("WithStage2: strategy %q has no Stage-2 role", b.stage2Name)
 		default:
-			b.cfg.Stage2Strategy = s
+			b.cfg.Stage2 = s.Pack
 		}
 	}
 	if b.solveName != "" {
@@ -271,7 +269,7 @@ func NewPlanner(opts ...Option) (*Planner, error) {
 		case s.Solve == nil:
 			b.addErr("WithStrategy: strategy %q has no full-solve role", b.solveName)
 		default:
-			b.cfg.SolveStrategy = s
+			b.cfg.Solver = s.Solve
 		}
 	}
 	if b.modelSet && b.cfg.Fleet.IsZero() && b.cfg.Model.CapacityBytesPerHour() <= 0 {
@@ -366,17 +364,14 @@ type SpotRunConfig struct {
 // RunTimelineSpot walks a timeline like RunTimeline but against a spot
 // market: every epoch the controller reprices its fleet from the market
 // (a price delta alone can force a re-solve), packs with the risk-aware
-// spot strategy unless the planner configured another Stage-2 strategy,
-// bills reclaimed VMs mid-hour, and repairs correlated reclamation groups
-// in place. The market must cover the timeline's epochs.
+// spot packer unless the planner configured another Stage-2 or full-solve
+// strategy, bills reclaimed VMs mid-hour, and repairs correlated
+// reclamation groups in place. The market must cover the timeline's
+// epochs.
 func (p *Planner) RunTimelineSpot(ctx context.Context, tl *Timeline, policy ElasticPolicy, market *SpotMarket, rc SpotRunConfig) (*ElasticRunReport, error) {
 	cfg := p.cfg
-	if cfg.Stage2Strategy.Pack == nil && cfg.SolveStrategy.Solve == nil {
-		s, ok := StrategyByName(spot.StrategyName)
-		if !ok {
-			return nil, fmt.Errorf("spot strategy %q not registered", spot.StrategyName)
-		}
-		cfg.Stage2Strategy = s
+	if cfg.Stage2 == nil && cfg.Solver == nil {
+		cfg.Stage2 = spot.PackRiskAware
 	}
 	sched, err := spot.NewSchedule(market, cfg.EffectiveFleet(), rc.Schedule)
 	if err != nil {

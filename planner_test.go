@@ -3,6 +3,7 @@ package mcss_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -105,31 +106,47 @@ func TestPlannerMatchesCoreSolve(t *testing.T) {
 	}
 }
 
-// Named strategies dispatch to the same algorithms as the enum config.
+// Strategy names resolve to the same functions the config takes directly.
 func TestPlannerStrategyDispatch(t *testing.T) {
 	w := buildDemo(t)
 	cfg := demoPlanner(t, 40).Config()
-	cfg.Stage1, cfg.Stage2 = mcss.Stage1Random, mcss.Stage2First
-	old, err := core.Solve(w, cfg)
+	cfg.Stage1, cfg.Stage2 = core.RandomSelectPairsContext, core.FFBinPackingContext
+	want, err := core.Solve(w, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := mcss.NewPlanner(
-		mcss.WithTau(40), mcss.WithModel(cfg.Model),
-		mcss.WithStage1("rsp"), mcss.WithStage2("ffbp"),
-	)
+	p := demoPlanner(t, 40, mcss.WithStage1("rsp"), mcss.WithStage2("ffbp"))
+	got, err := p.Solve(context.Background(), w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := p.Solve(context.Background(), w)
+	if g, d := mcss.StateFingerprint(w, got.Allocation), mcss.StateFingerprint(w, want.Allocation); g != d {
+		t.Errorf("named strategies fingerprint %s, direct functions %s", g, d)
+	}
+}
+
+// Nil stages run the paper's GSP + CBP: a bare config with only the
+// required fields, DefaultConfig, and a default Planner all produce the
+// same allocation.
+func TestNilStagesRunGSPAndCBP(t *testing.T) {
+	w := buildDemo(t)
+	p := demoPlanner(t, 40)
+	model := p.Config().Model
+	want, err := p.Solve(context.Background(), w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Allocation.NumVMs() != old.Allocation.NumVMs() ||
-		res.Selection.NumPairs() != old.Selection.NumPairs() {
-		t.Errorf("strategy dispatch (%d VMs / %d pairs) != enum dispatch (%d VMs / %d pairs)",
-			res.Allocation.NumVMs(), res.Selection.NumPairs(),
-			old.Allocation.NumVMs(), old.Selection.NumPairs())
+	for name, cfg := range map[string]core.Config{
+		"bare":          {Tau: 40, MessageBytes: 200, Model: model, Opts: core.OptAll},
+		"DefaultConfig": core.DefaultConfig(40, model),
+	} {
+		got, err := core.Solve(w, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if g, d := mcss.StateFingerprint(w, got.Allocation), mcss.StateFingerprint(w, want.Allocation); g != d {
+			t.Errorf("%s: fingerprint %s, default planner %s", name, g, d)
+		}
 	}
 }
 
@@ -137,7 +154,6 @@ func TestPlannerStrategyDispatch(t *testing.T) {
 func TestRegisterStrategyThirdParty(t *testing.T) {
 	name := "test-select-all"
 	err := mcss.RegisterStrategy(name, mcss.Strategy{
-		Description: "selects every pair (test helper)",
 		SelectPairs: func(ctx context.Context, w *mcss.Workload, cfg mcss.SolverConfig) (*mcss.Selection, error) {
 			return mcss.SelectAllPairs(w), nil
 		},
@@ -236,22 +252,65 @@ func (r *stageRecorder) OnEpoch(epoch, total int) {
 	r.epochs++
 }
 
-// The Observer sees both stages bracketed, in order.
+// The Observer sees both stages bracketed once each, in order: for the
+// paper's default, for the topo strategies under a multi-region topology,
+// and for the spot packer on a selection of singleton topics only.
 func TestPlannerObserverStages(t *testing.T) {
-	w := buildDemo(t)
-	rec := &stageRecorder{}
-	p, err := mcss.NewPlanner(mcss.WithTau(40), mcss.WithModel(demoModel()), mcss.WithObserver(rec))
+	net := mcss.SyntheticTopology(3)
+	regional, err := mcss.RegionalFleet(demoModel().SingleFleet(), net)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Solve(context.Background(), w); err != nil {
+	tagged, err := mcss.TagRegions(buildDemo(t), 3, 7)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rec.starts) != 2 || rec.starts[0] != "stage1" || rec.starts[1] != "stage2" {
-		t.Errorf("stage starts = %v, want [stage1 stage2]", rec.starts)
+	base := demoModel().SingleFleet()
+	market, err := mcss.GenerateSpotMarket(base, mcss.DefaultSpotMarketConfig())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(rec.dones) != 2 || rec.dones[0] != "stage1" || rec.dones[1] != "stage2" {
-		t.Errorf("stage dones = %v, want [stage1 stage2]", rec.dones)
+	spotFleet, err := market.FleetAt(base, 0, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := mcss.NewWorkloadBuilder()
+	for i := 0; i < 10; i++ {
+		topic := fmt.Sprintf("t%d", i)
+		b.AddTopic(topic, 10).AddSubscription(fmt.Sprintf("v%d", i), topic)
+	}
+	singletons, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tc := range []struct {
+		name string
+		w    *mcss.Workload
+		opts []mcss.Option
+	}{
+		{"default", buildDemo(t), nil},
+		{"topo multi-region", tagged, []mcss.Option{mcss.WithTopology(net), mcss.WithFleet(regional),
+			mcss.WithStage1(mcss.TopoStage1Strategy), mcss.WithStage2(mcss.TopoStage2Strategy)}},
+		{"spot singletons", singletons, []mcss.Option{mcss.WithFleet(spotFleet), mcss.WithStage2(mcss.SpotStage2Strategy)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rec := &stageRecorder{}
+			opts := append([]mcss.Option{mcss.WithTau(40), mcss.WithModel(demoModel()), mcss.WithObserver(rec)}, tc.opts...)
+			p, err := mcss.NewPlanner(opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := p.Solve(context.Background(), tc.w); err != nil {
+				t.Fatal(err)
+			}
+			if len(rec.starts) != 2 || rec.starts[0] != "stage1" || rec.starts[1] != "stage2" {
+				t.Errorf("stage starts = %v, want [stage1 stage2]", rec.starts)
+			}
+			if len(rec.dones) != 2 || rec.dones[0] != "stage1" || rec.dones[1] != "stage2" {
+				t.Errorf("stage dones = %v, want [stage1 stage2]", rec.dones)
+			}
+		})
 	}
 }
 
