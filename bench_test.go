@@ -17,17 +17,20 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"strconv"
 	"testing"
 
 	mcss "github.com/pubsub-systems/mcss"
 	"github.com/pubsub-systems/mcss/internal/core"
+	"github.com/pubsub-systems/mcss/internal/deploy"
 	"github.com/pubsub-systems/mcss/internal/dynamic"
 	"github.com/pubsub-systems/mcss/internal/experiments"
 	"github.com/pubsub-systems/mcss/internal/obs"
 	"github.com/pubsub-systems/mcss/internal/pricing"
 	"github.com/pubsub-systems/mcss/internal/pubsub"
 	"github.com/pubsub-systems/mcss/internal/tracegen"
+	"github.com/pubsub-systems/mcss/internal/traceio"
 	"github.com/pubsub-systems/mcss/internal/workload"
 )
 
@@ -544,6 +547,72 @@ func BenchmarkPlanApply(b *testing.B) {
 	}
 	b.ReportMetric(float64(len(plan.Steps)), "plan_steps")
 	b.ReportMetric(plan.CostAfter.USD(), "plan_usd")
+}
+
+// BenchmarkPlanApplyIncremental measures the deploy path of one
+// steady-state epoch on the scale sweep's workload: PreviewIncremental of
+// a 1% churn delta, NewPlan from the live state, and a journaled Apply
+// (SyncEvery 8, mcss-plan bodies). Each iteration restores a fresh
+// provisioner and warms its index untimed, so every iteration times the
+// same epoch. plan_steps and journal_bytes size what the epoch writes.
+func BenchmarkPlanApplyIncremental(b *testing.B) {
+	pairs := int64(160_000)
+	if testing.Short() {
+		pairs = 20_000
+	}
+	w, cfg, err := experiments.ChurnSetup(pairs)
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := core.Solve(w, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	d := experiments.ChurnDelta(rand.New(rand.NewSource(2)), w, 0.01)
+	ctx := context.Background()
+	dir := b.TempDir()
+	var steps int
+	var journalBytes int64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		prov := dynamic.Restore(w, res, cfg)
+		if _, err := prov.UpdateIncremental(ctx, dynamic.Delta{}); err != nil {
+			b.Fatal(err)
+		}
+		path := filepath.Join(dir, fmt.Sprintf("%d.journal", i))
+		j, err := traceio.OpenJournal(path, deploy.JournalOptions{SyncEvery: 8})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		next, cand, stats, err := prov.PreviewIncremental(ctx, d)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if stats.Fallback {
+			b.Fatal("the delta fell back to a full re-solve; the benchmark would time the solver")
+		}
+		plan, err := deploy.NewPlan(cfg, deploy.StateOf(prov), deploy.NewState(next, cand.Allocation))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := deploy.Apply(ctx, plan, prov, deploy.WithJournal(j)); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		if err := j.Close(); err != nil {
+			b.Fatal(err)
+		}
+		fi, err := os.Stat(path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		steps, journalBytes = len(plan.Steps), fi.Size()
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(steps), "plan_steps")
+	b.ReportMetric(float64(journalBytes), "journal_bytes")
 }
 
 // BenchmarkDiurnalController runs the full three-strategy diurnal

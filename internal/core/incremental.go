@@ -304,9 +304,10 @@ type IncrementalState struct {
 	base       *Allocation // allocation this state currently mirrors
 	baseRegret float64     // regret at the last full solve
 
-	// Epoch scratch.
-	dirtyFlag                   []bool
-	dirty                       []workload.SubID
+	// Epoch scratch. stale queues, once each, the subscribers whose
+	// lower-bound term a re-rate shifted.
+	dirtyFlag, staleFlag        []bool
+	dirty, stale                []workload.SubID
 	touched                     map[workload.TopicID]struct{}
 	emptied                     []int32
 	overfull                    []int32 // candidate slots, may contain duplicates
@@ -342,6 +343,7 @@ func NewIncrementalState(w *workload.Workload, alloc *Allocation, cfg Config) (*
 		delivered: make([]int64, numV),
 		lbTerm:    make([]int64, numV),
 		dirtyFlag: make([]bool, numV),
+		staleFlag: make([]bool, numV),
 		touched:   make(map[workload.TopicID]struct{}),
 		base:      alloc,
 	}
@@ -447,6 +449,7 @@ func (s *IncrementalState) BeginEpoch(ctx context.Context, next *workload.Worklo
 		s.delivered = append(s.delivered, 0)
 		s.lbTerm = append(s.lbTerm, 0)
 		s.dirtyFlag = append(s.dirtyFlag, false)
+		s.staleFlag = append(s.staleFlag, false)
 		s.markDirty(workload.SubID(v))
 	}
 
@@ -492,11 +495,20 @@ func (s *IncrementalState) BeginEpoch(ctx context.Context, next *workload.Worklo
 			}
 		}
 		// τ_v and min-rate shift for every interested subscriber, placed
-		// or not — the maintained bound must track all of them.
+		// or not — the maintained bound must track all of them. Each is
+		// refreshed once, after the loop (s.w is already the next workload).
 		for _, v := range next.Subscribers(t) {
-			s.setLBTerm(v)
+			if !s.staleFlag[v] {
+				s.staleFlag[v] = true
+				s.stale = append(s.stale, v)
+			}
 		}
 	}
+	for _, v := range s.stale {
+		s.staleFlag[v] = false
+		s.setLBTerm(v)
+	}
+	s.stale = s.stale[:0]
 	return nil
 }
 

@@ -190,10 +190,15 @@ func TestRehomerEpochChurnKeepsInvariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	cur := w
 	for epoch := 0; epoch < 30; epoch++ {
-		// Random rate changes on a few topics.
+		// Random rate changes on a few topics; every tenth epoch re-rates
+		// every topic, as each diurnal epoch does.
 		rates := append([]int64(nil), cur.Rates()...)
-		changedSet := make(map[workload.TopicID]bool, 3)
-		for len(changedSet) < 3 {
+		rerate := 3
+		if epoch%10 == 9 {
+			rerate = cur.NumTopics()
+		}
+		changedSet := make(map[workload.TopicID]bool, rerate)
+		for len(changedSet) < rerate {
 			tt := workload.TopicID(rng.Intn(cur.NumTopics()))
 			if changedSet[tt] {
 				continue
@@ -241,6 +246,13 @@ func TestRehomerEpochChurnKeepsInvariants(t *testing.T) {
 		checkIndexInvariants(t, s)
 		if err := VerifyAllocation(next, out.Result.Selection, out.Result.Allocation, cfg); err != nil {
 			t.Fatalf("epoch %d: %v", epoch, err)
+		}
+		lb, err := LowerBound(next, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.LB != lb {
+			t.Fatalf("epoch %d: maintained bound %+v, LowerBound %+v", epoch, out.LB, lb)
 		}
 		cur = next
 	}

@@ -209,8 +209,9 @@ func Apply(ctx context.Context, plan *Plan, prov *dynamic.Provisioner, opts ...A
 
 	// The replayed state must be the plan's own target: a plan whose
 	// steps do not reproduce its target is invalid, not just stale.
-	if got, want := dynamic.StateFingerprint(plan.Target.Workload, work), plan.TargetFingerprint(); got != want {
-		return abort(fmt.Errorf("%w: steps replay to %s, target is %s", ErrInvalidPlan, got, want))
+	targetFP := plan.TargetFingerprint()
+	if got := dynamic.StateFingerprint(plan.Target.Workload, work); got != targetFP {
+		return abort(fmt.Errorf("%w: steps replay to %s, target is %s", ErrInvalidPlan, got, targetFP))
 	}
 
 	stats := dynamic.MigrationStatsBetween(pre.Allocation, work, plan.Model)
@@ -244,7 +245,7 @@ func Apply(ctx context.Context, plan *Plan, prov *dynamic.Provisioner, opts ...A
 	// record is durable, a crash on either side of Adopt recovers to the
 	// plan's target.
 	if journaling {
-		if err := o.journal.AppendPlanCommit(o.epoch, plan.TargetFingerprint()); err != nil {
+		if err := o.journal.AppendPlanCommit(o.epoch, targetFP); err != nil {
 			return nil, fmt.Errorf("deploy: journal plan-commit: %w", err)
 		}
 	}

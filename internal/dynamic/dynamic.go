@@ -7,6 +7,7 @@
 package dynamic
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -543,40 +544,103 @@ func placeOn(vm *core.VM, t workload.TopicID, rb int64, subs []workload.SubID, h
 
 // migrationBetween diffs primary pair hosts by VM position between two
 // allocations, counting pairs kept on the same VM index versus moved
-// (including pairs newly selected or dropped). Cost and VM-count fields of
-// the result are left zero; MigrationStatsBetween fills them.
+// (including pairs newly selected or dropped). A pair placed on several
+// VMs is hosted by the first of them; a nil allocation counts as empty.
+// Cost and VM-count fields of the result are left zero;
+// MigrationStatsBetween fills them. Both allocations are grouped into
+// per-subscriber rows, which are merged subscriber by subscriber.
 func migrationBetween(before, after *core.Allocation) MigrationStats {
-	type key struct {
-		t workload.TopicID
-		v workload.SubID
-	}
-	host := func(a *core.Allocation) map[key]int {
-		m := make(map[key]int)
-		for i, vm := range a.VMs {
-			for _, p := range vm.Placements {
-				for _, v := range p.Subs {
-					k := key{p.Topic, v}
-					if _, ok := m[k]; !ok {
-						m[k] = i
-					}
+	numV := int(max(maxSub(before), maxSub(after))) + 1
+	offB, rowsB := pairRows(before, numV)
+	offA, rowsA := pairRows(after, numV)
+	var stats MigrationStats
+	for v := 0; v < numV; v++ {
+		b, a := rowsB[offB[v]:offB[v+1]], rowsA[offA[v]:offA[v+1]]
+		for len(b) > 0 || len(a) > 0 {
+			switch {
+			case len(a) == 0 || len(b) > 0 && b[0]>>32 < a[0]>>32:
+				stats.PairsMoved++ // dropped
+				b = skipTopic(b)
+			case len(b) == 0 || a[0]>>32 < b[0]>>32:
+				stats.PairsMoved++ // newly placed
+				a = skipTopic(a)
+			default:
+				if a[0] == b[0] {
+					stats.PairsKept++
+				} else {
+					stats.PairsMoved++
 				}
+				a, b = skipTopic(a), skipTopic(b)
 			}
 		}
-		return m
 	}
-	hb, ha := host(before), host(after)
-	var stats MigrationStats
-	for k, vm := range ha {
-		if old, ok := hb[k]; ok && old == vm {
-			stats.PairsKept++
-		} else {
-			stats.PairsMoved++
-		}
-		delete(hb, k)
-	}
-	// Pairs present before but dropped now also count as moved.
-	stats.PairsMoved += int64(len(hb))
 	return stats
+}
+
+// pairRows groups an allocation's placed pairs by subscriber with a
+// counting pass, the shape of the incremental index's per-subscriber
+// rows: row v is rows[off[v]:off[v+1]], one key per placement of a pair
+// of v, packing the topic above the VM index. The fill visits placements
+// in (topic, VM index) order, so every row comes out sorted without
+// sorting it: topic-ascending, a pair placed more than once leading with
+// its lowest VM index. numV must exceed every subscriber ID.
+func pairRows(a *core.Allocation, numV int) (off []int, rows []uint64) {
+	type placed struct {
+		key  uint64
+		subs []workload.SubID
+	}
+	var ps []placed
+	off = make([]int, numV+1)
+	for i, vm := range vmsOf(a) {
+		for _, p := range vm.Placements {
+			ps = append(ps, placed{uint64(uint32(p.Topic))<<32 | uint64(i), p.Subs})
+			for _, v := range p.Subs {
+				off[v+1]++
+			}
+		}
+	}
+	slices.SortFunc(ps, func(x, y placed) int { return cmp.Compare(x.key, y.key) })
+	for v := 0; v < numV; v++ {
+		off[v+1] += off[v]
+	}
+	rows = make([]uint64, off[numV])
+	next := slices.Clone(off[:numV])
+	for _, p := range ps {
+		for _, v := range p.subs {
+			rows[next[v]] = p.key
+			next[v]++
+		}
+	}
+	return off, rows
+}
+
+// skipTopic drops the keys of row's first topic.
+func skipTopic(row []uint64) []uint64 {
+	t := row[0] >> 32
+	for len(row) > 0 && row[0]>>32 == t {
+		row = row[1:]
+	}
+	return row
+}
+
+// maxSub returns the largest subscriber ID an allocation places, or -1.
+func maxSub(a *core.Allocation) workload.SubID {
+	m := workload.SubID(-1)
+	for _, vm := range vmsOf(a) {
+		for _, p := range vm.Placements {
+			for _, v := range p.Subs {
+				m = max(m, v)
+			}
+		}
+	}
+	return m
+}
+
+func vmsOf(a *core.Allocation) []*core.VM {
+	if a == nil {
+		return nil
+	}
+	return a.VMs
 }
 
 // ApplyDelta materializes a new workload with the delta applied (after

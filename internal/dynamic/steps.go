@@ -1,9 +1,9 @@
 package dynamic
 
 import (
+	"cmp"
 	"fmt"
-	"hash/fnv"
-	"sort"
+	"slices"
 
 	"github.com/pubsub-systems/mcss/internal/core"
 	"github.com/pubsub-systems/mcss/internal/pricing"
@@ -71,6 +71,31 @@ func (s Step) String() string {
 // reproduces after exactly. A kept slot whose instance type or capacity
 // changed is replaced in place (retire + boot).
 func StepsBetween(before, after *core.Allocation) []Step {
+	return stepsBetween(canonical(before), canonical(after), placementSteps)
+}
+
+// canonical returns a shallow copy of a (nil counts as empty) whose VMs
+// list their placements in stable topic order, each with ascending
+// subscribers; subscriber lists already in order are shared, not copied.
+func canonical(a *core.Allocation) *core.Allocation {
+	vms := vmsOf(a)
+	out := &core.Allocation{VMs: make([]*core.VM, len(vms))}
+	for i, vm := range vms {
+		c := *vm
+		c.Placements = slices.Clone(byTopic(vm.Placements))
+		for j, p := range c.Placements {
+			if !slices.IsSorted(p.Subs) {
+				c.Placements[j].Subs = slices.Clone(p.Subs)
+				slices.Sort(c.Placements[j].Subs)
+			}
+		}
+		out.VMs[i] = &c
+	}
+	return out
+}
+
+// stepsBetween takes the placement diff as a parameter for the test oracle.
+func stepsBetween(before, after *core.Allocation, diff func(op StepOp, slot int, vm, other *core.VM) []Step) []Step {
 	lenB, lenA := 0, 0
 	if before != nil {
 		lenB = len(before.VMs)
@@ -102,7 +127,7 @@ func StepsBetween(before, after *core.Allocation) []Step {
 		if i < lenA && !replaced[i] {
 			av = after.VMs[i]
 		}
-		removes = append(removes, placementSteps(OpRemove, i, bv, av)...)
+		removes = append(removes, diff(OpRemove, i, bv, av)...)
 		if bv != nil && (i >= lenA || replaced[i]) {
 			retires = append(retires, Step{Op: OpRetireVM, VM: i})
 		}
@@ -120,7 +145,7 @@ func StepsBetween(before, after *core.Allocation) []Step {
 		if i < lenB && !replaced[i] {
 			bv = before.VMs[i]
 		}
-		places = append(places, placementSteps(OpPlace, i, av, bv)...)
+		places = append(places, diff(OpPlace, i, av, bv)...)
 	}
 
 	steps := make([]Step, 0, len(removes)+len(retires)+len(boots)+len(places))
@@ -135,39 +160,55 @@ func StepsBetween(before, after *core.Allocation) []Step {
 // set extends past other's, in ascending topic order with ascending subs.
 // With op=OpRemove, vm is the before slot and other the after slot (subs
 // present before but not after are removed); with op=OpPlace the roles
-// flip.
+// flip. Both slots must be canonical: the placements are merged by topic
+// and each pair of subscriber lists by subscriber.
 func placementSteps(op StepOp, slot int, vm, other *core.VM) []Step {
 	if vm == nil {
 		return nil
 	}
-	otherSubs := make(map[workload.TopicID]map[workload.SubID]bool)
+	var theirs []core.TopicPlacement
 	if other != nil {
-		for _, p := range other.Placements {
-			set := make(map[workload.SubID]bool, len(p.Subs))
-			for _, v := range p.Subs {
-				set[v] = true
-			}
-			otherSubs[p.Topic] = set
-		}
+		theirs = other.Placements
 	}
 	var steps []Step
+	k := 0
 	for _, p := range vm.Placements {
-		have := otherSubs[p.Topic]
+		for k < len(theirs) && theirs[k].Topic <= p.Topic {
+			k++
+		}
+		var have []workload.SubID
+		if k > 0 && theirs[k-1].Topic == p.Topic {
+			have = theirs[k-1].Subs
+		}
 		var subs []workload.SubID
+		j := 0
 		for _, v := range p.Subs {
-			if !have[v] {
+			for j < len(have) && have[j] < v {
+				j++
+			}
+			if j == len(have) || have[j] != v {
 				subs = append(subs, v)
 			}
 		}
-		if len(subs) == 0 {
-			continue
+		if len(subs) > 0 {
+			steps = append(steps, Step{Op: op, VM: slot, Topic: p.Topic, Subs: subs})
 		}
-		sort.Slice(subs, func(i, j int) bool { return subs[i] < subs[j] })
-		steps = append(steps, Step{Op: op, VM: slot, Topic: p.Topic, Subs: subs})
 	}
-	sort.SliceStable(steps, func(i, j int) bool { return steps[i].Topic < steps[j].Topic })
 	return steps
 }
+
+// byTopic returns the placements in stable ascending topic order, sorting
+// a copy only when they are not in that order already.
+func byTopic(ps []core.TopicPlacement) []core.TopicPlacement {
+	if slices.IsSortedFunc(ps, cmpTopic) {
+		return ps
+	}
+	ps = slices.Clone(ps)
+	slices.SortStableFunc(ps, cmpTopic)
+	return ps
+}
+
+func cmpTopic(a, b core.TopicPlacement) int { return cmp.Compare(a.Topic, b.Topic) }
 
 // Typed step-replay errors.
 var (
@@ -412,64 +453,72 @@ func compactSlots(slots []*core.VM, base *core.Allocation, messageBytes int64) (
 // when the live state no longer matches. Accounting fields are derived and
 // excluded. A nil workload or allocation hashes like an empty one, so the
 // fingerprint of a never-deployed cluster is well defined.
+//
+// The hash is FNV-1a 64 over a stream of little-endian 64-bit words and
+// instance names. Journals and plan files on disk carry fingerprints, so
+// the stream must never change.
 func StateFingerprint(w *workload.Workload, alloc *core.Allocation) string {
-	h := fnv.New64a()
-	buf := make([]byte, 8)
-	wr := func(vs ...int64) {
-		for _, v := range vs {
-			for i := 0; i < 8; i++ {
-				buf[i] = byte(v >> (8 * i))
-			}
-			h.Write(buf)
-		}
-	}
-	wr(int64(0x6d637373)) // domain tag
+	h := fnv1a(14695981039346656037)
+	h.words(0x6d637373) // domain tag
 	if w != nil {
-		wr(int64(w.NumTopics()), int64(w.NumSubscribers()), w.NumPairs())
-		for _, r := range w.Rates() {
-			wr(r)
-		}
+		h.words(int64(w.NumTopics()), int64(w.NumSubscribers()), w.NumPairs())
+		h.words(w.Rates()...)
 		for v := 0; v < w.NumSubscribers(); v++ {
 			ts := w.Topics(workload.SubID(v))
-			wr(int64(len(ts)))
+			h.words(int64(len(ts)))
 			for _, t := range ts {
-				wr(int64(t))
+				h.words(int64(t))
 			}
 		}
 	} else {
-		wr(0, 0, 0)
+		h.words(0, 0, 0)
 	}
 	if alloc != nil {
-		wr(int64(len(alloc.VMs)))
+		h.words(int64(len(alloc.VMs)))
 		var subs []workload.SubID
 		for _, vm := range alloc.VMs {
-			h.Write([]byte(vm.Instance.Name))
-			wr(int64(vm.Instance.HourlyRate), vm.Instance.LinkMbps, vm.CapacityBytesPerHour, int64(len(vm.Placements)))
+			for _, c := range []byte(vm.Instance.Name) {
+				h = (h ^ fnv1a(c)) * fnvPrime
+			}
+			h.words(int64(vm.Instance.HourlyRate), vm.Instance.LinkMbps, vm.CapacityBytesPerHour, int64(len(vm.Placements)))
 			// Placement list order and subscriber order within a
 			// placement are incidental (different packers and replayed
 			// steps produce different orders for the same state), so the
 			// hash canonicalizes both: topics ascending, subs ascending.
-			order := make([]int, len(vm.Placements))
-			for i := range order {
-				order[i] = i
-			}
-			sort.Slice(order, func(a, b int) bool {
-				return vm.Placements[order[a]].Topic < vm.Placements[order[b]].Topic
-			})
-			for _, pi := range order {
-				p := vm.Placements[pi]
-				subs = append(subs[:0], p.Subs...)
-				sort.Slice(subs, func(a, b int) bool { return subs[a] < subs[b] })
-				wr(int64(p.Topic), int64(len(subs)))
-				for _, s := range subs {
-					wr(int64(s))
+			for _, p := range byTopic(vm.Placements) {
+				ps := p.Subs
+				if !slices.IsSorted(ps) {
+					subs = append(subs[:0], ps...)
+					slices.Sort(subs)
+					ps = subs
+				}
+				h.words(int64(p.Topic), int64(len(ps)))
+				for _, s := range ps {
+					h.words(int64(s))
 				}
 			}
 		}
 	} else {
-		wr(0)
+		h.words(0)
 	}
-	return fmt.Sprintf("%016x", h.Sum64())
+	return fmt.Sprintf("%016x", uint64(h))
+}
+
+// fnv1a is an FNV-1a 64 state that folds bytes in directly, without
+// hash.Hash64's per-call overhead.
+type fnv1a uint64
+
+const fnvPrime fnv1a = 1099511628211
+
+// words folds each value in as 8 little-endian bytes.
+func (h *fnv1a) words(vs ...int64) {
+	x := *h
+	for _, v := range vs {
+		for i := 0; i < 64; i += 8 {
+			x = (x ^ fnv1a(byte(v>>i))) * fnvPrime
+		}
+	}
+	*h = x
 }
 
 // Restore rebuilds a Provisioner around an externally persisted state

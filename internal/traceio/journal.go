@@ -2,6 +2,7 @@ package traceio
 
 import (
 	"bytes"
+	"encoding/json"
 
 	"github.com/pubsub-systems/mcss/internal/deploy"
 )
@@ -13,17 +14,19 @@ import (
 // traceio → deploy, so the codec travels in that direction too.
 
 // PlanJournalCodec returns the deploy.JournalCodec that encodes plan
-// bodies as mcss-plan documents. The error contract matches the plan
-// codec: undecodable bytes fail with ErrBadFormat, a document that parses
-// but violates plan invariants with deploy.ErrInvalidPlan.
+// bodies as compact mcss-plan documents: the document WritePlan writes,
+// without its indentation. ReadPlan parses either spacing, so journals
+// written with indented bodies still recover. The error contract matches
+// the plan codec: undecodable bytes fail with ErrBadFormat, a document
+// that parses but violates plan invariants with deploy.ErrInvalidPlan.
 func PlanJournalCodec() deploy.JournalCodec {
 	return deploy.JournalCodec{
 		EncodePlan: func(p *deploy.Plan) ([]byte, error) {
-			var buf bytes.Buffer
-			if err := WritePlan(p, &buf); err != nil {
+			doc, err := planToDoc(p)
+			if err != nil {
 				return nil, err
 			}
-			return buf.Bytes(), nil
+			return json.Marshal(doc)
 		},
 		DecodePlan: func(b []byte) (*deploy.Plan, error) {
 			return ReadPlan(bytes.NewReader(b))

@@ -122,10 +122,27 @@ type targetDoc struct {
 // part of the format: plans address topics and subscribers by dense ID,
 // like every other codec in this package.
 func WritePlan(p *deploy.Plan, out io.Writer) error {
-	if err := p.Validate(); err != nil {
+	doc, err := planToDoc(p)
+	if err != nil {
 		return err
 	}
-	doc := planDoc{
+	b, err := json.MarshalIndent(doc, "", "  ")
+	if err != nil {
+		return err
+	}
+	b = append(b, '\n')
+	_, err = out.Write(b)
+	return err
+}
+
+// planToDoc validates the plan and builds its document: the one builder
+// behind WritePlan's indented files and the journal codec's compact
+// bodies.
+func planToDoc(p *deploy.Plan) (*planDoc, error) {
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	doc := &planDoc{
 		Format:          planFormat,
 		Version:         p.Version,
 		BaseFingerprint: p.BaseFingerprint,
@@ -154,13 +171,7 @@ func WritePlan(p *deploy.Plan, out io.Writer) error {
 	for _, s := range p.Steps {
 		doc.Steps = append(doc.Steps, stepToDoc(s))
 	}
-	b, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	b = append(b, '\n')
-	_, err = out.Write(b)
-	return err
+	return doc, nil
 }
 
 // ReadPlan parses a plan document and rebuilds a validated deploy.Plan.
