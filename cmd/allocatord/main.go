@@ -46,9 +46,7 @@ import (
 	"github.com/pubsub-systems/mcss/internal/spot"
 	"github.com/pubsub-systems/mcss/internal/timeline"
 	"github.com/pubsub-systems/mcss/internal/topo"
-	"github.com/pubsub-systems/mcss/internal/tracegen"
 	"github.com/pubsub-systems/mcss/internal/traceio"
-	"github.com/pubsub-systems/mcss/internal/workload"
 )
 
 func main() {
@@ -108,7 +106,7 @@ func run(args []string, stderr io.Writer) error {
 	fs.BoolVar(&o.spot, "spot", false, "timeline replay on a spot market: price schedule, chaos reclamations, group repair")
 	fs.StringVar(&o.spotMarket, "spot-market", "", "spot market file for -spot (empty = generate one matched to the timeline)")
 	fs.Int64Var(&o.chaosSeed, "chaos-seed", 1, "reclamation draw seed for -spot")
-	fs.StringVar(&o.topologyPath, "topology", "", "multi-region topology file: solve with the topo strategies and bill cross-region egress")
+	fs.StringVar(&o.topologyPath, "topology", "", "multi-region topology file: route pairs by region, prefer co-located pairs, and bill cross-region egress")
 	fs.Int64Var(&o.sloMillis, "slo", 0, "latency SLO ceiling in ms on modeled delivery RTT (0 = none; needs -topology)")
 	fs.StringVar(&o.metricsDump, "metrics-dump", "", "write the final metrics registry as JSON to this file on exit")
 	fs.StringVar(&o.dataDir, "data-dir", "", "directory for the durable apply journal: replay it on startup and journal every apply")
@@ -144,7 +142,7 @@ func run(args []string, stderr io.Writer) error {
 		stop()
 	}
 	err = <-serveErr
-	if dumpErr := d.dumpMetrics(o.metricsDump); dumpErr != nil && err == nil {
+	if dumpErr := cli.DumpMetrics(d.m, o.metricsDump); dumpErr != nil && err == nil {
 		err = dumpErr
 	}
 	return err
@@ -216,28 +214,18 @@ func (d *daemon) setDegraded(rec *deploy.Recovery, reason error) {
 
 // applyTopology loads the -topology file (empty path = no-op), stores it as
 // the daemon's active topology, and rewires the config for multi-region
-// solving: the fleet replicated per region, the region-aware strategies,
-// the SLO ceiling, and egress billing through cfg.Topology.
+// solving: the fleet replicated per region (Stage 2 routes pairs across
+// it), the co-location-preferring selection, the SLO ceiling, and egress
+// billing through cfg.Topology.
 func (d *daemon) applyTopology(o options, cfg *core.Config) error {
-	if o.topologyPath == "" {
-		return nil
+	t, fleet, err := cli.LoadTopology(o.topologyPath, cfg.Fleet, cfg.Model)
+	if err != nil || t == nil {
+		return err
 	}
-	t, err := traceio.LoadTopology(o.topologyPath)
-	if err != nil {
-		return fmt.Errorf("loading topology: %w", err)
-	}
-	cfg.Topology = t
+	cfg.Topology, cfg.Fleet = t, fleet
 	cfg.LatencySLOMillis = o.sloMillis
 	if t.NumRegions() > 1 {
-		base := cfg.Fleet
-		if base.IsZero() {
-			base = cfg.Model.SingleFleet()
-		}
-		if cfg.Fleet, err = topo.RegionalFleet(base, t); err != nil {
-			return err
-		}
 		cfg.Stage1 = topo.SelectColocated
-		cfg.Stage2 = topo.PackTopo
 	}
 	d.mu.Lock()
 	d.topology = t
@@ -357,7 +345,7 @@ func (d *daemon) load(ctx context.Context, o options) error {
 	case o.timelinePath != "" || o.diurnal:
 		return d.runTimeline(ctx, o, rec, rig)
 	default:
-		w, err := loadWorkload(o.trace, o.dataset, o.scale)
+		w, err := cli.LoadWorkload(o.trace, o.dataset, o.scale)
 		if err != nil {
 			return err
 		}
@@ -432,7 +420,6 @@ func (d *daemon) runTimeline(ctx context.Context, o options, rec *deploy.Recover
 		if err != nil {
 			return err
 		}
-		cfg.Stage2 = spot.PackRiskAware
 		if sched, err = spot.NewSchedule(market, cfg.Fleet, spot.ScheduleConfig{}); err != nil {
 			return err
 		}
@@ -682,51 +669,13 @@ func (d *daemon) logRequests(next http.Handler) http.Handler {
 	})
 }
 
-// dumpMetrics writes the final registry as JSON — the same shape the
-// -metrics-dump flags of experiments and simulate produce.
-func (d *daemon) dumpMetrics(path string) error {
-	if path == "" {
-		return nil
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := d.m.Registry.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-func loadWorkload(tracePath, dataset string, scale float64) (*workload.Workload, error) {
-	switch {
-	case tracePath != "":
-		return traceio.Load(tracePath)
-	case strings.EqualFold(dataset, "twitter"):
-		return tracegen.Twitter(tracegen.DefaultTwitterConfig().Scale(scale))
-	case strings.EqualFold(dataset, "spotify"):
-		return tracegen.Spotify(tracegen.DefaultSpotifyConfig().Scale(scale))
-	case dataset == "":
-		return nil, fmt.Errorf("need -snapshot, -trace, -dataset, or -timeline")
-	default:
-		return nil, fmt.Errorf("unknown dataset %q", dataset)
-	}
-}
-
 func loadTimeline(o options) (*timeline.Timeline, error) {
 	if o.timelinePath != "" {
 		return traceio.LoadTimeline(o.timelinePath)
 	}
-	base, err := loadWorkload(o.trace, o.dataset, o.scale)
+	base, err := cli.LoadWorkload(o.trace, o.dataset, o.scale)
 	if err != nil {
 		return nil, err
 	}
-	cfg := experiments.DiurnalModulation()
-	cfg.Epochs = o.epochs
-	cfg.EpochMinutes = o.epochMinutes
-	if cfg.FlashEpoch >= cfg.Epochs {
-		cfg.FlashEpoch = cfg.Epochs / 2
-	}
-	return tracegen.Diurnal(base, cfg)
+	return cli.DiurnalTimeline(base, o.epochs, o.epochMinutes)
 }

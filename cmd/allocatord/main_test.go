@@ -12,6 +12,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/pubsub-systems/mcss/internal/cli"
 )
 
 // startServer runs the daemon's HTTP surface on an ephemeral port and
@@ -169,7 +171,7 @@ func TestDaemonSolveAndDump(t *testing.T) {
 	}
 
 	dump := filepath.Join(t.TempDir(), "metrics.json")
-	if err := d.dumpMetrics(dump); err != nil {
+	if err := cli.DumpMetrics(d.m, dump); err != nil {
 		t.Fatalf("dump: %v", err)
 	}
 	raw, err := os.ReadFile(dump)

@@ -95,28 +95,13 @@ func run(args []string) error {
 		}
 		fmt.Fprintf(os.Stderr, "[fig %s done in %s]\n\n", f, time.Since(start).Round(time.Millisecond))
 	}
-	return dumpMetrics(m, *metricsDump, *outdir)
-}
-
-// dumpMetrics writes the registry as JSON so a perf run carries its
-// telemetry; a relative path lands in outdir, next to the BENCH output.
-// Empty path is a no-op.
-func dumpMetrics(m *obs.Metrics, path, outdir string) error {
-	if path == "" {
-		return nil
+	// A relative -metrics-dump path lands in -outdir, next to the BENCH
+	// output.
+	dump := *metricsDump
+	if dump != "" && *outdir != "" && !filepath.IsAbs(dump) {
+		dump = filepath.Join(*outdir, dump)
 	}
-	if outdir != "" && !filepath.IsAbs(path) {
-		path = filepath.Join(outdir, path)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := m.Registry.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return cli.DumpMetrics(m, dump)
 }
 
 // parseSizes parses the -sizes flag into pair counts; empty means the

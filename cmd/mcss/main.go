@@ -88,13 +88,13 @@ func registerSolverFlags(fs *flag.FlagSet) *solverFlags {
 		capacity:  fs.Int64("capacity", 0, "per-VM capacity override in bytes/hour for -instance, scaled per-mbps across the fleet (0 = calibrated)"),
 		msgBytes:  fs.Int64("message-bytes", 200, "notification size in bytes"),
 		stage1:    fs.String("stage1", "gsp", "stage 1 algorithm: gsp, rsp, or topo-gsp"),
-		stage2:    fs.String("stage2", "cbp", "stage 2 algorithm: cbp, ffbp, bfd, spot, or topo"),
+		stage2:    fs.String("stage2", "cbp", "stage 2 algorithm: cbp, ffbp, or bfd"),
 		optSpec:   fs.String("opts", "all", "CBP optimizations: all, none, or comma list of expensive,mostfree,cost"),
 		strategy:  fs.String("strategy", "", "full-solve strategy replacing both stages (e.g. exact)"),
 		topologyPath: fs.String("topology", "",
 			"multi-region topology file (traceio mcss-topology format; empty = the paper's single region)"),
 		sloMillis: fs.Int64("slo", 0,
-			"latency SLO ceiling in ms on modeled delivery RTT (0 = none; used by -stage2 topo)"),
+			"latency SLO ceiling in ms on modeled delivery RTT (0 = none; needs a multi-region -topology)"),
 		progress: fs.Bool("progress", false, "stream per-stage solver progress to stderr"),
 		metricsAddr: fs.String("metrics-addr", "",
 			"serve Prometheus /metrics on this address for the life of the run"),
@@ -126,7 +126,7 @@ func (sf *solverFlags) build(m *obs.Metrics) (*mcss.Workload, *mcss.Planner, mcs
 	fail := func(err error) (*mcss.Workload, *mcss.Planner, mcss.Model, mcss.Fleet, error) {
 		return nil, nil, mcss.Model{}, mcss.Fleet{}, err
 	}
-	w, err := loadWorkload(*sf.tracePath, *sf.dataset, *sf.scale)
+	w, err := cli.LoadWorkload(*sf.tracePath, *sf.dataset, *sf.scale)
 	if err != nil {
 		return fail(err)
 	}
@@ -154,24 +154,9 @@ func (sf *solverFlags) build(m *obs.Metrics) (*mcss.Workload, *mcss.Planner, mcs
 	if err != nil {
 		return fail(err)
 	}
-	var topology *mcss.NetworkTopology
-	if *sf.topologyPath != "" {
-		topology, err = mcss.LoadTopology(*sf.topologyPath)
-		if err != nil {
-			return fail(fmt.Errorf("loading topology: %w", err))
-		}
-		if topology.NumRegions() > 1 {
-			// Replicate the decision fleet into every region so the topo
-			// packer has regional capacity to choose from.
-			base := fleet
-			if base.IsZero() {
-				base = model.SingleFleet()
-			}
-			fleet, err = mcss.RegionalFleet(base, topology)
-			if err != nil {
-				return fail(err)
-			}
-		}
+	topology, fleet, err := cli.LoadTopology(*sf.topologyPath, fleet, model)
+	if err != nil {
+		return fail(err)
 	}
 	popts := []mcss.Option{
 		mcss.WithTau(*sf.tau),
@@ -307,21 +292,6 @@ func parseFleet(spec string) (mcss.Fleet, error) {
 		types = append(types, it)
 	}
 	return mcss.NewFleet(types...)
-}
-
-func loadWorkload(tracePath, dataset string, scale float64) (*mcss.Workload, error) {
-	switch {
-	case tracePath != "":
-		return mcss.LoadTrace(tracePath)
-	case strings.EqualFold(dataset, "twitter"):
-		return mcss.GenerateTwitter(mcss.DefaultTwitterTrace().Scale(scale))
-	case strings.EqualFold(dataset, "spotify"):
-		return mcss.GenerateSpotify(mcss.DefaultSpotifyTrace().Scale(scale))
-	case dataset == "":
-		return nil, fmt.Errorf("need -trace or -dataset")
-	default:
-		return nil, fmt.Errorf("unknown dataset %q (want twitter or spotify)", dataset)
-	}
 }
 
 func parseOpts(s string) (mcss.OptFlags, error) {

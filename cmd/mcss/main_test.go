@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	mcss "github.com/pubsub-systems/mcss"
+	"github.com/pubsub-systems/mcss/internal/cli"
 )
 
 func TestParseOpts(t *testing.T) {
@@ -39,13 +40,13 @@ func TestParseOpts(t *testing.T) {
 }
 
 func TestLoadWorkloadDispatch(t *testing.T) {
-	if _, err := loadWorkload("", "", 1); err == nil {
+	if _, err := cli.LoadWorkload("", "", 1); err == nil {
 		t.Error("no source accepted")
 	}
-	if _, err := loadWorkload("", "mars", 1); err == nil {
+	if _, err := cli.LoadWorkload("", "mars", 1); err == nil {
 		t.Error("unknown dataset accepted")
 	}
-	w, err := loadWorkload("", "spotify", 0.01)
+	w, err := cli.LoadWorkload("", "spotify", 0.01)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +59,7 @@ func TestLoadWorkloadDispatch(t *testing.T) {
 	if err := mcss.SaveTrace(w, path); err != nil {
 		t.Fatal(err)
 	}
-	back, err := loadWorkload(path, "", 1)
+	back, err := cli.LoadWorkload(path, "", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,11 +105,36 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"-dataset", "twitter", "-scale", "0.01", "-instance", "m9.huge"},
 		{"-dataset", "twitter", "-scale", "0.01", "-stage1", "xxx"},
 		{"-dataset", "twitter", "-scale", "0.01", "-stage2", "xxx"},
+		{"-dataset", "twitter", "-scale", "0.01", "-stage2", "topo"},
+		{"-dataset", "twitter", "-scale", "0.01", "-stage2", "spot"},
 		{"-dataset", "twitter", "-scale", "0.01", "-opts", "xxx"},
 	}
 	for _, args := range bad {
 		if err := run(args); err == nil {
 			t.Errorf("run(%v) accepted", args)
 		}
+	}
+}
+
+// A multi-region -topology alone routes stage 2 by region: on a
+// region-tagged trace, a 10 ms ceiling that no cross-region pair can meet
+// fails the solve with ErrInfeasible without any -stage2 flag.
+func TestRunTopologySLOInfeasible(t *testing.T) {
+	base, err := mcss.GenerateTwitter(mcss.DefaultTwitterTrace().Scale(0.01))
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := mcss.TagRegions(base, 3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "tagged.trace")
+	if err := mcss.SaveTrace(w, path); err != nil {
+		t.Fatal(err)
+	}
+	err = run([]string{"-trace", path, "-tau", "100", "-verify",
+		"-topology", filepath.Join("..", "..", "internal", "traceio", "testdata", "topology_v1.json"), "-slo", "10"})
+	if !errors.Is(err, mcss.ErrInfeasible) {
+		t.Fatalf("err = %v, want ErrInfeasible", err)
 	}
 }

@@ -22,7 +22,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 	"time"
 
 	mcss "github.com/pubsub-systems/mcss"
@@ -60,7 +59,7 @@ func run(args []string) error {
 		epochMinutes = fs.Int64("epoch-minutes", 60, "diurnal epoch duration")
 		satisfyFrac  = fs.Float64("satisfy-frac", 0.5, "fraction of τ_v·hours each subscriber must receive in replay")
 
-		topologyPath = fs.String("topology", "", "multi-region topology file: solve with the topo strategies and bill cross-region egress")
+		topologyPath = fs.String("topology", "", "multi-region topology file: route pairs by region, prefer co-located pairs, and bill cross-region egress")
 		sloMillis    = fs.Int64("slo", 0, "latency SLO ceiling in ms on modeled delivery RTT (0 = none; needs -topology)")
 
 		spotChaos  = fs.Bool("spot", false, "timeline mode: chaos replay on a spot market (price schedule, reclamation storms, group repair) vs all-on-demand")
@@ -102,7 +101,7 @@ func run(args []string) error {
 	if *chaosApply > 0 {
 		return runChaosApply(ctx, chaosApplyArgs{
 			timelineArgs: timelineArgs{
-				path: *timelinePath, dataset: *dataset, scale: *scale,
+				path: *timelinePath, trace: *tracePath, dataset: *dataset, scale: *scale,
 				tau: *tau, epochs: *epochs, epochMinutes: *epochMinutes,
 			},
 			cases: *chaosApply, seed: *chaosApplySeed,
@@ -111,31 +110,25 @@ func run(args []string) error {
 
 	if *timelinePath != "" || *diurnal {
 		err := runTimeline(ctx, timelineArgs{
-			path: *timelinePath, dataset: *dataset, scale: *scale,
+			path: *timelinePath, trace: *tracePath, dataset: *dataset, scale: *scale,
 			tau: *tau, epochs: *epochs, epochMinutes: *epochMinutes,
 			maxEvents: *maxEvents, satisfyFrac: *satisfyFrac,
 			spot: *spotChaos, spotMarket: *spotMarket, chaosSeed: *chaosSeed,
 			topologyPath: *topologyPath, sloMillis: *sloMillis,
 			metrics: m,
 		})
-		if derr := dumpMetrics(m, *metricsDump); derr != nil && err == nil {
+		if derr := cli.DumpMetrics(m, *metricsDump); derr != nil && err == nil {
 			err = derr
 		}
 		return err
 	}
 
-	w, err := loadWorkload(*tracePath, *dataset, *scale)
+	w, err := cli.LoadWorkload(*tracePath, *dataset, *scale)
 	if err != nil {
 		return err
 	}
 	model := experiments.ModelFor(pricing.C3Large, w)
-	popts := []mcss.Option{mcss.WithTau(*tau), mcss.WithModel(model)}
-	topology, topts, err := topologyOptions(*topologyPath, *sloMillis, model.SingleFleet())
-	if err != nil {
-		return err
-	}
-	popts = append(popts, topts...)
-	p, err := mcss.NewPlanner(popts...)
+	p, topology, err := newPlanner(*tau, model, mcss.Fleet{}, *topologyPath, *sloMillis)
 	if err != nil {
 		return err
 	}
@@ -194,24 +187,31 @@ func run(args []string) error {
 		}
 		printSim(w, sim, *tau)
 	}
-	return dumpMetrics(m, *metricsDump)
+	return cli.DumpMetrics(m, *metricsDump)
 }
 
-// dumpMetrics writes the registry as JSON so a perf run carries its
-// telemetry next to the printed report. Empty path is a no-op.
-func dumpMetrics(m *obs.Metrics, path string) error {
-	if path == "" {
-		return nil
-	}
-	f, err := os.Create(path)
+// newPlanner builds simulate's planner over model and fleet (empty = the
+// model's single type). With -topology it attaches the topology and the
+// SLO ceiling; with more than one region the fleet is replicated into
+// every region, which Stage 2 routes pairs across, and stage 1 prefers
+// co-located pairs.
+func newPlanner(tau int64, model mcss.Model, fleet mcss.Fleet, topologyPath string, sloMillis int64) (*mcss.Planner, *mcss.NetworkTopology, error) {
+	topology, fleet, err := cli.LoadTopology(topologyPath, fleet, model)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
-	if err := m.Registry.WriteJSON(f); err != nil {
-		f.Close()
-		return err
+	opts := []mcss.Option{mcss.WithTau(tau), mcss.WithModel(model)}
+	if !fleet.IsZero() {
+		opts = append(opts, mcss.WithFleet(fleet))
 	}
-	return f.Close()
+	if topology != nil {
+		opts = append(opts, mcss.WithTopology(topology), mcss.WithLatencySLO(sloMillis))
+		if topology.NumRegions() > 1 {
+			opts = append(opts, mcss.WithStage1(mcss.TopoStage1Strategy))
+		}
+	}
+	p, err := mcss.NewPlanner(opts...)
+	return p, topology, err
 }
 
 func printSim(w *mcss.Workload, sim *mcss.SimResult, tau int64) {
@@ -238,6 +238,7 @@ func perHour(sim *mcss.SimResult) []int64 {
 
 type timelineArgs struct {
 	path, dataset string
+	trace         string
 	scale         float64
 	tau           int64
 	epochs        int
@@ -252,53 +253,18 @@ type timelineArgs struct {
 	metrics       *obs.Metrics
 }
 
-// topologyOptions loads the topology (empty path = none) and returns the
-// planner options wiring it in: the topology itself, the SLO ceiling, and
-// — for a multi-region topology — the base fleet replicated per region and
-// the region-aware strategies.
-func topologyOptions(path string, sloMillis int64, base mcss.Fleet) (*mcss.NetworkTopology, []mcss.Option, error) {
-	if path == "" {
-		return nil, nil, nil
-	}
-	topology, err := mcss.LoadTopology(path)
-	if err != nil {
-		return nil, nil, fmt.Errorf("loading topology: %w", err)
-	}
-	opts := []mcss.Option{mcss.WithTopology(topology), mcss.WithLatencySLO(sloMillis)}
-	if topology.NumRegions() > 1 {
-		fleet, err := mcss.RegionalFleet(base, topology)
-		if err != nil {
-			return nil, nil, err
-		}
-		opts = append(opts,
-			mcss.WithFleet(fleet),
-			mcss.WithStage1(mcss.TopoStage1Strategy),
-			mcss.WithStage2(mcss.TopoStage2Strategy),
-		)
-	}
-	return topology, opts, nil
-}
-
 // buildTimeline loads the timeline file when one was given, otherwise
-// synthesizes the diurnal cycle from the dataset — the same timeline
-// family both replay and the chaos-apply sweep exercise.
+// modulates the -trace or -dataset workload into the diurnal cycle — the
+// same timeline family both replay and the chaos-apply sweep exercise.
 func buildTimeline(a timelineArgs) (*mcss.Timeline, error) {
 	if a.path != "" {
 		return mcss.LoadTimeline(a.path)
 	}
-	base, err := loadWorkload("", a.dataset, a.scale)
+	base, err := cli.LoadWorkload(a.trace, a.dataset, a.scale)
 	if err != nil {
 		return nil, err
 	}
-	// The experiment's modulation (flash crowd included), so replay
-	// exercises the same timeline family -fig diurnal reports on.
-	cfg := experiments.DiurnalModulation()
-	cfg.Epochs = a.epochs
-	cfg.EpochMinutes = a.epochMinutes
-	if cfg.FlashEpoch >= cfg.Epochs {
-		cfg.FlashEpoch = cfg.Epochs / 2
-	}
-	return mcss.GenerateDiurnal(base, cfg)
+	return cli.DiurnalTimeline(base, a.epochs, a.epochMinutes)
 }
 
 // runTimeline drives the elastic controller over a timeline and replays
@@ -316,17 +282,8 @@ func runTimeline(ctx context.Context, a timelineArgs) error {
 	}
 	// The same envelope-calibrated fleet the diurnal experiment sizes
 	// against, so replay verifies what -fig diurnal reports.
-	popts := []mcss.Option{
-		mcss.WithTau(a.tau),
-		mcss.WithModel(mcss.NewModel(mcss.C3Large)),
-		mcss.WithFleet(experiments.FleetFor(env)),
-	}
-	topology, topts, err := topologyOptions(a.topologyPath, a.sloMillis, experiments.FleetFor(env))
-	if err != nil {
-		return err
-	}
-	popts = append(popts, topts...)
-	p, err := mcss.NewPlanner(popts...)
+	p, topology, err := newPlanner(a.tau, mcss.NewModel(mcss.C3Large), experiments.FleetFor(env),
+		a.topologyPath, a.sloMillis)
 	if err != nil {
 		return err
 	}
@@ -338,10 +295,11 @@ func runTimeline(ctx context.Context, a timelineArgs) error {
 		if a.spotMarket != "" {
 			market, err = mcss.LoadSpotMarket(a.spotMarket)
 		} else {
-			// A market matched to the timeline, using the experiment's
+			// A market over the planner's fleet (regional with
+			// -topology), matched to the timeline, using the experiment's
 			// generator settings so replay exercises the same market family
 			// `experiments -fig spot` reports on.
-			market, err = mcss.GenerateSpotMarket(experiments.FleetFor(env),
+			market, err = mcss.GenerateSpotMarket(cfg.Fleet,
 				experiments.SpotMarketConfig(tl.NumEpochs(), tl.EpochMinutes))
 		}
 		if err != nil {
@@ -439,19 +397,4 @@ func runTimeline(ctx context.Context, a timelineArgs) error {
 	}
 	fmt.Println("every epoch satisfied under simulation replay")
 	return nil
-}
-
-func loadWorkload(tracePath, dataset string, scale float64) (*mcss.Workload, error) {
-	switch {
-	case tracePath != "":
-		return mcss.LoadTrace(tracePath)
-	case strings.EqualFold(dataset, "twitter"):
-		return mcss.GenerateTwitter(mcss.DefaultTwitterTrace().Scale(scale))
-	case strings.EqualFold(dataset, "spotify"):
-		return mcss.GenerateSpotify(mcss.DefaultSpotifyTrace().Scale(scale))
-	case dataset == "":
-		return nil, fmt.Errorf("need -trace or -dataset")
-	default:
-		return nil, fmt.Errorf("unknown dataset %q", dataset)
-	}
 }

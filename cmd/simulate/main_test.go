@@ -83,3 +83,18 @@ func TestRunTimelineFromFile(t *testing.T) {
 		t.Fatalf("run: %v", err)
 	}
 }
+
+// -diurnal modulates a -trace workload just like a -dataset one.
+func TestRunDiurnalFromTrace(t *testing.T) {
+	w, err := mcss.GenerateSpotify(mcss.DefaultSpotifyTrace().Scale(0.01))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "base.trace")
+	if err := mcss.SaveTrace(w, path); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"-trace", path, "-tau", "50", "-diurnal", "-epochs", "3"}); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+}

@@ -1,7 +1,8 @@
-// Package cli carries the small amount of plumbing the cmd/* binaries
-// share: a root context wired to SIGINT/SIGTERM and an optional -timeout,
-// and the exit-code mapping that turns a cancelled context into a clean
-// "partial report" exit instead of a mid-solve kill.
+// Package cli carries the plumbing the cmd/* binaries share: a root
+// context wired to SIGINT/SIGTERM and an optional -timeout, the exit-code
+// mapping that turns a cancelled context into a clean "partial report"
+// exit instead of a mid-solve kill, and the loaders behind the common
+// input flags (-trace/-dataset, -diurnal, -topology) and -metrics-dump.
 package cli
 
 import (

@@ -1,0 +1,85 @@
+package cli
+
+import (
+	"errors"
+	"fmt"
+	"os"
+	"strings"
+
+	"github.com/pubsub-systems/mcss/internal/experiments"
+	"github.com/pubsub-systems/mcss/internal/obs"
+	"github.com/pubsub-systems/mcss/internal/pricing"
+	"github.com/pubsub-systems/mcss/internal/timeline"
+	"github.com/pubsub-systems/mcss/internal/topo"
+	"github.com/pubsub-systems/mcss/internal/tracegen"
+	"github.com/pubsub-systems/mcss/internal/traceio"
+	"github.com/pubsub-systems/mcss/internal/workload"
+)
+
+// LoadWorkload reads the workload named by the -trace and -dataset flags:
+// the trace file when one is given, otherwise the synthetic twitter or
+// spotify dataset at scale.
+func LoadWorkload(tracePath, dataset string, scale float64) (*workload.Workload, error) {
+	switch {
+	case tracePath != "":
+		return traceio.Load(tracePath)
+	case strings.EqualFold(dataset, "twitter"):
+		return tracegen.Twitter(tracegen.DefaultTwitterConfig().Scale(scale))
+	case strings.EqualFold(dataset, "spotify"):
+		return tracegen.Spotify(tracegen.DefaultSpotifyConfig().Scale(scale))
+	case dataset == "":
+		return nil, errors.New("need -trace or -dataset")
+	default:
+		return nil, fmt.Errorf("unknown dataset %q (want twitter or spotify)", dataset)
+	}
+}
+
+// DiurnalTimeline modulates a loaded base workload into the daily cycle
+// `experiments -fig diurnal` reports on (flash crowd included, moved to
+// the middle when it falls past the last epoch), so a replay exercises
+// the same timeline family. Region tags carry over from the base.
+func DiurnalTimeline(base *workload.Workload, epochs int, epochMinutes int64) (*timeline.Timeline, error) {
+	cfg := experiments.DiurnalModulation()
+	cfg.Epochs = epochs
+	cfg.EpochMinutes = epochMinutes
+	if cfg.FlashEpoch >= cfg.Epochs {
+		cfg.FlashEpoch = cfg.Epochs / 2
+	}
+	return tracegen.Diurnal(base, cfg)
+}
+
+// LoadTopology reads the -topology file; an empty path means no topology.
+// With more than one region it also returns the decision fleet replicated
+// into every region (fleet, or the model's single type when fleet is
+// empty), which Stage 2 routes pairs across; otherwise fleet comes back
+// unchanged.
+func LoadTopology(path string, fleet pricing.Fleet, model pricing.Model) (*topo.Topology, pricing.Fleet, error) {
+	if path == "" {
+		return nil, fleet, nil
+	}
+	t, err := traceio.LoadTopology(path)
+	if err != nil {
+		return nil, fleet, fmt.Errorf("loading topology: %w", err)
+	}
+	if t.NumRegions() > 1 {
+		fleet, err = topo.RegionalFleet(model.FleetOr(fleet), t)
+	}
+	return t, fleet, err
+}
+
+// DumpMetrics writes the metrics registry as JSON to path, so a run
+// carries its telemetry next to its report. An empty path is a no-op.
+func DumpMetrics(m *obs.Metrics, path string) error {
+	if path == "" {
+		return nil
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := m.Registry.WriteJSON(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}

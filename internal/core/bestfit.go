@@ -96,7 +96,7 @@ func bfdItems(sel *Selection, maxCap, msg int64) ([]bfdItem, error) {
 	sel.Pairs(func(p workload.Pair) bool {
 		rb := sel.w.Rate(p.Topic) * msg
 		if 2*rb > maxCap {
-			err = ErrInfeasible
+			err = errTopicTooLarge(p.Topic, rb, maxCap)
 			return false
 		}
 		items = append(items, bfdItem{pair: p, rb: rb})

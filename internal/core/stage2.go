@@ -3,6 +3,7 @@ package core
 import (
 	"cmp"
 	"context"
+	"fmt"
 	"runtime"
 	"slices"
 	"sync"
@@ -172,7 +173,7 @@ func FFBinPackingContext(ctx context.Context, sel *Selection, cfg Config) (*Allo
 		}
 		rb := sel.w.Rate(p.Topic) * msg
 		if 2*rb > maxCap && !cfg.LenientFirstFit {
-			err = ErrInfeasible
+			err = errTopicTooLarge(p.Topic, rb, maxCap)
 			return false
 		}
 		one[0] = p.Sub
@@ -283,7 +284,7 @@ func CustomBinPackingContext(ctx context.Context, sel *Selection, cfg Config) (*
 			return nil, err
 		}
 		if 2*g.rb > maxCap {
-			return nil, ErrInfeasible
+			return nil, errTopicTooLarge(g.topic, g.rb, maxCap)
 		}
 		need := g.rb * int64(len(g.subs)+1)
 		if cur != nil && need <= cur.free {
@@ -465,19 +466,18 @@ func freshPlan(f pricing.Fleet, m pricing.Model, rb, n int64) (rental pricing.Mi
 	return rental, bw, count, true
 }
 
+// errTopicTooLarge reports a topic whose single pair (one incoming plus
+// one outgoing stream of rb bytes/hour) exceeds the largest VM.
+func errTopicTooLarge(t workload.TopicID, rb, maxCap int64) error {
+	return fmt.Errorf("%w: topic %d needs %d bytes/h for one pair, the largest VM carries %d",
+		ErrInfeasible, t, 2*rb, maxCap)
+}
+
 func ceilDiv(a, b int64) int64 {
 	if a <= 0 {
 		return 0
 	}
 	return (a + b - 1) / b
-}
-
-// packStage2 is one packing run: Config.Stage2 when set, otherwise CBP.
-func packStage2(ctx context.Context, sel *Selection, cfg Config) (*Allocation, error) {
-	if cfg.Stage2 != nil {
-		return cfg.Stage2(ctx, sel, cfg)
-	}
-	return CustomBinPackingContext(ctx, sel, cfg)
 }
 
 // PackSelection runs Stage 2 alone on an existing selection: the

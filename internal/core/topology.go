@@ -5,9 +5,9 @@ import (
 	"github.com/pubsub-systems/mcss/internal/workload"
 )
 
-// Topology abstracts the multi-region network the topology-aware strategies
-// place against: a fixed region list, an inter-region round-trip-time
-// matrix, and a per-GB egress price matrix. The concrete implementation
+// Topology abstracts the multi-region network Stage 2 routes pairs across:
+// a fixed region list, an inter-region round-trip-time matrix, and a per-GB
+// egress price matrix. The concrete implementation
 // lives in internal/topo; core depends only on this interface so the paper-
 // faithful solver stays topology-free and the elastic controller can bill
 // egress without importing the topo package.
@@ -43,6 +43,13 @@ func RegionOfInstance(topo Topology, it pricing.InstanceType) int {
 		return i
 	}
 	return 0
+}
+
+// PairRTTMillis reports the modeled delivery RTT of one placement: the
+// publisher's region to the broker's region plus the broker's region to the
+// subscriber's region.
+func PairRTTMillis(t Topology, pubRegion, brokerRegion, subRegion int) int64 {
+	return t.RTTMillis(pubRegion, brokerRegion) + t.RTTMillis(brokerRegion, subRegion)
 }
 
 // EgressPerHour totals the cross-region transfer an allocation sustains in

@@ -88,8 +88,9 @@ type Config struct {
 	// Stage1, Stage2, and Solver pick the algorithms. Stage1 selects the
 	// pairs (nil runs GreedySelectPairsContext, the paper's GSP); Stage2
 	// packs them (nil runs CustomBinPackingContext, the paper's CBP,
-	// under Opts); a non-nil Solver replaces both stages with one
-	// complete solver. Each receives the solve's context and the
+	// under Opts) — the whole selection, or each part when a multi-region
+	// Topology or a fleet with spot types splits it; a non-nil Solver
+	// replaces both stages with one complete solver. Each receives the solve's context and the
 	// normalized Config, so it can honor cancellation, Observer, and
 	// Parallelism like the built-ins. Stage2 must tolerate concurrent
 	// calls when Parallelism asks for a parallel heterogeneous portfolio.
@@ -118,15 +119,20 @@ type Config struct {
 	// members in a fixed deterministic order.
 	Parallelism int
 
-	// Topology, when non-nil, describes the multi-region network the
-	// topology-aware strategies place against (regions, RTT matrix, egress
-	// prices). The paper-faithful strategies ignore it; the "topo"
-	// strategies read it, and the elastic controller bills egress with it.
+	// Topology, when non-nil, describes the multi-region network (regions,
+	// RTT matrix, egress prices). With more than one region, Stage 2
+	// routes every selected pair to its cheapest SLO-feasible region and
+	// packs each region against that region's fleet types, whatever
+	// packer Stage2 names; the heterogeneous portfolio compares members
+	// on rental plus egress, and the elastic controller bills egress with
+	// it. Nil or one region is the paper's setting.
 	Topology Topology
 	// LatencySLOMillis, when positive, is the per-subscription delivery-
 	// latency ceiling in milliseconds: every selected pair's modeled
-	// publisher→broker→subscriber RTT must stay at or under it. Zero means
-	// no SLO (the paper's setting).
+	// publisher→broker→subscriber RTT must stay at or under it, and Stage
+	// 2 fails with ErrInfeasible when some pair has no region that meets
+	// it. It binds only under a multi-region Topology. Zero means no SLO
+	// (the paper's setting).
 	LatencySLOMillis int64
 }
 
@@ -176,9 +182,11 @@ func (c Config) EffectiveFleet() pricing.Fleet { return c.Model.FleetOr(c.Fleet)
 
 // Errors returned by the solver.
 var (
-	// ErrInfeasible reports that some selected topic cannot fit even a
-	// single pair (incoming + one outgoing stream) within BC.
-	ErrInfeasible = errors.New("core: topic rate exceeds VM capacity; instance infeasible")
+	// ErrInfeasible reports that the instance has no feasible allocation.
+	// Every return wraps it with its cause: a topic too large for one
+	// pair on the largest VM, a pair with no SLO-feasible region, or
+	// singleton pairs in a region without on-demand capacity.
+	ErrInfeasible = errors.New("core: instance infeasible")
 )
 
 // TopicPlacement records that a set of subscribers of one topic is served

@@ -426,7 +426,8 @@ func (p *Provisioner) RepairCrashGroupContext(ctx context.Context, vmIDs []int) 
 			k := free / rb
 			if k <= 0 {
 				// Even a fresh VM cannot host a pair.
-				return RepairStats{}, core.ErrInfeasible
+				return RepairStats{}, fmt.Errorf("%w: topic %d needs %d bytes/h for one pair, a fresh %s carries %d",
+					core.ErrInfeasible, g.Topic, 2*rb, vm.Instance.Name, vm.CapacityBytesPerHour)
 			}
 			if k > int64(len(remaining)) {
 				k = int64(len(remaining))
@@ -646,7 +647,9 @@ func vmsOf(a *core.Allocation) []*core.VM {
 // ApplyDelta materializes a new workload with the delta applied (after
 // validating it). Topics orphaned by unsubscriptions are retained (IDs stay
 // stable); subscribers may end up with empty interests, which the solver
-// treats as trivially satisfied. Topic and subscriber names are dropped.
+// treats as trivially satisfied. Topic and subscriber names are dropped;
+// region tags carry over, and new topics and subscribers get the home
+// region 0.
 //
 // The new workload is built by patching the CSR arrays directly — a sorted
 // three-way merge per edited subscriber — so the epoch's workload swap
@@ -704,7 +707,11 @@ func ApplyDelta(w *workload.Workload, d Delta) (*workload.Workload, error) {
 		}
 		subOff = append(subOff, int64(len(subTopics)))
 	}
-	return workload.FromCSR(rates, subOff, subTopics, nil, nil)
+	out, err := workload.FromCSR(rates, subOff, subTopics, nil, nil)
+	if err != nil {
+		return nil, err
+	}
+	return out.WithRegionsOf(w)
 }
 
 // mergeRow appends (old ∪ add) \ del to dst, deduplicated ascending. All

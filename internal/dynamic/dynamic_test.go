@@ -419,6 +419,56 @@ func TestApplyDeltaValidates(t *testing.T) {
 	}
 }
 
+// TestApplyDeltaKeepsRegionTags: existing topics and subscribers keep
+// their regions, new ones land in the home region 0, and an untagged
+// workload stays untagged.
+func TestApplyDeltaKeepsRegionTags(t *testing.T) {
+	w, err := tracegen.TagRegions(sampleWorkload(t, 12), 3, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	delta := Delta{
+		NewTopics:      []int64{9},
+		NewSubscribers: 1,
+		Subscribe: []workload.Pair{
+			{Topic: workload.TopicID(w.NumTopics()), Sub: workload.SubID(w.NumSubscribers())},
+		},
+		Unsubscribe: []workload.Pair{{Topic: w.Topics(0)[0], Sub: 0}},
+	}
+	next, err := ApplyDelta(w, delta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !next.HasRegions() {
+		t.Fatal("ApplyDelta dropped the region tags")
+	}
+	for i := 0; i < next.NumTopics(); i++ {
+		id, want := workload.TopicID(i), 0
+		if i < w.NumTopics() {
+			want = w.TopicRegion(id)
+		}
+		if got := next.TopicRegion(id); got != want {
+			t.Fatalf("topic %d in region %d, want %d", i, got, want)
+		}
+	}
+	for v := 0; v < next.NumSubscribers(); v++ {
+		id, want := workload.SubID(v), 0
+		if v < w.NumSubscribers() {
+			want = w.SubscriberRegion(id)
+		}
+		if got := next.SubscriberRegion(id); got != want {
+			t.Fatalf("subscriber %d in region %d, want %d", v, got, want)
+		}
+	}
+	plain, err := ApplyDelta(sampleWorkload(t, 12), delta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plain.HasRegions() {
+		t.Fatal("untagged workload came back tagged")
+	}
+}
+
 func TestDeltaBetweenRoundTrips(t *testing.T) {
 	old := sampleWorkload(t, 11)
 	// Build a changed successor: shifted rates, a new topic, a new

@@ -328,8 +328,8 @@ func TestControllerIncrementalModeEveryEpochSatisfied(t *testing.T) {
 }
 
 // TestControllerChaosWalk runs the full spot pipeline at test scale: a
-// price schedule over the catalog fleet, the risk-aware packer, and a
-// chaos injector drawing reclamations each epoch. Postconditions: every
+// price schedule over the catalog fleet (whose spot variants make Stage 2
+// pin singleton topics on-demand), and a chaos injector drawing reclamations each epoch. Postconditions: every
 // epoch's (post-repair) allocation still serves the epoch snapshot, every
 // reclamation is billed, and the spot run undercuts the all-on-demand
 // hysteresis baseline on realized cost.
@@ -356,7 +356,6 @@ func TestControllerChaosWalk(t *testing.T) {
 	}
 
 	spotCfg := cfg
-	spotCfg.Stage2 = spot.PackRiskAware
 	ctl := NewController(spotCfg, DefaultPolicy())
 	ctl.SetFleetSchedule(sched)
 	ctl.SetChaos(chaos, 5)

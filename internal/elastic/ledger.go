@@ -129,7 +129,7 @@ func (l *BillingLedger) Release(it pricing.InstanceType, n int, atMinute int64) 
 // hours: the reclaimed rental's hours are already ceil'd at its end minute
 // and the replacement acquired in the same minute opens a fresh rental
 // whose first started hour bills immediately. That per-started-hour
-// double-charge under churn is exactly what the risk-aware packer's
+// double-charge under churn is exactly what the spot decision fleet's
 // expected-repair term prices in.
 func (l *BillingLedger) Reclaim(it pricing.InstanceType, n int, atMinute int64) error {
 	if n < 0 {

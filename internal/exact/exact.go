@@ -273,7 +273,7 @@ func SolveContext(ctx context.Context, w *workload.Workload, cfg core.Config) (S
 		}
 	}
 	if bestMask < 0 {
-		return Solution{}, core.ErrInfeasible
+		return Solution{}, fmt.Errorf("%w: no pair subset that packs within VM capacity satisfies every subscriber", core.ErrInfeasible)
 	}
 	// Reprice the winning partition with the canonical cost function —
 	// one bandwidth charge on the total transfer volume — so Cost is

@@ -63,8 +63,8 @@ type LatencyResult struct {
 	Topology *topo.Topology
 	Points   []LatencyPoint
 
-	// DegenerateExact records that the topo strategies under a one-region
-	// topology produced an allocation byte-identical to the paper-faithful
+	// DegenerateExact records that topo-gsp plus the topology-routed
+	// stage 2 under a one-region topology produced an allocation byte-identical to the paper-faithful
 	// gsp+cbp solve on the same workload and config.
 	DegenerateExact bool
 	// DegenerateDiff holds the first difference when DegenerateExact is
@@ -74,12 +74,12 @@ type LatencyResult struct {
 
 // RunLatency generates the dataset, tags its endpoints across the
 // synthetic multi-region topology, and sweeps the latency SLO ceiling from
-// tightest to loosest, solving each point with the region-aware strategies
-// and pricing it as hourly rental plus cross-region egress. Warm-start
+// tightest to loosest, solving each point with topo-gsp and the
+// topology-routed stage 2, and pricing it as hourly rental plus cross-region egress. Warm-start
 // dominance keeps the cheaper of the fresh solve and the previous (tighter)
 // point's allocation, so the reported frontier is monotone non-increasing
-// in cost. It also runs the degenerate single-region case and checks the
-// topo strategies reproduce the paper-faithful solve exactly. With short,
+// in cost. It also runs the degenerate single-region case and checks that
+// it reproduces the paper-faithful solve exactly. With short,
 // the workload scale is capped for CI smoke runs.
 func RunLatency(ctx context.Context, d Dataset, scale float64, short bool) (*LatencyResult, error) {
 	if short && scale > 0.1 {
@@ -113,7 +113,6 @@ func RunLatency(ctx context.Context, d Dataset, scale float64, short bool) (*Lat
 			Model:            model,
 			Fleet:            fleet,
 			Stage1:           topo.SelectColocated,
-			Stage2:           topo.PackTopo,
 			Topology:         t,
 			LatencySLOMillis: slo,
 			Opts:             core.OptAll,
@@ -153,13 +152,13 @@ func RunLatency(ctx context.Context, d Dataset, scale float64, short bool) (*Lat
 		})
 	}
 
-	// Degenerate case: one region, zero egress, no ceiling. The topo
-	// strategies must delegate to gsp+cbp and reproduce its allocation
-	// byte for byte — same workload (region tags and all), same model.
+	// Degenerate case: one region, zero egress, no ceiling. topo-gsp and
+	// the unsplit stage 2 must reproduce gsp+cbp's allocation byte for
+	// byte — same workload (region tags and all), same model.
 	one := topo.SyntheticTopology(1)
 	topoCfg := core.Config{
 		Tau: LatencyTau, MessageBytes: MessageBytes, Model: model,
-		Stage1: topo.SelectColocated, Stage2: topo.PackTopo, Topology: one,
+		Stage1: topo.SelectColocated, Topology: one,
 	}
 	paperCfg := core.Config{Tau: LatencyTau, MessageBytes: MessageBytes, Model: model}
 	topoSol, err := core.SolveContext(ctx, w, topoCfg)

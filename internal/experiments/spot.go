@@ -110,9 +110,7 @@ func RunSpot(ctx context.Context, d Dataset, scale float64) (*SpotResult, error)
 		return nil, fmt.Errorf("on-demand baseline: %w", err)
 	}
 
-	spotCfg := cfg
-	spotCfg.Stage2 = spot.PackRiskAware
-	ctl := elastic.NewController(spotCfg, elastic.DefaultPolicy())
+	ctl := elastic.NewController(cfg, elastic.DefaultPolicy())
 	ctl.SetFleetSchedule(sched)
 	ctl.SetChaos(chaos, SpotChaosLagMinutes)
 	spotRep, err := ctl.Run(ctx, tl)
@@ -131,7 +129,7 @@ func RunSpot(ctx context.Context, d Dataset, scale float64) (*SpotResult, error)
 	}
 	// The run's final decision fleet carries the un-derated capacities for
 	// the spot variants; recorded per-VM capacities may be headroom-derated.
-	verifyCfg := spotCfg
+	verifyCfg := cfg
 	verifyCfg.Fleet = spotRep.Fleet
 	for e, alloc := range spotRep.Allocations {
 		if err := core.VerifyServes(tl.Epochs[e], alloc, verifyCfg); err != nil {
@@ -197,7 +195,7 @@ func sumEpochs64(r *SpotResult, f func(elastic.EpochReport) int64) int64 {
 func spotVMs(e elastic.EpochReport) int {
 	var n int
 	for name, c := range e.ActiveMix {
-		if spot.IsSpot(name) {
+		if pricing.IsSpot(name) {
 			n += c
 		}
 	}

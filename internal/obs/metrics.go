@@ -8,7 +8,6 @@ import (
 	"github.com/pubsub-systems/mcss/internal/dynamic"
 	"github.com/pubsub-systems/mcss/internal/elastic"
 	"github.com/pubsub-systems/mcss/internal/pricing"
-	"github.com/pubsub-systems/mcss/internal/spot"
 )
 
 // Metrics is the canonical mcss_* metric set over one Registry: the solver
@@ -351,7 +350,7 @@ func (m *Metrics) RecordEpochReport(ep elastic.EpochReport) {
 	spotVMs := 0
 	for name, n := range ep.ActiveMix {
 		m.vmsByType.With(name).Set(float64(n))
-		if spot.IsSpot(name) {
+		if pricing.IsSpot(name) {
 			spotVMs += n
 		}
 	}

@@ -188,6 +188,19 @@ func (f Fleet) Single(i int) Fleet {
 	return Fleet{types: []InstanceType{f.types[i]}, caps: []int64{f.caps[i]}}
 }
 
+// Filter returns the fleet of the types keep accepts, with their recorded
+// capacities, in fleet order; the zero Fleet when it accepts none.
+func (f Fleet) Filter(keep func(InstanceType) bool) Fleet {
+	var out Fleet
+	for i, it := range f.types {
+		if keep(it) {
+			out.types = append(out.types, it)
+			out.caps = append(out.caps, f.caps[i])
+		}
+	}
+	return out
+}
+
 // WithBytesPerMbps returns a copy whose per-VM capacities are
 // bytesPerMbps × LinkMbps for every type — capacities stay proportional to
 // link speed, as in the paper's c3.large vs c3.xlarge comparison, but on a

@@ -131,3 +131,17 @@ func TestZeroFleet(t *testing.T) {
 		t.Errorf("String = %q", f.String())
 	}
 }
+
+func TestFleetFilter(t *testing.T) {
+	f, err := NewFleetWithCapacities([]InstanceType{C3XLarge, C3Large, C32XLarge}, []int64{20, 10, 40})
+	if err != nil {
+		t.Fatal(err)
+	}
+	big := f.Filter(func(it InstanceType) bool { return it.Name != "c3.large" })
+	if big.String() != "c3.xlarge+c3.2xlarge" || big.Capacity(0) != 20 || big.Capacity(1) != 40 {
+		t.Fatalf("Filter kept %v with capacities %d, %d", big, big.Capacity(0), big.Capacity(1))
+	}
+	if none := f.Filter(func(InstanceType) bool { return false }); !none.IsZero() {
+		t.Fatalf("Filter accepting nothing = %v, want the zero fleet", none)
+	}
+}

@@ -195,8 +195,8 @@ type InstanceType struct {
 	LinkMbps int64
 	// Region names the region this flavor deploys into. Empty means
 	// region-agnostic (the paper's single-region setting): such a type is
-	// treated as living in the topology's home region (index 0) by the
-	// topology-aware strategies and incurs no egress by itself.
+	// treated as living in the topology's home region (index 0) by Stage
+	// 2's region routing and incurs no egress by itself.
 	Region string
 }
 
@@ -205,6 +205,21 @@ type InstanceType struct {
 func (it InstanceType) CapacityBytesPerHour() int64 {
 	return it.LinkMbps * 125_000 * 3600
 }
+
+// spotSuffix marks the interruptible (spot) fleet variant of a base
+// instance type.
+const spotSuffix = ":spot"
+
+// SpotName returns the fleet name of the interruptible variant of a base
+// instance type.
+func SpotName(base string) string { return base + spotSuffix }
+
+// IsSpot reports whether a fleet type name denotes interruptible capacity.
+func IsSpot(name string) bool { return strings.HasSuffix(name, spotSuffix) }
+
+// BaseName strips the interruptible marker, returning the base type name
+// unchanged for on-demand types.
+func BaseName(name string) string { return strings.TrimSuffix(name, spotSuffix) }
 
 // The 2014 compute-optimized catalog used in the paper's evaluation. The
 // paper gives prices and bandwidth caps for c3.large and c3.xlarge; the

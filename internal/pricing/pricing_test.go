@@ -249,3 +249,15 @@ func clampBig(v *big.Int) MicroUSD {
 	}
 	return MicroUSD(v.Int64())
 }
+
+func TestSpotNames(t *testing.T) {
+	if got := SpotName("c3.large"); got != "c3.large:spot" {
+		t.Fatalf("SpotName = %q", got)
+	}
+	if !IsSpot("c3.large:spot") || IsSpot("c3.large") {
+		t.Fatal("IsSpot misclassifies")
+	}
+	if got := BaseName("c3.large:spot"); got != "c3.large" {
+		t.Fatalf("BaseName = %q", got)
+	}
+}

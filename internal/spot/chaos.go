@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"github.com/pubsub-systems/mcss/internal/core"
+	"github.com/pubsub-systems/mcss/internal/pricing"
 )
 
 // Chaos draws the market's interruption model over a live allocation: per
@@ -45,10 +46,10 @@ func (c *Chaos) FailureGroups(e int, alloc *core.Allocation) [][]int {
 	}
 	byZone := make(map[int][]int)
 	for _, vm := range alloc.VMs {
-		if !IsSpot(vm.Instance.Name) {
+		if !pricing.IsSpot(vm.Instance.Name) {
 			continue
 		}
-		p := c.m.ReclaimProbAt(BaseName(vm.Instance.Name), e)
+		p := c.m.ReclaimProbAt(pricing.BaseName(vm.Instance.Name), e)
 		hit := c.rng.Float64() < p // always draw: keeps the stream aligned
 		az := c.Zone(vm.ID)
 		if storming[az] || hit {

@@ -133,7 +133,7 @@ func GenerateMarket(base pricing.Fleet, cfg MarketConfig) (*Market, error) {
 	logMean := math.Log(cfg.DiscountFrac)
 	for i := 0; i < base.Len(); i++ {
 		it := base.Type(i)
-		if IsSpot(it.Name) {
+		if pricing.IsSpot(it.Name) {
 			continue
 		}
 		tp := TypePrices{

@@ -1,39 +1,26 @@
 // Package spot models a spot capacity market over the MCSS fleet: per-type
 // spot price timelines, a per-epoch interruption model with correlated
-// AZ-failure groups, and the risk-aware stage-2 strategy that exploits both.
+// AZ-failure groups, and the per-epoch fleets that carry both into the
+// solver.
 //
 // Spot capacity is the same hardware at a 3–10x discount, revocable at the
 // provider's whim — so cost minimization becomes a reliability-vs-cost
 // trade-off. Following Beaumont et al.'s robust-allocation argument
 // (arXiv:1310.5255), replicated work belongs on unreliable machines (a
 // reclaimed replica costs only a repair, never delivery) while unreplicated
-// work is pinned on on-demand capacity. The interruptible variant of a base
-// instance type appears in the fleet as "<base>:spot" with the base type's
-// calibrated capacity and the epoch's spot price; DESIGN.md §13 develops
-// the model.
+// work is pinned on on-demand capacity; core's Stage 2 applies that rule
+// to any fleet that offers spot types. The interruptible variant of a base
+// instance type appears in the fleet as "<base>:spot" (pricing.SpotName)
+// with the base type's calibrated capacity, region, and the epoch's spot
+// price; DESIGN.md §13 develops the model.
 package spot
 
 import (
 	"errors"
 	"fmt"
-	"strings"
 
 	"github.com/pubsub-systems/mcss/internal/pricing"
 )
-
-// suffix marks the interruptible fleet variant of a base instance type.
-const suffix = ":spot"
-
-// SpotName returns the fleet name of the interruptible variant of a base
-// instance type.
-func SpotName(base string) string { return base + suffix }
-
-// IsSpot reports whether a fleet type name denotes interruptible capacity.
-func IsSpot(name string) bool { return strings.HasSuffix(name, suffix) }
-
-// BaseName strips the interruptible marker, returning the base type name
-// unchanged for on-demand types.
-func BaseName(name string) string { return strings.TrimSuffix(name, suffix) }
 
 // ErrInvalidMarket is the structural-validity error for market data, the
 // analogue of timeline.ErrInvalidTimeline: traceio wraps it for market
@@ -97,7 +84,7 @@ func (m *Market) Validate() error {
 		if tp.Base.Name == "" {
 			return fmt.Errorf("%w: type %d has no name", ErrInvalidMarket, i)
 		}
-		if IsSpot(tp.Base.Name) {
+		if pricing.IsSpot(tp.Base.Name) {
 			return fmt.Errorf("%w: base type %q is already interruptible", ErrInvalidMarket, tp.Base.Name)
 		}
 		if seen[tp.Base.Name] {
@@ -216,8 +203,9 @@ func (m *Market) StormZones(e int) []int {
 // costs roughly riskPenaltyHours of extra billed hours (the replacement's
 // fresh started hour plus migration transfer), and p·(60/EpochMinutes) is
 // the expected reclamations per VM-hour. With riskPenaltyHours == 0 the
-// variants carry the raw spot price (the billing fleet). The base fleet's
-// own types pass through unchanged.
+// variants carry the raw spot price (the billing fleet). A variant deploys
+// into its base type's region. The base fleet's own types pass through
+// unchanged.
 func (m *Market) FleetAt(base pricing.Fleet, e int, riskPenaltyHours float64) (pricing.Fleet, error) {
 	types := base.Types()
 	caps := make([]int64, base.Len(), base.Len()+len(m.Types))
@@ -227,7 +215,7 @@ func (m *Market) FleetAt(base pricing.Fleet, e int, riskPenaltyHours float64) (p
 	perHour := 60.0 / float64(m.EpochMinutes)
 	for i := 0; i < base.Len(); i++ {
 		it := base.Type(i)
-		if IsSpot(it.Name) {
+		if pricing.IsSpot(it.Name) {
 			continue
 		}
 		price, ok := m.PriceAt(it.Name, e)
@@ -241,9 +229,10 @@ func (m *Market) FleetAt(base pricing.Fleet, e int, riskPenaltyHours float64) (p
 			rate = pricing.MicroUSD(adj)
 		}
 		types = append(types, pricing.InstanceType{
-			Name:       SpotName(it.Name),
+			Name:       pricing.SpotName(it.Name),
 			HourlyRate: rate,
 			LinkMbps:   it.LinkMbps,
+			Region:     it.Region,
 		})
 		caps = append(caps, base.Capacity(i))
 	}

@@ -8,6 +8,7 @@ import (
 	"github.com/pubsub-systems/mcss/internal/core"
 	"github.com/pubsub-systems/mcss/internal/pricing"
 	"github.com/pubsub-systems/mcss/internal/spot"
+	"github.com/pubsub-systems/mcss/internal/topo"
 	"github.com/pubsub-systems/mcss/internal/tracegen"
 )
 
@@ -21,18 +22,6 @@ func validMarket() *spot.Market {
 			ReclaimProb: []float64{0.02, 0.10, 0.02},
 		}},
 		Storms: []spot.Storm{{Epoch: 2, AZ: 1}},
-	}
-}
-
-func TestNames(t *testing.T) {
-	if got := spot.SpotName("c3.large"); got != "c3.large:spot" {
-		t.Fatalf("SpotName = %q", got)
-	}
-	if !spot.IsSpot("c3.large:spot") || spot.IsSpot("c3.large") {
-		t.Fatal("IsSpot misclassifies")
-	}
-	if got := spot.BaseName("c3.large:spot"); got != "c3.large" {
-		t.Fatalf("BaseName = %q", got)
 	}
 }
 
@@ -124,6 +113,43 @@ func TestFleetAtRiskAdjustment(t *testing.T) {
 	// The on-demand base type passes through unchanged.
 	if k := fleet.IndexByName("c3.large"); k < 0 || fleet.Type(k).HourlyRate != pricing.C3Large.HourlyRate {
 		t.Fatal("base type mutated by FleetAt")
+	}
+}
+
+// TestFleetAtKeepsRegion: every spot variant of a regional fleet deploys
+// into its base type's region, so Stage 2 routes spot capacity and egress
+// bills it where it really runs.
+func TestFleetAtKeepsRegion(t *testing.T) {
+	net := topo.SyntheticTopology(3)
+	base, err := topo.RegionalFleet(pricing.CatalogFleet(), net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := spot.GenerateMarket(base, spot.DefaultMarketConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fleet, err := m.FleetAt(base, 0, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	variants := 0
+	for i := 0; i < fleet.Len(); i++ {
+		it := fleet.Type(i)
+		if !pricing.IsSpot(it.Name) {
+			continue
+		}
+		variants++
+		j := base.IndexByName(pricing.BaseName(it.Name))
+		if j < 0 {
+			t.Fatalf("variant %q has no base type", it.Name)
+		}
+		if want := base.Type(j).Region; it.Region != want {
+			t.Fatalf("variant %q in region %q, base type in %q", it.Name, it.Region, want)
+		}
+	}
+	if variants != base.Len() {
+		t.Fatalf("%d spot variants for %d base types", variants, base.Len())
 	}
 }
 
@@ -237,7 +263,7 @@ func TestChaosDeterminism(t *testing.T) {
 }
 
 // TestPackRiskAwarePinsSingletons solves a random workload against a fleet
-// with interruptible variants and checks the strategy's core guarantee:
+// with interruptible variants and checks Stage 2's spot guarantee:
 // every topic with exactly one selected subscriber is served from
 // on-demand capacity, the allocation verifies, and replicated topics are
 // allowed (and expected, at a 3x discount) to land on spot VMs.
@@ -251,7 +277,6 @@ func TestPackRiskAwarePinsSingletons(t *testing.T) {
 	model := pricing.NewModel(pricing.C3Large)
 	model.CapacityOverrideBytesPerHour = 40 * 50 * 200
 	cfg := core.DefaultConfig(30, model)
-	cfg.Stage2 = spot.PackRiskAware
 
 	base, err := pricing.NewFleetWithCapacities(
 		[]pricing.InstanceType{pricing.C3Large}, []int64{model.CapacityOverrideBytesPerHour})
@@ -274,7 +299,7 @@ func TestPackRiskAwarePinsSingletons(t *testing.T) {
 	}
 	spotVMs, spotPairs := 0, 0
 	for _, vm := range res.Allocation.VMs {
-		onSpot := spot.IsSpot(vm.Instance.Name)
+		onSpot := pricing.IsSpot(vm.Instance.Name)
 		if onSpot {
 			spotVMs++
 		}
@@ -290,33 +315,6 @@ func TestPackRiskAwarePinsSingletons(t *testing.T) {
 	}
 	if spotVMs == 0 || spotPairs == 0 {
 		t.Fatal("no replicated pairs landed on spot capacity — discount unexploited")
-	}
-}
-
-// TestPackRiskAwareDegradesToCBP: without interruptible variants the
-// registered strategy must match plain CBP exactly.
-func TestPackRiskAwareDegradesToCBP(t *testing.T) {
-	w, err := tracegen.Random(tracegen.RandomConfig{
-		Topics: 30, Subscribers: 300, MaxFollowings: 4, MaxRate: 50, Seed: 5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	model := pricing.NewModel(pricing.C3Large)
-	model.CapacityOverrideBytesPerHour = 40 * 50 * 200
-	cfg := core.DefaultConfig(30, model)
-
-	plain, err := core.SolveContext(context.Background(), w, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Stage2 = spot.PackRiskAware
-	risk, err := core.SolveContext(context.Background(), w, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pc, rc := plain.Cost(model), risk.Cost(model); pc != rc {
-		t.Fatalf("all-on-demand fleet: risk-aware cost %v differs from CBP %v", rc, pc)
 	}
 }
 

@@ -30,13 +30,6 @@ type LatencyReport struct {
 	EgressCostPerHour  pricing.MicroUSD
 }
 
-// PairRTTMillis reports the modeled delivery RTT of one placement: the
-// publisher's region to the broker's region plus the broker's region to the
-// subscriber's region.
-func PairRTTMillis(t core.Topology, pubRegion, brokerRegion, subRegion int) int64 {
-	return t.RTTMillis(pubRegion, brokerRegion) + t.RTTMillis(brokerRegion, subRegion)
-}
-
 // EvalLatency walks every placement of the allocation and reports the
 // modeled per-pair RTT distribution, SLO violations against sloMillis
 // (0 disables the check), and the egress bill. A nil topology or a single-
@@ -58,7 +51,7 @@ func EvalLatency(t core.Topology, w *workload.Workload, alloc *core.Allocation, 
 			}
 			pr := w.TopicRegion(p.Topic)
 			for _, v := range p.Subs {
-				rtt := PairRTTMillis(t, pr, br, w.SubscriberRegion(v))
+				rtt := core.PairRTTMillis(t, pr, br, w.SubscriberRegion(v))
 				samples = append(samples, rtt)
 				if sloMillis > 0 && rtt > sloMillis {
 					rep.Violations++

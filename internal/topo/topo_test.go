@@ -197,7 +197,6 @@ func topoConfig(t *testing.T, tau int64) core.Config {
 	t.Helper()
 	cfg := core.DefaultConfig(tau, pricing.NewModel(pricing.C3Large))
 	cfg.Stage1 = SelectColocated
-	cfg.Stage2 = PackTopo
 	return cfg
 }
 
@@ -237,9 +236,9 @@ func diffAllocations(a, b *core.Allocation) string {
 }
 
 // TestDegenerateByteIdentity is the differential contract of the package:
-// with one region (or no topology at all), zero egress and no SLO, the
-// topo strategies must produce allocations identical to the paper's
-// GSP+CBP in every field, across a randomized workload sweep.
+// with one region (or no topology at all), zero egress and no SLO,
+// topo-gsp and the unsplit Stage 2 must produce allocations identical to
+// the paper's GSP+CBP in every field, across a randomized workload sweep.
 func TestDegenerateByteIdentity(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		for _, tau := range []int64{50, 200} {

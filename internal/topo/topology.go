@@ -1,17 +1,18 @@
 // Package topo makes region a first-class placement dimension: a Topology
 // describes the regions a deployment may span, the inter-region round-trip
 // times a delivery path accumulates, and the per-GB egress prices cross-
-// region traffic is billed at. On top of the model the package registers
-// two topology-aware strategies in the core registry — a stage-1 selection
-// preferring co-located pairings ("topo-gsp") and a stage-2 packer ("topo")
-// that routes every pair to the cheapest SLO-feasible region before the
-// paper's indexed packing rule runs per region — and a latency evaluator
-// the experiments harness uses to report cost-vs-latency Pareto frontiers.
+// region traffic is billed at. Core's Stage 2 reads a multi-region
+// topology from core.Config and routes every pair to the cheapest
+// SLO-feasible region before the paper's packing rule runs per region. On
+// top of the model the package provides regional fleets, a stage-1
+// selection preferring co-located pairings ("topo-gsp"), and a latency
+// evaluator the experiments harness uses to report cost-vs-latency Pareto
+// frontiers.
 //
 // With one region the whole package degenerates to the paper's setting:
-// both strategies delegate verbatim to GSP/CBP, egress is zero, and every
-// SLO is trivially met. That equivalence is tested byte-for-byte (see
-// DESIGN.md §14).
+// the solve is GSP/CBP verbatim, egress is zero, and every SLO is
+// trivially met. That equivalence is tested byte-for-byte (see DESIGN.md
+// §14).
 package topo
 
 import (

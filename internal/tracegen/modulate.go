@@ -97,6 +97,7 @@ func (c DiurnalConfig) Activity(hourOfDay float64) float64 {
 // peak snapshot: epoch rates are base rates scaled by the activity curve
 // (never below 1 event/hour), and sleeping subscribers keep their IDs with
 // emptied interests so the whole timeline shares one identifier space.
+// Every epoch keeps the base's region tags.
 func Diurnal(base *workload.Workload, cfg DiurnalConfig) (*timeline.Timeline, error) {
 	cfg = cfg.withDefaults()
 	if base == nil || base.NumTopics() == 0 || base.NumSubscribers() == 0 {
@@ -175,6 +176,9 @@ func Diurnal(base *workload.Workload, cfg DiurnalConfig) (*timeline.Timeline, er
 		}
 
 		w, err := workload.FromCSR(rates, subOff, subTopics, nil, nil)
+		if err == nil {
+			w, err = w.WithRegionsOf(base)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("tracegen: diurnal epoch %d: %w", e, err)
 		}

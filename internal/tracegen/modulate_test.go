@@ -175,3 +175,39 @@ func TestDiurnalRejectsBadConfig(t *testing.T) {
 		t.Error("nil base accepted")
 	}
 }
+
+// TestDiurnalKeepsRegionTags: every epoch of a region-tagged base carries
+// the base's tags (IDs are stable across the timeline), and an untagged
+// base stays untagged.
+func TestDiurnalKeepsRegionTags(t *testing.T) {
+	base, err := TagRegions(diurnalBase(t), 3, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tl, err := Diurnal(base, DefaultDiurnalConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for e, w := range tl.Epochs {
+		if !w.HasRegions() {
+			t.Fatalf("epoch %d lost its region tags", e)
+		}
+		for i := 0; i < w.NumTopics(); i++ {
+			if id := workload.TopicID(i); w.TopicRegion(id) != base.TopicRegion(id) {
+				t.Fatalf("epoch %d topic %d in region %d, base %d", e, i, w.TopicRegion(id), base.TopicRegion(id))
+			}
+		}
+		for v := 0; v < w.NumSubscribers(); v++ {
+			if id := workload.SubID(v); w.SubscriberRegion(id) != base.SubscriberRegion(id) {
+				t.Fatalf("epoch %d subscriber %d in region %d, base %d", e, v, w.SubscriberRegion(id), base.SubscriberRegion(id))
+			}
+		}
+	}
+	plain, err := Diurnal(diurnalBase(t), DefaultDiurnalConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plain.Epochs[0].HasRegions() {
+		t.Fatal("untagged base produced a tagged epoch")
+	}
+}

@@ -261,7 +261,6 @@ func TestPlanRoundTripRegions(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg.Stage1 = topo.SelectColocated
-	cfg.Stage2 = topo.PackTopo
 	plan, err := deploy.NewPlanner(cfg).Plan(context.Background(), deploy.SpecFromWorkload(w), nil)
 	if err != nil {
 		t.Fatal(err)

@@ -229,6 +229,28 @@ func (w *Workload) WithRegions(topicRegions, subRegions []int32) (*Workload, err
 	return &out, nil
 }
 
+// WithRegionsOf returns w tagged with base's region tags, for a workload
+// derived from base with stable IDs: the topics and subscribers base has
+// keep their regions, and IDs past base's range get the home region 0. An
+// untagged base returns w unchanged.
+func (w *Workload) WithRegionsOf(base *Workload) (*Workload, error) {
+	if !base.HasRegions() {
+		return w, nil
+	}
+	return w.WithRegions(padRegions(base.topicRegions, w.NumTopics()), padRegions(base.subRegions, w.NumSubscribers()))
+}
+
+// padRegions returns r resized to n, with the home region 0 past its end;
+// r itself when it already has length n.
+func padRegions(r []int32, n int) []int32 {
+	if len(r) == n {
+		return r
+	}
+	out := make([]int32, n)
+	copy(out, r)
+	return out
+}
+
 // SubscriptionCardinality reports the paper's SC_v metric (Appendix D):
 // the percentage of the total event rate that subscriber v receives,
 // SC_v = 100 · Σ_{t∈T_v} ev_t / Σ_{t∈T} ev_t.

@@ -397,14 +397,11 @@ type (
 // traceio's ErrBadFormat for malformed bytes.
 var ErrInvalidSpotMarket = spot.ErrInvalidMarket
 
-// SpotStage2Strategy names the registered risk-aware Stage-2 packer:
-// replicated pairs ride discounted spot capacity, singleton topics stay
-// pinned on-demand, and rates carry the expected repair premium.
-const SpotStage2Strategy = spot.StrategyName
-
 // IsSpotInstance reports whether an instance-type name is a spot variant
-// ("<base>:spot") — e.g. for inspecting ElasticEpochReport.ActiveMix.
-func IsSpotInstance(name string) bool { return spot.IsSpot(name) }
+// ("<base>:spot") — e.g. for inspecting ElasticEpochReport.ActiveMix. A
+// fleet that offers spot variants pins single-subscriber topics to its
+// on-demand types, while replicated topics may ride the discount.
+func IsSpotInstance(name string) bool { return pricing.IsSpot(name) }
 
 // DefaultSpotMarketConfig returns the default spot trace: 24 hourly
 // epochs, 3 zones, a 70% mean discount with mild volatility, rare price
@@ -454,16 +451,12 @@ type (
 // ErrBadFormat for malformed bytes.
 var ErrInvalidTopology = topo.ErrInvalidTopology
 
-// TopoStage1Strategy and TopoStage2Strategy name the registered
-// region-aware strategies: a Stage-1 selector preferring co-located
-// topic–subscriber pairings and a Stage-2 packer that partitions the fleet
-// by region, routes each pair through its cheapest SLO-feasible broker
-// region, and packs each region independently. With a nil or single-region
-// topology both delegate to the paper-faithful "gsp"/"cbp" byte for byte.
-const (
-	TopoStage1Strategy = topo.Stage1Name
-	TopoStage2Strategy = topo.Stage2Name
-)
+// TopoStage1Strategy names the registered Stage-1 selector preferring
+// co-located topic–subscriber pairings. With a nil or single-region
+// topology it is the paper-faithful "gsp" byte for byte. Stage 2 needs no
+// name: a multi-region topology alone routes each pair through its
+// cheapest SLO-feasible broker region and packs each region on its own.
+const TopoStage1Strategy = topo.Stage1Name
 
 // NewTopology builds a validated topology from region names, an
 // inter-region RTT matrix (milliseconds), and a per-GB egress price matrix

@@ -151,20 +151,22 @@ func WithMessageBytes(n int64) Option {
 	}
 }
 
-// WithTopology attaches a multi-region network topology: instance types
-// and workload endpoints resolve their region tags against it, the "topo"
-// strategies partition packing by region, and elastic runs bill
-// cross-region egress on top of rental and transfer. A nil topology (the
-// default) is the paper's single-region setting.
+// WithTopology attaches a network topology: instance types and workload
+// endpoints resolve their region tags against it, and elastic runs bill
+// cross-region egress on top of rental and transfer. With more than one
+// region, Stage 2 routes every pair to its cheapest SLO-feasible region
+// and packs each region against that region's fleet types, whatever
+// packer is configured. A nil topology (the default) is the paper's
+// single-region setting.
 func WithTopology(t Topology) Option {
 	return func(b *plannerBuilder) { b.cfg.Topology = t }
 }
 
 // WithLatencySLO caps each subscription's modeled delivery RTT
-// (publisher→broker plus broker→subscriber) at millis; the "topo" packer
-// only places pairs in SLO-feasible regions and fails with ErrInfeasible
-// when none has capacity. Zero (the default) disables the ceiling; only
-// meaningful together with WithTopology.
+// (publisher→broker plus broker→subscriber) at millis; Stage 2 only
+// places pairs in SLO-feasible regions and fails with ErrInfeasible when
+// none has capacity. Zero (the default) disables the ceiling; only
+// meaningful together with a multi-region WithTopology.
 func WithLatencySLO(millis int64) Option {
 	return func(b *plannerBuilder) {
 		if millis < 0 {
@@ -363,17 +365,13 @@ type SpotRunConfig struct {
 
 // RunTimelineSpot walks a timeline like RunTimeline but against a spot
 // market: every epoch the controller reprices its fleet from the market
-// (a price delta alone can force a re-solve), packs with the risk-aware
-// spot packer unless the planner configured another Stage-2 or full-solve
-// strategy, bills reclaimed VMs mid-hour, and repairs correlated
-// reclamation groups in place. The market must cover the timeline's
-// epochs.
+// (a price delta alone can force a re-solve), bills reclaimed VMs
+// mid-hour, and repairs correlated reclamation groups in place. The
+// repriced fleet offers spot variants, so every full solve pins
+// single-subscriber topics to on-demand types while replicated topics may
+// ride the discount. The market must cover the timeline's epochs.
 func (p *Planner) RunTimelineSpot(ctx context.Context, tl *Timeline, policy ElasticPolicy, market *SpotMarket, rc SpotRunConfig) (*ElasticRunReport, error) {
-	cfg := p.cfg
-	if cfg.Stage2 == nil && cfg.Solver == nil {
-		cfg.Stage2 = spot.PackRiskAware
-	}
-	sched, err := spot.NewSchedule(market, cfg.EffectiveFleet(), rc.Schedule)
+	sched, err := spot.NewSchedule(market, p.cfg.EffectiveFleet(), rc.Schedule)
 	if err != nil {
 		return nil, err
 	}
@@ -381,7 +379,7 @@ func (p *Planner) RunTimelineSpot(ctx context.Context, tl *Timeline, policy Elas
 	if err != nil {
 		return nil, err
 	}
-	ctl := elastic.NewController(cfg, policy)
+	ctl := elastic.NewController(p.cfg, policy)
 	ctl.SetFleetSchedule(sched)
 	ctl.SetChaos(chaos, rc.LagMinutes)
 	return ctl.Run(ctx, tl)

@@ -253,8 +253,10 @@ func (r *stageRecorder) OnEpoch(epoch, total int) {
 }
 
 // The Observer sees both stages bracketed once each, in order: for the
-// paper's default, for the topo strategies under a multi-region topology,
-// and for the spot packer on a selection of singleton topics only.
+// paper's default, under a multi-region topology (region-split stage 2),
+// on a spot fleet with a selection of singleton topics only, and under a
+// multi-region topology whose fleet offers spot variants (split by region,
+// then by replication).
 func TestPlannerObserverStages(t *testing.T) {
 	net := mcss.SyntheticTopology(3)
 	regional, err := mcss.RegionalFleet(demoModel().SingleFleet(), net)
@@ -271,6 +273,14 @@ func TestPlannerObserverStages(t *testing.T) {
 		t.Fatal(err)
 	}
 	spotFleet, err := market.FleetAt(base, 0, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	regionalMarket, err := mcss.GenerateSpotMarket(regional, mcss.DefaultSpotMarketConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	regionalSpot, err := regionalMarket.FleetAt(regional, 0, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,8 +301,10 @@ func TestPlannerObserverStages(t *testing.T) {
 	}{
 		{"default", buildDemo(t), nil},
 		{"topo multi-region", tagged, []mcss.Option{mcss.WithTopology(net), mcss.WithFleet(regional),
-			mcss.WithStage1(mcss.TopoStage1Strategy), mcss.WithStage2(mcss.TopoStage2Strategy)}},
-		{"spot singletons", singletons, []mcss.Option{mcss.WithFleet(spotFleet), mcss.WithStage2(mcss.SpotStage2Strategy)}},
+			mcss.WithStage1(mcss.TopoStage1Strategy)}},
+		{"spot singletons", singletons, []mcss.Option{mcss.WithFleet(spotFleet)}},
+		{"topo × spot", tagged, []mcss.Option{mcss.WithTopology(net), mcss.WithFleet(regionalSpot),
+			mcss.WithStage1(mcss.TopoStage1Strategy)}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rec := &stageRecorder{}
