@@ -553,8 +553,11 @@ func BenchmarkPlanApply(b *testing.B) {
 // steady-state epoch on the scale sweep's workload: PreviewIncremental of
 // a 1% churn delta, NewPlan from the live state, and a journaled Apply
 // (SyncEvery 8, mcss-plan bodies). Each iteration restores a fresh
-// provisioner and warms its index untimed, so every iteration times the
-// same epoch. plan_steps and journal_bytes size what the epoch writes.
+// provisioner, warms its index and applies a snapshot of its state to a
+// fresh journal untimed — which checkpoints the base and leaves the
+// provisioner knowing its fingerprint, as after any journaled epoch — so
+// every iteration times the same epoch. plan_steps and journal_bytes size
+// what the epoch writes.
 func BenchmarkPlanApplyIncremental(b *testing.B) {
 	pairs := int64(160_000)
 	if testing.Short() {
@@ -585,6 +588,17 @@ func BenchmarkPlanApplyIncremental(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		snap, err := deploy.Snapshot(cfg, deploy.StateOf(prov))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := deploy.Apply(ctx, snap, prov, deploy.WithJournal(j)); err != nil {
+			b.Fatal(err)
+		}
+		base, err := os.Stat(path)
+		if err != nil {
+			b.Fatal(err)
+		}
 		b.StartTimer()
 		next, cand, stats, err := prov.PreviewIncremental(ctx, d)
 		if err != nil {
@@ -608,7 +622,7 @@ func BenchmarkPlanApplyIncremental(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		steps, journalBytes = len(plan.Steps), fi.Size()
+		steps, journalBytes = len(plan.Steps), fi.Size()-base.Size()
 		b.StartTimer()
 	}
 	b.ReportMetric(float64(steps), "plan_steps")

@@ -311,7 +311,10 @@ func RandomSelectPairsContext(ctx context.Context, w *workload.Workload, cfg Con
 func SelectionFromPairs(w *workload.Workload, pairs []workload.Pair) (*Selection, error) {
 	n := w.NumSubscribers()
 	numT := w.NumTopics()
-	perSub := make([][]workload.TopicID, n)
+	// One counting pass sizes the rows, one pass fills them in pair
+	// order; a row then needs sorting only when its pairs arrived out of
+	// topic order.
+	subOff := make([]int64, n+1)
 	for i, p := range pairs {
 		if int(p.Sub) < 0 || int(p.Sub) >= n {
 			return nil, fmt.Errorf("core: pair %d references subscriber %d of %d", i, p.Sub, n)
@@ -319,22 +322,36 @@ func SelectionFromPairs(w *workload.Workload, pairs []workload.Pair) (*Selection
 		if int(p.Topic) < 0 || int(p.Topic) >= numT {
 			return nil, fmt.Errorf("core: pair %d references topic %d of %d", i, p.Topic, numT)
 		}
-		perSub[p.Sub] = append(perSub[p.Sub], p.Topic)
+		subOff[p.Sub+1]++
 	}
-	subOff := make([]int64, 1, n+1)
-	subTopics := make([]workload.TopicID, 0, len(pairs))
 	for v := 0; v < n; v++ {
-		ts := perSub[v]
-		sortTopicIDs(ts)
-		for i, t := range ts {
-			if i > 0 && ts[i-1] == t {
+		subOff[v+1] += subOff[v]
+	}
+	subTopics := make([]workload.TopicID, len(pairs))
+	next := slices.Clone(subOff[:n])
+	for _, p := range pairs {
+		subTopics[next[p.Sub]] = p.Topic
+		next[p.Sub]++
+	}
+	// Sort and de-duplicate each row, compacting in place: the write
+	// position never passes the row being read.
+	out, lo := int64(0), int64(0)
+	for v := 0; v < n; v++ {
+		hi := subOff[v+1]
+		row := subTopics[lo:hi]
+		if !slices.IsSorted(row) {
+			slices.Sort(row)
+		}
+		for i, t := range row {
+			if i > 0 && row[i-1] == t {
 				continue // de-duplicate
 			}
-			subTopics = append(subTopics, t)
+			subTopics[out] = t
+			out++
 		}
-		subOff = append(subOff, int64(len(subTopics)))
+		subOff[v+1], lo = out, hi
 	}
-	return &Selection{w: w, subOff: subOff, subTopics: subTopics}, nil
+	return &Selection{w: w, subOff: subOff, subTopics: subTopics[:out]}, nil
 }
 
 // SelectAllPairs returns the selection containing every pair (the no-τ

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -314,6 +315,48 @@ func TestGSPOutperformsRSPOnSocialWorkloads(t *testing.T) {
 		rsp := RandomSelectPairs(w, tau).OutgoingRate()
 		if gsp >= rsp {
 			t.Errorf("τ=%d: GSP outgoing %d ≥ RSP %d", tau, gsp, rsp)
+		}
+	}
+}
+
+// TestSelectionFromPairsAnyOrder: the counting-pass CSR equals a sorted,
+// de-duplicated per-subscriber oracle for pairs in any order, repeats
+// included, and out-of-range pairs are rejected.
+func TestSelectionFromPairsAnyOrder(t *testing.T) {
+	w, err := tracegen.Random(tracegen.RandomConfig{Topics: 30, Subscribers: 80, MaxFollowings: 6, MaxRate: 50, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(3))
+	for c := 0; c < 50; c++ {
+		var pairs []workload.Pair
+		w.Pairs(func(p workload.Pair) bool {
+			for k := rng.Intn(3); k > 0; k-- { // dropped, once or twice
+				pairs = append(pairs, p)
+			}
+			return true
+		})
+		rng.Shuffle(len(pairs), func(i, j int) { pairs[i], pairs[j] = pairs[j], pairs[i] })
+		sel, err := SelectionFromPairs(w, pairs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := make([][]workload.TopicID, w.NumSubscribers())
+		for _, p := range pairs {
+			if !slices.Contains(want[p.Sub], p.Topic) {
+				want[p.Sub] = append(want[p.Sub], p.Topic)
+			}
+		}
+		for v := range want {
+			slices.Sort(want[v])
+			if got := sel.SelectedTopics(workload.SubID(v)); !slices.Equal(got, want[v]) {
+				t.Fatalf("case %d: subscriber %d selects %v, want %v", c, v, got, want[v])
+			}
+		}
+	}
+	for _, bad := range []workload.Pair{{Topic: 30, Sub: 0}, {Topic: 0, Sub: 80}, {Topic: -1, Sub: 0}} {
+		if _, err := SelectionFromPairs(w, []workload.Pair{bad}); err == nil {
+			t.Fatalf("pair %v outside the workload accepted", bad)
 		}
 	}
 }

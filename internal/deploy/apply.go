@@ -109,14 +109,16 @@ type Report struct {
 
 // Apply executes a plan against the provisioner: it validates the plan,
 // refuses with ErrStalePlan when the provisioner's state no longer matches
-// the plan's base fingerprint, replays the step sequence (reporting each
-// step to the configured Observer), verifies the replayed state against
-// the plan's own target fingerprint, and only then installs the new
-// workload and allocation. On any mid-apply failure — a bad step, a
-// cancelled context, an observer abort, a target mismatch — the
-// provisioner keeps its pre-apply workload and allocation: steps execute
-// against a private working copy, so rollback is the default, not a
-// recovery action.
+// the plan's base fingerprint, verifies that the plan's steps replay from
+// that state to the plan's own target and that its diff rebuilds the
+// target workload, runs the steps (reporting each to the configured
+// Observer and executing its effect through the configured Executor), and
+// only then installs the new workload and allocation. A plan that fails
+// verification is refused before any step runs or any journal record is
+// written. On any mid-apply failure — a failed step, a cancelled context,
+// an observer abort — the provisioner keeps its pre-apply workload and
+// allocation: the replay runs on a private working copy, so rollback is
+// the default, not a recovery action.
 func Apply(ctx context.Context, plan *Plan, prov *dynamic.Provisioner, opts ...ApplyOption) (*Report, error) {
 	o := applyOptions{epoch: -1}
 	for _, opt := range opts {
@@ -129,36 +131,69 @@ func Apply(ctx context.Context, plan *Plan, prov *dynamic.Provisioner, opts ...A
 		return nil, fmt.Errorf("%w: apply needs a provisioner (restore one from the current state)", ErrInvalidPlan)
 	}
 	pre := StateOf(prov)
-	if fp := pre.Fingerprint(); fp != plan.BaseFingerprint {
+	fp := pre.Fingerprint()
+	if fp != plan.BaseFingerprint {
 		return nil, fmt.Errorf("%w: cluster state is %s, plan was computed against %s",
 			ErrStalePlan, fp, plan.BaseFingerprint)
 	}
+	pre.remember(fp)
 
-	// Replay the steps one at a time against a working copy so the
-	// observer sees real progress and a failure at step k leaves the
-	// provisioner exactly as it was. The replayer also reprices kept
-	// placements to the target workload's rates.
-	replayer, err := dynamic.NewReplayer(pre.Allocation, plan.Target.Workload, plan.MessageBytes)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrInvalidPlan, err)
-	}
 	journaling := o.journal != nil && !o.dryRun
-	// abort closes the journal's open plan with a plan-abort record —
-	// recovery then keeps the base state instead of resuming — and
-	// returns err. Crash-like exits (context death, simulated crash)
-	// bypass it so the journal stays mid-plan and resumable.
+	// open reports that the journal holds this plan's begin record
+	// without a commit or abort: a resumed plan, or once plan-begin is
+	// written. abort then closes it with a plan-abort record — recovery
+	// keeps the base state instead of resuming — and returns err.
+	// Crash-like exits (context death, simulated crash) bypass it so the
+	// journal stays mid-plan and resumable.
+	open := journaling && o.resume
 	abort := func(err error) (*Report, error) {
-		if journaling {
+		if open {
 			if jerr := o.journal.AppendPlanAbort(o.epoch, plan.BaseFingerprint); jerr != nil {
 				err = fmt.Errorf("%w (journal abort record failed: %v)", err, jerr)
 			}
 		}
 		return nil, err
 	}
+
+	// Verify the plan before anything runs. The replay also reprices
+	// kept placements to the target workload's rates. The replayed
+	// allocation must be the plan's own target — a plan whose steps do
+	// not reproduce its target is invalid, not just stale — and the diff
+	// must rebuild the target workload, because the plan-begin record
+	// carries the diff and the steps in place of the target.
+	if err := dynamic.CheckDelta(pre.Workload, plan.Target.Workload, plan.Diff.Delta); err != nil {
+		return abort(fmt.Errorf("%w: diff does not rebuild the target workload: %v", ErrInvalidPlan, err))
+	}
+	work, err := dynamic.ReplaySteps(pre.Allocation, plan.Target.Workload, plan.MessageBytes, plan.Steps)
+	if err != nil {
+		return abort(fmt.Errorf("%w: %v", ErrInvalidPlan, err))
+	}
+	work.Fleet = plan.Fleet
+	if !dynamic.SameAllocation(work, plan.Target.Allocation) {
+		return abort(fmt.Errorf("%w: steps do not replay to the plan's target", ErrInvalidPlan))
+	}
+	targetFP := plan.TargetFingerprint()
+
 	if journaling && !o.resume {
+		if o.journal.head != plan.BaseFingerprint {
+			// The base was installed outside any plan (a fleet reprice,
+			// a crash repair): checkpoint it so the journal's
+			// fingerprint chain reaches this plan. It is the state the
+			// previous epoch left, so it carries that epoch's tag.
+			snap, err := Snapshot(core.Config{
+				Tau: plan.Tau, MessageBytes: plan.MessageBytes, Model: plan.Model, Fleet: plan.Fleet,
+			}, pre)
+			if err == nil {
+				err = o.journal.AppendSnapshot(max(o.epoch-1, -1), snap)
+			}
+			if err != nil {
+				return nil, fmt.Errorf("deploy: journal base snapshot: %w", err)
+			}
+		}
 		if err := o.journal.AppendPlanBegin(o.epoch, plan); err != nil {
 			return nil, fmt.Errorf("deploy: journal plan-begin: %w", err)
 		}
+		open = true
 	}
 	total := len(plan.Steps)
 	for i, s := range plan.Steps {
@@ -167,10 +202,7 @@ func Apply(ctx context.Context, plan *Plan, prov *dynamic.Provisioner, opts ...A
 		}
 		if o.resume && i < o.resumeFrom {
 			// This step's effect landed before the crash (its
-			// step-done record is durable); replay state only.
-			if err := replayer.Apply(s); err != nil {
-				return abort(fmt.Errorf("%w: %v", ErrInvalidPlan, err))
-			}
+			// step-done record is durable).
 			continue
 		}
 		if o.obs != nil {
@@ -192,26 +224,11 @@ func Apply(ctx context.Context, plan *Plan, prov *dynamic.Provisioner, opts ...A
 				return abort(err)
 			}
 		}
-		if err := replayer.Apply(s); err != nil {
-			return abort(fmt.Errorf("%w: %v", ErrInvalidPlan, err))
-		}
 		if journaling {
 			if err := o.journal.AppendStepDone(o.epoch, i); err != nil {
 				return nil, fmt.Errorf("deploy: journal step-done: %w", err)
 			}
 		}
-	}
-	work, err := replayer.Finish()
-	if err != nil {
-		return abort(fmt.Errorf("%w: %v", ErrInvalidPlan, err))
-	}
-	work.Fleet = plan.Fleet
-
-	// The replayed state must be the plan's own target: a plan whose
-	// steps do not reproduce its target is invalid, not just stale.
-	targetFP := plan.TargetFingerprint()
-	if got := dynamic.StateFingerprint(plan.Target.Workload, work); got != targetFP {
-		return abort(fmt.Errorf("%w: steps replay to %s, target is %s", ErrInvalidPlan, got, targetFP))
 	}
 
 	stats := dynamic.MigrationStatsBetween(pre.Allocation, work, plan.Model)
@@ -226,13 +243,12 @@ func Apply(ctx context.Context, plan *Plan, prov *dynamic.Provisioner, opts ...A
 	}
 
 	// Adopt the plan's own target allocation when the replay proves it
-	// faithful (the fingerprint pins instances and placements; the extra
-	// accounting check below covers the derived fields the fingerprint
-	// deliberately excludes). Pointer identity with the planner's target
-	// is what lets a persistent incremental index survive a plan-mediated
-	// adoption instead of reindexing every epoch. A hand-crafted plan
-	// whose target carries stale accounting falls back to the replayed
-	// copy.
+	// faithful (SameAllocation pins instances and placements; the extra
+	// accounting check below covers the derived fields it deliberately
+	// excludes). Pointer identity with the planner's target is what lets
+	// a persistent incremental index survive a plan-mediated adoption
+	// instead of reindexing every epoch. A hand-crafted plan whose target
+	// carries stale accounting falls back to the replayed copy.
 	adopt := work
 	if t := plan.Target.Allocation; accountingMatches(t, work) && !t.Fleet.IsZero() {
 		adopt = t
@@ -249,7 +265,7 @@ func Apply(ctx context.Context, plan *Plan, prov *dynamic.Provisioner, opts ...A
 			return nil, fmt.Errorf("deploy: journal plan-commit: %w", err)
 		}
 	}
-	prov.Adopt(plan.Target.Workload, &core.Result{Selection: sel, Allocation: adopt})
+	prov.AdoptFingerprinted(plan.Target.Workload, &core.Result{Selection: sel, Allocation: adopt}, targetFP)
 	return report, nil
 }
 

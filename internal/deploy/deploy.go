@@ -18,9 +18,11 @@
 package deploy
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 
 	"github.com/pubsub-systems/mcss/internal/core"
 	"github.com/pubsub-systems/mcss/internal/dynamic"
@@ -86,6 +88,13 @@ func SpecFromEpoch(tl *timeline.Timeline, epoch int) (Spec, error) {
 type State struct {
 	Workload   *workload.Workload
 	Allocation *core.Allocation
+
+	// fp is a fingerprint known for exactly the workload and allocation
+	// fpW and fpAlloc (see StateOf); Fingerprint uses it while the
+	// fields still hold those pointers.
+	fp      string
+	fpW     *workload.Workload
+	fpAlloc *core.Allocation
 }
 
 // EmptyState returns the never-deployed cluster state.
@@ -98,9 +107,15 @@ func NewState(w *workload.Workload, alloc *core.Allocation) *State {
 	return &State{Workload: w, Allocation: alloc}
 }
 
-// StateOf captures a provisioner's current state.
+// StateOf captures a provisioner's current state, with the fingerprint
+// the provisioner knows for it (the one the last Apply verified), so
+// plans against it and stale checks need not hash the cluster.
 func StateOf(prov *dynamic.Provisioner) *State {
-	return &State{Workload: prov.Workload(), Allocation: prov.Allocation()}
+	s := &State{Workload: prov.Workload(), Allocation: prov.Allocation()}
+	if fp, ok := prov.KnownFingerprint(); ok {
+		s.remember(fp)
+	}
+	return s
 }
 
 // Fingerprint hashes the state (see dynamic.StateFingerprint); equal
@@ -110,7 +125,16 @@ func (s *State) Fingerprint() string {
 	if s == nil {
 		return dynamic.StateFingerprint(nil, nil)
 	}
+	if s.fp != "" && s.Workload == s.fpW && s.Allocation == s.fpAlloc {
+		return s.fp
+	}
 	return dynamic.StateFingerprint(s.Workload, s.Allocation)
+}
+
+// remember records fp as the fingerprint of the state's current
+// workload and allocation.
+func (s *State) remember(fp string) {
+	s.fp, s.fpW, s.fpAlloc = fp, s.Workload, s.Allocation
 }
 
 // Provisioner rebuilds a dynamic.Provisioner around the state without
@@ -124,17 +148,26 @@ func (s *State) Provisioner(cfg core.Config) (*dynamic.Provisioner, error) {
 	return dynamic.Restore(s.Workload, &core.Result{Selection: sel, Allocation: s.Allocation}, cfg), nil
 }
 
-// placedPairs lists every (topic, subscriber) pair an allocation serves.
+// placedPairs lists every (topic, subscriber) pair an allocation serves,
+// topic-ascending — the placements are sorted, not the pairs — so that
+// SelectionFromPairs finds every subscriber's row already in order.
 func placedPairs(alloc *core.Allocation) []workload.Pair {
 	if alloc == nil {
 		return nil
 	}
-	var pairs []workload.Pair
+	var ps []core.TopicPlacement
+	n := 0
 	for _, vm := range alloc.VMs {
+		ps = append(ps, vm.Placements...)
 		for _, p := range vm.Placements {
-			for _, v := range p.Subs {
-				pairs = append(pairs, workload.Pair{Topic: p.Topic, Sub: v})
-			}
+			n += len(p.Subs)
+		}
+	}
+	slices.SortFunc(ps, func(a, b core.TopicPlacement) int { return cmp.Compare(a.Topic, b.Topic) })
+	pairs := make([]workload.Pair, 0, n)
+	for _, p := range ps {
+		for _, v := range p.Subs {
+			pairs = append(pairs, workload.Pair{Topic: p.Topic, Sub: v})
 		}
 	}
 	return pairs
@@ -176,8 +209,32 @@ type Plan struct {
 	// Steps is the executable action sequence (removals, retirements,
 	// boots, placements, in replay order).
 	Steps []dynamic.Step
-	// Target is the state the plan produces when applied.
+	// Target is the state the plan produces when applied. A plan read
+	// back from a plan-begin journal record has none until Recover
+	// rebuilds it from the journaled base state, the diff and the steps.
 	Target *State
+	// TargetRegions are the target workload's region tags in a plan
+	// without its Target, when the target is region-tagged (a diff does
+	// not carry tags); nil in every plan that has its Target.
+	TargetRegions *Regions
+}
+
+// Regions are a workload's region tags (see workload.WithRegions):
+// Topics[t] is the region of topic t's publisher, Subscribers[v] the
+// region of subscriber v.
+type Regions struct {
+	Topics, Subscribers []int32
+}
+
+// withoutTarget returns the plan-begin body of a plan with a target: the
+// plan without it, with the target's region tags when it has any.
+func (p *Plan) withoutTarget() *Plan {
+	b := *p
+	b.Target = nil
+	if w := p.Target.Workload; w.HasRegions() {
+		b.TargetRegions = &Regions{Topics: w.TopicRegions(), Subscribers: w.SubscriberRegions()}
+	}
+	return &b
 }
 
 // CostDelta reports CostAfter − CostBefore (saturating).
@@ -215,20 +272,21 @@ func (p *Plan) Validate() error {
 	}
 	w := p.Target.Workload
 	numT, numV := w.NumTopics(), w.NumSubscribers()
+	// lastVM[t] is 1 + the last target VM found serving topic t.
+	lastVM := make([]int32, numT)
 	for i, vm := range p.Target.Allocation.VMs {
 		if vm.Instance.Name == "" || vm.CapacityBytesPerHour <= 0 {
 			return fmt.Errorf("%w: target vm %d has instance %q with capacity %d (need a named type and positive capacity)",
 				ErrInvalidPlan, i, vm.Instance.Name, vm.CapacityBytesPerHour)
 		}
-		seen := make(map[workload.TopicID]bool, len(vm.Placements))
 		for _, pl := range vm.Placements {
 			if int(pl.Topic) < 0 || int(pl.Topic) >= numT {
 				return fmt.Errorf("%w: target vm %d serves topic %d of %d", ErrInvalidPlan, i, pl.Topic, numT)
 			}
-			if seen[pl.Topic] {
+			if lastVM[pl.Topic] == int32(i+1) {
 				return fmt.Errorf("%w: target vm %d serves topic %d twice", ErrInvalidPlan, i, pl.Topic)
 			}
-			seen[pl.Topic] = true
+			lastVM[pl.Topic] = int32(i + 1)
 			for _, v := range pl.Subs {
 				if int(v) < 0 || int(v) >= numV {
 					return fmt.Errorf("%w: target vm %d serves subscriber %d of %d", ErrInvalidPlan, i, v, numV)

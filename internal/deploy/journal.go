@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"time"
 
+	"github.com/pubsub-systems/mcss/internal/dynamic"
 	"github.com/pubsub-systems/mcss/internal/pricing"
 )
 
@@ -24,8 +25,13 @@ import (
 //
 // plus plan-abort(epoch, base-fingerprint) when an apply fails cleanly,
 // and snapshot(epoch, state-as-zero-step-plan) records written by periodic
-// compaction (reusing the PR 4 state document, so a snapshot is just a
-// Snapshot plan whose target is the checkpointed state).
+// compaction and whenever an apply's base is not the state the journal
+// already establishes (a snapshot is just a Snapshot plan whose target is
+// the checkpointed state). A plan-begin body is the plan without its
+// target: the header, the diff and the steps, plus the target's region
+// tags when it has any. Recover rebuilds the target by applying the diff
+// to the journaled state and replaying the steps on it, which is what
+// Apply verified the plan does before it wrote the record.
 //
 // On-disk layout: a text magic header "mcss-journal 1\n", then framed
 // records — uvarint payload length, 4-byte little-endian IEEE CRC32 of the
@@ -38,9 +44,10 @@ import (
 // The reader distinguishes a torn tail from corruption the way etcd's WAL
 // does: a record cut short by EOF is the normal artifact of a crash
 // mid-write and is truncated away on the next open, while a CRC mismatch,
-// an unknown record type, or a fingerprint-chain violation is
-// ErrCorruptJournal — the caller (allocatord) keeps the state recovered up
-// to the last valid commit and enters degraded read-only mode.
+// an overflowing length, an unknown record type, or a fingerprint-chain
+// violation is ErrCorruptJournal — the caller (allocatord) keeps the state
+// recovered up to the last valid commit and enters degraded read-only
+// mode. Any other read error is returned as is, and nothing is truncated.
 
 // journalMagic is the version-bearing header line of the journal format.
 const journalMagic = "mcss-journal 1\n"
@@ -59,7 +66,8 @@ type RecordType byte
 const (
 	// RecSnapshot checkpoints a full state (body: zero-step plan).
 	RecSnapshot RecordType = 'S'
-	// RecPlanBegin opens a plan application (body: the plan).
+	// RecPlanBegin opens a plan application (body: the plan without its
+	// target).
 	RecPlanBegin RecordType = 'B'
 	// RecStepDone marks step i's effect durable.
 	RecStepDone RecordType = 'D'
@@ -87,7 +95,9 @@ type Record struct {
 
 // JournalCodec serializes plans for begin/snapshot record bodies. The
 // implementation lives in traceio (the mcss-plan document), injected here
-// to keep the deploy → traceio dependency one-way.
+// to keep the deploy → traceio dependency one-way. EncodePlan receives
+// plan-begin bodies as plans without a Target (see Plan.TargetRegions),
+// and DecodePlan must return them the same way.
 type JournalCodec struct {
 	EncodePlan func(*Plan) ([]byte, error)
 	DecodePlan func([]byte) (*Plan, error)
@@ -125,12 +135,16 @@ type Journal struct {
 	codec    JournalCodec
 	opts     JournalOptions
 	unsynced int
+	// head is the fingerprint of the state the journal's records
+	// establish: the last snapshot or commit, or the empty cluster.
+	head string
 }
 
 // OpenJournal opens (or creates) the journal at path for appending. An
 // existing file is scanned first: a torn tail is truncated away, while
-// corruption fails with ErrCorruptJournal — recover what the prefix
-// allows with RecoverJournalFile before deciding to discard the file.
+// corruption fails with ErrCorruptJournal and a failed read with its
+// error, leaving the file as it is — recover what the prefix allows with
+// RecoverJournalFile before deciding to discard the file.
 func OpenJournal(path string, codec JournalCodec, opts JournalOptions) (*Journal, error) {
 	if !codec.valid() {
 		return nil, errors.New("deploy: journal codec must encode and decode plans")
@@ -142,7 +156,7 @@ func OpenJournal(path string, codec JournalCodec, opts JournalOptions) (*Journal
 	if err != nil {
 		return nil, err
 	}
-	j := &Journal{path: path, f: f, codec: codec, opts: opts}
+	j := &Journal{path: path, f: f, codec: codec, opts: opts, head: EmptyState().Fingerprint()}
 	st, err := f.Stat()
 	if err != nil {
 		f.Close()
@@ -159,10 +173,15 @@ func OpenJournal(path string, codec JournalCodec, opts JournalOptions) (*Journal
 		}
 		return j, nil
 	}
-	_, validLen, torn, err := scanJournal(f)
+	recs, validLen, torn, err := scanJournal(f)
 	if err != nil {
 		f.Close()
 		return nil, err
+	}
+	for _, r := range recs {
+		if r.Type == RecSnapshot || r.Type == RecPlanCommit {
+			j.head = r.Fingerprint
+		}
 	}
 	if torn {
 		if err := f.Truncate(validLen); err != nil {
@@ -205,12 +224,23 @@ func (j *Journal) AppendSnapshot(epoch int64, snap *Plan) error {
 	if err != nil {
 		return err
 	}
-	return j.append(Record{Type: RecSnapshot, Epoch: epoch, Fingerprint: snap.TargetFingerprint(), Body: body}, true)
+	fp := snap.TargetFingerprint()
+	if err := j.append(Record{Type: RecSnapshot, Epoch: epoch, Fingerprint: fp, Body: body}, true); err != nil {
+		return err
+	}
+	j.head = fp
+	return nil
 }
 
-// AppendPlanBegin records the intent to apply plan at epoch.
+// AppendPlanBegin records the intent to apply plan at epoch. The body
+// leaves the target out (see Recover), so the plan's diff must rebuild its
+// target workload from the base and its steps must replay to its target
+// allocation — Apply verifies both before it calls this.
 func (j *Journal) AppendPlanBegin(epoch int64, plan *Plan) error {
-	body, err := j.codec.EncodePlan(plan)
+	if err := plan.Validate(); err != nil {
+		return err
+	}
+	body, err := j.codec.EncodePlan(plan.withoutTarget())
 	if err != nil {
 		return err
 	}
@@ -225,7 +255,11 @@ func (j *Journal) AppendStepDone(epoch int64, step int) error {
 
 // AppendPlanCommit records the verified completion of the open plan.
 func (j *Journal) AppendPlanCommit(epoch int64, targetFingerprint string) error {
-	return j.append(Record{Type: RecPlanCommit, Epoch: epoch, Fingerprint: targetFingerprint}, true)
+	if err := j.append(Record{Type: RecPlanCommit, Epoch: epoch, Fingerprint: targetFingerprint}, true); err != nil {
+		return err
+	}
+	j.head = targetFingerprint
+	return nil
 }
 
 // AppendPlanAbort records a clean failure of the open plan; the base
@@ -296,8 +330,9 @@ func (j *Journal) Compact(epoch int64, snap *Plan) error {
 	if err != nil {
 		return err
 	}
+	fp := snap.TargetFingerprint()
 	rec := frameRecord(encodeRecord(Record{
-		Type: RecSnapshot, Epoch: epoch, Fingerprint: snap.TargetFingerprint(), Body: body,
+		Type: RecSnapshot, Epoch: epoch, Fingerprint: fp, Body: body,
 	}))
 	if _, err := f.WriteString(journalMagic); err != nil {
 		f.Close()
@@ -335,6 +370,7 @@ func (j *Journal) Compact(epoch int64, snap *Plan) error {
 	}
 	j.f = nf
 	j.unsynced = 0
+	j.head = fp
 	old.Close()
 	if j.opts.Hooks.Compacted != nil {
 		j.opts.Hooks.Compacted()
@@ -418,9 +454,11 @@ func decodeRecord(payload []byte) (Record, error) {
 
 // ReadJournal parses a journal stream. It returns the valid records, a
 // flag reporting whether a torn tail (the normal artifact of a crash
-// mid-write) was dropped, and ErrCorruptJournal when the stream is
-// damaged beyond that — the records decoded before the damage are still
-// returned, so recovery can proceed to the last valid point.
+// mid-write, a record cut short by the end of the stream) was dropped,
+// and ErrCorruptJournal when the stream is damaged beyond that, or the
+// reader's own error when a read fails otherwise — the records decoded
+// before the damage are still returned, so recovery can proceed to the
+// last valid point.
 func ReadJournal(r io.Reader) ([]Record, bool, error) {
 	recs, _, torn, err := scanJournal(r)
 	return recs, torn, err
@@ -438,17 +476,23 @@ func ReadJournalFile(path string) ([]Record, bool, error) {
 
 // scanJournal decodes records and tracks the byte offset of the last
 // fully-valid record, so OpenJournal can truncate a torn tail in place.
+// Only a read cut short by the end of the input is a torn tail; an
+// overflowing length is corruption, and any other read error is returned
+// as is.
 func scanJournal(r io.Reader) (recs []Record, validLen int64, torn bool, err error) {
 	br := bufio.NewReaderSize(r, 1<<16)
-	magic := make([]byte, len(journalMagic))
-	n, rerr := io.ReadFull(br, magic)
-	if rerr != nil {
-		if n == 0 && rerr == io.EOF {
-			// A zero-byte file: a crash between create and the magic
-			// write. Nothing to recover, nothing corrupt.
-			return nil, 0, true, nil
+	// tail classifies a failed read: short at EOF is torn.
+	tail := func(err error) ([]Record, int64, bool, error) {
+		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+			return recs, validLen, true, nil
 		}
-		return nil, 0, true, nil
+		return recs, validLen, false, err
+	}
+	magic := make([]byte, len(journalMagic))
+	if _, rerr := io.ReadFull(br, magic); rerr != nil {
+		// A crash between create and the end of the magic write leaves
+		// nothing to recover and nothing corrupt.
+		return tail(rerr)
 	}
 	if string(magic) != journalMagic {
 		return nil, 0, false, fmt.Errorf("%w: bad magic %q", ErrCorruptJournal, magic)
@@ -458,21 +502,27 @@ func scanJournal(r io.Reader) (recs []Record, validLen int64, torn bool, err err
 		// Peek one byte to distinguish a clean end from a torn frame.
 		if _, perr := br.Peek(1); perr == io.EOF {
 			return recs, validLen, false, nil
+		} else if perr != nil {
+			return recs, validLen, false, perr
 		}
-		length, lerr := binary.ReadUvarint(&countingReader{br: br})
+		lr := byteReader{br: br}
+		length, lerr := binary.ReadUvarint(&lr)
 		if lerr != nil {
-			return recs, validLen, true, nil
+			if lr.err != nil {
+				return tail(lr.err)
+			}
+			return recs, validLen, false, fmt.Errorf("%w: record %d: length: %v", ErrCorruptJournal, len(recs), lerr)
 		}
 		if length > maxJournalRecord {
 			return recs, validLen, false, fmt.Errorf("%w: record length %d", ErrCorruptJournal, length)
 		}
 		var crcBuf [4]byte
 		if _, rerr := io.ReadFull(br, crcBuf[:]); rerr != nil {
-			return recs, validLen, true, nil
+			return tail(rerr)
 		}
 		payload := make([]byte, length)
 		if _, rerr := io.ReadFull(br, payload); rerr != nil {
-			return recs, validLen, true, nil
+			return tail(rerr)
 		}
 		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(crcBuf[:]) {
 			return recs, validLen, false, fmt.Errorf("%w: CRC mismatch in record %d", ErrCorruptJournal, len(recs))
@@ -486,10 +536,20 @@ func scanJournal(r io.Reader) (recs []Record, validLen int64, torn bool, err err
 	}
 }
 
-// countingReader adapts a bufio.Reader for ReadUvarint.
-type countingReader struct{ br *bufio.Reader }
+// byteReader adapts a bufio.Reader for ReadUvarint, keeping the read
+// error so an overflowing varint can be told from a short or failed read.
+type byteReader struct {
+	br  *bufio.Reader
+	err error
+}
 
-func (c *countingReader) ReadByte() (byte, error) { return c.br.ReadByte() }
+func (b *byteReader) ReadByte() (byte, error) {
+	c, err := b.br.ReadByte()
+	if err != nil {
+		b.err = err
+	}
+	return c, err
+}
 
 func uvarintLen(v uint64) int {
 	n := 1
@@ -533,13 +593,17 @@ type Recovery struct {
 // Recover replays journal records into a Recovery, verifying the
 // fingerprint chain: every begin/snapshot must extend the state the
 // previous records establish, and every commit must match its plan's
-// target. A violation returns the recovery built so far along with
-// ErrCorruptJournal.
+// target. A plan-begin body without the target gets it rebuilt from the
+// state it extends (see rebuildTarget); a full plan document, as earlier
+// journals wrote, is used as is. A violation returns the recovery built
+// so far along with ErrCorruptJournal.
 func Recover(records []Record, torn bool, codec JournalCodec) (*Recovery, error) {
 	if !codec.valid() {
 		return nil, errors.New("deploy: journal codec must encode and decode plans")
 	}
 	rec := &Recovery{State: EmptyState(), Epoch: -1, InFlightEpoch: -1, Torn: torn}
+	// head is the fingerprint of rec.State, verified when it was set.
+	head := rec.State.Fingerprint()
 	fail := func(format string, args ...any) (*Recovery, error) {
 		return rec, fmt.Errorf("%w: record %d: %v", ErrCorruptJournal, rec.Records, fmt.Errorf(format, args...))
 	}
@@ -553,10 +617,14 @@ func Recover(records []Record, torn bool, codec JournalCodec) (*Recovery, error)
 			if err != nil {
 				return fail("snapshot body: %v", err)
 			}
+			if snap.Target == nil {
+				return fail("snapshot body has no target")
+			}
 			if fp := snap.TargetFingerprint(); fp != r.Fingerprint {
 				return fail("snapshot fingerprint %s, plan target %s", r.Fingerprint, fp)
 			}
 			rec.State = snap.Target
+			head = r.Fingerprint
 			rec.Epoch = r.Epoch
 			rec.Model = snap.Model
 			rec.Snapshots++
@@ -571,8 +639,13 @@ func Recover(records []Record, torn bool, codec JournalCodec) (*Recovery, error)
 			if plan.BaseFingerprint != r.Fingerprint {
 				return fail("begin fingerprint %s, plan base %s", r.Fingerprint, plan.BaseFingerprint)
 			}
-			if fp := rec.State.Fingerprint(); fp != plan.BaseFingerprint {
-				return fail("plan base %s does not extend state %s", plan.BaseFingerprint, fp)
+			if head != plan.BaseFingerprint {
+				return fail("plan base %s does not extend state %s", plan.BaseFingerprint, head)
+			}
+			if plan.Target == nil {
+				if err := rebuildTarget(plan, rec.State); err != nil {
+					return fail("plan body does not rebuild its target: %v", err)
+				}
 			}
 			rec.InFlight = plan
 			rec.InFlightEpoch = r.Epoch
@@ -597,6 +670,7 @@ func Recover(records []Record, torn bool, codec JournalCodec) (*Recovery, error)
 				return fail("commit fingerprint %s, plan target %s", r.Fingerprint, fp)
 			}
 			rec.State = rec.InFlight.Target
+			head = r.Fingerprint
 			rec.Epoch = r.Epoch
 			rec.Committed++
 			rec.InFlight = nil
@@ -618,6 +692,31 @@ func Recover(records []Record, torn bool, codec JournalCodec) (*Recovery, error)
 		rec.Records++
 	}
 	return rec, nil
+}
+
+// rebuildTarget gives a plan read from a plan-begin body its target, the
+// way Apply verified the plan reaches it from base: the diff applied to
+// the base workload, tagged with the body's region tags (or untagged when
+// it has none), and the steps replayed on the base allocation.
+func rebuildTarget(p *Plan, base *State) error {
+	w, err := dynamic.ApplyDelta(base.Workload, p.Diff.Delta)
+	if err != nil {
+		return err
+	}
+	if r := p.TargetRegions; r != nil {
+		if w, err = w.WithRegions(r.Topics, r.Subscribers); err != nil {
+			return err
+		}
+	} else {
+		w = w.WithoutRegions()
+	}
+	alloc, err := dynamic.ReplaySteps(base.Allocation, w, p.MessageBytes, p.Steps)
+	if err != nil {
+		return err
+	}
+	alloc.Fleet = p.Fleet
+	p.Target, p.TargetRegions = NewState(w, alloc), nil
+	return p.Validate()
 }
 
 // RecoverJournalFile reads and replays the journal at path. On

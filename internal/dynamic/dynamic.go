@@ -59,60 +59,52 @@ var (
 // after the delta's own additions. It returns the first violation, wrapping
 // one of the typed errors above.
 func (d Delta) Validate(numTopics, numSubscribers int) error {
+	_, err := d.validate(numTopics, numSubscribers)
+	return err
+}
+
+// validate is Validate returning the delta's pair edits grouped by
+// subscriber (see rowEdits), which the duplicate check sorts them into.
+func (d Delta) validate(numTopics, numSubscribers int) ([]rowEdit, error) {
 	if numTopics < 0 || numSubscribers < 0 {
-		return fmt.Errorf("%w: negative workload size %d/%d", ErrBadDelta, numTopics, numSubscribers)
+		return nil, fmt.Errorf("%w: negative workload size %d/%d", ErrBadDelta, numTopics, numSubscribers)
 	}
 	if d.NewSubscribers < 0 {
-		return fmt.Errorf("%w: NewSubscribers = %d", ErrBadDelta, d.NewSubscribers)
+		return nil, fmt.Errorf("%w: NewSubscribers = %d", ErrBadDelta, d.NewSubscribers)
 	}
 	for i, r := range d.NewTopics {
 		if r <= 0 {
-			return fmt.Errorf("%w: new topic %d has rate %d", ErrNegativeRate, numTopics+i, r)
+			return nil, fmt.Errorf("%w: new topic %d has rate %d", ErrNegativeRate, numTopics+i, r)
 		}
 	}
 	numT := numTopics + len(d.NewTopics)
 	numV := numSubscribers + d.NewSubscribers
 	for t, r := range d.RateChanges {
 		if int(t) < 0 || int(t) >= numT {
-			return fmt.Errorf("%w: rate change for topic %d of %d", ErrUnknownReference, t, numT)
+			return nil, fmt.Errorf("%w: rate change for topic %d of %d", ErrUnknownReference, t, numT)
 		}
 		if r <= 0 {
-			return fmt.Errorf("%w: rate change for topic %d to %d", ErrNegativeRate, t, r)
+			return nil, fmt.Errorf("%w: rate change for topic %d to %d", ErrNegativeRate, t, r)
 		}
 	}
-	checkPair := func(p workload.Pair, kind string) error {
-		if int(p.Topic) < 0 || int(p.Topic) >= numT {
-			return fmt.Errorf("%w: %s references topic %d of %d", ErrUnknownReference, kind, p.Topic, numT)
-		}
-		if int(p.Sub) < 0 || int(p.Sub) >= numV {
-			return fmt.Errorf("%w: %s references subscriber %d of %d", ErrUnknownReference, kind, p.Sub, numV)
+	checkPairs := func(ps []workload.Pair, kind string) error {
+		for _, p := range ps {
+			if int(p.Topic) < 0 || int(p.Topic) >= numT {
+				return fmt.Errorf("%w: %s references topic %d of %d", ErrUnknownReference, kind, p.Topic, numT)
+			}
+			if int(p.Sub) < 0 || int(p.Sub) >= numV {
+				return fmt.Errorf("%w: %s references subscriber %d of %d", ErrUnknownReference, kind, p.Sub, numV)
+			}
 		}
 		return nil
 	}
-	subs := make(map[workload.Pair]bool, len(d.Subscribe))
-	for _, p := range d.Subscribe {
-		if err := checkPair(p, "subscribe"); err != nil {
-			return err
-		}
-		if subs[p] {
-			return fmt.Errorf("%w: subscribe lists (t=%d, v=%d) twice", ErrDuplicatePair, p.Topic, p.Sub)
-		}
-		subs[p] = true
+	if err := checkPairs(d.Subscribe, "subscribe"); err != nil {
+		return nil, err
 	}
-	unsubs := make(map[workload.Pair]bool, len(d.Unsubscribe))
-	for _, p := range d.Unsubscribe {
-		if err := checkPair(p, "unsubscribe"); err != nil {
-			return err
-		}
-		if unsubs[p] {
-			return fmt.Errorf("%w: unsubscribe lists (t=%d, v=%d) twice", ErrDuplicatePair, p.Topic, p.Sub)
-		}
-		if subs[p] {
-			return fmt.Errorf("%w: (t=%d, v=%d) both subscribed and unsubscribed", ErrDuplicatePair, p.Topic, p.Sub)
-		}
-		unsubs[p] = true
+	if err := checkPairs(d.Unsubscribe, "unsubscribe"); err != nil {
+		return nil, err
 	}
-	return nil
+	return rowEdits(d)
 }
 
 // DeltaBetween computes the Delta that transforms old into next, assuming
@@ -214,6 +206,13 @@ type Provisioner struct {
 	w   *workload.Workload
 	res *core.Result
 
+	// fp is the StateFingerprint AdoptFingerprinted installed with the
+	// state, valid while the provisioner holds exactly the workload and
+	// allocation it was given for (fpW, fpAlloc).
+	fp      string
+	fpW     *workload.Workload
+	fpAlloc *core.Allocation
+
 	// inc is the persistent incremental index over res.Allocation, built
 	// lazily by the first PreviewIncremental/UpdateIncremental and kept
 	// while the adopted allocation is the one it mirrors (see
@@ -292,10 +291,32 @@ func (p *Provisioner) PreviewContext(ctx context.Context, d Delta) (*workload.Wo
 }
 
 // Adopt installs a previewed (or externally constructed) workload and
-// solve result as the provisioner's current state.
+// solve result as the provisioner's current state. Adopted allocations
+// are immutable: a change of any kind, a reprice included, is a new
+// allocation adopted in its place.
 func (p *Provisioner) Adopt(w *workload.Workload, res *core.Result) {
 	p.w = w
 	p.res = res
+	p.fp = ""
+}
+
+// AdoptFingerprinted is Adopt for a state whose StateFingerprint the
+// caller has verified to be fp. The provisioner remembers fp while it
+// holds exactly this workload and allocation, so KnownFingerprint answers
+// without hashing the cluster; any later Adopt or repair installs other
+// pointers and so drops it.
+func (p *Provisioner) AdoptFingerprinted(w *workload.Workload, res *core.Result, fp string) {
+	p.Adopt(w, res)
+	p.fp, p.fpW, p.fpAlloc = fp, w, res.Allocation
+}
+
+// KnownFingerprint returns the fingerprint AdoptFingerprinted installed,
+// when the provisioner still holds the state it was installed with.
+func (p *Provisioner) KnownFingerprint() (string, bool) {
+	if p.fp == "" || p.w != p.fpW || p.res.Allocation != p.fpAlloc {
+		return "", false
+	}
+	return p.fp, true
 }
 
 // ErrUnknownVM reports a repair target outside the fleet.
@@ -656,7 +677,8 @@ func vmsOf(a *core.Allocation) []*core.VM {
 // costs O(pairs) array copies plus O(delta log delta), keeping the
 // incremental path's constant factor low.
 func ApplyDelta(w *workload.Workload, d Delta) (*workload.Workload, error) {
-	if err := d.Validate(w.NumTopics(), w.NumSubscribers()); err != nil {
+	edits, err := d.validate(w.NumTopics(), w.NumSubscribers())
+	if err != nil {
 		return nil, err
 	}
 	numT := w.NumTopics() + len(d.NewTopics)
@@ -669,30 +691,6 @@ func ApplyDelta(w *workload.Workload, d Delta) (*workload.Workload, error) {
 		rates[t] = r
 	}
 
-	// Group the pair edits per subscriber (delta-sized, not fleet-sized).
-	type rowEdit struct{ add, del []workload.TopicID }
-	edits := make(map[workload.SubID]*rowEdit, len(d.Subscribe)+len(d.Unsubscribe))
-	edit := func(v workload.SubID) *rowEdit {
-		e := edits[v]
-		if e == nil {
-			e = &rowEdit{}
-			edits[v] = e
-		}
-		return e
-	}
-	for _, pr := range d.Subscribe {
-		e := edit(pr.Sub)
-		e.add = append(e.add, pr.Topic)
-	}
-	for _, pr := range d.Unsubscribe {
-		e := edit(pr.Sub)
-		e.del = append(e.del, pr.Topic)
-	}
-	for _, e := range edits {
-		slices.Sort(e.add)
-		slices.Sort(e.del)
-	}
-
 	subOff := make([]int64, 1, numV+1)
 	subTopics := make([]workload.TopicID, 0, w.NumPairs()+int64(len(d.Subscribe)))
 	for v := 0; v < numV; v++ {
@@ -700,10 +698,11 @@ func ApplyDelta(w *workload.Workload, d Delta) (*workload.Workload, error) {
 		if v < w.NumSubscribers() {
 			old = w.Topics(workload.SubID(v))
 		}
-		if e := edits[workload.SubID(v)]; e == nil {
-			subTopics = append(subTopics, old...)
+		if len(edits) > 0 && edits[0].sub == workload.SubID(v) {
+			subTopics = mergeRow(subTopics, old, edits[0].add, edits[0].del)
+			edits = edits[1:]
 		} else {
-			subTopics = mergeRow(subTopics, old, e.add, e.del)
+			subTopics = append(subTopics, old...)
 		}
 		subOff = append(subOff, int64(len(subTopics)))
 	}
@@ -712,6 +711,127 @@ func ApplyDelta(w *workload.Workload, d Delta) (*workload.Workload, error) {
 		return nil, err
 	}
 	return out.WithRegionsOf(w)
+}
+
+// CheckDelta reports an error unless ApplyDelta(old, d) reproduces next's
+// rates and interest sets (region tags are not compared) — what lets a
+// journal record a plan's diff in place of its target workload. It
+// compares next with the merged rows one subscriber at a time, without
+// building the workload.
+func CheckDelta(old, next *workload.Workload, d Delta) error {
+	edits, err := d.validate(old.NumTopics(), old.NumSubscribers())
+	if err != nil {
+		return err
+	}
+	numT := old.NumTopics() + len(d.NewTopics)
+	numV := old.NumSubscribers() + d.NewSubscribers
+	if next.NumTopics() != numT || next.NumSubscribers() != numV {
+		return fmt.Errorf("%w: delta yields %d topics and %d subscribers, the workload has %d and %d",
+			ErrBadDelta, numT, numV, next.NumTopics(), next.NumSubscribers())
+	}
+	for t, r := range d.RateChanges {
+		if next.Rate(t) != r {
+			return fmt.Errorf("%w: delta rates topic %d at %d, the workload at %d", ErrBadDelta, t, r, next.Rate(t))
+		}
+	}
+	for t := 0; t < numT; t++ {
+		r := int64(0)
+		if t < old.NumTopics() {
+			r = old.Rate(workload.TopicID(t))
+		} else {
+			r = d.NewTopics[t-old.NumTopics()]
+		}
+		if r == next.Rate(workload.TopicID(t)) {
+			continue
+		}
+		if _, ok := d.RateChanges[workload.TopicID(t)]; !ok {
+			return fmt.Errorf("%w: delta keeps topic %d at rate %d, the workload has %d",
+				ErrBadDelta, t, r, next.Rate(workload.TopicID(t)))
+		}
+	}
+	var merged []workload.TopicID
+	for v := 0; v < numV; v++ {
+		var row []workload.TopicID
+		if v < old.NumSubscribers() {
+			row = old.Topics(workload.SubID(v))
+		}
+		if len(edits) > 0 && edits[0].sub == workload.SubID(v) {
+			merged = mergeRow(merged[:0], row, edits[0].add, edits[0].del)
+			row = merged
+			edits = edits[1:]
+		}
+		if !slices.Equal(row, next.Topics(workload.SubID(v))) {
+			return fmt.Errorf("%w: delta leaves subscriber %d with topics %v, the workload has %v",
+				ErrBadDelta, v, row, next.Topics(workload.SubID(v)))
+		}
+	}
+	return nil
+}
+
+// rowEdit is one subscriber's pair edits in a delta.
+type rowEdit struct {
+	sub      workload.SubID
+	add, del []workload.TopicID
+}
+
+// rowEdits groups a delta's subscribe and unsubscribe pairs by subscriber
+// (delta-sized, not fleet-sized): subscribers ascending, each list of
+// topics ascending. Both lists become subscriber-major keys, sorted only
+// when out of order (DeltaBetween's are not), and are merged, so a pair
+// listed twice, or in both lists, meets its copy and is reported as
+// ErrDuplicatePair. The pairs' IDs must be in range (non-negative).
+func rowEdits(d Delta) ([]rowEdit, error) {
+	subs, unsubs := pairKeys(d.Subscribe), pairKeys(d.Unsubscribe)
+	// Rows are filled one after another, so each row's lists are
+	// consecutive windows of two buffers sized for every pair up front.
+	addBuf := make([]workload.TopicID, 0, len(subs))
+	delBuf := make([]workload.TopicID, 0, len(unsubs))
+	var rows []rowEdit
+	add := func(k uint64, sub bool) {
+		v, t := workload.SubID(k>>32), workload.TopicID(uint32(k))
+		if n := len(rows); n == 0 || rows[n-1].sub != v {
+			rows = append(rows, rowEdit{sub: v, add: addBuf[len(addBuf):], del: delBuf[len(delBuf):]})
+		}
+		r := &rows[len(rows)-1]
+		if sub {
+			addBuf = append(addBuf, t)
+			r.add = r.add[:len(r.add)+1]
+		} else {
+			delBuf = append(delBuf, t)
+			r.del = r.del[:len(r.del)+1]
+		}
+	}
+	for i, j := 0, 0; i < len(subs) || j < len(unsubs); {
+		switch {
+		case j == len(unsubs) || i < len(subs) && subs[i] < unsubs[j]:
+			if i > 0 && subs[i] == subs[i-1] {
+				return nil, fmt.Errorf("%w: subscribe lists (t=%d, v=%d) twice", ErrDuplicatePair, uint32(subs[i]), subs[i]>>32)
+			}
+			add(subs[i], true)
+			i++
+		case i == len(subs) || unsubs[j] < subs[i]:
+			if j > 0 && unsubs[j] == unsubs[j-1] {
+				return nil, fmt.Errorf("%w: unsubscribe lists (t=%d, v=%d) twice", ErrDuplicatePair, uint32(unsubs[j]), unsubs[j]>>32)
+			}
+			add(unsubs[j], false)
+			j++
+		default:
+			return nil, fmt.Errorf("%w: (t=%d, v=%d) both subscribed and unsubscribed", ErrDuplicatePair, uint32(subs[i]), subs[i]>>32)
+		}
+	}
+	return rows, nil
+}
+
+// pairKeys packs pairs into subscriber-major keys, ascending.
+func pairKeys(ps []workload.Pair) []uint64 {
+	keys := make([]uint64, len(ps))
+	for i, p := range ps {
+		keys[i] = uint64(p.Sub)<<32 | uint64(p.Topic)
+	}
+	if !slices.IsSorted(keys) {
+		slices.Sort(keys)
+	}
+	return keys
 }
 
 // mergeRow appends (old ∪ add) \ del to dst, deduplicated ascending. All

@@ -95,3 +95,35 @@ func hasUnsortedSubs(a *core.Allocation) bool {
 	}
 	return false
 }
+
+// TestKnownFingerprint: AdoptFingerprinted remembers the fingerprint for
+// exactly the state it installed; an Adopt or a crash repair installs
+// another state and drops it.
+func TestKnownFingerprint(t *testing.T) {
+	cfg := stepsTestConfig()
+	w := stepsTestWorkload(t, 9)
+	res, err := core.Solve(w, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prov := Restore(w, res, cfg)
+	if _, ok := prov.KnownFingerprint(); ok {
+		t.Fatal("a restored provisioner claims a known fingerprint")
+	}
+	fp := StateFingerprint(w, res.Allocation)
+	prov.AdoptFingerprinted(w, res, fp)
+	if got, ok := prov.KnownFingerprint(); !ok || got != fp {
+		t.Fatalf("known fingerprint %q (%v), want %s", got, ok, fp)
+	}
+	prov.Adopt(w, res)
+	if _, ok := prov.KnownFingerprint(); ok {
+		t.Fatal("Adopt kept the fingerprint AdoptFingerprinted installed")
+	}
+	prov.AdoptFingerprinted(w, res, fp)
+	if _, err := prov.RepairCrash(0); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := prov.KnownFingerprint(); ok {
+		t.Fatal("a crash repair kept the pre-repair fingerprint")
+	}
+}

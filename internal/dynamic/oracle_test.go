@@ -201,7 +201,7 @@ func mutateAllocation(rng *rand.Rand, a *core.Allocation) *core.Allocation {
 }
 
 // TestDiffsMatchOracles runs the pair-row migration diff and the
-// sorted-merge step diff against the map-based oracles on random small
+// mark-based step diff against the map-based oracles on random small
 // allocations: unrelated pairs, derived pairs (kept, moved, replaced,
 // retired and booted slots), and nil and empty allocations on either side.
 func TestDiffsMatchOracles(t *testing.T) {
@@ -225,4 +225,138 @@ func TestDiffsMatchOracles(t *testing.T) {
 			t.Fatalf("case %d: %s", c, d)
 		}
 	}
+}
+
+// shuffled copies a, permuting every VM's placements and every placement's
+// subscribers: the same state in another order.
+func shuffled(rng *rand.Rand, a *core.Allocation) *core.Allocation {
+	if a == nil {
+		return nil
+	}
+	out := &core.Allocation{}
+	for _, vm := range a.VMs {
+		c := cloneVM(vm)
+		rng.Shuffle(len(c.Placements), func(i, j int) { c.Placements[i], c.Placements[j] = c.Placements[j], c.Placements[i] })
+		for _, p := range c.Placements {
+			rng.Shuffle(len(p.Subs), func(i, j int) { p.Subs[i], p.Subs[j] = p.Subs[j], p.Subs[i] })
+		}
+		out.VMs = append(out.VMs, c)
+	}
+	return out
+}
+
+// TestSameAllocationMatchesFingerprint: SameAllocation agrees with
+// fingerprint equality on reordered copies, derived allocations and
+// unrelated ones — subscribers repeated inside a placement, a topic placed
+// twice on one VM, and nil and empty allocations included.
+func TestSameAllocationMatchesFingerprint(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	equal := 0
+	for c := 0; c < 900; c++ {
+		a := randomAllocation(rng)
+		var b *core.Allocation
+		switch c % 3 {
+		case 0:
+			b = shuffled(rng, a)
+		case 1:
+			b = shuffled(rng, mutateAllocation(rng, a))
+		default:
+			b = randomAllocation(rng)
+		}
+		want := StateFingerprint(nil, a) == StateFingerprint(nil, b)
+		if got := SameAllocation(a, b); got != want {
+			t.Fatalf("case %d: SameAllocation %v, fingerprints equal %v", c, got, want)
+		}
+		if got := SameAllocation(b, a); got != want {
+			t.Fatalf("case %d: SameAllocation(b, a) %v, fingerprints equal %v", c, got, want)
+		}
+		if want {
+			equal++
+		}
+	}
+	if equal < 300 {
+		t.Fatalf("only %d of 900 cases compare equal allocations", equal)
+	}
+}
+
+// TestCheckDeltaMatchesApplyDelta: CheckDelta accepts exactly the
+// workloads ApplyDelta produces — its own result, and a workload another
+// delta reaches only when that one has the same rates and interests.
+func TestCheckDeltaMatchesApplyDelta(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	randomDelta := func(w *workload.Workload) Delta {
+		d := Delta{NewSubscribers: rng.Intn(2)}
+		if rng.Intn(2) == 0 {
+			d.NewTopics = []int64{1 + int64(rng.Intn(9))}
+		}
+		numT, numV := w.NumTopics()+len(d.NewTopics), w.NumSubscribers()+d.NewSubscribers
+		if numT == 0 || numV == 0 {
+			return d
+		}
+		if rng.Intn(2) == 0 {
+			d.RateChanges = map[workload.TopicID]int64{workload.TopicID(rng.Intn(numT)): 1 + int64(rng.Intn(9))}
+		}
+		seen := make(map[workload.Pair]bool)
+		for i := rng.Intn(4); i > 0; i-- {
+			p := workload.Pair{Topic: workload.TopicID(rng.Intn(numT)), Sub: workload.SubID(rng.Intn(numV))}
+			if seen[p] {
+				continue
+			}
+			seen[p] = true
+			if rng.Intn(2) == 0 {
+				d.Subscribe = append(d.Subscribe, p)
+			} else {
+				d.Unsubscribe = append(d.Unsubscribe, p)
+			}
+		}
+		return d
+	}
+	accepted := 0
+	for c := 0; c < 500; c++ {
+		w, err := tracegenRandom(rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := randomDelta(w)
+		next, err := ApplyDelta(w, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := CheckDelta(w, next, d); err != nil {
+			t.Fatalf("case %d: CheckDelta refuses ApplyDelta's own result: %v", c, err)
+		}
+		other, err := ApplyDelta(w, randomDelta(w))
+		if err != nil {
+			t.Fatal(err)
+		}
+		same := StateFingerprint(other, nil) == StateFingerprint(next, nil)
+		if err := CheckDelta(w, other, d); (err == nil) != same {
+			t.Fatalf("case %d: CheckDelta err %v, workloads equal %v", c, err, same)
+		}
+		if same {
+			accepted++
+		}
+	}
+	if accepted == 0 {
+		t.Fatal("no case drew two deltas reaching the same workload")
+	}
+}
+
+// tracegenRandom draws a small workload whose interests are stored
+// ascending, as every workload constructor keeps them.
+func tracegenRandom(rng *rand.Rand) (*workload.Workload, error) {
+	b := workload.NewBuilder()
+	numT := 1 + rng.Intn(5)
+	for t := 0; t < numT; t++ {
+		b.AddTopic(fmt.Sprintf("t%d", t), 1+int64(rng.Intn(9)))
+	}
+	numV := 1 + rng.Intn(6)
+	for v := 0; v < numV; v++ {
+		name := fmt.Sprintf("v%d", v)
+		b.AddSubscriber(name)
+		for _, t := range rng.Perm(numT)[:rng.Intn(numT+1)] {
+			b.AddSubscription(name, fmt.Sprintf("t%d", t))
+		}
+	}
+	return b.Build()
 }

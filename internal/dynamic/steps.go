@@ -71,27 +71,8 @@ func (s Step) String() string {
 // reproduces after exactly. A kept slot whose instance type or capacity
 // changed is replaced in place (retire + boot).
 func StepsBetween(before, after *core.Allocation) []Step {
-	return stepsBetween(canonical(before), canonical(after), placementSteps)
-}
-
-// canonical returns a shallow copy of a (nil counts as empty) whose VMs
-// list their placements in stable topic order, each with ascending
-// subscribers; subscriber lists already in order are shared, not copied.
-func canonical(a *core.Allocation) *core.Allocation {
-	vms := vmsOf(a)
-	out := &core.Allocation{VMs: make([]*core.VM, len(vms))}
-	for i, vm := range vms {
-		c := *vm
-		c.Placements = slices.Clone(byTopic(vm.Placements))
-		for j, p := range c.Placements {
-			if !slices.IsSorted(p.Subs) {
-				c.Placements[j].Subs = slices.Clone(p.Subs)
-				slices.Sort(c.Placements[j].Subs)
-			}
-		}
-		out.VMs[i] = &c
-	}
-	return out
+	var d slotDiff
+	return stepsBetween(before, after, d.steps)
 }
 
 // stepsBetween takes the placement diff as a parameter for the test oracle.
@@ -156,13 +137,23 @@ func stepsBetween(before, after *core.Allocation, diff func(op StepOp, slot int,
 	return steps
 }
 
-// placementSteps emits one op-typed step per topic of vm whose subscriber
-// set extends past other's, in ascending topic order with ascending subs.
-// With op=OpRemove, vm is the before slot and other the after slot (subs
-// present before but not after are removed); with op=OpPlace the roles
-// flip. Both slots must be canonical: the placements are merged by topic
-// and each pair of subscriber lists by subscriber.
-func placementSteps(op StepOp, slot int, vm, other *core.VM) []Step {
+// slotDiff is the placement diff behind StepsBetween. It sorts nothing
+// but the steps it emits: other's placements are found through a mark
+// indexed by topic, and a subscriber list is diffed against another by
+// stamping the other's subscribers into a mark indexed by subscriber.
+type slotDiff struct {
+	at    []int32  // at[t]: 1 + index of other's placement of topic t, 0 for none
+	mark  []uint32 // mark[v] == stamp: v is in the list being diffed against
+	stamp uint32
+}
+
+// steps emits one op-typed step per topic of vm whose subscriber set
+// extends past other's, in stable ascending topic order with ascending
+// subs. With op=OpRemove, vm is the before slot and other the after slot
+// (subs present before but not after are removed); with op=OpPlace the
+// roles flip. A topic other places twice is diffed against its last
+// placement, as a stable topic sort of other would pair it.
+func (d *slotDiff) steps(op StepOp, slot int, vm, other *core.VM) []Step {
 	if vm == nil {
 		return nil
 	}
@@ -170,31 +161,64 @@ func placementSteps(op StepOp, slot int, vm, other *core.VM) []Step {
 	if other != nil {
 		theirs = other.Placements
 	}
+	for j, q := range theirs {
+		d.at = growTo(d.at, int(q.Topic)+1)
+		d.at[q.Topic] = int32(j + 1)
+	}
 	var steps []Step
-	k := 0
 	for _, p := range vm.Placements {
-		for k < len(theirs) && theirs[k].Topic <= p.Topic {
-			k++
-		}
 		var have []workload.SubID
-		if k > 0 && theirs[k-1].Topic == p.Topic {
-			have = theirs[k-1].Subs
+		if int(p.Topic) < len(d.at) && d.at[p.Topic] > 0 {
+			have = theirs[d.at[p.Topic]-1].Subs
 		}
-		var subs []workload.SubID
-		j := 0
-		for _, v := range p.Subs {
-			for j < len(have) && have[j] < v {
-				j++
-			}
-			if j == len(have) || have[j] != v {
-				subs = append(subs, v)
-			}
-		}
-		if len(subs) > 0 {
+		if subs := d.missing(p.Subs, have); len(subs) > 0 {
 			steps = append(steps, Step{Op: op, VM: slot, Topic: p.Topic, Subs: subs})
 		}
 	}
+	for _, q := range theirs {
+		d.at[q.Topic] = 0
+	}
+	if !slices.IsSortedFunc(steps, cmpStepTopic) {
+		slices.SortStableFunc(steps, cmpStepTopic)
+	}
 	return steps
+}
+
+// missing returns the entries of subs (repeats included) that have lacks,
+// ascending.
+func (d *slotDiff) missing(subs, have []workload.SubID) []workload.SubID {
+	if slices.Equal(subs, have) {
+		return nil
+	}
+	d.stamp++
+	if d.stamp == 0 { // wrapped: old stamps could collide
+		clear(d.mark)
+		d.stamp = 1
+	}
+	for _, v := range have {
+		d.mark = growTo(d.mark, int(v)+1)
+		d.mark[v] = d.stamp
+	}
+	var out []workload.SubID
+	for _, v := range subs {
+		if int(v) >= len(d.mark) || d.mark[v] != d.stamp {
+			out = append(out, v)
+		}
+	}
+	if !slices.IsSorted(out) {
+		slices.Sort(out)
+	}
+	return out
+}
+
+func cmpStepTopic(a, b Step) int { return cmp.Compare(a.Topic, b.Topic) }
+
+// growTo returns s extended with zero values to length n when shorter.
+func growTo[T any](s []T, n int) []T {
+	if n > len(s) {
+		s = append(s, make([]T, n-len(s))...)
+	}
+	return s
 }
 
 // byTopic returns the placements in stable ascending topic order, sorting
@@ -227,38 +251,10 @@ var (
 // slots are free); capacity is not enforced here, because the planner that
 // emitted the steps already applied its own capacity discipline (including
 // the elastic controller's headroom-derated packing) and the caller checks
-// the replayed state against the plan's target fingerprint.
+// the replayed state against the plan's target. Slots keep their
+// coordinates for the whole replay (retired holes are compacted at the
+// end), so steps can address replaced slots mid-sequence.
 func ReplaySteps(base *core.Allocation, target *workload.Workload, messageBytes int64, steps []Step) (*core.Allocation, error) {
-	r, err := NewReplayer(base, target, messageBytes)
-	if err != nil {
-		return nil, err
-	}
-	for _, s := range steps {
-		if err := r.Apply(s); err != nil {
-			return nil, err
-		}
-	}
-	return r.Finish()
-}
-
-// Replayer executes a step sequence incrementally against a private copy
-// of a base allocation — the engine behind ReplaySteps and the deploy
-// package's Apply, which needs per-step control for progress callbacks and
-// abort points. Slots keep their coordinates for the whole replay (retired
-// holes are only compacted by Finish), so steps can address replaced slots
-// mid-sequence.
-type Replayer struct {
-	slots        []*core.VM
-	base         *core.Allocation
-	target       *workload.Workload
-	messageBytes int64
-	applied      int
-}
-
-// NewReplayer copies the base allocation into a working slot table,
-// repricing every kept placement under the target workload's rates. The
-// base allocation is never mutated.
-func NewReplayer(base *core.Allocation, target *workload.Workload, messageBytes int64) (*Replayer, error) {
 	lenB := 0
 	if base != nil {
 		lenB = len(base.VMs)
@@ -286,22 +282,12 @@ func NewReplayer(base *core.Allocation, target *workload.Workload, messageBytes 
 		}
 		slots[i] = nv
 	}
-	return &Replayer{slots: slots, base: base, target: target, messageBytes: messageBytes}, nil
-}
-
-// Apply executes one step, wrapping any violation with the step's
-// sequence position.
-func (r *Replayer) Apply(s Step) error {
-	if err := applyStep(&r.slots, r.target, r.messageBytes, s); err != nil {
-		return fmt.Errorf("step %d (%s): %w", r.applied, s, err)
+	for i, s := range steps {
+		if err := applyStep(&slots, target, messageBytes, s); err != nil {
+			return nil, fmt.Errorf("step %d (%s): %w", i, s, err)
+		}
 	}
-	r.applied++
-	return nil
-}
-
-// Finish compacts retired slots and returns the replayed allocation.
-func (r *Replayer) Finish() (*core.Allocation, error) {
-	return compactSlots(r.slots, r.base, r.messageBytes)
+	return compactSlots(slots, base, messageBytes)
 }
 
 // applyStep mutates the slot table for one step. grow points at the
@@ -502,6 +488,94 @@ func StateFingerprint(w *workload.Workload, alloc *core.Allocation) string {
 		h.words(0)
 	}
 	return fmt.Sprintf("%016x", uint64(h))
+}
+
+// SameAllocation reports whether two allocations are equal in everything
+// StateFingerprint hashes of an allocation: slot by slot, the instance
+// name, hourly rate and link speed, the capacity, and the placements as a
+// set of topics, each with its multiset of subscribers. Placement and
+// subscriber order do not matter, as for the fingerprint, but nothing is
+// hashed or sorted: placements are matched through a mark indexed by
+// topic and subscriber lists compared through counts indexed by
+// subscriber. A nil allocation equals an empty one.
+func SameAllocation(a, b *core.Allocation) bool {
+	va, vb := vmsOf(a), vmsOf(b)
+	if len(va) != len(vb) {
+		return false
+	}
+	var at []int32 // at[t]: 1 + index of y's placement of topic t
+	var count []int32
+	for i, x := range va {
+		y := vb[i]
+		if x.Instance.Name != y.Instance.Name || x.Instance.HourlyRate != y.Instance.HourlyRate ||
+			x.Instance.LinkMbps != y.Instance.LinkMbps || x.CapacityBytesPerHour != y.CapacityBytesPerHour ||
+			len(x.Placements) != len(y.Placements) {
+			return false
+		}
+		same, dup := true, false
+		for j, q := range y.Placements {
+			at = growTo(at, int(q.Topic)+1)
+			dup = dup || at[q.Topic] != 0
+			at[q.Topic] = int32(j + 1)
+		}
+		for _, p := range x.Placements {
+			if dup {
+				break
+			}
+			if int(p.Topic) >= len(at) || at[p.Topic] <= 0 {
+				same = false // y lacks the topic, or x places it twice
+				break
+			}
+			q := y.Placements[at[p.Topic]-1]
+			at[p.Topic] = -1
+			if same = sameSubs(p.Subs, q.Subs, &count); !same {
+				break
+			}
+		}
+		for _, q := range y.Placements {
+			at[q.Topic] = 0
+		}
+		if dup {
+			// A topic twice on one VM: fall back to the fingerprint's
+			// own canonical order for this slot.
+			same = StateFingerprint(nil, &core.Allocation{VMs: []*core.VM{x}}) ==
+				StateFingerprint(nil, &core.Allocation{VMs: []*core.VM{y}})
+		}
+		if !same {
+			return false
+		}
+	}
+	return true
+}
+
+// sameSubs reports whether p and q hold the same subscribers with the
+// same multiplicities. count is zeroed scratch indexed by subscriber and
+// is left zeroed.
+func sameSubs(p, q []workload.SubID, count *[]int32) bool {
+	if len(p) != len(q) {
+		return false
+	}
+	if slices.Equal(p, q) {
+		return true
+	}
+	c := *count
+	for _, v := range q {
+		c = growTo(c, int(v)+1)
+		c[v]++
+	}
+	*count = c
+	same := true
+	for _, v := range p {
+		if int(v) >= len(c) || c[v] == 0 {
+			same = false
+			break
+		}
+		c[v]--
+	}
+	for _, v := range q {
+		c[v] = 0
+	}
+	return same
 }
 
 // fnv1a is an FNV-1a 64 state that folds bytes in directly, without

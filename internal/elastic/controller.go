@@ -20,6 +20,7 @@ package elastic
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"github.com/pubsub-systems/mcss/internal/core"
@@ -386,6 +387,13 @@ func (c *Controller) StartAt(ctx context.Context, tl *timeline.Timeline, st *dep
 	wk.prov = prov
 	wk.next = next
 	if next < tl.NumEpochs() {
+		if c.schedule != nil {
+			// The recovered fleet may hold spot variants, which only the
+			// schedule's fleets list: bill at the resume epoch's rates.
+			if _, wk.billing, err = c.schedule.FleetAt(next); err != nil {
+				return nil, fmt.Errorf("elastic: resume epoch %d: fleet schedule: %w", next, err)
+			}
+		}
 		now := tl.StartMinute(next)
 		for name, n := range st.Allocation.InstanceMix() {
 			it, ok := instanceByName(wk.billing, name)
@@ -459,9 +467,13 @@ func (c *Controller) provisioner(st *deploy.State, solveCfg core.Config) (*dynam
 // refreshFleet pulls epoch e's fleets from the schedule (when one is
 // attached) and, on a decision-fleet change, repoints the walk: the solve
 // config packs against the repriced (headroom-derated) fleet, the
-// provisioner drops its incremental index, and the held allocation's VM
-// instances are repriced by name so the keep-vs-adopt cost comparison
-// sees current rates. Returns whether this is a price epoch.
+// provisioner drops its incremental index, and the provisioner adopts a
+// copy of the held allocation with its VM instances repriced by name, so
+// the keep-vs-adopt cost comparison sees current rates. The held
+// allocation itself is the last epoch's reported allocation and plan
+// target, fingerprinted by the journal's last commit, so it must not
+// change; the epoch's apply journals the repriced copy as its base.
+// Returns whether this is a price epoch.
 func (wk *Walk) refreshFleet(e int) (bool, error) {
 	if wk.c.schedule == nil {
 		return false, nil
@@ -478,28 +490,37 @@ func (wk *Walk) refreshFleet(e int) (bool, error) {
 	wk.report.Fleet = decision
 	wk.solveCfg = wk.c.packingConfig(decision)
 	wk.prov.SetFleet(wk.solveCfg.Fleet)
-	repriceAllocation(wk.prov.Allocation(), decision)
+	if held := wk.prov.Allocation(); held != nil {
+		if repriced := repriceAllocation(held, decision); repriced != held {
+			wk.prov.Adopt(wk.prov.Workload(), &core.Result{Selection: wk.prov.Selection(), Allocation: repriced})
+		}
+	}
 	return true, nil
 }
 
-// repriceAllocation updates each VM's instance rate to the fleet's current
-// rate for its type name (capacities are untouched — they identify the
-// packing, not the price). Mutates in place and invalidates the memoized
-// cost aggregates.
-func repriceAllocation(alloc *core.Allocation, fleet pricing.Fleet) {
-	if alloc == nil {
-		return
-	}
-	changed := false
-	for _, vm := range alloc.VMs {
-		if it, ok := instanceByName(fleet, vm.Instance.Name); ok && it.HourlyRate != vm.Instance.HourlyRate {
-			vm.Instance.HourlyRate = it.HourlyRate
-			changed = true
+// repriceAllocation returns alloc with each VM's instance rate set to the
+// fleet's current rate for its type name (capacities are untouched — they
+// identify the packing, not the price): a new allocation whose repriced
+// VMs are copies sharing their placements, or alloc itself when no rate
+// changed. alloc is not modified.
+func repriceAllocation(alloc *core.Allocation, fleet pricing.Fleet) *core.Allocation {
+	var out *core.Allocation
+	for i, vm := range alloc.VMs {
+		it, ok := instanceByName(fleet, vm.Instance.Name)
+		if !ok || it.HourlyRate == vm.Instance.HourlyRate {
+			continue
 		}
+		if out == nil {
+			out = &core.Allocation{VMs: slices.Clone(alloc.VMs), Fleet: alloc.Fleet, MessageBytes: alloc.MessageBytes}
+		}
+		c := *vm
+		c.Instance.HourlyRate = it.HourlyRate
+		out.VMs[i] = &c
 	}
-	if changed {
-		alloc.InvalidateCost()
+	if out == nil {
+		return alloc
 	}
+	return out
 }
 
 // fleetsEqual reports identical types, rates, and capacities in order.
@@ -766,6 +787,21 @@ func (wk *Walk) Step(ctx context.Context) (EpochReport, error) {
 			}
 			ep.RepairedPairs = rstats.PairsRehomed
 			ep.RepairNewVMs = rstats.NewVMs
+			if c.applyHook != nil {
+				// The repair installed a state outside any plan. Apply it
+				// as a snapshot, which checkpoints it in the journal, so
+				// a recovery after this step reproduces it.
+				snap, err := deploy.Snapshot(planCfg, deploy.StateOf(prov))
+				if err == nil {
+					_, err = deploy.Apply(ctx, snap, prov, c.applyHook(e)...)
+				}
+				if err != nil {
+					if cerr := ctx.Err(); cerr != nil {
+						return EpochReport{}, cerr
+					}
+					return EpochReport{}, fmt.Errorf("elastic: epoch %d: journal repair: %w", e, err)
+				}
+			}
 			adopted = prov.Allocation()
 			active = adopted.InstanceMix()
 			if err := acquireShortfall(active); err != nil {

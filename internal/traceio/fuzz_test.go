@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -268,6 +269,29 @@ func FuzzReadJournal(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(seed)
+	// Journals crashed mid-plan: plan-begin bodies without the target
+	// (untagged, and region-tagged with added topics and subscribers),
+	// and the whole-plan body earlier versions wrote.
+	gcfg, gbase, gplan := goldenFollowup(f)
+	rcfg, rbase, _, rplan := regionFollowup(f)
+	for i, c := range []struct {
+		codec deploy.JournalCodec
+		cfg   core.Config
+		base  *deploy.State
+		plan  *deploy.Plan
+	}{
+		{PlanJournalCodec(), gcfg, gbase, gplan},
+		{PlanJournalCodec(), rcfg, rbase, rplan},
+		{wholePlanCodec(false, gplan), gcfg, gbase, gplan},
+	} {
+		p := filepath.Join(f.TempDir(), fmt.Sprintf("crash%d.journal", i))
+		crashApply(f, p, c.codec, c.cfg, c.base, c.plan, 1)
+		b, err := os.ReadFile(p)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
 	f.Add(seed[:len(seed)-3])                                // torn tail
 	f.Add([]byte("mcss-journal 1\n"))                        // header only
 	f.Add([]byte("mcss-journal 1\nXXXX"))                    // torn frame

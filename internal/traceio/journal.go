@@ -15,21 +15,37 @@ import (
 
 // PlanJournalCodec returns the deploy.JournalCodec that encodes plan
 // bodies as compact mcss-plan documents: the document WritePlan writes,
-// without its indentation. ReadPlan parses either spacing, so journals
-// written with indented bodies still recover. The error contract matches
-// the plan codec: undecodable bytes fail with ErrBadFormat, a document
-// that parses but violates plan invariants with deploy.ErrInvalidPlan.
+// without its indentation. A plan-begin body, a plan without its Target,
+// is the same document without "target" and with "target_regions" when
+// the target is region-tagged; the journal validated the whole plan
+// before cutting it, and Recover validates the plan once it has rebuilt
+// the target. Decoding accepts either spacing and the full document in
+// begin records too, so journals written with indented or whole-plan
+// bodies still recover. The error contract matches the plan codec:
+// undecodable bytes fail with ErrBadFormat, a document that parses but
+// violates plan invariants with deploy.ErrInvalidPlan.
 func PlanJournalCodec() deploy.JournalCodec {
 	return deploy.JournalCodec{
 		EncodePlan: func(p *deploy.Plan) ([]byte, error) {
-			doc, err := planToDoc(p)
-			if err != nil {
-				return nil, err
+			if p.Target != nil {
+				doc, err := planToDoc(p)
+				if err != nil {
+					return nil, err
+				}
+				return json.Marshal(doc)
+			}
+			doc := headerToDoc(p)
+			if r := p.TargetRegions; r != nil {
+				doc.TargetRegions = &regionsDoc{Topics: r.Topics, Subscribers: r.Subscribers}
 			}
 			return json.Marshal(doc)
 		},
 		DecodePlan: func(b []byte) (*deploy.Plan, error) {
-			return ReadPlan(bytes.NewReader(b))
+			doc, err := decodePlanDoc(bytes.NewReader(b))
+			if err != nil {
+				return nil, err
+			}
+			return planFromDoc(doc)
 		},
 	}
 }

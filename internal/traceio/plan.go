@@ -1,11 +1,12 @@
 package traceio
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math"
-	"sort"
+	"slices"
 
 	"github.com/pubsub-systems/mcss/internal/core"
 	"github.com/pubsub-systems/mcss/internal/deploy"
@@ -44,7 +45,15 @@ type planDoc struct {
 	CostBefore      pricing.MicroUSD `json:"cost_before"`
 	CostAfter       pricing.MicroUSD `json:"cost_after"`
 	Steps           []stepDoc        `json:"steps"`
-	Target          targetDoc        `json:"target"`
+	// Target is absent only in a journal's plan-begin body, which may
+	// carry the target's region tags instead.
+	Target        *targetDoc  `json:"target,omitempty"`
+	TargetRegions *regionsDoc `json:"target_regions,omitempty"`
+}
+
+type regionsDoc struct {
+	Topics      []int32 `json:"topics"`
+	Subscribers []int32 `json:"subscribers"`
 }
 
 type instanceDoc struct {
@@ -142,6 +151,17 @@ func planToDoc(p *deploy.Plan) (*planDoc, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
+	doc := headerToDoc(p)
+	doc.Target = &targetDoc{
+		Workload:   workloadToDoc(p.Target.Workload),
+		Allocation: allocToDoc(p.Target.Allocation),
+	}
+	return doc, nil
+}
+
+// headerToDoc builds the document of everything but the target: the
+// header, the diff and the steps.
+func headerToDoc(p *deploy.Plan) *planDoc {
 	doc := &planDoc{
 		Format:          planFormat,
 		Version:         p.Version,
@@ -157,10 +177,6 @@ func planToDoc(p *deploy.Plan) (*planDoc, error) {
 		Diff:       diffToDoc(p.Diff),
 		CostBefore: p.CostBefore,
 		CostAfter:  p.CostAfter,
-		Target: targetDoc{
-			Workload:   workloadToDoc(p.Target.Workload),
-			Allocation: allocToDoc(p.Target.Allocation),
-		},
 	}
 	for i := 0; i < p.Fleet.Len(); i++ {
 		doc.Fleet = append(doc.Fleet, fleetTypeDoc{
@@ -171,7 +187,7 @@ func planToDoc(p *deploy.Plan) (*planDoc, error) {
 	for _, s := range p.Steps {
 		doc.Steps = append(doc.Steps, stepToDoc(s))
 	}
-	return doc, nil
+	return doc
 }
 
 // ReadPlan parses a plan document and rebuilds a validated deploy.Plan.
@@ -179,19 +195,33 @@ func planToDoc(p *deploy.Plan) (*planDoc, error) {
 // ErrBadFormat; a document that parses but violates the plan invariants
 // fails with deploy.ErrInvalidPlan.
 func ReadPlan(in io.Reader) (*deploy.Plan, error) {
-	dec := json.NewDecoder(in)
+	doc, err := decodePlanDoc(in)
+	if err != nil {
+		return nil, err
+	}
+	if doc.Target == nil {
+		doc.Target = &targetDoc{}
+	}
+	return planFromDoc(doc)
+}
+
+// decodePlanDoc parses a plan document of this format.
+func decodePlanDoc(in io.Reader) (*planDoc, error) {
 	var doc planDoc
-	if err := dec.Decode(&doc); err != nil {
+	if err := json.NewDecoder(in).Decode(&doc); err != nil {
 		return nil, fmt.Errorf("%w: plan document: %v", ErrBadFormat, err)
 	}
 	if doc.Format != planFormat {
 		return nil, fmt.Errorf("%w: bad plan format %q", ErrBadFormat, doc.Format)
 	}
+	return &doc, nil
+}
 
-	w, err := workloadFromDoc(doc.Target.Workload)
-	if err != nil {
-		return nil, fmt.Errorf("%w: target workload: %v", deploy.ErrInvalidPlan, err)
-	}
+// planFromDoc rebuilds the plan of a parsed document. A document without
+// a target is a journal's plan-begin body: its plan has no Target, only
+// the target's region tags, and is validated once the journal's Recover
+// has rebuilt the target. Every other plan is validated here.
+func planFromDoc(doc *planDoc) (*deploy.Plan, error) {
 	model := pricing.Model{
 		Instance:                     instFromDoc(doc.Model.Instance),
 		Hours:                        doc.Model.Hours,
@@ -206,14 +236,10 @@ func ReadPlan(in io.Reader) (*deploy.Plan, error) {
 			types[i] = instFromDoc(ft.instanceDoc)
 			caps[i] = ft.Capacity
 		}
-		fleet, err = pricing.NewFleetWithCapacities(types, caps)
-		if err != nil {
+		var err error
+		if fleet, err = pricing.NewFleetWithCapacities(types, caps); err != nil {
 			return nil, fmt.Errorf("%w: fleet: %v", deploy.ErrInvalidPlan, err)
 		}
-	}
-	alloc, err := allocFromDoc(doc.Target.Allocation, w, doc.MessageBytes, fleet)
-	if err != nil {
-		return nil, fmt.Errorf("%w: target allocation: %v", deploy.ErrInvalidPlan, err)
 	}
 	diff, err := diffFromDoc(doc.Diff)
 	if err != nil {
@@ -229,7 +255,6 @@ func ReadPlan(in io.Reader) (*deploy.Plan, error) {
 		Diff:            diff,
 		CostBefore:      doc.CostBefore,
 		CostAfter:       doc.CostAfter,
-		Target:          deploy.NewState(w, alloc),
 	}
 	for i, sd := range doc.Steps {
 		s, err := stepFromDoc(sd)
@@ -238,6 +263,21 @@ func ReadPlan(in io.Reader) (*deploy.Plan, error) {
 		}
 		plan.Steps = append(plan.Steps, s)
 	}
+	if doc.Target == nil {
+		if r := doc.TargetRegions; r != nil {
+			plan.TargetRegions = &deploy.Regions{Topics: r.Topics, Subscribers: r.Subscribers}
+		}
+		return plan, nil
+	}
+	w, err := workloadFromDoc(doc.Target.Workload)
+	if err != nil {
+		return nil, fmt.Errorf("%w: target workload: %v", deploy.ErrInvalidPlan, err)
+	}
+	alloc, err := allocFromDoc(doc.Target.Allocation, w, doc.MessageBytes, fleet)
+	if err != nil {
+		return nil, fmt.Errorf("%w: target allocation: %v", deploy.ErrInvalidPlan, err)
+	}
+	plan.Target = deploy.NewState(w, alloc)
 	if err := plan.Validate(); err != nil {
 		return nil, err
 	}
@@ -279,7 +319,7 @@ func diffToDoc(d deploy.Diff) diffDoc {
 	for t, r := range d.Delta.RateChanges {
 		doc.RateChanges = append(doc.RateChanges, pairDoc{int64(t), r})
 	}
-	sort.Slice(doc.RateChanges, func(i, j int) bool { return doc.RateChanges[i][0] < doc.RateChanges[j][0] })
+	slices.SortFunc(doc.RateChanges, func(a, b pairDoc) int { return cmp.Compare(a[0], b[0]) })
 	for _, p := range d.Delta.Subscribe {
 		doc.Subscribe = append(doc.Subscribe, pairDoc{int64(p.Topic), int64(p.Sub)})
 	}
@@ -291,13 +331,18 @@ func diffToDoc(d deploy.Diff) diffDoc {
 	return doc
 }
 
+// sortPairDocs orders [topic, subscriber] pairs by topic, then
+// subscriber. Both IDs are non-negative int32s, so each pair packs into
+// one ordered key.
 func sortPairDocs(ps []pairDoc) {
-	sort.Slice(ps, func(i, j int) bool {
-		if ps[i][0] != ps[j][0] {
-			return ps[i][0] < ps[j][0]
-		}
-		return ps[i][1] < ps[j][1]
-	})
+	keys := make([]uint64, len(ps))
+	for i, p := range ps {
+		keys[i] = uint64(p[0])<<32 | uint64(p[1])
+	}
+	slices.Sort(keys)
+	for i, k := range keys {
+		ps[i] = pairDoc{int64(k >> 32), int64(k & math.MaxUint32)}
+	}
 }
 
 func diffFromDoc(doc diffDoc) (deploy.Diff, error) {

@@ -20,7 +20,7 @@ import (
 // goldenPlan builds the deterministic plan committed as testdata: a small
 // hand-built workload solved on a calibrated c3.large/c3.xlarge fleet,
 // planned from the empty cluster.
-func workloadForGolden(t *testing.T) *workload.Workload {
+func workloadForGolden(t testing.TB) *workload.Workload {
 	t.Helper()
 	b := workload.NewBuilder().
 		AddTopic("hot", 120).
@@ -47,7 +47,7 @@ func workloadForGolden(t *testing.T) *workload.Workload {
 	return w
 }
 
-func goldenPlan(t *testing.T) *deploy.Plan {
+func goldenPlan(t testing.TB) *deploy.Plan {
 	t.Helper()
 	w := workloadForGolden(t)
 	model := pricing.NewModel(pricing.C3Large)

@@ -229,6 +229,17 @@ func (w *Workload) WithRegions(topicRegions, subRegions []int32) (*Workload, err
 	return &out, nil
 }
 
+// WithoutRegions returns w without region tags (w itself when it has
+// none).
+func (w *Workload) WithoutRegions() *Workload {
+	if !w.HasRegions() {
+		return w
+	}
+	out := *w
+	out.topicRegions, out.subRegions = nil, nil
+	return &out
+}
+
 // WithRegionsOf returns w tagged with base's region tags, for a workload
 // derived from base with stable IDs: the topics and subscribers base has
 // keep their regions, and IDs past base's range get the home region 0. An
