@@ -80,35 +80,27 @@ func VerifyAllocation(w *workload.Workload, sel *Selection, alloc *Allocation, c
 		return err
 	}
 	fleet := cfg.EffectiveFleet()
+	numT, numV := w.NumTopics(), w.NumSubscribers()
 
-	// Delivered rate per subscriber from distinct (t,v) placements.
-	delivered := make([]int64, w.NumSubscribers())
-	type pairKey struct {
-		t workload.TopicID
-		v workload.SubID
-	}
-	placedPairs := make(map[pairKey]int, sel.NumPairs())
+	// onVM[t] is 1 + the index of the last VM found serving topic t;
+	// off[v+1] counts the pair instances placed for subscriber v.
+	onVM := make([]int32, numT)
+	off := make([]int64, numV+1)
 	var totalPlaced int64
-
-	for _, vm := range alloc.VMs {
+	for i, vm := range alloc.VMs {
 		var out, in int64
-		seenTopics := make(map[workload.TopicID]bool, len(vm.Placements))
 		for _, p := range vm.Placements {
-			if seenTopics[p.Topic] {
+			if onVM[p.Topic] == int32(i+1) {
 				return fmt.Errorf("vm %d: topic %d appears in multiple placements", vm.ID, p.Topic)
 			}
-			seenTopics[p.Topic] = true
+			onVM[p.Topic] = int32(i + 1)
 			rb := w.Rate(p.Topic) * cfg.MessageBytes
 			in += rb
 			out += rb * int64(len(p.Subs))
 			for _, v := range p.Subs {
-				k := pairKey{p.Topic, v}
-				if placedPairs[k] == 0 {
-					delivered[v] += w.Rate(p.Topic)
-				}
-				placedPairs[k]++
-				totalPlaced++
+				off[v+1]++
 			}
+			totalPlaced += int64(len(p.Subs))
 		}
 		if out != vm.OutBytesPerHour || in != vm.InBytesPerHour {
 			return fmt.Errorf("vm %d: accounted bw (out=%d,in=%d) != recomputed (out=%d,in=%d)",
@@ -137,29 +129,72 @@ func VerifyAllocation(w *workload.Workload, sel *Selection, alloc *Allocation, c
 	if totalPlaced != sel.NumPairs() {
 		return fmt.Errorf("placed %d pair instances, selection has %d pairs", totalPlaced, sel.NumPairs())
 	}
-	// Every selected pair must be placed exactly once, and nothing else.
-	var bad error
-	sel.Pairs(func(p workload.Pair) bool {
-		k := pairKey{p.Topic, p.Sub}
-		if placedPairs[k] != 1 {
-			bad = fmt.Errorf("pair (t=%d,v=%d) placed %d times, want 1", p.Topic, p.Sub, placedPairs[k])
-			return false
-		}
-		delete(placedPairs, k)
-		return true
-	})
-	if bad != nil {
-		return bad
+
+	// Group the placed pairs into per-subscriber rows of topics with a
+	// counting pass: row v is rows[off[v]:off[v+1]], in placement order.
+	for v := 0; v < numV; v++ {
+		off[v+1] += off[v]
 	}
-	if len(placedPairs) != 0 {
-		return fmt.Errorf("%d placed pairs were never selected", len(placedPairs))
+	rows := make([]workload.TopicID, totalPlaced)
+	next := slices.Clone(off[:numV])
+	for _, vm := range alloc.VMs {
+		for _, p := range vm.Placements {
+			for _, v := range p.Subs {
+				rows[next[v]] = p.Topic
+				next[v]++
+			}
+		}
 	}
 
-	for v := 0; v < w.NumSubscribers(); v++ {
-		tauV := w.TauV(workload.SubID(v), cfg.Tau)
-		if delivered[v] < tauV {
-			return fmt.Errorf("subscriber %d delivered %d events/h, needs %d", v, delivered[v], tauV)
+	// Every selected pair must be placed exactly once, and nothing else.
+	// Each subscriber's placed row is counted into count, indexed by
+	// topic, and checked against its selected row, neither of which needs
+	// to be sorted; count is zeroed again before the next subscriber. The
+	// first bad pair in the selection's subscriber-major order is
+	// reported, then unselected pairs, then the first τ shortfall: by then
+	// the placed pairs are the selected ones, so a subscriber's delivered
+	// rate is the rate of its selected row.
+	count := make([]int32, numT)
+	var unselected int
+	short, shortGot := -1, int64(0)
+	numSel := len(sel.subOff) - 1
+	for v := 0; v < max(numV, numSel); v++ {
+		var placed []workload.TopicID
+		if v < numV {
+			placed = rows[off[v]:off[v+1]]
 		}
+		for _, t := range placed {
+			count[t]++
+		}
+		var got int64
+		if v < numSel {
+			for _, t := range sel.SelectedTopics(workload.SubID(v)) {
+				var n int32
+				if int(t) >= 0 && int(t) < numT {
+					n = count[t]
+				}
+				if n != 1 {
+					return fmt.Errorf("pair (t=%d,v=%d) placed %d times, want 1", t, v, n)
+				}
+				count[t] = 0
+				got += w.Rate(t)
+			}
+		}
+		for _, t := range placed {
+			if count[t] != 0 {
+				unselected++
+				count[t] = 0
+			}
+		}
+		if short < 0 && v < numV && got < w.TauV(workload.SubID(v), cfg.Tau) {
+			short, shortGot = v, got
+		}
+	}
+	if unselected != 0 {
+		return fmt.Errorf("%d placed pairs were never selected", unselected)
+	}
+	if short >= 0 {
+		return fmt.Errorf("subscriber %d delivered %d events/h, needs %d", short, shortGot, w.TauV(workload.SubID(short), cfg.Tau))
 	}
 	return nil
 }

@@ -118,7 +118,9 @@ type Report struct {
 // written. On any mid-apply failure — a failed step, a cancelled context,
 // an observer abort — the provisioner keeps its pre-apply workload and
 // allocation: the replay runs on a private working copy, so rollback is
-// the default, not a recovery action.
+// the default, not a recovery action. What Apply needs only after the
+// steps — the target fingerprint, the realized churn and the selection to
+// adopt — is computed on a second goroutine while they run (see lane).
 func Apply(ctx context.Context, plan *Plan, prov *dynamic.Provisioner, opts ...ApplyOption) (*Report, error) {
 	o := applyOptions{epoch: -1}
 	for _, opt := range opts {
@@ -172,7 +174,12 @@ func Apply(ctx context.Context, plan *Plan, prov *dynamic.Provisioner, opts ...A
 	if !dynamic.SameAllocation(work, plan.Target.Allocation) {
 		return abort(fmt.Errorf("%w: steps do not replay to the plan's target", ErrInvalidPlan))
 	}
-	targetFP := plan.TargetFingerprint()
+
+	// The plan is verified: what Apply needs after the step loop is
+	// computed on the lane while the loop runs. The deferred join covers
+	// every early return, so no lane outlives Apply.
+	l := startLane(plan, pre.Allocation, work, o.dryRun)
+	defer l.join()
 
 	if journaling && !o.resume {
 		if o.journal.head != plan.BaseFingerprint {
@@ -231,12 +238,12 @@ func Apply(ctx context.Context, plan *Plan, prov *dynamic.Provisioner, opts ...A
 		}
 	}
 
-	stats := dynamic.MigrationStatsBetween(pre.Allocation, work, plan.Model)
+	l.join()
 	report := &Report{
 		DryRun:       o.dryRun,
 		StepsApplied: total,
-		Stats:        stats,
-		Cost:         stats.CostAfter,
+		Stats:        l.stats,
+		Cost:         l.stats.CostAfter,
 	}
 	if o.dryRun {
 		return report, nil
@@ -253,20 +260,64 @@ func Apply(ctx context.Context, plan *Plan, prov *dynamic.Provisioner, opts ...A
 	if t := plan.Target.Allocation; accountingMatches(t, work) && !t.Fleet.IsZero() {
 		adopt = t
 	}
-	sel, err := core.SelectionFromPairs(plan.Target.Workload, placedPairs(work))
-	if err != nil {
-		return abort(fmt.Errorf("%w: %v", ErrInvalidPlan, err))
+	if l.err != nil {
+		return abort(fmt.Errorf("%w: %v", ErrInvalidPlan, l.err))
 	}
 	// Commit is journaled before the in-memory adoption: once the commit
 	// record is durable, a crash on either side of Adopt recovers to the
 	// plan's target.
 	if journaling {
-		if err := o.journal.AppendPlanCommit(o.epoch, targetFP); err != nil {
+		if err := o.journal.AppendPlanCommit(o.epoch, l.fp); err != nil {
 			return nil, fmt.Errorf("deploy: journal plan-commit: %w", err)
 		}
 	}
-	prov.AdoptFingerprinted(plan.Target.Workload, &core.Result{Selection: sel, Allocation: adopt}, targetFP)
+	prov.AdoptFingerprinted(plan.Target.Workload, &core.Result{Selection: l.sel, Allocation: adopt}, l.fp)
 	return report, nil
+}
+
+// lane computes, on a goroutine of its own, what Apply needs only after
+// its step loop: the realized churn, and unless the apply is a dry run the
+// target fingerprint for the commit record and the selection to adopt.
+// Its inputs — the verified pre-state allocation, the replayed allocation
+// and the plan's target — are final before the loop starts, and nothing
+// writes them until Apply joins the lane, so this CPU work overlaps the
+// loop's journal fsyncs. The lane calls no hook: observers, executors,
+// the journal codec and journal hooks all run on Apply's calling
+// goroutine.
+type lane struct {
+	done     chan struct{}
+	panicked any
+
+	stats dynamic.MigrationStats
+	fp    string
+	sel   *core.Selection
+	err   error
+}
+
+func startLane(plan *Plan, pre, work *core.Allocation, dryRun bool) *lane {
+	l := &lane{done: make(chan struct{})}
+	go func() {
+		defer func() {
+			l.panicked = recover()
+			close(l.done)
+		}()
+		l.stats = plan.realizedStats(pre, work)
+		if !dryRun {
+			l.fp = plan.TargetFingerprint()
+			l.sel, l.err = core.SelectionFromPairs(plan.Target.Workload, placedPairs(work))
+		}
+	}()
+	return l
+}
+
+// join waits for the lane's results. A panic on the lane is raised again
+// here, once, on the calling goroutine. join may be called more than once.
+func (l *lane) join() {
+	<-l.done
+	if p := l.panicked; p != nil {
+		l.panicked = nil
+		panic(p)
+	}
 }
 
 // accountingMatches reports whether two allocations with fingerprint-equal

@@ -217,6 +217,33 @@ type Plan struct {
 	// without its Target, when the target is region-tagged (a diff does
 	// not carry tags); nil in every plan that has its Target.
 	TargetRegions *Regions
+
+	// statsFrom records what NewPlan computed Diff.Stats from; nil in a
+	// plan built any other way (see realizedStats).
+	statsFrom *statsOrigin
+}
+
+// statsOrigin is NewPlan's record of Diff.Stats: the base and target
+// allocations it diffed, the model it priced them under, and a copy of
+// the stats. Like State's fingerprint memo it is keyed by pointer.
+type statsOrigin struct {
+	base, target *core.Allocation
+	model        pricing.Model
+	stats        dynamic.MigrationStats
+}
+
+// realizedStats is the churn from pre to the replayed allocation work,
+// which Apply has shown equals the plan's target in placements.
+// NewPlan's Diff.Stats already measured it when pre and the target are
+// the allocations NewPlan diffed, the stats and model are as it left
+// them, and the target's accounting is the replay's; any other plan (read
+// from a file or a journal, or edited) is diffed afresh.
+func (p *Plan) realizedStats(pre, work *core.Allocation) dynamic.MigrationStats {
+	if o := p.statsFrom; o != nil && o.base == pre && o.target == p.Target.Allocation &&
+		o.model == p.Model && o.stats == p.Diff.Stats && accountingMatches(p.Target.Allocation, work) {
+		return p.Diff.Stats
+	}
+	return dynamic.MigrationStatsBetween(pre, work, p.Model)
 }
 
 // Regions are a workload's region tags (see workload.WithRegions):
@@ -248,9 +275,11 @@ func (p *Plan) TargetFingerprint() string { return p.Target.Fingerprint() }
 
 // Validate checks the structural plan invariants — schema version, present
 // target, in-range step and placement references, each topic at most once
-// per target VM — and returns ErrInvalidPlan on the first violation. It is
-// called by Apply and by the traceio plan reader, so a hostile or corrupt
-// plan file fails closed instead of corrupting a cluster.
+// per target VM, each subscriber at most once per target placement and
+// per place or remove step — and returns ErrInvalidPlan on the first
+// violation. It is called by Apply and by the traceio plan reader, so a
+// hostile or corrupt plan file fails closed instead of corrupting a
+// cluster.
 func (p *Plan) Validate() error {
 	if p == nil {
 		return fmt.Errorf("%w: nil plan", ErrInvalidPlan)
@@ -272,8 +301,12 @@ func (p *Plan) Validate() error {
 	}
 	w := p.Target.Workload
 	numT, numV := w.NumTopics(), w.NumSubscribers()
-	// lastVM[t] is 1 + the last target VM found serving topic t.
+	// lastVM[t] is 1 + the last target VM found serving topic t;
+	// lastList[v] is the number of the last subscriber list (a target
+	// placement or a step, counted from 1) found listing subscriber v.
 	lastVM := make([]int32, numT)
+	lastList := make([]int32, numV)
+	list := int32(0)
 	for i, vm := range p.Target.Allocation.VMs {
 		if vm.Instance.Name == "" || vm.CapacityBytesPerHour <= 0 {
 			return fmt.Errorf("%w: target vm %d has instance %q with capacity %d (need a named type and positive capacity)",
@@ -287,10 +320,15 @@ func (p *Plan) Validate() error {
 				return fmt.Errorf("%w: target vm %d serves topic %d twice", ErrInvalidPlan, i, pl.Topic)
 			}
 			lastVM[pl.Topic] = int32(i + 1)
+			list++
 			for _, v := range pl.Subs {
 				if int(v) < 0 || int(v) >= numV {
 					return fmt.Errorf("%w: target vm %d serves subscriber %d of %d", ErrInvalidPlan, i, v, numV)
 				}
+				if lastList[v] == list {
+					return fmt.Errorf("%w: target vm %d lists subscriber %d twice for topic %d", ErrInvalidPlan, i, v, pl.Topic)
+				}
+				lastList[v] = list
 			}
 		}
 	}
@@ -318,10 +356,15 @@ func (p *Plan) Validate() error {
 			if len(s.Subs) == 0 {
 				return fmt.Errorf("%w: step %d has no subscribers", ErrInvalidPlan, i)
 			}
+			list++
 			for _, v := range s.Subs {
 				if int(v) < 0 || int(v) >= numV {
 					return fmt.Errorf("%w: step %d references subscriber %d of %d", ErrInvalidPlan, i, v, numV)
 				}
+				if lastList[v] == list {
+					return fmt.Errorf("%w: step %d lists subscriber %d twice", ErrInvalidPlan, i, v)
+				}
+				lastList[v] = list
 			}
 		default:
 			return fmt.Errorf("%w: step %d has unknown op %q", ErrInvalidPlan, i, string(s.Op))
@@ -364,6 +407,7 @@ func NewPlan(cfg core.Config, current, target *State) (*Plan, error) {
 		CostAfter:       stats.CostAfter,
 		Steps:           dynamic.StepsBetween(current.Allocation, target.Allocation),
 		Target:          target,
+		statsFrom:       &statsOrigin{base: current.Allocation, target: target.Allocation, model: cfg.Model, stats: stats},
 	}
 	if err := plan.Validate(); err != nil {
 		return nil, err

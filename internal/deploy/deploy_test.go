@@ -291,6 +291,16 @@ func TestPlanValidate(t *testing.T) {
 			vm := p.Target.Allocation.VMs[0]
 			vm.Placements = append(vm.Placements, core.TopicPlacement{Topic: vm.Placements[0].Topic, Subs: []workload.SubID{0}})
 		}},
+		{"target subscriber twice in a placement", func(p *Plan) {
+			pl := &p.Target.Allocation.VMs[0].Placements[0]
+			pl.Subs = append(pl.Subs, pl.Subs[0])
+		}},
+		{"place step lists a subscriber twice", func(p *Plan) {
+			p.Steps = append(p.Steps, dynamic.Step{Op: dynamic.OpPlace, VM: 0, Topic: 0, Subs: []workload.SubID{1, 0, 1}})
+		}},
+		{"remove step lists a subscriber twice", func(p *Plan) {
+			p.Steps = append(p.Steps, dynamic.Step{Op: dynamic.OpRemove, VM: 0, Topic: 0, Subs: []workload.SubID{2, 2}})
+		}},
 	}
 	for _, tc := range mutate {
 		t.Run(tc.name, func(t *testing.T) {
@@ -449,5 +459,39 @@ func TestPlanIncrementalApply(t *testing.T) {
 	}
 	if !noop.IsNoop() {
 		t.Fatalf("empty-delta incremental plan has %d steps", len(noop.Steps))
+	}
+}
+
+// TestApplyReusesPlanStats: applied to the very state it was planned
+// from, a plan's Diff.Stats are reported without diffing again. Stats
+// edited together with NewPlan's record of them come back as edited,
+// which a recomputation would not do.
+func TestApplyReusesPlanStats(t *testing.T) {
+	cfg := testConfig()
+	w := testWorkload(t, 7)
+	ctx := context.Background()
+	boot, err := NewPlanner(cfg).Plan(ctx, SpecFromWorkload(w), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prov, err := EmptyState().Provisioner(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Apply(ctx, boot, prov); err != nil {
+		t.Fatal(err)
+	}
+	plan, err := PlanIncremental(ctx, cfg, prov, dynamic.Delta{RateChanges: map[workload.TopicID]int64{0: w.Rate(0) + 40}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan.Diff.Stats.PairsKept += 424242
+	plan.statsFrom.stats = plan.Diff.Stats
+	rep, err := Apply(ctx, plan, prov)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Stats != plan.Diff.Stats {
+		t.Fatalf("report stats %+v, plan stats %+v", rep.Stats, plan.Diff.Stats)
 	}
 }

@@ -3,16 +3,20 @@ package deploy_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
 	"github.com/pubsub-systems/mcss/internal/core"
 	"github.com/pubsub-systems/mcss/internal/deploy"
+	"github.com/pubsub-systems/mcss/internal/dynamic"
+	"github.com/pubsub-systems/mcss/internal/experiments"
 	"github.com/pubsub-systems/mcss/internal/pricing"
 	"github.com/pubsub-systems/mcss/internal/tracegen"
 	"github.com/pubsub-systems/mcss/internal/traceio"
@@ -578,5 +582,101 @@ func BenchmarkJournalReplay(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestPlanRefusesRepeatedSubscriber: a target placement or a step that
+// lists a subscriber twice is an invalid plan. NewPlan refuses it, Apply
+// refuses it before writing any journal record, and ReadPlan refuses a
+// plan file holding one. Applied, such a target places a pair twice:
+// VerifyAllocation then counts one pair instance more than the selection
+// has, and the next incremental update finds the pair placed twice.
+func TestPlanRefusesRepeatedSubscriber(t *testing.T) {
+	w, cfg, err := experiments.ChurnSetup(2000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := core.Solve(w, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prov, err := deploy.NewState(w, res.Allocation).Provisioner(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The target repeats the first subscriber of one placement, with the
+	// accounting to match.
+	dup := &core.Allocation{MessageBytes: res.Allocation.MessageBytes, Fleet: res.Allocation.Fleet}
+	for _, vm := range res.Allocation.VMs {
+		cp := *vm
+		cp.Placements = slices.Clone(vm.Placements)
+		dup.VMs = append(dup.VMs, &cp)
+	}
+	vm := dup.VMs[0]
+	pl := &vm.Placements[0]
+	v := pl.Subs[0]
+	pl.Subs = append(slices.Clone(pl.Subs), v)
+	vm.OutBytesPerHour += w.Rate(pl.Topic) * cfg.MessageBytes
+	target := deploy.NewState(w, dup)
+
+	if _, err := deploy.NewPlan(cfg, deploy.StateOf(prov), target); !errors.Is(err, deploy.ErrInvalidPlan) {
+		t.Fatalf("NewPlan: got %v, want ErrInvalidPlan", err)
+	}
+
+	// By hand: the base state's snapshot retargeted, with a place step
+	// that adds the repeat.
+	plan, err := deploy.Snapshot(cfg, deploy.StateOf(prov))
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan.Target = target
+	plan.Steps = []dynamic.Step{{Op: dynamic.OpPlace, VM: 0, Topic: pl.Topic, Subs: []workload.SubID{v}}}
+	path := journalPath(t)
+	j, err := traceio.OpenJournal(path, deploy.JournalOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := deploy.Apply(context.Background(), plan, prov, deploy.WithJournal(j)); !errors.Is(err, deploy.ErrInvalidPlan) {
+		t.Fatalf("Apply: got %v, want ErrInvalidPlan", err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if recs, _, err := deploy.ReadJournalFile(path); err != nil || len(recs) != 0 {
+		t.Fatalf("refused apply left %d journal records (%v)", len(recs), err)
+	}
+
+	// A plan file whose target, or one of whose steps, repeats a
+	// subscriber.
+	snap, err := deploy.Snapshot(cfg, deploy.StateOf(prov))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := traceio.WritePlan(snap, &buf); err != nil {
+		t.Fatal(err)
+	}
+	for name, edit := range map[string]func(doc map[string]any){
+		"target placement": func(doc map[string]any) {
+			p := doc["target"].(map[string]any)["allocation"].([]any)[0].(map[string]any)["placements"].([]any)[0].(map[string]any)
+			p["subs"] = append(p["subs"].([]any), p["subs"].([]any)[0])
+		},
+		"place step": func(doc map[string]any) {
+			doc["steps"] = []any{map[string]any{"op": "place", "vm": 0, "topic": 0, "subs": []any{3, 1, 3}}}
+		},
+	} {
+		var doc map[string]any
+		if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+			t.Fatal(err)
+		}
+		edit(doc)
+		b, err := json.Marshal(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := traceio.ReadPlan(bytes.NewReader(b)); !errors.Is(err, deploy.ErrInvalidPlan) {
+			t.Errorf("%s: ReadPlan got %v, want ErrInvalidPlan", name, err)
+		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -150,9 +151,14 @@ func TestNilStagesRunGSPAndCBP(t *testing.T) {
 	}
 }
 
+// registerRuns numbers TestRegisterStrategyThirdParty's runs: the
+// strategy registry is process-global, so each run (go test -count=N)
+// registers a name of its own.
+var registerRuns atomic.Int64
+
 // A third-party strategy registers once and is selectable by name.
 func TestRegisterStrategyThirdParty(t *testing.T) {
-	name := "test-select-all"
+	name := fmt.Sprintf("test-select-all-%d", registerRuns.Add(1))
 	err := mcss.RegisterStrategy(name, mcss.Strategy{
 		SelectPairs: func(ctx context.Context, w *mcss.Workload, cfg mcss.SolverConfig) (*mcss.Selection, error) {
 			return mcss.SelectAllPairs(w), nil
