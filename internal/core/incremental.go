@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -15,11 +16,12 @@ import (
 // scratch state into the system's persistent online state. Two layers:
 //
 //   - Rehomer: a mutable slot-table index over a fleet of VMs — the
-//     max-free segment tree plus exact per-topic host lists — exposing the
-//     shared re-homing rule (host with room → most-free VM → deploy the
-//     cheapest fitting type). elastic.keepWithTopUp places its top-up
-//     pairs through it; the incremental engine uses it as its placement
-//     core.
+//     max-free segment tree plus exact per-topic host lists — holding the
+//     system's one copy of each online placement rule: PlacePair (host with
+//     room → most-free VM → deploy the cheapest fitting type), the
+//     minimal-overshoot TopUp built on it, and the crash repair's
+//     RehomeGroup. The incremental engine and elastic.keepWithTopUp top up
+//     through it; dynamic's crash repair re-homes through it.
 //
 //   - IncrementalState (built by Allocation.Index): Rehomer plus the full
 //     pair-level bookkeeping — per-subscriber selected-topic rows with the
@@ -38,25 +40,28 @@ import (
 // is not usable.
 type Rehomer struct {
 	fleet pricing.Fleet
+	msg   int64       // bytes per message: a pair of topic t carries ev_t·msg
 	alloc *Allocation // when non-nil, deploys/trims keep alloc.VMs in sync
 	vms   []*VM
 	tree  freeTree
 	hosts map[workload.TopicID][]int32 // ascending slot indices per topic
+	cands []workload.TopicID           // TopUp scratch
 }
 
 // NewRehomer indexes alloc's VMs against the given deployable fleet. The
-// returned Rehomer shares alloc's VM pointers: every PlacePair mutates the
+// returned Rehomer shares alloc's VM pointers: every placement mutates the
 // allocation in place, and freshly deployed VMs are appended to alloc.VMs.
 func NewRehomer(alloc *Allocation, fleet pricing.Fleet) *Rehomer {
-	r := newRehomer(alloc.VMs, fleet)
+	r := newRehomer(alloc.VMs, fleet, alloc.MessageBytes)
 	r.alloc = alloc
 	return r
 }
 
 // newRehomer indexes a private slot table (no attached allocation).
-func newRehomer(vms []*VM, fleet pricing.Fleet) *Rehomer {
+func newRehomer(vms []*VM, fleet pricing.Fleet, msg int64) *Rehomer {
 	r := &Rehomer{
 		fleet: fleet,
+		msg:   msg,
 		vms:   vms,
 		hosts: make(map[workload.TopicID][]int32),
 	}
@@ -173,12 +178,13 @@ func (r *Rehomer) dropPlacementAt(s int32, pi int, t workload.TopicID, rb int64)
 	}
 }
 
-// deploy appends a fresh VM of fleet type ti and returns its slot.
-func (r *Rehomer) deploy(ti int) int32 {
+// deploy appends a fresh VM of the given type and capacity and returns its
+// slot.
+func (r *Rehomer) deploy(it pricing.InstanceType, capacity int64) int32 {
 	vm := &VM{
 		ID:                   len(r.vms),
-		Instance:             r.fleet.Type(ti),
-		CapacityBytesPerHour: r.fleet.Capacity(ti),
+		Instance:             it,
+		CapacityBytesPerHour: capacity,
 	}
 	r.vms = append(r.vms, vm)
 	r.tree.add(vm.FreeBytesPerHour())
@@ -203,7 +209,7 @@ func (r *Rehomer) PlacePair(t workload.TopicID, v workload.SubID, rb int64) (int
 	if ti < 0 {
 		return -1, false
 	}
-	s := r.deploy(ti)
+	s := r.deploy(r.fleet.Type(ti), r.fleet.Capacity(ti))
 	r.addTopic(s, t, rb, []workload.SubID{v})
 	return s, true
 }
@@ -222,6 +228,93 @@ func (r *Rehomer) placeNoDeploy(t workload.TopicID, v workload.SubID, rb int64) 
 		return int32(i), true
 	}
 	return -1, false
+}
+
+// TopUp raises subscriber v's delivered rate by at least need events/h.
+// It selects v's interests missing from selected (v's selected topics,
+// ascending; read before the first placement), minimal-overshoot first —
+// the largest rate ≤ the remaining need, else the smallest, which closes
+// the gap with the least excess (the Stage-1 greedy's tail rule) — and
+// homes each pair through PlacePair, reporting it to placed with its slot.
+// It fails when v's interests run out below the need, and wraps
+// ErrInfeasible when a topic fits no fleet type.
+func (r *Rehomer) TopUp(w *workload.Workload, v workload.SubID, selected []workload.TopicID, need int64, placed func(t workload.TopicID, slot int32)) error {
+	cands := r.cands[:0]
+	i := 0
+	for _, t := range w.Topics(v) {
+		for i < len(selected) && selected[i] < t {
+			i++
+		}
+		if i < len(selected) && selected[i] == t {
+			continue
+		}
+		cands = append(cands, t)
+	}
+	r.cands = cands // keep the grown buffer for the next subscriber
+	slices.SortFunc(cands, func(a, b workload.TopicID) int {
+		if c := cmp.Compare(w.Rate(a), w.Rate(b)); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	for need > 0 {
+		if len(cands) == 0 {
+			return fmt.Errorf("core: subscriber %d below τ_v with no interests left", v)
+		}
+		j := sort.Search(len(cands), func(i int) bool { return w.Rate(cands[i]) > need })
+		if j > 0 {
+			j--
+		}
+		t := cands[j]
+		cands = slices.Delete(cands, j, j+1)
+		slot, ok := r.PlacePair(t, v, w.Rate(t)*r.msg)
+		if !ok {
+			return fmt.Errorf("%w: topic %d does not fit any fleet type", ErrInfeasible, t)
+		}
+		placed(t, slot)
+		need -= w.Rate(t)
+	}
+	return nil
+}
+
+// RehomeGroup homes subs, subscribers of topic t (rb = ev_t·MessageBytes),
+// by the crash repair's rule: the most-free VM that still fits one pair —
+// rb on a host of t, 2·rb anywhere else; the lowest slot on ties — takes
+// as many of them as fit, and the rest go round again. When no VM fits, a
+// fresh VM of type it with the given capacity is deployed: the repair
+// replaces a failed broker like for like. It reports the VMs deployed, and
+// wraps ErrInfeasible when a fresh VM cannot carry one pair.
+func (r *Rehomer) RehomeGroup(t workload.TopicID, rb int64, subs []workload.SubID, it pricing.InstanceType, capacity int64) (int, error) {
+	deployed := 0
+	for len(subs) > 0 {
+		// The most-free VM fits a pair wherever it fits 2·rb; below that
+		// only a host of t can.
+		var s int32
+		hosted := true
+		if f, i := r.tree.maxFree(); i >= 0 && f >= 2*rb {
+			s = int32(i)
+			_, hosted = slices.BinarySearch(r.hosts[t], s)
+		} else if s = r.freestHost(t, rb); s < 0 {
+			s, hosted = r.deploy(it, capacity), false
+			deployed++
+		}
+		free := r.free(s)
+		if !hosted {
+			free -= rb
+		}
+		k := min(free/rb, int64(len(subs)))
+		if k <= 0 {
+			return deployed, fmt.Errorf("%w: topic %d needs %d bytes/h for one pair, a fresh %s carries %d",
+				ErrInfeasible, t, 2*rb, it.Name, capacity)
+		}
+		if hosted {
+			r.addSubs(s, t, rb, subs[:k]...)
+		} else {
+			r.addTopic(s, t, rb, slices.Clone(subs[:k]))
+		}
+		subs = subs[k:]
+	}
+	return deployed, nil
 }
 
 // trimTrailingEmpty releases empty VMs at the end of the slot table.
@@ -349,9 +442,9 @@ func NewIncrementalState(w *workload.Workload, alloc *Allocation, cfg Config) (*
 	}
 	vms := make([]*VM, len(alloc.VMs))
 	for i, vm := range alloc.VMs {
-		vms[i] = snapshotVM(vm, i)
+		vms[i] = SnapshotVM(vm, i)
 	}
-	s.r = newRehomer(vms, cfg.Fleet)
+	s.r = newRehomer(vms, cfg.Fleet, s.msg)
 	for i, vm := range vms {
 		for _, p := range vm.Placements {
 			if int(p.Topic) >= w.NumTopics() {
@@ -663,13 +756,12 @@ func (s *IncrementalState) evictOverfull(ctx context.Context) error {
 	return nil
 }
 
-// topUpDirty restores τ_v for every dirty subscriber by selecting and
-// placing additional interests, minimal-overshoot first (largest rate ≤
-// the remaining need, else the smallest), through the shared placement
-// rule. It also refreshes each dirty subscriber's lower-bound term.
+// topUpDirty restores τ_v for every dirty subscriber through the shared
+// minimal-overshoot top-up (Rehomer.TopUp), recording each added pair in
+// the subscriber's rows. It also refreshes each dirty subscriber's
+// lower-bound term.
 func (s *IncrementalState) topUpDirty(ctx context.Context) error {
 	slices.Sort(s.dirty)
-	var cands []workload.TopicID
 	for n, v := range s.dirty {
 		if n%1024 == 0 {
 			if err := ctx.Err(); err != nil {
@@ -681,51 +773,17 @@ func (s *IncrementalState) topUpDirty(ctx context.Context) error {
 		if need <= 0 {
 			continue
 		}
-		// Unselected interests, then rate-ascending for minimal overshoot.
-		cands = cands[:0]
-		row := s.selRows[v]
-		i := 0
-		for _, t := range s.w.Topics(v) {
-			for i < len(row) && row[i] < t {
-				i++
-			}
-			if i < len(row) && row[i] == t {
-				continue
-			}
-			cands = append(cands, t)
-		}
-		sort.Slice(cands, func(a, b int) bool {
-			ra, rb := s.w.Rate(cands[a]), s.w.Rate(cands[b])
-			if ra != rb {
-				return ra < rb
-			}
-			return cands[a] < cands[b]
-		})
-		for need > 0 {
-			if len(cands) == 0 {
-				return fmt.Errorf("core: subscriber %d below τ_v with no interests left", v)
-			}
-			// Largest rate ≤ need, else the smallest closes the gap with
-			// the least excess (the Stage-1 greedy's tail rule).
-			j := sort.Search(len(cands), func(i int) bool { return s.w.Rate(cands[i]) > need })
-			if j > 0 {
-				j--
-			}
-			t := cands[j]
-			cands = append(cands[:j], cands[j+1:]...)
-			rate := s.w.Rate(t)
-			slot, ok := s.r.PlacePair(t, v, rate*s.msg)
-			if !ok {
-				return fmt.Errorf("%w: topic %d does not fit any fleet type", ErrInfeasible, t)
-			}
+		err := s.r.TopUp(s.w, v, s.selRows[v], need, func(t workload.TopicID, slot int32) {
 			k, _ := slices.BinarySearch(s.selRows[v], t)
 			s.selRows[v] = slices.Insert(s.selRows[v], k, t)
 			s.hostRows[v] = slices.Insert(s.hostRows[v], k, slot)
-			s.delivered[v] += rate
-			need -= rate
+			s.delivered[v] += s.w.Rate(t)
 			s.totalPairs++
 			s.inserted++
 			s.touched[t] = struct{}{}
+		})
+		if err != nil {
+			return err
 		}
 	}
 	for _, v := range s.dirty {
@@ -864,7 +922,7 @@ type drainMove struct {
 // pairs relocated, counted against the budget even on rollback: the work
 // was done either way.
 func (s *IncrementalState) drainSlot(a int32, budget int64) (int64, bool) {
-	saved := snapshotVM(s.r.vms[a], int(a))
+	saved := SnapshotVM(s.r.vms[a], int(a))
 	var moves []drainMove
 	// A zero free-capacity leaf hides a from the most-free rule for the
 	// duration (its host-list entries disappear with each removePlacement
@@ -984,7 +1042,7 @@ func (s *IncrementalState) materialize() (*Allocation, *Selection) {
 		MessageBytes: s.msg,
 	}
 	for i, vm := range s.r.vms {
-		out.VMs[i] = snapshotVM(vm, i)
+		out.VMs[i] = SnapshotVM(vm, i)
 	}
 	subOff := make([]int64, 1, len(s.selRows)+1)
 	subTopics := make([]workload.TopicID, 0, s.totalPairs)
@@ -995,8 +1053,8 @@ func (s *IncrementalState) materialize() (*Allocation, *Selection) {
 	return out, &Selection{w: s.w, subOff: subOff, subTopics: subTopics}
 }
 
-// snapshotVM deep-copies a VM into slot id.
-func snapshotVM(vm *VM, id int) *VM {
+// SnapshotVM deep-copies a VM, placements included, giving the copy ID id.
+func SnapshotVM(vm *VM, id int) *VM {
 	nv := &VM{
 		ID:                   id,
 		Instance:             vm.Instance,

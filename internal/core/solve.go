@@ -82,10 +82,8 @@ func VerifyAllocation(w *workload.Workload, sel *Selection, alloc *Allocation, c
 	fleet := cfg.EffectiveFleet()
 	numT, numV := w.NumTopics(), w.NumSubscribers()
 
-	// onVM[t] is 1 + the index of the last VM found serving topic t;
-	// off[v+1] counts the pair instances placed for subscriber v.
+	// onVM[t] is 1 + the index of the last VM found serving topic t.
 	onVM := make([]int32, numT)
-	off := make([]int64, numV+1)
 	var totalPlaced int64
 	for i, vm := range alloc.VMs {
 		var out, in int64
@@ -97,9 +95,6 @@ func VerifyAllocation(w *workload.Workload, sel *Selection, alloc *Allocation, c
 			rb := w.Rate(p.Topic) * cfg.MessageBytes
 			in += rb
 			out += rb * int64(len(p.Subs))
-			for _, v := range p.Subs {
-				off[v+1]++
-			}
 			totalPlaced += int64(len(p.Subs))
 		}
 		if out != vm.OutBytesPerHour || in != vm.InBytesPerHour {
@@ -130,21 +125,7 @@ func VerifyAllocation(w *workload.Workload, sel *Selection, alloc *Allocation, c
 		return fmt.Errorf("placed %d pair instances, selection has %d pairs", totalPlaced, sel.NumPairs())
 	}
 
-	// Group the placed pairs into per-subscriber rows of topics with a
-	// counting pass: row v is rows[off[v]:off[v+1]], in placement order.
-	for v := 0; v < numV; v++ {
-		off[v+1] += off[v]
-	}
-	rows := make([]workload.TopicID, totalPlaced)
-	next := slices.Clone(off[:numV])
-	for _, vm := range alloc.VMs {
-		for _, p := range vm.Placements {
-			for _, v := range p.Subs {
-				rows[next[v]] = p.Topic
-				next[v]++
-			}
-		}
-	}
+	off, rows := alloc.SubscriberRows(numV)
 
 	// Every selected pair must be placed exactly once, and nothing else.
 	// Each subscriber's placed row is counted into count, indexed by
@@ -197,6 +178,35 @@ func VerifyAllocation(w *workload.Workload, sel *Selection, alloc *Allocation, c
 		return fmt.Errorf("subscriber %d delivered %d events/h, needs %d", short, shortGot, w.TauV(workload.SubID(short), cfg.Tau))
 	}
 	return nil
+}
+
+// SubscriberRows groups the allocation's placed pairs by subscriber with
+// one counting pass: row v is rows[off[v]:off[v+1]], the topics of v's
+// pairs in placement order (VM by VM), a pair placed twice listed twice.
+// numV must exceed every placed subscriber ID.
+func (a *Allocation) SubscriberRows(numV int) (off []int64, rows []workload.TopicID) {
+	off = make([]int64, numV+1)
+	for _, vm := range a.VMs {
+		for _, p := range vm.Placements {
+			for _, v := range p.Subs {
+				off[v+1]++
+			}
+		}
+	}
+	for v := 0; v < numV; v++ {
+		off[v+1] += off[v]
+	}
+	rows = make([]workload.TopicID, off[numV])
+	next := slices.Clone(off[:numV])
+	for _, vm := range a.VMs {
+		for _, p := range vm.Placements {
+			for _, v := range p.Subs {
+				rows[next[v]] = p.Topic
+				next[v]++
+			}
+		}
+	}
+	return off, rows
 }
 
 // VerifyServes checks that an allocation serves the workload without

@@ -369,33 +369,33 @@ func (p *Provisioner) RepairCrashGroupContext(ctx context.Context, vmIDs []int) 
 		failedSet[id] = true
 	}
 	var failed []*core.VM
-	survivors := make([]*core.VM, 0, len(alloc.VMs)-len(vmIDs))
 	for _, vm := range alloc.VMs {
 		if failedSet[vm.ID] {
 			failed = append(failed, vm)
-			continue
 		}
-		// Deep-copy the survivors: re-homing mutates placements, and a
-		// repair abandoned mid-way (cancellation, infeasibility) must not
-		// leave the current allocation half-rewritten.
-		survivors = append(survivors, cloneVM(vm))
 	}
 	if len(failed) != len(vmIDs) {
 		for _, id := range vmIDs {
-			found := false
-			for _, vm := range failed {
-				if vm.ID == id {
-					found = true
-					break
-				}
-			}
-			if !found {
+			if !slices.ContainsFunc(failed, func(vm *core.VM) bool { return vm.ID == id }) {
 				return RepairStats{}, fmt.Errorf("%w: %d", ErrUnknownVM, id)
 			}
 		}
 	}
 
+	// Re-home onto deep copies of the survivors, renumbered densely: a
+	// repair abandoned mid-way (cancellation, infeasibility) must not leave
+	// the current allocation half-rewritten.
 	msg := alloc.MessageBytes
+	repaired := &core.Allocation{
+		VMs:          make([]*core.VM, 0, len(alloc.VMs)-len(failed)),
+		Fleet:        alloc.Fleet,
+		MessageBytes: msg,
+	}
+	for _, vm := range alloc.VMs {
+		if !failedSet[vm.ID] {
+			repaired.VMs = append(repaired.VMs, core.SnapshotVM(vm, len(repaired.VMs)))
+		}
+	}
 	stats := RepairStats{}
 
 	// Re-home the union of the group's placements, biggest volume first
@@ -419,53 +419,19 @@ func (p *Provisioner) RepairCrashGroupContext(ctx context.Context, vmIDs []int) 
 		}
 		return groups[i].Topic < groups[j].Topic
 	})
-	var newVMs []*core.VM
+	rh := core.NewRehomer(repaired, alloc.Fleet)
 	for _, g := range groups {
 		if err := ctx.Err(); err != nil {
 			return RepairStats{}, err
 		}
 		stats.PairsRehomed += int64(len(g.Subs))
-		remaining := g.Subs
-		rb := p.w.Rate(g.Topic) * msg
-		for len(remaining) > 0 {
-			vm, hasTopic := mostFreeFit(survivors, newVMs, g.Topic, rb)
-			if vm == nil {
-				// Replace capacity like-for-like: the crash repair
-				// deploys the failed broker's own instance type.
-				vm = &core.VM{
-					Instance:             g.origin.Instance,
-					CapacityBytesPerHour: g.origin.CapacityBytesPerHour,
-				}
-				newVMs = append(newVMs, vm)
-				stats.NewVMs++
-				hasTopic = false
-			}
-			free := vm.FreeBytesPerHour()
-			if !hasTopic {
-				free -= rb
-			}
-			k := free / rb
-			if k <= 0 {
-				// Even a fresh VM cannot host a pair.
-				return RepairStats{}, fmt.Errorf("%w: topic %d needs %d bytes/h for one pair, a fresh %s carries %d",
-					core.ErrInfeasible, g.Topic, 2*rb, vm.Instance.Name, vm.CapacityBytesPerHour)
-			}
-			if k > int64(len(remaining)) {
-				k = int64(len(remaining))
-			}
-			placeOn(vm, g.Topic, rb, remaining[:k], hasTopic)
-			remaining = remaining[k:]
+		n, err := rh.RehomeGroup(g.Topic, p.w.Rate(g.Topic)*msg, g.Subs, g.origin.Instance, g.origin.CapacityBytesPerHour)
+		if err != nil {
+			return RepairStats{}, err
 		}
+		stats.NewVMs += n
 	}
 
-	repaired := &core.Allocation{
-		VMs:          append(survivors, newVMs...),
-		Fleet:        alloc.Fleet,
-		MessageBytes: msg,
-	}
-	for i, vm := range repaired.VMs {
-		vm.ID = i
-	}
 	stats.VMsAfter = repaired.NumVMs()
 	p.res = &core.Result{
 		Selection:  p.res.Selection,
@@ -489,79 +455,6 @@ func (p *Provisioner) RepairCrashGroupContext(ctx context.Context, vmIDs []int) 
 func (p *Provisioner) SetFleet(f pricing.Fleet) {
 	p.cfg.Fleet = f
 	p.inc = nil
-}
-
-// cloneVM deep-copies a VM (placements included) so repairs can mutate a
-// private working fleet.
-func cloneVM(vm *core.VM) *core.VM {
-	nv := &core.VM{
-		ID:                   vm.ID,
-		Instance:             vm.Instance,
-		CapacityBytesPerHour: vm.CapacityBytesPerHour,
-		Placements:           make([]core.TopicPlacement, len(vm.Placements)),
-		OutBytesPerHour:      vm.OutBytesPerHour,
-		InBytesPerHour:       vm.InBytesPerHour,
-	}
-	for i, p := range vm.Placements {
-		subs := make([]workload.SubID, len(p.Subs))
-		copy(subs, p.Subs)
-		nv.Placements[i] = core.TopicPlacement{Topic: p.Topic, Subs: subs}
-	}
-	return nv
-}
-
-// mostFreeFit returns the VM (among survivors then newVMs) with the most
-// free capacity — each measured against its own instance's cap — that can
-// host at least one more pair of the topic, plus whether it already hosts
-// the topic. It returns nil when none fits.
-func mostFreeFit(survivors, newVMs []*core.VM, t workload.TopicID, rb int64) (*core.VM, bool) {
-	var best *core.VM
-	bestHas := false
-	var bestFree int64 = -1
-	consider := func(vm *core.VM) {
-		free := vm.FreeBytesPerHour()
-		has := vmHasTopic(vm, t)
-		need := rb
-		if !has {
-			need = 2 * rb
-		}
-		if free >= need && free > bestFree {
-			best, bestHas, bestFree = vm, has, free
-		}
-	}
-	for _, vm := range survivors {
-		consider(vm)
-	}
-	for _, vm := range newVMs {
-		consider(vm)
-	}
-	return best, bestHas
-}
-
-func vmHasTopic(vm *core.VM, t workload.TopicID) bool {
-	for _, p := range vm.Placements {
-		if p.Topic == t {
-			return true
-		}
-	}
-	return false
-}
-
-func placeOn(vm *core.VM, t workload.TopicID, rb int64, subs []workload.SubID, hasTopic bool) {
-	if hasTopic {
-		for i := range vm.Placements {
-			if vm.Placements[i].Topic == t {
-				vm.Placements[i].Subs = append(vm.Placements[i].Subs, subs...)
-				break
-			}
-		}
-	} else {
-		cp := make([]workload.SubID, len(subs))
-		copy(cp, subs)
-		vm.Placements = append(vm.Placements, core.TopicPlacement{Topic: t, Subs: cp})
-		vm.InBytesPerHour += rb
-	}
-	vm.OutBytesPerHour += rb * int64(len(subs))
 }
 
 // migrationBetween diffs primary pair hosts by VM position between two

@@ -674,6 +674,14 @@ func TestRepairCrashGroupRejectsBadGroups(t *testing.T) {
 	if _, err := p.RepairCrashGroup([]int{0, 4242}); !errors.Is(err, ErrUnknownVM) {
 		t.Errorf("unknown ID: err = %v, want ErrUnknownVM", err)
 	}
+	// More distinct IDs than the fleet has VMs, all unknown.
+	many := make([]int, before+1)
+	for i := range many {
+		many[i] = 1000 + i
+	}
+	if _, err := p.RepairCrashGroup(many); !errors.Is(err, ErrUnknownVM) {
+		t.Errorf("group larger than the fleet: err = %v, want ErrUnknownVM", err)
+	}
 	if got := p.Allocation().NumVMs(); got != before {
 		t.Errorf("failed repair mutated the allocation: %d → %d VMs", before, got)
 	}
@@ -684,5 +692,10 @@ func TestRepairCrashGroupRejectsBadGroups(t *testing.T) {
 	}
 	if stats.VMsAfter != before || stats.PairsRehomed != 0 {
 		t.Errorf("empty group: stats = %+v", stats)
+	}
+	// Any ID is unknown to an empty fleet.
+	p.Adopt(w, &core.Result{Selection: p.Selection(), Allocation: &core.Allocation{}})
+	if _, err := p.RepairCrash(0); !errors.Is(err, ErrUnknownVM) {
+		t.Errorf("empty fleet: err = %v, want ErrUnknownVM", err)
 	}
 }

@@ -16,21 +16,16 @@ type IncrementalPolicy struct {
 	// the last full solve before UpdateIncremental falls back to a full
 	// re-solve. ≤ 0 means the default 2%.
 	MaxRegretFrac float64
-	// MaxImprovePairs caps the pairs relocated by the per-epoch
-	// local-improvement pass. 0 means automatic (64 + 4× the delta's pair
-	// operations); negative disables the pass.
-	MaxImprovePairs int64
 }
 
 // DefaultIncrementalPolicy returns the defaults: 2% regret drift before a
-// full re-solve, automatic improvement budget.
+// full re-solve.
 func DefaultIncrementalPolicy() IncrementalPolicy {
 	return IncrementalPolicy{MaxRegretFrac: 0.02}
 }
 
 // SetIncrementalPolicy installs the policy governing UpdateIncremental's
-// fallback threshold and improvement budget. The zero policy means the
-// defaults.
+// fallback threshold. The zero policy means the defaults.
 func (p *Provisioner) SetIncrementalPolicy(pol IncrementalPolicy) { p.incPol = pol }
 
 // maxRegretFrac resolves the policy's fallback threshold.
@@ -39,19 +34,6 @@ func (pol IncrementalPolicy) maxRegretFrac() float64 {
 		return 0.02
 	}
 	return pol.MaxRegretFrac
-}
-
-// improveBudget resolves the policy's improvement budget for a delta with
-// the given number of pair operations.
-func (pol IncrementalPolicy) improveBudget(deltaPairs int) int64 {
-	switch {
-	case pol.MaxImprovePairs < 0:
-		return 0
-	case pol.MaxImprovePairs > 0:
-		return pol.MaxImprovePairs
-	default:
-		return 64 + 4*int64(deltaPairs)
-	}
 }
 
 // isZero reports a delta with no changes at all.
@@ -124,7 +106,9 @@ func (p *Provisioner) PreviewIncremental(ctx context.Context, d Delta) (*workloa
 	for _, pr := range d.Subscribe {
 		p.inc.Subscribe(pr.Topic, pr.Sub)
 	}
-	out, err := p.inc.FinishEpoch(ctx, p.incPol.improveBudget(deltaPairs))
+	// The improve and drain passes relocate at most 64 + 4·|delta| pairs,
+	// keeping them proportional to the delta.
+	out, err := p.inc.FinishEpoch(ctx, 64+4*int64(deltaPairs))
 	if err != nil {
 		p.inc = nil
 		return nil, nil, MigrationStats{}, err

@@ -1,6 +1,7 @@
 package elastic
 
 import (
+	"slices"
 	"sort"
 
 	"github.com/pubsub-systems/mcss/internal/core"
@@ -15,14 +16,14 @@ import (
 // topic (churned away in the snapshot) are pruned during the rebuild —
 // stopping a stream to an unsubscribed user is not churn, and keeping it
 // would inflate the kept bill, overstate utilization against the scale-up
-// guard, and let stale deliveries count toward satisfaction. Candidate
-// top-up pairs follow the Stage-1 greedy's minimal-overshoot rule — the
-// largest unplaced rate that still fits the remaining need, and only when
-// none fits the smallest rate that closes it — so a 15-events/hour
-// shortfall never drags in a 100k-events/hour bot topic. Each added pair
-// lands on a VM already hosting the topic (most free first), then on the
-// most-free VM with room for the topic's ingress, then on a fresh VM of
-// the cheapest fitting solve-fleet type.
+// guard, and let stale deliveries count toward satisfaction. The top-up is
+// the incremental engine's own (core.Rehomer.TopUp): minimal overshoot
+// first — the largest unplaced rate that still fits the remaining need,
+// and only when none fits the smallest rate that closes it — so a
+// 15-events/hour shortfall never drags in a 100k-events/hour bot topic.
+// Each added pair lands on a VM already hosting the topic (most free
+// first), then on the most-free VM with room for the topic's ingress, then
+// on a fresh VM of the cheapest fitting solve-fleet type.
 //
 // Placements keep the (possibly headroom-derated) solveFleet capacities
 // for packing decisions, while validity — every VM within capacity —
@@ -40,9 +41,6 @@ func keepWithTopUp(prev *core.Allocation, w *workload.Workload, cfg core.Config,
 		Fleet:        prev.Fleet,
 		MessageBytes: msg,
 	}
-	delivered := make([]int64, w.NumSubscribers())
-	placed := make(map[workload.Pair]bool)
-
 	for i, vm := range prev.VMs {
 		nv := &core.VM{
 			ID:                   vm.ID,
@@ -72,15 +70,6 @@ func keepWithTopUp(prev *core.Allocation, w *workload.Workload, cfg core.Config,
 			nv.Placements = append(nv.Placements, core.TopicPlacement{Topic: p.Topic, Subs: subs})
 			nv.InBytesPerHour += rb
 			nv.OutBytesPerHour += rb * int64(len(subs))
-			// Placements hold each selected pair exactly once (a solver
-			// invariant both re-solving and topping up preserve), so the
-			// delivered sum needs no dedup.
-			for _, v := range subs {
-				if int(v) < len(delivered) {
-					delivered[v] += w.Rate(p.Topic)
-				}
-				placed[workload.Pair{Topic: p.Topic, Sub: v}] = true
-			}
 		}
 		if nv.BytesPerHour() > trueCapacity(nv, trueFleet) {
 			return nil, 0, false // rising rates: a scale-up, not a top-up
@@ -88,45 +77,28 @@ func keepWithTopUp(prev *core.Allocation, w *workload.Workload, cfg core.Config,
 		out.VMs[i] = nv
 	}
 
-	// Top-up placement goes through the shared indexed re-homing engine
-	// (host with room → most-free VM → deploy the cheapest fitting type);
-	// it shares out's VM pointers, so placements and deploys land directly
-	// in the kept allocation.
+	// Each subscriber's kept topics form its selected row. Placements hold
+	// each selected pair exactly once (a solver invariant both re-solving
+	// and topping up preserve), so the row's rates sum to what it receives.
+	// The top-up shares out's VM pointers, so placements and deploys land
+	// directly in the kept allocation.
+	off, rows := out.SubscriberRows(w.NumSubscribers())
 	rh := core.NewRehomer(out, solveFleet)
 	var added int64
-	var cands []workload.TopicID
+	count := func(workload.TopicID, int32) { added++ }
 	for v := 0; v < w.NumSubscribers(); v++ {
 		id := workload.SubID(v)
-		need := w.TauV(id, cfg.Tau) - delivered[v]
+		kept := rows[off[v]:off[v+1]]
+		need := w.TauV(id, cfg.Tau)
+		for _, t := range kept {
+			need -= w.Rate(t)
+		}
 		if need <= 0 {
 			continue
 		}
-		cands = cands[:0]
-		for _, t := range w.Topics(id) {
-			if !placed[workload.Pair{Topic: t, Sub: id}] {
-				cands = append(cands, t)
-			}
-		}
-		sort.Slice(cands, func(i, j int) bool {
-			ri, rj := w.Rate(cands[i]), w.Rate(cands[j])
-			if ri != rj {
-				return ri < rj
-			}
-			return cands[i] < cands[j]
-		})
-		for need > 0 {
-			t, rest, ok := pickMinimalOvershoot(w, cands, need)
-			if !ok {
-				return nil, 0, false // interests exhausted below τ_v
-			}
-			cands = rest
-			if _, ok := rh.PlacePair(t, id, w.Rate(t)*msg); !ok {
-				return nil, 0, false
-			}
-			placed[workload.Pair{Topic: t, Sub: id}] = true
-			delivered[v] += w.Rate(t)
-			need -= w.Rate(t)
-			added++
+		slices.Sort(kept)
+		if err := rh.TopUp(w, id, kept, need, count); err != nil {
+			return nil, 0, false // interests exhausted below τ_v, or no type fits
 		}
 	}
 	return out, added, true
@@ -137,21 +109,4 @@ func follows(w *workload.Workload, v workload.SubID, t workload.TopicID) bool {
 	ts := w.Topics(v)
 	i := sort.Search(len(ts), func(i int) bool { return ts[i] >= t })
 	return i < len(ts) && ts[i] == t
-}
-
-// pickMinimalOvershoot chooses the next top-up topic from the rate-
-// ascending candidate list: the largest rate ≤ need (fastest progress with
-// no overshoot), else the smallest rate, which closes the gap with the
-// least excess. It returns the pick and the remaining candidates.
-func pickMinimalOvershoot(w *workload.Workload, cands []workload.TopicID, need int64) (workload.TopicID, []workload.TopicID, bool) {
-	if len(cands) == 0 {
-		return 0, nil, false
-	}
-	// First index with rate > need.
-	i := sort.Search(len(cands), func(i int) bool { return w.Rate(cands[i]) > need })
-	if i > 0 {
-		i-- // largest rate ≤ need
-	}
-	t := cands[i]
-	return t, append(cands[:i], cands[i+1:]...), true
 }

@@ -270,8 +270,7 @@ type (
 	// RepairStats quantifies a crash repair.
 	RepairStats = dynamic.RepairStats
 	// IncrementalPolicy tunes Provisioner.UpdateIncremental: the regret
-	// drift allowed before a full re-solve and the local-improvement
-	// budget.
+	// drift allowed before a full re-solve.
 	IncrementalPolicy = dynamic.IncrementalPolicy
 )
 
@@ -285,7 +284,7 @@ func ApplyDelta(w *Workload, d Delta) (*Workload, error) { return dynamic.ApplyD
 
 // DefaultIncrementalPolicy returns the incremental-update defaults: 2%
 // regret drift versus the maintained lower bound before UpdateIncremental
-// falls back to a full re-solve, automatic improvement budget.
+// falls back to a full re-solve.
 func DefaultIncrementalPolicy() IncrementalPolicy { return dynamic.DefaultIncrementalPolicy() }
 
 // MigrationStatsBetween diffs primary pair hosts between two allocations
