@@ -556,8 +556,8 @@ func BenchmarkPlanApply(b *testing.B) {
 // provisioner, warms its index and applies a snapshot of its state to a
 // fresh journal untimed — which checkpoints the base and leaves the
 // provisioner knowing its fingerprint, as after any journaled epoch — so
-// every iteration times the same epoch. plan_steps and journal_bytes size
-// what the epoch writes.
+// every iteration times the same epoch. plan_steps, journal_bytes and
+// fsyncs (counted through JournalHooks.Fsync) size what the epoch writes.
 func BenchmarkPlanApplyIncremental(b *testing.B) {
 	pairs := int64(160_000)
 	if testing.Short() {
@@ -575,7 +575,7 @@ func BenchmarkPlanApplyIncremental(b *testing.B) {
 	ctx := context.Background()
 	dir := b.TempDir()
 	var steps int
-	var journalBytes int64
+	var journalBytes, fsyncs int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
@@ -584,7 +584,10 @@ func BenchmarkPlanApplyIncremental(b *testing.B) {
 			b.Fatal(err)
 		}
 		path := filepath.Join(dir, fmt.Sprintf("%d.journal", i))
-		j, err := traceio.OpenJournal(path, deploy.JournalOptions{SyncEvery: 8})
+		var synced int64
+		j, err := traceio.OpenJournal(path, deploy.JournalOptions{SyncEvery: 8, Hooks: deploy.JournalHooks{
+			Fsync: func(float64) { synced++ },
+		}})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -599,6 +602,7 @@ func BenchmarkPlanApplyIncremental(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		baseSyncs := synced
 		b.StartTimer()
 		next, cand, stats, err := prov.PreviewIncremental(ctx, d)
 		if err != nil {
@@ -615,6 +619,7 @@ func BenchmarkPlanApplyIncremental(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.StopTimer()
+		fsyncs = synced - baseSyncs
 		if err := j.Close(); err != nil {
 			b.Fatal(err)
 		}
@@ -627,6 +632,7 @@ func BenchmarkPlanApplyIncremental(b *testing.B) {
 	}
 	b.ReportMetric(float64(steps), "plan_steps")
 	b.ReportMetric(float64(journalBytes), "journal_bytes")
+	b.ReportMetric(float64(fsyncs), "fsyncs")
 }
 
 // BenchmarkDiurnalController runs the full three-strategy diurnal

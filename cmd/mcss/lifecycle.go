@@ -64,7 +64,7 @@ func printPlan(p *mcss.DeployPlan, showSteps int) error {
 	t.AddRow("subscribe / unsubscribe", fmt.Sprintf("%d / %d", len(d.Delta.Subscribe), len(d.Delta.Unsubscribe)))
 	t.AddRow("VMs", fmt.Sprintf("%d → %d", d.Stats.VMsBefore, d.Stats.VMsAfter))
 	t.AddRow("pairs moved / kept", fmt.Sprintf("%d / %d", d.Stats.PairsMoved, d.Stats.PairsKept))
-	t.AddRow("steps", len(p.Steps))
+	t.AddRow("steps", fmt.Sprintf("%d (%s)", len(p.Steps), p.StepMix()))
 	t.AddRow("cost", fmt.Sprintf("%v → %v (Δ %v)", p.CostBefore, p.CostAfter, p.CostDelta()))
 	if err := t.Render(os.Stdout); err != nil {
 		return err

@@ -27,8 +27,9 @@ type (
 	// DeployDiff is a plan's declarative difference: the workload delta
 	// and the placement churn it enacts.
 	DeployDiff = deploy.Diff
-	// DeployStep is one executable plan action (boot/retire a VM,
-	// place/remove topic replicas).
+	// DeployStep is one executable plan action: the whole change of one
+	// broker (boot a VM with its placements, reconfigure a VM, retire a
+	// VM with the removals that empty it).
 	DeployStep = dynamic.Step
 	// DeployStepOp names a step's operation.
 	DeployStepOp = dynamic.StepOp
@@ -46,12 +47,11 @@ type (
 	DeployObserverFunc = deploy.ObserverFunc
 )
 
-// The step operations a DeployPlan is built from.
+// The step operations a DeployPlan is built from, one broker per step.
 const (
-	StepBootVM   = dynamic.OpBootVM
-	StepRetireVM = dynamic.OpRetireVM
-	StepPlace    = dynamic.OpPlace
-	StepRemove   = dynamic.OpRemove
+	StepBootVM      = dynamic.OpBootVM
+	StepReconfigure = dynamic.OpReconfigure
+	StepRetireVM    = dynamic.OpRetireVM
 )
 
 // Deployment lifecycle errors.

@@ -63,8 +63,8 @@ func main() {
 		log.Fatal(err)
 	}
 	fi, _ := os.Stat(planPath)
-	fmt.Printf("plan 0001: %d steps, %d VMs, forecast %v (%d bytes on disk — commit it, review it)\n",
-		len(bootstrap.Steps), bootstrap.Diff.Stats.VMsAfter, bootstrap.CostAfter, fi.Size())
+	fmt.Printf("plan 0001: %d steps (%s), %d VMs, forecast %v (%d bytes on disk — commit it, review it)\n",
+		len(bootstrap.Steps), bootstrap.StepMix(), bootstrap.Diff.Stats.VMsAfter, bootstrap.CostAfter, fi.Size())
 
 	// ── 2. Review: reload the artifact; it is self-contained. ──
 	reviewed, err := mcss.LoadPlan(planPath)
@@ -125,9 +125,9 @@ func main() {
 	if err := mcss.SavePlan(spike, spikePath); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("plan 0002: flash crowd on topics %d/%d — %d rate changes, %d→%d VMs, Δcost %v\n",
+	fmt.Printf("plan 0002: flash crowd on topics %d/%d — %d rate changes, %d→%d VMs in %d broker steps (%s), Δcost %v\n",
 		hot, second, len(spike.Diff.Delta.RateChanges),
-		spike.Diff.Stats.VMsBefore, spike.Diff.Stats.VMsAfter, spike.CostDelta())
+		spike.Diff.Stats.VMsBefore, spike.Diff.Stats.VMsAfter, len(spike.Steps), spike.StepMix(), spike.CostDelta())
 	if _, err := mcss.Apply(ctx, spike, prov); err != nil {
 		log.Fatal(err)
 	}

@@ -88,6 +88,16 @@ func VerifyAllocation(w *workload.Workload, sel *Selection, alloc *Allocation, c
 	for i, vm := range alloc.VMs {
 		var out, in int64
 		for _, p := range vm.Placements {
+			// Range checks come before anything is indexed by topic or
+			// subscriber.
+			if int(p.Topic) < 0 || int(p.Topic) >= numT {
+				return fmt.Errorf("vm %d: topic %d outside the workload", vm.ID, p.Topic)
+			}
+			for _, v := range p.Subs {
+				if int(v) < 0 || int(v) >= numV {
+					return fmt.Errorf("vm %d: subscriber %d outside the workload", vm.ID, v)
+				}
+			}
 			if onVM[p.Topic] == int32(i+1) {
 				return fmt.Errorf("vm %d: topic %d appears in multiple placements", vm.ID, p.Topic)
 			}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"github.com/pubsub-systems/mcss/internal/pricing"
@@ -249,6 +251,40 @@ func TestVerifyAllocationCatchesViolations(t *testing.T) {
 		t.Error("fleet-inconsistent capacity passed verification")
 	}
 	res.Allocation.VMs[0].CapacityBytesPerHour -= 7
+}
+
+// TestVerifyAllocationRejectsOutOfRange: a placement naming a topic or a
+// subscriber outside the workload is an error, not an index panic.
+func TestVerifyAllocationRejectsOutOfRange(t *testing.T) {
+	w := mustWorkload(t, []int64{5, 7}, [][]workload.TopicID{{0, 1}, {0}})
+	cfg := configWith(6, 100, CustomBinPackingContext, OptAll)
+	cases := []struct {
+		name, want string
+		edit       func(vm *VM)
+	}{
+		{"topic past the last", fmt.Sprintf("topic %d outside the workload", w.NumTopics()+5), func(vm *VM) {
+			vm.Placements = append(vm.Placements, TopicPlacement{Topic: workload.TopicID(w.NumTopics() + 5), Subs: []workload.SubID{0}})
+		}},
+		{"subscriber past the last", fmt.Sprintf("subscriber %d outside the workload", w.NumSubscribers()+3), func(vm *VM) {
+			vm.Placements[0].Subs[0] = workload.SubID(w.NumSubscribers() + 3)
+		}},
+		{"negative subscriber", "subscriber -2 outside the workload", func(vm *VM) {
+			vm.Placements[0].Subs[0] = -2
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			res, err := Solve(w, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.edit(res.Allocation.VMs[0])
+			err = VerifyAllocation(w, res.Selection, res.Allocation, cfg)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("got %v, want an error saying %q", err, tc.want)
+			}
+		})
+	}
 }
 
 func TestVMAccessors(t *testing.T) {

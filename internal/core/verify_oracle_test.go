@@ -11,8 +11,8 @@ import (
 )
 
 // verifyAllocationMap is VerifyAllocation as it was written first, over a
-// hash map of placed pairs: the oracle the map-free version must match
-// error for error.
+// hash map of placed pairs, with the range checks added since: the oracle
+// the map-free version must match error for error.
 func verifyAllocationMap(w *workload.Workload, sel *Selection, alloc *Allocation, cfg Config) error {
 	cfg, err := cfg.normalize()
 	if err != nil {
@@ -33,6 +33,14 @@ func verifyAllocationMap(w *workload.Workload, sel *Selection, alloc *Allocation
 		var out, in int64
 		seenTopics := make(map[workload.TopicID]bool, len(vm.Placements))
 		for _, p := range vm.Placements {
+			if int(p.Topic) < 0 || int(p.Topic) >= w.NumTopics() {
+				return fmt.Errorf("vm %d: topic %d outside the workload", vm.ID, p.Topic)
+			}
+			for _, v := range p.Subs {
+				if int(v) < 0 || int(v) >= w.NumSubscribers() {
+					return fmt.Errorf("vm %d: subscriber %d outside the workload", vm.ID, v)
+				}
+			}
 			if seenTopics[p.Topic] {
 				return fmt.Errorf("vm %d: topic %d appears in multiple placements", vm.ID, p.Topic)
 			}
@@ -127,6 +135,9 @@ func (c verifyCase) reaccount() {
 	for _, vm := range c.alloc.VMs {
 		vm.InBytesPerHour, vm.OutBytesPerHour = 0, 0
 		for _, p := range vm.Placements {
+			if int(p.Topic) >= c.w.NumTopics() {
+				continue // no rate; the range check fails first
+			}
 			rb := c.w.Rate(p.Topic) * c.cfg.MessageBytes
 			vm.InBytesPerHour += rb
 			vm.OutBytesPerHour += rb * int64(len(p.Subs))
@@ -288,6 +299,29 @@ var verifyCorruptions = []struct {
 		c.sel = sel
 		return true
 	}},
+	{"topic outside the workload", func(rng *rand.Rand, c *verifyCase) bool {
+		vi, pi, si, ok := placedAt(rng, c.alloc)
+		if ok {
+			vm := c.alloc.VMs[vi]
+			v := vm.Placements[pi].Subs[si]
+			vm.Placements = append(vm.Placements, TopicPlacement{Topic: workload.TopicID(c.w.NumTopics() + 5), Subs: []workload.SubID{v}})
+		}
+		return ok
+	}},
+	{"subscriber outside the workload", func(rng *rand.Rand, c *verifyCase) bool {
+		vi, pi, si, ok := placedAt(rng, c.alloc)
+		if ok {
+			c.alloc.VMs[vi].Placements[pi].Subs[si] = workload.SubID(c.w.NumSubscribers() + 3)
+		}
+		return ok
+	}},
+	{"negative subscriber", func(rng *rand.Rand, c *verifyCase) bool {
+		vi, pi, si, ok := placedAt(rng, c.alloc)
+		if ok {
+			c.alloc.VMs[vi].Placements[pi].Subs[si] = -2
+		}
+		return ok
+	}},
 	{"selection counting a pair its rows miss", func(rng *rand.Rand, c *verifyCase) bool {
 		pr, ok := unselectedPair(rng, *c)
 		if !ok || len(c.alloc.VMs) == 0 {
@@ -329,7 +363,8 @@ func TestVerifyAllocationMatchesMapOracle(t *testing.T) {
 		return got
 	}
 	// Every check must be reached: one error-text fragment per check.
-	checks := []string{"appears in multiple placements", "accounted bw", "does not match fleet capacity",
+	// The range checks are two: topic and subscriber.
+	checks := []string{"outside the workload", "appears in multiple placements", "accounted bw", "does not match fleet capacity",
 		"exceeds capacity", "pair instances", "times, want 1", "never selected", "events/h, needs"}
 	reached := make(map[string]bool)
 	note := func(got string) {

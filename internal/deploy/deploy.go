@@ -1,8 +1,8 @@
 // Package deploy is the declarative deployment lifecycle above the MCSS
 // solver stack: Spec → Plan → Diff → Apply. A Spec names the desired state
 // (workload, τ, fleet, strategy); a Planner turns it into a serializable
-// Plan — the computed workload Diff, an executable step sequence (boot and
-// retire VMs, place and remove topic replicas), a forecast cost delta, and
+// Plan — the computed workload Diff, an executable step sequence (boot,
+// reconfigure and retire brokers), a forecast cost delta, and
 // a fingerprint of the cluster state the plan was computed against; Apply
 // executes the plan against a dynamic.Provisioner, refusing stale plans,
 // supporting dry runs and per-step progress, and rolling back to the
@@ -23,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strings"
 
 	"github.com/pubsub-systems/mcss/internal/core"
 	"github.com/pubsub-systems/mcss/internal/dynamic"
@@ -32,8 +33,10 @@ import (
 )
 
 // PlanVersion is the current plan schema version; serialized plans carry
-// it so future schema changes stay detectable.
-const PlanVersion = 1
+// it so future schema changes stay detectable. Version 2 made one broker
+// the unit of a step (boot-vm, reconfigure, retire-vm); plans of version
+// 1, one topic per place or remove step, are upgraded as they are read.
+const PlanVersion = 2
 
 // Typed lifecycle errors.
 var (
@@ -206,8 +209,8 @@ type Plan struct {
 	// CostBefore and CostAfter forecast the objective around the change
 	// under Model; the delta is what the reconfiguration buys.
 	CostBefore, CostAfter pricing.MicroUSD
-	// Steps is the executable action sequence (removals, retirements,
-	// boots, placements, in replay order).
+	// Steps is the executable action sequence in replay order, one step
+	// per changed broker (see dynamic.StepsBetween).
 	Steps []dynamic.Step
 	// Target is the state the plan produces when applied. A plan read
 	// back from a plan-begin journal record has none until Recover
@@ -267,6 +270,28 @@ func (p *Plan) withoutTarget() *Plan {
 // CostDelta reports CostAfter − CostBefore (saturating).
 func (p *Plan) CostDelta() pricing.MicroUSD { return p.CostAfter.Add(p.CostBefore.Mul(-1)) }
 
+// StepMix counts the plan's steps by op, in the order a plan runs them:
+// "2 boot-vm, 5 reconfigure, 1 retire-vm", leaving out ops without a
+// step ("no steps" for a no-op plan).
+func (p *Plan) StepMix() string {
+	var mix []string
+	for _, op := range []dynamic.StepOp{dynamic.OpBootVM, dynamic.OpReconfigure, dynamic.OpRetireVM} {
+		n := 0
+		for _, s := range p.Steps {
+			if s.Op == op {
+				n++
+			}
+		}
+		if n > 0 {
+			mix = append(mix, fmt.Sprintf("%d %s", n, op))
+		}
+	}
+	if len(mix) == 0 {
+		return "no steps"
+	}
+	return strings.Join(mix, ", ")
+}
+
 // IsNoop reports whether the plan changes nothing (zero steps).
 func (p *Plan) IsNoop() bool { return len(p.Steps) == 0 }
 
@@ -276,7 +301,9 @@ func (p *Plan) TargetFingerprint() string { return p.Target.Fingerprint() }
 // Validate checks the structural plan invariants — schema version, present
 // target, in-range step and placement references, each topic at most once
 // per target VM, each subscriber at most once per target placement and
-// per place or remove step — and returns ErrInvalidPlan on the first
+// per topic of a step's removals or placements, and each step's edits
+// fitting its op (a boot places, a retirement removes, a reconfiguration
+// does either or both) — and returns ErrInvalidPlan on the first
 // violation. It is called by Apply and by the traceio plan reader, so a
 // hostile or corrupt plan file fails closed instead of corrupting a
 // cluster.
@@ -334,40 +361,43 @@ func (p *Plan) Validate() error {
 	}
 	for i, s := range p.Steps {
 		switch s.Op {
-		case dynamic.OpBootVM:
-			if s.VM < 0 {
-				return fmt.Errorf("%w: step %d targets negative slot %d", ErrInvalidPlan, i, s.VM)
-			}
-			if s.Instance.Name == "" || s.Capacity <= 0 {
-				return fmt.Errorf("%w: step %d boots instance %q with capacity %d (need a named type and positive capacity)",
-					ErrInvalidPlan, i, s.Instance.Name, s.Capacity)
-			}
-		case dynamic.OpRetireVM:
-			if s.VM < 0 {
-				return fmt.Errorf("%w: step %d targets negative slot %d", ErrInvalidPlan, i, s.VM)
-			}
-		case dynamic.OpPlace, dynamic.OpRemove:
-			if s.VM < 0 {
-				return fmt.Errorf("%w: step %d targets negative slot %d", ErrInvalidPlan, i, s.VM)
-			}
-			if int(s.Topic) < 0 || int(s.Topic) >= numT {
-				return fmt.Errorf("%w: step %d references topic %d of %d", ErrInvalidPlan, i, s.Topic, numT)
-			}
-			if len(s.Subs) == 0 {
-				return fmt.Errorf("%w: step %d has no subscribers", ErrInvalidPlan, i)
-			}
-			list++
-			for _, v := range s.Subs {
-				if int(v) < 0 || int(v) >= numV {
-					return fmt.Errorf("%w: step %d references subscriber %d of %d", ErrInvalidPlan, i, v, numV)
-				}
-				if lastList[v] == list {
-					return fmt.Errorf("%w: step %d lists subscriber %d twice", ErrInvalidPlan, i, v)
-				}
-				lastList[v] = list
-			}
+		case dynamic.OpBootVM, dynamic.OpReconfigure, dynamic.OpRetireVM:
 		default:
 			return fmt.Errorf("%w: step %d has unknown op %q", ErrInvalidPlan, i, string(s.Op))
+		}
+		if s.VM < 0 {
+			return fmt.Errorf("%w: step %d targets negative slot %d", ErrInvalidPlan, i, s.VM)
+		}
+		switch {
+		case s.Op == dynamic.OpBootVM && (s.Instance.Name == "" || s.Capacity <= 0):
+			return fmt.Errorf("%w: step %d boots instance %q with capacity %d (need a named type and positive capacity)",
+				ErrInvalidPlan, i, s.Instance.Name, s.Capacity)
+		case s.Op == dynamic.OpBootVM && len(s.Remove) > 0:
+			return fmt.Errorf("%w: step %d boots slot %d and removes pairs from it", ErrInvalidPlan, i, s.VM)
+		case s.Op == dynamic.OpRetireVM && len(s.Place) > 0:
+			return fmt.Errorf("%w: step %d retires slot %d and places pairs on it", ErrInvalidPlan, i, s.VM)
+		case s.Op == dynamic.OpReconfigure && len(s.Remove) == 0 && len(s.Place) == 0:
+			return fmt.Errorf("%w: step %d reconfigures slot %d without removing or placing a pair", ErrInvalidPlan, i, s.VM)
+		}
+		for _, edits := range [2][]core.TopicPlacement{s.Remove, s.Place} {
+			for _, e := range edits {
+				if int(e.Topic) < 0 || int(e.Topic) >= numT {
+					return fmt.Errorf("%w: step %d references topic %d of %d", ErrInvalidPlan, i, e.Topic, numT)
+				}
+				if len(e.Subs) == 0 {
+					return fmt.Errorf("%w: step %d has no subscribers for topic %d", ErrInvalidPlan, i, e.Topic)
+				}
+				list++
+				for _, v := range e.Subs {
+					if int(v) < 0 || int(v) >= numV {
+						return fmt.Errorf("%w: step %d references subscriber %d of %d", ErrInvalidPlan, i, v, numV)
+					}
+					if lastList[v] == list {
+						return fmt.Errorf("%w: step %d lists subscriber %d twice for topic %d", ErrInvalidPlan, i, v, e.Topic)
+					}
+					lastList[v] = list
+				}
+			}
 		}
 	}
 	return nil

@@ -243,6 +243,16 @@ func TestApplyRejectsTamperedPlan(t *testing.T) {
 	}
 }
 
+// edit is a one-topic edit list for hand-built steps.
+func edit(t workload.TopicID, subs ...workload.SubID) []core.TopicPlacement {
+	return []core.TopicPlacement{{Topic: t, Subs: subs}}
+}
+
+// reconfigure is a reconfigure step of slot 0.
+func reconfigure(remove, place []core.TopicPlacement) dynamic.Step {
+	return dynamic.Step{Op: dynamic.OpReconfigure, VM: 0, Remove: remove, Place: place}
+}
+
 // TestPlanValidate covers the structural rejections.
 func TestPlanValidate(t *testing.T) {
 	cfg := testConfig()
@@ -264,10 +274,31 @@ func TestPlanValidate(t *testing.T) {
 		{"no message size", func(p *Plan) { p.MessageBytes = 0 }},
 		{"no target", func(p *Plan) { p.Target = nil }},
 		{"step topic out of range", func(p *Plan) {
-			p.Steps = append(p.Steps, dynamic.Step{Op: dynamic.OpPlace, VM: 0, Topic: workload.TopicID(w.NumTopics()), Subs: []workload.SubID{0}})
+			p.Steps = append(p.Steps, reconfigure(nil, edit(workload.TopicID(w.NumTopics()), 0)))
 		}},
 		{"step sub out of range", func(p *Plan) {
-			p.Steps = append(p.Steps, dynamic.Step{Op: dynamic.OpPlace, VM: 0, Topic: 0, Subs: []workload.SubID{workload.SubID(w.NumSubscribers())}})
+			p.Steps = append(p.Steps, reconfigure(nil, edit(0, workload.SubID(w.NumSubscribers()))))
+		}},
+		{"removal sub out of range", func(p *Plan) {
+			p.Steps = append(p.Steps, reconfigure(edit(0, -1), nil))
+		}},
+		{"step edit without subscribers", func(p *Plan) {
+			p.Steps = append(p.Steps, reconfigure(nil, edit(0)))
+		}},
+		{"step negative slot", func(p *Plan) {
+			p.Steps = append(p.Steps, dynamic.Step{Op: dynamic.OpRetireVM, VM: -1})
+		}},
+		{"reconfigure without an edit", func(p *Plan) {
+			p.Steps = append(p.Steps, reconfigure(nil, nil))
+		}},
+		{"boot that removes", func(p *Plan) {
+			p.Steps[0].Remove = edit(0, 0)
+		}},
+		{"retire that places", func(p *Plan) {
+			p.Steps = append(p.Steps, dynamic.Step{Op: dynamic.OpRetireVM, VM: 0, Place: edit(0, 0)})
+		}},
+		{"v1 place op", func(p *Plan) {
+			p.Steps = append(p.Steps, dynamic.Step{Op: dynamic.StepOp("place"), VM: 0, Place: edit(0, 0)})
 		}},
 		{"step unknown op", func(p *Plan) {
 			p.Steps = append(p.Steps, dynamic.Step{Op: dynamic.StepOp("nope")})
@@ -296,10 +327,14 @@ func TestPlanValidate(t *testing.T) {
 			pl.Subs = append(pl.Subs, pl.Subs[0])
 		}},
 		{"place step lists a subscriber twice", func(p *Plan) {
-			p.Steps = append(p.Steps, dynamic.Step{Op: dynamic.OpPlace, VM: 0, Topic: 0, Subs: []workload.SubID{1, 0, 1}})
+			p.Steps = append(p.Steps, reconfigure(nil, edit(0, 1, 0, 1)))
 		}},
 		{"remove step lists a subscriber twice", func(p *Plan) {
-			p.Steps = append(p.Steps, dynamic.Step{Op: dynamic.OpRemove, VM: 0, Topic: 0, Subs: []workload.SubID{2, 2}})
+			p.Steps = append(p.Steps, reconfigure(edit(0, 2, 2), nil))
+		}},
+		{"boot lists a subscriber twice", func(p *Plan) {
+			pl := &p.Steps[0].Place[0]
+			pl.Subs = append(pl.Subs, pl.Subs[0])
 		}},
 	}
 	for _, tc := range mutate {

@@ -11,14 +11,18 @@ import (
 	"github.com/pubsub-systems/mcss/internal/dynamic"
 )
 
-// Executor performs the external side effect of one plan step — the API
-// call that boots the VM, the broker command that moves a placement. Apply
-// invokes it once per step before mutating its working copy, so an
-// executor failure leaves the in-memory state untouched. Execute must be
-// idempotent per (plan, step index): after a crash the journal replay
-// re-runs only steps whose step-done record never made it to disk, and a
-// step whose effect landed but whose record did not may be executed a
-// second time.
+// Executor performs the external side effect of one plan step, which is
+// the whole change of one broker: boot a VM and load its placements,
+// reconfigure a running VM (its removals, then its placements), or drain
+// and retire a VM. Apply invokes it once per step before mutating its
+// working copy, so an executor failure leaves the in-memory state
+// untouched. Execute must be idempotent per (plan, step index), that is
+// per broker change: after a crash the journal replay re-runs only steps
+// whose step-done record never made it to disk, and a step whose effect
+// landed but whose record did not may be executed a second time on a
+// broker already in the step's target state. Retries apply per step too,
+// so a transient failure part-way through a broker's change is retried
+// as that whole change.
 type Executor interface {
 	Execute(ctx context.Context, i, total int, s dynamic.Step) error
 }

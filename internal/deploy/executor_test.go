@@ -14,7 +14,7 @@ import (
 func noSleep(ctx context.Context, _ time.Duration) error { return ctx.Err() }
 
 func testStep() dynamic.Step {
-	return dynamic.Step{Op: dynamic.OpPlace}
+	return dynamic.Step{Op: dynamic.OpReconfigure}
 }
 
 func TestRetryExecutorTransientThenSuccess(t *testing.T) {

@@ -27,10 +27,25 @@ import (
 // the real plan body codec, which lives in traceio (traceio imports
 // deploy, so the in-package tests cannot).
 
+// jcfg packs jworkload onto 6-9 c3.large VMs, so that a plan between two
+// of its solves boots, reconfigures and retires several brokers.
 func jcfg() core.Config {
 	model := pricing.NewModel(pricing.C3Large)
-	model.CapacityOverrideBytesPerHour = 600_000
+	model.CapacityOverrideBytesPerHour = 120_000
 	return core.DefaultConfig(40, model)
+}
+
+// jcfgTwoTypes is jcfg on a c3.large/c3.xlarge fleet calibrated like the
+// model, so that a plan can replace a slot with the other type.
+func jcfgTwoTypes(t testing.TB) core.Config {
+	t.Helper()
+	cfg := jcfg()
+	fleet, err := pricing.NewFleet(pricing.C3Large, pricing.C3XLarge)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Fleet = fleet.WithBytesPerMbps(cfg.Model.CapacityBytesPerHour() / pricing.C3Large.LinkMbps)
+	return cfg
 }
 
 func jworkload(t testing.TB, seed int64) *workload.Workload {
@@ -312,33 +327,83 @@ func TestJournalCompact(t *testing.T) {
 	}
 }
 
+// crashLink is one apply the crash tests interrupt: a plan, the state it
+// applies to, and the config its provisioner and verifier use.
+type crashLink struct {
+	cfg  core.Config
+	base *deploy.State
+	plan *deploy.Plan
+}
+
+// crashLinks chains the applies the crash tests interrupt: a bootstrap of
+// jworkload(seed) from the empty cluster, a solve of jworkload(next) from
+// there, and on the two-type fleet, a solve of jworkload(next) from a
+// two-type bootstrap of jworkload(seed).
+func crashLinks(t testing.TB, seed, next int64) []crashLink {
+	t.Helper()
+	cfg, cfg2 := jcfg(), jcfgTwoTypes(t)
+	boot := jplan(t, cfg, nil, jworkload(t, seed))
+	boot2 := jplan(t, cfg2, nil, jworkload(t, seed))
+	return []crashLink{
+		{cfg, deploy.EmptyState(), boot},
+		{cfg, boot.Target, jplan(t, cfg, boot.Target, jworkload(t, next))},
+		{cfg2, boot2.Target, jplan(t, cfg2, boot2.Target, jworkload(t, next))},
+	}
+}
+
+// assertStepMix requires the links' plans to hold every kind of broker
+// step a crash can interrupt: boots of new slots, reconfigurations,
+// retirements of trailing slots, and a replaced slot (a retire-vm and a
+// boot-vm of one slot in one plan); and at least minSteps steps in all.
+func assertStepMix(t *testing.T, links []crashLink, minSteps int) {
+	t.Helper()
+	var boots, reconfigures, trailing, replaced, total int
+	for _, l := range links {
+		vms := l.plan.Target.Allocation.NumVMs()
+		retired := make(map[int]bool)
+		for _, s := range l.plan.Steps {
+			switch s.Op {
+			case dynamic.OpBootVM:
+				if retired[s.VM] {
+					replaced++
+				} else {
+					boots++
+				}
+			case dynamic.OpReconfigure:
+				reconfigures++
+			case dynamic.OpRetireVM:
+				retired[s.VM] = true
+				if s.VM >= vms {
+					trailing++
+				}
+			}
+		}
+		total += len(l.plan.Steps)
+	}
+	if boots == 0 || reconfigures == 0 || trailing == 0 || replaced == 0 || total < minSteps {
+		t.Fatalf("plans hold %d steps: %d boots of new slots, %d reconfigurations, %d retirements of trailing slots, "+
+			"%d replaced slots; want every kind and at least %d steps", total, boots, reconfigures, trailing, replaced, minSteps)
+	}
+}
+
 // TestCrashResumeProperty is the crash-safety property test: for every
 // crash point i of a journaled apply, killing the apply after step i-1's
 // record and resuming from the recovered journal must land on exactly the
 // state an uninterrupted apply reaches, executing every step's effect
-// exactly once across both legs.
+// exactly once across both legs. The links' plans boot, reconfigure,
+// replace and retire brokers.
 func TestCrashResumeProperty(t *testing.T) {
-	cfg := jcfg()
 	ctx := context.Background()
 	for seed := int64(1); seed <= 2; seed++ {
-		// Chain two plans so resume is exercised from the empty base and
-		// from a populated one.
-		bootstrap := jplan(t, cfg, nil, jworkload(t, seed))
-		followup := jplan(t, cfg, bootstrap.Target, jworkload(t, seed+100))
-		chain := []struct {
-			base *deploy.State
-			plan *deploy.Plan
-		}{
-			{deploy.EmptyState(), bootstrap},
-			{bootstrap.Target, followup},
-		}
-		for ci, link := range chain {
+		// Chained links exercise resume from the empty base and from
+		// populated ones.
+		links := crashLinks(t, seed, seed+100)
+		assertStepMix(t, links, 20)
+		for ci, link := range links {
+			cfg := link.cfg
 			// The uninterrupted apply's destination is the oracle.
 			wantFP := link.plan.TargetFingerprint()
 			steps := len(link.plan.Steps)
-			if steps == 0 {
-				t.Fatalf("seed %d link %d: plan has no steps", seed, ci)
-			}
 			for i := 0; i < steps; i++ {
 				name := fmt.Sprintf("seed=%d/link=%d/crash=%d", seed, ci, i)
 				path := journalPath(t)
@@ -414,24 +479,19 @@ func TestCrashResumeProperty(t *testing.T) {
 // TestChaosApplySweep is the in-repo edition of `simulate -chaos-apply`:
 // 200 seeded cases mixing transient step failures with mid-apply crashes,
 // all of which must recover to the exact target with exactly-once effects.
+// The links' plans boot, reconfigure, replace and retire brokers.
 func TestChaosApplySweep(t *testing.T) {
-	cfg := jcfg()
 	ctx := context.Background()
-	bootstrap := jplan(t, cfg, nil, jworkload(t, 11))
-	followup := jplan(t, cfg, bootstrap.Target, jworkload(t, 12))
-	links := []struct {
-		base *deploy.State
-		plan *deploy.Plan
-	}{
-		{deploy.EmptyState(), bootstrap},
-		{bootstrap.Target, followup},
-	}
+	links := crashLinks(t, 21, 22)
+	assertStepMix(t, links, 20)
 
 	dir := t.TempDir()
 	rng := rand.New(rand.NewSource(42))
 	noSleep := func(ctx context.Context, _ time.Duration) error { return ctx.Err() }
+	crashes := 0
 	for c := 0; c < 200; c++ {
 		link := links[rng.Intn(len(links))]
+		cfg := link.cfg
 		steps := len(link.plan.Steps)
 		k := rng.Intn(steps + 1) // == steps: no crash, transient faults only
 		crash := k < steps
@@ -464,6 +524,7 @@ func TestChaosApplySweep(t *testing.T) {
 		_, aerr := deploy.Apply(ctx, link.plan, prov,
 			deploy.WithJournal(j), deploy.WithExecutor(mkExec(seed, crash)))
 		if crash {
+			crashes++
 			if !errors.Is(aerr, deploy.ErrSimulatedCrash) {
 				t.Fatalf("case %d: want crash, got %v", c, aerr)
 			}
@@ -499,6 +560,9 @@ func TestChaosApplySweep(t *testing.T) {
 		if effects.Total() != steps {
 			t.Fatalf("case %d: %d effects for %d steps", c, effects.Total(), steps)
 		}
+	}
+	if crashes < 150 {
+		t.Fatalf("only %d of 200 cases crashed mid-plan", crashes)
 	}
 }
 
@@ -631,7 +695,7 @@ func TestPlanRefusesRepeatedSubscriber(t *testing.T) {
 		t.Fatal(err)
 	}
 	plan.Target = target
-	plan.Steps = []dynamic.Step{{Op: dynamic.OpPlace, VM: 0, Topic: pl.Topic, Subs: []workload.SubID{v}}}
+	plan.Steps = []dynamic.Step{{Op: dynamic.OpReconfigure, VM: 0, Place: []core.TopicPlacement{{Topic: pl.Topic, Subs: []workload.SubID{v}}}}}
 	path := journalPath(t)
 	j, err := traceio.OpenJournal(path, deploy.JournalOptions{})
 	if err != nil {
@@ -662,7 +726,12 @@ func TestPlanRefusesRepeatedSubscriber(t *testing.T) {
 			p := doc["target"].(map[string]any)["allocation"].([]any)[0].(map[string]any)["placements"].([]any)[0].(map[string]any)
 			p["subs"] = append(p["subs"].([]any), p["subs"].([]any)[0])
 		},
-		"place step": func(doc map[string]any) {
+		"reconfigure step": func(doc map[string]any) {
+			doc["steps"] = []any{map[string]any{"op": "reconfigure", "vm": 0,
+				"place": []any{map[string]any{"topic": 0, "subs": []any{3, 1, 3}}}}}
+		},
+		"version 1 place step": func(doc map[string]any) {
+			doc["version"] = 1
 			doc["steps"] = []any{map[string]any{"op": "place", "vm": 0, "topic": 0, "subs": []any{3, 1, 3}}}
 		},
 	} {

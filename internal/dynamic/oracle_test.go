@@ -55,9 +55,21 @@ func oracleMigrationBetween(before, after *core.Allocation) MigrationStats {
 	return stats
 }
 
+// fineStep is one step of the per-topic step model: boot or retire a
+// slot, or place or remove the listed subscribers of one topic on it.
+// Plan files of version 1 hold these steps.
+type fineStep struct {
+	op       string // "boot-vm", "retire-vm", "place" or "remove"
+	vm       int
+	instance pricing.InstanceType
+	capacity int64
+	topic    workload.TopicID
+	subs     []workload.SubID
+}
+
 // oraclePlacementSteps diffs each placement of vm against a per-topic
 // subscriber set of other.
-func oraclePlacementSteps(op StepOp, slot int, vm, other *core.VM) []Step {
+func oraclePlacementSteps(op string, slot int, vm, other *core.VM) []fineStep {
 	if vm == nil {
 		return nil
 	}
@@ -71,7 +83,7 @@ func oraclePlacementSteps(op StepOp, slot int, vm, other *core.VM) []Step {
 			otherSubs[p.Topic] = set
 		}
 	}
-	var steps []Step
+	var steps []fineStep
 	for _, p := range vm.Placements {
 		have := otherSubs[p.Topic]
 		var subs []workload.SubID
@@ -84,15 +96,98 @@ func oraclePlacementSteps(op StepOp, slot int, vm, other *core.VM) []Step {
 			continue
 		}
 		sort.Slice(subs, func(i, j int) bool { return subs[i] < subs[j] })
-		steps = append(steps, Step{Op: op, VM: slot, Topic: p.Topic, Subs: subs})
+		steps = append(steps, fineStep{op: op, vm: slot, topic: p.Topic, subs: subs})
 	}
-	sort.SliceStable(steps, func(i, j int) bool { return steps[i].Topic < steps[j].Topic })
+	sort.SliceStable(steps, func(i, j int) bool { return steps[i].topic < steps[j].topic })
 	return steps
 }
 
-// oracleStepsBetween is StepsBetween on the oracle placement diff.
+// stepsBetween is the per-topic step extraction on the oracle placement
+// diff: removals (slot then topic order), then retirements, then boots,
+// then placements. A kept slot whose instance type or capacity changed is
+// retired and re-booted in place.
+func stepsBetween(before, after *core.Allocation) []fineStep {
+	b, a := vmsOf(before), vmsOf(after)
+	n := max(len(b), len(a))
+	replaced := make([]bool, n)
+	for i := 0; i < min(len(b), len(a)); i++ {
+		replaced[i] = b[i].Instance != a[i].Instance || b[i].CapacityBytesPerHour != a[i].CapacityBytesPerHour
+	}
+	var removes, retires, boots, places []fineStep
+	for i := 0; i < n; i++ {
+		var bv, av *core.VM
+		if i < len(b) {
+			bv = b[i]
+		}
+		if i < len(a) && !replaced[i] {
+			av = a[i]
+		}
+		removes = append(removes, oraclePlacementSteps("remove", i, bv, av)...)
+		if bv != nil && (i >= len(a) || replaced[i]) {
+			retires = append(retires, fineStep{op: "retire-vm", vm: i})
+		}
+	}
+	for i := 0; i < len(a); i++ {
+		if i >= len(b) || replaced[i] {
+			boots = append(boots, fineStep{op: "boot-vm", vm: i, instance: a[i].Instance, capacity: a[i].CapacityBytesPerHour})
+		}
+		var bv *core.VM
+		if i < len(b) && !replaced[i] {
+			bv = b[i]
+		}
+		places = append(places, oraclePlacementSteps("place", i, a[i], bv)...)
+	}
+	return slices.Concat(removes, retires, boots, places)
+}
+
+// oracleStepsBetween groups the per-topic oracle steps by slot into
+// broker steps, in StepsBetween's order: boots of the new slots, then the
+// kept and replaced slots in slot order, then retirements of the trailing
+// slots. A slot's removals go to its retire-vm or reconfigure step and
+// its placements to its boot-vm or reconfigure step.
 func oracleStepsBetween(before, after *core.Allocation) []Step {
-	return stepsBetween(before, after, oraclePlacementSteps)
+	lenB, lenA := len(vmsOf(before)), len(vmsOf(after))
+	type slot struct {
+		boot          fineStep
+		booted        bool
+		retired       bool
+		remove, place []core.TopicPlacement
+	}
+	slots := make([]slot, max(lenB, lenA))
+	for _, f := range stepsBetween(before, after) {
+		s := &slots[f.vm]
+		switch f.op {
+		case "boot-vm":
+			s.boot, s.booted = f, true
+		case "retire-vm":
+			s.retired = true
+		case "remove":
+			s.remove = append(s.remove, core.TopicPlacement{Topic: f.topic, Subs: f.subs})
+		case "place":
+			s.place = append(s.place, core.TopicPlacement{Topic: f.topic, Subs: f.subs})
+		}
+	}
+	boot := func(i int) Step {
+		s := slots[i]
+		return Step{Op: OpBootVM, VM: i, Instance: s.boot.instance, Capacity: s.boot.capacity, Place: s.place}
+	}
+	retire := func(i int) Step { return Step{Op: OpRetireVM, VM: i, Remove: slots[i].remove} }
+	var steps []Step
+	for i := lenB; i < lenA; i++ {
+		steps = append(steps, boot(i))
+	}
+	for i := 0; i < min(lenB, lenA); i++ {
+		switch s := slots[i]; {
+		case s.retired && s.booted:
+			steps = append(steps, retire(i), boot(i))
+		case len(s.remove) > 0 || len(s.place) > 0:
+			steps = append(steps, Step{Op: OpReconfigure, VM: i, Remove: s.remove, Place: s.place})
+		}
+	}
+	for i := lenA; i < lenB; i++ {
+		steps = append(steps, retire(i))
+	}
+	return steps
 }
 
 // Exported for the differential test on the scale sweep's workload, which
@@ -121,10 +216,29 @@ func stepsDiff(got, want []Step) string {
 			return fmt.Sprintf("step %d: instance %v, oracle %v", i, g.Instance, w.Instance)
 		case g.Capacity != w.Capacity:
 			return fmt.Sprintf("step %d: capacity %d, oracle %d", i, g.Capacity, w.Capacity)
-		case g.Topic != w.Topic:
-			return fmt.Sprintf("step %d: topic %d, oracle %d", i, g.Topic, w.Topic)
-		case !slices.Equal(g.Subs, w.Subs):
-			return fmt.Sprintf("step %d: subs %v, oracle %v", i, g.Subs, w.Subs)
+		}
+		if d := editsDiff(g.Remove, w.Remove); d != "" {
+			return fmt.Sprintf("step %d: remove %s", i, d)
+		}
+		if d := editsDiff(g.Place, w.Place); d != "" {
+			return fmt.Sprintf("step %d: place %s", i, d)
+		}
+	}
+	return ""
+}
+
+// editsDiff describes the first difference between two edit lists.
+func editsDiff(got, want []core.TopicPlacement) string {
+	if len(got) != len(want) {
+		return fmt.Sprintf("%d topics, oracle %d", len(got), len(want))
+	}
+	for j := range got {
+		g, w := got[j], want[j]
+		if g.Topic != w.Topic {
+			return fmt.Sprintf("entry %d: topic %d, oracle %d", j, g.Topic, w.Topic)
+		}
+		if !slices.Equal(g.Subs, w.Subs) {
+			return fmt.Sprintf("topic %d: subs %v, oracle %v", g.Topic, g.Subs, w.Subs)
 		}
 	}
 	return ""
@@ -359,4 +473,151 @@ func tracegenRandom(rng *rand.Rand) (*workload.Workload, error) {
 		}
 	}
 	return b.Build()
+}
+
+// oracleReplay executes per-topic steps the way they were replayed one
+// step per topic: a linear scan finds the slot's placement of the topic,
+// and a removal drops the subscribers of a set built for it.
+func oracleReplay(base *core.Allocation, target *workload.Workload, messageBytes int64, steps []fineStep) (*core.Allocation, error) {
+	var slots []*core.VM
+	for i, vm := range vmsOf(base) {
+		nv := &core.VM{ID: i, Instance: vm.Instance, CapacityBytesPerHour: vm.CapacityBytesPerHour}
+		for _, p := range vm.Placements {
+			rb := target.Rate(p.Topic) * messageBytes
+			nv.Placements = append(nv.Placements, core.TopicPlacement{Topic: p.Topic, Subs: slices.Clone(p.Subs)})
+			nv.InBytesPerHour += rb
+			nv.OutBytesPerHour += rb * int64(len(p.Subs))
+		}
+		slots = append(slots, nv)
+	}
+	find := func(vm *core.VM, t workload.TopicID) int {
+		for i := range vm.Placements {
+			if vm.Placements[i].Topic == t {
+				return i
+			}
+		}
+		return -1
+	}
+	for i, s := range steps {
+		if s.op == "boot-vm" {
+			if s.vm == len(slots) {
+				slots = append(slots, nil)
+			}
+			if s.vm < 0 || s.vm >= len(slots) || slots[s.vm] != nil {
+				return nil, fmt.Errorf("step %d: bad boot", i)
+			}
+			slots[s.vm] = &core.VM{ID: s.vm, Instance: s.instance, CapacityBytesPerHour: s.capacity}
+			continue
+		}
+		vm, err := slotAt(slots, s.vm)
+		if err != nil {
+			return nil, err
+		}
+		if s.op == "retire-vm" {
+			if len(vm.Placements) != 0 {
+				return nil, fmt.Errorf("step %d: retiring a non-empty slot", i)
+			}
+			slots[s.vm] = nil
+			continue
+		}
+		rb := target.Rate(s.topic) * messageBytes
+		switch s.op {
+		case "place":
+			idx := find(vm, s.topic)
+			if idx < 0 {
+				vm.Placements = append(vm.Placements, core.TopicPlacement{Topic: s.topic})
+				idx = len(vm.Placements) - 1
+				vm.InBytesPerHour += rb
+			}
+			vm.Placements[idx].Subs = append(vm.Placements[idx].Subs, s.subs...)
+			vm.OutBytesPerHour += rb * int64(len(s.subs))
+		case "remove":
+			idx := find(vm, s.topic)
+			if idx < 0 {
+				return nil, fmt.Errorf("step %d: topic not served", i)
+			}
+			drop := make(map[workload.SubID]bool, len(s.subs))
+			for _, v := range s.subs {
+				drop[v] = true
+			}
+			p := &vm.Placements[idx]
+			kept, removed := p.Subs[:0], 0
+			for _, v := range p.Subs {
+				if drop[v] {
+					removed++
+				} else {
+					kept = append(kept, v)
+				}
+			}
+			if removed != len(drop) {
+				return nil, fmt.Errorf("step %d: pairs not served", i)
+			}
+			p.Subs = kept
+			vm.OutBytesPerHour -= rb * int64(removed)
+			if len(p.Subs) == 0 {
+				vm.Placements = append(vm.Placements[:idx], vm.Placements[idx+1:]...)
+				vm.InBytesPerHour -= rb
+			}
+		}
+	}
+	return compactSlots(slots, base, messageBytes)
+}
+
+// allocDiff describes the first difference between two allocations,
+// placement and subscriber order and accounting included, or returns "".
+func allocDiff(got, want *core.Allocation) string {
+	if len(got.VMs) != len(want.VMs) {
+		return fmt.Sprintf("%d VMs, oracle %d", len(got.VMs), len(want.VMs))
+	}
+	for i, g := range got.VMs {
+		w := want.VMs[i]
+		if g.ID != w.ID || g.Instance != w.Instance || g.CapacityBytesPerHour != w.CapacityBytesPerHour ||
+			g.InBytesPerHour != w.InBytesPerHour || g.OutBytesPerHour != w.OutBytesPerHour ||
+			len(g.Placements) != len(w.Placements) {
+			return fmt.Sprintf("vm %d: %+v, oracle %+v", i, *g, *w)
+		}
+		for j, p := range g.Placements {
+			if q := w.Placements[j]; p.Topic != q.Topic || !slices.Equal(p.Subs, q.Subs) {
+				return fmt.Sprintf("vm %d placement %d: %v, oracle %v", i, j, p, q)
+			}
+		}
+	}
+	return ""
+}
+
+// TestReplayMatchesPerTopicReplay: replaying the broker steps between two
+// random allocations gives exactly the allocation the per-topic steps
+// give under the per-topic replay (placement order, subscriber order and
+// accounting included), and fails exactly when that one fails. Both kinds
+// of step change each slot in the same order, and the random allocations
+// repeat subscribers inside a placement and, rarely, a topic on a VM.
+func TestReplayMatchesPerTopicReplay(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	target, err := workload.FromCSR([]int64{3, 1, 4, 1, 5, 9, 2, 6}, make([]int64, 11), nil, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replayed := 0
+	for c := 0; c < 600; c++ {
+		before := randomAllocation(rng)
+		after := mutateAllocation(rng, before)
+		if c%3 == 0 {
+			after = randomAllocation(rng)
+		}
+		got, gerr := ReplaySteps(before, target, 7, StepsBetween(before, after))
+		want, werr := oracleReplay(before, target, 7, stepsBetween(before, after))
+		if (gerr == nil) != (werr == nil) {
+			t.Fatalf("case %d: replay error %v, per-topic replay error %v", c, gerr, werr)
+		}
+		if gerr != nil {
+			continue
+		}
+		if d := allocDiff(got, want); d != "" {
+			t.Fatalf("case %d: %s", c, d)
+		}
+		replayed++
+	}
+	if replayed < 200 {
+		t.Fatalf("only %d of 600 cases replayed", replayed)
+	}
 }

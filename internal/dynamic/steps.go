@@ -13,28 +13,27 @@ import (
 // StepOp names one kind of deployment action in a plan.
 type StepOp string
 
-// The four step operations a plan is built from. A reconfiguration is
-// expressed as removals, then retirements, then boots, then placements, so
-// that replaying the steps in order never touches a retired VM and every
-// placement lands on a VM that already exists.
+// The three step operations a plan is built from. A step is the whole
+// change of one broker (one VM slot), so it is also one executor effect
+// and one journaled step-done record.
 const (
-	// OpBootVM deploys a fresh VM of the given instance type at slot VM.
+	// OpBootVM deploys a fresh VM of the given instance type at slot VM
+	// and places Place on it.
 	OpBootVM StepOp = "boot-vm"
-	// OpRetireVM shuts slot VM down; all of its placements must have been
-	// removed first.
+	// OpReconfigure changes the placements of the kept VM at slot VM:
+	// Remove is dropped from it, then Place is added.
+	OpReconfigure StepOp = "reconfigure"
+	// OpRetireVM drops Remove from slot VM, which must leave it empty, and
+	// shuts the VM down.
 	OpRetireVM StepOp = "retire-vm"
-	// OpPlace adds the listed subscribers of Topic to slot VM.
-	OpPlace StepOp = "place"
-	// OpRemove stops serving the listed subscribers of Topic from slot VM.
-	OpRemove StepOp = "remove"
 )
 
-// Step is one executable action of a deployment plan. Steps address VMs by
-// slot index in a shared coordinate space: slot i of the pre-apply
-// allocation and slot i of the target allocation are the same broker, new
-// slots are appended past the pre-apply fleet, and retired slots are the
-// pre-apply slots past the target fleet (plus replaced slots, which are
-// retired and re-booted in place).
+// Step is one executable action of a deployment plan: the change of one
+// broker. Steps address VMs by slot index in a shared coordinate space:
+// slot i of the pre-apply allocation and slot i of the target allocation
+// are the same broker, new slots are appended past the pre-apply fleet,
+// and retired slots are the pre-apply slots past the target fleet (plus
+// replaced slots, which are retired and re-booted in place).
 type Step struct {
 	Op StepOp
 	// VM is the slot index the step targets.
@@ -42,103 +41,86 @@ type Step struct {
 	// Instance and Capacity describe the VM a boot-vm step deploys.
 	Instance pricing.InstanceType
 	Capacity int64
-	// Topic and Subs are the pairs a place/remove step adds or drops.
-	Topic workload.TopicID
-	Subs  []workload.SubID
+	// Remove lists the pairs a reconfigure or retire-vm step drops from
+	// the slot, and Place the pairs a boot-vm or reconfigure step adds to
+	// it: one entry per topic, topics ascending, subscribers ascending.
+	Remove, Place []core.TopicPlacement
 }
 
 // String renders the step for logs and plan review.
 func (s Step) String() string {
 	switch s.Op {
 	case OpBootVM:
-		return fmt.Sprintf("boot vm %d (%s, %d bytes/h)", s.VM, s.Instance.Name, s.Capacity)
+		return fmt.Sprintf("boot vm %d (%s, %d bytes/h)%s", s.VM, s.Instance.Name, s.Capacity, editSummary("place", s.Place))
+	case OpReconfigure:
+		return fmt.Sprintf("reconfigure vm %d%s%s", s.VM, editSummary("remove", s.Remove), editSummary("place", s.Place))
 	case OpRetireVM:
-		return fmt.Sprintf("retire vm %d", s.VM)
-	case OpPlace:
-		return fmt.Sprintf("place topic %d ×%d on vm %d", s.Topic, len(s.Subs), s.VM)
-	case OpRemove:
-		return fmt.Sprintf("remove topic %d ×%d from vm %d", s.Topic, len(s.Subs), s.VM)
+		return fmt.Sprintf("retire vm %d%s", s.VM, editSummary("remove", s.Remove))
 	default:
 		return fmt.Sprintf("unknown step %q", string(s.Op))
 	}
 }
 
-// StepsBetween extracts the step sequence transforming the before
-// allocation into the after allocation, diffing placements by VM slot (the
-// same position-based identity MigrationStatsBetween measures churn with).
-// The result replays deterministically: removals first (slot then topic order),
-// then retirements, then boots, then placements, so ReplaySteps on before
-// reproduces after exactly. A kept slot whose instance type or capacity
-// changed is replaced in place (retire + boot).
-func StepsBetween(before, after *core.Allocation) []Step {
-	var d slotDiff
-	return stepsBetween(before, after, d.steps)
+// editSummary renders an edit list as ", <verb> N pairs of K topics", or
+// "" when it is empty.
+func editSummary(verb string, es []core.TopicPlacement) string {
+	if len(es) == 0 {
+		return ""
+	}
+	pairs := 0
+	for _, e := range es {
+		pairs += len(e.Subs)
+	}
+	return fmt.Sprintf(", %s %s of %s", verb, count(pairs, "pair"), count(len(es), "topic"))
 }
 
-// stepsBetween takes the placement diff as a parameter for the test oracle.
-func stepsBetween(before, after *core.Allocation, diff func(op StepOp, slot int, vm, other *core.VM) []Step) []Step {
-	lenB, lenA := 0, 0
-	if before != nil {
-		lenB = len(before.VMs)
+func count(n int, noun string) string {
+	if n == 1 {
+		return "1 " + noun
 	}
-	if after != nil {
-		lenA = len(after.VMs)
-	}
-	n := lenB
-	if lenA > n {
-		n = lenA
-	}
+	return fmt.Sprintf("%d %ss", n, noun)
+}
 
-	// replaced[i] reports that kept slot i changes flavor and must be
-	// rebuilt rather than diffed.
-	replaced := make([]bool, n)
-	for i := 0; i < lenB && i < lenA; i++ {
-		b, a := before.VMs[i], after.VMs[i]
-		if b.Instance != a.Instance || b.CapacityBytesPerHour != a.CapacityBytesPerHour {
-			replaced[i] = true
-		}
+// StepsBetween extracts the step sequence transforming the before
+// allocation into the after allocation, diffing placements by VM slot
+// (the same position-based identity MigrationStatsBetween measures churn
+// with). It emits one step per changed slot, and two (retire-vm, then
+// boot-vm) for a replaced slot: a kept slot whose instance type or
+// capacity changed. The order is: boots of the new slots, then the kept
+// and replaced slots in slot order, then retirements of the trailing
+// slots. So a pair moving onto a new broker, or off a retiring one, is
+// placed before it is removed, and after every step each VM holds either
+// its before or its after placements. ReplaySteps on before reproduces
+// after exactly.
+func StepsBetween(before, after *core.Allocation) []Step {
+	b, a := vmsOf(before), vmsOf(after)
+	var d slotDiff
+	boot := func(i int) Step {
+		return Step{Op: OpBootVM, VM: i, Instance: a[i].Instance, Capacity: a[i].CapacityBytesPerHour, Place: d.edits(a[i], nil)}
 	}
+	retire := func(i int) Step { return Step{Op: OpRetireVM, VM: i, Remove: d.edits(b[i], nil)} }
 
-	var removes, retires, boots, places []Step
-	for i := 0; i < n; i++ {
-		var bv, av *core.VM
-		if i < lenB {
-			bv = before.VMs[i]
+	var steps []Step
+	for i := len(b); i < len(a); i++ {
+		steps = append(steps, boot(i))
+	}
+	for i := 0; i < min(len(b), len(a)); i++ {
+		if b[i].Instance != a[i].Instance || b[i].CapacityBytesPerHour != a[i].CapacityBytesPerHour {
+			steps = append(steps, retire(i), boot(i))
+			continue
 		}
-		if i < lenA && !replaced[i] {
-			av = after.VMs[i]
-		}
-		removes = append(removes, diff(OpRemove, i, bv, av)...)
-		if bv != nil && (i >= lenA || replaced[i]) {
-			retires = append(retires, Step{Op: OpRetireVM, VM: i})
+		if rm, pl := d.edits(b[i], a[i]), d.edits(a[i], b[i]); len(rm) > 0 || len(pl) > 0 {
+			steps = append(steps, Step{Op: OpReconfigure, VM: i, Remove: rm, Place: pl})
 		}
 	}
-	for i := 0; i < lenA; i++ {
-		av := after.VMs[i]
-		if i >= lenB || replaced[i] {
-			boots = append(boots, Step{
-				Op: OpBootVM, VM: i,
-				Instance: av.Instance,
-				Capacity: av.CapacityBytesPerHour,
-			})
-		}
-		var bv *core.VM
-		if i < lenB && !replaced[i] {
-			bv = before.VMs[i]
-		}
-		places = append(places, diff(OpPlace, i, av, bv)...)
+	for i := len(a); i < len(b); i++ {
+		steps = append(steps, retire(i))
 	}
-
-	steps := make([]Step, 0, len(removes)+len(retires)+len(boots)+len(places))
-	steps = append(steps, removes...)
-	steps = append(steps, retires...)
-	steps = append(steps, boots...)
-	steps = append(steps, places...)
 	return steps
 }
 
 // slotDiff is the placement diff behind StepsBetween. It sorts nothing
-// but the steps it emits: other's placements are found through a mark
+// but the edits it emits: other's placements are found through a mark
 // indexed by topic, and a subscriber list is diffed against another by
 // stamping the other's subscribers into a mark indexed by subscriber.
 type slotDiff struct {
@@ -147,16 +129,13 @@ type slotDiff struct {
 	stamp uint32
 }
 
-// steps emits one op-typed step per topic of vm whose subscriber set
-// extends past other's, in stable ascending topic order with ascending
-// subs. With op=OpRemove, vm is the before slot and other the after slot
-// (subs present before but not after are removed); with op=OpPlace the
-// roles flip. A topic other places twice is diffed against its last
-// placement, as a stable topic sort of other would pair it.
-func (d *slotDiff) steps(op StepOp, slot int, vm, other *core.VM) []Step {
-	if vm == nil {
-		return nil
-	}
+// edits lists, per topic of vm whose subscribers extend past other's, the
+// subscribers other lacks: in stable ascending topic order with ascending
+// subs. Diffing the before slot against the after slot gives its
+// removals, and the after slot against the before slot its placements; a
+// nil other gives all of vm. A topic other places twice is diffed against
+// its last placement, as a stable topic sort of other would pair it.
+func (d *slotDiff) edits(vm, other *core.VM) []core.TopicPlacement {
 	var theirs []core.TopicPlacement
 	if other != nil {
 		theirs = other.Placements
@@ -165,23 +144,23 @@ func (d *slotDiff) steps(op StepOp, slot int, vm, other *core.VM) []Step {
 		d.at = growTo(d.at, int(q.Topic)+1)
 		d.at[q.Topic] = int32(j + 1)
 	}
-	var steps []Step
+	var out []core.TopicPlacement
 	for _, p := range vm.Placements {
 		var have []workload.SubID
 		if int(p.Topic) < len(d.at) && d.at[p.Topic] > 0 {
 			have = theirs[d.at[p.Topic]-1].Subs
 		}
 		if subs := d.missing(p.Subs, have); len(subs) > 0 {
-			steps = append(steps, Step{Op: op, VM: slot, Topic: p.Topic, Subs: subs})
+			out = append(out, core.TopicPlacement{Topic: p.Topic, Subs: subs})
 		}
 	}
 	for _, q := range theirs {
 		d.at[q.Topic] = 0
 	}
-	if !slices.IsSortedFunc(steps, cmpStepTopic) {
-		slices.SortStableFunc(steps, cmpStepTopic)
+	if !slices.IsSortedFunc(out, cmpTopic) {
+		slices.SortStableFunc(out, cmpTopic)
 	}
-	return steps
+	return out
 }
 
 // missing returns the entries of subs (repeats included) that have lacks,
@@ -211,8 +190,6 @@ func (d *slotDiff) missing(subs, have []workload.SubID) []workload.SubID {
 	return out
 }
 
-func cmpStepTopic(a, b Step) int { return cmp.Compare(a.Topic, b.Topic) }
-
 // growTo returns s extended with zero values to length n when shorter.
 func growTo[T any](s []T, n int) []T {
 	if n > len(s) {
@@ -237,8 +214,8 @@ func cmpTopic(a, b core.TopicPlacement) int { return cmp.Compare(a.Topic, b.Topi
 // Typed step-replay errors.
 var (
 	// ErrBadStep reports a step that cannot be executed against the
-	// current working fleet (out-of-range slot, retiring a non-empty VM,
-	// removing a pair that is not placed, …).
+	// current working fleet (out-of-range slot, retiring a VM it does not
+	// empty, removing a pair that is not placed, …).
 	ErrBadStep = fmt.Errorf("dynamic: step cannot be applied")
 )
 
@@ -247,7 +224,7 @@ var (
 // Placement accounting (In/OutBytesPerHour) is rebuilt under the target
 // workload's rates — replaying a plan reprices every kept placement to the
 // snapshot the plan was computed for. Steps are validated structurally
-// (slots exist, removed pairs are present, retired slots are empty, booted
+// (slots exist, removed pairs are present, retired slots end empty, booted
 // slots are free); capacity is not enforced here, because the planner that
 // emitted the steps already applied its own capacity discipline (including
 // the elastic controller's headroom-derated packing) and the caller checks
@@ -259,7 +236,7 @@ func ReplaySteps(base *core.Allocation, target *workload.Workload, messageBytes 
 	if base != nil {
 		lenB = len(base.VMs)
 	}
-	slots := make([]*core.VM, lenB)
+	r := replayer{slots: make([]*core.VM, lenB), target: target, messageBytes: messageBytes}
 	for i := 0; i < lenB; i++ {
 		vm := base.VMs[i]
 		nv := &core.VM{
@@ -269,7 +246,7 @@ func ReplaySteps(base *core.Allocation, target *workload.Workload, messageBytes 
 			Placements:           make([]core.TopicPlacement, 0, len(vm.Placements)),
 		}
 		for _, p := range vm.Placements {
-			if int(p.Topic) >= target.NumTopics() {
+			if p.Topic < 0 || int(p.Topic) >= target.NumTopics() {
 				return nil, fmt.Errorf("%w: base slot %d serves topic %d outside the target workload (%d topics)",
 					ErrBadStep, i, p.Topic, target.NumTopics())
 			}
@@ -280,122 +257,171 @@ func ReplaySteps(base *core.Allocation, target *workload.Workload, messageBytes 
 			nv.InBytesPerHour += rb
 			nv.OutBytesPerHour += rb * int64(len(subs))
 		}
-		slots[i] = nv
+		r.slots[i] = nv
 	}
 	for i, s := range steps {
-		if err := applyStep(&slots, target, messageBytes, s); err != nil {
+		if err := r.apply(s); err != nil {
 			return nil, fmt.Errorf("step %d (%s): %w", i, s, err)
 		}
 	}
-	return compactSlots(slots, base, messageBytes)
+	return compactSlots(r.slots, base, messageBytes)
 }
 
-// applyStep mutates the slot table for one step. grow points at the
-// caller's slice so boot-vm can append a fresh trailing slot.
-func applyStep(grow *[]*core.VM, target *workload.Workload, messageBytes int64, s Step) error {
+// replayer is ReplaySteps' slot table and its scratch marks. While a step
+// edits a slot, at[t] is 1 + the index of the slot's first placement of
+// topic t (0 for none); mark[v] == stamp lists subscriber v in the
+// removal being applied.
+type replayer struct {
+	slots        []*core.VM
+	target       *workload.Workload
+	messageBytes int64
+	at           []int32
+	mark         []uint32
+	stamp        uint32
+}
+
+// apply executes one step on the slot table.
+func (r *replayer) apply(s Step) error {
+	var vm *core.VM
 	switch s.Op {
 	case OpBootVM:
-		if s.VM == len(*grow) {
-			*grow = append(*grow, nil)
+		if s.VM == len(r.slots) {
+			r.slots = append(r.slots, nil)
 		}
-		if s.VM < 0 || s.VM >= len(*grow) {
-			return fmt.Errorf("%w: boot slot %d outside fleet of %d", ErrBadStep, s.VM, len(*grow))
+		if s.VM < 0 || s.VM >= len(r.slots) {
+			return fmt.Errorf("%w: boot slot %d outside fleet of %d", ErrBadStep, s.VM, len(r.slots))
 		}
-		if (*grow)[s.VM] != nil {
+		if r.slots[s.VM] != nil {
 			return fmt.Errorf("%w: slot %d is already occupied", ErrBadStep, s.VM)
 		}
-		(*grow)[s.VM] = &core.VM{
-			ID:                   s.VM,
-			Instance:             s.Instance,
-			CapacityBytesPerHour: s.Capacity,
-		}
-		return nil
-	case OpRetireVM:
-		vm, err := slotAt(*grow, s.VM)
-		if err != nil {
+		vm = &core.VM{ID: s.VM, Instance: s.Instance, CapacityBytesPerHour: s.Capacity}
+		r.slots[s.VM] = vm
+	case OpReconfigure, OpRetireVM:
+		var err error
+		if vm, err = slotAt(r.slots, s.VM); err != nil {
 			return err
 		}
+	default:
+		return fmt.Errorf("%w: unknown op %q", ErrBadStep, string(s.Op))
+	}
+	if err := r.edit(s.VM, vm, s.Remove, s.Place); err != nil {
+		return err
+	}
+	if s.Op == OpRetireVM {
 		if len(vm.Placements) != 0 {
 			return fmt.Errorf("%w: retiring slot %d with %d placements still on it", ErrBadStep, s.VM, len(vm.Placements))
 		}
-		(*grow)[s.VM] = nil
+		r.slots[s.VM] = nil
+	}
+	return nil
+}
+
+// edit drops remove from vm, then adds place to it. A placement emptied
+// by a removal leaves the slot, and a topic placed anew is appended, so
+// the slot's placement order is the one per-topic edits in this order
+// leave.
+func (r *replayer) edit(slot int, vm *core.VM, remove, place []core.TopicPlacement) error {
+	if len(remove) == 0 && len(place) == 0 {
 		return nil
-	case OpPlace:
-		vm, err := slotAt(*grow, s.VM)
-		if err != nil {
-			return err
+	}
+	numT, numV := r.target.NumTopics(), r.target.NumSubscribers()
+	r.at = growTo(r.at, numT)
+	for j := len(vm.Placements) - 1; j >= 0; j-- {
+		r.at[vm.Placements[j].Topic] = int32(j + 1)
+	}
+	// Every topic marked is on the slot when the edit ends, so clearing
+	// the final placements' marks clears them all.
+	defer func() {
+		for _, p := range vm.Placements {
+			r.at[p.Topic] = 0
 		}
-		if int(s.Topic) < 0 || int(s.Topic) >= target.NumTopics() {
-			return fmt.Errorf("%w: topic %d outside the workload (%d topics)", ErrBadStep, s.Topic, target.NumTopics())
+	}()
+
+	for _, e := range remove {
+		t := e.Topic
+		if t < 0 || int(t) >= numT || r.at[t] == 0 {
+			return fmt.Errorf("%w: slot %d does not serve topic %d", ErrBadStep, slot, t)
 		}
-		for _, v := range s.Subs {
-			if int(v) < 0 || int(v) >= target.NumSubscribers() {
-				return fmt.Errorf("%w: subscriber %d outside the workload (%d subscribers)", ErrBadStep, v, target.NumSubscribers())
-			}
-		}
-		rb := target.Rate(s.Topic) * messageBytes
-		idx := -1
-		for i := range vm.Placements {
-			if vm.Placements[i].Topic == s.Topic {
-				idx = i
-				break
-			}
-		}
-		if idx < 0 {
-			vm.Placements = append(vm.Placements, core.TopicPlacement{Topic: s.Topic})
-			idx = len(vm.Placements) - 1
-			vm.InBytesPerHour += rb
-		}
-		vm.Placements[idx].Subs = append(vm.Placements[idx].Subs, s.Subs...)
-		vm.OutBytesPerHour += rb * int64(len(s.Subs))
-		return nil
-	case OpRemove:
-		vm, err := slotAt(*grow, s.VM)
-		if err != nil {
-			return err
-		}
-		idx := -1
-		for i := range vm.Placements {
-			if vm.Placements[i].Topic == s.Topic {
-				idx = i
-				break
-			}
-		}
-		if idx < 0 {
-			return fmt.Errorf("%w: slot %d does not serve topic %d", ErrBadStep, s.VM, s.Topic)
-		}
-		if int(s.Topic) >= target.NumTopics() {
-			return fmt.Errorf("%w: topic %d outside the workload", ErrBadStep, s.Topic)
-		}
-		drop := make(map[workload.SubID]bool, len(s.Subs))
-		for _, v := range s.Subs {
-			drop[v] = true
-		}
+		idx := int(r.at[t] - 1)
 		p := &vm.Placements[idx]
+		listed := r.stampSubs(e.Subs)
 		kept := p.Subs[:0]
 		removed := 0
 		for _, v := range p.Subs {
-			if drop[v] {
+			if v >= 0 && int(v) < len(r.mark) && r.mark[v] == r.stamp {
 				removed++
 			} else {
 				kept = append(kept, v)
 			}
 		}
-		if removed != len(drop) {
+		if removed != listed {
 			return fmt.Errorf("%w: slot %d serves only %d of the %d listed pairs of topic %d",
-				ErrBadStep, s.VM, removed, len(drop), s.Topic)
+				ErrBadStep, slot, removed, listed, t)
 		}
-		rb := target.Rate(s.Topic) * messageBytes
+		rb := r.target.Rate(t) * r.messageBytes
 		p.Subs = kept
 		vm.OutBytesPerHour -= rb * int64(removed)
 		if len(p.Subs) == 0 {
 			vm.Placements = append(vm.Placements[:idx], vm.Placements[idx+1:]...)
 			vm.InBytesPerHour -= rb
+			// Placements past idx moved down by one; a later placement
+			// of t, if any, becomes its first.
+			r.at[t] = 0
+			for j := idx; j < len(vm.Placements); j++ {
+				switch u := vm.Placements[j].Topic; {
+				case u == t && r.at[t] == 0:
+					r.at[t] = int32(j + 1)
+				case r.at[u] == int32(j+2):
+					r.at[u] = int32(j + 1)
+				}
+			}
 		}
-		return nil
-	default:
-		return fmt.Errorf("%w: unknown op %q", ErrBadStep, string(s.Op))
 	}
+
+	for _, e := range place {
+		t := e.Topic
+		if t < 0 || int(t) >= numT {
+			return fmt.Errorf("%w: topic %d outside the workload (%d topics)", ErrBadStep, t, numT)
+		}
+		for _, v := range e.Subs {
+			if v < 0 || int(v) >= numV {
+				return fmt.Errorf("%w: subscriber %d outside the workload (%d subscribers)", ErrBadStep, v, numV)
+			}
+		}
+		rb := r.target.Rate(t) * r.messageBytes
+		if r.at[t] == 0 {
+			vm.Placements = append(vm.Placements, core.TopicPlacement{Topic: t})
+			r.at[t] = int32(len(vm.Placements))
+			vm.InBytesPerHour += rb
+		}
+		p := &vm.Placements[r.at[t]-1]
+		p.Subs = append(p.Subs, e.Subs...)
+		vm.OutBytesPerHour += rb * int64(len(e.Subs))
+	}
+	return nil
+}
+
+// stampSubs marks subs under a fresh stamp and returns how many distinct
+// subscribers they list. A subscriber outside the target workload is
+// counted but never marked: no placement can match it.
+func (r *replayer) stampSubs(subs []workload.SubID) int {
+	r.stamp++
+	if r.stamp == 0 { // wrapped: old stamps could collide
+		clear(r.mark)
+		r.stamp = 1
+	}
+	r.mark = growTo(r.mark, r.target.NumSubscribers())
+	n := 0
+	for _, v := range subs {
+		switch {
+		case v < 0 || int(v) >= len(r.mark):
+			n++
+		case r.mark[v] != r.stamp:
+			r.mark[v] = r.stamp
+			n++
+		}
+	}
+	return n
 }
 
 func slotAt(slots []*core.VM, i int) (*core.VM, error) {

@@ -3,6 +3,8 @@ package dynamic
 import (
 	"context"
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
 	"github.com/pubsub-systems/mcss/internal/core"
@@ -77,8 +79,8 @@ func TestStepsBetweenReplayRoundTrip(t *testing.T) {
 	}
 }
 
-// TestStepsBetweenBootstrap extracts a plan from the empty state: every VM
-// boots, every placement is new.
+// TestStepsBetweenBootstrap extracts a plan from the empty state: one
+// boot-vm step per VM, each placing the VM's pairs.
 func TestStepsBetweenBootstrap(t *testing.T) {
 	cfg := stepsTestConfig()
 	w := stepsTestWorkload(t, 11)
@@ -87,19 +89,13 @@ func TestStepsBetweenBootstrap(t *testing.T) {
 		t.Fatal(err)
 	}
 	steps := StepsBetween(nil, res.Allocation)
-	boots, places := 0, 0
-	for _, s := range steps {
-		switch s.Op {
-		case OpBootVM:
-			boots++
-		case OpPlace:
-			places++
-		case OpRemove, OpRetireVM:
-			t.Fatalf("bootstrap plan contains %s", s)
+	for i, s := range steps {
+		if s.Op != OpBootVM || s.VM != i || len(s.Remove) != 0 {
+			t.Fatalf("bootstrap step %d is %s", i, s)
 		}
 	}
-	if boots != res.Allocation.NumVMs() {
-		t.Fatalf("bootstrap boots %d VMs, allocation has %d", boots, res.Allocation.NumVMs())
+	if len(steps) != res.Allocation.NumVMs() {
+		t.Fatalf("bootstrap has %d steps for %d VMs; want one boot per VM", len(steps), res.Allocation.NumVMs())
 	}
 	got, err := ReplaySteps(&core.Allocation{MessageBytes: cfg.MessageBytes}, w, cfg.MessageBytes, steps)
 	if err != nil {
@@ -110,8 +106,8 @@ func TestStepsBetweenBootstrap(t *testing.T) {
 	}
 }
 
-// TestStepsBetweenScaleDown retires trailing slots only after their
-// placements are removed, and replay tolerates the shrink.
+// TestStepsBetweenScaleDown retires a trailing slot in one step that
+// removes its placements, and replay tolerates the shrink.
 func TestStepsBetweenScaleDown(t *testing.T) {
 	cfg := stepsTestConfig()
 	w := stepsTestWorkload(t, 5)
@@ -129,17 +125,12 @@ func TestStepsBetweenScaleDown(t *testing.T) {
 		MessageBytes: res.Allocation.MessageBytes,
 	}
 	steps := StepsBetween(res.Allocation, shrunk)
-	sawRetire := false
-	for _, s := range steps {
-		if s.Op == OpRetireVM {
-			sawRetire = true
-		}
-		if s.Op == OpBootVM || s.Op == OpPlace {
-			t.Fatalf("scale-down plan contains %s", s)
-		}
+	last := res.Allocation.NumVMs() - 1
+	if len(steps) != 1 || steps[0].Op != OpRetireVM || steps[0].VM != last || len(steps[0].Place) != 0 {
+		t.Fatalf("scale-down plan is %v; want one retire-vm of slot %d", steps, last)
 	}
-	if !sawRetire {
-		t.Fatal("scale-down plan has no retire step")
+	if got, want := len(steps[0].Remove), len(res.Allocation.VMs[last].Placements); got != want {
+		t.Fatalf("retire-vm removes %d topics, the slot serves %d", got, want)
 	}
 	got, err := ReplaySteps(res.Allocation, w, cfg.MessageBytes, steps)
 	if err != nil {
@@ -176,28 +167,68 @@ func TestReplayStepsRejectsBadSteps(t *testing.T) {
 	if unplaced < 0 {
 		t.Skip("every subscriber is on the first placement")
 	}
+	unserved := workload.TopicID(-1)
+	for tp := 0; tp < w.NumTopics() && unserved < 0; tp++ {
+		unserved = workload.TopicID(tp)
+		for _, p := range base.VMs[0].Placements {
+			if p.Topic == unserved {
+				unserved = -1
+			}
+		}
+	}
+	if unserved < 0 {
+		t.Skip("vm 0 serves every topic")
+	}
+	edit := func(tp workload.TopicID, subs ...workload.SubID) []core.TopicPlacement {
+		return []core.TopicPlacement{{Topic: tp, Subs: subs}}
+	}
+	numT, numV := workload.TopicID(w.NumTopics()), workload.SubID(w.NumSubscribers())
+	// Each case pins the error text as well as ErrBadStep.
 	cases := []struct {
-		name string
-		step Step
+		name, text string
+		step       Step
 	}{
-		{"place on unknown slot", Step{Op: OpPlace, VM: 99, Topic: 0, Subs: []workload.SubID{0}}},
-		{"place unknown topic", Step{Op: OpPlace, VM: 0, Topic: workload.TopicID(w.NumTopics()), Subs: []workload.SubID{0}}},
-		{"place unknown subscriber", Step{Op: OpPlace, VM: 0, Topic: 0, Subs: []workload.SubID{workload.SubID(w.NumSubscribers())}}},
-		{"remove unplaced pair", Step{Op: OpRemove, VM: 0, Topic: firstPlacement.Topic, Subs: []workload.SubID{unplaced}}},
-		{"retire non-empty", Step{Op: OpRetireVM, VM: 0}},
-		{"boot occupied slot", Step{Op: OpBootVM, VM: 0, Instance: pricing.C3Large, Capacity: 1}},
-		{"unknown op", Step{Op: StepOp("explode"), VM: 0}},
+		{"place on unknown slot", "slot 99 outside fleet of",
+			Step{Op: OpReconfigure, VM: 99, Place: edit(0, 0)}},
+		{"place unknown topic", fmt.Sprintf("topic %d outside the workload (%d topics)", numT, numT),
+			Step{Op: OpReconfigure, VM: 0, Place: edit(numT, 0)}},
+		{"place unknown subscriber", fmt.Sprintf("subscriber %d outside the workload (%d subscribers)", numV, numV),
+			Step{Op: OpReconfigure, VM: 0, Place: edit(0, numV)}},
+		{"remove unplaced pair", fmt.Sprintf("slot 0 serves only 0 of the 1 listed pairs of topic %d", firstPlacement.Topic),
+			Step{Op: OpReconfigure, VM: 0, Remove: edit(firstPlacement.Topic, unplaced)}},
+		{"remove unserved topic", fmt.Sprintf("slot 0 does not serve topic %d", unserved),
+			Step{Op: OpReconfigure, VM: 0, Remove: edit(unserved, 0)}},
+		{"remove outside the workload", fmt.Sprintf("slot 0 does not serve topic %d", numT),
+			Step{Op: OpReconfigure, VM: 0, Remove: edit(numT, 0)}},
+		{"retire non-empty", fmt.Sprintf("retiring slot 0 with %d placements still on it", len(base.VMs[0].Placements)),
+			Step{Op: OpRetireVM, VM: 0}},
+		{"retire that places", fmt.Sprintf("retiring slot 0 with %d placements still on it", len(base.VMs[0].Placements)+1),
+			Step{Op: OpRetireVM, VM: 0, Place: edit(unserved, 0)}},
+		{"boot occupied slot", "slot 0 is already occupied",
+			Step{Op: OpBootVM, VM: 0, Instance: pricing.C3Large, Capacity: 1}},
+		{"boot that removes", fmt.Sprintf("slot %d does not serve topic 0", len(base.VMs)),
+			Step{Op: OpBootVM, VM: len(base.VMs), Instance: pricing.C3Large, Capacity: 1, Remove: edit(0, 0)}},
+		{"unknown op", `unknown op "explode"`,
+			Step{Op: StepOp("explode"), VM: 0}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := ReplaySteps(base, w, cfg.MessageBytes, []Step{tc.step}); !errors.Is(err, ErrBadStep) {
+			_, err := ReplaySteps(base, w, cfg.MessageBytes, []Step{tc.step})
+			if !errors.Is(err, ErrBadStep) {
 				t.Fatalf("got %v, want ErrBadStep", err)
+			}
+			if !strings.Contains(err.Error(), tc.text) {
+				t.Fatalf("error %q does not say %q", err, tc.text)
 			}
 		})
 	}
 	// Replay never mutates the base allocation even on failure.
 	fp := StateFingerprint(w, base)
-	_, _ = ReplaySteps(base, w, cfg.MessageBytes, []Step{{Op: OpRemove, VM: 0, Topic: base.VMs[0].Placements[0].Topic, Subs: append([]workload.SubID(nil), base.VMs[0].Placements[0].Subs...)}, {Op: OpRetireVM, VM: 99}})
+	first := base.VMs[0].Placements[0]
+	_, _ = ReplaySteps(base, w, cfg.MessageBytes, []Step{
+		{Op: OpReconfigure, VM: 0, Remove: edit(first.Topic, first.Subs...), Place: edit(unserved, 0)},
+		{Op: OpRetireVM, VM: 99},
+	})
 	if StateFingerprint(w, base) != fp {
 		t.Fatal("failed replay mutated the base allocation")
 	}

@@ -142,6 +142,21 @@ func FuzzReadPlan(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(buf.String())
+	// Both versions: the committed v1 file, whose steps place one topic's
+	// subscribers, and hand-made documents of each version.
+	v1, err := os.ReadFile(filepath.Join("testdata", "plan_v1.json"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(string(v1))
+	const tail = `"target":{"workload":{"rates":[1,2],"sub_offsets":[0,2],"sub_topics":[0,1]},"allocation":[]}}`
+	f.Add(`{"format":"mcss-plan","version":1,"base_fingerprint":"x","tau":1,"message_bytes":1,"steps":[` +
+		`{"op":"boot-vm","vm":0,"instance":{"name":"c3.large","hourly_rate":"0.15","link_mbps":64},"capacity_bytes_per_hour":9},` +
+		`{"op":"place","vm":0,"topic":1,"subs":[0]},{"op":"remove","vm":0,"topic":0,"subs":[0]}],` + tail)
+	f.Add(`{"format":"mcss-plan","version":2,"base_fingerprint":"x","tau":1,"message_bytes":1,"steps":[` +
+		`{"op":"boot-vm","vm":1,"instance":{"name":"c3.large","hourly_rate":"0.15","link_mbps":64},"capacity_bytes_per_hour":9,` +
+		`"place":[{"topic":0,"subs":[0]}]},{"op":"reconfigure","vm":0,"remove":[{"topic":1,"subs":[0]}],"place":[{"topic":0,"subs":[0]}]},` +
+		`{"op":"retire-vm","vm":2,"remove":[{"topic":1,"subs":[0]}]}],` + tail)
 	f.Add(`{"format":"mcss-plan","version":1}`)
 	f.Add(`{"format":"mcss-plan","version":1,"base_fingerprint":"x","tau":1,"message_bytes":1,` +
 		`"target":{"workload":{"rates":[],"sub_offsets":[0],"sub_topics":[]},"allocation":[]}}`)
@@ -175,6 +190,12 @@ func FuzzReadPlan(f *testing.F) {
 		}
 		if len(back.Steps) != len(plan.Steps) {
 			t.Fatalf("round trip changed step count %d → %d", len(plan.Steps), len(back.Steps))
+		}
+		for i, s := range plan.Steps {
+			b := back.Steps[i]
+			if b.Op != s.Op || b.VM != s.VM || !sameEdits(b.Remove, s.Remove) || !sameEdits(b.Place, s.Place) {
+				t.Fatalf("round trip changed step %d: %v → %v", i, s, b)
+			}
 		}
 	})
 }
@@ -292,6 +313,16 @@ func FuzzReadJournal(f *testing.F) {
 		}
 		f.Add(b)
 	}
+	// A journal crashed inside a plan whose begin body is a version-1
+	// document.
+	v1cfg, v1Plan, v1Codec := v1Journaling(f)
+	v1Path := filepath.Join(f.TempDir(), "v1.journal")
+	crashApply(f, v1Path, v1Codec, v1cfg, deploy.EmptyState(), v1Plan, 3)
+	v1Journal, err := os.ReadFile(v1Path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(v1Journal)
 	f.Add(seed[:len(seed)-3])                                // torn tail
 	f.Add([]byte("mcss-journal 1\n"))                        // header only
 	f.Add([]byte("mcss-journal 1\nXXXX"))                    // torn frame

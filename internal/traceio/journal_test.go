@@ -458,3 +458,81 @@ func TestApplyRefusesDiffMismatch(t *testing.T) {
 		t.Fatal("refused plan moved the provisioner")
 	}
 }
+
+// v1Journaling reads the committed version-1 plan file and returns the
+// plan with its config, and a journal codec that writes the file without
+// its target, a version-1 plan-begin body, for the plan's begin record.
+func v1Journaling(t testing.TB) (core.Config, *deploy.Plan, deploy.JournalCodec) {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("testdata", "plan_v1.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := ReadPlan(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc map[string]any
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatal(err)
+	}
+	delete(doc, "target")
+	body, err := json.Marshal(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	codec := PlanJournalCodec()
+	encode := codec.EncodePlan
+	codec.EncodePlan = func(p *deploy.Plan) ([]byte, error) {
+		if p.Target == nil {
+			return body, nil
+		}
+		return encode(p)
+	}
+	cfg := core.DefaultConfig(plan.Tau, plan.Model)
+	cfg.Fleet = plan.Fleet
+	return cfg, plan, codec
+}
+
+// TestRecoverV1PlanBeginBody: a journal that crashed inside a plan whose
+// plan-begin body is a version-1 document (steps placing one topic's
+// subscribers, no target) recovers with the plan in flight at its
+// journaled step k, for every k, and the resumed apply commits to the
+// plan's target. The body is the committed v1 plan file without its
+// target; the step-done records count v1 steps, which the decoder keeps
+// one for one.
+func TestRecoverV1PlanBeginBody(t *testing.T) {
+	cfg, plan, codec := v1Journaling(t)
+	if got, want := plan.TargetFingerprint(), goldenPlan(t).TargetFingerprint(); got != want {
+		t.Fatalf("v1 plan target %s, golden target %s", got, want)
+	}
+	snap, err := deploy.Snapshot(cfg, deploy.EmptyState())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := 0; k <= len(plan.Steps); k++ {
+		path := filepath.Join(t.TempDir(), "v1.journal")
+		j, err := deploy.OpenJournal(path, codec, deploy.JournalOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := j.AppendSnapshot(2, snap); err != nil {
+			t.Fatal(err)
+		}
+		if err := j.AppendPlanBegin(3, plan); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < k; i++ {
+			if err := j.AppendStepDone(3, i); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if body := beginBody(t, path); !bytes.Contains(body, []byte(`"op":"place"`)) || bytes.Contains(body, []byte(`"target"`)) {
+			t.Fatalf("plan-begin body is not the v1 body without the target: %s", body)
+		}
+		resumeApply(t, path, cfg, plan, k)
+	}
+}

@@ -15,13 +15,23 @@ import (
 	"github.com/pubsub-systems/mcss/internal/workload"
 )
 
-// Plan format (version 1): a deployment plan as one JSON document — the
+// Plan format (version 2): a deployment plan as one JSON document — the
 // durable, reviewable artifact of the Spec → Plan → Diff → Apply
 // lifecycle. The document is deliberately map-free (rate changes and
 // interest diffs are sorted arrays) so serialization is deterministic and
 // plan files diff cleanly under review; money fields are decimal USD
 // strings (pricing.MicroUSD's text form). Files ending in ".gz" are
 // transparently (de)compressed.
+//
+// A version-2 step is one broker's change: "boot-vm" with the instance,
+// the capacity and the "place" list; "reconfigure" with a "remove" and a
+// "place" list; "retire-vm" with the "remove" list. Each list holds one
+// {topic, subs} entry per topic. Version-1 documents, whose steps place
+// or remove one topic's subscribers ("place" and "remove" with "topic"
+// and "subs"), still read: each such step becomes a reconfigure step with
+// that one edit, so the plan keeps its step count and step indices and a
+// journal of a version-1 plan resumes at its recorded step. Plans are
+// always written as version 2.
 //
 // The error contract mirrors the timeline codec: bytes that are not a
 // well-formed document of this format fail with ErrBadFormat, while a
@@ -92,12 +102,15 @@ type diffDoc struct {
 }
 
 type stepDoc struct {
-	Op       string       `json:"op"`
-	VM       int          `json:"vm"`
-	Instance *instanceDoc `json:"instance,omitempty"`
-	Capacity int64        `json:"capacity_bytes_per_hour,omitempty"`
-	Topic    *int64       `json:"topic,omitempty"`
-	Subs     []int64      `json:"subs,omitempty"`
+	Op       string         `json:"op"`
+	VM       int            `json:"vm"`
+	Instance *instanceDoc   `json:"instance,omitempty"`
+	Capacity int64          `json:"capacity_bytes_per_hour,omitempty"`
+	Remove   []placementDoc `json:"remove,omitempty"`
+	Place    []placementDoc `json:"place,omitempty"`
+	// Topic and Subs are the fields of a version-1 place or remove step.
+	Topic *int64  `json:"topic,omitempty"`
+	Subs  []int64 `json:"subs,omitempty"`
 }
 
 type workloadDoc struct {
@@ -217,10 +230,11 @@ func decodePlanDoc(in io.Reader) (*planDoc, error) {
 	return &doc, nil
 }
 
-// planFromDoc rebuilds the plan of a parsed document. A document without
-// a target is a journal's plan-begin body: its plan has no Target, only
-// the target's region tags, and is validated once the journal's Recover
-// has rebuilt the target. Every other plan is validated here.
+// planFromDoc rebuilds the plan of a parsed document, upgrading a
+// version-1 document's steps. A document without a target is a journal's
+// plan-begin body: its plan has no Target, only the target's region tags,
+// and is validated once the journal's Recover has rebuilt the target.
+// Every other plan is validated here.
 func planFromDoc(doc *planDoc) (*deploy.Plan, error) {
 	model := pricing.Model{
 		Instance:                     instFromDoc(doc.Model.Instance),
@@ -256,8 +270,12 @@ func planFromDoc(doc *planDoc) (*deploy.Plan, error) {
 		CostBefore:      doc.CostBefore,
 		CostAfter:       doc.CostAfter,
 	}
+	fromDoc := stepFromDoc
+	if doc.Version == 1 {
+		fromDoc, plan.Version = stepFromV1Doc, deploy.PlanVersion
+	}
 	for i, sd := range doc.Steps {
-		s, err := stepFromDoc(sd)
+		s, err := fromDoc(sd)
 		if err != nil {
 			return nil, fmt.Errorf("%w: step %d: %v", deploy.ErrInvalidPlan, i, err)
 		}
@@ -409,18 +427,11 @@ func asSubID(v int64) (workload.SubID, error) {
 }
 
 func stepToDoc(s dynamic.Step) stepDoc {
-	doc := stepDoc{Op: string(s.Op), VM: s.VM}
-	switch s.Op {
-	case dynamic.OpBootVM:
+	doc := stepDoc{Op: string(s.Op), VM: s.VM, Remove: placementsToDoc(s.Remove), Place: placementsToDoc(s.Place)}
+	if s.Op == dynamic.OpBootVM {
 		inst := instToDoc(s.Instance)
 		doc.Instance = &inst
 		doc.Capacity = s.Capacity
-	case dynamic.OpPlace, dynamic.OpRemove:
-		t := int64(s.Topic)
-		doc.Topic = &t
-		for _, v := range s.Subs {
-			doc.Subs = append(doc.Subs, int64(v))
-		}
 	}
 	return doc
 }
@@ -433,27 +444,82 @@ func stepFromDoc(doc stepDoc) (dynamic.Step, error) {
 			s.Instance = instFromDoc(*doc.Instance)
 		}
 		s.Capacity = doc.Capacity
-	case dynamic.OpRetireVM:
-	case dynamic.OpPlace, dynamic.OpRemove:
-		if doc.Topic == nil {
-			return dynamic.Step{}, fmt.Errorf("%s step without a topic", doc.Op)
-		}
-		t, err := asTopicID(*doc.Topic)
-		if err != nil {
-			return dynamic.Step{}, err
-		}
-		s.Topic = t
-		for _, v := range doc.Subs {
-			sv, err := asSubID(v)
-			if err != nil {
-				return dynamic.Step{}, err
-			}
-			s.Subs = append(s.Subs, sv)
-		}
+	case dynamic.OpReconfigure, dynamic.OpRetireVM:
 	default:
 		return dynamic.Step{}, fmt.Errorf("unknown op %q", doc.Op)
 	}
+	if doc.Topic != nil || doc.Subs != nil {
+		return dynamic.Step{}, fmt.Errorf("%s step with the topic and subs of a version-1 step", doc.Op)
+	}
+	var err error
+	if s.Remove, err = placementsFromDoc(doc.Remove); err != nil {
+		return dynamic.Step{}, err
+	}
+	if s.Place, err = placementsFromDoc(doc.Place); err != nil {
+		return dynamic.Step{}, err
+	}
 	return s, nil
+}
+
+// stepFromV1Doc reads a version-1 step as the version-2 step it upgrades
+// to: a boot or a retirement carries no edits, and the place or remove of
+// one topic's subscribers becomes a reconfigure step with that one
+// placement or removal.
+func stepFromV1Doc(doc stepDoc) (dynamic.Step, error) {
+	if doc.Remove != nil || doc.Place != nil {
+		return dynamic.Step{}, fmt.Errorf("version-1 %s step with the remove or place list of a version-2 step", doc.Op)
+	}
+	switch doc.Op {
+	case "place", "remove":
+		if doc.Topic == nil {
+			return dynamic.Step{}, fmt.Errorf("%s step without a topic", doc.Op)
+		}
+		edit := []placementDoc{{Topic: *doc.Topic, Subs: doc.Subs}}
+		if doc.Op == "place" {
+			doc.Place = edit
+		} else {
+			doc.Remove = edit
+		}
+		doc.Op, doc.Topic, doc.Subs = string(dynamic.OpReconfigure), nil, nil
+	case string(dynamic.OpReconfigure):
+		return dynamic.Step{}, fmt.Errorf("unknown op %q", doc.Op)
+	}
+	return stepFromDoc(doc)
+}
+
+func placementsToDoc(ps []core.TopicPlacement) []placementDoc {
+	var docs []placementDoc
+	for _, p := range ps {
+		pd := placementDoc{Topic: int64(p.Topic), Subs: make([]int64, 0, len(p.Subs))}
+		for _, v := range p.Subs {
+			pd.Subs = append(pd.Subs, int64(v))
+		}
+		docs = append(docs, pd)
+	}
+	return docs
+}
+
+// placementsFromDoc converts {topic, subs} entries with their IDs range
+// checked as IDs; whether they lie in a workload is checked by the
+// caller.
+func placementsFromDoc(docs []placementDoc) ([]core.TopicPlacement, error) {
+	var ps []core.TopicPlacement
+	for _, pd := range docs {
+		t, err := asTopicID(pd.Topic)
+		if err != nil {
+			return nil, err
+		}
+		subs := make([]workload.SubID, 0, len(pd.Subs))
+		for _, sv := range pd.Subs {
+			v, err := asSubID(sv)
+			if err != nil {
+				return nil, err
+			}
+			subs = append(subs, v)
+		}
+		ps = append(ps, core.TopicPlacement{Topic: t, Subs: subs})
+	}
+	return ps, nil
 }
 
 func workloadToDoc(w *workload.Workload) workloadDoc {
@@ -509,15 +575,11 @@ func workloadFromDoc(doc workloadDoc) (*workload.Workload, error) {
 func allocToDoc(a *core.Allocation) []vmDoc {
 	docs := make([]vmDoc, 0, len(a.VMs))
 	for _, vm := range a.VMs {
-		d := vmDoc{Instance: instToDoc(vm.Instance), Capacity: vm.CapacityBytesPerHour}
-		for _, p := range vm.Placements {
-			pd := placementDoc{Topic: int64(p.Topic), Subs: make([]int64, 0, len(p.Subs))}
-			for _, v := range p.Subs {
-				pd.Subs = append(pd.Subs, int64(v))
-			}
-			d.Placements = append(d.Placements, pd)
-		}
-		docs = append(docs, d)
+		docs = append(docs, vmDoc{
+			Instance:   instToDoc(vm.Instance),
+			Capacity:   vm.CapacityBytesPerHour,
+			Placements: placementsToDoc(vm.Placements),
+		})
 	}
 	return docs
 }
@@ -533,29 +595,23 @@ func allocFromDoc(docs []vmDoc, w *workload.Workload, messageBytes int64, fleet 
 			Instance:             instFromDoc(d.Instance),
 			CapacityBytesPerHour: d.Capacity,
 		}
-		for _, pd := range d.Placements {
-			t, err := asTopicID(pd.Topic)
-			if err != nil {
-				return nil, fmt.Errorf("vm %d: %v", i, err)
+		ps, err := placementsFromDoc(d.Placements)
+		if err != nil {
+			return nil, fmt.Errorf("vm %d: %v", i, err)
+		}
+		for _, p := range ps {
+			if int(p.Topic) >= w.NumTopics() {
+				return nil, fmt.Errorf("vm %d serves topic %d of %d", i, p.Topic, w.NumTopics())
 			}
-			if int(t) >= w.NumTopics() {
-				return nil, fmt.Errorf("vm %d serves topic %d of %d", i, t, w.NumTopics())
-			}
-			subs := make([]workload.SubID, 0, len(pd.Subs))
-			for _, sv := range pd.Subs {
-				v, err := asSubID(sv)
-				if err != nil {
-					return nil, fmt.Errorf("vm %d: %v", i, err)
-				}
+			for _, v := range p.Subs {
 				if int(v) >= w.NumSubscribers() {
 					return nil, fmt.Errorf("vm %d serves subscriber %d of %d", i, v, w.NumSubscribers())
 				}
-				subs = append(subs, v)
 			}
-			rb := w.Rate(t) * messageBytes
-			vm.Placements = append(vm.Placements, core.TopicPlacement{Topic: t, Subs: subs})
+			rb := w.Rate(p.Topic) * messageBytes
+			vm.Placements = append(vm.Placements, p)
 			vm.InBytesPerHour += rb
-			vm.OutBytesPerHour += rb * int64(len(subs))
+			vm.OutBytesPerHour += rb * int64(len(p.Subs))
 		}
 		alloc.VMs = append(alloc.VMs, vm)
 	}

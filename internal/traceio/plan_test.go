@@ -6,6 +6,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -65,7 +66,7 @@ func goldenPlan(t testing.TB) *deploy.Plan {
 	return plan
 }
 
-// TestPlanGolden pins the v1 wire format: the serialized golden plan must
+// TestPlanGolden pins the v2 wire format: the serialized golden plan must
 // match the committed testdata byte for byte. Regenerate deliberately with
 // UPDATE_GOLDEN=1 go test ./internal/traceio -run TestPlanGolden
 // and review the diff — an unintended change here is a format break.
@@ -75,7 +76,7 @@ func TestPlanGolden(t *testing.T) {
 	if err := WritePlan(plan, &buf); err != nil {
 		t.Fatal(err)
 	}
-	golden := filepath.Join("testdata", "plan_v1.json")
+	golden := filepath.Join("testdata", "plan_v2.json")
 	if os.Getenv("UPDATE_GOLDEN") != "" {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
@@ -125,14 +126,83 @@ func assertPlansEquivalent(t *testing.T, a, b *deploy.Plan) {
 	}
 	for i := range a.Steps {
 		as, bs := a.Steps[i], b.Steps[i]
-		if as.Op != bs.Op || as.VM != bs.VM || as.Topic != bs.Topic ||
-			as.Instance != bs.Instance || as.Capacity != bs.Capacity ||
-			len(as.Subs) != len(bs.Subs) {
+		if as.Op != bs.Op || as.VM != bs.VM || as.Instance != bs.Instance || as.Capacity != bs.Capacity ||
+			!sameEdits(as.Remove, bs.Remove) || !sameEdits(as.Place, bs.Place) {
 			t.Fatalf("step %d: %v != %v", i, as, bs)
 		}
 	}
 	if a.Target.Allocation.Cost(a.Model) != b.Target.Allocation.Cost(b.Model) {
 		t.Fatal("target costs differ after round trip")
+	}
+}
+
+// sameEdits reports whether two step edit lists name the same topics and
+// subscribers in the same order.
+func sameEdits(a, b []core.TopicPlacement) bool {
+	return slices.EqualFunc(a, b, func(p, q core.TopicPlacement) bool {
+		return p.Topic == q.Topic && slices.Equal(p.Subs, q.Subs)
+	})
+}
+
+// TestPlanV1Decodes: the committed version-1 plan file, written when a
+// step placed or removed one topic's subscribers, still reads. Its 5 steps
+// keep their count and order (two boots, then each place as a reconfigure
+// step with that one placement), the plan validates as the current
+// version, and it applies from the empty cluster to the golden target.
+func TestPlanV1Decodes(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "plan_v1.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(raw, []byte(`"version": 1,`)) || !bytes.Contains(raw, []byte(`"op": "place"`)) {
+		t.Fatal("plan_v1.json is not a version-1 plan with place steps")
+	}
+	plan, err := ReadPlan(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan.Version != deploy.PlanVersion {
+		t.Fatalf("decoded version %d, want the current %d", plan.Version, deploy.PlanVersion)
+	}
+	if err := plan.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	want := []dynamic.Step{
+		{Op: dynamic.OpBootVM, VM: 0, Instance: pricing.C3Large, Capacity: 99968},
+		{Op: dynamic.OpBootVM, VM: 1, Instance: pricing.C3Large, Capacity: 99968},
+		{Op: dynamic.OpReconfigure, VM: 0, Place: []core.TopicPlacement{{Topic: 0, Subs: []workload.SubID{1, 2}}}},
+		{Op: dynamic.OpReconfigure, VM: 1, Place: []core.TopicPlacement{{Topic: 1, Subs: []workload.SubID{0, 3, 4}}}},
+		{Op: dynamic.OpReconfigure, VM: 1, Place: []core.TopicPlacement{{Topic: 2, Subs: []workload.SubID{2}}}},
+	}
+	if len(plan.Steps) != len(want) {
+		t.Fatalf("%d steps, want %d", len(plan.Steps), len(want))
+	}
+	for i, s := range plan.Steps {
+		w := want[i]
+		if s.Op != w.Op || s.VM != w.VM || s.Instance.Name != w.Instance.Name || s.Capacity != w.Capacity ||
+			!sameEdits(s.Remove, w.Remove) || !sameEdits(s.Place, w.Place) {
+			t.Fatalf("step %d is %v, want %v", i, s, w)
+		}
+	}
+	golden := goldenPlan(t)
+	if got, want := plan.TargetFingerprint(), golden.TargetFingerprint(); got != want {
+		t.Fatalf("v1 target fingerprint %s, golden target %s", got, want)
+	}
+	cfg := core.DefaultConfig(plan.Tau, plan.Model)
+	cfg.Fleet = plan.Fleet
+	prov, err := deploy.EmptyState().Provisioner(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := deploy.Apply(context.Background(), plan, prov)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.StepsApplied != 5 {
+		t.Fatalf("applied %d steps, want 5", rep.StepsApplied)
+	}
+	if got := dynamic.StateFingerprint(prov.Workload(), prov.Allocation()); got != golden.TargetFingerprint() {
+		t.Fatalf("applied fingerprint %s, golden target %s", got, golden.TargetFingerprint())
 	}
 }
 
@@ -195,7 +265,10 @@ func TestReadPlanRejects(t *testing.T) {
 		name string
 		doc  string
 	}{
-		{"wrong version", strings.Replace(good, `"version": 1`, `"version": 7`, 1)},
+		{"wrong version", strings.Replace(good, `"version": 2`, `"version": 7`, 1)},
+		{"version-1 op in a version-2 plan", strings.Replace(good, `"op": "boot-vm"`, `"op": "place"`, 1)},
+		{"version-1 fields in a version-2 step", strings.Replace(good, `"vm": 0,`, `"vm": 0, "topic": 0, "subs": [1],`, 1)},
+		{"version-2 op in a version-1 plan", strings.Replace(good, `"version": 2`, `"version": 1`, 1)},
 		{"no fingerprint", strings.Replace(good, `"base_fingerprint": "`+deploy.EmptyState().Fingerprint()+`"`, `"base_fingerprint": ""`, 1)},
 		{"negative tau", strings.Replace(good, `"tau": 40`, `"tau": -1`, 1)},
 		{"minimal but empty", `{"format":"mcss-plan","version":1}`},

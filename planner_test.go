@@ -98,6 +98,13 @@ func TestPlannerMatchesCoreSolve(t *testing.T) {
 	if err := p.Verify(w, res.Selection, res.Allocation); err != nil {
 		t.Errorf("Verify: %v", err)
 	}
+	// A placement outside the workload is reported, not a panic.
+	vm := res.Allocation.VMs[0]
+	vm.Placements = append(vm.Placements, mcss.TopicPlacement{Topic: mcss.TopicID(w.NumTopics() + 5), Subs: vm.Placements[0].Subs[:1]})
+	if err := p.Verify(w, res.Selection, res.Allocation); err == nil || !strings.Contains(err.Error(), "outside the workload") {
+		t.Errorf("Verify of a topic outside the workload: %v", err)
+	}
+	vm.Placements = vm.Placements[:len(vm.Placements)-1]
 	lb, err := p.LowerBound(context.Background(), w)
 	if err != nil {
 		t.Fatal(err)
