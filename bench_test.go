@@ -635,6 +635,43 @@ func BenchmarkPlanApplyIncremental(b *testing.B) {
 	b.ReportMetric(float64(fsyncs), "fsyncs")
 }
 
+// BenchmarkVerify times the one allocation checker in both modes on one
+// solved ChurnSetup allocation: exact (VerifyAllocation, the placed pairs
+// must be the selection) and serves (VerifyServes, any placement serving
+// the workload). Both are one map-free pass, so serves should cost about
+// what exact does.
+func BenchmarkVerify(b *testing.B) {
+	pairs := int64(160_000)
+	if testing.Short() {
+		pairs = 20_000
+	}
+	w, cfg, err := experiments.ChurnSetup(pairs)
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := core.Solve(w, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, mode := range []struct {
+		name   string
+		verify func() error
+	}{
+		{"exact", func() error { return core.VerifyAllocation(w, res.Selection, res.Allocation, cfg) }},
+		{"serves", func() error { return core.VerifyServes(w, res.Allocation, cfg) }},
+	} {
+		b.Run(mode.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := mode.verify(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(res.Selection.NumPairs()), "pairs")
+		})
+	}
+}
+
 // BenchmarkDiurnalController runs the full three-strategy diurnal
 // comparison (24-epoch Twitter-like timeline; static peak, oracle, and
 // hysteresis elastic controller) per iteration and reports the headline

@@ -116,6 +116,25 @@ func TestPublicDeployLifecycle(t *testing.T) {
 	}
 }
 
+// TestSnapshotPlanRejectsMalformedState: a cluster state placing a topic
+// outside its workload is refused with ErrInvalidPlan, not an index panic.
+func TestSnapshotPlanRejectsMalformedState(t *testing.T) {
+	w := deployDemoWorkload(t)
+	p, err := mcss.NewPlanner(mcss.WithTau(40), mcss.WithModel(demoModel()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := p.Solve(context.Background(), w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vm := res.Allocation.VMs[0]
+	vm.Placements = append(vm.Placements, mcss.TopicPlacement{Topic: -1, Subs: []mcss.SubID{0}})
+	if _, err := mcss.SnapshotPlan(p.Config(), mcss.NewClusterState(w, res.Allocation)); !errors.Is(err, mcss.ErrInvalidPlan) {
+		t.Fatalf("got %v, want ErrInvalidPlan", err)
+	}
+}
+
 // TestElasticEpochPlansPublic: the controller's per-epoch plans are
 // visible through the public report type.
 func TestElasticEpochPlansPublic(t *testing.T) {

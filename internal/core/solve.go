@@ -66,42 +66,51 @@ func SolveContext(ctx context.Context, w *workload.Workload, cfg Config) (*Resul
 //     instance's capacity BC_b (unless LenientFirstFit permitted the
 //     paper's literal overshoot), and each VM's recorded capacity is
 //     consistent with the fleet it claims to come from;
-//  3. accounting — each VM's Out/InBytesPerHour match its placements, a
-//     topic appears at most once per VM, and the total pair count matches
-//     the selection;
-//  4. consistency — every placed pair was selected, and every selected pair
-//     is placed at least once.
+//  3. accounting — each VM's Out/InBytesPerHour match its placements,
+//     which pass CheckPlacements;
+//  4. consistency — every placed pair is a subscription, was selected and
+//     is placed exactly once, and every selected pair is placed.
 //
 // It returns nil when all hold. This is the oracle used by integration and
 // property tests.
 func VerifyAllocation(w *workload.Workload, sel *Selection, alloc *Allocation, cfg Config) error {
+	return verify(w, sel, alloc, cfg)
+}
+
+// VerifyServes is VerifyAllocation without a selection: the placed pairs
+// may be any subscriptions, each placed once, that satisfy every
+// subscriber. It is the oracle for allocations that legitimately drift
+// from their originating selection — kept/topped-up epochs, crash
+// repairs, and chaos-mode replay. Capacity resolves fleet-first, against
+// cfg.Fleet when set, else the allocation's own fleet: recorded per-VM
+// capacities may be headroom-derated by the packing config, while the
+// verifier's fleet carries the true bounds.
+func VerifyServes(w *workload.Workload, alloc *Allocation, cfg Config) error {
+	return verify(w, nil, alloc, cfg)
+}
+
+// verify is the one pass behind both verifiers; sel is nil in serves mode.
+// Per VM it runs CheckPlacements' checks, then accounting and capacity;
+// then it walks the allocation's subscriber rows, keeping the first
+// failure of each row rule and reporting them in rule order: a pair that
+// is not a subscription, a pair not placed exactly once, unselected pairs
+// (exact mode), a τ shortfall.
+func verify(w *workload.Workload, sel *Selection, alloc *Allocation, cfg Config) error {
+	fleet := cfg.Fleet
+	if fleet.IsZero() && sel == nil {
+		fleet = alloc.Fleet
+	}
 	cfg, err := cfg.normalize()
 	if err != nil {
 		return err
 	}
-	fleet := cfg.EffectiveFleet()
+	fleet = cfg.Model.FleetOr(fleet)
+	exact := sel != nil
 	numT, numV := w.NumTopics(), w.NumSubscribers()
-
-	// onVM[t] is 1 + the index of the last VM found serving topic t.
-	onVM := make([]int32, numT)
 	var totalPlaced int64
-	for i, vm := range alloc.VMs {
+	err = checkPlacements(w, alloc, func(vm *VM) error {
 		var out, in int64
 		for _, p := range vm.Placements {
-			// Range checks come before anything is indexed by topic or
-			// subscriber.
-			if int(p.Topic) < 0 || int(p.Topic) >= numT {
-				return fmt.Errorf("vm %d: topic %d outside the workload", vm.ID, p.Topic)
-			}
-			for _, v := range p.Subs {
-				if int(v) < 0 || int(v) >= numV {
-					return fmt.Errorf("vm %d: subscriber %d outside the workload", vm.ID, v)
-				}
-			}
-			if onVM[p.Topic] == int32(i+1) {
-				return fmt.Errorf("vm %d: topic %d appears in multiple placements", vm.ID, p.Topic)
-			}
-			onVM[p.Topic] = int32(i + 1)
 			rb := w.Rate(p.Topic) * cfg.MessageBytes
 			in += rb
 			out += rb * int64(len(p.Subs))
@@ -111,50 +120,65 @@ func VerifyAllocation(w *workload.Workload, sel *Selection, alloc *Allocation, c
 			return fmt.Errorf("vm %d: accounted bw (out=%d,in=%d) != recomputed (out=%d,in=%d)",
 				vm.ID, vm.OutBytesPerHour, vm.InBytesPerHour, out, in)
 		}
-		// Each VM is checked against its own instance's capacity. A VM
-		// without a recorded capacity (legacy construction) falls back to
-		// the fleet's capacity for its type, then the model's BC.
+		// The fleet's capacity for the VM's type wins; exact mode requires
+		// a recorded one to equal it. A VM of an unlisted type keeps its
+		// recorded capacity, or without one (legacy construction) takes
+		// the model's BC.
 		cap := vm.CapacityBytesPerHour
 		if i := fleet.IndexByName(vm.Instance.Name); i >= 0 {
-			if cap == 0 {
-				cap = fleet.Capacity(i)
-			} else if cap != fleet.Capacity(i) {
+			if exact && cap != 0 && cap != fleet.Capacity(i) {
 				return fmt.Errorf("vm %d: recorded capacity %d does not match fleet capacity %d for %s",
 					vm.ID, cap, fleet.Capacity(i), vm.Instance.Name)
 			}
-		} else if cap == 0 {
+			cap = fleet.Capacity(i)
+		}
+		if cap == 0 {
 			cap = cfg.Model.CapacityBytesPerHour()
 		}
 		if !cfg.LenientFirstFit && vm.BytesPerHour() > cap {
 			return fmt.Errorf("vm %d (%s): bandwidth %d exceeds capacity %d",
 				vm.ID, vm.Instance.Name, vm.BytesPerHour(), cap)
 		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
-
-	if totalPlaced != sel.NumPairs() {
-		return fmt.Errorf("placed %d pair instances, selection has %d pairs", totalPlaced, sel.NumPairs())
+	numSel := 0
+	if exact {
+		if totalPlaced != sel.NumPairs() {
+			return fmt.Errorf("placed %d pair instances, selection has %d pairs", totalPlaced, sel.NumPairs())
+		}
+		numSel = len(sel.subOff) - 1
 	}
 
 	off, rows := alloc.SubscriberRows(numV)
 
-	// Every selected pair must be placed exactly once, and nothing else.
-	// Each subscriber's placed row is counted into count, indexed by
-	// topic, and checked against its selected row, neither of which needs
-	// to be sorted; count is zeroed again before the next subscriber. The
-	// first bad pair in the selection's subscriber-major order is
-	// reported, then unselected pairs, then the first τ shortfall: by then
-	// the placed pairs are the selected ones, so a subscriber's delivered
-	// rate is the rate of its selected row.
+	// Subscriber by subscriber: v's interests are stamped into mark (v+1,
+	// so it is never cleared), and v's placed row, in placement order, is
+	// counted into count, indexed by topic and zeroed again before the
+	// next subscriber. Exact mode checks v's selected row first, each of
+	// its pairs counted exactly once; whatever else the row holds was
+	// never selected. A subscriber's delivered rate is that of its
+	// distinct placed pairs (exact mode: of its selected row, the same
+	// pairs once no earlier rule fails).
+	mark := make([]int32, numT)
 	count := make([]int32, numT)
+	var notSub, notOnce error
 	var unselected int
 	short, shortGot := -1, int64(0)
-	numSel := len(sel.subOff) - 1
 	for v := 0; v < max(numV, numSel); v++ {
 		var placed []workload.TopicID
 		if v < numV {
 			placed = rows[off[v]:off[v+1]]
+			for _, t := range w.Topics(workload.SubID(v)) {
+				mark[t] = int32(v + 1)
+			}
 		}
 		for _, t := range placed {
+			if mark[t] != int32(v+1) && notSub == nil {
+				notSub = fmt.Errorf("pair (t=%d,v=%d) is not a subscription", t, v)
+			}
 			count[t]++
 		}
 		var got int64
@@ -162,30 +186,95 @@ func VerifyAllocation(w *workload.Workload, sel *Selection, alloc *Allocation, c
 			for _, t := range sel.SelectedTopics(workload.SubID(v)) {
 				var n int32
 				if int(t) >= 0 && int(t) < numT {
-					n = count[t]
+					n, count[t] = count[t], 0
 				}
 				if n != 1 {
-					return fmt.Errorf("pair (t=%d,v=%d) placed %d times, want 1", t, v, n)
+					if notOnce == nil {
+						notOnce = fmt.Errorf("pair (t=%d,v=%d) placed %d times, want 1", t, v, n)
+					}
+					continue
 				}
-				count[t] = 0
 				got += w.Rate(t)
 			}
 		}
 		for _, t := range placed {
-			if count[t] != 0 {
-				unselected++
-				count[t] = 0
+			n := count[t]
+			if n == 0 {
+				continue
 			}
+			count[t] = 0
+			if exact {
+				unselected++
+				continue
+			}
+			if n > 1 && notOnce == nil {
+				notOnce = fmt.Errorf("pair (t=%d,v=%d) placed %d times, want 1", t, v, n)
+			}
+			got += w.Rate(t)
 		}
 		if short < 0 && v < numV && got < w.TauV(workload.SubID(v), cfg.Tau) {
 			short, shortGot = v, got
 		}
 	}
-	if unselected != 0 {
+	switch {
+	case notSub != nil:
+		return notSub
+	case notOnce != nil:
+		return notOnce
+	case unselected != 0:
 		return fmt.Errorf("%d placed pairs were never selected", unselected)
-	}
-	if short >= 0 {
+	case short >= 0:
 		return fmt.Errorf("subscriber %d delivered %d events/h, needs %d", short, shortGot, w.TauV(workload.SubID(short), cfg.Tau))
+	}
+	return nil
+}
+
+// CheckPlacements checks an allocation's placements against the workload
+// they serve: every topic and subscriber in range (checked before anything
+// is indexed by it), a topic at most once per VM, and a subscriber at most
+// once per placement. Both verifiers run it ahead of their accounting, and
+// deploy runs it on a plan's states before diffing them. A nil allocation
+// places nothing.
+func CheckPlacements(w *workload.Workload, alloc *Allocation) error {
+	return checkPlacements(w, alloc, func(*VM) error { return nil })
+}
+
+// checkPlacements is CheckPlacements calling each on every VM once its
+// placements pass, before the next VM is checked.
+func checkPlacements(w *workload.Workload, alloc *Allocation, each func(vm *VM) error) error {
+	if alloc == nil {
+		return nil
+	}
+	// onVM[t] is 1 + the index of the last VM found serving topic t;
+	// inList[v] the number of the last placement found listing subscriber
+	// v, placements counted from 1.
+	onVM, inList := make([]int32, w.NumTopics()), make([]int32, w.NumSubscribers())
+	list := int32(0)
+	for i, vm := range alloc.VMs {
+		for _, p := range vm.Placements {
+			if int(p.Topic) < 0 || int(p.Topic) >= len(onVM) {
+				return fmt.Errorf("vm %d: topic %d outside the workload", vm.ID, p.Topic)
+			}
+			for _, v := range p.Subs {
+				if int(v) < 0 || int(v) >= len(inList) {
+					return fmt.Errorf("vm %d: subscriber %d outside the workload", vm.ID, v)
+				}
+			}
+			if onVM[p.Topic] == int32(i+1) {
+				return fmt.Errorf("vm %d: topic %d appears in multiple placements", vm.ID, p.Topic)
+			}
+			onVM[p.Topic] = int32(i + 1)
+			list++
+			for _, v := range p.Subs {
+				if inList[v] == list {
+					return fmt.Errorf("vm %d: subscriber %d listed twice for topic %d", vm.ID, v, p.Topic)
+				}
+				inList[v] = list
+			}
+		}
+		if err := each(vm); err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -217,93 +306,4 @@ func (a *Allocation) SubscriberRows(numV int) (off []int64, rows []workload.Topi
 		}
 	}
 	return off, rows
-}
-
-// VerifyServes checks that an allocation serves the workload without
-// requiring it to match a particular Stage-1 selection: satisfaction
-// (every subscriber's distinct placed pairs deliver ≥ τ_v), per-VM
-// capacity against the allocation's own fleet, bandwidth accounting, a
-// topic at most once per VM, and every placed pair referencing a real
-// subscription. It is the oracle for allocations that legitimately drift
-// from their originating selection — kept/topped-up epochs, crash repairs,
-// and chaos-mode replay — where VerifyAllocation's exact pair-set equality
-// would reject a correct placement.
-func VerifyServes(w *workload.Workload, alloc *Allocation, cfg Config) error {
-	// The verifier's own fleet wins the capacity lookup: an allocation's
-	// recorded fleet (and per-VM capacities) may be headroom-derated by the
-	// packing config, while the caller's cfg.Fleet carries the true bounds.
-	explicit := cfg.Fleet
-	cfg, err := cfg.normalize()
-	if err != nil {
-		return err
-	}
-	fleet := explicit
-	if fleet.IsZero() {
-		fleet = cfg.Model.FleetOr(alloc.Fleet)
-	}
-
-	delivered := make([]int64, w.NumSubscribers())
-	type pairKey struct {
-		t workload.TopicID
-		v workload.SubID
-	}
-	seenPairs := make(map[pairKey]bool)
-	for _, vm := range alloc.VMs {
-		var out, in int64
-		seenTopics := make(map[workload.TopicID]bool, len(vm.Placements))
-		for _, p := range vm.Placements {
-			if seenTopics[p.Topic] {
-				return fmt.Errorf("vm %d: topic %d appears in multiple placements", vm.ID, p.Topic)
-			}
-			seenTopics[p.Topic] = true
-			if int(p.Topic) < 0 || int(p.Topic) >= w.NumTopics() {
-				return fmt.Errorf("vm %d: topic %d outside the workload", vm.ID, p.Topic)
-			}
-			rb := w.Rate(p.Topic) * cfg.MessageBytes
-			in += rb
-			out += rb * int64(len(p.Subs))
-			for _, v := range p.Subs {
-				if int(v) < 0 || int(v) >= w.NumSubscribers() {
-					return fmt.Errorf("vm %d: subscriber %d outside the workload", vm.ID, v)
-				}
-				if _, ok := slices.BinarySearch(w.Topics(v), p.Topic); !ok {
-					return fmt.Errorf("vm %d: pair (t=%d,v=%d) is not a subscription", vm.ID, p.Topic, v)
-				}
-				k := pairKey{p.Topic, v}
-				if !seenPairs[k] {
-					delivered[v] += w.Rate(p.Topic)
-					seenPairs[k] = true
-				}
-			}
-		}
-		if out != vm.OutBytesPerHour || in != vm.InBytesPerHour {
-			return fmt.Errorf("vm %d: accounted bw (out=%d,in=%d) != recomputed (out=%d,in=%d)",
-				vm.ID, vm.OutBytesPerHour, vm.InBytesPerHour, out, in)
-		}
-		// True capacity resolves fleet-first: recorded per-VM capacities may
-		// be headroom-derated by the packing config, while the verifier's
-		// fleet carries the un-derated bound (the same order the elastic
-		// controller validates kept allocations in).
-		var cap int64
-		if i := fleet.IndexByName(vm.Instance.Name); i >= 0 {
-			cap = fleet.Capacity(i)
-		}
-		if cap == 0 {
-			cap = vm.CapacityBytesPerHour
-		}
-		if cap == 0 {
-			cap = cfg.Model.CapacityBytesPerHour()
-		}
-		if !cfg.LenientFirstFit && vm.BytesPerHour() > cap {
-			return fmt.Errorf("vm %d (%s): bandwidth %d exceeds capacity %d",
-				vm.ID, vm.Instance.Name, vm.BytesPerHour(), cap)
-		}
-	}
-	for v := 0; v < w.NumSubscribers(); v++ {
-		tauV := w.TauV(workload.SubID(v), cfg.Tau)
-		if delivered[v] < tauV {
-			return fmt.Errorf("subscriber %d delivered %d events/h, needs %d", v, delivered[v], tauV)
-		}
-	}
-	return nil
 }

@@ -287,6 +287,51 @@ func TestVerifyAllocationRejectsOutOfRange(t *testing.T) {
 	}
 }
 
+// TestVerifyRejectsRepeatsAndNonSubscriptions: both verifiers enforce one
+// rule set, so VerifyServes refuses a pair placed twice, on two VMs or in
+// one placement, and VerifyAllocation a placed pair that is not a
+// subscription even when the selection lists it. Accounting is repaired
+// in each case, so nothing else fails first.
+func TestVerifyRejectsRepeatsAndNonSubscriptions(t *testing.T) {
+	w := mustWorkload(t, []int64{5, 7}, [][]workload.TopicID{{0, 1}, {0}})
+	cfg := configWith(6, 100, CustomBinPackingContext, OptAll)
+	cases := []struct {
+		name, want string
+		edit       func(c *verifyCase)
+		verify     func(c verifyCase) error
+	}{
+		{"serves: pair on two vms", "pair (t=0,v=1) placed 2 times, want 1", func(c *verifyCase) {
+			vm := c.alloc.VMs[0]
+			c.alloc.VMs = append(c.alloc.VMs, &VM{ID: 1, Instance: vm.Instance, CapacityBytesPerHour: vm.CapacityBytesPerHour})
+			place(c.alloc.VMs[1], 0, 1)
+		}, func(c verifyCase) error { return VerifyServes(c.w, c.alloc, c.cfg) }},
+		{"serves: subscriber twice in a placement", "subscriber 1 listed twice for topic 0", func(c *verifyCase) {
+			place(c.alloc.VMs[0], 0, 1)
+		}, func(c verifyCase) error { return VerifyServes(c.w, c.alloc, c.cfg) }},
+		{"exact: selected pair not a subscription", "pair (t=1,v=1) is not a subscription", func(c *verifyCase) {
+			place(c.alloc.VMs[0], 1, 1)
+			c.sel = selectionListing(c.sel, workload.Pair{Topic: 1, Sub: 1})
+		}, func(c verifyCase) error { return VerifyAllocation(c.w, c.sel, c.alloc, c.cfg) }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			res, err := Solve(w, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := verifyCase{w: w, sel: res.Selection, alloc: res.Allocation, cfg: cfg}
+			if err := tc.verify(c); err != nil {
+				t.Fatalf("solved allocation fails: %v", err)
+			}
+			tc.edit(&c)
+			c.reaccount()
+			if err := tc.verify(c); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("got %v, want an error saying %q", err, tc.want)
+			}
+		})
+	}
+}
+
 func TestVMAccessors(t *testing.T) {
 	vm := &VM{
 		Placements: []TopicPlacement{

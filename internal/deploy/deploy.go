@@ -299,14 +299,15 @@ func (p *Plan) IsNoop() bool { return len(p.Steps) == 0 }
 func (p *Plan) TargetFingerprint() string { return p.Target.Fingerprint() }
 
 // Validate checks the structural plan invariants — schema version, present
-// target, in-range step and placement references, each topic at most once
-// per target VM, each subscriber at most once per target placement and
-// per topic of a step's removals or placements, and each step's edits
-// fitting its op (a boot places, a retirement removes, a reconfiguration
-// does either or both) — and returns ErrInvalidPlan on the first
-// violation. It is called by Apply and by the traceio plan reader, so a
-// hostile or corrupt plan file fails closed instead of corrupting a
-// cluster.
+// target, target VMs of a named type with positive capacity, target
+// placements passing core.CheckPlacements (references in range, a topic at
+// most once per VM, a subscriber at most once per placement), in-range step
+// references, each subscriber at most once per topic of a step's removals
+// or placements, and each step's edits fitting its op (a boot places, a
+// retirement removes, a reconfiguration does either or both) — and returns
+// ErrInvalidPlan on the first violation. It is called by Apply and by the
+// traceio plan reader, so a hostile or corrupt plan file fails closed
+// instead of corrupting a cluster.
 func (p *Plan) Validate() error {
 	if p == nil {
 		return fmt.Errorf("%w: nil plan", ErrInvalidPlan)
@@ -326,39 +327,21 @@ func (p *Plan) Validate() error {
 	if p.Target == nil || p.Target.Workload == nil || p.Target.Allocation == nil {
 		return fmt.Errorf("%w: missing target state", ErrInvalidPlan)
 	}
-	w := p.Target.Workload
-	numT, numV := w.NumTopics(), w.NumSubscribers()
-	// lastVM[t] is 1 + the last target VM found serving topic t;
-	// lastList[v] is the number of the last subscriber list (a target
-	// placement or a step, counted from 1) found listing subscriber v.
-	lastVM := make([]int32, numT)
-	lastList := make([]int32, numV)
-	list := int32(0)
 	for i, vm := range p.Target.Allocation.VMs {
 		if vm.Instance.Name == "" || vm.CapacityBytesPerHour <= 0 {
 			return fmt.Errorf("%w: target vm %d has instance %q with capacity %d (need a named type and positive capacity)",
 				ErrInvalidPlan, i, vm.Instance.Name, vm.CapacityBytesPerHour)
 		}
-		for _, pl := range vm.Placements {
-			if int(pl.Topic) < 0 || int(pl.Topic) >= numT {
-				return fmt.Errorf("%w: target vm %d serves topic %d of %d", ErrInvalidPlan, i, pl.Topic, numT)
-			}
-			if lastVM[pl.Topic] == int32(i+1) {
-				return fmt.Errorf("%w: target vm %d serves topic %d twice", ErrInvalidPlan, i, pl.Topic)
-			}
-			lastVM[pl.Topic] = int32(i + 1)
-			list++
-			for _, v := range pl.Subs {
-				if int(v) < 0 || int(v) >= numV {
-					return fmt.Errorf("%w: target vm %d serves subscriber %d of %d", ErrInvalidPlan, i, v, numV)
-				}
-				if lastList[v] == list {
-					return fmt.Errorf("%w: target vm %d lists subscriber %d twice for topic %d", ErrInvalidPlan, i, v, pl.Topic)
-				}
-				lastList[v] = list
-			}
-		}
 	}
+	w := p.Target.Workload
+	if err := core.CheckPlacements(w, p.Target.Allocation); err != nil {
+		return fmt.Errorf("%w: target %v", ErrInvalidPlan, err)
+	}
+	numT, numV := w.NumTopics(), w.NumSubscribers()
+	// lastList[v] is the number of the last step edit (counted from 1)
+	// found listing subscriber v.
+	lastList := make([]int32, numV)
+	list := int32(0)
 	for i, s := range p.Steps {
 		switch s.Op {
 		case dynamic.OpBootVM, dynamic.OpReconfigure, dynamic.OpRetireVM:
@@ -409,13 +392,21 @@ func (p *Plan) Validate() error {
 // under cfg.Model are all derived from the two states. It is the
 // constructor the elastic controller uses once its policy has already
 // chosen the target allocation; Planner.Plan wraps a solve around it. A
-// nil current plans from the empty cluster.
+// nil current plans from the empty cluster. A state whose placements fail
+// core.CheckPlacements is refused with ErrInvalidPlan before anything is
+// diffed.
 func NewPlan(cfg core.Config, current, target *State) (*Plan, error) {
 	if current == nil {
 		current = EmptyState()
 	}
 	if target == nil || target.Workload == nil || target.Allocation == nil {
 		return nil, fmt.Errorf("%w: missing target state", ErrInvalidPlan)
+	}
+	if err := core.CheckPlacements(current.Workload, current.Allocation); err != nil {
+		return nil, fmt.Errorf("%w: current %v", ErrInvalidPlan, err)
+	}
+	if err := core.CheckPlacements(target.Workload, target.Allocation); err != nil {
+		return nil, fmt.Errorf("%w: target %v", ErrInvalidPlan, err)
 	}
 	if cfg.MessageBytes == 0 {
 		cfg.MessageBytes = 200

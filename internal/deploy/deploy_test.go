@@ -351,6 +351,64 @@ func TestPlanValidate(t *testing.T) {
 	}
 }
 
+// TestNewPlanRejectsMalformedStates: a state placing a topic or a
+// subscriber outside its workload, a topic twice on a VM or a subscriber
+// twice in a placement is refused with ErrInvalidPlan as the current
+// state, as the target and through Snapshot, before anything diffs it.
+func TestNewPlanRejectsMalformedStates(t *testing.T) {
+	cfg := testConfig()
+	w := testWorkload(t, 7)
+	res, err := core.Solve(w, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := NewState(w, res.Allocation)
+	malformed := []struct {
+		name string
+		fn   func(vm *core.VM)
+	}{
+		{"topic -1", func(vm *core.VM) {
+			vm.Placements = append(vm.Placements, core.TopicPlacement{Topic: -1, Subs: []workload.SubID{0}})
+		}},
+		{"topic past the last", func(vm *core.VM) {
+			vm.Placements = append(vm.Placements, core.TopicPlacement{Topic: workload.TopicID(w.NumTopics()), Subs: []workload.SubID{0}})
+		}},
+		{"subscriber -2", func(vm *core.VM) { vm.Placements[0].Subs[0] = -2 }},
+		{"subscriber past the last", func(vm *core.VM) {
+			vm.Placements[0].Subs[0] = workload.SubID(w.NumSubscribers())
+		}},
+		{"topic twice on a vm", func(vm *core.VM) {
+			pl := vm.Placements[0]
+			vm.Placements = append(vm.Placements, core.TopicPlacement{Topic: pl.Topic, Subs: []workload.SubID{pl.Subs[0]}})
+		}},
+		{"subscriber twice in a placement", func(vm *core.VM) {
+			pl := &vm.Placements[0]
+			pl.Subs = append(pl.Subs, pl.Subs[0])
+		}},
+	}
+	for _, m := range malformed {
+		bad := &core.Allocation{MessageBytes: res.Allocation.MessageBytes, Fleet: res.Allocation.Fleet}
+		for i, vm := range res.Allocation.VMs {
+			bad.VMs = append(bad.VMs, core.SnapshotVM(vm, i))
+		}
+		m.fn(bad.VMs[0])
+		for _, pos := range []struct {
+			name string
+			plan func() (*Plan, error)
+		}{
+			{"current", func() (*Plan, error) { return NewPlan(cfg, NewState(w, bad), good) }},
+			{"target", func() (*Plan, error) { return NewPlan(cfg, good, NewState(w, bad)) }},
+			{"snapshot", func() (*Plan, error) { return Snapshot(cfg, NewState(w, bad)) }},
+		} {
+			t.Run(m.name+" as "+pos.name, func(t *testing.T) {
+				if _, err := pos.plan(); !errors.Is(err, ErrInvalidPlan) {
+					t.Fatalf("got %v, want ErrInvalidPlan", err)
+				}
+			})
+		}
+	}
+}
+
 // TestSnapshotIsNoop: a snapshot plan applies as a no-op and leaves the
 // fingerprint where it was.
 func TestSnapshotIsNoop(t *testing.T) {
