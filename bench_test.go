@@ -672,6 +672,33 @@ func BenchmarkVerify(b *testing.B) {
 	}
 }
 
+// BenchmarkIndex times the incremental index build (Allocation.Index:
+// CheckPlacements, the pair rows, delivered rates and lower-bound terms)
+// on the same solved allocation as BenchmarkVerify: 160k pairs, 20k under
+// -short.
+func BenchmarkIndex(b *testing.B) {
+	pairs := int64(160_000)
+	if testing.Short() {
+		pairs = 20_000
+	}
+	w, cfg, err := experiments.ChurnSetup(pairs)
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := core.Solve(w, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := res.Allocation.Index(w, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(res.Selection.NumPairs()), "pairs")
+}
+
 // BenchmarkDiurnalController runs the full three-strategy diurnal
 // comparison (24-epoch Twitter-like timeline; static peak, oracle, and
 // hysteresis elastic controller) per iteration and reports the headline

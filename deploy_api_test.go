@@ -116,22 +116,87 @@ func TestPublicDeployLifecycle(t *testing.T) {
 	}
 }
 
-// TestSnapshotPlanRejectsMalformedState: a cluster state placing a topic
-// outside its workload is refused with ErrInvalidPlan, not an index panic.
+// TestSnapshotPlanRejectsMalformedState: a cluster state whose placements
+// fail the structural checks (a topic outside the workload, a topic twice
+// on one VM, a subscriber twice in one placement) is refused with
+// ErrInvalidPlan, not an index panic, and restoring a provisioner from it
+// fails too, so no provisioner exists that could never be planned against.
 func TestSnapshotPlanRejectsMalformedState(t *testing.T) {
 	w := deployDemoWorkload(t)
 	p, err := mcss.NewPlanner(mcss.WithTau(40), mcss.WithModel(demoModel()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := p.Solve(context.Background(), w)
+	for _, c := range []struct {
+		name    string
+		corrupt func(vm *mcss.VM)
+	}{
+		{"negative topic", func(vm *mcss.VM) {
+			vm.Placements = append(vm.Placements, mcss.TopicPlacement{Topic: -1, Subs: []mcss.SubID{0}})
+		}},
+		{"topic twice on a vm", func(vm *mcss.VM) {
+			q := vm.Placements[0]
+			vm.Placements = append(vm.Placements, mcss.TopicPlacement{Topic: q.Topic, Subs: q.Subs[:1:1]})
+		}},
+		{"subscriber twice in a placement", func(vm *mcss.VM) {
+			q := &vm.Placements[0]
+			q.Subs = append(q.Subs, q.Subs[0])
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			res, err := p.Solve(context.Background(), w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.corrupt(res.Allocation.VMs[0])
+			state := mcss.NewClusterState(w, res.Allocation)
+			if _, err := mcss.SnapshotPlan(p.Config(), state); !errors.Is(err, mcss.ErrInvalidPlan) {
+				t.Fatalf("snapshot plan: got %v, want ErrInvalidPlan", err)
+			}
+			if prov, err := mcss.RestoreProvisioner(state, p.Config()); err == nil || prov != nil {
+				t.Fatalf("restore: got a provisioner and error %v, want only an error", err)
+			}
+		})
+	}
+}
+
+// TestUpdateIncrementalRejectsMalformedAdopt: after a provisioner adopts
+// an allocation placing a negative topic or subscriber, the incremental
+// index build refuses it with an error instead of an index panic.
+func TestUpdateIncrementalRejectsMalformedAdopt(t *testing.T) {
+	ctx := context.Background()
+	w := deployDemoWorkload(t)
+	p, err := mcss.NewPlanner(mcss.WithTau(40), mcss.WithModel(demoModel()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	vm := res.Allocation.VMs[0]
-	vm.Placements = append(vm.Placements, mcss.TopicPlacement{Topic: -1, Subs: []mcss.SubID{0}})
-	if _, err := mcss.SnapshotPlan(p.Config(), mcss.NewClusterState(w, res.Allocation)); !errors.Is(err, mcss.ErrInvalidPlan) {
-		t.Fatalf("got %v, want ErrInvalidPlan", err)
+	for _, c := range []struct {
+		name string
+		bad  mcss.TopicPlacement
+	}{
+		{"negative topic", mcss.TopicPlacement{Topic: -1, Subs: []mcss.SubID{0}}},
+		{"negative subscriber", mcss.TopicPlacement{Topic: 0, Subs: []mcss.SubID{-2}}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			res, err := p.Solve(ctx, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			prov, err := mcss.RestoreProvisioner(mcss.NewClusterState(w, res.Allocation), p.Config())
+			if err != nil {
+				t.Fatal(err)
+			}
+			bad, err := p.Solve(ctx, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			vm := bad.Allocation.VMs[len(bad.Allocation.VMs)-1]
+			vm.Placements = append(vm.Placements, c.bad)
+			prov.Adopt(w, bad)
+			if _, err := prov.UpdateIncremental(ctx, mcss.Delta{NewSubscribers: 1}); err == nil {
+				t.Fatal("UpdateIncremental accepted an allocation placing a negative ID")
+			}
+		})
 	}
 }
 

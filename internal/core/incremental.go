@@ -421,10 +421,15 @@ func (a *Allocation) Index(w *workload.Workload, cfg Config) (*IncrementalState,
 }
 
 // NewIncrementalState is Allocation.Index with the allocation explicit.
+// An allocation that fails CheckPlacements against w, or places a pair
+// more than once, is an error.
 func NewIncrementalState(w *workload.Workload, alloc *Allocation, cfg Config) (*IncrementalState, error) {
 	cfg, err := cfg.normalize()
 	if err != nil {
 		return nil, err
+	}
+	if err := CheckPlacements(w, alloc); err != nil {
+		return nil, fmt.Errorf("core: index: %w", err)
 	}
 	numV := w.NumSubscribers()
 	s := &IncrementalState{
@@ -445,35 +450,27 @@ func NewIncrementalState(w *workload.Workload, alloc *Allocation, cfg Config) (*
 		vms[i] = SnapshotVM(vm, i)
 	}
 	s.r = newRehomer(vms, cfg.Fleet, s.msg)
-	for i, vm := range vms {
-		for _, p := range vm.Placements {
-			if int(p.Topic) >= w.NumTopics() {
-				return nil, fmt.Errorf("core: allocation places topic %d outside workload (%d topics)", p.Topic, w.NumTopics())
+	// The pair rows split into a topic CSR and a host CSR. Each
+	// subscriber's rows are capped windows of them, so an epoch's insert
+	// copies only the row it grows.
+	rows := alloc.PairRows(w.NumTopics(), numV)
+	n := len(rows.entries)
+	topics, hosts := make([]workload.TopicID, n), make([]int32, n)
+	for v := range numV {
+		lo, hi := rows.off[v], rows.off[v+1]
+		for i := lo; i < hi; i++ {
+			e := rows.entries[i]
+			if i > lo && e.Topic == topics[i-1] {
+				return nil, fmt.Errorf("core: pair (t=%d, v=%d) placed more than once", e.Topic, v)
 			}
-			rate := w.Rate(p.Topic)
-			for _, v := range p.Subs {
-				if int(v) >= numV {
-					return nil, fmt.Errorf("core: allocation places subscriber %d outside workload (%d subscribers)", v, numV)
-				}
-				s.selRows[v] = append(s.selRows[v], p.Topic)
-				s.hostRows[v] = append(s.hostRows[v], int32(i))
-				s.delivered[v] += rate
-				s.totalPairs++
-			}
+			topics[i], hosts[i] = e.Topic, e.Slot
+			s.delivered[v] += w.Rate(e.Topic)
 		}
-	}
-	for v := range s.selRows {
-		sortRowPair(s.selRows[v], s.hostRows[v])
-		for i := 1; i < len(s.selRows[v]); i++ {
-			if s.selRows[v][i] == s.selRows[v][i-1] {
-				return nil, fmt.Errorf("core: pair (t=%d, v=%d) placed more than once", s.selRows[v][i], v)
-			}
-		}
-	}
-	for v := 0; v < numV; v++ {
+		s.selRows[v], s.hostRows[v] = topics[lo:hi:hi], hosts[lo:hi:hi]
 		s.lbTerm[v] = s.lbTermOf(workload.SubID(v))
 		s.lbEvents += s.lbTerm[v]
 	}
+	s.totalPairs = int64(n)
 	s.baseRegret = regretFrac(alloc.Cost(cfg.Model), boundFromEvents(s.lbEvents, cfg).Cost)
 	return s, nil
 }
@@ -1067,21 +1064,6 @@ func SnapshotVM(vm *VM, id int) *VM {
 		nv.Placements[i] = TopicPlacement{Topic: p.Topic, Subs: slices.Clone(p.Subs)}
 	}
 	return nv
-}
-
-// sortRowPair insertion-sorts row ascending, keeping hosts aligned. Rows
-// are one subscriber's interests — short — so insertion sort beats the
-// allocation cost of a permutation sort.
-func sortRowPair(row []workload.TopicID, hosts []int32) {
-	for i := 1; i < len(row); i++ {
-		t, h := row[i], hosts[i]
-		j := i - 1
-		for j >= 0 && row[j] > t {
-			row[j+1], hosts[j+1] = row[j], hosts[j]
-			j--
-		}
-		row[j+1], hosts[j+1] = t, h
-	}
 }
 
 // regretFrac is the fractional excess of cost over the lower bound.

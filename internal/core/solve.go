@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"slices"
 	"time"
 
 	"github.com/pubsub-systems/mcss/internal/workload"
@@ -91,10 +90,10 @@ func VerifyServes(w *workload.Workload, alloc *Allocation, cfg Config) error {
 
 // verify is the one pass behind both verifiers; sel is nil in serves mode.
 // Per VM it runs CheckPlacements' checks, then accounting and capacity;
-// then it walks the allocation's subscriber rows, keeping the first
-// failure of each row rule and reporting them in rule order: a pair that
-// is not a subscription, a pair not placed exactly once, unselected pairs
-// (exact mode), a τ shortfall.
+// then it walks the allocation's pair rows (Allocation.PairRows), keeping
+// the first failure of each row rule, by subscriber, then topic, and
+// reporting them in rule order: a pair that is not a subscription, a pair
+// not placed exactly once, unselected pairs (exact mode), a τ shortfall.
 func verify(w *workload.Workload, sel *Selection, alloc *Allocation, cfg Config) error {
 	fleet := cfg.Fleet
 	if fleet.IsZero() && sel == nil {
@@ -152,10 +151,10 @@ func verify(w *workload.Workload, sel *Selection, alloc *Allocation, cfg Config)
 		numSel = len(sel.subOff) - 1
 	}
 
-	off, rows := alloc.SubscriberRows(numV)
+	rows := alloc.PairRows(numT, numV)
 
 	// Subscriber by subscriber: v's interests are stamped into mark (v+1,
-	// so it is never cleared), and v's placed row, in placement order, is
+	// so it is never cleared), and v's placed row, in topic order, is
 	// counted into count, indexed by topic and zeroed again before the
 	// next subscriber. Exact mode checks v's selected row first, each of
 	// its pairs counted exactly once; whatever else the row holds was
@@ -168,14 +167,15 @@ func verify(w *workload.Workload, sel *Selection, alloc *Allocation, cfg Config)
 	var unselected int
 	short, shortGot := -1, int64(0)
 	for v := 0; v < max(numV, numSel); v++ {
-		var placed []workload.TopicID
+		var placed []HostedTopic
 		if v < numV {
-			placed = rows[off[v]:off[v+1]]
+			placed = rows.Row(workload.SubID(v))
 			for _, t := range w.Topics(workload.SubID(v)) {
 				mark[t] = int32(v + 1)
 			}
 		}
-		for _, t := range placed {
+		for _, e := range placed {
+			t := e.Topic
 			if mark[t] != int32(v+1) && notSub == nil {
 				notSub = fmt.Errorf("pair (t=%d,v=%d) is not a subscription", t, v)
 			}
@@ -197,7 +197,8 @@ func verify(w *workload.Workload, sel *Selection, alloc *Allocation, cfg Config)
 				got += w.Rate(t)
 			}
 		}
-		for _, t := range placed {
+		for _, e := range placed {
+			t := e.Topic
 			n := count[t]
 			if n == 0 {
 				continue
@@ -232,9 +233,10 @@ func verify(w *workload.Workload, sel *Selection, alloc *Allocation, cfg Config)
 // CheckPlacements checks an allocation's placements against the workload
 // they serve: every topic and subscriber in range (checked before anything
 // is indexed by it), a topic at most once per VM, and a subscriber at most
-// once per placement. Both verifiers run it ahead of their accounting, and
-// deploy runs it on a plan's states before diffing them. A nil allocation
-// places nothing.
+// once per placement. Both verifiers run it ahead of their accounting, the
+// incremental index before its build, and deploy on a plan's states
+// before diffing them and on a state it restores. A nil allocation places
+// nothing.
 func CheckPlacements(w *workload.Workload, alloc *Allocation) error {
 	return checkPlacements(w, alloc, func(*VM) error { return nil })
 }
@@ -277,33 +279,4 @@ func checkPlacements(w *workload.Workload, alloc *Allocation, each func(vm *VM) 
 		}
 	}
 	return nil
-}
-
-// SubscriberRows groups the allocation's placed pairs by subscriber with
-// one counting pass: row v is rows[off[v]:off[v+1]], the topics of v's
-// pairs in placement order (VM by VM), a pair placed twice listed twice.
-// numV must exceed every placed subscriber ID.
-func (a *Allocation) SubscriberRows(numV int) (off []int64, rows []workload.TopicID) {
-	off = make([]int64, numV+1)
-	for _, vm := range a.VMs {
-		for _, p := range vm.Placements {
-			for _, v := range p.Subs {
-				off[v+1]++
-			}
-		}
-	}
-	for v := 0; v < numV; v++ {
-		off[v+1] += off[v]
-	}
-	rows = make([]workload.TopicID, off[numV])
-	next := slices.Clone(off[:numV])
-	for _, vm := range a.VMs {
-		for _, p := range vm.Placements {
-			for _, v := range p.Subs {
-				rows[next[v]] = p.Topic
-				next[v]++
-			}
-		}
-	}
-	return off, rows
 }

@@ -17,7 +17,7 @@ import (
 // the map-free version must match error for error. Two rules came later
 // and sit where the one pass reports them: a subscriber listed twice in a
 // placement (after the topic-once check) and a pair that is not a
-// subscription (the first by subscriber, then placement order; after the
+// subscription (the first by subscriber, then topic order; after the
 // pair-instance count).
 func verifyAllocationMap(w *workload.Workload, sel *Selection, alloc *Allocation, cfg Config) error {
 	cfg, err := cfg.normalize()
@@ -59,7 +59,7 @@ func verifyAllocationMap(w *workload.Workload, sel *Selection, alloc *Allocation
 			in += rb
 			out += rb * int64(len(p.Subs))
 			for _, v := range p.Subs {
-				if !subscribes(w, v, p.Topic) && (notSub.v < 0 || v < notSub.v) {
+				if !subscribes(w, v, p.Topic) && (notSub.v < 0 || v < notSub.v || v == notSub.v && p.Topic < notSub.t) {
 					notSub = pairKey{p.Topic, v}
 				}
 				k := pairKey{p.Topic, v}
@@ -128,8 +128,8 @@ func verifyAllocationMap(w *workload.Workload, sel *Selection, alloc *Allocation
 // checks come first in a placement; a subscriber listed twice in a
 // placement fails after the topic-once check; the "not a subscription"
 // check moved from the VM loop to after it, reporting the first such pair
-// by subscriber, then placement order; and a pair placed more than once
-// fails after it, the first by subscriber, then placement order.
+// by subscriber, then topic order; and a pair placed more than once
+// fails after it, the first by subscriber, then topic order.
 func verifyServesMap(w *workload.Workload, alloc *Allocation, cfg Config) error {
 	// The verifier's own fleet wins the capacity lookup: an allocation's
 	// recorded fleet (and per-VM capacities) may be headroom-derated by the
@@ -174,7 +174,7 @@ func verifyServesMap(w *workload.Workload, alloc *Allocation, cfg Config) error 
 			in += rb
 			out += rb * int64(len(p.Subs))
 			for _, v := range p.Subs {
-				if !subscribes(w, v, p.Topic) && (notSub.v < 0 || v < notSub.v) {
+				if !subscribes(w, v, p.Topic) && (notSub.v < 0 || v < notSub.v || v == notSub.v && p.Topic < notSub.t) {
 					notSub = pairKey{p.Topic, v}
 				}
 				k := pairKey{p.Topic, v}
@@ -214,7 +214,7 @@ func verifyServesMap(w *workload.Workload, alloc *Allocation, cfg Config) error 
 	for _, vm := range alloc.VMs {
 		for _, p := range vm.Placements {
 			for _, v := range p.Subs {
-				if k := (pairKey{p.Topic, v}); seenPairs[k] > 1 && (twice.v < 0 || v < twice.v) {
+				if k := (pairKey{p.Topic, v}); seenPairs[k] > 1 && (twice.v < 0 || v < twice.v || v == twice.v && p.Topic < twice.t) {
 					twice = k
 				}
 			}
@@ -663,10 +663,12 @@ func servesCases(t *testing.T, rng *rand.Rand) []namedCase {
 	up := solved.clone()
 	up.cfg.Tau += 1 + rng.Int63n(300)
 	r := NewRehomer(up.alloc, up.cfg.EffectiveFleet())
-	off, rows := up.alloc.SubscriberRows(w.NumSubscribers())
+	rows := up.alloc.PairRows(w.NumTopics(), w.NumSubscribers())
 	for v := range w.NumSubscribers() {
-		row := slices.Clone(rows[off[v]:off[v+1]])
-		slices.Sort(row)
+		var row []workload.TopicID
+		for _, e := range rows.Row(workload.SubID(v)) {
+			row = append(row, e.Topic)
+		}
 		var got int64
 		for _, tt := range row {
 			got += w.Rate(tt)

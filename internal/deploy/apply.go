@@ -260,9 +260,6 @@ func Apply(ctx context.Context, plan *Plan, prov *dynamic.Provisioner, opts ...A
 	if t := plan.Target.Allocation; accountingMatches(t, work) && !t.Fleet.IsZero() {
 		adopt = t
 	}
-	if l.err != nil {
-		return abort(fmt.Errorf("%w: %v", ErrInvalidPlan, l.err))
-	}
 	// Commit is journaled before the in-memory adoption: once the commit
 	// record is durable, a crash on either side of Adopt recovers to the
 	// plan's target.
@@ -291,7 +288,6 @@ type lane struct {
 	stats dynamic.MigrationStats
 	fp    string
 	sel   *core.Selection
-	err   error
 }
 
 func startLane(plan *Plan, pre, work *core.Allocation, dryRun bool) *lane {
@@ -304,7 +300,7 @@ func startLane(plan *Plan, pre, work *core.Allocation, dryRun bool) *lane {
 		l.stats = plan.realizedStats(pre, work)
 		if !dryRun {
 			l.fp = plan.TargetFingerprint()
-			l.sel, l.err = core.SelectionFromPairs(plan.Target.Workload, placedPairs(work))
+			l.sel = core.PlacedSelection(plan.Target.Workload, work)
 		}
 	}()
 	return l

@@ -18,11 +18,9 @@
 package deploy
 
 import (
-	"cmp"
 	"context"
 	"errors"
 	"fmt"
-	"slices"
 	"strings"
 
 	"github.com/pubsub-systems/mcss/internal/core"
@@ -142,38 +140,14 @@ func (s *State) remember(fp string) {
 
 // Provisioner rebuilds a dynamic.Provisioner around the state without
 // re-solving, deriving the selection from the placed pairs — how a cluster
-// reloaded from disk re-enters the online re-provisioning machinery.
+// reloaded from disk re-enters the online re-provisioning machinery. A
+// state whose placements fail core.CheckPlacements is refused.
 func (s *State) Provisioner(cfg core.Config) (*dynamic.Provisioner, error) {
-	sel, err := core.SelectionFromPairs(s.Workload, placedPairs(s.Allocation))
-	if err != nil {
-		return nil, err
+	if err := core.CheckPlacements(s.Workload, s.Allocation); err != nil {
+		return nil, fmt.Errorf("deploy: restore: %w", err)
 	}
+	sel := core.PlacedSelection(s.Workload, s.Allocation)
 	return dynamic.Restore(s.Workload, &core.Result{Selection: sel, Allocation: s.Allocation}, cfg), nil
-}
-
-// placedPairs lists every (topic, subscriber) pair an allocation serves,
-// topic-ascending — the placements are sorted, not the pairs — so that
-// SelectionFromPairs finds every subscriber's row already in order.
-func placedPairs(alloc *core.Allocation) []workload.Pair {
-	if alloc == nil {
-		return nil
-	}
-	var ps []core.TopicPlacement
-	n := 0
-	for _, vm := range alloc.VMs {
-		ps = append(ps, vm.Placements...)
-		for _, p := range vm.Placements {
-			n += len(p.Subs)
-		}
-	}
-	slices.SortFunc(ps, func(a, b core.TopicPlacement) int { return cmp.Compare(a.Topic, b.Topic) })
-	pairs := make([]workload.Pair, 0, n)
-	for _, p := range ps {
-		for _, v := range p.Subs {
-			pairs = append(pairs, workload.Pair{Topic: p.Topic, Sub: v})
-		}
-	}
-	return pairs
 }
 
 // Diff is the declarative difference a plan enacts: the workload delta

@@ -71,7 +71,7 @@ func laneWork() string {
 	buf := make([]byte, 1<<20)
 	buf = buf[:runtime.Stack(buf, true)]
 	for _, fn := range []string{"deploy.(*Plan).realizedStats(", "dynamic.MigrationStatsBetween(",
-		"deploy.(*Plan).TargetFingerprint(", "dynamic.StateFingerprint(", "deploy.placedPairs(", "core.SelectionFromPairs("} {
+		"deploy.(*Plan).TargetFingerprint(", "dynamic.StateFingerprint(", "core.PlacedSelection(", "core.(*Allocation).PairRows("} {
 		if bytes.Contains(buf, []byte(fn)) {
 			return fn
 		}

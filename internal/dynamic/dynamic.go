@@ -7,7 +7,6 @@
 package dynamic
 
 import (
-	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -462,93 +461,55 @@ func (p *Provisioner) SetFleet(f pricing.Fleet) {
 // (including pairs newly selected or dropped). A pair placed on several
 // VMs is hosted by the first of them; a nil allocation counts as empty.
 // Cost and VM-count fields of the result are left zero;
-// MigrationStatsBetween fills them. Both allocations are grouped into
-// per-subscriber rows, which are merged subscriber by subscriber.
+// MigrationStatsBetween fills them. Both allocations' pair rows
+// (core.Allocation.PairRows), sized from the largest topic and subscriber
+// IDs in either, are merged subscriber by subscriber.
 func migrationBetween(before, after *core.Allocation) MigrationStats {
-	numV := int(max(maxSub(before), maxSub(after))) + 1
-	offB, rowsB := pairRows(before, numV)
-	offA, rowsA := pairRows(after, numV)
+	numT, numV := idBounds(before, after)
+	rowsB, rowsA := before.PairRows(numT, numV), after.PairRows(numT, numV)
 	var stats MigrationStats
-	for v := 0; v < numV; v++ {
-		b, a := rowsB[offB[v]:offB[v+1]], rowsA[offA[v]:offA[v+1]]
-		for len(b) > 0 || len(a) > 0 {
+	for v := range numV {
+		b, a := rowsB.Row(workload.SubID(v)), rowsA.Row(workload.SubID(v))
+		for i, j := 0, 0; i < len(b) || j < len(a); {
+			// A topic's first entry names its lowest slot; skip the rest.
 			switch {
-			case len(a) == 0 || len(b) > 0 && b[0]>>32 < a[0]>>32:
+			case i > 0 && i < len(b) && b[i].Topic == b[i-1].Topic:
+				i++
+			case j > 0 && j < len(a) && a[j].Topic == a[j-1].Topic:
+				j++
+			case j == len(a) || i < len(b) && b[i].Topic < a[j].Topic:
 				stats.PairsMoved++ // dropped
-				b = skipTopic(b)
-			case len(b) == 0 || a[0]>>32 < b[0]>>32:
+				i++
+			case i == len(b) || a[j].Topic < b[i].Topic:
 				stats.PairsMoved++ // newly placed
-				a = skipTopic(a)
+				j++
 			default:
-				if a[0] == b[0] {
+				if b[i].Slot == a[j].Slot {
 					stats.PairsKept++
 				} else {
 					stats.PairsMoved++
 				}
-				a, b = skipTopic(a), skipTopic(b)
+				i, j = i+1, j+1
 			}
 		}
 	}
 	return stats
 }
 
-// pairRows groups an allocation's placed pairs by subscriber with a
-// counting pass, the shape of the incremental index's per-subscriber
-// rows: row v is rows[off[v]:off[v+1]], one key per placement of a pair
-// of v, packing the topic above the VM index. The fill visits placements
-// in (topic, VM index) order, so every row comes out sorted without
-// sorting it: topic-ascending, a pair placed more than once leading with
-// its lowest VM index. numV must exceed every subscriber ID.
-func pairRows(a *core.Allocation, numV int) (off []int, rows []uint64) {
-	type placed struct {
-		key  uint64
-		subs []workload.SubID
-	}
-	var ps []placed
-	off = make([]int, numV+1)
-	for i, vm := range vmsOf(a) {
-		for _, p := range vm.Placements {
-			ps = append(ps, placed{uint64(uint32(p.Topic))<<32 | uint64(i), p.Subs})
-			for _, v := range p.Subs {
-				off[v+1]++
+// idBounds returns one past the largest topic and subscriber IDs the
+// allocations place, or zeros when they place nothing.
+func idBounds(as ...*core.Allocation) (numT, numV int) {
+	for _, a := range as {
+		for _, vm := range vmsOf(a) {
+			for _, p := range vm.Placements {
+				numT = max(numT, int(p.Topic)+1)
+				for _, v := range p.Subs {
+					numV = max(numV, int(v)+1)
+				}
 			}
 		}
 	}
-	slices.SortFunc(ps, func(x, y placed) int { return cmp.Compare(x.key, y.key) })
-	for v := 0; v < numV; v++ {
-		off[v+1] += off[v]
-	}
-	rows = make([]uint64, off[numV])
-	next := slices.Clone(off[:numV])
-	for _, p := range ps {
-		for _, v := range p.subs {
-			rows[next[v]] = p.key
-			next[v]++
-		}
-	}
-	return off, rows
-}
-
-// skipTopic drops the keys of row's first topic.
-func skipTopic(row []uint64) []uint64 {
-	t := row[0] >> 32
-	for len(row) > 0 && row[0]>>32 == t {
-		row = row[1:]
-	}
-	return row
-}
-
-// maxSub returns the largest subscriber ID an allocation places, or -1.
-func maxSub(a *core.Allocation) workload.SubID {
-	m := workload.SubID(-1)
-	for _, vm := range vmsOf(a) {
-		for _, p := range vm.Placements {
-			for _, v := range p.Subs {
-				m = max(m, v)
-			}
-		}
-	}
-	return m
+	return numT, numV
 }
 
 func vmsOf(a *core.Allocation) []*core.VM {

@@ -173,7 +173,8 @@ func (p *Provisioner) ensureIndex() error {
 // two allocations — pairs kept on the same VM index versus moved, including
 // pairs newly selected or dropped — and fills the VM-count and cost fields
 // under the given pricing model. Preview, UpdateIncremental, and the deploy
-// planner all route their stats through this one helper.
+// planner all route their stats through this one helper. The allocations
+// need not share a workload, but must place no negative IDs.
 func MigrationStatsBetween(before, after *core.Allocation, m pricing.Model) MigrationStats {
 	return finishStats(migrationBetween(before, after), before, after, m)
 }

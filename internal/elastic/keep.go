@@ -1,7 +1,6 @@
 package elastic
 
 import (
-	"slices"
 	"sort"
 
 	"github.com/pubsub-systems/mcss/internal/core"
@@ -77,26 +76,27 @@ func keepWithTopUp(prev *core.Allocation, w *workload.Workload, cfg core.Config,
 		out.VMs[i] = nv
 	}
 
-	// Each subscriber's kept topics form its selected row. Placements hold
-	// each selected pair exactly once (a solver invariant both re-solving
-	// and topping up preserve), so the row's rates sum to what it receives.
-	// The top-up shares out's VM pointers, so placements and deploys land
-	// directly in the kept allocation.
-	off, rows := out.SubscriberRows(w.NumSubscribers())
+	// Each subscriber's kept topics, ascending, form its selected row.
+	// Placements hold each selected pair exactly once (a solver invariant
+	// both re-solving and topping up preserve), so the row's rates sum to
+	// what it receives. The top-up shares out's VM pointers, so placements
+	// and deploys land directly in the kept allocation.
+	rows := out.PairRows(w.NumTopics(), w.NumSubscribers())
 	rh := core.NewRehomer(out, solveFleet)
 	var added int64
+	var kept []workload.TopicID
 	count := func(workload.TopicID, int32) { added++ }
 	for v := 0; v < w.NumSubscribers(); v++ {
 		id := workload.SubID(v)
-		kept := rows[off[v]:off[v+1]]
 		need := w.TauV(id, cfg.Tau)
-		for _, t := range kept {
-			need -= w.Rate(t)
+		kept = kept[:0]
+		for _, e := range rows.Row(id) {
+			kept = append(kept, e.Topic)
+			need -= w.Rate(e.Topic)
 		}
 		if need <= 0 {
 			continue
 		}
-		slices.Sort(kept)
 		if err := rh.TopUp(w, id, kept, need, count); err != nil {
 			return nil, 0, false // interests exhausted below τ_v, or no type fits
 		}

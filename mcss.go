@@ -290,7 +290,7 @@ func DefaultIncrementalPolicy() IncrementalPolicy { return dynamic.DefaultIncrem
 // MigrationStatsBetween diffs primary pair hosts between two allocations
 // and fills the VM-count and cost fields under the model — the one helper
 // Preview, UpdateIncremental, and the deploy planner all route their stats
-// through.
+// through. Neither allocation may place a negative ID.
 func MigrationStatsBetween(before, after *Allocation, m Model) MigrationStats {
 	return dynamic.MigrationStatsBetween(before, after, m)
 }
