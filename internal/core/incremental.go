@@ -1051,6 +1051,9 @@ func (s *IncrementalState) materialize() (*Allocation, *Selection) {
 }
 
 // SnapshotVM deep-copies a VM, placements included, giving the copy ID id.
+// The copies of the subscriber lists share one backing array, each a
+// window clamped to its length, so an append to one reallocates it rather
+// than writing into the next.
 func SnapshotVM(vm *VM, id int) *VM {
 	nv := &VM{
 		ID:                   id,
@@ -1060,8 +1063,15 @@ func SnapshotVM(vm *VM, id int) *VM {
 		OutBytesPerHour:      vm.OutBytesPerHour,
 		InBytesPerHour:       vm.InBytesPerHour,
 	}
+	n := 0
+	for _, p := range vm.Placements {
+		n += len(p.Subs)
+	}
+	buf := make([]workload.SubID, 0, n)
 	for i, p := range vm.Placements {
-		nv.Placements[i] = TopicPlacement{Topic: p.Topic, Subs: slices.Clone(p.Subs)}
+		j := len(buf)
+		buf = append(buf, p.Subs...)
+		nv.Placements[i] = TopicPlacement{Topic: p.Topic, Subs: buf[j:len(buf):len(buf)]}
 	}
 	return nv
 }

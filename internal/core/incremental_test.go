@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/pubsub-systems/mcss/internal/pricing"
@@ -117,6 +118,32 @@ func incTestModel(capacity int64) pricing.Model {
 	m := pricing.NewModel(pricing.C3Large)
 	m.CapacityOverrideBytesPerHour = capacity
 	return m
+}
+
+// TestSnapshotVMAppendDoesNotAlias: the copied subscriber lists share one
+// backing array, so an append to one placement of a snapshot must leave
+// the next placement and the source VM as they were.
+func TestSnapshotVMAppendDoesNotAlias(t *testing.T) {
+	src := &VM{ID: 3, Placements: []TopicPlacement{
+		{Topic: 0, Subs: []workload.SubID{1, 2}},
+		{Topic: 4, Subs: []workload.SubID{5, 6, 7}},
+	}}
+	snap := SnapshotVM(src, 9)
+	snap.Placements[0].Subs = append(snap.Placements[0].Subs, 8)
+	if got := snap.Placements[0].Subs; !slices.Equal(got, []workload.SubID{1, 2, 8}) {
+		t.Fatalf("appended placement holds %v", got)
+	}
+	if got := snap.Placements[1].Subs; !slices.Equal(got, []workload.SubID{5, 6, 7}) {
+		t.Fatalf("append to placement 0 changed placement 1 to %v", got)
+	}
+	for i, want := range [][]workload.SubID{{1, 2}, {5, 6, 7}} {
+		if got := src.Placements[i].Subs; !slices.Equal(got, want) {
+			t.Fatalf("append to the snapshot changed source placement %d to %v", i, got)
+		}
+	}
+	if snap.ID != 9 {
+		t.Fatalf("snapshot ID %d, want 9", snap.ID)
+	}
 }
 
 func TestIndexMirrorsSolvedAllocation(t *testing.T) {

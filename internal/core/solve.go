@@ -165,14 +165,17 @@ func verify(w *workload.Workload, sel *Selection, alloc *Allocation, cfg Config)
 	count := make([]int32, numT)
 	var notSub, notOnce error
 	var unselected int
-	short, shortGot := -1, int64(0)
+	short, shortGot, shortNeed := -1, int64(0), int64(0)
 	for v := 0; v < max(numV, numSel); v++ {
 		var placed []HostedTopic
+		var need int64 // τ_v = min(τ, v's demand), summed while stamping
 		if v < numV {
 			placed = rows.Row(workload.SubID(v))
 			for _, t := range w.Topics(workload.SubID(v)) {
 				mark[t] = int32(v + 1)
+				need += w.Rate(t)
 			}
+			need = min(need, cfg.Tau)
 		}
 		for _, e := range placed {
 			t := e.Topic
@@ -213,8 +216,8 @@ func verify(w *workload.Workload, sel *Selection, alloc *Allocation, cfg Config)
 			}
 			got += w.Rate(t)
 		}
-		if short < 0 && v < numV && got < w.TauV(workload.SubID(v), cfg.Tau) {
-			short, shortGot = v, got
+		if short < 0 && v < numV && got < need {
+			short, shortGot, shortNeed = v, got, need
 		}
 	}
 	switch {
@@ -225,7 +228,7 @@ func verify(w *workload.Workload, sel *Selection, alloc *Allocation, cfg Config)
 	case unselected != 0:
 		return fmt.Errorf("%d placed pairs were never selected", unselected)
 	case short >= 0:
-		return fmt.Errorf("subscriber %d delivered %d events/h, needs %d", short, shortGot, w.TauV(workload.SubID(short), cfg.Tau))
+		return fmt.Errorf("subscriber %d delivered %d events/h, needs %d", short, shortGot, shortNeed)
 	}
 	return nil
 }

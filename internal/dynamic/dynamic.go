@@ -637,10 +637,11 @@ type rowEdit struct {
 func rowEdits(d Delta) ([]rowEdit, error) {
 	subs, unsubs := pairKeys(d.Subscribe), pairKeys(d.Unsubscribe)
 	// Rows are filled one after another, so each row's lists are
-	// consecutive windows of two buffers sized for every pair up front.
+	// consecutive windows of two buffers sized for every pair up front,
+	// and the rows one array sized for the distinct subscribers.
 	addBuf := make([]workload.TopicID, 0, len(subs))
 	delBuf := make([]workload.TopicID, 0, len(unsubs))
-	var rows []rowEdit
+	rows := make([]rowEdit, 0, countSubs(subs, unsubs))
 	add := func(k uint64, sub bool) {
 		v, t := workload.SubID(k>>32), workload.TopicID(uint32(k))
 		if n := len(rows); n == 0 || rows[n-1].sub != v {
@@ -674,6 +675,24 @@ func rowEdits(d Delta) ([]rowEdit, error) {
 		}
 	}
 	return rows, nil
+}
+
+// countSubs counts the distinct subscribers of two ascending lists of
+// subscriber-major keys.
+func countSubs(a, b []uint64) int {
+	n, last := 0, uint64(0)
+	for i, j := 0, 0; i < len(a) || j < len(b); {
+		var v uint64
+		if j == len(b) || i < len(a) && a[i] < b[j] {
+			v, i = a[i]>>32, i+1
+		} else {
+			v, j = b[j]>>32, j+1
+		}
+		if n == 0 || v != last {
+			n, last = n+1, v
+		}
+	}
+	return n
 }
 
 // pairKeys packs pairs into subscriber-major keys, ascending.

@@ -174,13 +174,21 @@ func (p *Provisioner) ensureIndex() error {
 // pairs newly selected or dropped — and fills the VM-count and cost fields
 // under the given pricing model. Preview, UpdateIncremental, and the deploy
 // planner all route their stats through this one helper. The allocations
-// need not share a workload, but must place no negative IDs.
+// need not share a workload, but must place no negative IDs; a nil one
+// counts as empty.
 func MigrationStatsBetween(before, after *core.Allocation, m pricing.Model) MigrationStats {
 	return finishStats(migrationBetween(before, after), before, after, m)
 }
 
-// finishStats fills the VM-count and cost fields common to every path.
+// finishStats fills the VM-count and cost fields common to every path. A
+// nil allocation counts as empty, as in migrationBetween.
 func finishStats(stats MigrationStats, before, after *core.Allocation, m pricing.Model) MigrationStats {
+	if before == nil {
+		before = &core.Allocation{}
+	}
+	if after == nil {
+		after = &core.Allocation{}
+	}
 	stats.VMsBefore = before.NumVMs()
 	stats.VMsAfter = after.NumVMs()
 	stats.CostBefore = before.Cost(m)

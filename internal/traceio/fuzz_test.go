@@ -3,6 +3,7 @@ package traceio
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -175,11 +176,23 @@ func FuzzReadPlan(f *testing.F) {
 			}
 			return
 		}
-		// Parsed successfully: the plan must re-serialize and re-parse to
-		// the same fingerprints and step sequence.
+		// Parsed successfully: the plan must re-serialize, to the bytes
+		// json.MarshalIndent writes for the oracle's document, and re-parse
+		// to the same fingerprints and step sequence.
 		var out bytes.Buffer
 		if err := WritePlan(plan, &out); err != nil {
 			t.Fatalf("re-serialize: %v", err)
+		}
+		doc, err := planToDoc(plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.MarshalIndent(doc, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(out.Bytes(), append(want, '\n')) {
+			t.Fatalf("re-serialized plan is not the oracle's document:\n%s\nwant:\n%s", out.Bytes(), want)
 		}
 		back, err := ReadPlan(&out)
 		if err != nil {

@@ -2,7 +2,6 @@ package traceio
 
 import (
 	"bytes"
-	"encoding/json"
 
 	"github.com/pubsub-systems/mcss/internal/deploy"
 )
@@ -28,17 +27,11 @@ func PlanJournalCodec() deploy.JournalCodec {
 	return deploy.JournalCodec{
 		EncodePlan: func(p *deploy.Plan) ([]byte, error) {
 			if p.Target != nil {
-				doc, err := planToDoc(p)
-				if err != nil {
+				if err := p.Validate(); err != nil {
 					return nil, err
 				}
-				return json.Marshal(doc)
 			}
-			doc := headerToDoc(p)
-			if r := p.TargetRegions; r != nil {
-				doc.TargetRegions = &regionsDoc{Topics: r.Topics, Subscribers: r.Subscribers}
-			}
-			return json.Marshal(doc)
+			return planBytes(p), nil
 		},
 		DecodePlan: func(b []byte) (*deploy.Plan, error) {
 			doc, err := decodePlanDoc(bytes.NewReader(b))

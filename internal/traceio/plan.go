@@ -1,12 +1,11 @@
 package traceio
 
 import (
-	"cmp"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math"
-	"slices"
 
 	"github.com/pubsub-systems/mcss/internal/core"
 	"github.com/pubsub-systems/mcss/internal/deploy"
@@ -43,6 +42,9 @@ import (
 
 const planFormat = "mcss-plan"
 
+// planDoc and the structs below are the document's one schema: the
+// decoder reads them with encoding/json, and the encoder (plan_encode.go)
+// writes the bytes json.Marshal writes for them.
 type planDoc struct {
 	Format          string           `json:"format"`
 	Version         int              `json:"version"`
@@ -139,68 +141,23 @@ type targetDoc struct {
 }
 
 // WritePlan validates the plan and serializes it as an indented JSON
-// document. A structurally invalid plan is rejected with
-// deploy.ErrInvalidPlan before anything is written. Workload names are not
-// part of the format: plans address topics and subscribers by dense ID,
-// like every other codec in this package.
+// document: the journal codec's compact document passed through
+// json.Indent, the bytes json.MarshalIndent writes for it. A structurally
+// invalid plan is rejected with deploy.ErrInvalidPlan before anything is
+// written. Workload names are not part of the format: plans address
+// topics and subscribers by dense ID, like every other codec in this
+// package.
 func WritePlan(p *deploy.Plan, out io.Writer) error {
-	doc, err := planToDoc(p)
-	if err != nil {
-		return err
-	}
-	b, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	b = append(b, '\n')
-	_, err = out.Write(b)
-	return err
-}
-
-// planToDoc validates the plan and builds its document: the one builder
-// behind WritePlan's indented files and the journal codec's compact
-// bodies.
-func planToDoc(p *deploy.Plan) (*planDoc, error) {
 	if err := p.Validate(); err != nil {
-		return nil, err
+		return err
 	}
-	doc := headerToDoc(p)
-	doc.Target = &targetDoc{
-		Workload:   workloadToDoc(p.Target.Workload),
-		Allocation: allocToDoc(p.Target.Allocation),
+	var buf bytes.Buffer
+	if err := json.Indent(&buf, planBytes(p), "", "  "); err != nil {
+		return err
 	}
-	return doc, nil
-}
-
-// headerToDoc builds the document of everything but the target: the
-// header, the diff and the steps.
-func headerToDoc(p *deploy.Plan) *planDoc {
-	doc := &planDoc{
-		Format:          planFormat,
-		Version:         p.Version,
-		BaseFingerprint: p.BaseFingerprint,
-		Tau:             p.Tau,
-		MessageBytes:    p.MessageBytes,
-		Model: modelDoc{
-			Instance:         instToDoc(p.Model.Instance),
-			Hours:            p.Model.Hours,
-			PerGB:            p.Model.PerGB,
-			CapacityOverride: p.Model.CapacityOverrideBytesPerHour,
-		},
-		Diff:       diffToDoc(p.Diff),
-		CostBefore: p.CostBefore,
-		CostAfter:  p.CostAfter,
-	}
-	for i := 0; i < p.Fleet.Len(); i++ {
-		doc.Fleet = append(doc.Fleet, fleetTypeDoc{
-			instanceDoc: instToDoc(p.Fleet.Type(i)),
-			Capacity:    p.Fleet.Capacity(i),
-		})
-	}
-	for _, s := range p.Steps {
-		doc.Steps = append(doc.Steps, stepToDoc(s))
-	}
-	return doc
+	buf.WriteByte('\n')
+	_, err := out.Write(buf.Bytes())
+	return err
 }
 
 // ReadPlan parses a plan document and rebuilds a validated deploy.Plan.
@@ -317,50 +274,13 @@ func LoadPlan(path string) (*deploy.Plan, error) {
 	return loadFile(path, ReadPlan)
 }
 
+// instToDoc is also the spot-market codec's instance writer.
 func instToDoc(it pricing.InstanceType) instanceDoc {
 	return instanceDoc{Name: it.Name, HourlyRate: it.HourlyRate, LinkMbps: it.LinkMbps, Region: it.Region}
 }
 
 func instFromDoc(d instanceDoc) pricing.InstanceType {
 	return pricing.InstanceType{Name: d.Name, HourlyRate: d.HourlyRate, LinkMbps: d.LinkMbps, Region: d.Region}
-}
-
-func diffToDoc(d deploy.Diff) diffDoc {
-	doc := diffDoc{
-		NewTopics:      d.Delta.NewTopics,
-		NewSubscribers: d.Delta.NewSubscribers,
-		PairsMoved:     d.Stats.PairsMoved,
-		PairsKept:      d.Stats.PairsKept,
-		VMsBefore:      d.Stats.VMsBefore,
-		VMsAfter:       d.Stats.VMsAfter,
-	}
-	for t, r := range d.Delta.RateChanges {
-		doc.RateChanges = append(doc.RateChanges, pairDoc{int64(t), r})
-	}
-	slices.SortFunc(doc.RateChanges, func(a, b pairDoc) int { return cmp.Compare(a[0], b[0]) })
-	for _, p := range d.Delta.Subscribe {
-		doc.Subscribe = append(doc.Subscribe, pairDoc{int64(p.Topic), int64(p.Sub)})
-	}
-	for _, p := range d.Delta.Unsubscribe {
-		doc.Unsubscribe = append(doc.Unsubscribe, pairDoc{int64(p.Topic), int64(p.Sub)})
-	}
-	sortPairDocs(doc.Subscribe)
-	sortPairDocs(doc.Unsubscribe)
-	return doc
-}
-
-// sortPairDocs orders [topic, subscriber] pairs by topic, then
-// subscriber. Both IDs are non-negative int32s, so each pair packs into
-// one ordered key.
-func sortPairDocs(ps []pairDoc) {
-	keys := make([]uint64, len(ps))
-	for i, p := range ps {
-		keys[i] = uint64(p[0])<<32 | uint64(p[1])
-	}
-	slices.Sort(keys)
-	for i, k := range keys {
-		ps[i] = pairDoc{int64(k >> 32), int64(k & math.MaxUint32)}
-	}
 }
 
 func diffFromDoc(doc diffDoc) (deploy.Diff, error) {
@@ -426,16 +346,6 @@ func asSubID(v int64) (workload.SubID, error) {
 	return workload.SubID(v), nil
 }
 
-func stepToDoc(s dynamic.Step) stepDoc {
-	doc := stepDoc{Op: string(s.Op), VM: s.VM, Remove: placementsToDoc(s.Remove), Place: placementsToDoc(s.Place)}
-	if s.Op == dynamic.OpBootVM {
-		inst := instToDoc(s.Instance)
-		doc.Instance = &inst
-		doc.Capacity = s.Capacity
-	}
-	return doc
-}
-
 func stepFromDoc(doc stepDoc) (dynamic.Step, error) {
 	s := dynamic.Step{Op: dynamic.StepOp(doc.Op), VM: doc.VM}
 	switch s.Op {
@@ -487,18 +397,6 @@ func stepFromV1Doc(doc stepDoc) (dynamic.Step, error) {
 	return stepFromDoc(doc)
 }
 
-func placementsToDoc(ps []core.TopicPlacement) []placementDoc {
-	var docs []placementDoc
-	for _, p := range ps {
-		pd := placementDoc{Topic: int64(p.Topic), Subs: make([]int64, 0, len(p.Subs))}
-		for _, v := range p.Subs {
-			pd.Subs = append(pd.Subs, int64(v))
-		}
-		docs = append(docs, pd)
-	}
-	return docs
-}
-
 // placementsFromDoc converts {topic, subs} entries with their IDs range
 // checked as IDs; whether they lie in a workload is checked by the
 // caller.
@@ -520,29 +418,6 @@ func placementsFromDoc(docs []placementDoc) ([]core.TopicPlacement, error) {
 		ps = append(ps, core.TopicPlacement{Topic: t, Subs: subs})
 	}
 	return ps, nil
-}
-
-func workloadToDoc(w *workload.Workload) workloadDoc {
-	doc := workloadDoc{
-		Rates:      w.Rates(),
-		SubOffsets: make([]int64, 0, w.NumSubscribers()+1),
-		SubTopics:  make([]int64, 0, w.NumPairs()),
-	}
-	if doc.Rates == nil {
-		doc.Rates = []int64{}
-	}
-	doc.SubOffsets = append(doc.SubOffsets, 0)
-	for v := 0; v < w.NumSubscribers(); v++ {
-		for _, t := range w.Topics(workload.SubID(v)) {
-			doc.SubTopics = append(doc.SubTopics, int64(t))
-		}
-		doc.SubOffsets = append(doc.SubOffsets, int64(len(doc.SubTopics)))
-	}
-	if w.HasRegions() {
-		doc.TopicRegions = w.TopicRegions()
-		doc.SubRegions = w.SubscriberRegions()
-	}
-	return doc
 }
 
 func workloadFromDoc(doc workloadDoc) (*workload.Workload, error) {
@@ -570,18 +445,6 @@ func workloadFromDoc(doc workloadDoc) (*workload.Workload, error) {
 		return w.WithRegions(doc.TopicRegions, doc.SubRegions)
 	}
 	return w, nil
-}
-
-func allocToDoc(a *core.Allocation) []vmDoc {
-	docs := make([]vmDoc, 0, len(a.VMs))
-	for _, vm := range a.VMs {
-		docs = append(docs, vmDoc{
-			Instance:   instToDoc(vm.Instance),
-			Capacity:   vm.CapacityBytesPerHour,
-			Placements: placementsToDoc(vm.Placements),
-		})
-	}
-	return docs
 }
 
 // allocFromDoc rebuilds the allocation, recomputing the bandwidth

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	mcss "github.com/pubsub-systems/mcss"
@@ -149,6 +150,30 @@ func TestPublicProvisioner(t *testing.T) {
 	}
 	if stats.VMsAfter == 0 {
 		t.Error("no VMs after update")
+	}
+}
+
+// TestMigrationStatsBetweenNil: a nil allocation before, after or on both
+// sides counts as the empty allocation.
+func TestMigrationStatsBetweenNil(t *testing.T) {
+	p := demoPlanner(t, 50)
+	res, err := p.Solve(context.Background(), buildDemo(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, empty, m := res.Allocation, &mcss.Allocation{}, p.Config().Model
+	for _, tc := range []struct {
+		name                    string
+		before, after, eqB, eqA *mcss.Allocation
+	}{
+		{"nil before", nil, a, empty, a},
+		{"nil after", a, nil, a, empty},
+		{"both nil", nil, nil, empty, empty},
+	} {
+		got := mcss.MigrationStatsBetween(tc.before, tc.after, m)
+		if want := mcss.MigrationStatsBetween(tc.eqB, tc.eqA, m); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: %+v, want the empty allocation's %+v", tc.name, got, want)
+		}
 	}
 }
 
