@@ -215,8 +215,8 @@ func (d *daemon) setDegraded(rec *deploy.Recovery, reason error) {
 // applyTopology loads the -topology file (empty path = no-op), stores it as
 // the daemon's active topology, and rewires the config for multi-region
 // solving: the fleet replicated per region (Stage 2 routes pairs across
-// it), the co-location-preferring selection, the SLO ceiling, and egress
-// billing through cfg.Topology.
+// it), the SLO ceiling, and, through cfg.Topology, the co-location
+// preference of Stage 1 and egress billing.
 func (d *daemon) applyTopology(o options, cfg *core.Config) error {
 	t, fleet, err := cli.LoadTopology(o.topologyPath, cfg.Fleet, cfg.Model)
 	if err != nil || t == nil {
@@ -224,9 +224,6 @@ func (d *daemon) applyTopology(o options, cfg *core.Config) error {
 	}
 	cfg.Topology, cfg.Fleet = t, fleet
 	cfg.LatencySLOMillis = o.sloMillis
-	if t.NumRegions() > 1 {
-		cfg.Stage1 = topo.SelectColocated
-	}
 	d.mu.Lock()
 	d.topology = t
 	d.sloMillis = o.sloMillis

@@ -87,7 +87,7 @@ func registerSolverFlags(fs *flag.FlagSet) *solverFlags {
 		fleetSpec: fs.String("fleet", "", "heterogeneous fleet: 'catalog' or comma list of instance types (empty = single -instance)"),
 		capacity:  fs.Int64("capacity", 0, "per-VM capacity override in bytes/hour for -instance, scaled per-mbps across the fleet (0 = calibrated)"),
 		msgBytes:  fs.Int64("message-bytes", 200, "notification size in bytes"),
-		stage1:    fs.String("stage1", "gsp", "stage 1 algorithm: gsp, rsp, or topo-gsp"),
+		stage1:    fs.String("stage1", "gsp", "stage 1 algorithm: gsp or rsp"),
 		stage2:    fs.String("stage2", "cbp", "stage 2 algorithm: cbp, ffbp, or bfd"),
 		optSpec:   fs.String("opts", "all", "CBP optimizations: all, none, or comma list of expensive,mostfree,cost"),
 		strategy:  fs.String("strategy", "", "full-solve strategy replacing both stages (e.g. exact)"),

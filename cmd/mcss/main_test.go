@@ -104,6 +104,7 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	bad := [][]string{
 		{"-dataset", "twitter", "-scale", "0.01", "-instance", "m9.huge"},
 		{"-dataset", "twitter", "-scale", "0.01", "-stage1", "xxx"},
+		{"-dataset", "twitter", "-scale", "0.01", "-stage1", "topo-gsp"},
 		{"-dataset", "twitter", "-scale", "0.01", "-stage2", "xxx"},
 		{"-dataset", "twitter", "-scale", "0.01", "-stage2", "topo"},
 		{"-dataset", "twitter", "-scale", "0.01", "-stage2", "spot"},

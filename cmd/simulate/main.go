@@ -206,9 +206,6 @@ func newPlanner(tau int64, model mcss.Model, fleet mcss.Fleet, topologyPath stri
 	}
 	if topology != nil {
 		opts = append(opts, mcss.WithTopology(topology), mcss.WithLatencySLO(sloMillis))
-		if topology.NumRegions() > 1 {
-			opts = append(opts, mcss.WithStage1(mcss.TopoStage1Strategy))
-		}
 	}
 	p, err := mcss.NewPlanner(opts...)
 	return p, topology, err

@@ -1030,8 +1030,7 @@ func (s *IncrementalState) moveSlot(from, to int32) {
 
 // materialize snapshots the live state into an immutable Result: a fresh
 // allocation (deep VM clones, so later epochs never mutate what callers
-// adopted — its memoized cost caches start cold by construction) and the
-// selection flattened from the maintained rows.
+// adopted) and the selection flattened from the maintained rows.
 func (s *IncrementalState) materialize() (*Allocation, *Selection) {
 	out := &Allocation{
 		VMs:          make([]*VM, len(s.r.vms)),

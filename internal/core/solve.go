@@ -22,13 +22,17 @@ func Solve(w *workload.Workload, cfg Config) (*Result, error) {
 // Config.Observer receives per-stage progress callbacks. A non-nil
 // Config.Solver replaces the whole two-stage pipeline; otherwise Stage 1
 // runs Config.Stage1 (nil = GSP) and Stage 2 runs Config.Stage2 (nil =
-// CBP).
+// CBP). A workload tagged with a region a multi-region Config.Topology
+// lacks is an error before either runs.
 func SolveContext(ctx context.Context, w *workload.Workload, cfg Config) (*Result, error) {
 	cfg, err := cfg.normalize()
 	if err != nil {
 		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	if err := checkRegions(w, cfg.Topology); err != nil {
 		return nil, err
 	}
 	cfg.Observer = ResolveObserver(ctx, cfg)

@@ -169,14 +169,24 @@ func GreedySelectPairs(w *workload.Workload, tau int64) *Selection {
 // (checked every checkInterval subscribers), Config.Observer progress
 // callbacks, and Config.Parallelism-controlled sharding. It is the
 // SelectPairs implementation of the registered "gsp" strategy.
+//
+// Under a multi-region Config.Topology, on a workload with region tags,
+// each subscriber's interests are scanned home region first: topics
+// published in the subscriber's own region, then the rest, each part rate
+// descending. Co-located pairs never leave the region, so preferring them
+// removes the inter-region hop and its egress charge at the price of
+// sometimes carrying a slightly higher selected rate. The fallback topic
+// is still the smallest-rate one skipped, a home topic on a rate tie. On
+// any other input no topic is home and the selection is the paper's GSP.
 func GreedySelectPairsContext(ctx context.Context, w *workload.Workload, cfg Config) (*Selection, error) {
 	cfg.Observer = ResolveObserver(ctx, cfg)
+	homeFirst := cfg.Topology != nil && cfg.Topology.NumRegions() > 1 && w.HasRegions()
 	if workers := stage1Workers(cfg.Parallelism, w.NumSubscribers()); workers > 1 {
-		return greedySelectParallel(ctx, w, cfg.Tau, workers, cfg.Observer)
+		return greedySelectParallel(ctx, w, cfg.Tau, homeFirst, workers, cfg.Observer)
 	}
 	start := time.Now()
 	tk := newTicker(ctx, cfg.Observer, StageSelect, int64(w.NumSubscribers()))
-	subOff, subTopics, err := greedySelectRange(w, 0, w.NumSubscribers(), cfg.Tau, tk)
+	subOff, subTopics, err := greedySelectRange(w, 0, w.NumSubscribers(), cfg.Tau, homeFirst, tk)
 	if err != nil {
 		return nil, err
 	}
@@ -185,10 +195,11 @@ func GreedySelectPairsContext(ctx context.Context, w *workload.Workload, cfg Con
 }
 
 // greedySelectRange runs GSP over subscribers [lo, hi) and returns the
-// CSR fragment (offsets relative to the fragment start). tk polls
+// CSR fragment (offsets relative to the fragment start). With homeFirst a
+// topic published in the subscriber's region is home. tk polls
 // cancellation once per checkInterval subscribers; it may be a ticker with
 // a nil observer (the parallel workers' setting).
-func greedySelectRange(w *workload.Workload, lo, hi int, tau int64, tk *ticker) ([]int64, []workload.TopicID, error) {
+func greedySelectRange(w *workload.Workload, lo, hi int, tau int64, homeFirst bool, tk *ticker) ([]int64, []workload.TopicID, error) {
 	subOff := make([]int64, 1, hi-lo+1)
 	var expect int64
 	if w.NumSubscribers() > 0 {
@@ -196,19 +207,21 @@ func greedySelectRange(w *workload.Workload, lo, hi int, tau int64, tk *ticker) 
 	}
 	subTopics := make([]workload.TopicID, 0, expect+1)
 
-	// Scratch reused across subscribers: topics sorted by rate descending.
+	// Scratch reused across subscribers: topics in scan order, home first,
+	// then rate descending.
 	var scratch []rateTopic
 	for v := lo; v < hi; v++ {
 		if err := tk.tick(1); err != nil {
 			return nil, nil, err
 		}
 		ts := w.Topics(workload.SubID(v))
+		region := w.SubscriberRegion(workload.SubID(v))
 		scratch = scratch[:0]
 		var demand int64
 		for _, t := range ts {
 			r := w.Rate(t)
 			demand += r
-			scratch = append(scratch, rateTopic{rate: r, topic: t})
+			scratch = append(scratch, rateTopic{rate: r, topic: t, home: homeFirst && w.TopicRegion(t) == region})
 		}
 		tauV := tau
 		if demand < tauV {
@@ -225,6 +238,12 @@ func greedySelectRange(w *workload.Workload, lo, hi int, tau int64, tk *ticker) 
 			continue
 		}
 		slices.SortFunc(scratch, func(a, b rateTopic) int {
+			if a.home != b.home {
+				if a.home {
+					return -1
+				}
+				return 1
+			}
 			if a.rate != b.rate {
 				return cmp.Compare(b.rate, a.rate) // rate descending
 			}
@@ -232,23 +251,28 @@ func greedySelectRange(w *workload.Workload, lo, hi int, tau int64, tk *ticker) 
 		})
 		rem := tauV
 		start := len(subTopics)
-		lastSkipped := -1
-		for i := range scratch {
+		fallback := -1
+		for i, rt := range scratch {
 			if rem <= 0 {
 				break
 			}
-			if scratch[i].rate <= rem {
-				subTopics = append(subTopics, scratch[i].topic)
-				rem -= scratch[i].rate
-			} else {
-				lastSkipped = i
+			if rt.rate <= rem {
+				subTopics = append(subTopics, rt.topic)
+				rem -= rt.rate
+				continue
+			}
+			// The smallest rate skipped so far; on a tie a home topic,
+			// else the later one, which without home topics makes it the
+			// last skipped entry.
+			if fallback < 0 || rt.rate < scratch[fallback].rate ||
+				rt.rate == scratch[fallback].rate && (rt.home || !scratch[fallback].home) {
+				fallback = i
 			}
 		}
 		if rem > 0 {
 			// No remaining topic fits within rem; all skipped topics
-			// exceed it. The best benefit/cost is the smallest rate,
-			// which (descending order) is the last skipped entry.
-			subTopics = append(subTopics, scratch[lastSkipped].topic)
+			// exceed it. The best benefit/cost is the smallest rate.
+			subTopics = append(subTopics, scratch[fallback].topic)
 		}
 		sortTopicIDs(subTopics[start:])
 		subOff = append(subOff, int64(len(subTopics)))
@@ -259,6 +283,7 @@ func greedySelectRange(w *workload.Workload, lo, hi int, tau int64, tk *ticker) 
 type rateTopic struct {
 	rate  int64
 	topic workload.TopicID
+	home  bool
 }
 
 func sortTopicIDs(s []workload.TopicID) {

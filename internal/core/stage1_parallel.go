@@ -32,7 +32,7 @@ func stage1Workers(parallelism, numSubscribers int) int {
 // are always joined before returning, leaking nothing. The caller's
 // context error wins the report (every shard of a cancelled solve fails
 // with it anyway); otherwise the first error recorded is returned.
-func greedySelectParallel(ctx context.Context, w *workload.Workload, tau int64, workers int, obs Observer) (*Selection, error) {
+func greedySelectParallel(ctx context.Context, w *workload.Workload, tau int64, homeFirst bool, workers int, obs Observer) (*Selection, error) {
 	start := time.Now()
 	n := w.NumSubscribers()
 	if obs != nil {
@@ -69,7 +69,7 @@ func greedySelectParallel(ctx context.Context, w *workload.Workload, tau int64, 
 			// Workers tick cancellation but not the observer: progress
 			// callbacks stay single-goroutine.
 			tk := &ticker{ctx: wctx, left: checkInterval}
-			off, topics, err := greedySelectRange(w, lo, hi, tau, tk)
+			off, topics, err := greedySelectRange(w, lo, hi, tau, homeFirst, tk)
 			frags[k] = fragment{subOff: off, subTopics: topics, err: err}
 			if err != nil {
 				errOnce.Do(func() {

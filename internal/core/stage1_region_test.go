@@ -1,0 +1,196 @@
+package core_test
+
+import (
+	"context"
+	"errors"
+	"slices"
+	"strings"
+	"testing"
+
+	"github.com/pubsub-systems/mcss/internal/core"
+	"github.com/pubsub-systems/mcss/internal/pricing"
+	"github.com/pubsub-systems/mcss/internal/topo"
+	"github.com/pubsub-systems/mcss/internal/tracegen"
+	"github.com/pubsub-systems/mcss/internal/workload"
+)
+
+// TestGSPPrefersHomeTopics: under a multi-region topology GSP scans each
+// subscriber's interests home region first, and its fallback prefers a
+// home topic on a rate tie but never over a smaller rate. Without the
+// topology the same workload gets the paper's GSP.
+func TestGSPPrefersHomeTopics(t *testing.T) {
+	type topic struct {
+		name   string
+		rate   int64
+		region int32
+	}
+	topics := []topic{
+		{"r0-60", 60, 0}, {"r1-60", 60, 1}, {"r1-70", 70, 1}, {"r0-70", 70, 0},
+		{"r1-20", 20, 1}, {"r1-90", 90, 1}, {"r0-80", 80, 0}, {"r0-60b", 60, 0},
+	}
+	subs := []struct {
+		name      string
+		region    int32
+		follows   []string
+		home, gsp []string // selections with and without the topology
+	}{
+		// Equal rates: the home topic wins over a lower topic ID.
+		{"near", 1, []string{"r0-60", "r1-60"}, []string{"r1-60"}, []string{"r0-60"}},
+		{"west", 0, []string{"r1-60", "r0-60b"}, []string{"r0-60b"}, []string{"r1-60"}},
+		// Nothing else fits after r1-20: the fallback ties at rate 70 and
+		// takes the home topic, where GSP takes the last skipped.
+		{"tie", 1, []string{"r1-70", "r0-70", "r1-20"}, []string{"r1-70", "r1-20"}, []string{"r0-70", "r1-20"}},
+		// The smaller rate beats home in the fallback.
+		{"cheaper", 1, []string{"r1-90", "r0-80"}, []string{"r0-80"}, []string{"r0-80"}},
+	}
+	b := workload.NewBuilder()
+	for _, tp := range topics {
+		b.AddTopic(tp.name, tp.rate)
+	}
+	for _, s := range subs {
+		for _, name := range s.follows {
+			b.AddSubscription(s.name, name)
+		}
+	}
+	base, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Every topic and subscriber is used, so IDs follow the order of
+	// addition.
+	topicRegions := make([]int32, len(topics))
+	for i, tp := range topics {
+		topicRegions[i] = tp.region
+	}
+	subRegions := make([]int32, len(subs))
+	for v, s := range subs {
+		subRegions[v] = s.region
+	}
+	w, err := base.WithRegions(topicRegions, subRegions)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tc := range []struct {
+		name string
+		cfg  core.Config
+		want func(i int) []string
+	}{
+		{"two regions", core.Config{Tau: 60, Topology: topo.SyntheticTopology(2)}, func(i int) []string { return subs[i].home }},
+		{"no topology", core.Config{Tau: 60}, func(i int) []string { return subs[i].gsp }},
+		{"one region", core.Config{Tau: 60, Topology: topo.SyntheticTopology(1)}, func(i int) []string { return subs[i].gsp }},
+	} {
+		sel, err := core.GreedySelectPairsContext(context.Background(), w, tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, s := range subs {
+			var got []string
+			for _, tp := range sel.SelectedTopics(workload.SubID(i)) {
+				got = append(got, w.TopicName(tp))
+			}
+			want := slices.Clone(tc.want(i))
+			slices.Sort(got)
+			slices.Sort(want)
+			if !slices.Equal(got, want) {
+				t.Errorf("%s: %s selected %v, want %v", tc.name, s.name, got, want)
+			}
+		}
+	}
+}
+
+// TestParallelGSPRegionalMatchesSerial: the home-first order is per
+// subscriber, so sharding a tagged workload under a multi-region
+// topology selects exactly what the serial scan selects.
+func TestParallelGSPRegionalMatchesSerial(t *testing.T) {
+	base, err := tracegen.Twitter(tracegen.DefaultTwitterConfig().Scale(0.03))
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := tracegen.TagRegions(base, 3, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := topo.SyntheticTopology(3)
+	gsp := func(tau int64, topology core.Topology, parallelism int) *core.Selection {
+		t.Helper()
+		sel, err := core.GreedySelectPairsContext(context.Background(), w,
+			core.Config{Tau: tau, Topology: topology, Parallelism: parallelism})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sel
+	}
+	same := func(a, b *core.Selection) bool {
+		for v := 0; v < w.NumSubscribers(); v++ {
+			if !slices.Equal(a.SelectedTopics(workload.SubID(v)), b.SelectedTopics(workload.SubID(v))) {
+				return false
+			}
+		}
+		return a.NumPairs() == b.NumPairs()
+	}
+	for _, tau := range []int64{10, 100, 1000} {
+		serial := gsp(tau, net, 1)
+		if !serial.Satisfied(tau) {
+			t.Fatalf("τ=%d: regional selection unsatisfied", tau)
+		}
+		if same(serial, gsp(tau, nil, 1)) {
+			t.Errorf("τ=%d: the topology changed no selection", tau)
+		}
+		for _, workers := range []int{2, -1} {
+			if !same(serial, gsp(tau, net, workers)) {
+				t.Errorf("τ=%d workers=%d: parallel differs from serial", tau, workers)
+			}
+		}
+	}
+}
+
+// TestSolveRejectsRegionsBeyondTopology: a tag at or past the topology's
+// region count is an error naming the first such topic, else subscriber,
+// instead of an index panic in Stage 2's routing. A single-region
+// topology reads no tags.
+func TestSolveRejectsRegionsBeyondTopology(t *testing.T) {
+	base, err := tracegen.Twitter(tracegen.DefaultTwitterConfig().Scale(0.01))
+	if err != nil {
+		t.Fatal(err)
+	}
+	five, err := tracegen.TagRegions(base, 5, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	subOnly, err := five.WithRegions(make([]int32, five.NumTopics()), five.SubscriberRegions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := topo.SyntheticTopology(3)
+	model := pricing.NewModel(pricing.C3Large)
+	fleet, err := topo.RegionalFleet(model.SingleFleet(), net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.DefaultConfig(100, model)
+	cfg.Fleet, cfg.Topology, cfg.LatencySLOMillis = fleet, net, 200
+
+	for _, tc := range []struct {
+		name string
+		w    *workload.Workload
+		want string
+	}{
+		{"topic", five, "core: topic "},
+		{"subscriber", subOnly, "core: subscriber "},
+	} {
+		_, err := core.SolveContext(context.Background(), tc.w, cfg)
+		if err == nil || !strings.HasPrefix(err.Error(), tc.want) || !strings.Contains(err.Error(), "3 regions") {
+			t.Errorf("%s: err = %v, want %q… naming the topology's 3 regions", tc.name, err, tc.want)
+		}
+		if errors.Is(err, core.ErrInfeasible) {
+			t.Errorf("%s: a bad tag is not an infeasible instance: %v", tc.name, err)
+		}
+	}
+
+	one := core.DefaultConfig(100, model)
+	one.Topology = topo.SyntheticTopology(1)
+	if _, err := core.SolveContext(context.Background(), five, one); err != nil {
+		t.Errorf("single-region topology: %v", err)
+	}
+}

@@ -571,12 +571,6 @@ func runStage2(ctx context.Context, sel *Selection, cfg Config) (*Allocation, er
 				if err != nil && (j == 0 || pctx.Err() != nil) {
 					// Primary failure or cancellation: stop the rest.
 					cancel()
-					return
-				}
-				if a != nil {
-					// Warm the memoized cost while still parallel, so the
-					// serial reduction below is O(1) per member.
-					a.Cost(cfg.Model)
 				}
 			}(j)
 		}

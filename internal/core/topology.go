@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"github.com/pubsub-systems/mcss/internal/pricing"
 	"github.com/pubsub-systems/mcss/internal/workload"
 )
@@ -43,6 +45,28 @@ func RegionOfInstance(topo Topology, it pricing.InstanceType) int {
 		return i
 	}
 	return 0
+}
+
+// checkRegions rejects a workload tagged with a region a multi-region
+// topology does not have, naming the first such topic, else subscriber:
+// routing and the latency model index the topology's matrices with the
+// tags. Under no topology or a single region the tags are not read.
+func checkRegions(w *workload.Workload, topo Topology) error {
+	if topo == nil || topo.NumRegions() <= 1 {
+		return nil
+	}
+	n := int32(topo.NumRegions())
+	for t, r := range w.TopicRegions() {
+		if r >= n {
+			return fmt.Errorf("core: topic %q is tagged with region %d, beyond the topology's %d regions", w.TopicName(workload.TopicID(t)), r, n)
+		}
+	}
+	for v, r := range w.SubscriberRegions() {
+		if r >= n {
+			return fmt.Errorf("core: subscriber %q is tagged with region %d, beyond the topology's %d regions", w.SubscriberName(workload.SubID(v)), r, n)
+		}
+	}
+	return nil
 }
 
 // PairRTTMillis reports the modeled delivery RTT of one placement: the

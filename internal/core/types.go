@@ -16,7 +16,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"github.com/pubsub-systems/mcss/internal/pricing"
@@ -120,12 +119,15 @@ type Config struct {
 	Parallelism int
 
 	// Topology, when non-nil, describes the multi-region network (regions,
-	// RTT matrix, egress prices). With more than one region, Stage 2
-	// routes every selected pair to its cheapest SLO-feasible region and
-	// packs each region against that region's fleet types, whatever
-	// packer Stage2 names; the heterogeneous portfolio compares members
-	// on rental plus egress, and the elastic controller bills egress with
-	// it. Nil or one region is the paper's setting.
+	// RTT matrix, egress prices). With more than one region, GSP prefers
+	// topics published in each subscriber's own region on a tagged
+	// workload, Stage 2 routes every selected pair to its cheapest
+	// SLO-feasible region and packs each region against that region's
+	// fleet types, whatever packer Stage2 names; the heterogeneous
+	// portfolio compares members on rental plus egress, and the elastic
+	// controller bills egress with it. A region tag at or past
+	// NumRegions fails the solve. Nil or one region is the paper's
+	// setting.
 	Topology Topology
 	// LatencySLOMillis, when positive, is the per-subscription delivery-
 	// latency ceiling in milliseconds: every selected pair's modeled
@@ -238,14 +240,6 @@ func (vm *VM) NumPairs() int {
 // Allocation is Stage 2's output: the deployed VMs. Capacity is a per-VM
 // property (each VM carries its instance type's cap); there is no single
 // fleet-wide BC once the fleet is heterogeneous.
-//
-// Cost, RentalCost, HourlyRentalRate, and TotalBytesPerHour memoize their
-// whole-fleet aggregates on first use (the stage-2 portfolio and the
-// elastic controller's per-epoch policy checks query them repeatedly), so
-// code that mutates VMs or their placements after such a query must call
-// InvalidateCost. Every in-repo mutation path builds a fresh Allocation
-// (or private VM clones) before its first cost query, so only external
-// in-place editors need to care.
 type Allocation struct {
 	// VMs in deployment order.
 	VMs []*VM
@@ -254,46 +248,21 @@ type Allocation struct {
 	Fleet pricing.Fleet
 	// MessageBytes echoes the config.
 	MessageBytes int64
-
-	// Cached whole-fleet aggregates behind the cost methods. The model is
-	// not part of the cache: the aggregates (Σ bw_b, Σ hourly rates, and
-	// the count of untyped legacy VMs priced at the model's instance) are
-	// model-independent, so one pass serves every model.
-	aggMu       sync.Mutex
-	aggValid    bool
-	aggBW       int64
-	aggRateSum  int64
-	aggFallback int64
 }
 
-// aggregates returns (and on first use computes) Σ bw_b, the hourly-rate
-// sum of typed VMs, and the count of untyped VMs.
+// aggregates sums the cost methods' whole-fleet terms in one pass over the
+// VMs: Σ bw_b, the hourly-rate sum of typed VMs, and the count of untyped
+// legacy VMs priced at the model's instance.
 func (a *Allocation) aggregates() (bw, rateSum, fallback int64) {
-	a.aggMu.Lock()
-	defer a.aggMu.Unlock()
-	if !a.aggValid {
-		a.aggBW, a.aggRateSum, a.aggFallback = 0, 0, 0
-		for _, vm := range a.VMs {
-			a.aggBW += vm.BytesPerHour()
-			if vm.Instance.Name == "" && vm.Instance.HourlyRate == 0 {
-				a.aggFallback++
-			} else {
-				a.aggRateSum += int64(vm.Instance.HourlyRate)
-			}
+	for _, vm := range a.VMs {
+		bw += vm.BytesPerHour()
+		if vm.Instance.Name == "" && vm.Instance.HourlyRate == 0 {
+			fallback++
+		} else {
+			rateSum += int64(vm.Instance.HourlyRate)
 		}
-		a.aggValid = true
 	}
-	return a.aggBW, a.aggRateSum, a.aggFallback
-}
-
-// InvalidateCost drops the memoized cost aggregates. Call it after
-// mutating VMs (or their placements) of an allocation whose Cost,
-// RentalCost, HourlyRentalRate, or TotalBytesPerHour has already been
-// queried.
-func (a *Allocation) InvalidateCost() {
-	a.aggMu.Lock()
-	a.aggValid = false
-	a.aggMu.Unlock()
+	return bw, rateSum, fallback
 }
 
 // NumVMs reports |B|.
@@ -322,8 +291,7 @@ func (a *Allocation) RentalCost(m pricing.Model) pricing.MicroUSD {
 // HourlyRentalRate is RentalCost at one hour: Σ over VMs of the VM's own
 // hourly rate (untyped legacy VMs priced at the model's instance) — the
 // per-hour form of C1 the elastic controller's keep-vs-adopt policy
-// compares every epoch. Like RentalCost it reads the memoized aggregates,
-// so per-epoch policy checks stop re-summing the whole fleet.
+// compares every epoch.
 func (a *Allocation) HourlyRentalRate(m pricing.Model) pricing.MicroUSD {
 	_, rateSum, fallback := a.aggregates()
 	return pricing.MicroUSD(rateSum + fallback*int64(m.Instance.HourlyRate))

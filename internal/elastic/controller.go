@@ -539,9 +539,6 @@ func fleetsEqual(a, b pricing.Fleet) bool {
 // Done reports whether every epoch has been stepped.
 func (wk *Walk) Done() bool { return wk.next >= wk.tl.NumEpochs() }
 
-// Epoch reports the index the next Step will process.
-func (wk *Walk) Epoch() int { return wk.next }
-
 // NumEpochs reports the timeline length.
 func (wk *Walk) NumEpochs() int { return wk.tl.NumEpochs() }
 
@@ -952,9 +949,7 @@ func trueCapacity(vm *core.VM, trueFleet pricing.Fleet) int64 {
 }
 
 // hourlyCost is the epoch-rate objective the keep-vs-adopt decision
-// compares: active rental per hour plus transfer cost per hour. Both
-// terms read the allocation's memoized aggregates, so the per-epoch
-// policy checks no longer re-sum the whole fleet.
+// compares: active rental per hour plus transfer cost per hour.
 func hourlyCost(m pricing.Model, alloc *core.Allocation) pricing.MicroUSD {
 	return alloc.HourlyRentalRate(m).Add(pricing.BandwidthCost(m.PerGB, alloc.TotalBytesPerHour()))
 }

@@ -49,7 +49,7 @@ func TestIncrementalWalkAfterKeptEpochs(t *testing.T) {
 		t.Fatal(err)
 	}
 	for !wk.Done() {
-		e := wk.Epoch()
+		e := wk.NextEpoch()
 		if _, err := wk.Step(ctx); err != nil {
 			t.Fatalf("epoch %d: %v", e, err)
 		}

@@ -63,8 +63,8 @@ type LatencyResult struct {
 	Topology *topo.Topology
 	Points   []LatencyPoint
 
-	// DegenerateExact records that topo-gsp plus the topology-routed
-	// stage 2 under a one-region topology produced an allocation byte-identical to the paper-faithful
+	// DegenerateExact records that the default solve under a one-region
+	// topology produced an allocation byte-identical to the paper-faithful
 	// gsp+cbp solve on the same workload and config.
 	DegenerateExact bool
 	// DegenerateDiff holds the first difference when DegenerateExact is
@@ -74,8 +74,9 @@ type LatencyResult struct {
 
 // RunLatency generates the dataset, tags its endpoints across the
 // synthetic multi-region topology, and sweeps the latency SLO ceiling from
-// tightest to loosest, solving each point with topo-gsp and the
-// topology-routed stage 2, and pricing it as hourly rental plus cross-region egress. Warm-start
+// tightest to loosest, solving each point with the default stages (GSP
+// preferring home-region topics, the topology-routed stage 2) and pricing
+// it as hourly rental plus cross-region egress. Warm-start
 // dominance keeps the cheaper of the fresh solve and the previous (tighter)
 // point's allocation, so the reported frontier is monotone non-increasing
 // in cost. It also runs the degenerate single-region case and checks that
@@ -112,7 +113,6 @@ func RunLatency(ctx context.Context, d Dataset, scale float64, short bool) (*Lat
 			MessageBytes:     MessageBytes,
 			Model:            model,
 			Fleet:            fleet,
-			Stage1:           topo.SelectColocated,
 			Topology:         t,
 			LatencySLOMillis: slo,
 			Opts:             core.OptAll,
@@ -152,14 +152,11 @@ func RunLatency(ctx context.Context, d Dataset, scale float64, short bool) (*Lat
 		})
 	}
 
-	// Degenerate case: one region, zero egress, no ceiling. topo-gsp and
-	// the unsplit stage 2 must reproduce gsp+cbp's allocation byte for
-	// byte — same workload (region tags and all), same model.
+	// Degenerate case: one region, zero egress, no ceiling. The solve
+	// under the one-region topology must reproduce gsp+cbp's allocation
+	// byte for byte — same workload (region tags and all), same model.
 	one := topo.SyntheticTopology(1)
-	topoCfg := core.Config{
-		Tau: LatencyTau, MessageBytes: MessageBytes, Model: model,
-		Stage1: topo.SelectColocated, Topology: one,
-	}
+	topoCfg := core.Config{Tau: LatencyTau, MessageBytes: MessageBytes, Model: model, Topology: one}
 	paperCfg := core.Config{Tau: LatencyTau, MessageBytes: MessageBytes, Model: model}
 	topoSol, err := core.SolveContext(ctx, w, topoCfg)
 	if err != nil {

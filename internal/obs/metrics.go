@@ -162,7 +162,7 @@ func NewMetrics(reg *Registry) *Metrics {
 	m.vmsByType = reg.GaugeVec("mcss_vms",
 		"Active VMs by instance type.", "type")
 	m.hourlyRate = reg.Gauge("mcss_hourly_rental_rate_usd",
-		"Hourly rental rate of the current allocation (memoized cost cache).")
+		"Hourly rental rate of the current allocation.")
 
 	m.billAcquired = reg.Counter("mcss_billing_vms_acquired_total",
 		"VM acquisitions charged to the billing ledger.")
@@ -372,8 +372,7 @@ func (m *Metrics) RecordEpochReport(ep elastic.EpochReport) {
 
 // RecordAllocation refreshes the allocation/index gauges: fleet size, pair
 // and placement (ingress-stream) counts, mean topic spread, free capacity,
-// objective cost, and the hourly rental rate — all from the allocation's
-// memoized aggregates where available.
+// objective cost, and the hourly rental rate.
 func (m *Metrics) RecordAllocation(alloc *core.Allocation, model pricing.Model) {
 	if alloc == nil {
 		return

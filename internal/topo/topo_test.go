@@ -1,7 +1,6 @@
 package topo
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -195,9 +194,7 @@ func taggedWorkload(t *testing.T, n int, seed int64) *workload.Workload {
 
 func topoConfig(t *testing.T, tau int64) core.Config {
 	t.Helper()
-	cfg := core.DefaultConfig(tau, pricing.NewModel(pricing.C3Large))
-	cfg.Stage1 = SelectColocated
-	return cfg
+	return core.DefaultConfig(tau, pricing.NewModel(pricing.C3Large))
 }
 
 // diffAllocations mirrors the structural comparison the latency experiment
@@ -236,9 +233,9 @@ func diffAllocations(a, b *core.Allocation) string {
 }
 
 // TestDegenerateByteIdentity is the differential contract of the package:
-// with one region (or no topology at all), zero egress and no SLO,
-// topo-gsp and the unsplit Stage 2 must produce allocations identical to
-// the paper's GSP+CBP in every field, across a randomized workload sweep.
+// with one region (or no topology at all), zero egress and no SLO, the
+// solve under the topology must produce allocations identical to the
+// paper's GSP+CBP in every field, across a randomized workload sweep.
 func TestDegenerateByteIdentity(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		for _, tau := range []int64{50, 200} {
@@ -357,60 +354,6 @@ func TestPackTopoInfeasibleSLO(t *testing.T) {
 	rep := EvalLatency(topo, w, res.Allocation, 200, cfg.LatencySLOMillis)
 	if rep.Violations != 0 || rep.MaxMillis > 45 {
 		t.Fatalf("45ms ceiling: violations=%d max=%dms", rep.Violations, rep.MaxMillis)
-	}
-}
-
-func TestSelectColocatedPrefersHomeTopics(t *testing.T) {
-	// Subscriber in region 1 follows two equal-rate topics, one published
-	// in its own region. Under a partial budget (τ below total demand) the
-	// co-located topic must win the selection.
-	b := workload.NewBuilder().AddTopic("home", 60).AddTopic("away", 60)
-	b.AddSubscription("v", "home")
-	b.AddSubscription("v", "away")
-	// Anchor subscribers so both topics keep an audience regardless of
-	// what "v" selects.
-	b.AddSubscription("anchorH", "home")
-	b.AddSubscription("anchorA", "away")
-	base, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// topics: home→region 1, away→region 0; subscribers in order of first
-	// appearance: v→1, anchorH→0, anchorA→0.
-	w, err := base.WithRegions([]int32{1, 0}, []int32{1, 0, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	cfg := topoConfig(t, 60)
-	cfg.Topology = SyntheticTopology(2)
-	sel, err := SelectColocated(context.Background(), w, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var vID workload.SubID
-	found := false
-	for v := 0; v < w.NumSubscribers(); v++ {
-		if w.SubscriberName(workload.SubID(v)) == "v" {
-			vID, found = workload.SubID(v), true
-		}
-	}
-	if !found {
-		t.Fatal("subscriber v not found")
-	}
-	homeSubs := sel.SelectedSubscribers(0) // topic 0 = "home"
-	awaySubs := sel.SelectedSubscribers(1) // topic 1 = "away"
-	has := func(subs []workload.SubID, v workload.SubID) bool {
-		for _, s := range subs {
-			if s == v {
-				return true
-			}
-		}
-		return false
-	}
-	if !has(homeSubs, vID) || has(awaySubs, vID) {
-		t.Fatalf("v selected home=%v away=%v; want the co-located topic only",
-			has(homeSubs, vID), has(awaySubs, vID))
 	}
 }
 

@@ -1,13 +1,12 @@
 // Package topo makes region a first-class placement dimension: a Topology
 // describes the regions a deployment may span, the inter-region round-trip
 // times a delivery path accumulates, and the per-GB egress prices cross-
-// region traffic is billed at. Core's Stage 2 reads a multi-region
-// topology from core.Config and routes every pair to the cheapest
-// SLO-feasible region before the paper's packing rule runs per region. On
-// top of the model the package provides regional fleets, a stage-1
-// selection preferring co-located pairings ("topo-gsp"), and a latency
-// evaluator the experiments harness uses to report cost-vs-latency Pareto
-// frontiers.
+// region traffic is billed at. Core reads a multi-region topology from
+// core.Config: Stage 1's GSP prefers co-located pairings, and Stage 2
+// routes every pair to the cheapest SLO-feasible region before the
+// paper's packing rule runs per region. On top of the model the package
+// provides regional fleets and a latency evaluator the experiments harness
+// uses to report cost-vs-latency Pareto frontiers.
 //
 // With one region the whole package degenerates to the paper's setting:
 // the solve is GSP/CBP verbatim, egress is zero, and every SLO is

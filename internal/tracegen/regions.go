@@ -14,8 +14,8 @@ import (
 // the region of its plurality audience with probability 3/4 (publishers
 // tend to live where their followers are), a skew-drawn region otherwise.
 // Pinning publishers per topic rather than redrawing them keeps co-located
-// pairs a real phenomenon for topo-gsp and the region-routed Stage 2 to
-// exploit.
+// pairs a real phenomenon for GSP's home-region preference and the
+// region-routed Stage 2 to exploit.
 //
 // n ≤ 1 returns the workload untouched (the region-agnostic setting).
 func TagRegions(w *workload.Workload, n int, seed int64) (*workload.Workload, error) {

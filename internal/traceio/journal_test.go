@@ -330,7 +330,6 @@ func regionFollowup(t testing.TB) (core.Config, *deploy.State, *workload.Workloa
 	if cfg.Fleet, err = topo.RegionalFleet(model.SingleFleet(), net); err != nil {
 		t.Fatal(err)
 	}
-	cfg.Stage1 = topo.SelectColocated
 	ctx := context.Background()
 	boot, err := deploy.NewPlanner(cfg).Plan(ctx, deploy.SpecFromWorkload(base), nil)
 	if err != nil {

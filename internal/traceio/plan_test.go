@@ -333,7 +333,6 @@ func TestPlanRoundTripRegions(t *testing.T) {
 	if cfg.Fleet, err = topo.RegionalFleet(model.SingleFleet(), net); err != nil {
 		t.Fatal(err)
 	}
-	cfg.Stage1 = topo.SelectColocated
 	plan, err := deploy.NewPlanner(cfg).Plan(context.Background(), deploy.SpecFromWorkload(w), nil)
 	if err != nil {
 		t.Fatal(err)

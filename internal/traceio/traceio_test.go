@@ -196,15 +196,16 @@ func TestPropertyRoundTripPreservesWorkload(t *testing.T) {
 }
 
 // TestRegionTaggedRoundTrip: region tags survive every trace container —
-// text, binary, and their gzip variants — and an untagged workload keeps
-// producing the exact legacy bytes (no marker, no trailing section).
+// text, binary, the timeline, and their gzip variants — and an untagged
+// workload keeps producing the exact legacy bytes (no marker, no trailing
+// section).
 func TestRegionTaggedRoundTrip(t *testing.T) {
 	base := sample(t)
 	w, err := tracegen.TagRegions(base, 4, 17)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameRegions := func(name string, got *workload.Workload) {
+	sameRegionsAs := func(name string, w, got *workload.Workload) {
 		t.Helper()
 		if !equalWorkloads(w, got) {
 			t.Fatalf("%s: workload changed", name)
@@ -222,6 +223,10 @@ func TestRegionTaggedRoundTrip(t *testing.T) {
 				t.Fatalf("%s: subscriber %d region changed", name, v)
 			}
 		}
+	}
+	sameRegions := func(name string, got *workload.Workload) {
+		t.Helper()
+		sameRegionsAs(name, w, got)
 	}
 
 	var buf bytes.Buffer
@@ -249,6 +254,41 @@ func TestRegionTaggedRoundTrip(t *testing.T) {
 		}
 		sameRegions(name, got)
 	}
+
+	// A timeline embeds each epoch as a trace, " regions" marker included.
+	w2, err := tracegen.TagRegions(base, 4, 18)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tl, err := timeline.New(60, []*workload.Workload{w, w2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameEpochs := func(name string, got *timeline.Timeline) {
+		t.Helper()
+		if got.NumEpochs() != 2 {
+			t.Fatalf("%s: %d epochs", name, got.NumEpochs())
+		}
+		sameRegionsAs(name+" epoch 0", w, got.Epochs[0])
+		sameRegionsAs(name+" epoch 1", w2, got.Epochs[1])
+	}
+	buf.Reset()
+	if err := WriteTimeline(tl, &buf); err != nil {
+		t.Fatal(err)
+	}
+	gotTL, err := ReadTimeline(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameEpochs("timeline", gotTL)
+	path := filepath.Join(dir, "w.timeline.gz")
+	if err := SaveTimeline(tl, path); err != nil {
+		t.Fatal(err)
+	}
+	if gotTL, err = LoadTimeline(path); err != nil {
+		t.Fatal(err)
+	}
+	sameEpochs("w.timeline.gz", gotTL)
 
 	// Untagged output is byte-for-byte the legacy format.
 	var plain bytes.Buffer

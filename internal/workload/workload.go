@@ -205,7 +205,8 @@ func (w *Workload) SubscriberRegions() []int32 { return w.subRegions }
 // slices are required in full — len(topicRegions) must equal NumTopics and
 // len(subRegions) must equal NumSubscribers — and every index must be
 // non-negative; whether indices fit a particular Topology is checked at
-// solve time. The slices are retained; callers must not modify them.
+// solve time (core.SolveContext). The slices are retained; callers must
+// not modify them.
 func (w *Workload) WithRegions(topicRegions, subRegions []int32) (*Workload, error) {
 	if len(topicRegions) != w.NumTopics() {
 		return nil, fmt.Errorf("workload: %d topic regions for %d topics", len(topicRegions), w.NumTopics())

@@ -450,13 +450,6 @@ type (
 // ErrBadFormat for malformed bytes.
 var ErrInvalidTopology = topo.ErrInvalidTopology
 
-// TopoStage1Strategy names the registered Stage-1 selector preferring
-// co-located topic–subscriber pairings. With a nil or single-region
-// topology it is the paper-faithful "gsp" byte for byte. Stage 2 needs no
-// name: a multi-region topology alone routes each pair through its
-// cheapest SLO-feasible broker region and packs each region on its own.
-const TopoStage1Strategy = topo.Stage1Name
-
 // NewTopology builds a validated topology from region names, an
 // inter-region RTT matrix (milliseconds), and a per-GB egress price matrix
 // (zero diagonal required). Inputs are copied.

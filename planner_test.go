@@ -313,11 +313,9 @@ func TestPlannerObserverStages(t *testing.T) {
 		opts []mcss.Option
 	}{
 		{"default", buildDemo(t), nil},
-		{"topo multi-region", tagged, []mcss.Option{mcss.WithTopology(net), mcss.WithFleet(regional),
-			mcss.WithStage1(mcss.TopoStage1Strategy)}},
+		{"topo multi-region", tagged, []mcss.Option{mcss.WithTopology(net), mcss.WithFleet(regional)}},
 		{"spot singletons", singletons, []mcss.Option{mcss.WithFleet(spotFleet)}},
-		{"topo × spot", tagged, []mcss.Option{mcss.WithTopology(net), mcss.WithFleet(regionalSpot),
-			mcss.WithStage1(mcss.TopoStage1Strategy)}},
+		{"topo × spot", tagged, []mcss.Option{mcss.WithTopology(net), mcss.WithFleet(regionalSpot)}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rec := &stageRecorder{}
