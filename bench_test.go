@@ -25,6 +25,7 @@ import (
 	"github.com/pubsub-systems/mcss/internal/core"
 	"github.com/pubsub-systems/mcss/internal/deploy"
 	"github.com/pubsub-systems/mcss/internal/dynamic"
+	"github.com/pubsub-systems/mcss/internal/elastic"
 	"github.com/pubsub-systems/mcss/internal/experiments"
 	"github.com/pubsub-systems/mcss/internal/obs"
 	"github.com/pubsub-systems/mcss/internal/pricing"
@@ -270,17 +271,46 @@ func BenchmarkAblationStage2Rungs(b *testing.B) {
 	}
 }
 
-// BenchmarkGreedySelectPairs is the Stage-1 hot-path micro benchmark.
+// BenchmarkGreedySelectPairs is the Stage-1 hot-path micro benchmark: GSP
+// on Twitter ×0.05 across τ, where few picks per subscriber (small τ) and
+// most interests taken (large τ) are the two ends of its pick loop; on
+// Spotify ×0.25, cold-solve's trace; and on Twitter ×0.05 tagged with three
+// regions under a three-region topology, where home topics go first.
 func BenchmarkGreedySelectPairs(b *testing.B) {
-	w, err := tracegen.Twitter(tracegen.DefaultTwitterConfig().Scale(0.05))
+	twitter, err := tracegen.Twitter(tracegen.DefaultTwitterConfig().Scale(0.05))
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		core.GreedySelectPairs(w, 100)
+	spotify, err := tracegen.Spotify(tracegen.DefaultSpotifyConfig().Scale(0.25))
+	if err != nil {
+		b.Fatal(err)
 	}
-	b.ReportMetric(float64(w.NumPairs()), "pairs")
+	tagged, err := tracegen.TagRegions(twitter, 3, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	type row struct {
+		name string
+		w    *workload.Workload
+		cfg  core.Config
+	}
+	var rows []row
+	for _, tau := range []int64{10, 100, 1000, 10_000, 100_000} {
+		rows = append(rows, row{fmt.Sprintf("twitter/tau=%d", tau), twitter, core.Config{Tau: tau}})
+	}
+	rows = append(rows,
+		row{"spotify/tau=100", spotify, core.Config{Tau: 100}},
+		row{"twitter-3-regions/tau=100", tagged, core.Config{Tau: 100, Topology: mcss.SyntheticTopology(3)}})
+	for _, r := range rows {
+		b.Run(r.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := core.GreedySelectPairsContext(context.Background(), r.w, r.cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(r.w.NumPairs()), "pairs")
+		})
+	}
 }
 
 // BenchmarkLowerBound measures the Alg. 5 bound computation.
@@ -717,6 +747,62 @@ func BenchmarkDiurnalController(b *testing.B) {
 	b.ReportMetric(last.Static.TotalCost().USD(), "static_usd")
 	b.ReportMetric(last.SavingsVsStatic()*100, "savings_pct")
 	b.ReportMetric(float64(last.Hysteresis.TotalMoved()), "moved_pairs")
+}
+
+// BenchmarkDiurnalWalk times one elastic epoch, Walk.Step, in the
+// diurnal-replay benchmark's setting: Twitter ×0.05 modulated into a 96-epoch
+// hourly timeline (24 under -short) with modulation seed 1, τ and fleet
+// sized on the timeline's envelope, and the default policy with
+// incremental epochs. Epoch 0, the bootstrap solve from an empty cluster,
+// is stepped untimed, and so is each restart when the walk runs out. The
+// apply is in memory, without the benchmark's journal. A CPU profile
+// (-cpuprofile) shows where an epoch's time goes.
+func BenchmarkDiurnalWalk(b *testing.B) {
+	mod := experiments.DiurnalModulation()
+	mod.Epochs = 96
+	if testing.Short() {
+		mod.Epochs = 24
+	}
+	mod.Seed = 1
+	base, err := tracegen.Twitter(tracegen.DefaultTwitterConfig().Scale(0.05))
+	if err != nil {
+		b.Fatal(err)
+	}
+	tl, err := tracegen.Diurnal(base, mod)
+	if err != nil {
+		b.Fatal(err)
+	}
+	envelope, err := tl.Envelope()
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := core.DefaultConfig(experiments.DiurnalTau, experiments.ModelFor(pricing.C3Large, envelope))
+	cfg.Fleet = experiments.FleetFor(envelope)
+	policy := elastic.DefaultPolicy()
+	policy.Incremental = true
+	ctx := context.Background()
+	var wk *elastic.Walk
+	start := func() {
+		var err error
+		if wk, err = elastic.NewController(cfg, policy).Start(ctx, tl); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := wk.Step(ctx); err != nil {
+			b.Fatal(err)
+		}
+	}
+	start()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if wk.Done() {
+			b.StopTimer()
+			start()
+			b.StartTimer()
+		}
+		if _, err := wk.Step(ctx); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // BenchmarkUpdateIncrementalVsFull measures absorbing one churn delta (2%

@@ -142,7 +142,10 @@ func run(args []string) error {
 	m.RecordAllocation(alloc, model)
 	if topology != nil {
 		m.RecordTopology(topology, alloc)
-		lat := mcss.EvalLatency(topology, w, alloc, cfg.MessageBytes, *sloMillis)
+		lat, err := mcss.EvalLatency(topology, w, alloc, cfg.MessageBytes, *sloMillis)
+		if err != nil {
+			return err
+		}
 		m.SetSLOViolations(lat.Violations)
 		fmt.Printf("topology: %d regions, modeled RTT p50 %d ms / p99 %d ms / max %d ms, %d SLO violations, egress %v/h (%d bytes/h)\n",
 			topology.NumRegions(), lat.P50Millis, lat.P99Millis, lat.MaxMillis,

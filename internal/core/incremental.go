@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -45,7 +44,8 @@ type Rehomer struct {
 	vms   []*VM
 	tree  freeTree
 	hosts map[workload.TopicID][]int32 // ascending slot indices per topic
-	cands []workload.TopicID           // TopUp scratch
+	cands []rateTopic                  // TopUp scratch
+	picks []workload.TopicID           // TopUp scratch
 }
 
 // NewRehomer indexes alloc's VMs against the given deployable fleet. The
@@ -233,11 +233,12 @@ func (r *Rehomer) placeNoDeploy(t workload.TopicID, v workload.SubID, rb int64) 
 // TopUp raises subscriber v's delivered rate by at least need events/h.
 // It selects v's interests missing from selected (v's selected topics,
 // ascending; read before the first placement), minimal-overshoot first —
-// the largest rate ≤ the remaining need, else the smallest, which closes
-// the gap with the least excess (the Stage-1 greedy's tail rule) — and
-// homes each pair through PlacePair, reporting it to placed with its slot.
-// It fails when v's interests run out below the need, and wraps
-// ErrInfeasible when a topic fits no fleet type.
+// the largest rate ≤ the remaining need (the highest topic of that rate),
+// else the smallest rate (the lowest topic), which closes the gap with the
+// least excess: the Stage-1 greedy's rule, through the same
+// pickMinOvershoot — and homes each pair through PlacePair, reporting it
+// to placed with its slot. It fails when v's interests run out below the
+// need, and wraps ErrInfeasible when a topic fits no fleet type.
 func (r *Rehomer) TopUp(w *workload.Workload, v workload.SubID, selected []workload.TopicID, need int64, placed func(t workload.TopicID, slot int32)) error {
 	cands := r.cands[:0]
 	i := 0
@@ -248,31 +249,19 @@ func (r *Rehomer) TopUp(w *workload.Workload, v workload.SubID, selected []workl
 		if i < len(selected) && selected[i] == t {
 			continue
 		}
-		cands = append(cands, t)
+		cands = append(cands, rateTopic{rate: w.Rate(t), topic: t})
 	}
-	r.cands = cands // keep the grown buffer for the next subscriber
-	slices.SortFunc(cands, func(a, b workload.TopicID) int {
-		if c := cmp.Compare(w.Rate(a), w.Rate(b)); c != 0 {
-			return c
-		}
-		return cmp.Compare(a, b)
-	})
-	for need > 0 {
-		if len(cands) == 0 {
-			return fmt.Errorf("core: subscriber %d below τ_v with no interests left", v)
-		}
-		j := sort.Search(len(cands), func(i int) bool { return w.Rate(cands[i]) > need })
-		if j > 0 {
-			j--
-		}
-		t := cands[j]
-		cands = slices.Delete(cands, j, j+1)
+	r.cands = cands // keep the grown buffers for the next subscriber
+	r.picks, need = pickMinOvershoot(r.picks[:0], cands, need, false)
+	for _, t := range r.picks {
 		slot, ok := r.PlacePair(t, v, w.Rate(t)*r.msg)
 		if !ok {
 			return fmt.Errorf("%w: topic %d does not fit any fleet type", ErrInfeasible, t)
 		}
 		placed(t, slot)
-		need -= w.Rate(t)
+	}
+	if need > 0 {
+		return fmt.Errorf("core: subscriber %d below τ_v with no interests left", v)
 	}
 	return nil
 }

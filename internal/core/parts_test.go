@@ -55,7 +55,11 @@ func TestStage2RoutesAndPins(t *testing.T) {
 	if err := core.VerifyAllocation(w, res.Selection, res.Allocation, cfg); err != nil {
 		t.Fatalf("allocation fails verification: %v", err)
 	}
-	if rep := topo.EvalLatency(net, w, res.Allocation, cfg.MessageBytes, cfg.LatencySLOMillis); rep.Violations != 0 {
+	rep, err := topo.EvalLatency(net, w, res.Allocation, cfg.MessageBytes, cfg.LatencySLOMillis)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Violations != 0 {
 		t.Fatalf("%d pairs over the %d ms ceiling", rep.Violations, cfg.LatencySLOMillis)
 	}
 	spotPairs := 0

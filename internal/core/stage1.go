@@ -1,9 +1,9 @@
 package core
 
 import (
-	"cmp"
 	"context"
 	"fmt"
+	"math/bits"
 	"slices"
 	"sync"
 	"time"
@@ -152,14 +152,15 @@ func (s *Selection) FirstUnsatisfied(tau int64) workload.SubID {
 // min(1, ev_t/rem_v) / (2·ev_t) until τ_v is reached.
 //
 // The implementation exploits the structure of the ratio rather than
-// re-scanning an array per pick: every not-yet-selected topic with
+// recomputing every ratio per pick: every not-yet-selected topic with
 // ev_t ≤ rem_v ties at ratio 1/(2·rem_v), and every topic with ev_t > rem_v
 // scores 1/(2·ev_t) — strictly worse than any fitting topic. The greedy
 // therefore (1) takes fitting topics (largest-first is our deterministic
 // tie-break, which also minimizes the pair count), and (2) when no topic
 // fits in the remaining demand, takes the smallest-rate remaining topic and
-// finishes. greedyReference in tests implements Alg. 2 literally and is
-// property-checked to select pairs of identical total bandwidth.
+// finishes (pickMinOvershoot). greedyReference in tests implements Alg. 2
+// literally and is property-checked to select pairs of identical total
+// bandwidth.
 func GreedySelectPairs(w *workload.Workload, tau int64) *Selection {
 	sel, _ := GreedySelectPairsContext(context.Background(), w, Config{Tau: tau})
 	return sel
@@ -207,8 +208,7 @@ func greedySelectRange(w *workload.Workload, lo, hi int, tau int64, homeFirst bo
 	}
 	subTopics := make([]workload.TopicID, 0, expect+1)
 
-	// Scratch reused across subscribers: topics in scan order, home first,
-	// then rate descending.
+	// Scratch reused across subscribers: the candidates of one subscriber.
 	var scratch []rateTopic
 	for v := lo; v < hi; v++ {
 		if err := tk.tick(1); err != nil {
@@ -223,67 +223,151 @@ func greedySelectRange(w *workload.Workload, lo, hi int, tau int64, homeFirst bo
 			demand += r
 			scratch = append(scratch, rateTopic{rate: r, topic: t, home: homeFirst && w.TopicRegion(t) == region})
 		}
-		tauV := tau
-		if demand < tauV {
-			tauV = demand
-		}
-		if tauV == demand {
-			// Everything is needed; skip the sort.
-			start := len(subTopics)
-			for _, rt := range scratch {
-				subTopics = append(subTopics, rt.topic)
-			}
-			sortTopicIDs(subTopics[start:])
+		if demand <= tau {
+			// Everything is needed, and the row is ascending already.
+			subTopics = append(subTopics, ts...)
 			subOff = append(subOff, int64(len(subTopics)))
 			continue
 		}
-		slices.SortFunc(scratch, func(a, b rateTopic) int {
-			if a.home != b.home {
-				if a.home {
-					return -1
-				}
-				return 1
-			}
-			if a.rate != b.rate {
-				return cmp.Compare(b.rate, a.rate) // rate descending
-			}
-			return cmp.Compare(a.topic, b.topic)
-		})
-		rem := tauV
 		start := len(subTopics)
-		fallback := -1
-		for i, rt := range scratch {
-			if rem <= 0 {
-				break
-			}
-			if rt.rate <= rem {
-				subTopics = append(subTopics, rt.topic)
-				rem -= rt.rate
-				continue
-			}
-			// The smallest rate skipped so far; on a tie a home topic,
-			// else the later one, which without home topics makes it the
-			// last skipped entry.
-			if fallback < 0 || rt.rate < scratch[fallback].rate ||
-				rt.rate == scratch[fallback].rate && (rt.home || !scratch[fallback].home) {
-				fallback = i
-			}
-		}
-		if rem > 0 {
-			// No remaining topic fits within rem; all skipped topics
-			// exceed it. The best benefit/cost is the smallest rate.
-			subTopics = append(subTopics, scratch[fallback].topic)
-		}
+		subTopics, _ = pickMinOvershoot(subTopics, scratch, tau, true)
 		sortTopicIDs(subTopics[start:])
 		subOff = append(subOff, int64(len(subTopics)))
 	}
 	return subOff, subTopics, nil
 }
 
+// directPicks is how many of k candidates' picks pickMinOvershoot makes
+// by scanning before it sorts: ⌈log₂ k⌉.
+func directPicks(k int) int {
+	if k <= 1 {
+		return 0
+	}
+	return bits.Len(uint(k - 1))
+}
+
+// rateTopic is one candidate of a minimal-overshoot pick: a topic, its
+// rate, and whether it is published in the subscriber's home region.
 type rateTopic struct {
 	rate  int64
 	topic workload.TopicID
 	home  bool
+}
+
+// takeOrder orders two candidates that both fit the remaining need: a
+// home topic first, then the larger rate, then the lower topic if
+// lowTopic, else the higher. It is written to inline into the pick loop.
+func takeOrder(a, b rateTopic, lowTopic bool) int {
+	switch {
+	case a.home != b.home:
+		if a.home {
+			return -1
+		}
+		return 1
+	case a.rate != b.rate:
+		if a.rate > b.rate {
+			return -1
+		}
+		return 1
+	case a.topic == b.topic:
+		return 0
+	case a.topic < b.topic == lowTopic:
+		return -1
+	}
+	return 1
+}
+
+// fallbackOrder orders two candidates when none fits: the smaller rate,
+// then a home topic, then the topic at the other end from takeOrder's.
+func fallbackOrder(a, b rateTopic, lowTopic bool) int {
+	switch {
+	case a.rate != b.rate:
+		if a.rate < b.rate {
+			return -1
+		}
+		return 1
+	case a.home != b.home:
+		if a.home {
+			return -1
+		}
+		return 1
+	case a.topic == b.topic:
+		return 0
+	case a.topic > b.topic == lowTopic:
+		return -1
+	}
+	return 1
+}
+
+// pickMinOvershoot is the minimal-overshoot greedy GSP and Rehomer.TopUp
+// share. It appends picks from cands to dst until their rates reach need:
+// each time the first candidate in takeOrder that fits the need left, and
+// when none fits, the first in fallbackOrder, which closes the gap with
+// the least excess. The picks come in the order they are made. It returns
+// dst and the need left, which is positive only when cands ran out. cands
+// is scratch: it is reordered and shortened.
+//
+// The list is not sorted up front. Each of the first directPicks(k) picks
+// (k = len(cands)) is one pass that finds the best fitting candidate and
+// drops the ones that no longer fit: the need only shrinks, so they never
+// will, and they are kept only as the fallback. Past those picks, or as
+// soon as the need left takes more picks at the largest fitting rate than
+// remain, what is left is sorted once in takeOrder and scanned. A few
+// picks thus cost a few passes, and many cost little more than the sort.
+func pickMinOvershoot(dst []workload.TopicID, cands []rateTopic, need int64, lowTopic bool) ([]workload.TopicID, int64) {
+	var fb rateTopic
+	hasFB := false
+	fallback := func(c rateTopic) {
+		if !hasFB || fallbackOrder(c, fb, lowTopic) < 0 {
+			fb, hasFB = c, true
+		}
+	}
+	for direct := directPicks(len(cands)); direct > 0 && need > 0; direct-- {
+		best, n := -1, 0
+		var maxRate int64
+		for _, c := range cands {
+			if c.rate > need {
+				fallback(c)
+				continue
+			}
+			if best < 0 || takeOrder(c, cands[best], lowTopic) < 0 {
+				best = n
+			}
+			maxRate = max(maxRate, c.rate)
+			cands[n] = c
+			n++
+		}
+		cands = cands[:n]
+		if best < 0 {
+			break
+		}
+		dst = append(dst, cands[best].topic)
+		need -= cands[best].rate
+		cands[best] = cands[n-1]
+		cands = cands[:n-1]
+		if need > 0 && (need-1)/maxRate >= int64(direct-1) {
+			break // the sort is certain: more than direct-1 picks remain
+		}
+	}
+	if need > 0 && len(cands) > 0 {
+		slices.SortFunc(cands, func(a, b rateTopic) int { return takeOrder(a, b, lowTopic) })
+		for _, c := range cands {
+			if need <= 0 {
+				break
+			}
+			if c.rate <= need {
+				dst = append(dst, c.topic)
+				need -= c.rate
+			} else {
+				fallback(c)
+			}
+		}
+	}
+	if need > 0 && hasFB {
+		dst = append(dst, fb.topic)
+		need -= fb.rate
+	}
+	return dst, need
 }
 
 func sortTopicIDs(s []workload.TopicID) {

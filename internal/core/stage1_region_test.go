@@ -3,6 +3,7 @@ package core_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -192,5 +193,46 @@ func TestSolveRejectsRegionsBeyondTopology(t *testing.T) {
 	one.Topology = topo.SyntheticTopology(1)
 	if _, err := core.SolveContext(context.Background(), five, one); err != nil {
 		t.Errorf("single-region topology: %v", err)
+	}
+}
+
+// TestEvaluatorsRejectRegionsBeyondTopology: the egress bill and the
+// latency report run the check SolveContext runs, so an allocation solved
+// without a topology and priced under one with fewer regions than its tags
+// is the same error, not an index panic ("index out of range [12] with
+// length 9" in EgressPerHour). A single-region topology reads no tags.
+func TestEvaluatorsRejectRegionsBeyondTopology(t *testing.T) {
+	base, err := tracegen.Twitter(tracegen.DefaultTwitterConfig().Scale(0.01))
+	if err != nil {
+		t.Fatal(err)
+	}
+	five, err := tracegen.TagRegions(base, 5, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.DefaultConfig(100, pricing.NewModel(pricing.C3Large))
+	res, err := core.Solve(five, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := topo.SyntheticTopology(3)
+	regional := cfg
+	regional.Topology = net
+	_, want := core.SolveContext(context.Background(), five, regional)
+	if want == nil {
+		t.Fatal("SolveContext accepted 5-region tags under a 3-region topology")
+	}
+	if _, _, err := core.EgressPerHour(net, five, res.Allocation, cfg.MessageBytes); fmt.Sprint(err) != want.Error() {
+		t.Errorf("EgressPerHour: err = %v, want %v", err, want)
+	}
+	if _, err := topo.EvalLatency(net, five, res.Allocation, cfg.MessageBytes, 200); fmt.Sprint(err) != want.Error() {
+		t.Errorf("EvalLatency: err = %v, want %v", err, want)
+	}
+	one := topo.SyntheticTopology(1)
+	if _, _, err := core.EgressPerHour(one, five, res.Allocation, cfg.MessageBytes); err != nil {
+		t.Errorf("EgressPerHour, single region: %v", err)
+	}
+	if rep, err := topo.EvalLatency(one, five, res.Allocation, cfg.MessageBytes, 200); err != nil || rep.Pairs != res.Selection.NumPairs() {
+		t.Errorf("EvalLatency, single region: %d pairs, err %v; want %d pairs", rep.Pairs, err, res.Selection.NumPairs())
 	}
 }

@@ -589,20 +589,24 @@ func runStage2(ctx context.Context, sel *Selection, cfg Config) (*Allocation, er
 	// properly routed mixed pack while silently paying egress on every
 	// cross-region pair. Single-region solves add nothing (EgressPerHour
 	// is zero there), keeping the paper-faithful comparison intact.
-	effCost := func(a *Allocation) pricing.MicroUSD {
-		c := a.Cost(cfg.Model)
-		if cfg.Topology != nil && cfg.Topology.NumRegions() > 1 {
-			_, eg := EgressPerHour(cfg.Topology, sel.Workload(), a, cfg.MessageBytes)
-			c = c.Add(eg.Mul(cfg.Model.Hours))
-		}
-		return c
+	effCost := func(a *Allocation) (pricing.MicroUSD, error) {
+		_, eg, err := EgressPerHour(cfg.Topology, sel.Workload(), a, cfg.MessageBytes)
+		return a.Cost(cfg.Model).Add(eg.Mul(cfg.Model.Hours)), err
 	}
-	best, bestCost := allocs[0], effCost(allocs[0])
+	best := allocs[0]
+	bestCost, err := effCost(best)
+	if err != nil {
+		return nil, err
+	}
 	for j := 1; j < runs; j++ {
 		if errs[j] != nil || allocs[j] == nil {
 			continue // the type is too small for some topic; skip it
 		}
-		if c := effCost(allocs[j]); c < bestCost {
+		c, err := effCost(allocs[j])
+		if err != nil {
+			return nil, err
+		}
+		if c < bestCost {
 			best, bestCost = allocs[j], c
 		}
 	}

@@ -49,8 +49,9 @@ func RegionOfInstance(topo Topology, it pricing.InstanceType) int {
 
 // checkRegions rejects a workload tagged with a region a multi-region
 // topology does not have, naming the first such topic, else subscriber:
-// routing and the latency model index the topology's matrices with the
-// tags. Under no topology or a single region the tags are not read.
+// routing, the egress bill and the latency model index the topology's
+// matrices with the tags. Under no topology or a single region the tags
+// are not read.
 func checkRegions(w *workload.Workload, topo Topology) error {
 	if topo == nil || topo.NumRegions() <= 1 {
 		return nil
@@ -86,10 +87,14 @@ func PairRTTMillis(t Topology, pubRegion, brokerRegion, subRegion int) int64 {
 // is deterministic and saturating like every other money computation.
 //
 // A nil topology, a single-region topology, or a nil allocation yields
-// (0, 0) — the paper's degenerate case.
-func EgressPerHour(topo Topology, w *workload.Workload, alloc *Allocation, messageBytes int64) (bytes int64, cost pricing.MicroUSD) {
+// (0, 0) — the paper's degenerate case. A workload tagged with a region the
+// topology does not have is an error, the one SolveContext reports.
+func EgressPerHour(topo Topology, w *workload.Workload, alloc *Allocation, messageBytes int64) (bytes int64, cost pricing.MicroUSD, err error) {
 	if topo == nil || topo.NumRegions() <= 1 || alloc == nil || w == nil {
-		return 0, 0
+		return 0, 0, nil
+	}
+	if err := checkRegions(w, topo); err != nil {
+		return 0, 0, err
 	}
 	n := topo.NumRegions()
 	vols := make([]int64, n*n) // bytes/hour per directed (from, to) pair
@@ -117,5 +122,5 @@ func EgressPerHour(topo Topology, w *workload.Workload, alloc *Allocation, messa
 			cost = cost.Add(pricing.BandwidthCost(topo.EgressPerGB(from, to), vol))
 		}
 	}
-	return bytes, cost
+	return bytes, cost, nil
 }

@@ -814,7 +814,6 @@ func (wk *Walk) Step(ctx context.Context) (EpochReport, error) {
 	ep.Utilization = utilization(adopted, fleet)
 	ep.ActiveMix = active
 	ep.TransferBytes = adopted.TotalBytesPerHour() * tl.EpochMinutes / 60
-	ledger.AddTransfer(ep.TransferBytes)
 	if topo := c.cfg.Topology; topo != nil {
 		// Scale the hourly egress flow to the epoch duration; the cost
 		// scales the already-priced hourly figure, exact for whole-hour
@@ -823,11 +822,15 @@ func (wk *Walk) Step(ctx context.Context) (EpochReport, error) {
 		if mb == 0 {
 			mb = c.cfg.MessageBytes
 		}
-		hb, hc := core.EgressPerHour(topo, w, adopted, mb)
+		hb, hc, err := core.EgressPerHour(topo, w, adopted, mb)
+		if err != nil {
+			return EpochReport{}, fmt.Errorf("elastic: epoch %d: egress: %w", e, err)
+		}
 		ep.EgressBytes = hb * tl.EpochMinutes / 60
 		ep.EgressCost = pricing.MicroUSD(int64(hc.Mul(tl.EpochMinutes)) / 60)
 		ledger.AddEgress(ep.EgressBytes, ep.EgressCost)
 	}
+	ledger.AddTransfer(ep.TransferBytes)
 	ep.Duration = time.Since(epochStart)
 
 	wk.report.Epochs = append(wk.report.Epochs, ep)

@@ -122,17 +122,25 @@ func RunLatency(ctx context.Context, d Dataset, scale float64, short bool) (*Lat
 			return nil, fmt.Errorf("slo=%dms: %w", slo, err)
 		}
 		alloc := sol.Allocation
-		_, egress := core.EgressPerHour(t, w, alloc, MessageBytes)
+		_, egress, err := core.EgressPerHour(t, w, alloc, MessageBytes)
+		if err != nil {
+			return nil, fmt.Errorf("slo=%dms: %w", slo, err)
+		}
 		total := alloc.HourlyRentalRate(model).Add(egress)
 		reused := false
 		if best != nil && bestTotal < total {
 			// The tighter ceiling's placement is feasible here too and
 			// cheaper — keep it.
 			alloc, total, reused = best, bestTotal, true
-			_, egress = core.EgressPerHour(t, w, alloc, MessageBytes)
+			if _, egress, err = core.EgressPerHour(t, w, alloc, MessageBytes); err != nil {
+				return nil, fmt.Errorf("slo=%dms: %w", slo, err)
+			}
 		}
 		best, bestTotal = alloc, total
-		lat := topo.EvalLatency(t, w, alloc, MessageBytes, slo)
+		lat, err := topo.EvalLatency(t, w, alloc, MessageBytes, slo)
+		if err != nil {
+			return nil, fmt.Errorf("slo=%dms: %w", slo, err)
+		}
 		rental := alloc.HourlyRentalRate(model)
 		share := 0.0
 		if total > 0 {

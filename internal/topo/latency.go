@@ -34,11 +34,17 @@ type LatencyReport struct {
 // modeled per-pair RTT distribution, SLO violations against sloMillis
 // (0 disables the check), and the egress bill. A nil topology or a single-
 // region topology yields the degenerate all-zero report with only Pairs
-// filled in.
-func EvalLatency(t core.Topology, w *workload.Workload, alloc *core.Allocation, messageBytes, sloMillis int64) LatencyReport {
+// filled in. A workload tagged with a region the topology does not have is
+// an error (core.EgressPerHour's).
+func EvalLatency(t core.Topology, w *workload.Workload, alloc *core.Allocation, messageBytes, sloMillis int64) (LatencyReport, error) {
 	var rep LatencyReport
 	if alloc == nil {
-		return rep
+		return rep, nil
+	}
+	// Pricing the egress first checks the tags the walk below reads.
+	var err error
+	if rep.EgressBytesPerHour, rep.EgressCostPerHour, err = core.EgressPerHour(t, w, alloc, messageBytes); err != nil {
+		return LatencyReport{}, err
 	}
 	degenerate := t == nil || t.NumRegions() <= 1
 	var samples []int64
@@ -60,7 +66,7 @@ func EvalLatency(t core.Topology, w *workload.Workload, alloc *core.Allocation, 
 		}
 	}
 	if degenerate {
-		return rep
+		return rep, nil
 	}
 	rep.Pairs = int64(len(samples))
 	if len(samples) > 0 {
@@ -69,8 +75,7 @@ func EvalLatency(t core.Topology, w *workload.Workload, alloc *core.Allocation, 
 		rep.P99Millis = percentile(samples, 99)
 		rep.MaxMillis = samples[len(samples)-1]
 	}
-	rep.EgressBytesPerHour, rep.EgressCostPerHour = core.EgressPerHour(t, w, alloc, messageBytes)
-	return rep
+	return rep, nil
 }
 
 // percentile is the nearest-rank percentile of an ascending-sorted sample.

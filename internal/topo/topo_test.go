@@ -297,7 +297,10 @@ func TestPackTopoMultiRegion(t *testing.T) {
 			t.Fatalf("vm %d deployed on regionless type %q", i, vm.Instance.Name)
 		}
 	}
-	rep := EvalLatency(topo, w, res.Allocation, 200, cfg.LatencySLOMillis)
+	rep, err := EvalLatency(topo, w, res.Allocation, 200, cfg.LatencySLOMillis)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if rep.Pairs == 0 {
 		t.Fatal("latency report saw no pairs")
 	}
@@ -351,7 +354,10 @@ func TestPackTopoInfeasibleSLO(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := EvalLatency(topo, w, res.Allocation, 200, cfg.LatencySLOMillis)
+	rep, err := EvalLatency(topo, w, res.Allocation, 200, cfg.LatencySLOMillis)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if rep.Violations != 0 || rep.MaxMillis > 45 {
 		t.Fatalf("45ms ceiling: violations=%d max=%dms", rep.Violations, rep.MaxMillis)
 	}

@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 
 	"github.com/pubsub-systems/mcss/internal/workload"
 )
@@ -135,12 +134,9 @@ func Twitter(cfg TwitterConfig) (*workload.Workload, error) {
 		for int64(len(picked)) < deg {
 			picked[table.sample(rng)] = struct{}{}
 		}
-		start := len(subTopics)
 		for t := range picked {
 			subTopics = append(subTopics, workload.TopicID(t))
 		}
-		seg := subTopics[start:]
-		sort.Slice(seg, func(i, j int) bool { return seg[i] < seg[j] })
 		subOff = append(subOff, int64(len(subTopics)))
 	}
 
@@ -274,12 +270,9 @@ func Spotify(cfg SpotifyConfig) (*workload.Workload, error) {
 		for int64(len(picked)) < deg {
 			picked[table.sample(rng)] = struct{}{}
 		}
-		start := len(subTopics)
 		for t := range picked {
 			subTopics = append(subTopics, workload.TopicID(t))
 		}
-		seg := subTopics[start:]
-		sort.Slice(seg, func(i, j int) bool { return seg[i] < seg[j] })
 		subOff = append(subOff, int64(len(subTopics)))
 	}
 
@@ -335,9 +328,7 @@ func Random(cfg RandomConfig) (*workload.Workload, error) {
 		if deg > cfg.Topics {
 			deg = cfg.Topics
 		}
-		perm := rng.Perm(cfg.Topics)[:deg]
-		sort.Ints(perm)
-		for _, t := range perm {
+		for _, t := range rng.Perm(cfg.Topics)[:deg] {
 			subTopics = append(subTopics, workload.TopicID(t))
 		}
 		subOff = append(subOff, int64(len(subTopics)))

@@ -14,8 +14,9 @@
 //	<space-separated topic IDs of subscriber numSubscribers-1>
 //
 // Topic and subscriber identifiers are implicit line positions, which keeps
-// multi-million-pair traces small and diff-friendly. Files ending in ".gz"
-// are transparently (de)compressed.
+// multi-million-pair traces small and diff-friendly. A subscriber's topic
+// IDs may come in any order; the reader sorts them, and the writer writes
+// them ascending. Files ending in ".gz" are transparently (de)compressed.
 //
 // A region-tagged workload (tracegen -regions) appends " regions" to the
 // header line and exactly two extra lines after the subscriber lines: the

@@ -2,15 +2,20 @@ package traceio
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
 
+	"github.com/pubsub-systems/mcss/internal/core"
 	"github.com/pubsub-systems/mcss/internal/deploy"
+	"github.com/pubsub-systems/mcss/internal/dynamic"
+	"github.com/pubsub-systems/mcss/internal/pricing"
 	"github.com/pubsub-systems/mcss/internal/spot"
 	"github.com/pubsub-systems/mcss/internal/timeline"
 	"github.com/pubsub-systems/mcss/internal/topo"
@@ -353,5 +358,36 @@ func TestRejectedSaveKeepsExistingFile(t *testing.T) {
 				t.Errorf("%s%s: rejected Save changed the file to %q", tc.name, ext, got)
 			}
 		}
+	}
+}
+
+// TestUnsortedTraceRowTopsUpOnce: a text trace may list a subscriber's
+// topics in any order, and the reader hands them over ascending. Subscriber
+// 0 follows "1 0" and solves to topic 0; when topic 0's rate drops, the
+// incremental top-up merges the interests with the selected row. With the
+// row left as written the merge missed topic 0, the top-up placed it a
+// second time, and VerifyAllocation reported "vm 0: subscriber 0 listed
+// twice for topic 0".
+func TestUnsortedTraceRowTopsUpOnce(t *testing.T) {
+	w, err := Read(strings.NewReader("mcss-trace 1\n2 2 3\n100\n70\n1 0\n1\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := w.Topics(0); !slices.Equal(got, []workload.TopicID{0, 1}) {
+		t.Errorf("subscriber 0 follows %v, want [0 1]", got)
+	}
+	cfg := core.DefaultConfig(100, pricing.NewModel(pricing.C3Large))
+	p, err := dynamic.New(w, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := p.Selection().SelectedTopics(0); !slices.Equal(got, []workload.TopicID{0}) {
+		t.Fatalf("subscriber 0 selects %v, want [0]", got)
+	}
+	if _, err := p.UpdateIncremental(context.Background(), dynamic.Delta{RateChanges: map[workload.TopicID]int64{0: 40}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := core.VerifyAllocation(p.Workload(), p.Selection(), p.Allocation(), cfg); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -78,8 +78,10 @@ func (w *Workload) Rate(t TopicID) int64 { return w.rates[t] }
 // returned slice must not be modified.
 func (w *Workload) Rates() []int64 { return w.rates }
 
-// Topics returns the topics subscriber v is interested in (T_v). The returned
-// slice aliases internal storage and must not be modified.
+// Topics returns the topics subscriber v is interested in (T_v), in
+// ascending order: readers merge rows with sorted selections and
+// binary-search them. The returned slice aliases internal storage and must
+// not be modified.
 func (w *Workload) Topics(v SubID) []TopicID {
 	return w.subTopics[w.subOff[v]:w.subOff[v+1]]
 }
@@ -332,9 +334,10 @@ func (w *Workload) Pairs(fn func(Pair) bool) {
 
 // FromCSR builds a Workload directly from CSR subscriber→topic adjacency.
 // rates[t] is the event rate of topic t; subOff has length numSubscribers+1
-// and subTopics[subOff[v]:subOff[v+1]] lists the topics of subscriber v.
-// The slices are retained; callers must not modify them afterwards. Names are
-// optional and may be nil.
+// and subTopics[subOff[v]:subOff[v+1]] lists the topics of subscriber v, in
+// any order: a row that is not ascending is sorted in place, so Topics
+// returns every row ascending. The slices are retained; callers must not
+// modify them afterwards. Names are optional and may be nil.
 //
 // FromCSR is the fast path used by trace generators and loaders; use a
 // Builder for incremental construction.
@@ -351,9 +354,19 @@ func FromCSR(rates []int64, subOff []int64, subTopics []TopicID, topicNames, sub
 			return nil, fmt.Errorf("workload: CSR offsets not monotone at %d", i)
 		}
 	}
-	for i, t := range subTopics {
-		if int(t) < 0 || int(t) >= len(rates) {
-			return nil, fmt.Errorf("workload: subscription %d references topic %d of %d", i, t, len(rates))
+	for v := 1; v < len(subOff); v++ {
+		row := subTopics[subOff[v-1]:subOff[v]]
+		ascending := true
+		for i, t := range row {
+			if int(t) < 0 || int(t) >= len(rates) {
+				return nil, fmt.Errorf("workload: subscription %d references topic %d of %d", subOff[v-1]+int64(i), t, len(rates))
+			}
+			if i > 0 && t < row[i-1] {
+				ascending = false
+			}
+		}
+		if !ascending {
+			slices.Sort(row)
 		}
 	}
 	if topicNames != nil && len(topicNames) != len(rates) {
@@ -521,10 +534,6 @@ func (b *Builder) Build() (*Workload, error) {
 		for _, t := range ts {
 			subTopics = append(subTopics, remap[t])
 		}
-		// Keep each subscriber's interest sorted for deterministic output.
-		start := subOff[len(subOff)-1]
-		seg := subTopics[start:]
-		slices.Sort(seg)
 		subOff = append(subOff, int64(len(subTopics)))
 		subNames = append(subNames, b.subNames[v])
 	}

@@ -3,6 +3,7 @@ package workload
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -221,6 +222,35 @@ func TestFromCSRValidation(t *testing.T) {
 				t.Errorf("FromCSR err = %v, wantErr = %v", err, tc.wantErr)
 			}
 		})
+	}
+}
+
+// TestFromCSRSortsRows: a row that arrives out of order is sorted in
+// place, so Topics is ascending whatever the input order, and the
+// topic-major view lists the same pairs; rows in order stay as they are.
+func TestFromCSRSortsRows(t *testing.T) {
+	subTopics := []TopicID{1, 0, 2, 0, 2, 1, 1}
+	w, err := FromCSR([]int64{5, 6, 7}, []int64{0, 2, 3, 6, 7}, subTopics, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := [][]TopicID{{0, 1}, {2}, {0, 1, 2}, {1}}
+	for v, ts := range want {
+		if got := w.Topics(SubID(v)); !slices.Equal(got, ts) {
+			t.Errorf("subscriber %d follows %v, want %v", v, got, ts)
+		}
+	}
+	if !slices.Equal(subTopics, []TopicID{0, 1, 2, 0, 1, 2, 1}) {
+		t.Errorf("rows not sorted in place: %v", subTopics)
+	}
+	for topic, subs := range [][]SubID{{0, 2}, {0, 2, 3}, {1, 2}} {
+		if got := w.Subscribers(TopicID(topic)); !slices.Equal(got, subs) {
+			t.Errorf("topic %d has subscribers %v, want %v", topic, got, subs)
+		}
+	}
+	if _, err := FromCSR([]int64{5, 6}, []int64{0, 3}, []TopicID{1, 9, 0}, nil, nil); err == nil ||
+		err.Error() != "workload: subscription 1 references topic 9 of 2" {
+		t.Errorf("out-of-range topic in an unsorted row: err = %v", err)
 	}
 }
 

@@ -472,8 +472,9 @@ func RegionalFleet(base Fleet, t *NetworkTopology) (Fleet, error) {
 // EvalLatency scores an allocation under a topology: the modeled
 // publisher→broker→subscriber RTT distribution across placed pairs
 // (p50/p99/max), SLO violations against a ceiling (0 = none), and the
-// hourly cross-region egress volume and cost.
-func EvalLatency(t Topology, w *Workload, alloc *Allocation, messageBytes, sloMillis int64) LatencyReport {
+// hourly cross-region egress volume and cost. A workload tagged with a
+// region the topology does not have is an error.
+func EvalLatency(t Topology, w *Workload, alloc *Allocation, messageBytes, sloMillis int64) (LatencyReport, error) {
 	return topo.EvalLatency(t, w, alloc, messageBytes, sloMillis)
 }
 
