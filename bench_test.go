@@ -563,7 +563,7 @@ func BenchmarkPlanApply(b *testing.B) {
 	var plan *mcss.DeployPlan
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		plan, err = p.Plan(ctx, mcss.DeploySpec{Workload: w}, nil)
+		plan, err = p.Plan(ctx, w, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -69,7 +69,6 @@ type options struct {
 	epochMinutes  int64
 	epochInterval time.Duration
 	incremental   bool
-	maxRegret     float64
 	once          bool
 	metricsDump   string
 
@@ -101,7 +100,6 @@ func run(args []string, stderr io.Writer) error {
 	fs.Int64Var(&o.epochMinutes, "epoch-minutes", 60, "diurnal epoch duration (virtual minutes)")
 	fs.DurationVar(&o.epochInterval, "epoch-interval", 0, "wall-clock pause between replayed epochs (0 = replay at full speed)")
 	fs.BoolVar(&o.incremental, "incremental", false, "use the incremental re-solve path for per-epoch candidates")
-	fs.Float64Var(&o.maxRegret, "max-regret", 0, "regret bound triggering full-solve fallback (0 = incremental default)")
 	fs.BoolVar(&o.once, "once", false, "exit after the timeline replay completes instead of serving until signalled")
 	fs.BoolVar(&o.spot, "spot", false, "timeline replay on a spot market: price schedule, chaos reclamations, group repair")
 	fs.StringVar(&o.spotMarket, "spot-market", "", "spot market file for -spot (empty = generate one matched to the timeline)")
@@ -218,7 +216,7 @@ func (d *daemon) setDegraded(rec *deploy.Recovery, reason error) {
 // it), the SLO ceiling, and, through cfg.Topology, the co-location
 // preference of Stage 1 and egress billing.
 func (d *daemon) applyTopology(o options, cfg *core.Config) error {
-	t, fleet, err := cli.LoadTopology(o.topologyPath, cfg.Fleet, cfg.Model)
+	t, fleet, err := cli.LoadTopology(o.topologyPath, o.sloMillis, cfg.Fleet, cfg.Model)
 	if err != nil || t == nil {
 		return err
 	}
@@ -399,7 +397,6 @@ func (d *daemon) runTimeline(ctx context.Context, o options, rec *deploy.Recover
 	}
 	policy := elastic.DefaultPolicy()
 	policy.Incremental = o.incremental
-	policy.IncrementalMaxRegret = o.maxRegret
 
 	var sched *spot.Schedule
 	var chaos *spot.Chaos
@@ -417,7 +414,7 @@ func (d *daemon) runTimeline(ctx context.Context, o options, rec *deploy.Recover
 		if err != nil {
 			return err
 		}
-		if sched, err = spot.NewSchedule(market, cfg.Fleet, spot.ScheduleConfig{}); err != nil {
+		if sched, err = spot.NewSchedule(market, cfg.Fleet); err != nil {
 			return err
 		}
 		if chaos, err = spot.NewChaos(market, o.chaosSeed); err != nil {
@@ -428,7 +425,7 @@ func (d *daemon) runTimeline(ctx context.Context, o options, rec *deploy.Recover
 	ctl := elastic.NewController(cfg, policy)
 	if o.spot {
 		ctl.SetFleetSchedule(sched)
-		ctl.SetChaos(chaos, 5)
+		ctl.SetChaos(chaos)
 	}
 	if rig != nil {
 		ctl.SetApplyHook(rig.applyOptions)

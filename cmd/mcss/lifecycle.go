@@ -109,7 +109,7 @@ func runPlan(args []string) error {
 	ctx, stop := cli.Context(*timeout)
 	defer stop()
 
-	plan, err := p.Plan(ctx, mcss.DeploySpec{Workload: w}, current)
+	plan, err := p.Plan(ctx, w, current)
 	if err != nil {
 		return err
 	}
@@ -163,7 +163,7 @@ func runDiff(args []string) error {
 	}
 	ctx, stop := cli.Context(*timeout)
 	defer stop()
-	plan, err := p.Plan(ctx, mcss.DeploySpec{Workload: w}, current)
+	plan, err := p.Plan(ctx, w, current)
 	if err != nil {
 		return err
 	}

@@ -154,7 +154,7 @@ func (sf *solverFlags) build(m *obs.Metrics) (*mcss.Workload, *mcss.Planner, mcs
 	if err != nil {
 		return fail(err)
 	}
-	topology, fleet, err := cli.LoadTopology(*sf.topologyPath, fleet, model)
+	topology, fleet, err := cli.LoadTopology(*sf.topologyPath, *sf.sloMillis, fleet, model)
 	if err != nil {
 		return fail(err)
 	}

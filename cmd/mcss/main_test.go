@@ -87,9 +87,9 @@ func TestRunTimeoutAborts(t *testing.T) {
 	}
 }
 
-// The -strategy flag dispatches the full-solve strategy registry: the
-// registered "exact" solver runs (and verifies) on a tiny instance, and
-// an unknown name is rejected up front.
+// The -strategy flag resolves in the full-solve name table: "exact" runs
+// (and verifies) on a tiny instance, and an unknown name is rejected up
+// front.
 func TestRunExactStrategyFlag(t *testing.T) {
 	err := run([]string{"-dataset", "twitter", "-scale", "0.0001", "-tau", "5", "-strategy", "exact", "-verify"})
 	if err != nil {
@@ -108,7 +108,13 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"-dataset", "twitter", "-scale", "0.01", "-stage2", "xxx"},
 		{"-dataset", "twitter", "-scale", "0.01", "-stage2", "topo"},
 		{"-dataset", "twitter", "-scale", "0.01", "-stage2", "spot"},
+		{"-dataset", "twitter", "-scale", "0.01", "-stage1", "greedy"},
+		{"-dataset", "twitter", "-scale", "0.01", "-stage1", "cbp"},
+		{"-dataset", "twitter", "-scale", "0.01", "-stage2", "first-fit"},
+		{"-dataset", "twitter", "-scale", "0.01", "-strategy", "gsp"},
 		{"-dataset", "twitter", "-scale", "0.01", "-opts", "xxx"},
+		// A latency SLO without a topology has no RTT model to bound.
+		{"-dataset", "twitter", "-scale", "0.01", "-tau", "100", "-slo", "50"},
 	}
 	for _, args := range bad {
 		if err := run(args); err == nil {

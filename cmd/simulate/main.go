@@ -199,7 +199,7 @@ func run(args []string) error {
 // every region, which Stage 2 routes pairs across, and stage 1 prefers
 // co-located pairs.
 func newPlanner(tau int64, model mcss.Model, fleet mcss.Fleet, topologyPath string, sloMillis int64) (*mcss.Planner, *mcss.NetworkTopology, error) {
-	topology, fleet, err := cli.LoadTopology(topologyPath, fleet, model)
+	topology, fleet, err := cli.LoadTopology(topologyPath, sloMillis, fleet, model)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -8,20 +8,17 @@ import (
 	"github.com/pubsub-systems/mcss/internal/traceio"
 )
 
-// The declarative deployment lifecycle: Spec → Plan → Diff → Apply.
+// The declarative deployment lifecycle: Plan → Diff → Apply.
 //
-// A DeploySpec names the desired state; Planner.Plan computes a
-// serializable DeployPlan against the current ClusterState (the workload
-// diff, an executable step sequence, a forecast cost delta, and a
-// fingerprint of the state it was computed against); Apply enacts the plan
-// on a Provisioner, refusing stale plans, supporting dry runs and per-step
+// Planner.Plan solves the desired workload and computes a serializable
+// DeployPlan against the current ClusterState (the workload diff, an
+// executable step sequence, a forecast cost delta, and a fingerprint of
+// the state it was computed against); Apply enacts the plan on a
+// Provisioner, refusing stale plans, supporting dry runs and per-step
 // progress, and rolling back on any mid-apply failure. Plans persist as
 // versioned JSON via SavePlan/LoadPlan — the artifact an operator reviews,
 // approves, and replays (see examples/gitops).
 type (
-	// DeploySpec is the desired deployment state: workload plus solver
-	// overrides (τ, message size, fleet, full-solve strategy).
-	DeploySpec = deploy.Spec
 	// DeployPlan is a serializable, verifiable reconfiguration.
 	DeployPlan = deploy.Plan
 	// DeployDiff is a plan's declarative difference: the workload delta
@@ -141,8 +138,8 @@ type (
 	DeployExecutor = deploy.Executor
 	// DeployExecutorFunc adapts a function to DeployExecutor.
 	DeployExecutorFunc = deploy.ExecutorFunc
-	// RetryConfig tunes a retrying executor: attempt budget, backoff,
-	// per-attempt timeout.
+	// RetryConfig tunes a retrying executor: attempt budget, per-attempt
+	// timeout, jitter seed.
 	RetryConfig = deploy.RetryConfig
 	// ApplyJournal is the durable write-ahead log of applied plans.
 	ApplyJournal = deploy.Journal

@@ -35,7 +35,7 @@ func deployDemoWorkload(t *testing.T) *mcss.Workload {
 	return w
 }
 
-// TestPublicDeployLifecycle drives Spec → Plan → (save/load) → Apply
+// TestPublicDeployLifecycle drives Plan → (save/load) → Apply
 // through the exported API only: bootstrap, persisted review artifact,
 // dry run, apply, drift, and the ErrStalePlan refusal.
 func TestPublicDeployLifecycle(t *testing.T) {
@@ -46,7 +46,7 @@ func TestPublicDeployLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	plan, err := p.Plan(ctx, mcss.DeploySpec{Workload: w}, mcss.EmptyClusterState())
+	plan, err := p.Plan(ctx, w, mcss.EmptyClusterState())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestPublicDeployLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diff, err := p.Diff(ctx, mcss.DeploySpec{Workload: drifted}, mcss.ClusterStateOf(prov))
+	diff, err := p.Diff(ctx, drifted, mcss.ClusterStateOf(prov))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestPublicDeployLifecycle(t *testing.T) {
 	}
 
 	// Apply the reconfiguration, then try the now-stale bootstrap plan.
-	next, err := p.Plan(ctx, mcss.DeploySpec{Workload: drifted}, mcss.ClusterStateOf(prov))
+	next, err := p.Plan(ctx, drifted, mcss.ClusterStateOf(prov))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +252,7 @@ func TestPublicCrashSafeApply(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := p.Plan(ctx, mcss.DeploySpec{Workload: w}, mcss.EmptyClusterState())
+	plan, err := p.Plan(ctx, w, mcss.EmptyClusterState())
 	if err != nil {
 		t.Fatal(err)
 	}

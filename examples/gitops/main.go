@@ -54,7 +54,7 @@ func main() {
 	}
 
 	// ── 1. Plan: compute the bootstrap reconfiguration as data. ──
-	bootstrap, err := planner.Plan(ctx, mcss.DeploySpec{Workload: w}, mcss.EmptyClusterState())
+	bootstrap, err := planner.Plan(ctx, w, mcss.EmptyClusterState())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	spike, err := planner.Plan(ctx, mcss.DeploySpec{Workload: spiked}, mcss.ClusterStateOf(prov))
+	spike, err := planner.Plan(ctx, spiked, mcss.ClusterStateOf(prov))
 	if err != nil {
 		log.Fatal(err)
 	}

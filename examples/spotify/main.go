@@ -29,8 +29,9 @@ func main() {
 	model := experiments.ModelFor(pricing.C3Large, w)
 	const tau = 100
 
-	// The ladder's stage algorithms are named, pluggable strategies: the
-	// same registry a third party extends with RegisterStrategy.
+	// The ladder's stage algorithms are picked by name from the Planner's
+	// fixed per-stage tables (the names the mcss CLI's -stage1 and -stage2
+	// flags take).
 	rungs := []struct {
 		name           string
 		stage1, stage2 string

@@ -48,13 +48,17 @@ func DiurnalTimeline(base *workload.Workload, epochs int, epochMinutes int64) (*
 	return tracegen.Diurnal(base, cfg)
 }
 
-// LoadTopology reads the -topology file; an empty path means no topology.
-// With more than one region it also returns the decision fleet replicated
-// into every region (fleet, or the model's single type when fleet is
-// empty), which Stage 2 routes pairs across; otherwise fleet comes back
-// unchanged.
-func LoadTopology(path string, fleet pricing.Fleet, model pricing.Model) (*topo.Topology, pricing.Fleet, error) {
+// LoadTopology reads the -topology file; an empty path means no topology,
+// and then a positive -slo ceiling is an error, since only a topology
+// gives the latency model it bounds. With more than one region it also
+// returns the decision fleet replicated into every region (fleet, or the
+// model's single type when fleet is empty), which Stage 2 routes pairs
+// across; otherwise fleet comes back unchanged.
+func LoadTopology(path string, sloMillis int64, fleet pricing.Fleet, model pricing.Model) (*topo.Topology, pricing.Fleet, error) {
 	if path == "" {
+		if sloMillis > 0 {
+			return nil, fleet, fmt.Errorf("-slo %d needs a -topology file", sloMillis)
+		}
 		return nil, fleet, nil
 	}
 	t, err := traceio.LoadTopology(path)

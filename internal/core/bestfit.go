@@ -24,8 +24,8 @@ func BFDBinPacking(sel *Selection, cfg Config) (*Allocation, error) {
 }
 
 // BFDBinPackingContext is BFDBinPacking with context cancellation and
-// Config.Observer progress callbacks — the Pack implementation of the
-// registered "bfd" strategy.
+// Config.Observer progress callbacks — the Stage 2 the mcss Planner names
+// "bfd".
 //
 // "Tightest deployed VM that fits" is answered by an ordered
 // free-capacity index (a treap keyed by (free, VM index)): the ceiling
@@ -47,7 +47,7 @@ func BFDBinPackingContext(ctx context.Context, sel *Selection, cfg Config) (*All
 		return nil, err
 	}
 
-	ix := newVMIndex(true, true)
+	ix := newVMIndex(true)
 	one := make([]workload.SubID, 1)
 	for _, it := range items {
 		if err := tk.tick(1); err != nil {
@@ -71,7 +71,7 @@ func BFDBinPackingContext(ctx context.Context, sel *Selection, cfg Config) (*All
 		if best >= 0 {
 			b = ix.vms[best]
 		} else {
-			ti := pickPairType(fleet, 2*it.rb)
+			ti := pickFittingType(fleet, 2*it.rb)
 			b = ix.deploy(fleet.Type(ti), fleet.Capacity(ti))
 		}
 		one[0] = it.pair.Sub

@@ -64,7 +64,7 @@ func allocationsEqual(a, b *Allocation) error {
 // randomDiffFleet builds a 2–4-type fleet with randomized rates and
 // explicit capacities. The largest type always admits the hottest topic
 // (2·maxRate at MessageBytes=1); smaller types may not, exercising the
-// skip paths of pickPairType/pickDeployType identically in both engines.
+// skip paths of pickFittingType/pickDeployType identically in both engines.
 func randomDiffFleet(t *testing.T, rng *rand.Rand, maxRate int64) pricing.Fleet {
 	t.Helper()
 	n := 2 + rng.Intn(3)
@@ -111,15 +111,15 @@ func TestDifferentialIndexedMatchesNaive(t *testing.T) {
 		fast, ferr := p.indexed(sel, cfg)
 		slow, nerr := p.naive(sel, cfg)
 		if (ferr == nil) != (nerr == nil) || (ferr != nil && !errors.Is(ferr, nerr) && !errors.Is(nerr, ferr)) {
-			t.Fatalf("seed %d %s (opts=%v lenient=%v): indexed err %v, naive err %v",
-				seed, p.name, cfg.Opts, cfg.LenientFirstFit, ferr, nerr)
+			t.Fatalf("seed %d %s (opts=%v): indexed err %v, naive err %v",
+				seed, p.name, cfg.Opts, ferr, nerr)
 		}
 		if ferr != nil {
 			return
 		}
 		if err := allocationsEqual(fast, slow); err != nil {
-			t.Fatalf("seed %d %s (opts=%v lenient=%v): indexed differs from naive: %v",
-				seed, p.name, cfg.Opts, cfg.LenientFirstFit, err)
+			t.Fatalf("seed %d %s (opts=%v): indexed differs from naive: %v",
+				seed, p.name, cfg.Opts, err)
 		}
 		if err := VerifyAllocation(w, sel, fast, cfg); err != nil {
 			t.Fatalf("seed %d %s: VerifyAllocation: %v", seed, p.name, err)
@@ -155,12 +155,8 @@ func TestDifferentialIndexedMatchesNaive(t *testing.T) {
 			sel = GreedySelectPairs(w, tau)
 		}
 
-		// FFBP, strict and lenient.
-		for _, lenient := range []bool{false, true} {
-			c := cfg
-			c.LenientFirstFit = lenient
-			compare(t, seed, w, sel, c, packer{"FFBP", FFBinPacking, FFBinPackingNaive})
-		}
+		// FFBP.
+		compare(t, seed, w, sel, cfg, packer{"FFBP", FFBinPacking, FFBinPackingNaive})
 		// CBP at every optimization combination.
 		for opts := OptFlags(0); opts <= OptAll; opts++ {
 			c := cfg

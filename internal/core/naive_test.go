@@ -24,8 +24,8 @@ func (b *vmState) deltaFor(t workload.TopicID, rb int64) int64 {
 }
 
 // FFBinPackingNaive is the reference first-fit packer: per pair, a linear
-// scan over all deployed VMs (the paper's Alg. 3 as literally written).
-// Semantics are identical to FFBinPacking, including LenientFirstFit.
+// scan over all deployed VMs (the paper's Alg. 3 with the exact capacity
+// delta). Semantics are identical to FFBinPacking.
 func FFBinPackingNaive(sel *Selection, cfg Config) (*Allocation, error) {
 	fleet := cfg.EffectiveFleet()
 	maxCap := fleet.MaxCapacity()
@@ -35,28 +35,18 @@ func FFBinPackingNaive(sel *Selection, cfg Config) (*Allocation, error) {
 	one := make([]workload.SubID, 1)
 	sel.Pairs(func(p workload.Pair) bool {
 		rb := sel.w.Rate(p.Topic) * msg
-		if 2*rb > maxCap && !cfg.LenientFirstFit {
+		if 2*rb > maxCap {
 			err = ErrInfeasible
 			return false
 		}
 		one[0] = p.Sub
 		for _, b := range vms {
-			var fits bool
-			if cfg.LenientFirstFit {
-				fits = rb <= b.free
-			} else {
-				fits = b.deltaFor(p.Topic, rb) <= b.free
-			}
-			if fits {
+			if b.deltaFor(p.Topic, rb) <= b.free {
 				b.place(p.Topic, rb, one)
 				return true
 			}
 		}
-		need := 2 * rb
-		if cfg.LenientFirstFit {
-			need = rb
-		}
-		i := pickPairType(fleet, need)
+		i := pickFittingType(fleet, 2*rb)
 		b := newVMState(len(vms), fleet.Type(i), fleet.Capacity(i))
 		b.place(p.Topic, rb, one)
 		vms = append(vms, b)
@@ -176,7 +166,7 @@ func BFDBinPackingNaive(sel *Selection, cfg Config) (*Allocation, error) {
 			}
 		}
 		if best == nil {
-			ti := pickPairType(fleet, 2*it.rb)
+			ti := pickFittingType(fleet, 2*it.rb)
 			best = newVMState(len(vms), fleet.Type(ti), fleet.Capacity(ti))
 			vms = append(vms, best)
 		}

@@ -66,8 +66,7 @@ func SolveContext(ctx context.Context, w *workload.Workload, cfg Config) (*Resul
 //
 //  1. satisfaction — every subscriber's allocated pairs deliver ≥ τ_v;
 //  2. capacity — every VM's accounted bandwidth is within its own
-//     instance's capacity BC_b (unless LenientFirstFit permitted the
-//     paper's literal overshoot), and each VM's recorded capacity is
+//     instance's capacity BC_b, and each VM's recorded capacity is
 //     consistent with the fleet it claims to come from;
 //  3. accounting — each VM's Out/InBytesPerHour match its placements,
 //     which pass CheckPlacements;
@@ -138,7 +137,7 @@ func verify(w *workload.Workload, sel *Selection, alloc *Allocation, cfg Config)
 		if cap == 0 {
 			cap = cfg.Model.CapacityBytesPerHour()
 		}
-		if !cfg.LenientFirstFit && vm.BytesPerHour() > cap {
+		if vm.BytesPerHour() > cap {
 			return fmt.Errorf("vm %d (%s): bandwidth %d exceeds capacity %d",
 				vm.ID, vm.Instance.Name, vm.BytesPerHour(), cap)
 		}

@@ -30,6 +30,11 @@ func TestConfigNormalizeRejectsBadInputs(t *testing.T) {
 	if _, err := Solve(&workload.Workload{}, Config{Tau: 5, Model: noCapacity}); err == nil {
 		t.Error("zero-capacity model accepted")
 	}
+	// A latency ceiling bounds the topology's RTT model; without one it
+	// would bind nothing.
+	if _, err := Solve(&workload.Workload{}, Config{Tau: 5, Model: m, LatencySLOMillis: 50}); err == nil {
+		t.Error("latency SLO without a topology accepted")
+	}
 }
 
 func TestSolveReportsStageTimes(t *testing.T) {

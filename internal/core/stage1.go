@@ -168,8 +168,8 @@ func GreedySelectPairs(w *workload.Workload, tau int64) *Selection {
 
 // GreedySelectPairsContext is GreedySelectPairs with context cancellation
 // (checked every checkInterval subscribers), Config.Observer progress
-// callbacks, and Config.Parallelism-controlled sharding. It is the
-// SelectPairs implementation of the registered "gsp" strategy.
+// callbacks, and Config.Parallelism-controlled sharding. It is the default
+// Stage 1, which the mcss Planner names "gsp".
 //
 // Under a multi-region Config.Topology, on a workload with region tags,
 // each subscriber's interests are scanned home region first: topics
@@ -383,8 +383,8 @@ func RandomSelectPairs(w *workload.Workload, tau int64) *Selection {
 }
 
 // RandomSelectPairsContext is RandomSelectPairs with context cancellation
-// and Config.Observer progress callbacks — the SelectPairs implementation
-// of the registered "rsp" strategy.
+// and Config.Observer progress callbacks — the Stage 1 the mcss Planner
+// names "rsp".
 func RandomSelectPairsContext(ctx context.Context, w *workload.Workload, cfg Config) (*Selection, error) {
 	cfg.Observer = ResolveObserver(ctx, cfg)
 	start := time.Now()

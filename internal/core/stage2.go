@@ -67,24 +67,11 @@ func finishAllocation(vms []*vmState, fleet pricing.Fleet, cfg Config) *Allocati
 	return out
 }
 
-// pickPairType chooses the fleet type for a fresh VM that must host one
-// pair needing `need` bytes/hour: the cheapest hourly rate among the types
-// with enough capacity, ties to the smaller capacity (the fleet is sorted
-// ascending). When no type fits — reachable only in LenientFirstFit mode —
-// it falls back to the largest type, mirroring the paper's literal Alg. 3
-// which deploys regardless and overshoots.
-func pickPairType(f pricing.Fleet, need int64) int {
-	if best := pickFittingType(f, need); best >= 0 {
-		return best
-	}
-	return f.Len() - 1
-}
-
 // pickFittingType returns the lowest-rate fleet type whose capacity fits
 // the given load (the first such type — i.e. the smaller capacity — on
-// rate ties), or -1 when none does. Unlike pickPairType it has no lenient
-// fallback: callers that cannot tolerate an over-capacity VM (the elastic
-// keep path, the incremental inserter) use it directly.
+// rate ties), or -1 when none does. The pair packers call it with 2·rb
+// after checking the largest type takes that much, so there it always
+// finds one; the incremental inserter handles -1.
 func pickFittingType(f pricing.Fleet, need int64) int {
 	best := -1
 	for i := 0; i < f.Len(); i++ {
@@ -138,18 +125,18 @@ func pickDeployType(f pricing.Fleet, rb, remaining int64) int {
 // room, deploying a new VM when none fits. With a heterogeneous fleet the
 // fresh VM is the cheapest instance that can host the pair.
 //
-// By default the capacity test uses the true bandwidth delta (outgoing rate
-// plus the incoming rate when the topic first lands on the VM), so that
-// bw_b ≤ BC_b always holds. Config.LenientFirstFit switches to the paper's
-// literal `ev_t ≤ BC − bw_b` test, which can overshoot BC_b by one topic
-// rate.
+// The capacity test uses the true bandwidth delta (outgoing rate plus the
+// incoming rate when the topic first lands on the VM), so that bw_b ≤ BC_b
+// always holds. The paper's literal `ev_t ≤ BC − bw_b` test ignores the
+// incoming increment and can overshoot BC_b by one topic rate; this
+// implementation does not reproduce that overshoot.
 func FFBinPacking(sel *Selection, cfg Config) (*Allocation, error) {
 	return FFBinPackingContext(context.Background(), sel, cfg)
 }
 
 // FFBinPackingContext is FFBinPacking with context cancellation (checked
 // every checkInterval pairs) and Config.Observer progress callbacks — the
-// Pack implementation of the registered "ffbp" strategy.
+// Stage 2 the mcss Planner names "ffbp".
 //
 // The implementation is the indexed engine: "first deployed VM with room"
 // is answered in O(log V) by a positional segment tree over VM indices
@@ -164,7 +151,7 @@ func FFBinPackingContext(ctx context.Context, sel *Selection, cfg Config) (*Allo
 	maxCap := fleet.MaxCapacity()
 	msg := cfg.MessageBytes
 	tk := newTicker(ctx, cfg.Observer, StagePack, sel.NumPairs())
-	ix := newVMIndex(false, !cfg.LenientFirstFit)
+	ix := newVMIndex(false)
 	var err error
 	one := make([]workload.SubID, 1)
 	sel.Pairs(func(p workload.Pair) bool {
@@ -172,31 +159,19 @@ func FFBinPackingContext(ctx context.Context, sel *Selection, cfg Config) (*Allo
 			return false
 		}
 		rb := sel.w.Rate(p.Topic) * msg
-		if 2*rb > maxCap && !cfg.LenientFirstFit {
+		if 2*rb > maxCap {
 			err = errTopicTooLarge(p.Topic, rb, maxCap)
 			return false
 		}
 		one[0] = p.Sub
-		var target int
-		if cfg.LenientFirstFit {
-			// The paper's literal test ignores the incoming increment:
-			// every VM fits iff rb ≤ free.
-			target = ix.firstFree(rb)
-		} else {
-			// A VM fits iff free ≥ 2rb, or it already hosts the topic and
-			// free ≥ rb. The first fitting VM is therefore the lower of
-			// the two candidate indices.
-			target = minIndex(ix.firstFree(2*rb), ix.firstHost(p.Topic, rb))
-		}
-		if target >= 0 {
+		// A VM fits iff free ≥ 2rb, or it already hosts the topic and
+		// free ≥ rb. The first fitting VM is therefore the lower of the
+		// two candidate indices.
+		if target := minIndex(ix.firstFree(2*rb), ix.firstHost(p.Topic, rb)); target >= 0 {
 			ix.place(ix.vms[target], p.Topic, rb, one)
 			return true
 		}
-		need := 2 * rb
-		if cfg.LenientFirstFit {
-			need = rb
-		}
-		i := pickPairType(fleet, need)
+		i := pickFittingType(fleet, 2*rb)
 		b := ix.deploy(fleet.Type(i), fleet.Capacity(i))
 		ix.place(b, p.Topic, rb, one)
 		return true
@@ -246,8 +221,8 @@ func CustomBinPacking(sel *Selection, cfg Config) (*Allocation, error) {
 
 // CustomBinPackingContext is CustomBinPacking with context cancellation
 // (checked once per topic group, in checkInterval batches weighted by group
-// size) and Config.Observer progress callbacks — the Pack implementation of
-// the registered "cbp" strategy.
+// size) and Config.Observer progress callbacks — the default Stage 2, which
+// the mcss Planner names "cbp".
 //
 // Like FFBinPackingContext it runs on the indexed engine: most-free-VM
 // picks descend the free-capacity segment tree to the leftmost maximum,
@@ -269,7 +244,7 @@ func CustomBinPackingContext(ctx context.Context, sel *Selection, cfg Config) (*
 	}
 
 	var (
-		ix       = newVMIndex(false, true)
+		ix       = newVMIndex(false)
 		cur      *vmState // most recently deployed VM
 		totalBW  int64    // running Σ bw_b (bytes/hour), for Alg. 7
 		costOpts = cfg.Opts&OptCostBased != 0

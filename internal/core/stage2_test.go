@@ -82,30 +82,6 @@ func TestFFBPInfeasible(t *testing.T) {
 	}
 }
 
-func TestFFBPLenientAllowsOvershoot(t *testing.T) {
-	// The paper's literal Alg. 3 checks only the outgoing rate. With
-	// capacity 150 and topic rate 100, the strict packer refuses (needs
-	// 200); the lenient one places it and overshoots.
-	w := mustWorkload(t, []int64{100}, [][]workload.TopicID{{0}})
-	sel := SelectAllPairs(w)
-	cfg := configWith(1000, 150, FFBinPackingContext, 0)
-	cfg.LenientFirstFit = true
-	alloc, err := FFBinPacking(sel, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := alloc.NumVMs(); got != 1 {
-		t.Fatalf("NumVMs = %d, want 1", got)
-	}
-	if got := alloc.VMs[0].BytesPerHour(); got != 200 {
-		t.Errorf("bw = %d, want 200 (overshoots BC=150)", got)
-	}
-	// Verification is aware of the lenient mode.
-	if err := VerifyAllocation(w, sel, alloc, cfg); err != nil {
-		t.Errorf("VerifyAllocation: %v", err)
-	}
-}
-
 func TestCBPGroupsTopics(t *testing.T) {
 	// Two topics, rate 10, 8 subscribers each; BC = 100. Grouped packing
 	// fits topic 1 entirely on VM1 (90 bytes) and topic 2 on VM2, one

@@ -72,8 +72,8 @@ type Config struct {
 	// Tau is the satisfaction threshold τ in events per hour; each
 	// subscriber v must receive at least τ_v = min(τ, Σ_{t∈T_v} ev_t).
 	Tau int64
-	// MessageBytes is the size of one event notification. The paper uses
-	// 200 bytes for both traces.
+	// MessageBytes is the size of one event notification (zero means
+	// DefaultMessageBytes).
 	MessageBytes int64
 	// Model supplies the rental duration and the cost functions C1/C2,
 	// plus the VM capacity BC for single-type solves.
@@ -98,11 +98,6 @@ type Config struct {
 	Solver func(ctx context.Context, w *workload.Workload, cfg Config) (*Result, error)
 	// Opts toggles CBP optimizations (ignored by FFBP).
 	Opts OptFlags
-	// LenientFirstFit reproduces the paper's literal Alg. 3 capacity test
-	// (`ev_t ≤ BC − bw_b`, which ignores the incoming increment when a
-	// topic first lands on a VM) instead of the exact delta test. With it
-	// set, per-VM bandwidth may exceed BC by up to one topic rate.
-	LenientFirstFit bool
 
 	// Observer receives progress callbacks from the solve stages, the
 	// lower bound, the exact solver, and the elastic controller. Nil
@@ -133,17 +128,22 @@ type Config struct {
 	// latency ceiling in milliseconds: every selected pair's modeled
 	// publisher→broker→subscriber RTT must stay at or under it, and Stage
 	// 2 fails with ErrInfeasible when some pair has no region that meets
-	// it. It binds only under a multi-region Topology. Zero means no SLO
+	// it. It binds only under a multi-region Topology and needs one: a
+	// positive ceiling with a nil Topology is refused. Zero means no SLO
 	// (the paper's setting).
 	LatencySLOMillis int64
 }
 
+// DefaultMessageBytes is the paper's notification size, 200 bytes for
+// both traces: what a zero Config.MessageBytes means.
+const DefaultMessageBytes = 200
+
 // DefaultConfig returns the paper's full solution: GSP + CBP with all
-// optimizations, 200-byte messages, and the given pricing model.
+// optimizations, DefaultMessageBytes messages, and the given pricing model.
 func DefaultConfig(tau int64, m pricing.Model) Config {
 	return Config{
 		Tau:          tau,
-		MessageBytes: 200,
+		MessageBytes: DefaultMessageBytes,
 		Model:        m,
 		Opts:         OptAll,
 	}
@@ -152,7 +152,7 @@ func DefaultConfig(tau int64, m pricing.Model) Config {
 // normalize fills defaulted fields and validates.
 func (c Config) normalize() (Config, error) {
 	if c.MessageBytes == 0 {
-		c.MessageBytes = 200
+		c.MessageBytes = DefaultMessageBytes
 	}
 	if c.MessageBytes < 0 {
 		return c, fmt.Errorf("core: negative MessageBytes %d", c.MessageBytes)
@@ -171,6 +171,9 @@ func (c Config) normalize() (Config, error) {
 	}
 	if c.LatencySLOMillis < 0 {
 		return c, fmt.Errorf("core: negative LatencySLOMillis %d", c.LatencySLOMillis)
+	}
+	if c.LatencySLOMillis > 0 && c.Topology == nil {
+		return c, fmt.Errorf("core: LatencySLOMillis %d needs a Topology", c.LatencySLOMillis)
 	}
 	if c.Topology != nil && c.Topology.NumRegions() < 1 {
 		return c, errors.New("core: topology has no regions")
@@ -224,8 +227,7 @@ type VM struct {
 // BytesPerHour is the VM's total bandwidth consumption bw_b.
 func (vm *VM) BytesPerHour() int64 { return vm.OutBytesPerHour + vm.InBytesPerHour }
 
-// FreeBytesPerHour is the VM's unused capacity BC_b − bw_b (negative only
-// in LenientFirstFit mode).
+// FreeBytesPerHour is the VM's unused capacity BC_b − bw_b.
 func (vm *VM) FreeBytesPerHour() int64 { return vm.CapacityBytesPerHour - vm.BytesPerHour() }
 
 // NumPairs reports how many topic–subscriber pairs this VM serves.

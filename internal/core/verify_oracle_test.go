@@ -85,7 +85,7 @@ func verifyAllocationMap(w *workload.Workload, sel *Selection, alloc *Allocation
 		} else if cap == 0 {
 			cap = cfg.Model.CapacityBytesPerHour()
 		}
-		if !cfg.LenientFirstFit && vm.BytesPerHour() > cap {
+		if vm.BytesPerHour() > cap {
 			return fmt.Errorf("vm %d (%s): bandwidth %d exceeds capacity %d",
 				vm.ID, vm.Instance.Name, vm.BytesPerHour(), cap)
 		}
@@ -202,7 +202,7 @@ func verifyServesMap(w *workload.Workload, alloc *Allocation, cfg Config) error 
 		if cap == 0 {
 			cap = cfg.Model.CapacityBytesPerHour()
 		}
-		if !cfg.LenientFirstFit && vm.BytesPerHour() > cap {
+		if vm.BytesPerHour() > cap {
 			return fmt.Errorf("vm %d (%s): bandwidth %d exceeds capacity %d",
 				vm.ID, vm.Instance.Name, vm.BytesPerHour(), cap)
 		}

@@ -30,8 +30,9 @@ import (
 // equivalence argument.
 
 // unusedLeaf marks segment-tree leaves beyond the deployed fleet. It is
-// below every reachable free value (lenient first-fit can drive free a
-// bounded amount below zero, never to the int64 minimum).
+// below every reachable free value (the packers never drive free below
+// zero, and a re-rate leaves a Rehomer VM at most a bounded amount below
+// it, never at the int64 minimum).
 const unusedLeaf = math.MinInt64
 
 // freeTree is a positional segment tree over VM deployment indices storing
@@ -250,15 +251,13 @@ func (fo *freeOrder) ceiling(need int64) int32 {
 // query, maintaining only what its packer actually reads: the segment
 // tree answers first-fit/most-free (FFBP, CBP), the treap answers
 // best-fit ceilings (BFD), and the host lists back the rb-branch of the
-// exact capacity test (skipped by lenient FFBP, which never asks about
-// hosting).
+// exact capacity test.
 type vmIndex struct {
 	vms   []*vmState
 	tree  *freeTree  // nil when only best-fit queries are made (BFD)
 	order *freeOrder // nil unless best-fit queries are required
-	// hosts[t] lists the VM indices hosting topic t, ascending; nil when
-	// hosting queries are never made (lenient first-fit). Entries whose
-	// free capacity has dropped below the topic's per-pair rate are
+	// hosts[t] lists the VM indices hosting topic t, ascending. Entries
+	// whose free capacity has dropped below the topic's per-pair rate are
 	// pruned lazily during scans (free only shrinks, so they can never
 	// host another pair of t).
 	hosts map[workload.TopicID][]int32
@@ -270,17 +269,13 @@ type vmIndex struct {
 }
 
 // newVMIndex builds the index for one packing run: ordered selects the
-// treap (best-fit) over the segment tree (first-fit/most-free), hosted
-// enables the per-topic host lists.
-func newVMIndex(ordered, hosted bool) *vmIndex {
-	ix := &vmIndex{}
+// treap (best-fit) over the segment tree (first-fit/most-free).
+func newVMIndex(ordered bool) *vmIndex {
+	ix := &vmIndex{hosts: make(map[workload.TopicID][]int32)}
 	if ordered {
 		ix.order = newFreeOrder()
 	} else {
 		ix.tree = &freeTree{}
-	}
-	if hosted {
-		ix.hosts = make(map[workload.TopicID][]int32)
 	}
 	return ix
 }
@@ -311,7 +306,7 @@ func (ix *vmIndex) place(b *vmState, t workload.TopicID, rb int64, subs []worklo
 	if ix.order != nil {
 		ix.order.update(id, b.free)
 	}
-	if newTopic && ix.hosts != nil {
+	if newTopic {
 		hs := ix.hosts[t]
 		if n := len(hs); n == 0 || hs[n-1] < id {
 			ix.hosts[t] = append(hs, id)

@@ -17,7 +17,7 @@ func TestFreeTreeAgainstBruteForce(t *testing.T) {
 	for step := 0; step < 5000; step++ {
 		switch {
 		case len(ref) == 0 || rng.Intn(4) == 0: // add
-			v := rng.Int63n(1000) - 100 // negatives: the lenient-FFBP regime
+			v := rng.Int63n(1000) - 100 // negatives: a re-rated, overfull Rehomer VM
 			ft.add(v)
 			ref = append(ref, v)
 		case rng.Intn(2) == 0: // point update
@@ -86,7 +86,7 @@ func TestFreeOrderAgainstBruteForce(t *testing.T) {
 // Host lists must return the naive scan's answers while pruning hosts that
 // fell below the topic's rate for good.
 func TestHostQueries(t *testing.T) {
-	ix := newVMIndex(false, true)
+	ix := newVMIndex(false)
 	// Deploy 5 VMs of capacity 100 and give topic 7 a presence on VMs
 	// 0, 2, 4 with varying free capacities.
 	for i := 0; i < 5; i++ {

@@ -1,12 +1,12 @@
 // Package deploy is the declarative deployment lifecycle above the MCSS
-// solver stack: Spec → Plan → Diff → Apply. A Spec names the desired state
-// (workload, τ, fleet, strategy); a Planner turns it into a serializable
-// Plan — the computed workload Diff, an executable step sequence (boot,
-// reconfigure and retire brokers), a forecast cost delta, and
-// a fingerprint of the cluster state the plan was computed against; Apply
-// executes the plan against a dynamic.Provisioner, refusing stale plans,
-// supporting dry runs and per-step progress, and rolling back to the
-// pre-apply allocation on any mid-apply failure.
+// solver stack: Plan → Diff → Apply. NewPlan turns a target state (a
+// workload and the allocation serving it, typically a solve's) into a
+// serializable Plan — the computed workload Diff, an executable step
+// sequence (boot, reconfigure and retire brokers), a forecast cost delta,
+// and a fingerprint of the cluster state the plan was computed against;
+// Apply executes the plan against a dynamic.Provisioner, refusing stale
+// plans, supporting dry runs and per-step progress, and rolling back to
+// the pre-apply allocation on any mid-apply failure.
 //
 // Splitting "compute the reconfiguration" from "enact it" is what lets an
 // operator inspect, persist, approve, or replay a change before it runs:
@@ -18,7 +18,6 @@
 package deploy
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -26,7 +25,6 @@ import (
 	"github.com/pubsub-systems/mcss/internal/core"
 	"github.com/pubsub-systems/mcss/internal/dynamic"
 	"github.com/pubsub-systems/mcss/internal/pricing"
-	"github.com/pubsub-systems/mcss/internal/timeline"
 	"github.com/pubsub-systems/mcss/internal/workload"
 )
 
@@ -47,40 +45,6 @@ var (
 	// current state instead of applying blind.
 	ErrStalePlan = errors.New("deploy: plan is stale")
 )
-
-// Spec is the desired state of a deployment: the workload to serve plus
-// the solver knobs that differ from the planning config's defaults. The
-// zero values of Tau, MessageBytes, and Fleet mean "inherit from the
-// planner"; Strategy optionally names a registered full-solve strategy.
-type Spec struct {
-	// Workload is the demand to satisfy (required).
-	Workload *workload.Workload
-	// Tau overrides the satisfaction threshold when positive.
-	Tau int64
-	// MessageBytes overrides the notification size when positive.
-	MessageBytes int64
-	// Fleet overrides the instance types to pack against when non-zero.
-	Fleet pricing.Fleet
-	// Strategy names a registered full-solve strategy (e.g. "exact")
-	// replacing the two-stage pipeline when non-empty.
-	Strategy string
-}
-
-// SpecFromWorkload is the minimal spec: desired workload, planner defaults
-// for everything else.
-func SpecFromWorkload(w *workload.Workload) Spec { return Spec{Workload: w} }
-
-// SpecFromEpoch builds the spec for one epoch of a timeline — the bridge
-// from the diurnal machinery into the plan lifecycle.
-func SpecFromEpoch(tl *timeline.Timeline, epoch int) (Spec, error) {
-	if err := tl.Validate(); err != nil {
-		return Spec{}, err
-	}
-	if epoch < 0 || epoch >= tl.NumEpochs() {
-		return Spec{}, fmt.Errorf("deploy: epoch %d outside timeline of %d", epoch, tl.NumEpochs())
-	}
-	return Spec{Workload: tl.Epochs[epoch]}, nil
-}
 
 // State is one cluster state: the workload being served and the allocation
 // serving it. It is what plans are computed against and what Apply
@@ -164,8 +128,8 @@ type Diff struct {
 // Plan is a serializable, verifiable reconfiguration: everything needed to
 // review the change (diff, steps, forecast cost), to refuse it when the
 // world moved on (the base fingerprint), and to enact it (the step
-// sequence plus the target state). Produce plans with Planner.Plan or
-// NewPlan; persist them with traceio.SavePlan/LoadPlan.
+// sequence plus the target state). Produce plans with NewPlan; persist
+// them with traceio.SavePlan/LoadPlan.
 type Plan struct {
 	// Version is the plan schema version (PlanVersion).
 	Version int
@@ -365,8 +329,8 @@ func (p *Plan) Validate() error {
 // migration stats, the executable step sequence, and the cost forecast
 // under cfg.Model are all derived from the two states. It is the
 // constructor the elastic controller uses once its policy has already
-// chosen the target allocation; Planner.Plan wraps a solve around it. A
-// nil current plans from the empty cluster. A state whose placements fail
+// chosen the target allocation; the mcss Planner's Plan wraps a solve
+// around it. A nil current plans from the empty cluster. A state whose placements fail
 // core.CheckPlacements is refused with ErrInvalidPlan before anything is
 // diffed.
 func NewPlan(cfg core.Config, current, target *State) (*Plan, error) {
@@ -383,7 +347,7 @@ func NewPlan(cfg core.Config, current, target *State) (*Plan, error) {
 		return nil, fmt.Errorf("%w: target %v", ErrInvalidPlan, err)
 	}
 	if cfg.MessageBytes == 0 {
-		cfg.MessageBytes = 200
+		cfg.MessageBytes = core.DefaultMessageBytes
 	}
 	delta, err := dynamic.DeltaBetween(current.Workload, target.Workload)
 	if err != nil {
@@ -410,21 +374,6 @@ func NewPlan(cfg core.Config, current, target *State) (*Plan, error) {
 	return plan, nil
 }
 
-// PlanIncremental previews an incremental update of the delta on the
-// provisioner and wraps the candidate in the standard plan lifecycle: the
-// plan's base is the provisioner's current state, its target the
-// incrementally updated state, with the usual fingerprint pinning, step
-// extraction, and cost forecast. The provisioner is not adopted — Apply
-// the plan to enact it (the provisioner's persistent index then follows
-// the adopted allocation, so the next incremental plan needs no reindex).
-func PlanIncremental(ctx context.Context, cfg core.Config, prov *dynamic.Provisioner, d dynamic.Delta) (*Plan, error) {
-	next, res, _, err := prov.PreviewIncremental(ctx, d)
-	if err != nil {
-		return nil, err
-	}
-	return NewPlan(cfg, StateOf(prov), NewState(next, res.Allocation))
-}
-
 // Snapshot returns the zero-step plan whose base and target are both the
 // given state — the self-describing "this is the cluster now" document the
 // CLI persists between plan and apply. Applying a snapshot is a no-op.
@@ -433,55 +382,4 @@ func Snapshot(cfg core.Config, s *State) (*Plan, error) {
 		s = EmptyState()
 	}
 	return NewPlan(cfg, s, s)
-}
-
-// Planner computes plans by solving specs against a base configuration —
-// the declarative face of the solver stack. The zero value is unusable;
-// construct with NewPlanner around a normalized core.Config (the mcss
-// Planner façade does this from its functional options).
-type Planner struct {
-	cfg core.Config
-}
-
-// NewPlanner wraps a solver configuration for planning.
-func NewPlanner(cfg core.Config) *Planner { return &Planner{cfg: cfg} }
-
-// Plan solves the spec and returns the serializable reconfiguration from
-// current (nil = the empty cluster) to the solved target. The solve runs
-// under ctx with the config's observer; spec fields override the planner's
-// τ, message size, fleet, and full-solve strategy. The returned plan is
-// pinned to current's fingerprint — apply it before the cluster drifts.
-//
-// Identifier stability is required in the declarative direction too: the
-// spec's workload must extend the current one (IDs stable, counts may only
-// grow), the same contract timelines and dynamic deltas obey.
-func (p *Planner) Plan(ctx context.Context, spec Spec, current *State) (*Plan, error) {
-	if spec.Workload == nil {
-		return nil, fmt.Errorf("%w: spec has no workload", ErrInvalidPlan)
-	}
-	cfg := p.cfg
-	if spec.Tau > 0 {
-		cfg.Tau = spec.Tau
-	}
-	if spec.MessageBytes > 0 {
-		cfg.MessageBytes = spec.MessageBytes
-	}
-	if !spec.Fleet.IsZero() {
-		cfg.Fleet = spec.Fleet
-	}
-	if spec.Strategy != "" {
-		s, ok := core.StrategyByName(spec.Strategy)
-		if !ok || s.Solve == nil {
-			return nil, fmt.Errorf("%w: unknown full-solve strategy %q", ErrInvalidPlan, spec.Strategy)
-		}
-		cfg.Solver = s.Solve
-	}
-	res, err := core.SolveContext(ctx, spec.Workload, cfg)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.MessageBytes == 0 {
-		cfg.MessageBytes = 200 // SolveContext normalized its own copy
-	}
-	return NewPlan(cfg, current, NewState(spec.Workload, res.Allocation))
 }

@@ -37,7 +37,7 @@ func TestBootstrapPlanApply(t *testing.T) {
 	w := testWorkload(t, 1)
 	ctx := context.Background()
 
-	plan, err := NewPlanner(cfg).Plan(ctx, SpecFromWorkload(w), nil)
+	plan, err := SolvePlan(ctx, cfg, w, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,9 +84,8 @@ func TestReconfigurePlanApply(t *testing.T) {
 	cfg := testConfig()
 	w := testWorkload(t, 2)
 	ctx := context.Background()
-	planner := NewPlanner(cfg)
 
-	boot, err := planner.Plan(ctx, SpecFromWorkload(w), nil)
+	boot, err := SolvePlan(ctx, cfg, w, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +110,7 @@ func TestReconfigurePlanApply(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := planner.Plan(ctx, SpecFromWorkload(next), StateOf(prov))
+	plan, err := SolvePlan(ctx, cfg, next, StateOf(prov))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +136,7 @@ func TestApplyDryRun(t *testing.T) {
 	cfg := testConfig()
 	w := testWorkload(t, 3)
 	ctx := context.Background()
-	plan, err := NewPlanner(cfg).Plan(ctx, SpecFromWorkload(w), nil)
+	plan, err := SolvePlan(ctx, cfg, w, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +166,7 @@ func TestApplyObserverAbortRollsBack(t *testing.T) {
 	cfg := testConfig()
 	w := testWorkload(t, 4)
 	ctx := context.Background()
-	plan, err := NewPlanner(cfg).Plan(ctx, SpecFromWorkload(w), nil)
+	plan, err := SolvePlan(ctx, cfg, w, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +202,7 @@ func TestApplyObserverAbortRollsBack(t *testing.T) {
 func TestApplyCancelledContext(t *testing.T) {
 	cfg := testConfig()
 	w := testWorkload(t, 5)
-	plan, err := NewPlanner(cfg).Plan(context.Background(), SpecFromWorkload(w), nil)
+	plan, err := SolvePlan(context.Background(), cfg, w, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +227,7 @@ func TestApplyRejectsTamperedPlan(t *testing.T) {
 	cfg := testConfig()
 	w := testWorkload(t, 6)
 	ctx := context.Background()
-	plan, err := NewPlanner(cfg).Plan(ctx, SpecFromWorkload(w), nil)
+	plan, err := SolvePlan(ctx, cfg, w, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +256,7 @@ func reconfigure(remove, place []core.TopicPlacement) dynamic.Step {
 func TestPlanValidate(t *testing.T) {
 	cfg := testConfig()
 	w := testWorkload(t, 7)
-	good, err := NewPlanner(cfg).Plan(context.Background(), SpecFromWorkload(w), nil)
+	good, err := SolvePlan(context.Background(), cfg, w, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +338,7 @@ func TestPlanValidate(t *testing.T) {
 	}
 	for _, tc := range mutate {
 		t.Run(tc.name, func(t *testing.T) {
-			cp, err := NewPlanner(cfg).Plan(context.Background(), SpecFromWorkload(w), nil)
+			cp, err := SolvePlan(context.Background(), cfg, w, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -415,7 +414,7 @@ func TestSnapshotIsNoop(t *testing.T) {
 	cfg := testConfig()
 	w := testWorkload(t, 8)
 	ctx := context.Background()
-	boot, err := NewPlanner(cfg).Plan(ctx, SpecFromWorkload(w), nil)
+	boot, err := SolvePlan(ctx, cfg, w, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,53 +444,6 @@ func TestSnapshotIsNoop(t *testing.T) {
 	}
 }
 
-// TestSpecOverrides: spec-level τ/fleet/message-size overrides reach the
-// solve.
-func TestSpecOverrides(t *testing.T) {
-	cfg := testConfig()
-	w := testWorkload(t, 9)
-	ctx := context.Background()
-	fleet, err := pricing.NewFleet(pricing.C3Large, pricing.C3XLarge)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fleet = fleet.WithBytesPerMbps(cfg.Model.CapacityBytesPerHour() / pricing.C3Large.LinkMbps)
-	spec := Spec{Workload: w, Tau: 70, MessageBytes: 100, Fleet: fleet}
-	plan, err := NewPlanner(cfg).Plan(ctx, spec, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.Tau != 70 || plan.MessageBytes != 100 {
-		t.Fatalf("plan carries τ=%d msg=%d", plan.Tau, plan.MessageBytes)
-	}
-	if plan.Fleet.Len() != 2 {
-		t.Fatalf("plan fleet %v", plan.Fleet)
-	}
-	if _, err := NewPlanner(cfg).Plan(ctx, Spec{Workload: w, Strategy: "no-such"}, nil); !errors.Is(err, ErrInvalidPlan) {
-		t.Fatalf("unknown strategy: got %v", err)
-	}
-}
-
-// TestSpecFromEpoch builds specs from timeline epochs and rejects
-// out-of-range ones.
-func TestSpecFromEpoch(t *testing.T) {
-	base := testWorkload(t, 10)
-	tl, err := tracegen.Diurnal(base, tracegen.DefaultDiurnalConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec, err := SpecFromEpoch(tl, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if spec.Workload != tl.Epochs[3] {
-		t.Fatal("spec does not reference the epoch snapshot")
-	}
-	if _, err := SpecFromEpoch(tl, tl.NumEpochs()); err == nil {
-		t.Fatal("out-of-range epoch accepted")
-	}
-}
-
 // TestPlanIncrementalApply plans a delta through the incremental engine and
 // applies it: the plan must carry the standard fingerprint/step semantics
 // (stale detection, replay-to-target), and after the apply the
@@ -502,7 +454,7 @@ func TestPlanIncrementalApply(t *testing.T) {
 	w := testWorkload(t, 7)
 	ctx := context.Background()
 
-	boot, err := NewPlanner(cfg).Plan(ctx, SpecFromWorkload(w), nil)
+	boot, err := SolvePlan(ctx, cfg, w, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -518,7 +470,7 @@ func TestPlanIncrementalApply(t *testing.T) {
 		RateChanges: map[workload.TopicID]int64{0: w.Rate(0) + 40},
 		Unsubscribe: []workload.Pair{},
 	}
-	plan, err := PlanIncremental(ctx, cfg, prov, d)
+	plan, err := PreviewPlan(ctx, cfg, prov, d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -546,7 +498,7 @@ func TestPlanIncrementalApply(t *testing.T) {
 		t.Fatalf("second apply err = %v, want ErrStalePlan", err)
 	}
 	// An incremental no-op plan after the apply is a clean no-op.
-	noop, err := PlanIncremental(ctx, cfg, prov, dynamic.Delta{})
+	noop, err := PreviewPlan(ctx, cfg, prov, dynamic.Delta{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -563,7 +515,7 @@ func TestApplyReusesPlanStats(t *testing.T) {
 	cfg := testConfig()
 	w := testWorkload(t, 7)
 	ctx := context.Background()
-	boot, err := NewPlanner(cfg).Plan(ctx, SpecFromWorkload(w), nil)
+	boot, err := SolvePlan(ctx, cfg, w, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -574,7 +526,7 @@ func TestApplyReusesPlanStats(t *testing.T) {
 	if _, err := Apply(ctx, boot, prov); err != nil {
 		t.Fatal(err)
 	}
-	plan, err := PlanIncremental(ctx, cfg, prov, dynamic.Delta{RateChanges: map[workload.TopicID]int64{0: w.Rate(0) + 40}})
+	plan, err := PreviewPlan(ctx, cfg, prov, dynamic.Delta{RateChanges: map[workload.TopicID]int64{0: w.Rate(0) + 40}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -73,17 +73,20 @@ func IsTransient(err error) bool {
 	return errors.As(err, &te)
 }
 
+// The retry backoff: the delay before the first retry, doubled for each
+// further retry up to the cap. The realized delay is jittered uniformly
+// in [d/2, d).
+const (
+	baseBackoff = 25 * time.Millisecond
+	maxBackoff  = 2 * time.Second
+)
+
 // RetryConfig tunes a RetryExecutor. Zero values select the defaults
 // noted on each field.
 type RetryConfig struct {
 	// MaxAttempts bounds executions per step, first try included
 	// (default 4).
 	MaxAttempts int
-	// BaseBackoff is the delay before the first retry (default 25ms);
-	// each further retry doubles it up to MaxBackoff (default 2s). The
-	// realized delay is jittered uniformly in [d/2, d).
-	BaseBackoff time.Duration
-	MaxBackoff  time.Duration
 	// StepTimeout bounds each attempt with its own deadline context
 	// (0 = none). An attempt that outlives it fails transiently and is
 	// retried; the parent context's cancellation still aborts outright.
@@ -116,12 +119,6 @@ type RetryExecutor struct {
 func NewRetryExecutor(inner Executor, cfg RetryConfig) *RetryExecutor {
 	if cfg.MaxAttempts <= 0 {
 		cfg.MaxAttempts = 4
-	}
-	if cfg.BaseBackoff <= 0 {
-		cfg.BaseBackoff = 25 * time.Millisecond
-	}
-	if cfg.MaxBackoff <= 0 {
-		cfg.MaxBackoff = 2 * time.Second
 	}
 	seed := cfg.Seed
 	if seed == 0 {
@@ -181,12 +178,12 @@ func (e *RetryExecutor) attempt(ctx context.Context, i, total int, s dynamic.Ste
 
 // backoff computes the jittered delay before retry number attempt.
 func (e *RetryExecutor) backoff(attempt int) time.Duration {
-	d := e.cfg.BaseBackoff
-	for n := 1; n < attempt && d < e.cfg.MaxBackoff; n++ {
+	d := baseBackoff
+	for n := 1; n < attempt && d < maxBackoff; n++ {
 		d *= 2
 	}
-	if d > e.cfg.MaxBackoff {
-		d = e.cfg.MaxBackoff
+	if d > maxBackoff {
+		d = maxBackoff
 	}
 	// Uniform jitter in [d/2, d) decorrelates concurrent appliers.
 	return d/2 + time.Duration(e.rng.Int63n(int64(d/2)+1))

@@ -117,7 +117,7 @@ func TestApplyAbortContract(t *testing.T) {
 	cfg := testConfig()
 	w := testWorkload(t, 7)
 	ctx := context.Background()
-	plan, err := NewPlanner(cfg).Plan(ctx, SpecFromWorkload(w), nil)
+	plan, err := SolvePlan(ctx, cfg, w, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

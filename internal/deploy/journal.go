@@ -16,7 +16,7 @@ import (
 )
 
 // The apply journal is a versioned append-only WAL that makes the
-// Spec → Plan → Diff → Apply lifecycle crash-safe. Every plan application
+// Plan → Diff → Apply lifecycle crash-safe. Every plan application
 // writes three kinds of records:
 //
 //	plan-begin(epoch, base-fingerprint, plan)   before the first step

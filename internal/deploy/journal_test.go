@@ -62,7 +62,7 @@ func jworkload(t testing.TB, seed int64) *workload.Workload {
 // jplan solves w against base and wraps the move in a plan.
 func jplan(t testing.TB, cfg core.Config, base *deploy.State, w *workload.Workload) *deploy.Plan {
 	t.Helper()
-	plan, err := deploy.NewPlanner(cfg).Plan(context.Background(), deploy.SpecFromWorkload(w), base)
+	plan, err := deploy.SolvePlan(context.Background(), cfg, w, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -573,14 +573,13 @@ func BenchmarkJournalReplay(b *testing.B) {
 	ctx := context.Background()
 	w1 := jworkload(b, 21)
 	w2 := jworkload(b, 22)
-	planner := deploy.NewPlanner(cfg)
-	boot, err := planner.Plan(ctx, deploy.SpecFromWorkload(w1), nil)
+	boot, err := deploy.SolvePlan(ctx, cfg, w1, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
 	// Two plans ping-ponging between the same two states let the journal
 	// grow to any length while keeping the fingerprint chain valid.
-	forward, err := planner.Plan(ctx, deploy.SpecFromWorkload(w2), boot.Target)
+	forward, err := deploy.SolvePlan(ctx, cfg, w2, boot.Target)
 	if err != nil {
 		b.Fatal(err)
 	}

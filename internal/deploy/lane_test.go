@@ -55,7 +55,7 @@ func (s laneSetup) epochWith(t *testing.T, seed int64) (*dynamic.Provisioner, *d
 		t.Fatal(err)
 	}
 	d := experiments.ChurnDelta(rand.New(rand.NewSource(seed)), s.base.Workload, 0.01)
-	plan, err := deploy.PlanIncremental(context.Background(), s.cfg, prov, d)
+	plan, err := deploy.PreviewPlan(context.Background(), s.cfg, prov, d)
 	if err != nil {
 		t.Fatal(err)
 	}

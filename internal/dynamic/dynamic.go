@@ -215,9 +215,8 @@ type Provisioner struct {
 	// inc is the persistent incremental index over res.Allocation, built
 	// lazily by the first PreviewIncremental/UpdateIncremental and kept
 	// while the adopted allocation is the one it mirrors (see
-	// ensureIndex); incPol tunes the incremental path.
-	inc    *core.IncrementalState
-	incPol IncrementalPolicy
+	// ensureIndex).
+	inc *core.IncrementalState
 }
 
 // New solves the initial allocation.

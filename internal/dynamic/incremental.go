@@ -9,32 +9,11 @@ import (
 	"github.com/pubsub-systems/mcss/internal/workload"
 )
 
-// IncrementalPolicy tunes Provisioner.UpdateIncremental.
-type IncrementalPolicy struct {
-	// MaxRegretFrac is how far the measured cost regret (versus the
-	// incrementally maintained lower bound) may drift above the regret at
-	// the last full solve before UpdateIncremental falls back to a full
-	// re-solve. ≤ 0 means the default 2%.
-	MaxRegretFrac float64
-}
-
-// DefaultIncrementalPolicy returns the defaults: 2% regret drift before a
-// full re-solve.
-func DefaultIncrementalPolicy() IncrementalPolicy {
-	return IncrementalPolicy{MaxRegretFrac: 0.02}
-}
-
-// SetIncrementalPolicy installs the policy governing UpdateIncremental's
-// fallback threshold. The zero policy means the defaults.
-func (p *Provisioner) SetIncrementalPolicy(pol IncrementalPolicy) { p.incPol = pol }
-
-// maxRegretFrac resolves the policy's fallback threshold.
-func (pol IncrementalPolicy) maxRegretFrac() float64 {
-	if pol.MaxRegretFrac <= 0 {
-		return 0.02
-	}
-	return pol.MaxRegretFrac
-}
+// maxRegretDrift is how far the measured cost regret (versus the
+// incrementally maintained lower bound) may drift above the regret at the
+// last full solve before an incremental update falls back to a full
+// re-solve: 2 percentage points.
+const maxRegretDrift = 0.02
 
 // isZero reports a delta with no changes at all.
 func (d Delta) isZero() bool {
@@ -49,9 +28,10 @@ func (d Delta) isZero() bool {
 // cheapest fitting instance type, and a bounded local-improvement pass
 // keeps quality from drifting — all in time proportional to the delta, not
 // the fleet. When the measured regret versus the incrementally maintained
-// lower bound drifts beyond the policy threshold, it transparently falls
-// back to a full re-solve (reported in the stats). The result is adopted;
-// on error the provisioner keeps its previous state.
+// lower bound drifts more than maxRegretDrift past its value at the last
+// full solve, it transparently falls back to a full re-solve (reported in
+// the stats). The result is adopted; on error the provisioner keeps its
+// previous state.
 func (p *Provisioner) UpdateIncremental(ctx context.Context, d Delta) (MigrationStats, error) {
 	next, res, stats, err := p.PreviewIncremental(ctx, d)
 	if err != nil {
@@ -114,7 +94,7 @@ func (p *Provisioner) PreviewIncremental(ctx context.Context, d Delta) (*workloa
 		return nil, nil, MigrationStats{}, err
 	}
 
-	if out.Regret > out.BaseRegret+p.incPol.maxRegretFrac() {
+	if out.Regret > out.BaseRegret+maxRegretDrift {
 		return p.fallbackResolve(ctx, next, out)
 	}
 	counters := out

@@ -4,11 +4,10 @@
 // stats), and applies a hysteresis policy that trades rental cost against
 // migration churn — scale up immediately when the kept allocation can no
 // longer serve the epoch, scale down only after a cooldown, and keep the
-// previous placements outright when the fresh solve would migrate more
-// pairs than the per-epoch budget allows. Every acquisition, release, and
-// byte of transfer lands in a BillingLedger that charges per started
-// instance-hour, the granularity at which EC2-style billing actually
-// punishes fleet churn.
+// previous placements outright unless the fresh solve clears a savings
+// bar. Every acquisition, release, and byte of transfer lands in a
+// BillingLedger that charges per started instance-hour, the granularity
+// at which EC2-style billing actually punishes fleet churn.
 //
 // Three policies span the evaluation space: OraclePolicy re-solves and
 // right-sizes every epoch (per-epoch clairvoyance), DefaultPolicy is the
@@ -48,11 +47,6 @@ type Policy struct {
 	// releasing one small VM out of a large fleet is not worth the churn
 	// risk of the rebound.
 	ScaleDownSavingsFrac float64
-	// MaxMigrationsPerEpoch caps pair moves per epoch: when the fresh
-	// solve would move more pairs and the kept allocation still serves
-	// the epoch, the controller keeps the previous placements. Zero means
-	// unlimited.
-	MaxMigrationsPerEpoch int64
 	// HeadroomFrac is the fraction of every VM's capacity the fresh
 	// solves leave free: packing runs against capacity × (1−headroom)
 	// while kept allocations are validated against the full capacity, so
@@ -64,16 +58,14 @@ type Policy struct {
 	// re-solve to Provisioner.PreviewIncremental: the persistent index
 	// absorbs the epoch delta in churn-proportional time, falling back to
 	// a full solve only when the measured regret versus the maintained
-	// lower bound drifts past IncrementalMaxRegret (≤ 0 means the
-	// incremental default of 2%).
-	Incremental          bool
-	IncrementalMaxRegret float64
+	// lower bound drifts 2 points past its value at the last full solve.
+	Incremental bool
 }
 
 // DefaultPolicy returns the hysteresis controller setting used by the
 // diurnal experiments: scale up above 92% (true-capacity) utilization,
 // release surplus only after two calm epochs and only when it saves ≥2% of
-// the hourly rental, unlimited migrations, 15% packing headroom.
+// the hourly rental, 15% packing headroom.
 func DefaultPolicy() Policy {
 	return Policy{
 		ScaleUpUtilization:      0.92,
@@ -154,7 +146,7 @@ type EpochReport struct {
 	CandidateStats dynamic.MigrationStats
 	// Plan is the deployment plan this epoch's decision was enacted
 	// through: every autoscale event is the same serializable,
-	// fingerprint-pinned artifact the Spec → Plan → Apply lifecycle
+	// fingerprint-pinned artifact the Plan → Apply lifecycle
 	// produces, so a controller run can be audited or replayed step by
 	// step (persist one with traceio.SavePlan).
 	Plan *deploy.Plan
@@ -173,7 +165,7 @@ type EpochReport struct {
 	RepairedPairs               int64
 	RepairNewVMs                int
 	// LostPairMinutes models the delivery gap: each pair on a reclaimed
-	// VM loses the controller's repair lag (delivery minutes, summed over
+	// VM loses a 5-minute repair lag (delivery minutes, summed over
 	// pairs) before its replacement serves it.
 	LostPairMinutes int64
 }
@@ -227,9 +219,6 @@ type Controller struct {
 	// chaos, when set, injects reclamations after each epoch's adoption.
 	schedule FleetSchedule
 	chaos    ChaosInjector
-	// repairLagMinutes is the modeled delivery gap per reclaimed pair
-	// (see EpochReport.LostPairMinutes); SetChaos defaults it to 5.
-	repairLagMinutes int64
 
 	// applyHook supplies extra deploy.Apply options per epoch — the seam
 	// allocatord uses to journal every epoch's plan application and run
@@ -245,16 +234,13 @@ func (c *Controller) SetApplyHook(h func(epoch int) []deploy.ApplyOption) { c.ap
 // Call before Start/Run.
 func (c *Controller) SetFleetSchedule(s FleetSchedule) { c.schedule = s }
 
-// SetChaos attaches a reclamation injector; lagMinutes is the modeled
-// per-pair delivery gap of a reclamation (≤ 0 defaults to 5). Call before
-// Start/Run.
-func (c *Controller) SetChaos(ch ChaosInjector, lagMinutes int64) {
-	c.chaos = ch
-	if lagMinutes <= 0 {
-		lagMinutes = 5
-	}
-	c.repairLagMinutes = lagMinutes
-}
+// repairLagMinutes is the modeled detect-and-repair lag of a reclamation:
+// each pair on a reclaimed VM loses this many delivery minutes (see
+// EpochReport.LostPairMinutes).
+const repairLagMinutes = 5
+
+// SetChaos attaches a reclamation injector. Call before Start/Run.
+func (c *Controller) SetChaos(ch ChaosInjector) { c.chaos = ch }
 
 // NewController builds a controller. The config's Fleet (or single-type
 // model) is what every epoch's re-solve packs against.
@@ -343,7 +329,7 @@ func (c *Controller) Start(ctx context.Context, tl *timeline.Timeline) (*Walk, e
 	report.Ledger = ledger
 
 	solveCfg := c.packingConfig(c.cfg.Fleet)
-	prov, err := c.provisioner(deploy.EmptyState(), solveCfg)
+	prov, err := deploy.EmptyState().Provisioner(solveCfg)
 	if err != nil {
 		return nil, fmt.Errorf("elastic: %w", err)
 	}
@@ -380,7 +366,7 @@ func (c *Controller) StartAt(ctx context.Context, tl *timeline.Timeline, st *dep
 	if next > tl.NumEpochs() {
 		return nil, fmt.Errorf("elastic: resume epoch %d past timeline's %d epochs", next, tl.NumEpochs())
 	}
-	prov, err := c.provisioner(st, wk.solveCfg)
+	prov, err := st.Provisioner(wk.solveCfg)
 	if err != nil {
 		return nil, fmt.Errorf("elastic: resume: %w", err)
 	}
@@ -418,7 +404,7 @@ func (c *Controller) StartAt(ctx context.Context, tl *timeline.Timeline, st *dep
 func (c *Controller) ResumeRecovery(ctx context.Context, tl *timeline.Timeline, rec *deploy.Recovery) (*Walk, error) {
 	st, next := rec.State, int(rec.Epoch)+1
 	if rec.InFlight != nil {
-		prov, err := c.provisioner(st, c.packingConfig(c.cfg.Fleet))
+		prov, err := st.Provisioner(c.packingConfig(c.cfg.Fleet))
 		if err != nil {
 			return nil, fmt.Errorf("elastic: resume: %w", err)
 		}
@@ -451,19 +437,6 @@ func (c *Controller) packingConfig(f pricing.Fleet) core.Config {
 	return cfg
 }
 
-// provisioner restores st under the packing config with the policy's
-// incremental settings.
-func (c *Controller) provisioner(st *deploy.State, solveCfg core.Config) (*dynamic.Provisioner, error) {
-	prov, err := st.Provisioner(solveCfg)
-	if err != nil {
-		return nil, err
-	}
-	if c.policy.Incremental {
-		prov.SetIncrementalPolicy(dynamic.IncrementalPolicy{MaxRegretFrac: c.policy.IncrementalMaxRegret})
-	}
-	return prov, nil
-}
-
 // refreshFleet pulls epoch e's fleets from the schedule (when one is
 // attached) and, on a decision-fleet change, repoints the walk: the solve
 // config packs against the repriced (headroom-derated) fleet, the
@@ -483,7 +456,7 @@ func (wk *Walk) refreshFleet(e int) (bool, error) {
 		return false, fmt.Errorf("elastic: epoch %d: fleet schedule: %w", e, err)
 	}
 	wk.billing = billing
-	if fleetsEqual(wk.fleet, decision) {
+	if wk.fleet.Equal(decision) {
 		return false, nil
 	}
 	wk.fleet = decision
@@ -521,19 +494,6 @@ func repriceAllocation(alloc *core.Allocation, fleet pricing.Fleet) *core.Alloca
 		return alloc
 	}
 	return out
-}
-
-// fleetsEqual reports identical types, rates, and capacities in order.
-func fleetsEqual(a, b pricing.Fleet) bool {
-	if a.Len() != b.Len() {
-		return false
-	}
-	for i := 0; i < a.Len(); i++ {
-		if a.Type(i) != b.Type(i) || a.Capacity(i) != b.Capacity(i) {
-			return false
-		}
-	}
-	return true
 }
 
 // Done reports whether every epoch has been stepped.
@@ -652,12 +612,9 @@ func (wk *Walk) Step(ctx context.Context) (EpochReport, error) {
 		}
 		forced := !keptOK || utilization(kept, fleet) > c.policy.ScaleUpUtilization
 
-		switch {
-		case forced:
+		if forced {
 			ep.Adopted, ep.Forced = true, true
-		case c.policy.MaxMigrationsPerEpoch > 0 && stats.PairsMoved > c.policy.MaxMigrationsPerEpoch:
-			// Over the churn budget: keep the verified placements.
-		default:
+		} else {
 			// Adopt only when the fresh solve clears the savings bar
 			// for this epoch (hourly rental + transfer): marginal
 			// wins are not worth re-homing pairs and thrashing the
@@ -761,7 +718,7 @@ func (wk *Walk) Step(ctx context.Context) (EpochReport, error) {
 					}
 					union = append(union, id)
 					reclaimMix[vm.Instance.Name]++
-					ep.LostPairMinutes += int64(vm.NumPairs()) * c.repairLagMinutes
+					ep.LostPairMinutes += int64(vm.NumPairs()) * repairLagMinutes
 				}
 			}
 			ep.ReclaimedVMs = len(union)

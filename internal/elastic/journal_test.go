@@ -29,7 +29,7 @@ func journaledSpotWalk(t *testing.T) (*timeline.Timeline, *Controller, *deploy.J
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched, err := spot.NewSchedule(market, base, spot.ScheduleConfig{})
+	sched, err := spot.NewSchedule(market, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func journaledSpotWalk(t *testing.T) (*timeline.Timeline, *Controller, *deploy.J
 	t.Cleanup(func() { j.Close() })
 	ctl := NewController(cfg, DefaultPolicy())
 	ctl.SetFleetSchedule(sched)
-	ctl.SetChaos(chaos, 5)
+	ctl.SetChaos(chaos)
 	ctl.SetApplyHook(func(epoch int) []deploy.ApplyOption {
 		return []deploy.ApplyOption{deploy.WithJournal(j), deploy.WithApplyEpoch(epoch)}
 	})

@@ -76,7 +76,7 @@ func SolveContext(ctx context.Context, w *workload.Workload, cfg core.Config) (S
 		return Solution{}, fmt.Errorf("%w: %d pairs", ErrTooLarge, w.NumPairs())
 	}
 	if cfg.MessageBytes == 0 {
-		cfg.MessageBytes = 200
+		cfg.MessageBytes = core.DefaultMessageBytes
 	}
 	if cfg.Tau <= 0 {
 		return Solution{}, errors.New("exact: Tau must be positive")

@@ -43,31 +43,6 @@ func TestExactAllocationVerifies(t *testing.T) {
 	}
 }
 
-// Selecting the "exact" strategy through the core dispatch must produce
-// the optimal result as an ordinary *core.Result.
-func TestExactRegisteredStrategy(t *testing.T) {
-	s, ok := core.StrategyByName("exact")
-	if !ok {
-		t.Fatal(`StrategyByName("exact") not registered`)
-	}
-	w := mustWorkload(t, []int64{5, 7}, [][]workload.TopicID{{0, 1}, {0}})
-	cfg := core.Config{Tau: 5, MessageBytes: 1, Model: testModel(40), Solver: s.Solve}
-	res, err := core.SolveContext(context.Background(), w, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sol, err := Solve(w, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := int64(res.Allocation.Cost(cfg.Model)), int64(sol.Cost); got < want || got > want+int64(sol.VMs) {
-		t.Errorf("strategy result costs %d µ$, exact optimum is %d µ$", got, want)
-	}
-	if err := core.VerifyAllocation(w, res.Selection, res.Allocation, cfg); err != nil {
-		t.Errorf("strategy result fails verification: %v", err)
-	}
-}
-
 // A cancelled context aborts the DP promptly with the context's error.
 func TestExactCancellation(t *testing.T) {
 	w, err := tracegen.Random(tracegen.RandomConfig{

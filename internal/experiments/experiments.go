@@ -49,7 +49,7 @@ func (d Dataset) String() string {
 
 // MessageBytes is the notification size both traces use (the paper sets
 // 200 B for Twitter and normalizes Spotify to the same value).
-const MessageBytes = 200
+const MessageBytes = core.DefaultMessageBytes
 
 // Taus are the satisfaction thresholds the paper sweeps.
 var Taus = []int64{10, 100, 1000}

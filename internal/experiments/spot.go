@@ -21,9 +21,6 @@ import (
 const (
 	SpotMarketSeed = 401
 	SpotChaosSeed  = 409
-	// SpotChaosLagMinutes is the modeled detect-and-repair lag billed as
-	// lost pair-minutes when a reclamation takes pairs down.
-	SpotChaosLagMinutes = 5
 )
 
 // SpotMarketConfig is the market the chaos experiment runs under: the
@@ -96,7 +93,7 @@ func RunSpot(ctx context.Context, d Dataset, scale float64) (*SpotResult, error)
 	if err != nil {
 		return nil, err
 	}
-	sched, err := spot.NewSchedule(market, fleet, spot.ScheduleConfig{})
+	sched, err := spot.NewSchedule(market, fleet)
 	if err != nil {
 		return nil, err
 	}
@@ -112,7 +109,7 @@ func RunSpot(ctx context.Context, d Dataset, scale float64) (*SpotResult, error)
 
 	ctl := elastic.NewController(cfg, elastic.DefaultPolicy())
 	ctl.SetFleetSchedule(sched)
-	ctl.SetChaos(chaos, SpotChaosLagMinutes)
+	ctl.SetChaos(chaos)
 	spotRep, err := ctl.Run(ctx, tl)
 	if err != nil {
 		return nil, fmt.Errorf("spot portfolio: %w", err)

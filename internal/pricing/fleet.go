@@ -121,6 +121,13 @@ func (f Fleet) Len() int { return len(f.types) }
 // IsZero reports whether the fleet is the empty zero value.
 func (f Fleet) IsZero() bool { return len(f.types) == 0 }
 
+// Equal reports whether two fleets list identical types (names, rates,
+// regions) with identical capacities, in the same order — how the elastic
+// controller tells a repriced decision fleet from the one it holds.
+func (f Fleet) Equal(g Fleet) bool {
+	return slices.Equal(f.types, g.types) && slices.Equal(f.caps, g.caps)
+}
+
 // Type returns the i-th instance type (capacity ascending).
 func (f Fleet) Type(i int) InstanceType { return f.types[i] }
 

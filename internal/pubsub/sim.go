@@ -33,7 +33,8 @@ const nanosPerHour = int64(3_600_000_000_000)
 type SimConfig struct {
 	// DurationHours is the virtual time horizon (must be > 0).
 	DurationHours float64
-	// MessageBytes is the size of one notification (default 200).
+	// MessageBytes is the size of one notification (zero means
+	// core.DefaultMessageBytes).
 	MessageBytes int64
 	// LinkBytesPerHour is each VM's egress link speed used for latency
 	// modeling. Zero disables the latency model (infinite link).
@@ -139,7 +140,7 @@ func Simulate(w *workload.Workload, alloc *core.Allocation, cfg SimConfig) (*Sim
 		return nil, fmt.Errorf("pubsub: DurationHours must be positive, got %v", cfg.DurationHours)
 	}
 	if cfg.MessageBytes == 0 {
-		cfg.MessageBytes = 200
+		cfg.MessageBytes = core.DefaultMessageBytes
 	}
 	if cfg.MaxEvents == 0 {
 		cfg.MaxEvents = 2_000_000

@@ -6,40 +6,28 @@ import (
 	"github.com/pubsub-systems/mcss/internal/pricing"
 )
 
-// ScheduleConfig tunes how the market is turned into per-epoch fleets.
-type ScheduleConfig struct {
-	// RiskPenaltyHours is the expected extra billed hours one reclamation
+// The schedule's two constants.
+const (
+	// riskPenaltyHours is the expected extra billed hours one reclamation
 	// costs (replacement started hour plus migration), priced into the
-	// decision fleet's spot rates. Zero or negative uses the default of 2.
-	RiskPenaltyHours float64
-	// RepriceThresholdFrac quantizes decision-fleet changes: a new epoch's
+	// decision fleet's spot rates.
+	riskPenaltyHours = 2
+	// repriceThresholdFrac quantizes decision-fleet changes: a new epoch's
 	// risk-adjusted rates replace the previous decision fleet only when
 	// some type's rate moved by at least this fraction, so small price
 	// jitter does not force a full re-solve (and a fresh incremental
-	// index) every epoch. Zero or negative uses the default of 0.05;
-	// billing is never quantized.
-	RepriceThresholdFrac float64
-}
-
-func (c ScheduleConfig) withDefaults() ScheduleConfig {
-	if c.RiskPenaltyHours <= 0 {
-		c.RiskPenaltyHours = 2
-	}
-	if c.RepriceThresholdFrac <= 0 {
-		c.RepriceThresholdFrac = 0.05
-	}
-	return c
-}
+	// index) every epoch. Billing is never quantized.
+	repriceThresholdFrac = 0.05
+)
 
 // Schedule adapts a Market to the elastic controller's FleetSchedule hook:
 // per epoch it yields the decision fleet (base types plus risk-adjusted
-// spot variants, quantized by RepriceThresholdFrac) and the billing fleet
+// spot variants, quantized by repriceThresholdFrac) and the billing fleet
 // (the same variants at the raw epoch spot price). Not safe for concurrent
 // use; a Walk steps epochs from one goroutine.
 type Schedule struct {
 	m    *Market
 	base pricing.Fleet
-	cfg  ScheduleConfig
 
 	haveLast bool
 	last     pricing.Fleet // previous decision fleet (quantization anchor)
@@ -47,25 +35,23 @@ type Schedule struct {
 
 // NewSchedule validates the market and binds it to a base on-demand fleet
 // whose recorded capacities the spot variants inherit.
-func NewSchedule(m *Market, base pricing.Fleet, cfg ScheduleConfig) (*Schedule, error) {
+func NewSchedule(m *Market, base pricing.Fleet) (*Schedule, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
 	if base.IsZero() {
 		return nil, fmt.Errorf("%w: empty base fleet", ErrInvalidMarket)
 	}
-	return &Schedule{m: m, base: base, cfg: cfg.withDefaults()}, nil
+	return &Schedule{m: m, base: base}, nil
 }
 
 // FleetAt returns the decision and billing fleets for an epoch. The
 // decision fleet is sticky: it only changes when some type's risk-adjusted
-// rate drifts past RepriceThresholdFrac from the fleet last returned, so
-// callers can detect "price epoch" boundaries by comparing identity of
-// successive decision fleets (pricing.Fleet is a value; compare with
-// FleetsEquivalent).
+// rate drifts past repriceThresholdFrac from the fleet last returned, so
+// callers can detect "price epoch" boundaries by comparing successive
+// decision fleets (pricing.Fleet is a value; compare with Fleet.Equal).
 func (s *Schedule) FleetAt(epoch int) (decision, billing pricing.Fleet, err error) {
-	cfg := s.cfg
-	fresh, err := s.m.FleetAt(s.base, epoch, cfg.RiskPenaltyHours)
+	fresh, err := s.m.FleetAt(s.base, epoch, riskPenaltyHours)
 	if err != nil {
 		return pricing.Fleet{}, pricing.Fleet{}, err
 	}
@@ -73,7 +59,7 @@ func (s *Schedule) FleetAt(epoch int) (decision, billing pricing.Fleet, err erro
 	if err != nil {
 		return pricing.Fleet{}, pricing.Fleet{}, err
 	}
-	if s.haveLast && maxRateDrift(s.last, fresh) < cfg.RepriceThresholdFrac {
+	if s.haveLast && maxRateDrift(s.last, fresh) < repriceThresholdFrac {
 		return s.last, billing, nil
 	}
 	s.last, s.haveLast = fresh, true
@@ -107,19 +93,4 @@ func maxRateDrift(old, next pricing.Fleet) float64 {
 		}
 	}
 	return max
-}
-
-// FleetsEquivalent reports whether two fleets have identical types, rates,
-// and capacities — the change test the elastic controller uses to decide
-// whether a schedule's decision fleet moved between epochs.
-func FleetsEquivalent(a, b pricing.Fleet) bool {
-	if a.Len() != b.Len() {
-		return false
-	}
-	for i := 0; i < a.Len(); i++ {
-		if a.Type(i) != b.Type(i) || a.Capacity(i) != b.Capacity(i) {
-			return false
-		}
-	}
-	return true
 }

@@ -162,7 +162,7 @@ func TestScheduleQuantization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := spot.NewSchedule(m, base, spot.ScheduleConfig{RepriceThresholdFrac: 0.05})
+	s, err := spot.NewSchedule(m, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestScheduleQuantization(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 2% drift stays under the 5% threshold: the decision fleet is sticky.
-	if !spot.FleetsEquivalent(d0, d1) {
+	if !d0.Equal(d1) {
 		t.Fatal("2%% drift repriced the decision fleet")
 	}
 	// Billing is never quantized.
@@ -186,7 +186,7 @@ func TestScheduleQuantization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if spot.FleetsEquivalent(d1, d2) {
+	if d1.Equal(d2) {
 		t.Fatal("50%% drift did not reprice the decision fleet")
 	}
 	if i := b2.IndexByName("c3.large:spot"); b2.Type(i).HourlyRate != 50_000 {

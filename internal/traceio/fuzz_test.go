@@ -134,7 +134,7 @@ func FuzzReadPlan(f *testing.F) {
 	model := pricing.NewModel(pricing.C3Large)
 	model.CapacityOverrideBytesPerHour = 50_000
 	cfg := core.DefaultConfig(20, model)
-	seedPlan, err := deploy.NewPlanner(cfg).Plan(context.Background(), deploy.SpecFromWorkload(w), nil)
+	seedPlan, err := solvePlan(context.Background(), cfg, w, nil)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -268,7 +268,7 @@ func FuzzReadJournal(f *testing.F) {
 	model := pricing.NewModel(pricing.C3Large)
 	model.CapacityOverrideBytesPerHour = 50_000
 	cfg := core.DefaultConfig(20, model)
-	plan, err := deploy.NewPlanner(cfg).Plan(context.Background(), deploy.SpecFromWorkload(w), nil)
+	plan, err := solvePlan(context.Background(), cfg, w, nil)
 	if err != nil {
 		f.Fatal(err)
 	}

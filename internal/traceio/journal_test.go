@@ -63,7 +63,7 @@ func TestRecoverIndentedJournal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := deploy.NewPlanner(cfg).Plan(context.Background(), deploy.SpecFromWorkload(next), base)
+	plan, err := solvePlan(context.Background(), cfg, next, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func goldenFollowup(t testing.TB) (core.Config, *deploy.State, *deploy.Plan) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := deploy.NewPlanner(cfg).Plan(context.Background(), deploy.SpecFromWorkload(next), boot.Target)
+	plan, err := solvePlan(context.Background(), cfg, next, boot.Target)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +331,7 @@ func regionFollowup(t testing.TB) (core.Config, *deploy.State, *workload.Workloa
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	boot, err := deploy.NewPlanner(cfg).Plan(ctx, deploy.SpecFromWorkload(base), nil)
+	boot, err := solvePlan(ctx, cfg, base, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +347,7 @@ func regionFollowup(t testing.TB) (core.Config, *deploy.State, *workload.Workloa
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := deploy.NewPlanner(cfg).Plan(ctx, deploy.SpecFromWorkload(next), boot.Target)
+	plan, err := solvePlan(ctx, cfg, next, boot.Target)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,7 @@ import (
 )
 
 // Plan format (version 2): a deployment plan as one JSON document — the
-// durable, reviewable artifact of the Spec → Plan → Diff → Apply
+// durable, reviewable artifact of the Plan → Diff → Apply
 // lifecycle. The document is deliberately map-free (rate changes and
 // interest diffs are sorted arrays) so serialization is deterministic and
 // plan files diff cleanly under review; money fields are decimal USD

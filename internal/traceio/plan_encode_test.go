@@ -334,7 +334,7 @@ func coldSolvePlan(tb testing.TB) *deploy.Plan {
 	}
 	cfg := core.DefaultConfig(100, experiments.ModelFor(pricing.C3Large, w))
 	cfg.Fleet = experiments.FleetFor(w)
-	plan, err := deploy.NewPlanner(cfg).Plan(context.Background(), deploy.SpecFromWorkload(w), nil)
+	plan, err := solvePlan(context.Background(), cfg, w, nil)
 	if err != nil {
 		tb.Fatal(err)
 	}

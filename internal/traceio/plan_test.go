@@ -48,6 +48,16 @@ func workloadForGolden(t testing.TB) *workload.Workload {
 	return w
 }
 
+// solvePlan solves w under cfg and plans the move from current (nil = the
+// empty cluster) to the solved allocation, as the mcss Planner's Plan does.
+func solvePlan(ctx context.Context, cfg core.Config, w *workload.Workload, current *deploy.State) (*deploy.Plan, error) {
+	res, err := core.SolveContext(ctx, w, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return deploy.NewPlan(cfg, current, deploy.NewState(w, res.Allocation))
+}
+
 func goldenPlan(t testing.TB) *deploy.Plan {
 	t.Helper()
 	w := workloadForGolden(t)
@@ -59,7 +69,7 @@ func goldenPlan(t testing.TB) *deploy.Plan {
 		t.Fatal(err)
 	}
 	cfg.Fleet = fleet.WithBytesPerMbps(model.CapacityBytesPerHour() / pricing.C3Large.LinkMbps)
-	plan, err := deploy.NewPlanner(cfg).Plan(context.Background(), deploy.SpecFromWorkload(w), nil)
+	plan, err := solvePlan(context.Background(), cfg, w, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +343,7 @@ func TestPlanRoundTripRegions(t *testing.T) {
 	if cfg.Fleet, err = topo.RegionalFleet(model.SingleFleet(), net); err != nil {
 		t.Fatal(err)
 	}
-	plan, err := deploy.NewPlanner(cfg).Plan(context.Background(), deploy.SpecFromWorkload(w), nil)
+	plan, err := solvePlan(context.Background(), cfg, w, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

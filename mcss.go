@@ -24,8 +24,9 @@
 // Every long-running Planner call takes a context.Context — cancellation
 // and deadlines are honored at bounded intervals inside the solver hot
 // loops — and an Observer (WithObserver) streams per-stage and per-epoch
-// progress. Stage algorithms are pluggable named strategies (WithStage1,
-// WithStage2, WithStrategy; RegisterStrategy adds your own).
+// progress. Each stage is picked by name from a fixed table (WithStage1:
+// gsp or rsp; WithStage2: cbp, ffbp or bfd; WithStrategy: exact); code
+// that brings its own stage sets SolverConfig's function fields.
 //
 // Beyond the paper, the solver packs onto heterogeneous fleets: pass
 // WithFleet (e.g. CatalogFleet) and Stage 2 picks which instance size to
@@ -38,15 +39,15 @@
 // (diurnal rate modulation, subscriber churn, flash crowds, via
 // GenerateDiurnal), and an ElasticController walks it — re-solving each
 // epoch, applying a hysteresis policy (utilization-guarded scale-up,
-// cooldown-gated scale-down, a migration budget), and billing every VM
-// per started instance-hour in a BillingLedger, like EC2 actually
-// charges.
+// cooldown-gated scale-down, a savings bar before migrating), and billing
+// every VM per started instance-hour in a BillingLedger, like EC2
+// actually charges.
 //
 // Every change to a running deployment flows through one declarative
-// lifecycle: Spec → Plan → Diff → Apply. Planner.Plan computes a
-// serializable DeployPlan (the workload diff, an executable step sequence,
-// a forecast cost delta, and a fingerprint of the state it was computed
-// against); SavePlan/LoadPlan persist it as reviewable JSON; Apply enacts
+// lifecycle: Plan → Diff → Apply. Planner.Plan solves a workload and
+// computes a serializable DeployPlan (the workload diff, an executable
+// step sequence, a forecast cost delta, and a fingerprint of the state it
+// was computed against); SavePlan/LoadPlan persist it as reviewable JSON; Apply enacts
 // it on a Provisioner, refusing stale plans with ErrStalePlan, supporting
 // dry runs and per-step progress, and rolling back on failure. The elastic
 // controller emits one such plan per epoch, so autoscaling decisions are
@@ -269,9 +270,6 @@ type (
 	MigrationStats = dynamic.MigrationStats
 	// RepairStats quantifies a crash repair.
 	RepairStats = dynamic.RepairStats
-	// IncrementalPolicy tunes Provisioner.UpdateIncremental: the regret
-	// drift allowed before a full re-solve.
-	IncrementalPolicy = dynamic.IncrementalPolicy
 )
 
 // DeltaBetween computes the Delta transforming one workload snapshot into
@@ -281,11 +279,6 @@ func DeltaBetween(old, next *Workload) (Delta, error) { return dynamic.DeltaBetw
 
 // ApplyDelta materializes a workload with the (validated) delta applied.
 func ApplyDelta(w *Workload, d Delta) (*Workload, error) { return dynamic.ApplyDelta(w, d) }
-
-// DefaultIncrementalPolicy returns the incremental-update defaults: 2%
-// regret drift versus the maintained lower bound before UpdateIncremental
-// falls back to a full re-solve.
-func DefaultIncrementalPolicy() IncrementalPolicy { return dynamic.DefaultIncrementalPolicy() }
 
 // MigrationStatsBetween diffs primary pair hosts between two allocations
 // and fills the VM-count and cost fields under the model — the one helper
@@ -383,10 +376,6 @@ type (
 	// SpotMarketConfig parameterizes the synthetic market generator
 	// (discount, volatility, spikes, reclamation risk, storms).
 	SpotMarketConfig = spot.MarketConfig
-	// SpotScheduleConfig tunes how market prices become controller fleets:
-	// the risk premium charged per expected interruption and the drift
-	// threshold below which the decision fleet stays sticky.
-	SpotScheduleConfig = spot.ScheduleConfig
 )
 
 // ErrInvalidSpotMarket reports a structurally unusable spot market (no

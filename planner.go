@@ -4,6 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
+	"strings"
 
 	"github.com/pubsub-systems/mcss/internal/core"
 	"github.com/pubsub-systems/mcss/internal/deploy"
@@ -26,24 +29,6 @@ var ErrBadOption = errors.New("mcss: bad planner option")
 // (callbacks fire from the calling goroutine).
 type Observer = core.Observer
 
-// Strategy is a named, pluggable solver implementation: a Stage-1 pair
-// selector, a Stage-2 packer, a complete solver, or any combination. The
-// built-ins are registered as "gsp"/"greedy", "rsp"/"random" (Stage 1),
-// "cbp"/"custom", "ffbp"/"first-fit", "bfd" (Stage 2), and "exact" (full
-// solve); register your own with RegisterStrategy and select it with
-// WithStage1/WithStage2/WithStrategy.
-type Strategy = core.Strategy
-
-// RegisterStrategy adds a named strategy to the registry (case-insensitive
-// names; duplicates are an error).
-func RegisterStrategy(name string, s Strategy) error { return core.RegisterStrategy(name, s) }
-
-// StrategyByName looks up a registered strategy.
-func StrategyByName(name string) (Strategy, bool) { return core.StrategyByName(name) }
-
-// StrategyNames lists the registered strategy names, sorted.
-func StrategyNames() []string { return core.StrategyNames() }
-
 // ContextWithObserver returns a context carrying obs: every solver layer
 // (solves, lower bounds, the exact DP, elastic runs) falls back to the
 // context's observer when no WithObserver/Config.Observer was set. Use it
@@ -64,13 +49,10 @@ type ExactSolution = exact.Solution
 type Option func(*plannerBuilder)
 
 type plannerBuilder struct {
-	cfg        SolverConfig
-	tauSet     bool
-	modelSet   bool
-	stage1Name string
-	stage2Name string
-	solveName  string
-	errs       []error
+	cfg      SolverConfig
+	tauSet   bool
+	modelSet bool
+	errs     []error
 }
 
 func (b *plannerBuilder) addErr(format string, args ...any) {
@@ -115,22 +97,53 @@ func WithFleet(f Fleet) Option {
 	}
 }
 
-// WithStage1 selects the Stage-1 pair-selection strategy by registered
-// name (e.g. "gsp", "rsp"); the default is "gsp".
+// The strategy names WithStage1, WithStage2 and WithStrategy accept, one
+// fixed table per stage, matched case-insensitively. Code that wants a
+// stage of its own sets SolverConfig's Stage1, Stage2 or Solver directly.
+var (
+	stage1Names = map[string]func(context.Context, *Workload, SolverConfig) (*Selection, error){
+		"gsp": core.GreedySelectPairsContext,
+		"rsp": core.RandomSelectPairsContext,
+	}
+	stage2Names = map[string]func(context.Context, *Selection, SolverConfig) (*Allocation, error){
+		"cbp":  core.CustomBinPackingContext,
+		"ffbp": core.FFBinPackingContext,
+		"bfd":  core.BFDBinPackingContext,
+	}
+	solverNames = map[string]func(context.Context, *Workload, SolverConfig) (*Result, error){
+		"exact": exact.SolveResult,
+	}
+)
+
+// lookupName resolves name in one stage's table: an empty name selects
+// the stage's default (a nil function), and an unknown name is an option
+// error listing the names the stage knows.
+func lookupName[F any](b *plannerBuilder, option, name string, table map[string]F) F {
+	key := strings.ToLower(strings.TrimSpace(name))
+	f, ok := table[key]
+	if !ok && key != "" {
+		b.addErr("%s: unknown strategy %q (want one of %s)", option, name, strings.Join(slices.Sorted(maps.Keys(table)), ", "))
+	}
+	return f
+}
+
+// WithStage1 selects the Stage-1 pair selection by name: "gsp" (the
+// default, the paper's greedy) or "rsp" (its random baseline).
 func WithStage1(name string) Option {
-	return func(b *plannerBuilder) { b.stage1Name = name }
+	return func(b *plannerBuilder) { b.cfg.Stage1 = lookupName(b, "WithStage1", name, stage1Names) }
 }
 
-// WithStage2 selects the Stage-2 packing strategy by registered name
-// (e.g. "cbp", "ffbp", "bfd"); the default is "cbp".
+// WithStage2 selects the Stage-2 packing by name: "cbp" (the default, the
+// paper's CustomBinPacking under WithOptFlags), "ffbp" (first fit) or
+// "bfd" (best fit decreasing).
 func WithStage2(name string) Option {
-	return func(b *plannerBuilder) { b.stage2Name = name }
+	return func(b *plannerBuilder) { b.cfg.Stage2 = lookupName(b, "WithStage2", name, stage2Names) }
 }
 
-// WithStrategy selects a full-solve strategy by registered name (e.g.
-// "exact"), replacing both stages.
+// WithStrategy selects a full solver by name, replacing both stages:
+// "exact", the optimal DP for instances of at most ExactMaxPairs pairs.
 func WithStrategy(name string) Option {
-	return func(b *plannerBuilder) { b.solveName = name }
+	return func(b *plannerBuilder) { b.cfg.Solver = lookupName(b, "WithStrategy", name, solverNames) }
 }
 
 // WithOptFlags toggles CustomBinPacking's optimizations; the default is
@@ -165,8 +178,8 @@ func WithTopology(t Topology) Option {
 // WithLatencySLO caps each subscription's modeled delivery RTT
 // (publisher→broker plus broker→subscriber) at millis; Stage 2 only
 // places pairs in SLO-feasible regions and fails with ErrInfeasible when
-// none has capacity. Zero (the default) disables the ceiling; only
-// meaningful together with a multi-region WithTopology.
+// none has capacity. Zero (the default) disables the ceiling. A positive
+// ceiling needs WithTopology, and binds only when it has several regions.
 func WithLatencySLO(millis int64) Option {
 	return func(b *plannerBuilder) {
 		if millis < 0 {
@@ -199,12 +212,6 @@ func WithParallelism(workers int) Option {
 	return func(b *plannerBuilder) { b.cfg.Parallelism = workers }
 }
 
-// WithLenientFirstFit reproduces the paper's literal Alg. 3 capacity test,
-// which may overshoot a VM's capacity by one topic rate.
-func WithLenientFirstFit(lenient bool) Option {
-	return func(b *plannerBuilder) { b.cfg.LenientFirstFit = lenient }
-}
-
 // Planner is the context-aware entry point to the solver stack: build one
 // from functional options, then call Solve, LowerBound, SolveExact,
 // Provision, or RunTimeline with a context — every long-running path polls
@@ -225,13 +232,13 @@ type Planner struct {
 
 // NewPlanner validates the options and builds a Planner. All validation
 // failures are reported up front (joined, each wrapping ErrBadOption):
-// non-positive τ, a zero pricing model, an empty fleet, an unknown or
-// role-mismatched strategy name, or a non-positive message size — rather
-// than surfacing later from inside a solve.
+// non-positive τ, a zero pricing model, an empty fleet, a strategy name
+// its stage does not know, a non-positive message size, or a latency SLO
+// without a topology — rather than surfacing later from inside a solve.
 func NewPlanner(opts ...Option) (*Planner, error) {
 	b := &plannerBuilder{}
 	b.cfg.Opts = OptAll
-	b.cfg.MessageBytes = 200
+	b.cfg.MessageBytes = core.DefaultMessageBytes
 	for _, opt := range opts {
 		opt(b)
 	}
@@ -241,38 +248,8 @@ func NewPlanner(opts ...Option) (*Planner, error) {
 	if !b.modelSet {
 		b.addErr("WithModel is required: the solver needs a pricing model")
 	}
-	if b.stage1Name != "" {
-		s, ok := StrategyByName(b.stage1Name)
-		switch {
-		case !ok:
-			b.addErr("WithStage1: unknown strategy %q (registered: %v)", b.stage1Name, StrategyNames())
-		case s.SelectPairs == nil:
-			b.addErr("WithStage1: strategy %q has no Stage-1 role", b.stage1Name)
-		default:
-			b.cfg.Stage1 = s.SelectPairs
-		}
-	}
-	if b.stage2Name != "" {
-		s, ok := StrategyByName(b.stage2Name)
-		switch {
-		case !ok:
-			b.addErr("WithStage2: unknown strategy %q (registered: %v)", b.stage2Name, StrategyNames())
-		case s.Pack == nil:
-			b.addErr("WithStage2: strategy %q has no Stage-2 role", b.stage2Name)
-		default:
-			b.cfg.Stage2 = s.Pack
-		}
-	}
-	if b.solveName != "" {
-		s, ok := StrategyByName(b.solveName)
-		switch {
-		case !ok:
-			b.addErr("WithStrategy: unknown strategy %q (registered: %v)", b.solveName, StrategyNames())
-		case s.Solve == nil:
-			b.addErr("WithStrategy: strategy %q has no full-solve role", b.solveName)
-		default:
-			b.cfg.Solver = s.Solve
-		}
+	if b.cfg.LatencySLOMillis > 0 && b.cfg.Topology == nil {
+		b.addErr("WithLatencySLO: a %d ms ceiling needs WithTopology", b.cfg.LatencySLOMillis)
 	}
 	if b.modelSet && b.cfg.Fleet.IsZero() && b.cfg.Model.CapacityBytesPerHour() <= 0 {
 		b.addErr("WithModel: model has no positive VM capacity and no fleet was given")
@@ -318,22 +295,29 @@ func (p *Planner) Provision(ctx context.Context, w *Workload) (*Provisioner, err
 	return dynamic.NewContext(ctx, w, p.cfg)
 }
 
-// Plan computes the declarative reconfiguration from current (nil = the
-// empty cluster) to the solved spec: a serializable DeployPlan carrying
-// the workload diff, the executable step sequence, the forecast cost
-// delta, and the fingerprint of the state it was computed against. Enact
-// it with Apply before the cluster drifts; persist it for review with
-// SavePlan. Spec fields override the planner's τ, message size, fleet, and
-// full-solve strategy for this plan only.
-func (p *Planner) Plan(ctx context.Context, spec DeploySpec, current *ClusterState) (*DeployPlan, error) {
-	return deploy.NewPlanner(p.cfg).Plan(ctx, spec, current)
+// Plan solves w and computes the declarative reconfiguration from current
+// (nil = the empty cluster) to the solved allocation: a serializable
+// DeployPlan carrying the workload diff, the executable step sequence, the
+// forecast cost delta, and the fingerprint of the state it was computed
+// against. Enact it with Apply before the cluster drifts; persist it for
+// review with SavePlan. w must extend current's workload (IDs stable,
+// counts may only grow), the contract timelines and deltas obey.
+func (p *Planner) Plan(ctx context.Context, w *Workload, current *ClusterState) (*DeployPlan, error) {
+	if w == nil {
+		return nil, fmt.Errorf("%w: no workload to plan for", ErrInvalidPlan)
+	}
+	res, err := core.SolveContext(ctx, w, p.cfg)
+	if err != nil {
+		return nil, err
+	}
+	return deploy.NewPlan(p.cfg, current, deploy.NewState(w, res.Allocation))
 }
 
 // Diff is Plan without the commitment: it computes and returns only the
 // declarative difference (workload delta + placement churn, cost fields
-// included) between current and the solved spec — what `mcss diff` prints.
-func (p *Planner) Diff(ctx context.Context, spec DeploySpec, current *ClusterState) (DeployDiff, error) {
-	plan, err := p.Plan(ctx, spec, current)
+// included) between current and the solved w — what `mcss diff` prints.
+func (p *Planner) Diff(ctx context.Context, w *Workload, current *ClusterState) (DeployDiff, error) {
+	plan, err := p.Plan(ctx, w, current)
 	if err != nil {
 		return DeployDiff{}, err
 	}
@@ -349,29 +333,23 @@ func (p *Planner) RunTimeline(ctx context.Context, tl *Timeline, policy ElasticP
 }
 
 // SpotRunConfig parameterizes a chaos-mode timeline run against a spot
-// market. The zero value is usable: default schedule knobs, chaos seed 0,
-// and a 5-minute modeled repair lag.
+// market. The zero value is usable: chaos seed 0.
 type SpotRunConfig struct {
-	// Schedule tunes the risk premium and repricing hysteresis (zero =
-	// defaults: 2 h repair premium, 5% drift threshold).
-	Schedule SpotScheduleConfig
 	// ChaosSeed draws the per-VM reclamations against the market's
 	// per-epoch probabilities (storms fire regardless of the seed).
 	ChaosSeed int64
-	// LagMinutes is the modeled detect-and-repair lag charged as lost
-	// pair-minutes when a reclamation takes pairs down (0 = 5).
-	LagMinutes int64
 }
 
 // RunTimelineSpot walks a timeline like RunTimeline but against a spot
 // market: every epoch the controller reprices its fleet from the market
 // (a price delta alone can force a re-solve), bills reclaimed VMs
-// mid-hour, and repairs correlated reclamation groups in place. The
-// repriced fleet offers spot variants, so every full solve pins
-// single-subscriber topics to on-demand types while replicated topics may
-// ride the discount. The market must cover the timeline's epochs.
+// mid-hour, and repairs correlated reclamation groups in place, charging
+// each reclaimed pair a 5-minute repair lag. The repriced fleet offers
+// spot variants, so every full solve pins single-subscriber topics to
+// on-demand types while replicated topics may ride the discount. The
+// market must cover the timeline's epochs.
 func (p *Planner) RunTimelineSpot(ctx context.Context, tl *Timeline, policy ElasticPolicy, market *SpotMarket, rc SpotRunConfig) (*ElasticRunReport, error) {
-	sched, err := spot.NewSchedule(market, p.cfg.EffectiveFleet(), rc.Schedule)
+	sched, err := spot.NewSchedule(market, p.cfg.EffectiveFleet())
 	if err != nil {
 		return nil, err
 	}
@@ -381,6 +359,6 @@ func (p *Planner) RunTimelineSpot(ctx context.Context, tl *Timeline, policy Elas
 	}
 	ctl := elastic.NewController(p.cfg, policy)
 	ctl.SetFleetSchedule(sched)
-	ctl.SetChaos(chaos, rc.LagMinutes)
+	ctl.SetChaos(chaos)
 	return ctl.Run(ctx, tl)
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -35,13 +34,20 @@ func TestNewPlannerOptionErrors(t *testing.T) {
 		{"zero model", []mcss.Option{mcss.WithTau(10), mcss.WithModel(mcss.Model{})}, "WithModel"},
 		{"missing model", []mcss.Option{mcss.WithTau(10)}, "WithModel is required"},
 		{"empty fleet", []mcss.Option{mcss.WithTau(10), mcss.WithModel(demoModel()), mcss.WithFleet(mcss.Fleet{})}, "WithFleet"},
-		{"unknown stage1", []mcss.Option{mcss.WithTau(10), mcss.WithModel(demoModel()), mcss.WithStage1("nope")}, `unknown strategy "nope"`},
-		{"stage1 role mismatch", []mcss.Option{mcss.WithTau(10), mcss.WithModel(demoModel()), mcss.WithStage1("cbp")}, "no Stage-1 role"},
-		{"unknown stage2", []mcss.Option{mcss.WithTau(10), mcss.WithModel(demoModel()), mcss.WithStage2("nope")}, `unknown strategy "nope"`},
-		{"stage2 role mismatch", []mcss.Option{mcss.WithTau(10), mcss.WithModel(demoModel()), mcss.WithStage2("gsp")}, "no Stage-2 role"},
-		{"unknown full strategy", []mcss.Option{mcss.WithTau(10), mcss.WithModel(demoModel()), mcss.WithStrategy("nope")}, `unknown strategy "nope"`},
-		{"full-solve role mismatch", []mcss.Option{mcss.WithTau(10), mcss.WithModel(demoModel()), mcss.WithStrategy("gsp")}, "no full-solve role"},
+		// A name resolves only in its own stage's table: an alias, a name
+		// of another stage and an unknown name all fail, and the error
+		// lists the stage's names.
+		{"unknown stage1", []mcss.Option{mcss.WithTau(10), mcss.WithModel(demoModel()), mcss.WithStage1("nope")}, `WithStage1: unknown strategy "nope" (want one of gsp, rsp)`},
+		{"stage1 alias", []mcss.Option{mcss.WithTau(10), mcss.WithModel(demoModel()), mcss.WithStage1("greedy")}, `WithStage1: unknown strategy "greedy" (want one of gsp, rsp)`},
+		{"stage1 role mismatch", []mcss.Option{mcss.WithTau(10), mcss.WithModel(demoModel()), mcss.WithStage1("cbp")}, `WithStage1: unknown strategy "cbp" (want one of gsp, rsp)`},
+		{"unknown stage2", []mcss.Option{mcss.WithTau(10), mcss.WithModel(demoModel()), mcss.WithStage2("nope")}, `WithStage2: unknown strategy "nope" (want one of bfd, cbp, ffbp)`},
+		{"stage2 alias", []mcss.Option{mcss.WithTau(10), mcss.WithModel(demoModel()), mcss.WithStage2("first-fit")}, `WithStage2: unknown strategy "first-fit" (want one of bfd, cbp, ffbp)`},
+		{"stage2 role mismatch", []mcss.Option{mcss.WithTau(10), mcss.WithModel(demoModel()), mcss.WithStage2("gsp")}, `WithStage2: unknown strategy "gsp" (want one of bfd, cbp, ffbp)`},
+		{"unknown full strategy", []mcss.Option{mcss.WithTau(10), mcss.WithModel(demoModel()), mcss.WithStrategy("nope")}, `WithStrategy: unknown strategy "nope" (want one of exact)`},
+		{"full-solve role mismatch", []mcss.Option{mcss.WithTau(10), mcss.WithModel(demoModel()), mcss.WithStrategy("gsp")}, `WithStrategy: unknown strategy "gsp" (want one of exact)`},
 		{"non-positive message bytes", []mcss.Option{mcss.WithTau(10), mcss.WithModel(demoModel()), mcss.WithMessageBytes(0)}, "WithMessageBytes"},
+		// A latency ceiling needs the topology whose RTTs it bounds.
+		{"slo without topology", []mcss.Option{mcss.WithTau(10), mcss.WithModel(demoModel()), mcss.WithLatencySLO(50)}, "WithLatencySLO: a 50 ms ceiling needs WithTopology"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -56,6 +62,25 @@ func TestNewPlannerOptionErrors(t *testing.T) {
 				t.Errorf("error %q does not mention %q", err, tc.want)
 			}
 		})
+	}
+	// Every name the CLI help lists resolves for its own stage, in any
+	// letter case.
+	for _, tc := range []struct {
+		option string
+		with   func(string) mcss.Option
+		names  []string
+	}{
+		{"WithStage1", mcss.WithStage1, []string{"gsp", "rsp"}},
+		{"WithStage2", mcss.WithStage2, []string{"cbp", "ffbp", "bfd"}},
+		{"WithStrategy", mcss.WithStrategy, []string{"exact"}},
+	} {
+		for _, name := range tc.names {
+			for _, spelled := range []string{name, strings.ToUpper(name), strings.ToUpper(name[:1]) + name[1:]} {
+				if _, err := mcss.NewPlanner(mcss.WithTau(10), mcss.WithModel(demoModel()), tc.with(spelled)); err != nil {
+					t.Errorf("%s(%q): %v", tc.option, spelled, err)
+				}
+			}
+		}
 	}
 }
 
@@ -155,50 +180,6 @@ func TestNilStagesRunGSPAndCBP(t *testing.T) {
 		if g, d := mcss.StateFingerprint(w, got.Allocation), mcss.StateFingerprint(w, want.Allocation); g != d {
 			t.Errorf("%s: fingerprint %s, default planner %s", name, g, d)
 		}
-	}
-}
-
-// registerRuns numbers TestRegisterStrategyThirdParty's runs: the
-// strategy registry is process-global, so each run (go test -count=N)
-// registers a name of its own.
-var registerRuns atomic.Int64
-
-// A third-party strategy registers once and is selectable by name.
-func TestRegisterStrategyThirdParty(t *testing.T) {
-	name := fmt.Sprintf("test-select-all-%d", registerRuns.Add(1))
-	err := mcss.RegisterStrategy(name, mcss.Strategy{
-		SelectPairs: func(ctx context.Context, w *mcss.Workload, cfg mcss.SolverConfig) (*mcss.Selection, error) {
-			return mcss.SelectAllPairs(w), nil
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := mcss.RegisterStrategy(name, mcss.Strategy{SelectPairs: func(ctx context.Context, w *mcss.Workload, cfg mcss.SolverConfig) (*mcss.Selection, error) {
-		return nil, nil
-	}}); err == nil {
-		t.Error("duplicate registration succeeded, want error")
-	}
-	w := buildDemo(t)
-	p, err := mcss.NewPlanner(mcss.WithTau(40), mcss.WithModel(demoModel()), mcss.WithStage1(name))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := p.Solve(context.Background(), w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Selection.NumPairs() != w.NumPairs() {
-		t.Errorf("select-all strategy selected %d of %d pairs", res.Selection.NumPairs(), w.NumPairs())
-	}
-	found := false
-	for _, n := range mcss.StrategyNames() {
-		if n == name {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("StrategyNames() = %v misses %q", mcss.StrategyNames(), name)
 	}
 }
 
