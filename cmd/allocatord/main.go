@@ -45,7 +45,6 @@ import (
 	"github.com/pubsub-systems/mcss/internal/pricing"
 	"github.com/pubsub-systems/mcss/internal/spot"
 	"github.com/pubsub-systems/mcss/internal/timeline"
-	"github.com/pubsub-systems/mcss/internal/topo"
 	"github.com/pubsub-systems/mcss/internal/traceio"
 )
 
@@ -158,7 +157,7 @@ type daemon struct {
 	mu        sync.RWMutex
 	state     *deploy.State
 	model     pricing.Model
-	topology  *topo.Topology
+	topology  *core.Topology
 	sloMillis int64
 	epoch     int
 	epochs    int
@@ -210,26 +209,32 @@ func (d *daemon) setDegraded(rec *deploy.Recovery, reason error) {
 	d.mu.Unlock()
 }
 
-// applyTopology loads the -topology file (empty path = no-op), stores it as
-// the daemon's active topology, and rewires the config for multi-region
-// solving: the fleet replicated per region (Stage 2 routes pairs across
-// it), the SLO ceiling, and, through cfg.Topology, the co-location
-// preference of Stage 1 and egress billing.
-func (d *daemon) applyTopology(o options, cfg *core.Config) error {
-	t, fleet, err := cli.LoadTopology(o.topologyPath, o.sloMillis, cfg.Fleet, cfg.Model)
+// loadTopology loads the -topology file and the -slo ceiling, in every
+// mode, as the daemon's active topology: /state and /metrics report it,
+// and solves and replays route by it. No file is no topology; a positive
+// ceiling without one is refused.
+func (d *daemon) loadTopology(o options) error {
+	t, err := cli.LoadTopology(o.topologyPath, o.sloMillis)
 	if err != nil || t == nil {
 		return err
 	}
-	cfg.Topology, cfg.Fleet = t, fleet
-	cfg.LatencySLOMillis = o.sloMillis
 	d.mu.Lock()
-	d.topology = t
-	d.sloMillis = o.sloMillis
+	d.topology, d.sloMillis = t, o.sloMillis
 	d.mu.Unlock()
 	d.m.RecordTopology(t, nil)
 	d.log.Info("topology loaded", "path", o.topologyPath,
 		"regions", t.NumRegions(), "slo_ms", o.sloMillis)
 	return nil
+}
+
+// applyTopology rewires a solving config for the active topology: the
+// fleet replicated per region (Stage 2 routes pairs across it), the SLO
+// ceiling, and, through cfg.Topology, the co-location preference of
+// Stage 1 and egress billing.
+func (d *daemon) applyTopology(cfg *core.Config) (err error) {
+	cfg.Topology, cfg.LatencySLOMillis = d.topology, d.sloMillis
+	cfg.Fleet, err = cli.RegionalFleet(d.topology, cfg.Fleet, cfg.Model)
+	return err
 }
 
 // journalRig bundles the open apply journal with the executor every
@@ -302,9 +307,13 @@ func (d *daemon) openJournal(o options) (*deploy.Recovery, *journalRig, error) {
 }
 
 // load dispatches on the input mode: snapshot restore, one-shot solve, or
-// timeline replay through the elastic controller. With -data-dir the
-// journal is replayed first and every apply is journaled.
+// timeline replay through the elastic controller. The topology is loaded
+// first, in every mode; with -data-dir the journal is replayed next and
+// every apply is journaled.
 func (d *daemon) load(ctx context.Context, o options) error {
+	if err := d.loadTopology(o); err != nil {
+		return err
+	}
 	var rec *deploy.Recovery
 	var rig *journalRig
 	if o.dataDir != "" {
@@ -328,6 +337,15 @@ func (d *daemon) load(ctx context.Context, o options) error {
 		if err != nil {
 			return err
 		}
+		// A regional snapshot's fleet is already region-tagged, so it is
+		// not re-solved, only read under the topology: tags beyond it fail
+		// as they would in a solve, and pairs over the ceiling are counted.
+		lat, err := core.EvalLatency(d.topology, plan.Target.Workload, plan.Target.Allocation,
+			plan.MessageBytes, d.sloMillis)
+		if err != nil {
+			return err
+		}
+		d.m.SetSLOViolations(lat.Violations)
 		d.setState(plan.Target, plan.Model, 0, 0)
 		if rig != nil {
 			if err := rig.j.AppendSnapshot(-1, plan); err != nil {
@@ -347,7 +365,7 @@ func (d *daemon) load(ctx context.Context, o options) error {
 		model := experiments.ModelFor(pricing.C3Large, w)
 		cfg := core.DefaultConfig(o.tau, model)
 		cfg.Observer = d.m.Observer()
-		if err := d.applyTopology(o, &cfg); err != nil {
+		if err := d.applyTopology(&cfg); err != nil {
 			return err
 		}
 		start := time.Now()
@@ -392,14 +410,13 @@ func (d *daemon) runTimeline(ctx context.Context, o options, rec *deploy.Recover
 	cfg := core.DefaultConfig(o.tau, model)
 	cfg.Fleet = experiments.FleetFor(env)
 	cfg.Observer = d.m.Observer()
-	if err := d.applyTopology(o, &cfg); err != nil {
+	if err := d.applyTopology(&cfg); err != nil {
 		return err
 	}
 	policy := elastic.DefaultPolicy()
 	policy.Incremental = o.incremental
 
-	var sched *spot.Schedule
-	var chaos *spot.Chaos
+	ctl := elastic.NewController(cfg, policy)
 	if o.spot {
 		var market *spot.Market
 		if o.spotMarket != "" {
@@ -414,18 +431,9 @@ func (d *daemon) runTimeline(ctx context.Context, o options, rec *deploy.Recover
 		if err != nil {
 			return err
 		}
-		if sched, err = spot.NewSchedule(market, cfg.Fleet); err != nil {
+		if err := ctl.SetSpotMarket(market, o.chaosSeed); err != nil {
 			return err
 		}
-		if chaos, err = spot.NewChaos(market, o.chaosSeed); err != nil {
-			return err
-		}
-	}
-
-	ctl := elastic.NewController(cfg, policy)
-	if o.spot {
-		ctl.SetFleetSchedule(sched)
-		ctl.SetChaos(chaos)
 	}
 	if rig != nil {
 		ctl.SetApplyHook(rig.applyOptions)

@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -14,6 +15,12 @@ import (
 	"time"
 
 	"github.com/pubsub-systems/mcss/internal/cli"
+	"github.com/pubsub-systems/mcss/internal/core"
+	"github.com/pubsub-systems/mcss/internal/deploy"
+	"github.com/pubsub-systems/mcss/internal/pricing"
+	"github.com/pubsub-systems/mcss/internal/tracegen"
+	"github.com/pubsub-systems/mcss/internal/traceio"
+	"github.com/pubsub-systems/mcss/internal/workload"
 )
 
 // startServer runs the daemon's HTTP surface on an ephemeral port and
@@ -269,5 +276,103 @@ func TestRunRefusesSLOWithoutTopology(t *testing.T) {
 	}, io.Discard)
 	if err == nil || !strings.Contains(err.Error(), "-topology") {
 		t.Fatalf("run -slo without -topology = %v, want a -topology error", err)
+	}
+}
+
+// topologyFile is the committed three-region topology the CLIs load.
+var topologyFile = filepath.Join("..", "..", "internal", "traceio", "testdata", "topology_v1.json")
+
+// writeSnapshot solves w under cfg and saves the result as a cluster
+// snapshot, the file -snapshot restores.
+func writeSnapshot(t *testing.T, w *workload.Workload, cfg core.Config) string {
+	t.Helper()
+	res, err := core.Solve(w, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := deploy.Snapshot(cfg, deploy.NewState(w, res.Allocation))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "cluster.json")
+	if err := traceio.SavePlan(plan, path); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// Snapshot mode loads -topology and -slo like the other modes: an SLO
+// without a topology is refused, a regional snapshot (whose fleet is
+// already region-tagged) serves the topology's regions and the ceiling on
+// /state, and a snapshot tagged with a region the topology lacks fails
+// with the error a solve gives.
+func TestSnapshotHonorsTopology(t *testing.T) {
+	base, err := tracegen.Random(tracegen.RandomConfig{
+		Topics: 30, Subscribers: 80, MaxFollowings: 4, MaxRate: 100, Seed: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	topology, err := traceio.LoadTopology(topologyFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.DefaultConfig(10, pricing.NewModel(pricing.C3Large))
+	plain := writeSnapshot(t, base, cfg)
+
+	err = run([]string{
+		"-addr", "127.0.0.1:0", "-snapshot", plain, "-slo", "50", "-once",
+		"-log-level", "error",
+	}, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "-topology") {
+		t.Fatalf("run -snapshot -slo without -topology = %v, want a -topology error", err)
+	}
+
+	tagged, err := tracegen.TagRegions(base, 3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	regional := cfg
+	regional.Topology, regional.LatencySLOMillis = topology, 200
+	if regional.Fleet, err = core.RegionalFleet(cfg.Model.SingleFleet(), topology); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	d := newDaemon(nil)
+	url, done := startServer(t, d, ctx)
+	o := options{snapshot: writeSnapshot(t, tagged, regional), topologyPath: topologyFile, sloMillis: 200}
+	if err := d.load(ctx, o); err != nil {
+		t.Fatalf("regional snapshot: %v", err)
+	}
+	_, body := get(t, url+"/state")
+	var doc stateDoc
+	if err := json.Unmarshal([]byte(body), &doc); err != nil {
+		t.Fatalf("state JSON: %v\n%s", err, body)
+	}
+	vms := 0
+	for _, n := range doc.RegionVMs {
+		vms += n
+	}
+	if !doc.Ready || len(doc.TopologyRegions) != 3 || doc.LatencySLOMs != 200 || vms != doc.VMs || doc.VMs == 0 {
+		t.Errorf("state = %+v, want ready with 3 topology regions, a 200 ms ceiling and every VM in a region", doc)
+	}
+	cancel()
+	if err := <-done; err != nil {
+		t.Fatalf("serve after cancel = %v, want nil", err)
+	}
+
+	beyond, err := tracegen.TagRegions(base, 5, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	regional.LatencySLOMillis = 0
+	_, want := core.Solve(beyond, regional)
+	if want == nil {
+		t.Fatal("solve accepted region tags beyond the topology")
+	}
+	o = options{snapshot: writeSnapshot(t, beyond, cfg), topologyPath: topologyFile}
+	if err := newDaemon(nil).load(context.Background(), o); fmt.Sprint(err) != want.Error() {
+		t.Errorf("snapshot tagged beyond the topology: err = %v, want %v", err, want)
 	}
 }

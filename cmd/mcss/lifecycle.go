@@ -212,11 +212,10 @@ func runApply(args []string) error {
 		opts = append(opts, mcss.ApplyDryRun())
 	}
 	if !*quiet {
-		opts = append(opts, mcss.WithStepObserver(mcss.DeployObserverFunc(
-			func(i, total int, s mcss.DeployStep) error {
-				fmt.Printf("  [%d/%d] %v\n", i+1, total, s)
-				return nil
-			})))
+		opts = append(opts, mcss.WithStepObserver(func(i, total int, s mcss.DeployStep) error {
+			fmt.Printf("  [%d/%d] %v\n", i+1, total, s)
+			return nil
+		}))
 	}
 	rep, err := mcss.Apply(ctx, plan, prov, opts...)
 	if err != nil {

@@ -154,8 +154,11 @@ func (sf *solverFlags) build(m *obs.Metrics) (*mcss.Workload, *mcss.Planner, mcs
 	if err != nil {
 		return fail(err)
 	}
-	topology, fleet, err := cli.LoadTopology(*sf.topologyPath, *sf.sloMillis, fleet, model)
+	topology, err := cli.LoadTopology(*sf.topologyPath, *sf.sloMillis)
 	if err != nil {
+		return fail(err)
+	}
+	if fleet, err = cli.RegionalFleet(topology, fleet, model); err != nil {
 		return fail(err)
 	}
 	popts := []mcss.Option{
@@ -165,12 +168,11 @@ func (sf *solverFlags) build(m *obs.Metrics) (*mcss.Workload, *mcss.Planner, mcs
 		mcss.WithStage1(strings.ToLower(*sf.stage1)),
 		mcss.WithStage2(strings.ToLower(*sf.stage2)),
 		mcss.WithOptFlags(optFlags),
+		mcss.WithTopology(topology),
+		mcss.WithLatencySLO(*sf.sloMillis),
 	}
 	if !fleet.IsZero() {
 		popts = append(popts, mcss.WithFleet(fleet))
-	}
-	if topology != nil {
-		popts = append(popts, mcss.WithTopology(topology), mcss.WithLatencySLO(*sf.sloMillis))
 	}
 	if *sf.strategy != "" {
 		popts = append(popts, mcss.WithStrategy(*sf.strategy))

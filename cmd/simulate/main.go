@@ -177,7 +177,7 @@ func run(args []string) error {
 	fmt.Printf("(simulated in %s)\n", time.Since(start).Round(time.Millisecond))
 
 	if *crashVM >= 0 && *repair {
-		stats, err := prov.RepairCrash(*crashVM)
+		stats, err := prov.RepairCrashContext(ctx, *crashVM)
 		if err != nil {
 			return err
 		}
@@ -198,17 +198,18 @@ func run(args []string) error {
 // SLO ceiling; with more than one region the fleet is replicated into
 // every region, which Stage 2 routes pairs across, and stage 1 prefers
 // co-located pairs.
-func newPlanner(tau int64, model mcss.Model, fleet mcss.Fleet, topologyPath string, sloMillis int64) (*mcss.Planner, *mcss.NetworkTopology, error) {
-	topology, fleet, err := cli.LoadTopology(topologyPath, sloMillis, fleet, model)
+func newPlanner(tau int64, model mcss.Model, fleet mcss.Fleet, topologyPath string, sloMillis int64) (*mcss.Planner, *mcss.Topology, error) {
+	topology, err := cli.LoadTopology(topologyPath, sloMillis)
 	if err != nil {
 		return nil, nil, err
 	}
-	opts := []mcss.Option{mcss.WithTau(tau), mcss.WithModel(model)}
+	if fleet, err = cli.RegionalFleet(topology, fleet, model); err != nil {
+		return nil, nil, err
+	}
+	opts := []mcss.Option{mcss.WithTau(tau), mcss.WithModel(model),
+		mcss.WithTopology(topology), mcss.WithLatencySLO(sloMillis)}
 	if !fleet.IsZero() {
 		opts = append(opts, mcss.WithFleet(fleet))
-	}
-	if topology != nil {
-		opts = append(opts, mcss.WithTopology(topology), mcss.WithLatencySLO(sloMillis))
 	}
 	p, err := mcss.NewPlanner(opts...)
 	return p, topology, err

@@ -37,11 +37,10 @@ type (
 	ApplyReport = deploy.Report
 	// ApplyOption configures Apply (dry run, step observer).
 	ApplyOption = deploy.ApplyOption
-	// DeployObserver receives per-step progress during Apply; returning
-	// an error aborts the apply and rolls back.
+	// DeployObserver is the function Apply calls before each step with
+	// its index, the step count and the step; returning an error aborts
+	// the apply and rolls back.
 	DeployObserver = deploy.Observer
-	// DeployObserverFunc adapts a function to DeployObserver.
-	DeployObserverFunc = deploy.ObserverFunc
 )
 
 // The step operations a DeployPlan is built from, one broker per step.
@@ -88,7 +87,7 @@ func StepsBetween(before, after *Allocation) []DeployStep {
 }
 
 // Apply executes a plan against a provisioner: fingerprint check
-// (ErrStalePlan on mismatch), step-by-step replay with Observer progress,
+// (ErrStalePlan on mismatch), step-by-step replay with step observer progress,
 // verification against the plan's own target fingerprint, and only then
 // adoption. On any failure the provisioner keeps its pre-apply state.
 func Apply(ctx context.Context, plan *DeployPlan, prov *Provisioner, opts ...ApplyOption) (*ApplyReport, error) {

@@ -76,10 +76,10 @@ func TestPublicDeployLifecycle(t *testing.T) {
 	}
 	var steps int
 	rep, err := mcss.Apply(ctx, loaded, prov, mcss.WithStepObserver(
-		mcss.DeployObserverFunc(func(i, total int, s mcss.DeployStep) error {
+		func(i, total int, s mcss.DeployStep) error {
 			steps++
 			return nil
-		})))
+		}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -92,10 +92,10 @@ func main() {
 	fmt.Println("dry run: plan replays cleanly against the live state")
 	steps := 0
 	rep, err := mcss.Apply(ctx, reviewed, prov, mcss.WithStepObserver(
-		mcss.DeployObserverFunc(func(i, total int, s mcss.DeployStep) error {
+		func(i, total int, s mcss.DeployStep) error {
 			steps++
 			return nil
-		})))
+		}))
 	if err != nil {
 		log.Fatal(err)
 	}

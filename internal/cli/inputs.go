@@ -6,11 +6,11 @@ import (
 	"os"
 	"strings"
 
+	"github.com/pubsub-systems/mcss/internal/core"
 	"github.com/pubsub-systems/mcss/internal/experiments"
 	"github.com/pubsub-systems/mcss/internal/obs"
 	"github.com/pubsub-systems/mcss/internal/pricing"
 	"github.com/pubsub-systems/mcss/internal/timeline"
-	"github.com/pubsub-systems/mcss/internal/topo"
 	"github.com/pubsub-systems/mcss/internal/tracegen"
 	"github.com/pubsub-systems/mcss/internal/traceio"
 	"github.com/pubsub-systems/mcss/internal/workload"
@@ -50,25 +50,30 @@ func DiurnalTimeline(base *workload.Workload, epochs int, epochMinutes int64) (*
 
 // LoadTopology reads the -topology file; an empty path means no topology,
 // and then a positive -slo ceiling is an error, since only a topology
-// gives the latency model it bounds. With more than one region it also
-// returns the decision fleet replicated into every region (fleet, or the
-// model's single type when fleet is empty), which Stage 2 routes pairs
-// across; otherwise fleet comes back unchanged.
-func LoadTopology(path string, sloMillis int64, fleet pricing.Fleet, model pricing.Model) (*topo.Topology, pricing.Fleet, error) {
+// gives the latency model it bounds.
+func LoadTopology(path string, sloMillis int64) (*core.Topology, error) {
 	if path == "" {
 		if sloMillis > 0 {
-			return nil, fleet, fmt.Errorf("-slo %d needs a -topology file", sloMillis)
+			return nil, fmt.Errorf("-slo %d needs a -topology file", sloMillis)
 		}
-		return nil, fleet, nil
+		return nil, nil
 	}
 	t, err := traceio.LoadTopology(path)
 	if err != nil {
-		return nil, fleet, fmt.Errorf("loading topology: %w", err)
+		return nil, fmt.Errorf("loading topology: %w", err)
 	}
-	if t.NumRegions() > 1 {
-		fleet, err = topo.RegionalFleet(model.FleetOr(fleet), t)
+	return t, nil
+}
+
+// RegionalFleet returns the decision fleet a solve under t packs against:
+// with more than one region, fleet (or the model's single type when fleet
+// is empty) replicated into every region, which Stage 2 routes pairs
+// across; otherwise fleet unchanged.
+func RegionalFleet(t *core.Topology, fleet pricing.Fleet, model pricing.Model) (pricing.Fleet, error) {
+	if t == nil || t.NumRegions() <= 1 {
+		return fleet, nil
 	}
-	return t, fleet, err
+	return core.RegionalFleet(model.FleetOr(fleet), t)
 }
 
 // DumpMetrics writes the metrics registry as JSON to path, so a run

@@ -5,23 +5,31 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/pubsub-systems/mcss/internal/core"
 	"github.com/pubsub-systems/mcss/internal/pricing"
 )
 
-// LoadTopology replicates the fleet (or the model's single type) into
-// every region of a multi-region file and leaves it alone otherwise; an
-// SLO ceiling without a topology file is refused.
+// LoadTopology refuses an SLO ceiling without a topology file, and
+// RegionalFleet replicates the fleet (or the model's single type) into
+// every region of a multi-region topology and leaves it alone otherwise.
 func TestLoadTopology(t *testing.T) {
 	model := pricing.NewModel(pricing.C3Large)
 	catalog := pricing.CatalogFleet()
-	if topo, fleet, err := LoadTopology("", 0, catalog, model); err != nil || topo != nil || fleet.String() != catalog.String() {
-		t.Fatalf("empty path: topology %v, fleet %v, err %v", topo, fleet, err)
+	topo, err := LoadTopology("", 0)
+	if err != nil || topo != nil {
+		t.Fatalf("empty path: topology %v, err %v", topo, err)
 	}
-	if _, _, err := LoadTopology("", 50, catalog, model); err == nil || !strings.Contains(err.Error(), "-topology") {
+	if fleet, err := RegionalFleet(topo, catalog, model); err != nil || fleet.String() != catalog.String() {
+		t.Fatalf("no topology: fleet %v, err %v", fleet, err)
+	}
+	if _, err := LoadTopology("", 50); err == nil || !strings.Contains(err.Error(), "-topology") {
 		t.Fatalf("SLO without a topology: err %v, want a -topology error", err)
 	}
-	path := filepath.Join("..", "traceio", "testdata", "topology_v1.json")
-	topo, fleet, err := LoadTopology(path, 50, pricing.Fleet{}, model)
+	topo, err = LoadTopology(filepath.Join("..", "traceio", "testdata", "topology_v1.json"), 50)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fleet, err := RegionalFleet(topo, pricing.Fleet{}, model)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +41,10 @@ func TestLoadTopology(t *testing.T) {
 			t.Fatalf("regional type %+v", it)
 		}
 	}
-	if _, _, err := LoadTopology(filepath.Join(t.TempDir(), "missing.json"), 0, catalog, model); err == nil {
+	if fleet, err := RegionalFleet(core.SyntheticTopology(1), catalog, model); err != nil || fleet.String() != catalog.String() {
+		t.Fatalf("single region: fleet %v, err %v", fleet, err)
+	}
+	if _, err := LoadTopology(filepath.Join(t.TempDir(), "missing.json"), 0); err == nil {
 		t.Fatal("missing topology file accepted")
 	}
 }

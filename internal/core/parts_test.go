@@ -6,7 +6,6 @@ import (
 	"github.com/pubsub-systems/mcss/internal/core"
 	"github.com/pubsub-systems/mcss/internal/pricing"
 	"github.com/pubsub-systems/mcss/internal/spot"
-	"github.com/pubsub-systems/mcss/internal/topo"
 	"github.com/pubsub-systems/mcss/internal/tracegen"
 )
 
@@ -16,10 +15,10 @@ import (
 // and, inside each region, keep single-subscriber topics off spot VMs,
 // while replicated pairs still ride the discount.
 func TestStage2RoutesAndPins(t *testing.T) {
-	net := topo.SyntheticTopology(3)
+	net := core.SyntheticTopology(3)
 	model := pricing.NewModel(pricing.C3Large)
 	model.CapacityOverrideBytesPerHour = 40 * 50 * 200
-	regional, err := topo.RegionalFleet(model.SingleFleet(), net)
+	regional, err := core.RegionalFleet(model.SingleFleet(), net)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +54,7 @@ func TestStage2RoutesAndPins(t *testing.T) {
 	if err := core.VerifyAllocation(w, res.Selection, res.Allocation, cfg); err != nil {
 		t.Fatalf("allocation fails verification: %v", err)
 	}
-	rep, err := topo.EvalLatency(net, w, res.Allocation, cfg.MessageBytes, cfg.LatencySLOMillis)
+	rep, err := core.EvalLatency(net, w, res.Allocation, cfg.MessageBytes, cfg.LatencySLOMillis)
 	if err != nil {
 		t.Fatal(err)
 	}

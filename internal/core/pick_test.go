@@ -7,7 +7,6 @@ import (
 	"github.com/pubsub-systems/mcss/internal/core"
 	"github.com/pubsub-systems/mcss/internal/dynamic"
 	"github.com/pubsub-systems/mcss/internal/experiments"
-	"github.com/pubsub-systems/mcss/internal/topo"
 	"github.com/pubsub-systems/mcss/internal/tracegen"
 	"github.com/pubsub-systems/mcss/internal/workload"
 )
@@ -40,11 +39,11 @@ func TestGSPMatchesSortOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net := topo.SyntheticTopology(3)
+	net := core.SyntheticTopology(3)
 	inputs := []struct {
 		name     string
 		w        *workload.Workload
-		topology core.Topology
+		topology *core.Topology
 	}{
 		{"cold-solve", cold, nil},
 		{"twitter", twitter, nil},

@@ -10,7 +10,6 @@ import (
 
 	"github.com/pubsub-systems/mcss/internal/core"
 	"github.com/pubsub-systems/mcss/internal/pricing"
-	"github.com/pubsub-systems/mcss/internal/topo"
 	"github.com/pubsub-systems/mcss/internal/tracegen"
 	"github.com/pubsub-systems/mcss/internal/workload"
 )
@@ -77,9 +76,9 @@ func TestGSPPrefersHomeTopics(t *testing.T) {
 		cfg  core.Config
 		want func(i int) []string
 	}{
-		{"two regions", core.Config{Tau: 60, Topology: topo.SyntheticTopology(2)}, func(i int) []string { return subs[i].home }},
+		{"two regions", core.Config{Tau: 60, Topology: core.SyntheticTopology(2)}, func(i int) []string { return subs[i].home }},
 		{"no topology", core.Config{Tau: 60}, func(i int) []string { return subs[i].gsp }},
-		{"one region", core.Config{Tau: 60, Topology: topo.SyntheticTopology(1)}, func(i int) []string { return subs[i].gsp }},
+		{"one region", core.Config{Tau: 60, Topology: core.SyntheticTopology(1)}, func(i int) []string { return subs[i].gsp }},
 	} {
 		sel, err := core.GreedySelectPairsContext(context.Background(), w, tc.cfg)
 		if err != nil {
@@ -112,8 +111,8 @@ func TestParallelGSPRegionalMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net := topo.SyntheticTopology(3)
-	gsp := func(tau int64, topology core.Topology, parallelism int) *core.Selection {
+	net := core.SyntheticTopology(3)
+	gsp := func(tau int64, topology *core.Topology, parallelism int) *core.Selection {
 		t.Helper()
 		sel, err := core.GreedySelectPairsContext(context.Background(), w,
 			core.Config{Tau: tau, Topology: topology, Parallelism: parallelism})
@@ -163,9 +162,9 @@ func TestSolveRejectsRegionsBeyondTopology(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net := topo.SyntheticTopology(3)
+	net := core.SyntheticTopology(3)
 	model := pricing.NewModel(pricing.C3Large)
-	fleet, err := topo.RegionalFleet(model.SingleFleet(), net)
+	fleet, err := core.RegionalFleet(model.SingleFleet(), net)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +189,7 @@ func TestSolveRejectsRegionsBeyondTopology(t *testing.T) {
 	}
 
 	one := core.DefaultConfig(100, model)
-	one.Topology = topo.SyntheticTopology(1)
+	one.Topology = core.SyntheticTopology(1)
 	if _, err := core.SolveContext(context.Background(), five, one); err != nil {
 		t.Errorf("single-region topology: %v", err)
 	}
@@ -215,7 +214,7 @@ func TestEvaluatorsRejectRegionsBeyondTopology(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net := topo.SyntheticTopology(3)
+	net := core.SyntheticTopology(3)
 	regional := cfg
 	regional.Topology = net
 	_, want := core.SolveContext(context.Background(), five, regional)
@@ -225,14 +224,14 @@ func TestEvaluatorsRejectRegionsBeyondTopology(t *testing.T) {
 	if _, _, err := core.EgressPerHour(net, five, res.Allocation, cfg.MessageBytes); fmt.Sprint(err) != want.Error() {
 		t.Errorf("EgressPerHour: err = %v, want %v", err, want)
 	}
-	if _, err := topo.EvalLatency(net, five, res.Allocation, cfg.MessageBytes, 200); fmt.Sprint(err) != want.Error() {
+	if _, err := core.EvalLatency(net, five, res.Allocation, cfg.MessageBytes, 200); fmt.Sprint(err) != want.Error() {
 		t.Errorf("EvalLatency: err = %v, want %v", err, want)
 	}
-	one := topo.SyntheticTopology(1)
+	one := core.SyntheticTopology(1)
 	if _, _, err := core.EgressPerHour(one, five, res.Allocation, cfg.MessageBytes); err != nil {
 		t.Errorf("EgressPerHour, single region: %v", err)
 	}
-	if rep, err := topo.EvalLatency(one, five, res.Allocation, cfg.MessageBytes, 200); err != nil || rep.Pairs != res.Selection.NumPairs() {
+	if rep, err := core.EvalLatency(one, five, res.Allocation, cfg.MessageBytes, 200); err != nil || rep.Pairs != res.Selection.NumPairs() {
 		t.Errorf("EvalLatency, single region: %d pairs, err %v; want %d pairs", rep.Pairs, err, res.Selection.NumPairs())
 	}
 }

@@ -1,4 +1,4 @@
-package topo
+package core_test
 
 import (
 	"errors"
@@ -77,15 +77,15 @@ func TestNewValidation(t *testing.T) {
 		}},
 	} {
 		regions, rtt, egress := tc.build()
-		if _, err := New(regions, rtt, egress); !errors.Is(err, ErrInvalidTopology) {
-			t.Errorf("%s: err = %v, want ErrInvalidTopology", tc.name, err)
+		if _, err := core.NewTopology(regions, rtt, egress); !errors.Is(err, core.ErrInvalidTopology) {
+			t.Errorf("%s: err = %v, want core.ErrInvalidTopology", tc.name, err)
 		}
 	}
 
 	regions, rtt, egress := ok(3)
 	rtt[0][2], rtt[2][0] = 80, 80
 	egress[0][2] = 12_345
-	topo, err := New(regions, rtt, egress)
+	topo, err := core.NewTopology(regions, rtt, egress)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestNewValidation(t *testing.T) {
 }
 
 func TestSyntheticTopology(t *testing.T) {
-	topo := SyntheticTopology(3)
+	topo := core.SyntheticTopology(3)
 	if got := topo.Regions(); len(got) != 3 || got[0] != "r0" || got[2] != "r2" {
 		t.Fatalf("regions = %v", got)
 	}
@@ -132,7 +132,7 @@ func TestRegionalFleet(t *testing.T) {
 
 	// Single-region topologies return the base fleet unchanged — that is
 	// what keeps degenerate instance names (and solves) byte-identical.
-	same, err := RegionalFleet(base, SyntheticTopology(1))
+	same, err := core.RegionalFleet(base, core.SyntheticTopology(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,8 +140,8 @@ func TestRegionalFleet(t *testing.T) {
 		t.Fatalf("single-region fleet changed: %v vs %v", same, base)
 	}
 
-	topo := SyntheticTopology(3)
-	regional, err := RegionalFleet(base, topo)
+	topo := core.SyntheticTopology(3)
+	regional, err := core.RegionalFleet(base, topo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,10 +167,10 @@ func TestRegionalFleet(t *testing.T) {
 	}
 
 	// Already-tagged base types are rejected rather than double-suffixed.
-	if _, err := RegionalFleet(regional, topo); err == nil {
+	if _, err := core.RegionalFleet(regional, topo); err == nil {
 		t.Fatal("re-regionalizing an already-tagged fleet succeeded")
 	}
-	if _, err := RegionalFleet(pricing.Fleet{}, topo); err == nil {
+	if _, err := core.RegionalFleet(pricing.Fleet{}, topo); err == nil {
 		t.Fatal("empty base fleet succeeded")
 	}
 }
@@ -232,8 +232,8 @@ func diffAllocations(a, b *core.Allocation) string {
 	return ""
 }
 
-// TestDegenerateByteIdentity is the differential contract of the package:
-// with one region (or no topology at all), zero egress and no SLO, the
+// TestDegenerateByteIdentity is the differential contract of the region
+// model: with one region (or no topology at all), zero egress and no SLO, the
 // solve under the topology must produce allocations identical to the
 // paper's GSP+CBP in every field, across a randomized workload sweep.
 func TestDegenerateByteIdentity(t *testing.T) {
@@ -249,10 +249,10 @@ func TestDegenerateByteIdentity(t *testing.T) {
 
 			for _, tc := range []struct {
 				name string
-				topo core.Topology
+				topo *core.Topology
 			}{
 				{"nil topology", nil},
-				{"single-region topology", SyntheticTopology(1)},
+				{"single-region topology", core.SyntheticTopology(1)},
 			} {
 				cfg := topoConfig(t, tau)
 				cfg.Topology = tc.topo
@@ -270,9 +270,9 @@ func TestDegenerateByteIdentity(t *testing.T) {
 
 func TestPackTopoMultiRegion(t *testing.T) {
 	w := taggedWorkload(t, 3, 7)
-	topo := SyntheticTopology(3)
+	topo := core.SyntheticTopology(3)
 	model := pricing.NewModel(pricing.C3Large)
-	fleet, err := RegionalFleet(model.SingleFleet(), topo)
+	fleet, err := core.RegionalFleet(model.SingleFleet(), topo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +297,7 @@ func TestPackTopoMultiRegion(t *testing.T) {
 			t.Fatalf("vm %d deployed on regionless type %q", i, vm.Instance.Name)
 		}
 	}
-	rep, err := EvalLatency(topo, w, res.Allocation, 200, cfg.LatencySLOMillis)
+	rep, err := core.EvalLatency(topo, w, res.Allocation, 200, cfg.LatencySLOMillis)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,9 +333,9 @@ func TestPackTopoInfeasibleSLO(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	topo := SyntheticTopology(3)
+	topo := core.SyntheticTopology(3)
 	model := pricing.NewModel(pricing.C3Large)
-	fleet, err := RegionalFleet(model.SingleFleet(), topo)
+	fleet, err := core.RegionalFleet(model.SingleFleet(), topo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,7 +354,7 @@ func TestPackTopoInfeasibleSLO(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := EvalLatency(topo, w, res.Allocation, 200, cfg.LatencySLOMillis)
+	rep, err := core.EvalLatency(topo, w, res.Allocation, 200, cfg.LatencySLOMillis)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,7 +375,7 @@ func TestPortfolioEgressAware(t *testing.T) {
 	// a tiny test workload's traffic outweighs a whole VM of rental.
 	w := taggedWorkload(t, 2, 11)
 	const perGB = pricing.MicroUSD(5_000_000_000) // $5000/GB dwarfs any rental saving
-	expensive, err := New(
+	expensive, err := core.NewTopology(
 		[]string{"r0", "r1"},
 		[][]int64{{0, 40}, {40, 0}},
 		[][]pricing.MicroUSD{{0, perGB}, {perGB, 0}},
@@ -384,7 +384,7 @@ func TestPortfolioEgressAware(t *testing.T) {
 		t.Fatal(err)
 	}
 	model := pricing.NewModel(pricing.C3Large)
-	fleet, err := RegionalFleet(model.SingleFleet(), expensive)
+	fleet, err := core.RegionalFleet(model.SingleFleet(), expensive)
 	if err != nil {
 		t.Fatal(err)
 	}

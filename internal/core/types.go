@@ -113,8 +113,8 @@ type Config struct {
 	// members in a fixed deterministic order.
 	Parallelism int
 
-	// Topology, when non-nil, describes the multi-region network (regions,
-	// RTT matrix, egress prices). With more than one region, GSP prefers
+	// Topology, when non-nil, is the multi-region network (regions, RTT
+	// matrix, egress prices). With more than one region, GSP prefers
 	// topics published in each subscriber's own region on a tagged
 	// workload, Stage 2 routes every selected pair to its cheapest
 	// SLO-feasible region and packs each region against that region's
@@ -123,7 +123,7 @@ type Config struct {
 	// controller bills egress with it. A region tag at or past
 	// NumRegions fails the solve. Nil or one region is the paper's
 	// setting.
-	Topology Topology
+	Topology *Topology
 	// LatencySLOMillis, when positive, is the per-subscription delivery-
 	// latency ceiling in milliseconds: every selected pair's modeled
 	// publisher→broker→subscriber RTT must stay at or under it, and Stage

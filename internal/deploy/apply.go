@@ -17,20 +17,12 @@ import (
 // pre-apply state.
 var ErrAborted = errors.New("deploy: apply aborted by observer")
 
-// Observer receives per-step progress during Apply. OnStep fires before
+// Observer receives per-step progress during Apply: it is called before
 // step i (0-based of total) executes; returning a non-nil error aborts the
 // apply — the hook an interactive approval gate or a deadline budget uses
-// — and the provisioner rolls back to its pre-apply state. Callbacks fire
+// — and the provisioner rolls back to its pre-apply state. Calls come
 // from the calling goroutine.
-type Observer interface {
-	OnStep(i, total int, s dynamic.Step) error
-}
-
-// ObserverFunc adapts a function to the Observer interface.
-type ObserverFunc func(i, total int, s dynamic.Step) error
-
-// OnStep implements Observer.
-func (f ObserverFunc) OnStep(i, total int, s dynamic.Step) error { return f(i, total, s) }
+type Observer func(i, total int, s dynamic.Step) error
 
 // ApplyOption configures one Apply call.
 type ApplyOption func(*applyOptions)
@@ -213,7 +205,7 @@ func Apply(ctx context.Context, plan *Plan, prov *dynamic.Provisioner, opts ...A
 			continue
 		}
 		if o.obs != nil {
-			if err := o.obs.OnStep(i, total, s); err != nil {
+			if err := o.obs(i, total, s); err != nil {
 				return abort(fmt.Errorf("%w: step %d/%d (%s): %w", ErrAborted, i, total, s, err))
 			}
 		}

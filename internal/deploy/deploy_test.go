@@ -180,13 +180,13 @@ func TestApplyObserverAbortRollsBack(t *testing.T) {
 	fp := StateOf(prov).Fingerprint()
 	boom := errors.New("operator said no")
 	var seen int
-	_, err = Apply(ctx, plan, prov, WithObserver(ObserverFunc(func(i, total int, s dynamic.Step) error {
+	_, err = Apply(ctx, plan, prov, WithObserver(func(i, total int, s dynamic.Step) error {
 		seen++
 		if i >= 1 {
 			return boom
 		}
 		return nil
-	})))
+	}))
 	if !errors.Is(err, boom) {
 		t.Fatalf("got %v, want observer abort", err)
 	}

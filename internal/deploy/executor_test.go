@@ -136,12 +136,12 @@ func TestApplyAbortContract(t *testing.T) {
 		{
 			name: "observer abort",
 			opts: func() []ApplyOption {
-				return []ApplyOption{WithObserver(ObserverFunc(func(i, _ int, _ dynamic.Step) error {
+				return []ApplyOption{WithObserver(func(i, _ int, _ dynamic.Step) error {
 					if i == 1 {
 						return cause
 					}
 					return nil
-				}))}
+				})}
 			},
 			wantIs: ErrAborted, wantNot: ErrStepFailed, cause: cause,
 		},

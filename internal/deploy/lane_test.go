@@ -150,12 +150,12 @@ func TestApplyLaneExitPaths(t *testing.T) {
 		{name: "observer abort", wantErr: deploy.ErrAborted, run: func(t *testing.T, j *deploy.Journal, _ string) outcome {
 			prov, plan := s.epoch(t)
 			_, err := deploy.Apply(ctx, plan, prov, deploy.WithJournal(j),
-				deploy.WithObserver(deploy.ObserverFunc(func(i, _ int, _ dynamic.Step) error {
+				deploy.WithObserver(func(i, _ int, _ dynamic.Step) error {
 					if i == 0 {
 						return errors.New("operator said no")
 					}
 					return nil
-				})))
+				}))
 			return outcome{nil, err, prov.Allocation(), plan}
 		}},
 		{name: "permanent step failure", wantErr: deploy.ErrStepFailed, run: func(t *testing.T, j *deploy.Journal, _ string) outcome {
@@ -174,12 +174,12 @@ func TestApplyLaneExitPaths(t *testing.T) {
 			cctx, cancel := context.WithCancel(ctx)
 			defer cancel()
 			_, err := deploy.Apply(cctx, plan, prov, deploy.WithJournal(j),
-				deploy.WithObserver(deploy.ObserverFunc(func(i, _ int, _ dynamic.Step) error {
+				deploy.WithObserver(func(i, _ int, _ dynamic.Step) error {
 					if i == 1 {
 						cancel()
 					}
 					return nil
-				})))
+				}))
 			return outcome{nil, err, prov.Allocation(), plan}
 		}},
 		{name: "simulated crash", wantErr: deploy.ErrSimulatedCrash, run: func(t *testing.T, j *deploy.Journal, _ string) outcome {

@@ -36,7 +36,7 @@ type Delta struct {
 }
 
 // Typed validation errors returned by Delta.Validate (and therefore by
-// Provisioner.Update / Preview before any re-solve runs).
+// Provisioner.UpdateContext / PreviewContext before any re-solve runs).
 var (
 	// ErrNegativeRate reports a non-positive event rate in NewTopics or
 	// RateChanges (the paper's model requires ev_t > 0).
@@ -219,11 +219,6 @@ type Provisioner struct {
 	inc *core.IncrementalState
 }
 
-// New solves the initial allocation.
-func New(w *workload.Workload, cfg core.Config) (*Provisioner, error) {
-	return NewContext(context.Background(), w, cfg)
-}
-
 // NewContext solves the initial allocation under a context: the solve
 // honors cancellation and cfg.Observer progress callbacks.
 func NewContext(ctx context.Context, w *workload.Workload, cfg core.Config) (*Provisioner, error) {
@@ -246,15 +241,10 @@ func (p *Provisioner) Selection() *core.Selection { return p.res.Selection }
 // Cost evaluates the current allocation under the provisioner's model.
 func (p *Provisioner) Cost() pricing.MicroUSD { return p.res.Cost(p.cfg.Model) }
 
-// Update applies the delta, re-solves from scratch (the paper's suggested
-// periodic re-allocation), adopts the result, and reports migration churn
-// relative to the previous allocation.
-func (p *Provisioner) Update(d Delta) (MigrationStats, error) {
-	return p.UpdateContext(context.Background(), d)
-}
-
-// UpdateContext is Update under a context; on cancellation the provisioner
-// state is left untouched.
+// UpdateContext applies the delta, re-solves from scratch (the paper's
+// suggested periodic re-allocation), adopts the result, and reports
+// migration churn relative to the previous allocation. On cancellation
+// the provisioner state is left untouched.
 func (p *Provisioner) UpdateContext(ctx context.Context, d Delta) (MigrationStats, error) {
 	next, res, stats, err := p.PreviewContext(ctx, d)
 	if err != nil {
@@ -264,17 +254,12 @@ func (p *Provisioner) UpdateContext(ctx context.Context, d Delta) (MigrationStat
 	return stats, nil
 }
 
-// Preview applies the delta and re-solves without adopting: the provisioner
-// keeps its current workload and allocation so a controller can weigh the
-// candidate (cost, churn) against a hysteresis policy first. Install the
-// candidate with Adopt, or discard it by adopting something else.
-func (p *Provisioner) Preview(d Delta) (*workload.Workload, *core.Result, MigrationStats, error) {
-	return p.PreviewContext(context.Background(), d)
-}
-
-// PreviewContext is Preview under a context: the embedded re-solve polls
-// cancellation at bounded intervals and reports progress to the config's
-// Observer.
+// PreviewContext applies the delta and re-solves without adopting: the
+// provisioner keeps its current workload and allocation so a controller
+// can weigh the candidate (cost, churn) against a hysteresis policy first.
+// Install the candidate with Adopt, or discard it by adopting something
+// else. The embedded re-solve polls cancellation at bounded intervals and
+// reports progress to the config's Observer.
 func (p *Provisioner) PreviewContext(ctx context.Context, d Delta) (*workload.Workload, *core.Result, MigrationStats, error) {
 	next, err := ApplyDelta(p.w, d)
 	if err != nil {
@@ -320,26 +305,16 @@ func (p *Provisioner) KnownFingerprint() (string, bool) {
 // ErrUnknownVM reports a repair target outside the fleet.
 var ErrUnknownVM = errors.New("dynamic: unknown VM")
 
-// RepairCrash removes the given VM from the allocation and re-homes its
-// placements onto surviving VMs (most-free-first, respecting each VM's own
-// capacity) or fresh VMs of the crashed VM's instance type, without
-// re-running Stage 1. VM IDs are re-densified.
-func (p *Provisioner) RepairCrash(vmID int) (RepairStats, error) {
-	return p.RepairCrashContext(context.Background(), vmID)
-}
-
-// RepairCrashContext is RepairCrash under a context: cancellation is
+// RepairCrashContext removes the given VM from the allocation and
+// re-homes its placements onto surviving VMs (most-free-first, respecting
+// each VM's own capacity) or fresh VMs of the crashed VM's instance type,
+// without re-running Stage 1. VM IDs are re-densified. Cancellation is
 // checked per re-homed topic group, and on cancellation (or any failure)
 // the provisioner keeps its pre-repair workload and allocation untouched —
 // the repair builds a private copy of the surviving fleet and installs it
 // only once every pair is re-homed.
 func (p *Provisioner) RepairCrashContext(ctx context.Context, vmID int) (RepairStats, error) {
 	return p.RepairCrashGroupContext(ctx, []int{vmID})
-}
-
-// RepairCrashGroup is RepairCrashGroupContext under context.Background().
-func (p *Provisioner) RepairCrashGroup(vmIDs []int) (RepairStats, error) {
-	return p.RepairCrashGroupContext(context.Background(), vmIDs)
 }
 
 // RepairCrashGroupContext repairs a correlated failure: every listed VM is

@@ -1,6 +1,7 @@
 package dynamic
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
@@ -40,7 +41,7 @@ func sampleWorkload(t *testing.T, seed int64) *workload.Workload {
 
 func TestNewSolvesInitialAllocation(t *testing.T) {
 	w := sampleWorkload(t, 1)
-	p, err := New(w, testConfig(30, 500))
+	p, err := NewContext(context.Background(), w, testConfig(30, 500))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,11 +55,11 @@ func TestNewSolvesInitialAllocation(t *testing.T) {
 
 func TestUpdateNoChangeKeepsEverything(t *testing.T) {
 	w := sampleWorkload(t, 2)
-	p, err := New(w, testConfig(30, 500))
+	p, err := NewContext(context.Background(), w, testConfig(30, 500))
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats, err := p.Update(Delta{})
+	stats, err := p.UpdateContext(context.Background(), Delta{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,11 +74,11 @@ func TestUpdateNoChangeKeepsEverything(t *testing.T) {
 func TestUpdateAppliesRateChange(t *testing.T) {
 	w := sampleWorkload(t, 3)
 	cfg := testConfig(30, 500)
-	p, err := New(w, cfg)
+	p, err := NewContext(context.Background(), w, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Update(Delta{RateChanges: map[workload.TopicID]int64{0: 123}}); err != nil {
+	if _, err := p.UpdateContext(context.Background(), Delta{RateChanges: map[workload.TopicID]int64{0: 123}}); err != nil {
 		t.Fatal(err)
 	}
 	if got := p.Workload().Rate(0); got != 123 {
@@ -91,20 +92,20 @@ func TestUpdateAppliesRateChange(t *testing.T) {
 
 func TestUpdateRejectsBadDelta(t *testing.T) {
 	w := sampleWorkload(t, 4)
-	p, err := New(w, testConfig(30, 500))
+	p, err := NewContext(context.Background(), w, testConfig(30, 500))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Update(Delta{RateChanges: map[workload.TopicID]int64{999: 5}}); err == nil {
+	if _, err := p.UpdateContext(context.Background(), Delta{RateChanges: map[workload.TopicID]int64{999: 5}}); err == nil {
 		t.Error("unknown topic rate change accepted")
 	}
-	if _, err := p.Update(Delta{RateChanges: map[workload.TopicID]int64{0: 0}}); err == nil {
+	if _, err := p.UpdateContext(context.Background(), Delta{RateChanges: map[workload.TopicID]int64{0: 0}}); err == nil {
 		t.Error("zero rate accepted")
 	}
-	if _, err := p.Update(Delta{Subscribe: []workload.Pair{{Topic: 999, Sub: 0}}}); err == nil {
+	if _, err := p.UpdateContext(context.Background(), Delta{Subscribe: []workload.Pair{{Topic: 999, Sub: 0}}}); err == nil {
 		t.Error("subscribe to unknown topic accepted")
 	}
-	if _, err := p.Update(Delta{Subscribe: []workload.Pair{{Topic: 0, Sub: 999}}}); err == nil {
+	if _, err := p.UpdateContext(context.Background(), Delta{Subscribe: []workload.Pair{{Topic: 0, Sub: 999}}}); err == nil {
 		t.Error("subscribe of unknown subscriber accepted")
 	}
 }
@@ -112,14 +113,14 @@ func TestUpdateRejectsBadDelta(t *testing.T) {
 func TestUpdateGrowsWorkload(t *testing.T) {
 	w := sampleWorkload(t, 5)
 	cfg := testConfig(30, 500)
-	p, err := New(w, cfg)
+	p, err := NewContext(context.Background(), w, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	numT, numV := w.NumTopics(), w.NumSubscribers()
 	newTopic := workload.TopicID(numT)
 	newSub := workload.SubID(numV)
-	stats, err := p.Update(Delta{
+	stats, err := p.UpdateContext(context.Background(), Delta{
 		NewTopics:      []int64{77},
 		NewSubscribers: 1,
 		Subscribe: []workload.Pair{
@@ -144,7 +145,7 @@ func TestUpdateGrowsWorkload(t *testing.T) {
 
 func TestUpdateUnsubscribe(t *testing.T) {
 	w := sampleWorkload(t, 6)
-	p, err := New(w, testConfig(30, 500))
+	p, err := NewContext(context.Background(), w, testConfig(30, 500))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,14 +154,14 @@ func TestUpdateUnsubscribe(t *testing.T) {
 	for _, tt := range w.Topics(0) {
 		un = append(un, workload.Pair{Topic: tt, Sub: 0})
 	}
-	if _, err := p.Update(Delta{Unsubscribe: un}); err != nil {
+	if _, err := p.UpdateContext(context.Background(), Delta{Unsubscribe: un}); err != nil {
 		t.Fatal(err)
 	}
 	if got := p.Workload().Followings(0); got != 0 {
 		t.Errorf("subscriber 0 still has %d followings", got)
 	}
 	// Absent pair unsubscribe is a no-op.
-	if _, err := p.Update(Delta{Unsubscribe: []workload.Pair{{Topic: 0, Sub: 0}}}); err != nil {
+	if _, err := p.UpdateContext(context.Background(), Delta{Unsubscribe: []workload.Pair{{Topic: 0, Sub: 0}}}); err != nil {
 		t.Errorf("no-op unsubscribe failed: %v", err)
 	}
 }
@@ -168,7 +169,7 @@ func TestUpdateUnsubscribe(t *testing.T) {
 func TestRepairCrashRestoresService(t *testing.T) {
 	w := sampleWorkload(t, 7)
 	cfg := testConfig(30, 400)
-	p, err := New(w, cfg)
+	p, err := NewContext(context.Background(), w, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +180,7 @@ func TestRepairCrashRestoresService(t *testing.T) {
 	victim := p.Allocation().VMs[0]
 	victimPairs := int64(victim.NumPairs())
 
-	stats, err := p.RepairCrash(victim.ID)
+	stats, err := p.RepairCrashContext(context.Background(), victim.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,11 +201,11 @@ func TestRepairCrashRestoresService(t *testing.T) {
 
 func TestRepairCrashUnknownVM(t *testing.T) {
 	w := sampleWorkload(t, 8)
-	p, err := New(w, testConfig(30, 500))
+	p, err := NewContext(context.Background(), w, testConfig(30, 500))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.RepairCrash(12345); !errors.Is(err, ErrUnknownVM) {
+	if _, err := p.RepairCrashContext(context.Background(), 12345); !errors.Is(err, ErrUnknownVM) {
 		t.Errorf("err = %v, want ErrUnknownVM", err)
 	}
 }
@@ -212,7 +213,7 @@ func TestRepairCrashUnknownVM(t *testing.T) {
 func TestMigrationStatsAccounting(t *testing.T) {
 	w := sampleWorkload(t, 9)
 	cfg := testConfig(30, 500)
-	p, err := New(w, cfg)
+	p, err := NewContext(context.Background(), w, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +224,7 @@ func TestMigrationStatsAccounting(t *testing.T) {
 			busiest = workload.TopicID(tid)
 		}
 	}
-	stats, err := p.Update(Delta{
+	stats, err := p.UpdateContext(context.Background(), Delta{
 		RateChanges: map[workload.TopicID]int64{busiest: w.Rate(busiest)*3 + 7},
 	})
 	if err != nil {
@@ -257,7 +258,7 @@ func TestPropertyRepairAlwaysVerifies(t *testing.T) {
 			}
 		}
 		cfg := testConfig(25, 3*maxRate)
-		p, err := New(w, cfg)
+		p, err := NewContext(context.Background(), w, cfg)
 		if err != nil {
 			return false
 		}
@@ -265,7 +266,7 @@ func TestPropertyRepairAlwaysVerifies(t *testing.T) {
 			return true
 		}
 		victim := p.Allocation().VMs[rng.Intn(p.Allocation().NumVMs())]
-		if _, err := p.RepairCrash(victim.ID); err != nil {
+		if _, err := p.RepairCrashContext(context.Background(), victim.ID); err != nil {
 			return false
 		}
 		return core.VerifyAllocation(p.Workload(), p.Selection(), p.Allocation(), cfg) == nil
@@ -311,7 +312,7 @@ func TestRepairCrashRedeploysCrashedVMType(t *testing.T) {
 		Fleet:        fleet,
 		Opts:         core.OptExpensiveTopicFirst,
 	}
-	p, err := New(w, cfg)
+	p, err := NewContext(context.Background(), w, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +330,7 @@ func TestRepairCrashRedeploysCrashedVMType(t *testing.T) {
 	if hot.Instance.Name != "t.large" {
 		t.Fatalf("hot topic on %s, want t.large", hot.Instance.Name)
 	}
-	stats, err := p.RepairCrash(hot.ID)
+	stats, err := p.RepairCrashContext(context.Background(), hot.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -536,14 +537,14 @@ func TestDeltaBetweenRejectsShrinking(t *testing.T) {
 func TestPreviewDoesNotAdopt(t *testing.T) {
 	w := sampleWorkload(t, 13)
 	cfg := testConfig(30, 500)
-	p, err := New(w, cfg)
+	p, err := NewContext(context.Background(), w, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	costBefore := p.Cost()
 	vmsBefore := p.Allocation().NumVMs()
 
-	nextW, res, stats, err := p.Preview(Delta{RateChanges: map[workload.TopicID]int64{0: 450}})
+	nextW, res, stats, err := p.PreviewContext(context.Background(), Delta{RateChanges: map[workload.TopicID]int64{0: 450}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -569,7 +570,7 @@ func TestPreviewDoesNotAdopt(t *testing.T) {
 func TestMigrationBetweenExported(t *testing.T) {
 	w := sampleWorkload(t, 14)
 	cfg := testConfig(30, 500)
-	p, err := New(w, cfg)
+	p, err := NewContext(context.Background(), w, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -595,7 +596,7 @@ func TestMigrationBetweenExported(t *testing.T) {
 func TestRepairCrashGroupCorrelated(t *testing.T) {
 	w := sampleWorkload(t, 10)
 	cfg := testConfig(30, 300) // tight capacity → topics split across VMs
-	p, err := New(w, cfg)
+	p, err := NewContext(context.Background(), w, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -630,7 +631,7 @@ func TestRepairCrashGroupCorrelated(t *testing.T) {
 		lostPairs += int64(byID[id].NumPairs())
 	}
 
-	stats, err := p.RepairCrashGroup(group)
+	stats, err := p.RepairCrashGroupContext(context.Background(), group)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -663,15 +664,15 @@ func TestRepairCrashGroupCorrelated(t *testing.T) {
 func TestRepairCrashGroupRejectsBadGroups(t *testing.T) {
 	w := sampleWorkload(t, 11)
 	cfg := testConfig(30, 500)
-	p, err := New(w, cfg)
+	p, err := NewContext(context.Background(), w, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	before := p.Allocation().NumVMs()
-	if _, err := p.RepairCrashGroup([]int{0, 0}); !errors.Is(err, ErrBadDelta) {
+	if _, err := p.RepairCrashGroupContext(context.Background(), []int{0, 0}); !errors.Is(err, ErrBadDelta) {
 		t.Errorf("duplicate IDs: err = %v, want ErrBadDelta", err)
 	}
-	if _, err := p.RepairCrashGroup([]int{0, 4242}); !errors.Is(err, ErrUnknownVM) {
+	if _, err := p.RepairCrashGroupContext(context.Background(), []int{0, 4242}); !errors.Is(err, ErrUnknownVM) {
 		t.Errorf("unknown ID: err = %v, want ErrUnknownVM", err)
 	}
 	// More distinct IDs than the fleet has VMs, all unknown.
@@ -679,14 +680,14 @@ func TestRepairCrashGroupRejectsBadGroups(t *testing.T) {
 	for i := range many {
 		many[i] = 1000 + i
 	}
-	if _, err := p.RepairCrashGroup(many); !errors.Is(err, ErrUnknownVM) {
+	if _, err := p.RepairCrashGroupContext(context.Background(), many); !errors.Is(err, ErrUnknownVM) {
 		t.Errorf("group larger than the fleet: err = %v, want ErrUnknownVM", err)
 	}
 	if got := p.Allocation().NumVMs(); got != before {
 		t.Errorf("failed repair mutated the allocation: %d → %d VMs", before, got)
 	}
 	// Empty group is a no-op reporting current state.
-	stats, err := p.RepairCrashGroup(nil)
+	stats, err := p.RepairCrashGroupContext(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -695,7 +696,7 @@ func TestRepairCrashGroupRejectsBadGroups(t *testing.T) {
 	}
 	// Any ID is unknown to an empty fleet.
 	p.Adopt(w, &core.Result{Selection: p.Selection(), Allocation: &core.Allocation{}})
-	if _, err := p.RepairCrash(0); !errors.Is(err, ErrUnknownVM) {
+	if _, err := p.RepairCrashContext(context.Background(), 0); !errors.Is(err, ErrUnknownVM) {
 		t.Errorf("empty fleet: err = %v, want ErrUnknownVM", err)
 	}
 }

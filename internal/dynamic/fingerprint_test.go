@@ -120,7 +120,7 @@ func TestKnownFingerprint(t *testing.T) {
 		t.Fatal("Adopt kept the fingerprint AdoptFingerprinted installed")
 	}
 	prov.AdoptFingerprinted(w, res, fp)
-	if _, err := prov.RepairCrash(0); err != nil {
+	if _, err := prov.RepairCrashContext(context.Background(), 0); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := prov.KnownFingerprint(); ok {

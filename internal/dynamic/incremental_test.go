@@ -93,7 +93,7 @@ func hasTopic(ts []workload.TopicID, t workload.TopicID) bool {
 // so the fingerprint is bit-identical and nothing moves.
 func TestPreviewIncrementalEmptyDeltaIsFingerprintNoOp(t *testing.T) {
 	w := sampleWorkload(t, 11)
-	p, err := New(w, testConfig(30, 500))
+	p, err := NewContext(context.Background(), w, testConfig(30, 500))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,11 +133,11 @@ func TestUpdateIncrementalFullReplacementWithinRegretBound(t *testing.T) {
 	cfg := testConfig(30, 500)
 	rng := rand.New(rand.NewSource(99))
 
-	pInc, err := New(w, cfg)
+	pInc, err := NewContext(context.Background(), w, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pFull, err := New(w, cfg)
+	pFull, err := NewContext(context.Background(), w, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestUpdateIncrementalFullReplacementWithinRegretBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pFull.Update(d); err != nil {
+	if _, err := pFull.UpdateContext(context.Background(), d); err != nil {
 		t.Fatal(err)
 	}
 	if err := core.VerifyAllocation(pInc.Workload(), pInc.Selection(), pInc.Allocation(), cfg); err != nil {
@@ -186,7 +186,7 @@ func TestUpdateIncrementalRandomChurnSequence(t *testing.T) {
 	}
 	w := sampleWorkload(t, 13)
 	cfg := testConfig(30, 500)
-	p, err := New(w, cfg)
+	p, err := NewContext(context.Background(), w, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,7 +353,7 @@ func sortPairs(ps []workload.Pair) {
 func TestEnsureIndexRebuildsAfterExternalAdopt(t *testing.T) {
 	w := sampleWorkload(t, 14)
 	cfg := testConfig(30, 500)
-	p, err := New(w, cfg)
+	p, err := NewContext(context.Background(), w, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package dynamic
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -269,7 +270,7 @@ func TestRepairMatchesOracle(t *testing.T) {
 
 				p := &Provisioner{}
 				p.Adopt(w, &core.Result{Selection: res.Selection, Allocation: alloc})
-				gotStats, gotErr := p.RepairCrashGroup(ids)
+				gotStats, gotErr := p.RepairCrashGroupContext(context.Background(), ids)
 				cases++
 				if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
 					t.Fatalf("case %d (ids %v): err %v, oracle %v", cases, ids, gotErr, wantErr)

@@ -36,7 +36,7 @@ func stepsTestWorkload(t *testing.T, seed int64) *workload.Workload {
 func TestStepsBetweenReplayRoundTrip(t *testing.T) {
 	cfg := stepsTestConfig()
 	w := stepsTestWorkload(t, 7)
-	prov, err := New(w, cfg)
+	prov, err := NewContext(context.Background(), w, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestStepsBetweenReplayRoundTrip(t *testing.T) {
 		},
 		Unsubscribe: []workload.Pair{{Topic: w.Topics(0)[0], Sub: 0}},
 	}
-	next, res, _, err := prov.Preview(delta)
+	next, res, _, err := prov.PreviewContext(context.Background(), delta)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +277,7 @@ func TestStateFingerprintSensitivity(t *testing.T) {
 func TestRepairCrashContextCancelled(t *testing.T) {
 	cfg := stepsTestConfig()
 	w := stepsTestWorkload(t, 13)
-	prov, err := New(w, cfg)
+	prov, err := NewContext(context.Background(), w, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +312,7 @@ func TestRestore(t *testing.T) {
 	if prov.Cost() != res.Allocation.Cost(cfg.Model) {
 		t.Fatalf("restored cost %v != solved %v", prov.Cost(), res.Allocation.Cost(cfg.Model))
 	}
-	if _, err := prov.Update(Delta{RateChanges: map[workload.TopicID]int64{1: 77}}); err != nil {
+	if _, err := prov.UpdateContext(context.Background(), Delta{RateChanges: map[workload.TopicID]int64{1: 77}}); err != nil {
 		t.Fatalf("update after restore: %v", err)
 	}
 }

@@ -26,6 +26,7 @@ import (
 	"github.com/pubsub-systems/mcss/internal/deploy"
 	"github.com/pubsub-systems/mcss/internal/dynamic"
 	"github.com/pubsub-systems/mcss/internal/pricing"
+	"github.com/pubsub-systems/mcss/internal/spot"
 	"github.com/pubsub-systems/mcss/internal/timeline"
 	"github.com/pubsub-systems/mcss/internal/workload"
 )
@@ -79,29 +80,6 @@ func DefaultPolicy() Policy {
 // fresh solve and right-size the fleet immediately.
 func OraclePolicy() Policy { return Policy{} }
 
-// FleetSchedule supplies per-epoch fleets to a controller walk — the hook
-// a spot market plugs in (spot.Schedule implements it). FleetAt returns
-// the decision fleet the epoch's solves pack against (risk-adjusted spot
-// rates) and the billing fleet whose rates the ledger charges at acquire
-// time (raw epoch spot prices). A schedule that returns an unchanged
-// decision fleet (compare with the previous epoch's) costs nothing; a
-// changed one is a price epoch — the walk swaps the provisioner's fleet,
-// reprices the held allocation, and lets the normal keep-vs-adopt policy
-// decide whether the price delta alone justifies a migration plan.
-type FleetSchedule interface {
-	FleetAt(epoch int) (decision, billing pricing.Fleet, err error)
-}
-
-// ChaosInjector decides which VMs the provider reclaims each epoch —
-// implemented by spot.Chaos. FailureGroups is drawn against the
-// allocation adopted for the epoch and returns VM IDs grouped by
-// correlated failure domain (availability zone); the walk repairs the
-// union atomically through the provisioner's group crash repair and bills
-// the reclamations and replacements through the ledger.
-type ChaosInjector interface {
-	FailureGroups(epoch int, alloc *core.Allocation) [][]int
-}
-
 // EpochReport records one epoch's control decision and its accounting.
 type EpochReport struct {
 	// Epoch index and start, echoing the timeline.
@@ -151,7 +129,7 @@ type EpochReport struct {
 	// step (persist one with traceio.SavePlan).
 	Plan *deploy.Plan
 
-	// Spot-market fields, zero without a FleetSchedule/ChaosInjector.
+	// Spot-market fields, zero without a spot market (SetSpotMarket).
 	//
 	// Repriced reports that the schedule's decision fleet changed this
 	// epoch (a price epoch): the provisioner was repointed at the new
@@ -215,10 +193,11 @@ type Controller struct {
 	cfg    core.Config
 	policy Policy
 
-	// schedule, when set, reprices the fleet per epoch (spot markets);
-	// chaos, when set, injects reclamations after each epoch's adoption.
-	schedule FleetSchedule
-	chaos    ChaosInjector
+	// schedule and chaos, set together by SetSpotMarket, reprice the
+	// fleet per epoch and inject reclamations after each epoch's
+	// adoption.
+	schedule *spot.Schedule
+	chaos    *spot.Chaos
 
 	// applyHook supplies extra deploy.Apply options per epoch — the seam
 	// allocatord uses to journal every epoch's plan application and run
@@ -230,17 +209,35 @@ type Controller struct {
 // executor, epoch tag). Call before Start/Run.
 func (c *Controller) SetApplyHook(h func(epoch int) []deploy.ApplyOption) { c.applyHook = h }
 
-// SetFleetSchedule attaches a per-epoch fleet schedule (price timeline).
-// Call before Start/Run.
-func (c *Controller) SetFleetSchedule(s FleetSchedule) { c.schedule = s }
+// SetSpotMarket walks the timeline on a spot market. Every epoch the
+// fleet is repriced from the market's schedule over the config's
+// effective fleet: the decision fleet the epoch's solves pack against
+// (risk-adjusted spot rates) and the billing fleet the ledger charges at
+// acquire time (raw epoch spot prices). A changed decision fleet is a
+// price epoch: the walk swaps the provisioner's fleet, reprices the held
+// allocation, and lets the keep-vs-adopt policy decide whether the price
+// delta alone justifies a migration. After each epoch's adoption the
+// market's interruption model, drawn from chaosSeed, reclaims spot VMs in
+// correlated availability-zone groups; the walk repairs each group's
+// union atomically and bills the reclamations and replacements. An
+// invalid market is an error. Call before Start/Run.
+func (c *Controller) SetSpotMarket(m *spot.Market, chaosSeed int64) error {
+	schedule, err := spot.NewSchedule(m, c.cfg.EffectiveFleet())
+	if err != nil {
+		return err
+	}
+	chaos, err := spot.NewChaos(m, chaosSeed)
+	if err != nil {
+		return err
+	}
+	c.schedule, c.chaos = schedule, chaos
+	return nil
+}
 
 // repairLagMinutes is the modeled detect-and-repair lag of a reclamation:
 // each pair on a reclaimed VM loses this many delivery minutes (see
 // EpochReport.LostPairMinutes).
 const repairLagMinutes = 5
-
-// SetChaos attaches a reclamation injector. Call before Start/Run.
-func (c *Controller) SetChaos(ch ChaosInjector) { c.chaos = ch }
 
 // NewController builds a controller. The config's Fleet (or single-type
 // model) is what every epoch's re-solve packs against.

@@ -336,19 +336,11 @@ func TestControllerChaosWalk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched, err := spot.NewSchedule(market, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	chaos, err := spot.NewChaos(market, 23)
-	if err != nil {
-		t.Fatal(err)
-	}
 
-	spotCfg := cfg
-	ctl := NewController(spotCfg, DefaultPolicy())
-	ctl.SetFleetSchedule(sched)
-	ctl.SetChaos(chaos)
+	ctl := NewController(cfg, DefaultPolicy())
+	if err := ctl.SetSpotMarket(market, 23); err != nil {
+		t.Fatal(err)
+	}
 	rep, err := ctl.Run(context.Background(), tl)
 	if err != nil {
 		t.Fatal(err)
@@ -358,7 +350,7 @@ func TestControllerChaosWalk(t *testing.T) {
 	// allocation serves every subscriber's threshold within true capacity
 	// (the run's final decision fleet carries the un-derated bounds for
 	// the spot variants).
-	verifyCfg := spotCfg
+	verifyCfg := cfg
 	verifyCfg.Fleet = rep.Fleet
 	for e, alloc := range rep.Allocations {
 		if err := core.VerifyServes(tl.Epochs[e], alloc, verifyCfg); err != nil {

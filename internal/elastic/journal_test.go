@@ -29,14 +29,6 @@ func journaledSpotWalk(t *testing.T) (*timeline.Timeline, *Controller, *deploy.J
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched, err := spot.NewSchedule(market, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	chaos, err := spot.NewChaos(market, 23)
-	if err != nil {
-		t.Fatal(err)
-	}
 	path := filepath.Join(t.TempDir(), "apply.journal")
 	j, err := traceio.OpenJournal(path, deploy.JournalOptions{SyncEvery: 8})
 	if err != nil {
@@ -44,8 +36,9 @@ func journaledSpotWalk(t *testing.T) (*timeline.Timeline, *Controller, *deploy.J
 	}
 	t.Cleanup(func() { j.Close() })
 	ctl := NewController(cfg, DefaultPolicy())
-	ctl.SetFleetSchedule(sched)
-	ctl.SetChaos(chaos)
+	if err := ctl.SetSpotMarket(market, 23); err != nil {
+		t.Fatal(err)
+	}
 	ctl.SetApplyHook(func(epoch int) []deploy.ApplyOption {
 		return []deploy.ApplyOption{deploy.WithJournal(j), deploy.WithApplyEpoch(epoch)}
 	})

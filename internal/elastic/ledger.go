@@ -56,7 +56,7 @@ type BillingLedger struct {
 
 	// Charge event counters for the observability layer: VMs acquired,
 	// released, and reclaimed over the ledger's lifetime (monotone, unlike
-	// OpenVMs).
+	// the open rentals).
 	acquired, released, reclaimed int64
 }
 
@@ -187,9 +187,6 @@ func (l *BillingLedger) Close(atMinute int64) error {
 	l.closed = true
 	return nil
 }
-
-// OpenVMs reports the number of currently open rentals of the named type.
-func (l *BillingLedger) OpenVMs(name string) int { return len(l.open[name]) }
 
 // AcquiredVMs and ReleasedVMs report the lifetime charge-event counts —
 // every VM ever acquired/released, regardless of what is still open. The

@@ -21,12 +21,12 @@ import (
 // fraction of the pairs (45% unsubscribes, 45% fresh subscribes, rate
 // changes on churn/2 of the topics) is absorbed once through
 // Provisioner.UpdateIncremental (persistent indexed state, delta-
-// proportional work) and once through Provisioner.Update (full two-stage
-// re-solve). Both resulting allocations are verified before their timings
-// count, and the incremental answer's cost is compared against the full
-// solver's — the regret the speedup is paid with. The machine-readable
-// result (BENCH_6.json) is the incremental path's perf contract: ≥10× at
-// ≤5% churn on 1M+ pairs, regret within 2%.
+// proportional work) and once through Provisioner.UpdateContext (full
+// two-stage re-solve). Both resulting allocations are verified before
+// their timings count, and the incremental answer's cost is compared
+// against the full solver's — the regret the speedup is paid with. The
+// machine-readable result (BENCH_6.json) is the incremental path's perf
+// contract: ≥10× at ≤5% churn on 1M+ pairs, regret within 2%.
 
 // ChurnFracs is the default sweep of delta sizes as a fraction of pairs.
 var ChurnFracs = []float64{0.01, 0.02, 0.05, 0.10, 0.20}

@@ -9,7 +9,6 @@ import (
 	"github.com/pubsub-systems/mcss/internal/core"
 	"github.com/pubsub-systems/mcss/internal/pricing"
 	"github.com/pubsub-systems/mcss/internal/report"
-	"github.com/pubsub-systems/mcss/internal/topo"
 	"github.com/pubsub-systems/mcss/internal/tracegen"
 )
 
@@ -60,7 +59,7 @@ type LatencyResult struct {
 	Dataset  Dataset
 	Tau      int64
 	Regions  int
-	Topology *topo.Topology
+	Topology *core.Topology
 	Points   []LatencyPoint
 
 	// DegenerateExact records that the default solve under a one-region
@@ -95,8 +94,8 @@ func RunLatency(ctx context.Context, d Dataset, scale float64, short bool) (*Lat
 		return nil, err
 	}
 	model := ModelFor(pricing.C3Large, w)
-	t := topo.SyntheticTopology(LatencyRegions)
-	fleet, err := topo.RegionalFleet(model.SingleFleet(), t)
+	t := core.SyntheticTopology(LatencyRegions)
+	fleet, err := core.RegionalFleet(model.SingleFleet(), t)
 	if err != nil {
 		return nil, err
 	}
@@ -137,7 +136,7 @@ func RunLatency(ctx context.Context, d Dataset, scale float64, short bool) (*Lat
 			}
 		}
 		best, bestTotal = alloc, total
-		lat, err := topo.EvalLatency(t, w, alloc, MessageBytes, slo)
+		lat, err := core.EvalLatency(t, w, alloc, MessageBytes, slo)
 		if err != nil {
 			return nil, fmt.Errorf("slo=%dms: %w", slo, err)
 		}
@@ -163,7 +162,7 @@ func RunLatency(ctx context.Context, d Dataset, scale float64, short bool) (*Lat
 	// Degenerate case: one region, zero egress, no ceiling. The solve
 	// under the one-region topology must reproduce gsp+cbp's allocation
 	// byte for byte — same workload (region tags and all), same model.
-	one := topo.SyntheticTopology(1)
+	one := core.SyntheticTopology(1)
 	topoCfg := core.Config{Tau: LatencyTau, MessageBytes: MessageBytes, Model: model, Topology: one}
 	paperCfg := core.Config{Tau: LatencyTau, MessageBytes: MessageBytes, Model: model}
 	topoSol, err := core.SolveContext(ctx, w, topoCfg)

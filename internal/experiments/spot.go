@@ -93,14 +93,6 @@ func RunSpot(ctx context.Context, d Dataset, scale float64) (*SpotResult, error)
 	if err != nil {
 		return nil, err
 	}
-	sched, err := spot.NewSchedule(market, fleet)
-	if err != nil {
-		return nil, err
-	}
-	chaos, err := spot.NewChaos(market, SpotChaosSeed)
-	if err != nil {
-		return nil, err
-	}
 
 	onDemand, err := elastic.NewController(cfg, elastic.DefaultPolicy()).Run(ctx, tl)
 	if err != nil {
@@ -108,8 +100,9 @@ func RunSpot(ctx context.Context, d Dataset, scale float64) (*SpotResult, error)
 	}
 
 	ctl := elastic.NewController(cfg, elastic.DefaultPolicy())
-	ctl.SetFleetSchedule(sched)
-	ctl.SetChaos(chaos)
+	if err := ctl.SetSpotMarket(market, SpotChaosSeed); err != nil {
+		return nil, err
+	}
 	spotRep, err := ctl.Run(ctx, tl)
 	if err != nil {
 		return nil, fmt.Errorf("spot portfolio: %w", err)

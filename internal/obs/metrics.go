@@ -404,7 +404,7 @@ func (m *Metrics) RecordAllocation(alloc *core.Allocation, model pricing.Model) 
 // per-region distribution of the allocation's active VMs (region resolved
 // from each VM's instance tag, untagged types in the home region). A nil
 // topology clears the family back to the paper's single-region reading.
-func (m *Metrics) RecordTopology(t core.Topology, alloc *core.Allocation) {
+func (m *Metrics) RecordTopology(t *core.Topology, alloc *core.Allocation) {
 	m.topoRegionVMs.Reset()
 	if t == nil {
 		m.topoRegions.Set(0)
@@ -424,7 +424,7 @@ func (m *Metrics) RecordTopology(t core.Topology, alloc *core.Allocation) {
 }
 
 // SetSLOViolations publishes the current count of placed pairs whose
-// modeled delivery RTT exceeds the latency SLO ceiling (topo.EvalLatency's
+// modeled delivery RTT exceeds the latency SLO ceiling (core.EvalLatency's
 // Violations figure).
 func (m *Metrics) SetSLOViolations(n int64) { m.topoViolations.Set(float64(n)) }
 

@@ -177,12 +177,8 @@ func (m *MicroUSD) UnmarshalJSON(b []byte) error {
 	return m.UnmarshalText([]byte(s))
 }
 
-// Byte-size units (decimal, as used by IaaS billing).
-const (
-	KB int64 = 1e3
-	MB int64 = 1e6
-	GB int64 = 1e9
-)
+// GB is the decimal gigabyte IaaS billing prices transfer by.
+const GB int64 = 1e9
 
 // InstanceType describes one rentable VM flavor.
 type InstanceType struct {

@@ -6,22 +6,24 @@ import (
 	"strings"
 )
 
-// mixEntry is one instance type with its VM count.
-type mixEntry struct {
-	name  string
-	count int
-}
-
-// sortedMixEntries flattens a mix map into entries ordered largest count
-// first, ties by name; unnamed keys (legacy VMs without a recorded
-// instance) become "?".
-func sortedMixEntries(mix map[string]int) []mixEntry {
-	entries := make([]mixEntry, 0, len(mix))
+// FormatMix renders an instance-type count map (e.g. core.Allocation's
+// InstanceMix) as a compact deterministic string like
+// "38×c3.large + 2×c3.8xlarge", largest count first, ties by name;
+// unnamed keys (legacy VMs without a recorded instance) become "?".
+func FormatMix(mix map[string]int) string {
+	if len(mix) == 0 {
+		return "(none)"
+	}
+	type entry struct {
+		name  string
+		count int
+	}
+	entries := make([]entry, 0, len(mix))
 	for name, n := range mix {
 		if name == "" {
 			name = "?"
 		}
-		entries = append(entries, mixEntry{name, n})
+		entries = append(entries, entry{name, n})
 	}
 	sort.Slice(entries, func(i, j int) bool {
 		if entries[i].count != entries[j].count {
@@ -29,30 +31,9 @@ func sortedMixEntries(mix map[string]int) []mixEntry {
 		}
 		return entries[i].name < entries[j].name
 	})
-	return entries
-}
-
-// FormatMix renders an instance-type count map (e.g. core.Allocation's
-// InstanceMix) as a compact deterministic string like
-// "38×c3.large + 2×c3.8xlarge", largest count first, ties by name.
-func FormatMix(mix map[string]int) string {
-	if len(mix) == 0 {
-		return "(none)"
-	}
-	entries := sortedMixEntries(mix)
 	parts := make([]string, len(entries))
 	for i, e := range entries {
 		parts[i] = fmt.Sprintf("%d×%s", e.count, e.name)
 	}
 	return strings.Join(parts, " + ")
-}
-
-// MixTable renders per-instance-type VM counts as a table, one row per
-// type, largest count first.
-func MixTable(title string, mix map[string]int) *Table {
-	t := NewTable(title, "instance", "VMs")
-	for _, e := range sortedMixEntries(mix) {
-		t.AddRow(e.name, e.count)
-	}
-	return t
 }

@@ -159,31 +159,3 @@ func SeriesCSV(w io.Writer, series ...Series) error {
 	}
 	return t.WriteCSV(w)
 }
-
-// WriteMarkdown emits the table as a GitHub-flavored Markdown table
-// (header row, separator, data rows). Pipes in cells are escaped.
-func (t *Table) WriteMarkdown(w io.Writer) error {
-	esc := func(s string) string { return strings.ReplaceAll(s, "|", `\|`) }
-	var b strings.Builder
-	if t.Title != "" {
-		fmt.Fprintf(&b, "**%s**\n\n", t.Title)
-	}
-	b.WriteString("|")
-	for _, h := range t.Headers {
-		b.WriteString(" " + esc(h) + " |")
-	}
-	b.WriteString("\n|")
-	for range t.Headers {
-		b.WriteString("---|")
-	}
-	b.WriteByte('\n')
-	for _, row := range t.rows {
-		b.WriteString("|")
-		for _, c := range row {
-			b.WriteString(" " + esc(c) + " |")
-		}
-		b.WriteByte('\n')
-	}
-	_, err := io.WriteString(w, b.String())
-	return err
-}

@@ -101,22 +101,6 @@ func TestSeriesCSV(t *testing.T) {
 	}
 }
 
-func TestWriteMarkdown(t *testing.T) {
-	tab := NewTable("Results", "name", "value")
-	tab.AddRow("plain", 1)
-	tab.AddRow("pipe|cell", 2)
-	var b strings.Builder
-	if err := tab.WriteMarkdown(&b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	for _, want := range []string{"**Results**", "| name | value |", "|---|---|", "| plain | 1 |", `pipe\|cell`} {
-		if !strings.Contains(out, want) {
-			t.Errorf("markdown missing %q:\n%s", want, out)
-		}
-	}
-}
-
 func TestFormatMix(t *testing.T) {
 	if got := FormatMix(nil); got != "(none)" {
 		t.Errorf("FormatMix(nil) = %q", got)
@@ -124,20 +108,5 @@ func TestFormatMix(t *testing.T) {
 	mix := map[string]int{"c3.large": 3, "c3.8xlarge": 7, "": 1}
 	if got, want := FormatMix(mix), "7×c3.8xlarge + 3×c3.large + 1×?"; got != want {
 		t.Errorf("FormatMix = %q, want %q", got, want)
-	}
-}
-
-func TestMixTable(t *testing.T) {
-	tb := MixTable("fleet", map[string]int{"a": 1, "b": 5})
-	if tb.NumRows() != 2 {
-		t.Fatalf("NumRows = %d, want 2", tb.NumRows())
-	}
-	s := tb.String()
-	if !strings.Contains(s, "b") || !strings.Contains(s, "5") {
-		t.Errorf("rendered table missing data: %q", s)
-	}
-	// Largest count first.
-	if strings.Index(s, "b") > strings.Index(s, "a ") {
-		t.Errorf("rows not sorted by count: %q", s)
 	}
 }

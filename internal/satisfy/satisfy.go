@@ -81,17 +81,6 @@ func Measure(w *workload.Workload, delivered []int64, tau int64) Metrics {
 	return m
 }
 
-// MeasureSelection computes Metrics for a Stage-1 selection (what the
-// selection would deliver if fully allocated).
-func MeasureSelection(sel *core.Selection, tau int64) Metrics {
-	w := sel.Workload()
-	delivered := make([]int64, w.NumSubscribers())
-	for v := range delivered {
-		delivered[v] = sel.SelectedRate(workload.SubID(v))
-	}
-	return Measure(w, delivered, tau)
-}
-
 // Result is the outcome of the capacity-constrained maximization.
 type Result struct {
 	// Satisfied subscribers, in selection order (cheapest first).

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"github.com/pubsub-systems/mcss/internal/core"
 	"github.com/pubsub-systems/mcss/internal/tracegen"
 	"github.com/pubsub-systems/mcss/internal/workload"
 )
@@ -76,23 +75,6 @@ func TestMeasureEmptyWorkload(t *testing.T) {
 	m := Measure(w, nil, 10)
 	if m.Total != 0 || !m.AllSatisfied() {
 		t.Errorf("empty metrics = %+v", m)
-	}
-}
-
-func TestMeasureSelectionAlwaysSatisfiedForGSP(t *testing.T) {
-	w, err := tracegen.Random(tracegen.RandomConfig{
-		Topics: 20, Subscribers: 60, MaxFollowings: 4, MaxRate: 100, Seed: 5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sel := core.GreedySelectPairs(w, 50)
-	m := MeasureSelection(sel, 50)
-	if !m.AllSatisfied() {
-		t.Errorf("GSP selection metrics = %+v, want all satisfied", m)
-	}
-	if m.MeanRatio != 1 || m.MinRatio != 1 {
-		t.Errorf("ratios = %v/%v, want 1/1", m.MeanRatio, m.MinRatio)
 	}
 }
 

@@ -20,11 +20,12 @@ const (
 	repriceThresholdFrac = 0.05
 )
 
-// Schedule adapts a Market to the elastic controller's FleetSchedule hook:
-// per epoch it yields the decision fleet (base types plus risk-adjusted
-// spot variants, quantized by repriceThresholdFrac) and the billing fleet
-// (the same variants at the raw epoch spot price). Not safe for concurrent
-// use; a Walk steps epochs from one goroutine.
+// Schedule is the per-epoch fleet timeline the elastic controller builds
+// from a Market (Controller.SetSpotMarket): per epoch it yields the
+// decision fleet (base types plus risk-adjusted spot variants, quantized
+// by repriceThresholdFrac) and the billing fleet (the same variants at the
+// raw epoch spot price). Not safe for concurrent use; a Walk steps epochs
+// from one goroutine.
 type Schedule struct {
 	m    *Market
 	base pricing.Fleet

@@ -8,7 +8,6 @@ import (
 	"github.com/pubsub-systems/mcss/internal/core"
 	"github.com/pubsub-systems/mcss/internal/pricing"
 	"github.com/pubsub-systems/mcss/internal/spot"
-	"github.com/pubsub-systems/mcss/internal/topo"
 	"github.com/pubsub-systems/mcss/internal/tracegen"
 )
 
@@ -120,8 +119,8 @@ func TestFleetAtRiskAdjustment(t *testing.T) {
 // into its base type's region, so Stage 2 routes spot capacity and egress
 // bills it where it really runs.
 func TestFleetAtKeepsRegion(t *testing.T) {
-	net := topo.SyntheticTopology(3)
-	base, err := topo.RegionalFleet(pricing.CatalogFleet(), net)
+	net := core.SyntheticTopology(3)
+	base, err := core.RegionalFleet(pricing.CatalogFleet(), net)
 	if err != nil {
 		t.Fatal(err)
 	}

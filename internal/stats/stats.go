@@ -63,40 +63,13 @@ func TailFraction(samples []float64, x float64) float64 {
 	return float64(n) / float64(len(samples))
 }
 
-// MeanByKey groups (key, value) observations by key and reports the mean
-// value per distinct key, in increasing key order. This is the shape of the
-// paper's Fig. 10 (mean event rate vs #followers) and Fig. 12 (mean SC vs
-// #followings). keys and values must have equal length.
-func MeanByKey(keys []int64, values []float64) []Point {
-	if len(keys) != len(values) || len(keys) == 0 {
-		return nil
-	}
-	type agg struct {
-		sum float64
-		n   int
-	}
-	m := make(map[int64]*agg, 1024)
-	for i, k := range keys {
-		a := m[k]
-		if a == nil {
-			a = &agg{}
-			m[k] = a
-		}
-		a.sum += values[i]
-		a.n++
-	}
-	out := make([]Point, 0, len(m))
-	for k, a := range m {
-		out = append(out, Point{X: float64(k), Y: a.sum / float64(a.n)})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].X < out[j].X })
-	return out
-}
-
-// LogBucketMean is MeanByKey with keys collapsed into logarithmic buckets of
-// the given base (each bucket is [base^i, base^(i+1))); the reported X is the
-// bucket's geometric center. Keys < 1 land in the first bucket. Useful for
-// smoothing heavy-tailed dependency plots.
+// LogBucketMean groups (key, value) observations into logarithmic key
+// buckets of the given base (each bucket is [base^i, base^(i+1))) and
+// reports the mean value per bucket, in increasing order; the reported X
+// is the bucket's geometric center. Keys < 1 land in the first bucket.
+// This is the shape of the paper's Fig. 10 (mean event rate vs
+// #followers) and Fig. 12 (mean SC vs #followings), smoothed over their
+// heavy tails. keys and values must have equal length.
 func LogBucketMean(keys []int64, values []float64, base float64) []Point {
 	if len(keys) != len(values) || len(keys) == 0 || base <= 1 {
 		return nil
@@ -123,28 +96,6 @@ func LogBucketMean(keys []int64, values []float64, base float64) []Point {
 	for b, a := range m {
 		center := math.Pow(base, float64(b)+0.5)
 		out = append(out, Point{X: center, Y: a.sum / float64(a.n)})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].X < out[j].X })
-	return out
-}
-
-// Histogram counts samples per logarithmic bucket of the given base and
-// returns (bucket lower bound, count) points in increasing order.
-func Histogram(samples []int64, base float64) []Point {
-	if len(samples) == 0 || base <= 1 {
-		return nil
-	}
-	m := make(map[int]int)
-	for _, s := range samples {
-		b := 0
-		if s >= 1 {
-			b = int(math.Floor(math.Log(float64(s)) / math.Log(base)))
-		}
-		m[b]++
-	}
-	out := make([]Point, 0, len(m))
-	for b, n := range m {
-		out = append(out, Point{X: math.Pow(base, float64(b)), Y: float64(n)})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].X < out[j].X })
 	return out

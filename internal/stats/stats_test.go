@@ -64,27 +64,6 @@ func TestTailFraction(t *testing.T) {
 	}
 }
 
-func TestMeanByKey(t *testing.T) {
-	keys := []int64{2, 1, 2, 1, 3}
-	vals := []float64{10, 4, 20, 6, 7}
-	pts := MeanByKey(keys, vals)
-	want := []Point{{1, 5}, {2, 15}, {3, 7}}
-	if len(pts) != len(want) {
-		t.Fatalf("got %d points, want %d", len(pts), len(want))
-	}
-	for i := range want {
-		if pts[i] != want[i] {
-			t.Errorf("point %d = %v, want %v", i, pts[i], want[i])
-		}
-	}
-}
-
-func TestMeanByKeyMismatchedLengths(t *testing.T) {
-	if pts := MeanByKey([]int64{1}, nil); pts != nil {
-		t.Errorf("MeanByKey mismatched = %v, want nil", pts)
-	}
-}
-
 func TestLogBucketMean(t *testing.T) {
 	// Base 10: keys 1..9 share a bucket, 10..99 share the next.
 	keys := []int64{1, 5, 9, 10, 50}
@@ -98,17 +77,6 @@ func TestLogBucketMean(t *testing.T) {
 	}
 	if pts[1].Y != 15 {
 		t.Errorf("bucket1 mean = %v, want 15", pts[1].Y)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	pts := Histogram([]int64{1, 2, 9, 10, 100, 150}, 10)
-	// Buckets: [1,10): {1,2,9}=3, [10,100): {10}=1, [100,1000): {100,150}=2.
-	if len(pts) != 3 {
-		t.Fatalf("got %d buckets, want 3: %v", len(pts), pts)
-	}
-	if pts[0].Y != 3 || pts[1].Y != 1 || pts[2].Y != 2 {
-		t.Errorf("histogram = %v", pts)
 	}
 }
 

@@ -16,7 +16,6 @@ import (
 	"github.com/pubsub-systems/mcss/internal/pricing"
 	"github.com/pubsub-systems/mcss/internal/spot"
 	"github.com/pubsub-systems/mcss/internal/timeline"
-	"github.com/pubsub-systems/mcss/internal/topo"
 	"github.com/pubsub-systems/mcss/internal/tracegen"
 	"github.com/pubsub-systems/mcss/internal/workload"
 )
@@ -429,11 +428,11 @@ func FuzzReadSpotMarket(f *testing.F) {
 // FuzzReadTopology hardens the topology parser under the symmetric error
 // contract: any input either parses into a topology that WriteTopology
 // accepts and that round-trips unchanged, or fails with ErrBadFormat
-// (malformed wire bytes) / topo.ErrInvalidTopology (well-formed JSON
+// (malformed wire bytes) / core.ErrInvalidTopology (well-formed JSON
 // violating the model) — never panic, never an untyped error.
 func FuzzReadTopology(f *testing.F) {
 	var buf bytes.Buffer
-	if err := WriteTopology(topo.SyntheticTopology(3), &buf); err != nil {
+	if err := WriteTopology(core.SyntheticTopology(3), &buf); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(buf.String())
@@ -452,7 +451,7 @@ func FuzzReadTopology(f *testing.F) {
 	f.Fuzz(func(t *testing.T, input string) {
 		tp, err := ReadTopology(strings.NewReader(input))
 		if err != nil {
-			if !errors.Is(err, ErrBadFormat) && !errors.Is(err, topo.ErrInvalidTopology) {
+			if !errors.Is(err, ErrBadFormat) && !errors.Is(err, core.ErrInvalidTopology) {
 				t.Fatalf("untyped parse error: %v", err)
 			}
 			return

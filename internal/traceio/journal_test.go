@@ -13,7 +13,6 @@ import (
 	"github.com/pubsub-systems/mcss/internal/deploy"
 	"github.com/pubsub-systems/mcss/internal/dynamic"
 	"github.com/pubsub-systems/mcss/internal/pricing"
-	"github.com/pubsub-systems/mcss/internal/topo"
 	"github.com/pubsub-systems/mcss/internal/workload"
 )
 
@@ -318,7 +317,7 @@ func TestPlanBeginBodyWithoutTarget(t *testing.T) {
 // bootstrapped state, the next workload and the plan.
 func regionFollowup(t testing.TB) (core.Config, *deploy.State, *workload.Workload, *deploy.Plan) {
 	t.Helper()
-	net := topo.SyntheticTopology(2)
+	net := core.SyntheticTopology(2)
 	base, err := workloadForGolden(t).WithRegions([]int32{0, 1, 0}, []int32{0, 1, 1, 0, 1})
 	if err != nil {
 		t.Fatal(err)
@@ -327,7 +326,7 @@ func regionFollowup(t testing.TB) (core.Config, *deploy.State, *workload.Workloa
 	model.CapacityOverrideBytesPerHour = 100_000
 	cfg := core.DefaultConfig(40, model)
 	cfg.Topology = net
-	if cfg.Fleet, err = topo.RegionalFleet(model.SingleFleet(), net); err != nil {
+	if cfg.Fleet, err = core.RegionalFleet(model.SingleFleet(), net); err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()

@@ -14,7 +14,6 @@ import (
 	"github.com/pubsub-systems/mcss/internal/deploy"
 	"github.com/pubsub-systems/mcss/internal/dynamic"
 	"github.com/pubsub-systems/mcss/internal/pricing"
-	"github.com/pubsub-systems/mcss/internal/topo"
 	"github.com/pubsub-systems/mcss/internal/workload"
 )
 
@@ -326,7 +325,7 @@ func TestWritePlanRejectsInvalid(t *testing.T) {
 // per-topic and per-subscriber region indices on the workload, and the
 // region tag on every deployed instance type.
 func TestPlanRoundTripRegions(t *testing.T) {
-	net := topo.SyntheticTopology(2)
+	net := core.SyntheticTopology(2)
 	base := workloadForGolden(t)
 	w, err := base.WithRegions(
 		[]int32{0, 1, 0},       // hot, warm, cold publishers
@@ -340,7 +339,7 @@ func TestPlanRoundTripRegions(t *testing.T) {
 	model.CapacityOverrideBytesPerHour = 100_000
 	cfg := core.DefaultConfig(40, model)
 	cfg.Topology = net
-	if cfg.Fleet, err = topo.RegionalFleet(model.SingleFleet(), net); err != nil {
+	if cfg.Fleet, err = core.RegionalFleet(model.SingleFleet(), net); err != nil {
 		t.Fatal(err)
 	}
 	plan, err := solvePlan(context.Background(), cfg, w, nil)

@@ -5,8 +5,8 @@ import (
 	"fmt"
 	"io"
 
+	"github.com/pubsub-systems/mcss/internal/core"
 	"github.com/pubsub-systems/mcss/internal/pricing"
-	"github.com/pubsub-systems/mcss/internal/topo"
 )
 
 // Topology format (version 1): a multi-region network model as one JSON
@@ -19,7 +19,7 @@ import (
 // are not a well-formed document of this format fail with ErrBadFormat,
 // while a document that parses but violates the topology invariants (no
 // regions, duplicate names, mismatched matrix shapes, negative entries,
-// non-zero diagonal egress) fails with topo.ErrInvalidTopology — the same
+// non-zero diagonal egress) fails with core.ErrInvalidTopology — the same
 // error WriteTopology rejects it with before anything hits the wire.
 // Hostile documents must never panic and never force allocations past the
 // actual input size.
@@ -35,7 +35,7 @@ type topologyDoc struct {
 }
 
 // topologyToDoc flattens a topology back into its constructor inputs.
-func topologyToDoc(t *topo.Topology) topologyDoc {
+func topologyToDoc(t *core.Topology) topologyDoc {
 	n := t.NumRegions()
 	doc := topologyDoc{
 		Format:      topologyFormat,
@@ -56,11 +56,12 @@ func topologyToDoc(t *topo.Topology) topologyDoc {
 }
 
 // WriteTopology serializes a topology as an indented JSON document. A nil
-// topology is rejected with topo.ErrInvalidTopology before anything is
-// written (a *topo.Topology built with topo.New is valid by construction).
-func WriteTopology(t *topo.Topology, out io.Writer) error {
+// topology is rejected with core.ErrInvalidTopology before anything is
+// written (a *core.Topology built with core.NewTopology is valid by
+// construction).
+func WriteTopology(t *core.Topology, out io.Writer) error {
 	if t == nil || t.NumRegions() == 0 {
-		return fmt.Errorf("%w: nil topology", topo.ErrInvalidTopology)
+		return fmt.Errorf("%w: nil topology", core.ErrInvalidTopology)
 	}
 	b, err := json.MarshalIndent(topologyToDoc(t), "", "  ")
 	if err != nil {
@@ -72,10 +73,10 @@ func WriteTopology(t *topo.Topology, out io.Writer) error {
 }
 
 // ReadTopology parses a topology document and rebuilds a validated
-// topo.Topology. Bytes that are not well-formed JSON of this format fail
+// core.Topology. Bytes that are not well-formed JSON of this format fail
 // with ErrBadFormat; a document that parses but violates the topology
-// invariants fails with topo.ErrInvalidTopology.
-func ReadTopology(in io.Reader) (*topo.Topology, error) {
+// invariants fails with core.ErrInvalidTopology.
+func ReadTopology(in io.Reader) (*core.Topology, error) {
 	dec := json.NewDecoder(in)
 	var doc topologyDoc
 	if err := dec.Decode(&doc); err != nil {
@@ -87,17 +88,17 @@ func ReadTopology(in io.Reader) (*topo.Topology, error) {
 	if doc.Version != 1 {
 		return nil, fmt.Errorf("%w: unsupported topology version %d", ErrBadFormat, doc.Version)
 	}
-	return topo.New(doc.Regions, doc.RTTMillis, doc.EgressPerGB)
+	return core.NewTopology(doc.Regions, doc.RTTMillis, doc.EgressPerGB)
 }
 
 // SaveTopology writes a topology to path; a ".gz" suffix enables gzip. A
 // rejected topology never truncates an existing file.
-func SaveTopology(t *topo.Topology, path string) error {
+func SaveTopology(t *core.Topology, path string) error {
 	return saveFile(path, func(out io.Writer) error { return WriteTopology(t, out) })
 }
 
 // LoadTopology reads a validated topology from path, transparently
 // decompressing ".gz" files.
-func LoadTopology(path string) (*topo.Topology, error) {
+func LoadTopology(path string) (*core.Topology, error) {
 	return loadFile(path, ReadTopology)
 }

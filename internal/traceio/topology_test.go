@@ -8,17 +8,17 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/pubsub-systems/mcss/internal/core"
 	"github.com/pubsub-systems/mcss/internal/pricing"
-	"github.com/pubsub-systems/mcss/internal/topo"
 )
 
 // goldenTopology is the deterministic topology committed as testdata: three
 // asymmetric regions with hand-picked RTTs and egress prices (the asymmetry
 // catches any transposed-matrix regression the symmetric synthetic topology
 // would miss).
-func goldenTopology(t testing.TB) *topo.Topology {
+func goldenTopology(t testing.TB) *core.Topology {
 	t.Helper()
-	tp, err := topo.New(
+	tp, err := core.NewTopology(
 		[]string{"us-east", "eu-west", "ap-south"},
 		[][]int64{
 			{0, 80, 190},
@@ -71,7 +71,7 @@ func TestTopologyGolden(t *testing.T) {
 	assertTopologiesEqual(t, tp, back)
 }
 
-func assertTopologiesEqual(t *testing.T, a, b *topo.Topology) {
+func assertTopologiesEqual(t *testing.T, a, b *core.Topology) {
 	t.Helper()
 	if a.NumRegions() != b.NumRegions() {
 		t.Fatalf("region count %d != %d", a.NumRegions(), b.NumRegions())
@@ -92,10 +92,10 @@ func assertTopologiesEqual(t *testing.T, a, b *topo.Topology) {
 }
 
 func TestTopologyRoundTrip(t *testing.T) {
-	for _, tp := range []*topo.Topology{
+	for _, tp := range []*core.Topology{
 		goldenTopology(t),
-		topo.SyntheticTopology(1),
-		topo.SyntheticTopology(5),
+		core.SyntheticTopology(1),
+		core.SyntheticTopology(5),
 	} {
 		var buf bytes.Buffer
 		if err := WriteTopology(tp, &buf); err != nil {
@@ -137,7 +137,7 @@ func TestTopologyErrorContract(t *testing.T) {
 			t.Errorf("%q: err = %v, want ErrBadFormat", in, err)
 		}
 	}
-	// Parses but violates topology invariants → topo.ErrInvalidTopology.
+	// Parses but violates topology invariants → core.ErrInvalidTopology.
 	for _, in := range []string{
 		`{"format":"mcss-topology","version":1}`,
 		`{"format":"mcss-topology","version":1,"regions":["a","a"],` +
@@ -147,14 +147,14 @@ func TestTopologyErrorContract(t *testing.T) {
 		`{"format":"mcss-topology","version":1,"regions":["a"],` +
 			`"rtt_millis":[[0]],"egress_per_gb":[["0.50"]]}`,
 	} {
-		if _, err := ReadTopology(strings.NewReader(in)); !errors.Is(err, topo.ErrInvalidTopology) {
-			t.Errorf("%q: err = %v, want topo.ErrInvalidTopology", in, err)
+		if _, err := ReadTopology(strings.NewReader(in)); !errors.Is(err, core.ErrInvalidTopology) {
+			t.Errorf("%q: err = %v, want core.ErrInvalidTopology", in, err)
 		}
 	}
 	// WriteTopology rejects a nil topology symmetrically, leaving no bytes.
 	var buf bytes.Buffer
-	if err := WriteTopology(nil, &buf); !errors.Is(err, topo.ErrInvalidTopology) {
-		t.Errorf("write nil: err = %v, want topo.ErrInvalidTopology", err)
+	if err := WriteTopology(nil, &buf); !errors.Is(err, core.ErrInvalidTopology) {
+		t.Errorf("write nil: err = %v, want core.ErrInvalidTopology", err)
 	}
 	if buf.Len() != 0 {
 		t.Error("nil topology left bytes on the wire")

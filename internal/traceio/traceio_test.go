@@ -18,7 +18,6 @@ import (
 	"github.com/pubsub-systems/mcss/internal/pricing"
 	"github.com/pubsub-systems/mcss/internal/spot"
 	"github.com/pubsub-systems/mcss/internal/timeline"
-	"github.com/pubsub-systems/mcss/internal/topo"
 	"github.com/pubsub-systems/mcss/internal/tracegen"
 	"github.com/pubsub-systems/mcss/internal/workload"
 )
@@ -337,7 +336,7 @@ func TestRejectedSaveKeepsExistingFile(t *testing.T) {
 		want error
 	}{
 		{"timeline", func(p string) error { return SaveTimeline(&timeline.Timeline{}, p) }, timeline.ErrInvalidTimeline},
-		{"topology", func(p string) error { return SaveTopology(nil, p) }, topo.ErrInvalidTopology},
+		{"topology", func(p string) error { return SaveTopology(nil, p) }, core.ErrInvalidTopology},
 		{"spot market", func(p string) error { return SaveSpotMarket(&spot.Market{}, p) }, spot.ErrInvalidMarket},
 		{"plan", func(p string) error { return SavePlan(&deploy.Plan{}, p) }, deploy.ErrInvalidPlan},
 	} {
@@ -377,7 +376,7 @@ func TestUnsortedTraceRowTopsUpOnce(t *testing.T) {
 		t.Errorf("subscriber 0 follows %v, want [0 1]", got)
 	}
 	cfg := core.DefaultConfig(100, pricing.NewModel(pricing.C3Large))
-	p, err := dynamic.New(w, cfg)
+	p, err := dynamic.NewContext(context.Background(), w, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

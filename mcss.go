@@ -34,6 +34,16 @@
 // hot topics, small ones for the tail — never costing more than the best
 // homogeneous choice from the same fleet.
 //
+// Two axes the paper leaves out, regions and spot capacity, each come as
+// one concrete type. A Topology (NewTopology, SyntheticTopology,
+// LoadTopology) attached with WithTopology spreads the deployment over
+// regions: Stage 2 routes every pair to its cheapest region under an
+// optional latency ceiling (WithLatencySLO) and cross-region egress joins
+// the bill; a nil Topology is the paper's single region. A SpotMarket
+// handed to Planner.RunTimelineSpot reprices the fleet every epoch and
+// reclaims spot VMs in correlated groups that the controller repairs in
+// place.
+//
 // Beyond the snapshot problem, the module models workloads that change
 // over the day: a Timeline is an epoch-indexed sequence of snapshots
 // (diurnal rate modulation, subscriber churn, flash crowds, via
@@ -75,7 +85,6 @@ import (
 	"github.com/pubsub-systems/mcss/internal/satisfy"
 	"github.com/pubsub-systems/mcss/internal/spot"
 	"github.com/pubsub-systems/mcss/internal/timeline"
-	"github.com/pubsub-systems/mcss/internal/topo"
 	"github.com/pubsub-systems/mcss/internal/tracegen"
 	"github.com/pubsub-systems/mcss/internal/traceio"
 	"github.com/pubsub-systems/mcss/internal/workload"
@@ -282,8 +291,8 @@ func ApplyDelta(w *Workload, d Delta) (*Workload, error) { return dynamic.ApplyD
 
 // MigrationStatsBetween diffs primary pair hosts between two allocations
 // and fills the VM-count and cost fields under the model — the one helper
-// Preview, UpdateIncremental, and the deploy planner all route their stats
-// through. Neither allocation may place a negative ID.
+// PreviewContext, UpdateIncremental, and the deploy planner all route
+// their stats through. Neither allocation may place a negative ID.
 func MigrationStatsBetween(before, after *Allocation, m Model) MigrationStats {
 	return dynamic.MigrationStatsBetween(before, after, m)
 }
@@ -416,20 +425,17 @@ func LoadSpotMarket(path string) (*SpotMarket, error) { return traceio.LoadSpotM
 // Multi-region placement: a network topology makes region a first-class
 // dimension — regional fleets, cross-region egress billing, and a latency
 // SLO ceiling on each subscription's modeled delivery RTT. Attach one with
-// WithTopology; without one everything reduces to the paper's
-// single-region problem.
+// WithTopology; without one (or with a nil one) everything reduces to the
+// paper's single-region problem.
 type (
-	// Topology is the network-model interface the solver consumes: region
+	// Topology is the validated network model the solver consumes: region
 	// names, an inter-region RTT matrix, and a per-GB egress price matrix
-	// with a zero diagonal.
+	// with a zero diagonal. Build one with NewTopology or
+	// SyntheticTopology; SaveTopology/LoadTopology (de)serialize it.
 	Topology = core.Topology
-	// NetworkTopology is the concrete validated topology built by
-	// NewTopology/SyntheticTopology and (de)serialized by
-	// SaveTopology/LoadTopology.
-	NetworkTopology = topo.Topology
 	// LatencyReport summarizes an allocation's modeled delivery RTT
 	// distribution and egress bill under a topology.
-	LatencyReport = topo.LatencyReport
+	LatencyReport = core.LatencyReport
 )
 
 // ErrInvalidTopology reports a structurally unusable topology (no regions,
@@ -437,34 +443,32 @@ type (
 // diagonal egress). Both SaveTopology and LoadTopology surface structural
 // violations as this one typed error; LoadTopology reserves traceio's
 // ErrBadFormat for malformed bytes.
-var ErrInvalidTopology = topo.ErrInvalidTopology
+var ErrInvalidTopology = core.ErrInvalidTopology
 
 // NewTopology builds a validated topology from region names, an
 // inter-region RTT matrix (milliseconds), and a per-GB egress price matrix
 // (zero diagonal required). Inputs are copied.
-func NewTopology(regions []string, rttMillis [][]int64, egressPerGB [][]MicroUSD) (*NetworkTopology, error) {
-	return topo.New(regions, rttMillis, egressPerGB)
+func NewTopology(regions []string, rttMillis [][]int64, egressPerGB [][]MicroUSD) (*Topology, error) {
+	return core.NewTopology(regions, rttMillis, egressPerGB)
 }
 
 // SyntheticTopology returns a deterministic n-region topology with
 // distance-proportional RTTs and a flat cross-region egress price — the
 // default testbed of the latency experiments.
-func SyntheticTopology(n int) *NetworkTopology { return topo.SyntheticTopology(n) }
+func SyntheticTopology(n int) *Topology { return core.SyntheticTopology(n) }
 
 // RegionalFleet replicates a base fleet into every region of the topology,
 // tagging each copy "<name>@<region>". A single-region topology returns
 // the base fleet unchanged, preserving the paper's instance names.
-func RegionalFleet(base Fleet, t *NetworkTopology) (Fleet, error) {
-	return topo.RegionalFleet(base, t)
-}
+func RegionalFleet(base Fleet, t *Topology) (Fleet, error) { return core.RegionalFleet(base, t) }
 
 // EvalLatency scores an allocation under a topology: the modeled
 // publisher→broker→subscriber RTT distribution across placed pairs
 // (p50/p99/max), SLO violations against a ceiling (0 = none), and the
 // hourly cross-region egress volume and cost. A workload tagged with a
 // region the topology does not have is an error.
-func EvalLatency(t Topology, w *Workload, alloc *Allocation, messageBytes, sloMillis int64) (LatencyReport, error) {
-	return topo.EvalLatency(t, w, alloc, messageBytes, sloMillis)
+func EvalLatency(t *Topology, w *Workload, alloc *Allocation, messageBytes, sloMillis int64) (LatencyReport, error) {
+	return core.EvalLatency(t, w, alloc, messageBytes, sloMillis)
 }
 
 // TagRegions spreads a workload's subscribers across n regions with a
@@ -477,12 +481,12 @@ func TagRegions(w *Workload, n int, seed int64) (*Workload, error) {
 // SaveTopology writes a topology to path in the traceio topology format
 // (gzip when it ends in ".gz"). An invalid topology is rejected with
 // ErrInvalidTopology before anything is written.
-func SaveTopology(t *NetworkTopology, path string) error { return traceio.SaveTopology(t, path) }
+func SaveTopology(t *Topology, path string) error { return traceio.SaveTopology(t, path) }
 
 // LoadTopology reads a validated topology from path. Malformed bytes fail
 // with traceio's ErrBadFormat; bytes that parse into an invalid topology
 // fail with ErrInvalidTopology, mirroring SaveTopology.
-func LoadTopology(path string) (*NetworkTopology, error) { return traceio.LoadTopology(path) }
+func LoadTopology(path string) (*Topology, error) { return traceio.LoadTopology(path) }
 
 // Satisfaction metrics (the companion INFOCOM'14 framework, paper ref [9]).
 type (

@@ -141,7 +141,7 @@ func TestPublicProvisioner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats, err := p.Update(mcss.Delta{
+	stats, err := p.UpdateContext(context.Background(), mcss.Delta{
 		NewSubscribers: 1,
 		Subscribe:      []mcss.Pair{{Topic: 0, Sub: mcss.SubID(w.NumSubscribers())}},
 	})

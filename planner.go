@@ -13,7 +13,6 @@ import (
 	"github.com/pubsub-systems/mcss/internal/dynamic"
 	"github.com/pubsub-systems/mcss/internal/elastic"
 	"github.com/pubsub-systems/mcss/internal/exact"
-	"github.com/pubsub-systems/mcss/internal/spot"
 )
 
 // ErrBadOption reports an invalid Planner option; every validation failure
@@ -171,7 +170,7 @@ func WithMessageBytes(n int64) Option {
 // and packs each region against that region's fleet types, whatever
 // packer is configured. A nil topology (the default) is the paper's
 // single-region setting.
-func WithTopology(t Topology) Option {
+func WithTopology(t *Topology) Option {
 	return func(b *plannerBuilder) { b.cfg.Topology = t }
 }
 
@@ -349,16 +348,9 @@ type SpotRunConfig struct {
 // on-demand types while replicated topics may ride the discount. The
 // market must cover the timeline's epochs.
 func (p *Planner) RunTimelineSpot(ctx context.Context, tl *Timeline, policy ElasticPolicy, market *SpotMarket, rc SpotRunConfig) (*ElasticRunReport, error) {
-	sched, err := spot.NewSchedule(market, p.cfg.EffectiveFleet())
-	if err != nil {
-		return nil, err
-	}
-	chaos, err := spot.NewChaos(market, rc.ChaosSeed)
-	if err != nil {
-		return nil, err
-	}
 	ctl := elastic.NewController(p.cfg, policy)
-	ctl.SetFleetSchedule(sched)
-	ctl.SetChaos(chaos)
+	if err := ctl.SetSpotMarket(market, rc.ChaosSeed); err != nil {
+		return nil, err
+	}
 	return ctl.Run(ctx, tl)
 }

@@ -183,6 +183,28 @@ func TestNilStagesRunGSPAndCBP(t *testing.T) {
 	}
 }
 
+// A nil topology is no topology: WithTopology((*Topology)(nil)) solves the
+// paper's single-region problem, region tags and all, instead of
+// dereferencing it.
+func TestNilTopologySolvesSingleRegion(t *testing.T) {
+	w, err := mcss.TagRegions(buildDemo(t), 3, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := demoPlanner(t, 40).Solve(context.Background(), w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := demoPlanner(t, 40, mcss.WithTopology((*mcss.Topology)(nil)), mcss.WithLatencySLO(0))
+	got, err := p.Solve(context.Background(), w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g, d := mcss.StateFingerprint(w, got.Allocation), mcss.StateFingerprint(w, want.Allocation); g != d {
+		t.Errorf("nil topology fingerprint %s, no topology %s", g, d)
+	}
+}
+
 // WithStrategy("exact") runs the optimal solver end to end through the
 // Planner and can never cost more than the heuristic.
 func TestPlannerExactStrategy(t *testing.T) {
