@@ -112,7 +112,9 @@ func benchStage1Runtime(b *testing.B, d experiments.Dataset) {
 		})
 		b.Run(fmt.Sprintf("RSP/tau=%d", tau), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				core.RandomSelectPairs(w, tau)
+				if _, err := core.RandomSelectPairsContext(context.Background(), w, core.Config{Tau: tau}); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}
@@ -143,14 +145,14 @@ func benchStage2Runtime(b *testing.B, d experiments.Dataset) {
 		ffCfg := core.Config{Tau: tau, MessageBytes: experiments.MessageBytes, Model: model}
 		b.Run(fmt.Sprintf("CBP/tau=%d", tau), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := core.CustomBinPacking(sel, cbpCfg); err != nil {
+				if _, err := core.CustomBinPackingContext(context.Background(), sel, cbpCfg); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 		b.Run(fmt.Sprintf("FFBP/tau=%d", tau), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := core.FFBinPacking(sel, ffCfg); err != nil {
+				if _, err := core.FFBinPackingContext(context.Background(), sel, ffCfg); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -260,7 +262,7 @@ func BenchmarkAblationStage2Rungs(b *testing.B) {
 			var alloc *core.Allocation
 			for i := 0; i < b.N; i++ {
 				var err error
-				alloc, err = core.CustomBinPacking(sel, cfg)
+				alloc, err = core.CustomBinPackingContext(context.Background(), sel, cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -519,12 +521,12 @@ func BenchmarkAblationBestFit(b *testing.B) {
 		name string
 		run  func() (*core.Allocation, error)
 	}{
-		{"FFBP", func() (*core.Allocation, error) { return core.FFBinPacking(sel, cfg) }},
-		{"BFD", func() (*core.Allocation, error) { return core.BFDBinPacking(sel, cfg) }},
+		{"FFBP", func() (*core.Allocation, error) { return core.FFBinPackingContext(context.Background(), sel, cfg) }},
+		{"BFD", func() (*core.Allocation, error) { return core.BFDBinPackingContext(context.Background(), sel, cfg) }},
 		{"CBP", func() (*core.Allocation, error) {
 			c := cfg
 			c.Opts = core.OptAll
-			return core.CustomBinPacking(sel, c)
+			return core.CustomBinPackingContext(context.Background(), sel, c)
 		}},
 	}
 	for _, p := range packers {

@@ -376,3 +376,32 @@ func TestSnapshotHonorsTopology(t *testing.T) {
 		t.Errorf("snapshot tagged beyond the topology: err = %v, want %v", err, want)
 	}
 }
+
+// A snapshot whose VMs are tagged with regions the -topology file does not
+// name (SyntheticTopology(3)'s r0–r2 against us-east, eu-west, ap-south)
+// is refused, naming the type and the tag, instead of being read as all
+// in the home region.
+func TestSnapshotRefusesUnnamedInstanceRegions(t *testing.T) {
+	base, err := tracegen.Random(tracegen.RandomConfig{
+		Topics: 30, Subscribers: 80, MaxFollowings: 4, MaxRate: 100, Seed: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tagged, err := tracegen.TagRegions(base, 3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.DefaultConfig(10, pricing.NewModel(pricing.C3Large))
+	cfg.Topology = core.SyntheticTopology(3)
+	if cfg.Fleet, err = core.RegionalFleet(cfg.Model.SingleFleet(), cfg.Topology); err != nil {
+		t.Fatal(err)
+	}
+	err = run([]string{
+		"-addr", "127.0.0.1:0", "-snapshot", writeSnapshot(t, tagged, cfg),
+		"-topology", topologyFile, "-once", "-log-level", "error",
+	}, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "which the topology does not name") {
+		t.Fatalf("run -snapshot with VM regions beyond -topology = %v, want a region error", err)
+	}
+}

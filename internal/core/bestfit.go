@@ -9,32 +9,27 @@ import (
 	"github.com/pubsub-systems/mcss/internal/workload"
 )
 
-// BFDBinPacking is a best-fit-decreasing baseline packer: pairs are sorted
-// by topic rate (non-increasing) and each is placed on the deployed VM with
-// the least free capacity that still fits it. It is not part of the paper's
-// ladder — the paper compares against first-fit — but BFD is the classic
-// stronger bin-packing heuristic, so it quantifies how much of CBP's
-// advantage comes from topic grouping rather than from better item
-// ordering alone (see BenchmarkAblationBestFit).
+// BFDBinPackingContext is a best-fit-decreasing baseline packer, the
+// Stage 2 the mcss Planner names "bfd": pairs are sorted by topic rate
+// (non-increasing) and each is placed on the deployed VM with the least
+// free capacity that still fits it. It is not part of the paper's ladder —
+// the paper compares against first-fit — but BFD is the classic stronger
+// bin-packing heuristic, so it quantifies how much of CBP's advantage
+// comes from topic grouping rather than from better item ordering alone
+// (see BenchmarkAblationBestFit). The context is checked every
+// checkInterval pairs, and Config.Observer gets progress callbacks.
 //
 // Like FFBP it works at pair granularity and therefore still splits topics
 // across VMs and pays duplicated incoming streams.
-func BFDBinPacking(sel *Selection, cfg Config) (*Allocation, error) {
-	return BFDBinPackingContext(context.Background(), sel, cfg)
-}
-
-// BFDBinPackingContext is BFDBinPacking with context cancellation and
-// Config.Observer progress callbacks — the Stage 2 the mcss Planner names
-// "bfd".
 //
 // "Tightest deployed VM that fits" is answered by an ordered
-// free-capacity index (a treap keyed by (free, VM index)): the ceiling
-// query at 2·rb yields the tightest VM that can take the topic's incoming
-// stream plus one pair, and the per-topic host list supplies the tightest
-// VM that already hosts the topic and needs only rb more. The
-// lexicographically smaller (free, index) of the two candidates is
-// exactly the VM the O(P·V) reference scan selects, which the
-// differential property tests enforce against the test-only oracle.
+// free-capacity index kept on top of the slot table (a treap keyed by
+// (free, VM index)): the ceiling query at 2·rb yields the tightest VM that
+// can take the topic's incoming stream plus one pair, and the topic's host
+// list supplies the tightest VM that already hosts the topic and needs
+// only rb more. The lexicographically smaller (free, index) of the two
+// candidates is exactly the VM the O(P·V) reference scan selects, which
+// the differential property tests enforce against the test-only oracle.
 func BFDBinPackingContext(ctx context.Context, sel *Selection, cfg Config) (*Allocation, error) {
 	cfg.Observer = ResolveObserver(ctx, cfg)
 	start := time.Now()
@@ -47,17 +42,18 @@ func BFDBinPackingContext(ctx context.Context, sel *Selection, cfg Config) (*All
 		return nil, err
 	}
 
-	ix := newVMIndex(true)
+	ix := newVMIndex(sel, fleet, msg)
+	order := newFreeOrder()
 	one := make([]workload.SubID, 1)
 	for _, it := range items {
 		if err := tk.tick(1); err != nil {
 			return nil, err
 		}
 		// Candidate 1: the tightest VM with room for incoming + pair.
-		best := int(ix.order.ceiling(2 * it.rb))
+		best := order.ceiling(2 * it.rb)
 		var bestFree int64
 		if best >= 0 {
-			bestFree = ix.vms[best].free
+			bestFree = ix.free(best)
 		}
 		// Candidate 2: the tightest VM already hosting the topic, which
 		// needs only the outgoing rate. Hosts with free ≥ 2·rb also appear
@@ -67,18 +63,17 @@ func BFDBinPackingContext(ctx context.Context, sel *Selection, cfg Config) (*All
 				best, bestFree = h, hf
 			}
 		}
-		var b *vmState
-		if best >= 0 {
-			b = ix.vms[best]
-		} else {
+		if best < 0 {
 			ti := pickFittingType(fleet, 2*it.rb)
-			b = ix.deploy(fleet.Type(ti), fleet.Capacity(ti))
+			best = ix.deploy(fleet.Type(ti), fleet.Capacity(ti))
+			order.add(best, fleet.Capacity(ti))
 		}
 		one[0] = it.pair.Sub
-		ix.place(b, it.pair.Topic, it.rb, one)
+		ix.place(best, it.pair.Topic, it.rb, one)
+		order.update(best, ix.free(best))
 	}
 	tk.finish(time.Since(start))
-	return ix.finish(fleet, cfg), nil
+	return ix.alloc, nil
 }
 
 // bfdItem is one pair with its precomputed rate, in BFD's decreasing sort

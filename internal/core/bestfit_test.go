@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
@@ -17,7 +18,7 @@ func TestBFDPacksTightest(t *testing.T) {
 	w := mustWorkload(t, []int64{30, 20, 10}, [][]workload.TopicID{{0}, {1}, {2}})
 	sel := SelectAllPairs(w)
 	cfg := configWith(1000, 70, FFBinPackingContext, 0)
-	alloc, err := BFDBinPacking(sel, cfg)
+	alloc, err := BFDBinPackingContext(context.Background(), sel, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +41,7 @@ func TestBFDTieBreaksPreferTighterVM(t *testing.T) {
 	})
 	sel := SelectAllPairs(w)
 	cfg := configWith(1000, 100, FFBinPackingContext, 0)
-	alloc, err := BFDBinPacking(sel, cfg)
+	alloc, err := BFDBinPackingContext(context.Background(), sel, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +58,7 @@ func TestBFDInfeasible(t *testing.T) {
 	w := mustWorkload(t, []int64{100}, [][]workload.TopicID{{0}})
 	sel := SelectAllPairs(w)
 	cfg := configWith(1000, 150, FFBinPackingContext, 0)
-	if _, err := BFDBinPacking(sel, cfg); !errors.Is(err, ErrInfeasible) {
+	if _, err := BFDBinPackingContext(context.Background(), sel, cfg); !errors.Is(err, ErrInfeasible) {
 		t.Errorf("err = %v, want ErrInfeasible", err)
 	}
 }
@@ -79,7 +80,7 @@ func TestPropertyBFDValidAndNoWorseVMsThanFF(t *testing.T) {
 		}
 		cfg := configWith(tau, 2*maxRate+1000, FFBinPackingContext, 0)
 		sel := GreedySelectPairs(w, tau)
-		alloc, err := BFDBinPacking(sel, cfg)
+		alloc, err := BFDBinPackingContext(context.Background(), sel, cfg)
 		if err != nil {
 			return false
 		}
@@ -100,7 +101,7 @@ func TestPropertyBFDValidAndNoWorseVMsThanFF(t *testing.T) {
 func TestBFDEmptySelection(t *testing.T) {
 	w := mustWorkload(t, []int64{5}, [][]workload.TopicID{{0}})
 	empty := &Selection{w: w, subOff: make([]int64, w.NumSubscribers()+1)}
-	alloc, err := BFDBinPacking(empty, configWith(10, 100, FFBinPackingContext, 0))
+	alloc, err := BFDBinPackingContext(context.Background(), empty, configWith(10, 100, FFBinPackingContext, 0))
 	if err != nil {
 		t.Fatal(err)
 	}

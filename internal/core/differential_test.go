@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -101,14 +102,14 @@ func diffModel(rng *rand.Rand, capacity int64) pricing.Model {
 func TestDifferentialIndexedMatchesNaive(t *testing.T) {
 	type packer struct {
 		name    string
-		indexed func(*Selection, Config) (*Allocation, error)
+		indexed func(context.Context, *Selection, Config) (*Allocation, error)
 		naive   func(*Selection, Config) (*Allocation, error)
 	}
 	cases := 0
 	compare := func(t *testing.T, seed int64, w *workload.Workload, sel *Selection, cfg Config, p packer) {
 		t.Helper()
 		cases++
-		fast, ferr := p.indexed(sel, cfg)
+		fast, ferr := p.indexed(context.Background(), sel, cfg)
 		slow, nerr := p.naive(sel, cfg)
 		if (ferr == nil) != (nerr == nil) || (ferr != nil && !errors.Is(ferr, nerr) && !errors.Is(nerr, ferr)) {
 			t.Fatalf("seed %d %s (opts=%v): indexed err %v, naive err %v",
@@ -156,15 +157,15 @@ func TestDifferentialIndexedMatchesNaive(t *testing.T) {
 		}
 
 		// FFBP.
-		compare(t, seed, w, sel, cfg, packer{"FFBP", FFBinPacking, FFBinPackingNaive})
+		compare(t, seed, w, sel, cfg, packer{"FFBP", FFBinPackingContext, FFBinPackingNaive})
 		// CBP at every optimization combination.
 		for opts := OptFlags(0); opts <= OptAll; opts++ {
 			c := cfg
 			c.Opts = opts
-			compare(t, seed, w, sel, c, packer{"CBP", CustomBinPacking, CustomBinPackingNaive})
+			compare(t, seed, w, sel, c, packer{"CBP", CustomBinPackingContext, CustomBinPackingNaive})
 		}
 		// BFD.
-		compare(t, seed, w, sel, cfg, packer{"BFD", BFDBinPacking, BFDBinPackingNaive})
+		compare(t, seed, w, sel, cfg, packer{"BFD", BFDBinPackingContext, BFDBinPackingNaive})
 	}
 	if cases < 1000 {
 		t.Fatalf("only %d differential cases ran, want ≥ 1000", cases)

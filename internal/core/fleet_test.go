@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
@@ -75,7 +76,7 @@ func TestCBPMixesInstanceSizes(t *testing.T) {
 	sel := SelectAllPairs(w)
 	f := testFleet(t, 100)
 	cfg := fleetConfig(10_000, f, CustomBinPackingContext, OptExpensiveTopicFirst)
-	alloc, err := CustomBinPacking(sel, cfg)
+	alloc, err := CustomBinPackingContext(context.Background(), sel, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +292,7 @@ func TestFFBPFleetDeploysCheapestFittingType(t *testing.T) {
 	sel := SelectAllPairs(w)
 	f := testFleet(t, 100)
 	cfg := fleetConfig(1000, f, FFBinPackingContext, 0)
-	alloc, err := FFBinPacking(sel, cfg)
+	alloc, err := FFBinPackingContext(context.Background(), sel, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

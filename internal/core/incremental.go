@@ -11,16 +11,15 @@ import (
 	"github.com/pubsub-systems/mcss/internal/workload"
 )
 
-// This file turns the Stage-2 index structures (vmindex.go) from per-solve
-// scratch state into the system's persistent online state. Two layers:
+// This file holds the online placement code, which edits the slot table
+// (vmindex.go) of a live allocation. Two layers:
 //
-//   - Rehomer: a mutable slot-table index over a fleet of VMs — the
-//     max-free segment tree plus exact per-topic host lists — holding the
-//     system's one copy of each online placement rule: PlacePair (host with
-//     room → most-free VM → deploy the cheapest fitting type), the
+//   - Rehomer: a slot table over a fleet of VMs holding the system's one
+//     copy of each online placement rule: PlacePair (host with room →
+//     most-free VM → deploy the cheapest fitting type), the
 //     minimal-overshoot TopUp built on it, and the crash repair's
-//     RehomeGroup. The incremental engine and elastic.keepWithTopUp top up
-//     through it; dynamic's crash repair re-homes through it.
+//     RehomeGroup. The incremental engine and elastic.keepWithTopUp top
+//     up through it; dynamic's crash repair re-homes through it.
 //
 //   - IncrementalState (built by Allocation.Index): Rehomer plus the full
 //     pair-level bookkeeping — per-subscriber selected-topic rows with the
@@ -28,171 +27,38 @@ import (
 //     maintained lower bound — enough to absorb a workload delta in time
 //     proportional to the delta, not the fleet.
 
-// Rehomer indexes an allocation's VMs for delta-proportional placement:
-// a max-free segment tree over slot free capacities and exact (unpruned)
-// per-topic host lists. Unlike the per-solve vmIndex, entries are never
-// pruned — frees move in both directions under removals — so every query
-// sees the true current state.
+// Rehomer places pairs on an allocation's VMs in time proportional to the
+// placement, through the slot table's max-free tree and exact per-topic
+// host lists. Frees move in both directions under removals, so no query
+// here drops a host from its list: every query sees the true current
+// state.
 //
 // NewRehomer shares the allocation's VM pointers: placements mutate the
 // allocation in place and deployed VMs are appended to it. The zero value
 // is not usable.
 type Rehomer struct {
+	slotTable
 	fleet pricing.Fleet
-	msg   int64       // bytes per message: a pair of topic t carries ev_t·msg
-	alloc *Allocation // when non-nil, deploys/trims keep alloc.VMs in sync
-	vms   []*VM
-	tree  freeTree
-	hosts map[workload.TopicID][]int32 // ascending slot indices per topic
-	cands []rateTopic                  // TopUp scratch
-	picks []workload.TopicID           // TopUp scratch
+	msg   int64              // bytes per message: a pair of topic t carries ev_t·msg
+	cands []rateTopic        // TopUp scratch
+	picks []workload.TopicID // TopUp scratch
 }
 
 // NewRehomer indexes alloc's VMs against the given deployable fleet. The
 // returned Rehomer shares alloc's VM pointers: every placement mutates the
 // allocation in place, and freshly deployed VMs are appended to alloc.VMs.
 func NewRehomer(alloc *Allocation, fleet pricing.Fleet) *Rehomer {
-	r := newRehomer(alloc.VMs, fleet, alloc.MessageBytes)
-	r.alloc = alloc
-	return r
+	return &Rehomer{slotTable: newSlotTable(alloc, 0), fleet: fleet, msg: alloc.MessageBytes}
 }
 
-// newRehomer indexes a private slot table (no attached allocation).
+// newRehomer indexes a private slot table over vms.
 func newRehomer(vms []*VM, fleet pricing.Fleet, msg int64) *Rehomer {
-	r := &Rehomer{
-		fleet: fleet,
-		msg:   msg,
-		vms:   vms,
-		hosts: make(map[workload.TopicID][]int32),
-	}
-	for i, vm := range vms {
-		r.tree.add(vm.FreeBytesPerHour())
-		for _, p := range vm.Placements {
-			r.hosts[p.Topic] = append(r.hosts[p.Topic], int32(i))
-		}
-	}
-	return r
+	return NewRehomer(&Allocation{VMs: vms, Fleet: fleet, MessageBytes: msg}, fleet)
 }
 
 // VMs returns the current slot table, including VMs deployed by PlacePair.
 // The slice and its VMs are live state and must not be modified directly.
-func (r *Rehomer) VMs() []*VM { return r.vms }
-
-// free reports slot i's free capacity.
-func (r *Rehomer) free(i int32) int64 { return r.vms[i].FreeBytesPerHour() }
-
-// freestHost returns the slot already hosting t with the most free
-// capacity ≥ need (lowest slot on ties), or -1.
-func (r *Rehomer) freestHost(t workload.TopicID, need int64) int32 {
-	best, bestFree := int32(-1), int64(-1)
-	for _, s := range r.hosts[t] {
-		if f := r.free(s); f >= need && f > bestFree {
-			best, bestFree = s, f
-		}
-	}
-	return best
-}
-
-// placementIndex locates t among slot s's placements, or -1.
-func (r *Rehomer) placementIndex(s int32, t workload.TopicID) int {
-	for i := range r.vms[s].Placements {
-		if r.vms[s].Placements[i].Topic == t {
-			return i
-		}
-	}
-	return -1
-}
-
-// addSubs appends subscribers to slot s's existing placement of t.
-func (r *Rehomer) addSubs(s int32, t workload.TopicID, rb int64, subs ...workload.SubID) {
-	vm := r.vms[s]
-	pi := r.placementIndex(s, t)
-	vm.Placements[pi].Subs = append(vm.Placements[pi].Subs, subs...)
-	vm.OutBytesPerHour += rb * int64(len(subs))
-	r.tree.set(int(s), vm.FreeBytesPerHour())
-}
-
-// addTopic opens a new placement of t on slot s. Ownership of subs
-// transfers to the placement.
-func (r *Rehomer) addTopic(s int32, t workload.TopicID, rb int64, subs []workload.SubID) {
-	vm := r.vms[s]
-	vm.Placements = append(vm.Placements, TopicPlacement{Topic: t, Subs: subs})
-	vm.InBytesPerHour += rb
-	vm.OutBytesPerHour += rb * int64(len(subs))
-	r.tree.set(int(s), vm.FreeBytesPerHour())
-	hs := r.hosts[t]
-	j, _ := slices.BinarySearch(hs, s)
-	r.hosts[t] = slices.Insert(hs, j, s)
-}
-
-// removeSub drops subscriber v from slot s's placement of t, dissolving
-// the placement (and its ingress) when it empties; it reports whether the
-// placement disappeared.
-func (r *Rehomer) removeSub(s int32, t workload.TopicID, rb int64, v workload.SubID) bool {
-	vm := r.vms[s]
-	pi := r.placementIndex(s, t)
-	subs := vm.Placements[pi].Subs
-	k := slices.Index(subs, v)
-	subs[k] = subs[len(subs)-1]
-	vm.Placements[pi].Subs = subs[:len(subs)-1]
-	vm.OutBytesPerHour -= rb
-	gone := false
-	if len(vm.Placements[pi].Subs) == 0 {
-		r.dropPlacementAt(s, pi, t, rb)
-		gone = true
-	}
-	r.tree.set(int(s), vm.FreeBytesPerHour())
-	return gone
-}
-
-// removePlacement detaches slot s's whole placement of t, returning its
-// subscribers (ownership transfers to the caller).
-func (r *Rehomer) removePlacement(s int32, t workload.TopicID, rb int64) []workload.SubID {
-	vm := r.vms[s]
-	pi := r.placementIndex(s, t)
-	subs := vm.Placements[pi].Subs
-	vm.Placements[pi].Subs = nil
-	vm.OutBytesPerHour -= rb * int64(len(subs))
-	r.dropPlacementAt(s, pi, t, rb)
-	r.tree.set(int(s), vm.FreeBytesPerHour())
-	return subs
-}
-
-// dropPlacementAt swap-removes placement pi from slot s and delists s from
-// t's host list. Outgoing accounting is the caller's; ingress is removed
-// here.
-func (r *Rehomer) dropPlacementAt(s int32, pi int, t workload.TopicID, rb int64) {
-	vm := r.vms[s]
-	last := len(vm.Placements) - 1
-	vm.Placements[pi] = vm.Placements[last]
-	vm.Placements[last] = TopicPlacement{}
-	vm.Placements = vm.Placements[:last]
-	vm.InBytesPerHour -= rb
-	hs := r.hosts[t]
-	j, _ := slices.BinarySearch(hs, s)
-	hs = slices.Delete(hs, j, j+1)
-	if len(hs) == 0 {
-		delete(r.hosts, t)
-	} else {
-		r.hosts[t] = hs
-	}
-}
-
-// deploy appends a fresh VM of the given type and capacity and returns its
-// slot.
-func (r *Rehomer) deploy(it pricing.InstanceType, capacity int64) int32 {
-	vm := &VM{
-		ID:                   len(r.vms),
-		Instance:             it,
-		CapacityBytesPerHour: capacity,
-	}
-	r.vms = append(r.vms, vm)
-	r.tree.add(vm.FreeBytesPerHour())
-	if r.alloc != nil {
-		r.alloc.VMs = r.vms
-	}
-	return int32(len(r.vms) - 1)
-}
+func (r *Rehomer) VMs() []*VM { return r.alloc.VMs }
 
 // PlacePair homes one pair of topic t (rb = ev_t·MessageBytes): a VM
 // already hosting the topic with room for one more egress stream (most
@@ -210,7 +76,7 @@ func (r *Rehomer) PlacePair(t workload.TopicID, v workload.SubID, rb int64) (int
 		return -1, false
 	}
 	s := r.deploy(r.fleet.Type(ti), r.fleet.Capacity(ti))
-	r.addTopic(s, t, rb, []workload.SubID{v})
+	r.place(s, t, rb, []workload.SubID{v})
 	return s, true
 }
 
@@ -219,15 +85,17 @@ func (r *Rehomer) PlacePair(t workload.TopicID, v workload.SubID, rb int64) (int
 // never a fresh deployment. The drain pass places through it so
 // consolidation cannot grow the fleet it is shrinking.
 func (r *Rehomer) placeNoDeploy(t workload.TopicID, v workload.SubID, rb int64) (int32, bool) {
-	if s := r.freestHost(t, rb); s >= 0 {
-		r.addSubs(s, t, rb, v)
-		return s, true
+	s := r.freestHost(t, rb)
+	if s < 0 {
+		if f, i := r.tree.maxFree(); i >= 0 && f >= 2*rb {
+			s = int32(i)
+		}
 	}
-	if f, i := r.tree.maxFree(); i >= 0 && f >= 2*rb {
-		r.addTopic(int32(i), t, rb, []workload.SubID{v})
-		return int32(i), true
+	if s < 0 {
+		return -1, false
 	}
-	return -1, false
+	r.place(s, t, rb, []workload.SubID{v})
+	return s, true
 }
 
 // TopUp raises subscriber v's delivered rate by at least need events/h.
@@ -282,7 +150,7 @@ func (r *Rehomer) RehomeGroup(t workload.TopicID, rb int64, subs []workload.SubI
 		hosted := true
 		if f, i := r.tree.maxFree(); i >= 0 && f >= 2*rb {
 			s = int32(i)
-			_, hosted = slices.BinarySearch(r.hosts[t], s)
+			_, hosted = r.search(t, s)
 		} else if s = r.freestHost(t, rb); s < 0 {
 			s, hosted = r.deploy(it, capacity), false
 			deployed++
@@ -296,30 +164,10 @@ func (r *Rehomer) RehomeGroup(t workload.TopicID, rb int64, subs []workload.SubI
 			return deployed, fmt.Errorf("%w: topic %d needs %d bytes/h for one pair, a fresh %s carries %d",
 				ErrInfeasible, t, 2*rb, it.Name, capacity)
 		}
-		if hosted {
-			r.addSubs(s, t, rb, subs[:k]...)
-		} else {
-			r.addTopic(s, t, rb, slices.Clone(subs[:k]))
-		}
+		r.place(s, t, rb, subs[:k])
 		subs = subs[k:]
 	}
 	return deployed, nil
-}
-
-// trimTrailingEmpty releases empty VMs at the end of the slot table.
-func (r *Rehomer) trimTrailingEmpty() {
-	n := len(r.vms)
-	for n > 0 && len(r.vms[n-1].Placements) == 0 {
-		n--
-	}
-	if n == len(r.vms) {
-		return
-	}
-	r.vms = r.vms[:n]
-	r.tree.shrink(n)
-	if r.alloc != nil {
-		r.alloc.VMs = r.vms
-	}
 }
 
 // EpochOutcome reports one incremental epoch: the materialized result,
@@ -552,15 +400,14 @@ func (s *IncrementalState) BeginEpoch(ctx context.Context, next *workload.Worklo
 		dR := newR - oldR
 		drb := dR * s.msg
 		s.touched[t] = struct{}{}
-		for _, slot := range s.r.hosts[t] {
-			vm := s.r.vms[slot]
-			pi := s.r.placementIndex(slot, t)
-			subs := vm.Placements[pi].Subs
+		for _, h := range s.r.hostsOf(t) {
+			vm := s.r.alloc.VMs[h.slot]
+			subs := vm.Placements[h.pi].Subs
 			vm.InBytesPerHour += drb
 			vm.OutBytesPerHour += drb * int64(len(subs))
-			s.r.tree.set(int(slot), vm.FreeBytesPerHour())
+			s.r.tree.set(int(h.slot), vm.FreeBytesPerHour())
 			if vm.FreeBytesPerHour() < 0 {
-				s.overfull = append(s.overfull, slot)
+				s.overfull = append(s.overfull, h.slot)
 			}
 			for _, v := range subs {
 				s.delivered[v] += dR
@@ -605,7 +452,7 @@ func (s *IncrementalState) Unsubscribe(t workload.TopicID, v workload.SubID) {
 	s.selRows[v] = slices.Delete(s.selRows[v], i, i+1)
 	s.hostRows[v] = slices.Delete(s.hostRows[v], i, i+1)
 	s.r.removeSub(slot, t, s.w.Rate(t)*s.msg, v)
-	if len(s.r.vms[slot].Placements) == 0 {
+	if len(s.r.alloc.VMs[slot].Placements) == 0 {
 		s.emptied = append(s.emptied, slot)
 	}
 	s.delivered[v] -= s.w.Rate(t)
@@ -630,7 +477,7 @@ func (s *IncrementalState) evictPair(slot int32, t workload.TopicID, v workload.
 	s.selRows[v] = slices.Delete(s.selRows[v], i, i+1)
 	s.hostRows[v] = slices.Delete(s.hostRows[v], i, i+1)
 	s.r.removeSub(slot, t, s.w.Rate(t)*s.msg, v)
-	if len(s.r.vms[slot].Placements) == 0 {
+	if len(s.r.alloc.VMs[slot].Placements) == 0 {
 		s.emptied = append(s.emptied, slot)
 	}
 	s.delivered[v] -= s.w.Rate(t)
@@ -717,8 +564,8 @@ func (s *IncrementalState) evictOverfull(ctx context.Context) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		for s.r.vms[slot].FreeBytesPerHour() < 0 {
-			vm := s.r.vms[slot]
+		for s.r.alloc.VMs[slot].FreeBytesPerHour() < 0 {
+			vm := s.r.alloc.VMs[slot]
 			evicted := false
 			for pi := len(vm.Placements) - 1; pi >= 0; pi-- {
 				t := vm.Placements[pi].Topic
@@ -800,40 +647,40 @@ func (s *IncrementalState) improveTouched(ctx context.Context, budget int64) (in
 		}
 		rb := s.w.Rate(t) * s.msg
 		for budget > 0 {
-			hs := s.r.hosts[t]
+			hs := s.r.hostsOf(t)
 			if len(hs) < 2 {
 				break
 			}
 			// Smallest group (lowest slot on ties) is the cheapest merge.
 			a, ka := int32(-1), 0
-			for _, slot := range hs {
-				k := len(s.r.vms[slot].Placements[s.r.placementIndex(slot, t)].Subs)
+			for _, h := range hs {
+				k := len(s.r.alloc.VMs[h.slot].Placements[h.pi].Subs)
 				if a < 0 || k < ka {
-					a, ka = slot, k
+					a, ka = h.slot, k
 				}
 			}
 			if int64(ka) > budget {
 				break
 			}
 			b, bf := int32(-1), int64(-1)
-			for _, slot := range hs {
-				if slot == a {
+			for _, h := range hs {
+				if h.slot == a {
 					continue
 				}
-				if f := s.r.free(slot); f >= rb*int64(ka) && f > bf {
-					b, bf = slot, f
+				if f := s.r.free(h.slot); f >= rb*int64(ka) && f > bf {
+					b, bf = h.slot, f
 				}
 			}
 			if b < 0 {
 				break // no receiver has room for even the smallest group
 			}
 			subs := s.r.removePlacement(a, t, rb)
-			s.r.addSubs(b, t, rb, subs...)
+			s.r.place(b, t, rb, subs)
 			for _, v := range subs {
 				i, _ := slices.BinarySearch(s.selRows[v], t)
 				s.hostRows[v][i] = b
 			}
-			if len(s.r.vms[a].Placements) == 0 {
+			if len(s.r.alloc.VMs[a].Placements) == 0 {
 				s.emptied = append(s.emptied, a)
 			}
 			budget -= int64(ka)
@@ -856,17 +703,17 @@ func (s *IncrementalState) improveTouched(ctx context.Context, budget int64) (in
 // relocated pairs, keeping the pass delta-proportional; epochs that
 // removed nothing skip it entirely.
 func (s *IncrementalState) drainUnderused(ctx context.Context, budget int64) error {
-	if budget <= 0 || s.dropped == 0 || len(s.r.vms) < 2 {
+	if budget <= 0 || s.dropped == 0 || len(s.r.alloc.VMs) < 2 {
 		return nil
 	}
-	order := make([]int32, 0, len(s.r.vms))
-	for i, vm := range s.r.vms {
+	order := make([]int32, 0, len(s.r.alloc.VMs))
+	for i, vm := range s.r.alloc.VMs {
 		if len(vm.Placements) > 0 {
 			order = append(order, int32(i))
 		}
 	}
 	used := func(i int32) int64 {
-		return s.r.vms[i].InBytesPerHour + s.r.vms[i].OutBytesPerHour
+		return s.r.alloc.VMs[i].InBytesPerHour + s.r.alloc.VMs[i].OutBytesPerHour
 	}
 	sort.Slice(order, func(i, j int) bool {
 		ui, uj := used(order[i]), used(order[j])
@@ -908,7 +755,7 @@ type drainMove struct {
 // pairs relocated, counted against the budget even on rollback: the work
 // was done either way.
 func (s *IncrementalState) drainSlot(a int32, budget int64) (int64, bool) {
-	saved := SnapshotVM(s.r.vms[a], int(a))
+	saved := SnapshotVM(s.r.alloc.VMs[a], int(a))
 	var moves []drainMove
 	// A zero free-capacity leaf hides a from the most-free rule for the
 	// duration (its host-list entries disappear with each removePlacement
@@ -916,8 +763,8 @@ func (s *IncrementalState) drainSlot(a int32, budget int64) (int64, bool) {
 	s.r.tree.set(int(a), 0)
 	ok := true
 drain:
-	for len(s.r.vms[a].Placements) > 0 {
-		t := s.r.vms[a].Placements[len(s.r.vms[a].Placements)-1].Topic
+	for len(s.r.alloc.VMs[a].Placements) > 0 {
+		t := s.r.alloc.VMs[a].Placements[len(s.r.alloc.VMs[a].Placements)-1].Topic
 		rb := s.w.Rate(t) * s.msg
 		subs := s.r.removePlacement(a, t, rb)
 		// removePlacement recomputed a's leaf from its true (grown) free —
@@ -945,25 +792,21 @@ drain:
 	}
 	// Rollback: undo the relocations newest-first (a placement opened by a
 	// drained group dissolves as its last subscriber leaves), then restore
-	// a's snapshot and the host-list entries of its fully-removed groups.
+	// a's snapshot. The drain popped a's placements from the end, so the
+	// ones left are a prefix of the snapshot and keep their host entries;
+	// the popped ones get theirs back.
 	for i := len(moves) - 1; i >= 0; i-- {
 		m := moves[i]
 		s.r.removeSub(m.to, m.t, s.w.Rate(m.t)*s.msg, m.v)
 		j, _ := slices.BinarySearch(s.selRows[m.v], m.t)
 		s.hostRows[m.v][j] = a
 	}
-	still := make(map[workload.TopicID]bool, len(s.r.vms[a].Placements))
-	for _, p := range s.r.vms[a].Placements {
-		still[p.Topic] = true
+	for pi := len(s.r.alloc.VMs[a].Placements); pi < len(saved.Placements); pi++ {
+		t := saved.Placements[pi].Topic
+		h, _ := s.r.search(t, a)
+		s.r.addHost(t, h, a, pi)
 	}
-	s.r.vms[a] = saved
-	for _, p := range saved.Placements {
-		if !still[p.Topic] {
-			hs := s.r.hosts[p.Topic]
-			j, _ := slices.BinarySearch(hs, a)
-			s.r.hosts[p.Topic] = slices.Insert(hs, j, a)
-		}
-	}
+	s.r.alloc.VMs[a] = saved
 	s.r.tree.set(int(a), saved.FreeBytesPerHour())
 	return int64(len(moves)), false
 }
@@ -973,8 +816,8 @@ drain:
 // (re-pointing its host lists and pair rows), so rental cost never carries
 // dead VMs across epochs.
 func (s *IncrementalState) compactEmpties() {
-	before := int64(len(s.r.vms))
-	defer func() { s.releasedVMs += before - int64(len(s.r.vms)) }()
+	before := int64(len(s.r.alloc.VMs))
+	defer func() { s.releasedVMs += before - int64(len(s.r.alloc.VMs)) }()
 	s.r.trimTrailingEmpty()
 	if len(s.emptied) == 0 {
 		return
@@ -982,11 +825,11 @@ func (s *IncrementalState) compactEmpties() {
 	slices.Sort(s.emptied)
 	s.emptied = slices.Compact(s.emptied)
 	for _, e := range s.emptied {
-		last := int32(len(s.r.vms) - 1)
+		last := int32(len(s.r.alloc.VMs) - 1)
 		if e >= last {
 			continue // already trimmed, or it is the last slot
 		}
-		if len(s.r.vms[e].Placements) != 0 {
+		if len(s.r.alloc.VMs[e].Placements) != 0 {
 			continue // refilled by top-up after it emptied
 		}
 		s.moveSlot(last, e)
@@ -996,20 +839,11 @@ func (s *IncrementalState) compactEmpties() {
 }
 
 // moveSlot relocates the (non-empty) VM in slot from into the empty slot
-// to, updating host lists and the pair rows of every subscriber it serves.
+// to, re-pointing its host entries and the pair rows of every subscriber
+// it serves.
 func (s *IncrementalState) moveSlot(from, to int32) {
-	vm := s.r.vms[from]
-	vm.ID = int(to)
-	s.r.vms[to] = vm
-	s.r.tree.set(int(to), vm.FreeBytesPerHour())
-	s.r.vms[from] = &VM{} // empty; the follow-up trim releases it
-	s.r.tree.set(int(from), 0)
-	for _, p := range vm.Placements {
-		hs := s.r.hosts[p.Topic]
-		j, _ := slices.BinarySearch(hs, from)
-		hs = slices.Delete(hs, j, j+1)
-		j, _ = slices.BinarySearch(hs, to)
-		s.r.hosts[p.Topic] = slices.Insert(hs, j, to)
+	s.r.move(from, to)
+	for _, p := range s.r.alloc.VMs[to].Placements {
 		for _, v := range p.Subs {
 			i, _ := slices.BinarySearch(s.selRows[v], p.Topic)
 			s.hostRows[v][i] = to
@@ -1022,11 +856,11 @@ func (s *IncrementalState) moveSlot(from, to int32) {
 // adopted) and the selection flattened from the maintained rows.
 func (s *IncrementalState) materialize() (*Allocation, *Selection) {
 	out := &Allocation{
-		VMs:          make([]*VM, len(s.r.vms)),
+		VMs:          make([]*VM, len(s.r.alloc.VMs)),
 		Fleet:        s.cfg.Fleet,
 		MessageBytes: s.msg,
 	}
-	for i, vm := range s.r.vms {
+	for i, vm := range s.r.alloc.VMs {
 		out.VMs[i] = SnapshotVM(vm, i)
 	}
 	subOff := make([]int64, 1, len(s.selRows)+1)

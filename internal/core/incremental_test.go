@@ -34,23 +34,21 @@ func incTestConfig(t testing.TB) Config {
 
 // checkIndexInvariants cross-checks every piece of the incremental state
 // against a from-scratch recount: rows versus placements, delivered rates,
-// tree frees, host lists, and the running lower-bound sum.
+// tree frees, the slot table's host lists and the positions their entries
+// carry, and the running lower-bound sum.
 func checkIndexInvariants(t *testing.T, s *IncrementalState) {
 	t.Helper()
 	w := s.w
+	vms := s.r.alloc.VMs
 	delivered := make([]int64, w.NumSubscribers())
-	hosts := make(map[workload.TopicID]map[int32]bool)
-	var pairs int64
-	for i, vm := range s.r.vms {
+	var pairs, placements int64
+	for i, vm := range vms {
 		var in, out int64
 		for _, p := range vm.Placements {
 			rb := w.Rate(p.Topic) * s.msg
 			in += rb
 			out += rb * int64(len(p.Subs))
-			if hosts[p.Topic] == nil {
-				hosts[p.Topic] = make(map[int32]bool)
-			}
-			hosts[p.Topic][int32(i)] = true
+			placements++
 			for _, v := range p.Subs {
 				delivered[v] += w.Rate(p.Topic)
 				pairs++
@@ -82,25 +80,24 @@ func checkIndexInvariants(t *testing.T, s *IncrementalState) {
 			t.Fatalf("subscriber %d delivered %d, recount %d", v, s.delivered[v], delivered[v])
 		}
 	}
-	for tt, set := range hosts {
-		if len(s.r.hosts[tt]) != len(set) {
-			t.Fatalf("topic %d host list has %d slots, recount %d", tt, len(s.r.hosts[tt]), len(set))
-		}
-		for k := 1; k < len(s.r.hosts[tt]); k++ {
-			if s.r.hosts[tt][k-1] >= s.r.hosts[tt][k] {
-				t.Fatalf("topic %d host list not strictly ascending: %v", tt, s.r.hosts[tt])
+	// Each host entry's position must name its topic's placement on its
+	// slot, a topic's slots strictly ascending; as many entries as
+	// placements then means every placement has exactly one.
+	var entries int64
+	for tt, hs := range s.r.hosts {
+		for k, h := range hs {
+			if k > 0 && hs[k-1].slot >= h.slot {
+				t.Fatalf("topic %d host list not strictly ascending: %v", tt, hs)
+			}
+			if int(h.slot) >= len(vms) || int(h.pi) >= len(vms[h.slot].Placements) ||
+				vms[h.slot].Placements[h.pi].Topic != workload.TopicID(tt) {
+				t.Fatalf("topic %d host entry %+v does not name its placement on the slot", tt, h)
 			}
 		}
-		for _, slot := range s.r.hosts[tt] {
-			if !set[slot] {
-				t.Fatalf("topic %d host list names slot %d which does not host it", tt, slot)
-			}
-		}
+		entries += int64(len(hs))
 	}
-	for tt := range s.r.hosts {
-		if hosts[tt] == nil {
-			t.Fatalf("topic %d host list is stale (no placements)", tt)
-		}
+	if entries != placements {
+		t.Fatalf("%d host entries for %d placements", entries, placements)
 	}
 	var lb int64
 	for v := 0; v < w.NumSubscribers(); v++ {

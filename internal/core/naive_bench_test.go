@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"os"
 	"strconv"
 	"testing"
@@ -40,11 +41,11 @@ func BenchmarkStage2IndexedVsNaive(b *testing.B) {
 		name string
 		run  func() (*core.Allocation, error)
 	}{
-		{"FFBP/indexed", func() (*core.Allocation, error) { return core.FFBinPacking(sel, base) }},
+		{"FFBP/indexed", func() (*core.Allocation, error) { return core.FFBinPackingContext(context.Background(), sel, base) }},
 		{"FFBP/naive", func() (*core.Allocation, error) { return core.FFBinPackingNaive(sel, base) }},
-		{"CBP/indexed", func() (*core.Allocation, error) { return core.CustomBinPacking(sel, cbp) }},
+		{"CBP/indexed", func() (*core.Allocation, error) { return core.CustomBinPackingContext(context.Background(), sel, cbp) }},
 		{"CBP/naive", func() (*core.Allocation, error) { return core.CustomBinPackingNaive(sel, cbp) }},
-		{"BFD/indexed", func() (*core.Allocation, error) { return core.BFDBinPacking(sel, base) }},
+		{"BFD/indexed", func() (*core.Allocation, error) { return core.BFDBinPackingContext(context.Background(), sel, base) }},
 		{"BFD/naive", func() (*core.Allocation, error) { return core.BFDBinPackingNaive(sel, base) }},
 	}
 	for _, p := range packers {

@@ -7,12 +7,66 @@ import (
 
 // This file retains the literal O(P·V) stage-2 packers — every placement
 // decision re-scans the deployed fleet — exactly as they were before the
-// indexed engine (vmindex.go) replaced them. They are test-only oracles:
-// TestDifferentialIndexedMatchesNaive pins the indexed packers
-// byte-identical to these on randomized workloads, fleets, and option
-// sets, and BenchmarkStage2IndexedVsNaive keeps the complexity gap
-// visible. They are exported so the package's external test files can
-// benchmark them too.
+// slot table (vmindex.go) replaced them, with the per-VM state they ran
+// on. They are test-only oracles: TestDifferentialIndexedMatchesNaive
+// pins the indexed packers byte-identical to these on randomized
+// workloads, fleets, and option sets, and BenchmarkStage2IndexedVsNaive
+// keeps the complexity gap visible. They are exported so the package's
+// external test files can benchmark them too.
+
+// vmState is a VM being packed by the oracles: the exported VM plus the
+// bookkeeping the scans need (free capacity, topic-presence index).
+type vmState struct {
+	vm       *VM
+	free     int64
+	topicIdx map[workload.TopicID]int // topic → index into vm.Placements
+}
+
+func newVMState(id int, it pricing.InstanceType, capacity int64) *vmState {
+	return &vmState{
+		vm:       &VM{ID: id, Instance: it, CapacityBytesPerHour: capacity},
+		free:     capacity,
+		topicIdx: make(map[workload.TopicID]int),
+	}
+}
+
+func (b *vmState) has(t workload.TopicID) bool {
+	_, ok := b.topicIdx[t]
+	return ok
+}
+
+// place assigns subs of topic t (rate rb bytes/hour each) to the VM,
+// charging rb per subscriber (outgoing) plus rb once if the topic is new to
+// this VM (incoming), and reports whether it was new. The caller has
+// already verified capacity.
+func (b *vmState) place(t workload.TopicID, rb int64, subs []workload.SubID) (newTopic bool) {
+	idx, ok := b.topicIdx[t]
+	if !ok {
+		idx = len(b.vm.Placements)
+		b.topicIdx[t] = idx
+		b.vm.Placements = append(b.vm.Placements, TopicPlacement{Topic: t})
+		b.vm.InBytesPerHour += rb
+		b.free -= rb
+	}
+	p := &b.vm.Placements[idx]
+	p.Subs = append(p.Subs, subs...)
+	out := rb * int64(len(subs))
+	b.vm.OutBytesPerHour += out
+	b.free -= out
+	return !ok
+}
+
+func finishAllocation(vms []*vmState, fleet pricing.Fleet, cfg Config) *Allocation {
+	out := &Allocation{
+		VMs:          make([]*VM, len(vms)),
+		Fleet:        fleet,
+		MessageBytes: cfg.MessageBytes,
+	}
+	for i, b := range vms {
+		out.VMs[i] = b.vm
+	}
+	return out
+}
 
 // deltaFor reports the bandwidth this VM would gain by hosting one more pair
 // of topic t.
@@ -25,7 +79,7 @@ func (b *vmState) deltaFor(t workload.TopicID, rb int64) int64 {
 
 // FFBinPackingNaive is the reference first-fit packer: per pair, a linear
 // scan over all deployed VMs (the paper's Alg. 3 with the exact capacity
-// delta). Semantics are identical to FFBinPacking.
+// delta). Semantics are identical to FFBinPackingContext.
 func FFBinPackingNaive(sel *Selection, cfg Config) (*Allocation, error) {
 	fleet := cfg.EffectiveFleet()
 	maxCap := fleet.MaxCapacity()
@@ -61,7 +115,7 @@ func FFBinPackingNaive(sel *Selection, cfg Config) (*Allocation, error) {
 // CustomBinPackingNaive is the reference CBP packer: most-free-VM and
 // first-fit picks scan all deployed VMs per topic group, and the Alg. 7
 // cost decision simulates distribution with an O(V) argmax per step.
-// Semantics are identical to CustomBinPacking for every OptFlags
+// Semantics are identical to CustomBinPackingContext for every OptFlags
 // combination.
 func CustomBinPackingNaive(sel *Selection, cfg Config) (*Allocation, error) {
 	fleet := cfg.EffectiveFleet()
@@ -146,7 +200,7 @@ func CustomBinPackingNaive(sel *Selection, cfg Config) (*Allocation, error) {
 
 // BFDBinPackingNaive is the reference best-fit-decreasing packer: per
 // item, a linear scan for the tightest fitting VM. Semantics are identical
-// to BFDBinPacking.
+// to BFDBinPackingContext.
 func BFDBinPackingNaive(sel *Selection, cfg Config) (*Allocation, error) {
 	fleet := cfg.EffectiveFleet()
 	items, err := bfdItems(sel, fleet.MaxCapacity(), cfg.MessageBytes)

@@ -23,7 +23,8 @@ func Solve(w *workload.Workload, cfg Config) (*Result, error) {
 // Config.Solver replaces the whole two-stage pipeline; otherwise Stage 1
 // runs Config.Stage1 (nil = GSP) and Stage 2 runs Config.Stage2 (nil =
 // CBP). A workload tagged with a region a multi-region Config.Topology
-// lacks is an error before either runs.
+// lacks, or a fleet type in a region it does not name, is an error before
+// either runs.
 func SolveContext(ctx context.Context, w *workload.Workload, cfg Config) (*Result, error) {
 	cfg, err := cfg.normalize()
 	if err != nil {

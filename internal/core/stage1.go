@@ -374,17 +374,11 @@ func sortTopicIDs(s []workload.TopicID) {
 	slices.Sort(s)
 }
 
-// RandomSelectPairs implements the paper's naive RSP baseline (Alg. 6): for
-// each subscriber, pairs are taken in input (adjacency) order until τ_v is
-// met, with no regard for bandwidth cost.
-func RandomSelectPairs(w *workload.Workload, tau int64) *Selection {
-	sel, _ := RandomSelectPairsContext(context.Background(), w, Config{Tau: tau})
-	return sel
-}
-
-// RandomSelectPairsContext is RandomSelectPairs with context cancellation
-// and Config.Observer progress callbacks — the Stage 1 the mcss Planner
-// names "rsp".
+// RandomSelectPairsContext implements the paper's naive RSP baseline
+// (Alg. 6), the Stage 1 the mcss Planner names "rsp": for each
+// subscriber, pairs are taken in input (adjacency) order until τ_v is met,
+// with no regard for bandwidth cost. The context is checked per
+// subscriber, and Config.Observer gets progress callbacks.
 func RandomSelectPairsContext(ctx context.Context, w *workload.Workload, cfg Config) (*Selection, error) {
 	cfg.Observer = ResolveObserver(ctx, cfg)
 	start := time.Now()

@@ -200,6 +200,9 @@ func TestSolveRejectsRegionsBeyondTopology(t *testing.T) {
 // without a topology and priced under one with fewer regions than its tags
 // is the same error, not an index panic ("index out of range [12] with
 // length 9" in EgressPerHour). A single-region topology reads no tags.
+// Likewise a VM whose instance type names a region the topology lacks is
+// an error naming the type and the tag, not a VM in the home region, and
+// so is such a fleet type in a solve; an untagged type stays region 0.
 func TestEvaluatorsRejectRegionsBeyondTopology(t *testing.T) {
 	base, err := tracegen.Twitter(tracegen.DefaultTwitterConfig().Scale(0.01))
 	if err != nil {
@@ -233,5 +236,45 @@ func TestEvaluatorsRejectRegionsBeyondTopology(t *testing.T) {
 	}
 	if rep, err := core.EvalLatency(one, five, res.Allocation, cfg.MessageBytes, 200); err != nil || rep.Pairs != res.Selection.NumPairs() {
 		t.Errorf("EvalLatency, single region: %d pairs, err %v; want %d pairs", rep.Pairs, err, res.Selection.NumPairs())
+	}
+
+	// VMs of SyntheticTopology(3)'s regional fleet (regions r0, r1, r2)
+	// priced under a topology whose regions are x, y and z.
+	three, err := tracegen.TagRegions(base, 3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	regional.Topology = core.SyntheticTopology(3)
+	if regional.Fleet, err = core.RegionalFleet(cfg.Model.SingleFleet(), regional.Topology); err != nil {
+		t.Fatal(err)
+	}
+	tagged, err := core.SolveContext(context.Background(), three, regional)
+	if err != nil {
+		t.Fatal(err)
+	}
+	xyz, err := core.NewTopology([]string{"x", "y", "z"},
+		[][]int64{{0, 40, 80}, {40, 0, 40}, {80, 40, 0}},
+		[][]pricing.MicroUSD{{0, 20_000, 20_000}, {20_000, 0, 20_000}, {20_000, 20_000, 0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	it := tagged.Allocation.VMs[0].Instance
+	wantVM := fmt.Sprintf("core: instance type %q is in region %q, which the topology does not name", it.Name, it.Region)
+	if _, _, err := core.EgressPerHour(xyz, three, tagged.Allocation, cfg.MessageBytes); fmt.Sprint(err) != wantVM {
+		t.Errorf("EgressPerHour, VM region beyond the topology: err = %v, want %s", err, wantVM)
+	}
+	if _, err := core.EvalLatency(xyz, three, tagged.Allocation, cfg.MessageBytes, 200); fmt.Sprint(err) != wantVM {
+		t.Errorf("EvalLatency, VM region beyond the topology: err = %v, want %s", err, wantVM)
+	}
+	regional.Topology = xyz
+	if _, err := core.SolveContext(context.Background(), three, regional); err == nil || !strings.Contains(err.Error(), "which the topology does not name") {
+		t.Errorf("SolveContext with fleet regions beyond the topology: err = %v", err)
+	}
+	untagged, err := core.Solve(three, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := core.EvalLatency(xyz, three, untagged.Allocation, cfg.MessageBytes, 200); err != nil {
+		t.Errorf("EvalLatency, untagged VMs: %v", err)
 	}
 }

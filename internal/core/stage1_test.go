@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"slices"
 	"testing"
@@ -134,7 +135,10 @@ func TestGSPSingleTopicOvershoot(t *testing.T) {
 func TestRSPTakesInputOrder(t *testing.T) {
 	// RSP takes adjacency order (topic IDs ascending) regardless of cost.
 	w := mustWorkload(t, []int64{2, 100, 3}, [][]workload.TopicID{{0, 1, 2}})
-	sel := RandomSelectPairs(w, 10)
+	sel, err := RandomSelectPairsContext(context.Background(), w, Config{Tau: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
 	got := sel.SelectedTopics(0)
 	// Takes t0 (2), still below 10, takes t1 (100) → satisfied.
 	if len(got) != 2 || got[0] != 0 || got[1] != 1 {
@@ -231,8 +235,8 @@ func TestPropertyStage1AlwaysSatisfies(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		w := randomCoreWorkload(rng)
 		tau := int64(tauRaw%1000) + 1
-		return GreedySelectPairs(w, tau).Satisfied(tau) &&
-			RandomSelectPairs(w, tau).Satisfied(tau)
+		rsp, err := RandomSelectPairsContext(context.Background(), w, Config{Tau: tau})
+		return err == nil && GreedySelectPairs(w, tau).Satisfied(tau) && rsp.Satisfied(tau)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Error(err)
@@ -312,7 +316,11 @@ func TestGSPOutperformsRSPOnSocialWorkloads(t *testing.T) {
 	}
 	for _, tau := range []int64{10, 100} {
 		gsp := GreedySelectPairs(w, tau).OutgoingRate()
-		rsp := RandomSelectPairs(w, tau).OutgoingRate()
+		rsel, err := RandomSelectPairsContext(context.Background(), w, Config{Tau: tau})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rsp := rsel.OutgoingRate()
 		if gsp >= rsp {
 			t.Errorf("τ=%d: GSP outgoing %d ≥ RSP %d", tau, gsp, rsp)
 		}

@@ -13,60 +13,6 @@ import (
 	"github.com/pubsub-systems/mcss/internal/workload"
 )
 
-// vmState is a VM being packed: the exported VM plus the bookkeeping the
-// packers need (free capacity, topic-presence index).
-type vmState struct {
-	vm       *VM
-	free     int64
-	topicIdx map[workload.TopicID]int // topic → index into vm.Placements
-}
-
-func newVMState(id int, it pricing.InstanceType, capacity int64) *vmState {
-	return &vmState{
-		vm:       &VM{ID: id, Instance: it, CapacityBytesPerHour: capacity},
-		free:     capacity,
-		topicIdx: make(map[workload.TopicID]int),
-	}
-}
-
-func (b *vmState) has(t workload.TopicID) bool {
-	_, ok := b.topicIdx[t]
-	return ok
-}
-
-// place assigns subs of topic t (rate rb bytes/hour each) to the VM,
-// charging rb per subscriber (outgoing) plus rb once if the topic is new to
-// this VM (incoming), and reports whether it was new. The caller has
-// already verified capacity.
-func (b *vmState) place(t workload.TopicID, rb int64, subs []workload.SubID) (newTopic bool) {
-	idx, ok := b.topicIdx[t]
-	if !ok {
-		idx = len(b.vm.Placements)
-		b.topicIdx[t] = idx
-		b.vm.Placements = append(b.vm.Placements, TopicPlacement{Topic: t})
-		b.vm.InBytesPerHour += rb
-		b.free -= rb
-	}
-	p := &b.vm.Placements[idx]
-	p.Subs = append(p.Subs, subs...)
-	out := rb * int64(len(subs))
-	b.vm.OutBytesPerHour += out
-	b.free -= out
-	return !ok
-}
-
-func finishAllocation(vms []*vmState, fleet pricing.Fleet, cfg Config) *Allocation {
-	out := &Allocation{
-		VMs:          make([]*VM, len(vms)),
-		Fleet:        fleet,
-		MessageBytes: cfg.MessageBytes,
-	}
-	for i, b := range vms {
-		out.VMs[i] = b.vm
-	}
-	return out
-}
-
 // pickFittingType returns the lowest-rate fleet type whose capacity fits
 // the given load (the first such type — i.e. the smaller capacity — on
 // rate ties), or -1 when none does. The pair packers call it with 2·rb
@@ -120,30 +66,26 @@ func pickDeployType(f pricing.Fleet, rb, remaining int64) int {
 	return best
 }
 
-// FFBinPacking implements the paper's Alg. 3: pairs are considered one at a
-// time in selection order and placed on the first already-deployed VM with
-// room, deploying a new VM when none fits. With a heterogeneous fleet the
-// fresh VM is the cheapest instance that can host the pair.
+// FFBinPackingContext implements the paper's Alg. 3, the Stage 2 the
+// mcss Planner names "ffbp": pairs are considered one at a time in
+// selection order and placed on the first already-deployed VM with room,
+// deploying a new VM when none fits. With a heterogeneous fleet the fresh
+// VM is the cheapest instance that can host the pair. The context is
+// checked every checkInterval pairs, and Config.Observer gets progress
+// callbacks.
 //
 // The capacity test uses the true bandwidth delta (outgoing rate plus the
 // incoming rate when the topic first lands on the VM), so that bw_b ≤ BC_b
 // always holds. The paper's literal `ev_t ≤ BC − bw_b` test ignores the
 // incoming increment and can overshoot BC_b by one topic rate; this
 // implementation does not reproduce that overshoot.
-func FFBinPacking(sel *Selection, cfg Config) (*Allocation, error) {
-	return FFBinPackingContext(context.Background(), sel, cfg)
-}
-
-// FFBinPackingContext is FFBinPacking with context cancellation (checked
-// every checkInterval pairs) and Config.Observer progress callbacks — the
-// Stage 2 the mcss Planner names "ffbp".
 //
-// The implementation is the indexed engine: "first deployed VM with room"
-// is answered in O(log V) by a positional segment tree over VM indices
-// (maximum free capacity per subtree), combined with a per-topic host-VM
-// list so the exact rb-vs-2rb capacity delta is preserved. The result is
-// byte-identical to the O(P·V) reference scan (the test-only
-// FFBinPackingNaive oracle), which the differential property tests enforce.
+// "First deployed VM with room" is answered on the slot table in O(log V)
+// by its positional segment tree over VM indices (maximum free capacity
+// per subtree), combined with the topic's host list so the exact rb-vs-2rb
+// capacity delta is preserved. The result is byte-identical to the O(P·V)
+// reference scan (the test-only FFBinPackingNaive oracle), which the
+// differential property tests enforce.
 func FFBinPackingContext(ctx context.Context, sel *Selection, cfg Config) (*Allocation, error) {
 	cfg.Observer = ResolveObserver(ctx, cfg)
 	start := time.Now()
@@ -151,7 +93,7 @@ func FFBinPackingContext(ctx context.Context, sel *Selection, cfg Config) (*Allo
 	maxCap := fleet.MaxCapacity()
 	msg := cfg.MessageBytes
 	tk := newTicker(ctx, cfg.Observer, StagePack, sel.NumPairs())
-	ix := newVMIndex(false)
+	ix := newVMIndex(sel, fleet, msg)
 	var err error
 	one := make([]workload.SubID, 1)
 	sel.Pairs(func(p workload.Pair) bool {
@@ -164,23 +106,19 @@ func FFBinPackingContext(ctx context.Context, sel *Selection, cfg Config) (*Allo
 			return false
 		}
 		one[0] = p.Sub
-		// A VM fits iff free ≥ 2rb, or it already hosts the topic and
-		// free ≥ rb. The first fitting VM is therefore the lower of the
-		// two candidate indices.
-		if target := minIndex(ix.firstFree(2*rb), ix.firstHost(p.Topic, rb)); target >= 0 {
-			ix.place(ix.vms[target], p.Topic, rb, one)
-			return true
+		target := ix.firstFit(p.Topic, rb)
+		if target < 0 {
+			i := pickFittingType(fleet, 2*rb)
+			target = ix.deploy(fleet.Type(i), fleet.Capacity(i))
 		}
-		i := pickFittingType(fleet, 2*rb)
-		b := ix.deploy(fleet.Type(i), fleet.Capacity(i))
-		ix.place(b, p.Topic, rb, one)
+		ix.place(target, p.Topic, rb, one)
 		return true
 	})
 	if err != nil {
 		return nil, err
 	}
 	tk.finish(time.Since(start))
-	return ix.finish(fleet, cfg), nil
+	return ix.alloc, nil
 }
 
 // topicGroup is one topic with its selected subscribers, as CBP consumes
@@ -207,26 +145,21 @@ func sortGroupsByVolume(groups []topicGroup) {
 	})
 }
 
-// CustomBinPacking implements the paper's Alg. 4 (CBP) generalized to
-// mixed-instance fleets. Grouping of a topic's pairs is inherent; cfg.Opts
-// toggles the paper's optimizations (c) most-expensive-topic-first, (d)
+// CustomBinPackingContext implements the paper's Alg. 4 (CBP) generalized
+// to mixed-instance fleets — the default Stage 2, which the mcss Planner
+// names "cbp". Grouping of a topic's pairs is inherent; cfg.Opts toggles
+// the paper's optimizations (c) most-expensive-topic-first, (d)
 // most-free-VM-first, and (e) the cost-model-based decision between
 // distributing over existing VMs and deploying fresh ones (Alg. 7). Every
 // fresh deployment picks its instance size by modeled cost per byte served
 // (see pickDeployType), which is how hot topics land on big instances and
-// the tail on small ones.
-func CustomBinPacking(sel *Selection, cfg Config) (*Allocation, error) {
-	return CustomBinPackingContext(context.Background(), sel, cfg)
-}
-
-// CustomBinPackingContext is CustomBinPacking with context cancellation
-// (checked once per topic group, in checkInterval batches weighted by group
-// size) and Config.Observer progress callbacks — the default Stage 2, which
-// the mcss Planner names "cbp".
+// the tail on small ones. The context is checked once per topic group, in
+// checkInterval batches weighted by group size, and Config.Observer gets
+// progress callbacks.
 //
-// Like FFBinPackingContext it runs on the indexed engine: most-free-VM
-// picks descend the free-capacity segment tree to the leftmost maximum,
-// first-fit picks combine a tree descent with the per-topic host list, and
+// Like FFBinPackingContext it packs on the slot table: most-free-VM picks
+// descend the free-capacity segment tree to the leftmost maximum,
+// first-fit picks combine a tree descent with the topic's host list, and
 // the Alg. 7 what-if simulation runs against the tree with rollback
 // instead of copying every VM's free capacity per group. Byte-identical to
 // the test-only CustomBinPackingNaive oracle.
@@ -244,13 +177,18 @@ func CustomBinPackingContext(ctx context.Context, sel *Selection, cfg Config) (*
 	}
 
 	var (
-		ix       = newVMIndex(false)
-		cur      *vmState // most recently deployed VM
-		totalBW  int64    // running Σ bw_b (bytes/hour), for Alg. 7
+		ix       = newVMIndex(sel, fleet, msg)
+		cur      = int32(-1) // most recently deployed slot
+		totalBW  int64       // running Σ bw_b (bytes/hour), for Alg. 7
 		costOpts = cfg.Opts&OptCostBased != 0
 		freeOpts = cfg.Opts&OptMostFreeVM != 0
 	)
-	addBW := func(d int64) { totalBW += d }
+	// put places subs of g on slot b and adds what they cost to totalBW.
+	put := func(b int32, g topicGroup, subs []workload.SubID) {
+		before := ix.free(b)
+		ix.place(b, g.topic, g.rb, subs)
+		totalBW += before - ix.free(b)
+	}
 
 	for _, g := range groups {
 		// One tick per group, weighted by its pair count, so cancellation
@@ -261,10 +199,8 @@ func CustomBinPackingContext(ctx context.Context, sel *Selection, cfg Config) (*
 		if 2*g.rb > maxCap {
 			return nil, errTopicTooLarge(g.topic, g.rb, maxCap)
 		}
-		need := g.rb * int64(len(g.subs)+1)
-		if cur != nil && need <= cur.free {
-			ix.place(cur, g.topic, g.rb, g.subs)
-			addBW(need)
+		if cur >= 0 && g.rb*int64(len(g.subs)+1) <= ix.free(cur) {
+			put(cur, g, g.subs)
 			continue
 		}
 
@@ -273,29 +209,22 @@ func CustomBinPackingContext(ctx context.Context, sel *Selection, cfg Config) (*
 		if costOpts {
 			distribute = ix.cheaperToDistribute(g, fleet, totalBW, cfg.Model)
 		}
-		if distribute {
-			for len(remaining) > 0 {
-				b := ix.pickExisting(g, freeOpts)
-				if b == nil {
-					break
-				}
-				// Capacity available for pairs on b.
-				avail := b.free
-				if !b.has(g.topic) {
-					avail -= g.rb
-				}
-				k := avail / g.rb
-				if k <= 0 {
-					break
-				}
-				if k > int64(len(remaining)) {
-					k = int64(len(remaining))
-				}
-				before := b.free
-				ix.place(b, g.topic, g.rb, remaining[:k])
-				addBW(before - b.free)
-				remaining = remaining[k:]
+		for distribute && len(remaining) > 0 {
+			b := ix.pickExisting(g, freeOpts)
+			if b < 0 {
+				break
 			}
+			// Capacity available for pairs on b.
+			avail := ix.free(b)
+			if _, hosted := ix.search(g.topic, b); !hosted {
+				avail -= g.rb
+			}
+			k := min(avail/g.rb, int64(len(remaining)))
+			if k <= 0 {
+				break
+			}
+			put(b, g, remaining[:k])
+			remaining = remaining[k:]
 		}
 		// Leftovers (or the whole group when deploying fresh is cheaper)
 		// go to newly deployed VMs of the cost-optimal size, filled to
@@ -303,47 +232,32 @@ func CustomBinPackingContext(ctx context.Context, sel *Selection, cfg Config) (*
 		for len(remaining) > 0 {
 			ti := pickDeployType(fleet, g.rb, int64(len(remaining)))
 			cap := fleet.Capacity(ti)
-			b := ix.deploy(fleet.Type(ti), cap)
-			cur = b
-			k := cap/g.rb - 1 // one slot of rb is the incoming stream
-			if k > int64(len(remaining)) {
-				k = int64(len(remaining))
-			}
-			before := b.free
-			ix.place(b, g.topic, g.rb, remaining[:k])
-			addBW(before - b.free)
+			cur = ix.deploy(fleet.Type(ti), cap)
+			// One slot of rb is the incoming stream.
+			k := min(cap/g.rb-1, int64(len(remaining)))
+			put(cur, g, remaining[:k])
 			remaining = remaining[k:]
 		}
 	}
 	tk.finish(time.Since(start))
-	return ix.finish(fleet, cfg), nil
+	return ix.alloc, nil
 }
 
-// pickExisting is the indexed form of pickExistingVM. Most-free: the
-// segment tree's leftmost global maximum is the answer whenever it can
-// host a new topic (free ≥ 2rb); otherwise only VMs already hosting the
-// topic are eligible and the host list is scanned. First-fit: identical to
-// FFBP's candidate combination.
-func (ix *vmIndex) pickExisting(g topicGroup, mostFree bool) *vmState {
-	if mostFree {
-		m, idx := ix.tree.maxFree()
-		if idx < 0 {
-			return nil
-		}
-		if m >= 2*g.rb {
-			return ix.vms[idx]
-		}
-		// No VM can take the topic's incoming stream plus a pair; only
-		// existing hosts (which need just rb) remain eligible.
-		if h := ix.freestHost(g.topic, g.rb); h >= 0 {
-			return ix.vms[h]
-		}
-		return nil
+// pickExisting is the indexed form of pickExistingVM, returning a slot or
+// -1. Most-free: the segment tree's leftmost global maximum is the answer
+// whenever it can host a new topic (free ≥ 2rb); otherwise only VMs
+// already hosting the topic are eligible and the host list is scanned.
+// First-fit: identical to FFBP's candidate combination.
+func (ix *vmIndex) pickExisting(g topicGroup, mostFree bool) int32 {
+	if !mostFree {
+		return ix.firstFit(g.topic, g.rb)
 	}
-	if i := minIndex(ix.firstFree(2*g.rb), ix.firstHost(g.topic, g.rb)); i >= 0 {
-		return ix.vms[i]
+	if m, idx := ix.tree.maxFree(); idx < 0 || m >= 2*g.rb {
+		return int32(idx)
 	}
-	return nil
+	// No VM can take the topic's incoming stream plus a pair; only
+	// existing hosts (which need just rb) remain eligible.
+	return ix.freestHost(g.topic, g.rb)
 }
 
 // cheaperToDistribute is the indexed form of the naive helper of the same

@@ -38,7 +38,7 @@ func TestFFBPSinglePairPerVMWhenTight(t *testing.T) {
 	w := mustWorkload(t, []int64{5}, [][]workload.TopicID{{0}, {0}, {0}})
 	sel := SelectAllPairs(w)
 	cfg := configWith(100, 10, FFBinPackingContext, 0)
-	alloc, err := FFBinPacking(sel, cfg)
+	alloc, err := FFBinPackingContext(context.Background(), sel, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestFFBPReusesVMs(t *testing.T) {
 	w := mustWorkload(t, []int64{5}, [][]workload.TopicID{{0}, {0}, {0}, {0}})
 	sel := SelectAllPairs(w)
 	cfg := configWith(100, 40, FFBinPackingContext, 0)
-	alloc, err := FFBinPacking(sel, cfg)
+	alloc, err := FFBinPackingContext(context.Background(), sel, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestFFBPInfeasible(t *testing.T) {
 	w := mustWorkload(t, []int64{100}, [][]workload.TopicID{{0}})
 	sel := SelectAllPairs(w)
 	cfg := configWith(1000, 150, FFBinPackingContext, 0) // needs 200 > 150
-	if _, err := FFBinPacking(sel, cfg); !errors.Is(err, ErrInfeasible) {
+	if _, err := FFBinPackingContext(context.Background(), sel, cfg); !errors.Is(err, ErrInfeasible) {
 		t.Errorf("err = %v, want ErrInfeasible", err)
 	}
 }
@@ -96,12 +96,12 @@ func TestCBPGroupsTopics(t *testing.T) {
 	sel := SelectAllPairs(w)
 
 	cbpCfg := configWith(1000, 100, CustomBinPackingContext, 0)
-	cbp, err := CustomBinPacking(sel, cbpCfg)
+	cbp, err := CustomBinPackingContext(context.Background(), sel, cbpCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ffCfg := configWith(1000, 100, FFBinPackingContext, 0)
-	ff, err := FFBinPacking(sel, ffCfg)
+	ff, err := FFBinPackingContext(context.Background(), sel, ffCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestFigure1Example(t *testing.T) {
 	// every topic lives on one VM (50 KB/min in the paper's pre-loaded
 	// variant).
 	cfg := configWith(1000, 70, CustomBinPackingContext, OptExpensiveTopicFirst)
-	cbp, err := CustomBinPacking(sel, cfg)
+	cbp, err := CustomBinPackingContext(context.Background(), sel, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestFigure1Example(t *testing.T) {
 	// FFBP on the same instance in pair order splits t2 (and pays its
 	// incoming stream twice), the Fig. 1b phenomenon.
 	ffCfg := configWith(1000, 70, FFBinPackingContext, 0)
-	ff, err := FFBinPacking(sel, ffCfg)
+	ff, err := FFBinPackingContext(context.Background(), sel, ffCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestCBPExpensiveTopicFirstOrders(t *testing.T) {
 	})
 	sel := SelectAllPairs(w)
 	cfg := configWith(1000, 60, CustomBinPackingContext, OptExpensiveTopicFirst)
-	alloc, err := CustomBinPacking(sel, cfg)
+	alloc, err := CustomBinPackingContext(context.Background(), sel, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +248,7 @@ func TestCBPMostFreeVMReducesSplitOverhead(t *testing.T) {
 	})
 	sel := SelectAllPairs(w)
 	cfg := configWith(1000, 100, CustomBinPackingContext, OptExpensiveTopicFirst|OptMostFreeVM)
-	alloc, err := CustomBinPacking(sel, cfg)
+	alloc, err := CustomBinPackingContext(context.Background(), sel, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,11 +290,11 @@ func TestVMBandwidthTradeoff(t *testing.T) {
 	withCost := base
 	withCost.Opts = OptAll
 
-	a1, err := CustomBinPacking(sel, noCost)
+	a1, err := CustomBinPackingContext(context.Background(), sel, noCost)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a2, err := CustomBinPacking(sel, withCost)
+	a2, err := CustomBinPackingContext(context.Background(), sel, withCost)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +323,7 @@ func TestCBPInfeasible(t *testing.T) {
 	w := mustWorkload(t, []int64{100}, [][]workload.TopicID{{0}})
 	sel := SelectAllPairs(w)
 	cfg := configWith(1000, 150, CustomBinPackingContext, OptAll)
-	if _, err := CustomBinPacking(sel, cfg); !errors.Is(err, ErrInfeasible) {
+	if _, err := CustomBinPackingContext(context.Background(), sel, cfg); !errors.Is(err, ErrInfeasible) {
 		t.Errorf("err = %v, want ErrInfeasible", err)
 	}
 }

@@ -186,8 +186,12 @@ func RegionalFleet(base pricing.Fleet, t *Topology) (pricing.Fleet, error) {
 }
 
 // RegionOfInstance resolves the region index an instance type deploys into:
-// its Region tag looked up in the topology, with the empty tag (and any
-// unknown name) mapping to the home region 0. A nil topology is region 0.
+// its Region tag looked up in the topology, with the empty tag mapping to
+// the home region 0. A nil topology is region 0. A tag the topology does
+// not name also reads as 0 here, for display; every solve, bound, verify
+// and index build (Config's fleet) and the egress and latency evaluators
+// (an allocation's VMs) refuse such a type first, through
+// checkInstanceRegion.
 func RegionOfInstance(topo *Topology, it pricing.InstanceType) int {
 	if topo == nil || it.Region == "" {
 		return 0
@@ -196,6 +200,17 @@ func RegionOfInstance(topo *Topology, it pricing.InstanceType) int {
 		return i
 	}
 	return 0
+}
+
+// checkInstanceRegion rejects an instance type tagged with a region a
+// multi-region topology does not name, naming the type and the tag. An
+// untagged type is region 0, and under no topology or a single region the
+// tags are not read.
+func checkInstanceRegion(topo *Topology, it pricing.InstanceType) error {
+	if topo == nil || topo.NumRegions() <= 1 || it.Region == "" || topo.RegionIndex(it.Region) >= 0 {
+		return nil
+	}
+	return fmt.Errorf("core: instance type %q is in region %q, which the topology does not name", it.Name, it.Region)
 }
 
 // checkRegions rejects a workload tagged with a region a multi-region
@@ -239,7 +254,8 @@ func PairRTTMillis(t *Topology, pubRegion, brokerRegion, subRegion int) int64 {
 //
 // A nil topology, a single-region topology, or a nil allocation yields
 // (0, 0) — the paper's degenerate case. A workload tagged with a region the
-// topology does not have is an error, the one SolveContext reports.
+// topology does not have is an error, the one SolveContext reports, and so
+// is a VM whose instance type names a region the topology lacks.
 func EgressPerHour(topo *Topology, w *workload.Workload, alloc *Allocation, messageBytes int64) (bytes int64, cost pricing.MicroUSD, err error) {
 	if topo == nil || topo.NumRegions() <= 1 || alloc == nil || w == nil {
 		return 0, 0, nil
@@ -250,6 +266,9 @@ func EgressPerHour(topo *Topology, w *workload.Workload, alloc *Allocation, mess
 	n := topo.NumRegions()
 	vols := make([]int64, n*n) // bytes/hour per directed (from, to) pair
 	for _, vm := range alloc.VMs {
+		if err := checkInstanceRegion(topo, vm.Instance); err != nil {
+			return 0, 0, err
+		}
 		br := RegionOfInstance(topo, vm.Instance)
 		for _, p := range vm.Placements {
 			rb := w.Rate(p.Topic) * messageBytes
@@ -302,8 +321,8 @@ type LatencyReport struct {
 // modeled per-pair RTT distribution, SLO violations against sloMillis
 // (0 disables the check), and the egress bill. A nil topology or a single-
 // region topology yields the degenerate all-zero report with only Pairs
-// filled in. A workload tagged with a region the topology does not have is
-// an error (EgressPerHour's).
+// filled in. A workload tagged with a region the topology does not have,
+// or a VM whose type names one, is an error (EgressPerHour's).
 func EvalLatency(t *Topology, w *workload.Workload, alloc *Allocation, messageBytes, sloMillis int64) (LatencyReport, error) {
 	var rep LatencyReport
 	if alloc == nil {

@@ -6,9 +6,9 @@
 // bounded bandwidth capacity (Stage 2), minimizing rental plus transfer cost.
 //
 // Both of the paper's Stage-1 algorithms (GreedySelectPairs and the naive
-// RandomSelectPairs baseline), both Stage-2 algorithms (First-Fit bin
-// packing and CustomBinPacking with its four incremental optimizations), and
-// the per-instance lower bound (Alg. 5) are provided. See DESIGN.md for the
+// RandomSelectPairsContext baseline), both Stage-2 algorithms (First-Fit bin
+// packing and CustomBinPackingContext with its four incremental
+// optimizations), and the per-instance lower bound (Alg. 5) are provided. See DESIGN.md for the
 // mapping from the paper's pseudocode to this package.
 package core
 
@@ -22,9 +22,9 @@ import (
 	"github.com/pubsub-systems/mcss/internal/workload"
 )
 
-// OptFlags toggles CustomBinPacking's incremental optimizations, matching
-// the ladder of the paper's §IV-D. CBP with zero flags is rung (b):
-// grouping of pairs by topic, which is inherent to CBP.
+// OptFlags toggles CustomBinPackingContext's incremental optimizations,
+// matching the ladder of the paper's §IV-D. CBP with zero flags is rung
+// (b): grouping of pairs by topic, which is inherent to CBP.
 type OptFlags uint8
 
 const (
@@ -121,7 +121,8 @@ type Config struct {
 	// fleet types, whatever packer Stage2 names; the heterogeneous
 	// portfolio compares members on rental plus egress, and the elastic
 	// controller bills egress with it. A region tag at or past
-	// NumRegions fails the solve. Nil or one region is the paper's
+	// NumRegions fails the solve, and so does a fleet type whose Region
+	// the topology does not name. Nil or one region is the paper's
 	// setting.
 	Topology *Topology
 	// LatencySLOMillis, when positive, is the per-subscription delivery-
@@ -177,6 +178,11 @@ func (c Config) normalize() (Config, error) {
 	}
 	if c.Topology != nil && c.Topology.NumRegions() < 1 {
 		return c, errors.New("core: topology has no regions")
+	}
+	for i := 0; i < c.Fleet.Len(); i++ {
+		if err := checkInstanceRegion(c.Topology, c.Fleet.Type(i)); err != nil {
+			return c, err
+		}
 	}
 	return c, nil
 }

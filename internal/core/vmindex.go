@@ -8,26 +8,23 @@ import (
 	"github.com/pubsub-systems/mcss/internal/workload"
 )
 
-// This file implements the indexed VM state behind the stage-2 packers.
-// The naive packers (test-only oracles in naive_test.go) scan
-// every deployed VM per pair or per topic group — O(P·V), quadratic once V
-// grows with P. The index answers the three queries those scans implement
-// in O(log V) (plus amortized-O(1) host-list maintenance), preserving the
-// naive algorithms' choices exactly:
+// This file implements the package's one VM bookkeeping, the slot table,
+// and the queries the Stage-2 packers and the online Rehomer make of it.
+// The naive packers (test-only oracles in naive_test.go) scan every
+// deployed VM per pair or per topic group — O(P·V), quadratic once V grows
+// with P. The table answers the three queries those scans implement in
+// O(log V), preserving the naive algorithms' choices exactly:
 //
 //   - first-fit:  the lowest-index VM with free ≥ need      (freeTree descent)
 //   - most-free:  the lowest-index VM of maximum free       (freeTree argmax)
 //   - best-fit:   the minimum-free VM with free ≥ need,
-//     ties to the lowest index                              (freeOrder ceiling)
+//     ties to the lowest index                              (freeOrder ceiling,
+//     kept by BFD on top of the table)
 //
 // Hosting-dependent capacity tests (a pair of topic t needs rb on a VM that
 // already hosts t but 2·rb elsewhere, the exact deltaFor test) decompose
-// into one index query over all VMs at threshold 2·rb plus one scan of the
-// per-topic host list at threshold rb; because rb is fixed per topic for a
-// whole packing run and free capacities only shrink, hosts that fall below
-// rb are pruned permanently, making the host scans amortized O(1) for
-// first-fit and O(live hosts) otherwise. See DESIGN.md §10 for the
-// equivalence argument.
+// into one query over all VMs at threshold 2·rb plus one scan of t's host
+// list at threshold rb. See DESIGN.md §10 for the equivalence argument.
 
 // unusedLeaf marks segment-tree leaves beyond the deployed fleet. It is
 // below every reachable free value (the packers never drive free below
@@ -247,150 +244,267 @@ func (fo *freeOrder) ceiling(need int64) int32 {
 	return best
 }
 
-// vmIndex bundles the deployed fleet with the index structures the packers
-// query, maintaining only what its packer actually reads: the segment
-// tree answers first-fit/most-free (FFBP, CBP), the treap answers
-// best-fit ceilings (BFD), and the host lists back the rb-branch of the
-// exact capacity test.
-type vmIndex struct {
-	vms   []*vmState
-	tree  *freeTree  // nil when only best-fit queries are made (BFD)
-	order *freeOrder // nil unless best-fit queries are required
-	// hosts[t] lists the VM indices hosting topic t, ascending. Entries
-	// whose free capacity has dropped below the topic's per-pair rate are
-	// pruned lazily during scans (free only shrinks, so they can never
-	// host another pair of t).
-	hosts map[workload.TopicID][]int32
+// hostRef is one entry of a topic's host list: a slot hosting the topic
+// and the index of the topic's placement among that slot's placements.
+type hostRef struct {
+	slot, pi int32
+}
 
+// slotTable is the VM state every placement edits: the Stage-2 packers
+// fill a fresh one per packing run (vmIndex), and the Rehomer edits one
+// over a live allocation. Slot i is alloc.VMs[i]. Every edit keeps three
+// things in step with the VMs:
+//
+//   - tree holds each slot's free capacity;
+//   - hosts[t], indexed by dense topic ID, lists the slots hosting topic
+//     t in ascending order, each with the index of t's placement on that
+//     slot, so finding topic t on slot s is one binary search of t's host
+//     list, never a scan of the slot's placements;
+//   - every placement has exactly one host entry. The swap-remove of a
+//     placement and every slot move fix up the entry they move. Only a
+//     packing run's own queries drop entries, ones the run can never use
+//     again (see vmIndex); the table's methods never do.
+type slotTable struct {
+	alloc *Allocation
+	tree  freeTree
+	hosts [][]hostRef
+}
+
+// newSlotTable indexes alloc's VMs, sizing the host lists for numTopics
+// topics (they grow past it on demand). The table shares alloc: edits
+// mutate its VMs in place, and deploys append to alloc.VMs.
+func newSlotTable(alloc *Allocation, numTopics int) slotTable {
+	tb := slotTable{alloc: alloc, hosts: make([][]hostRef, numTopics)}
+	for i, vm := range alloc.VMs {
+		tb.tree.add(vm.FreeBytesPerHour())
+		for pi, p := range vm.Placements {
+			h, _ := tb.search(p.Topic, int32(i))
+			tb.addHost(p.Topic, h, int32(i), pi)
+		}
+	}
+	return tb
+}
+
+// free reports slot s's free capacity.
+func (tb *slotTable) free(s int32) int64 { return tb.alloc.VMs[s].FreeBytesPerHour() }
+
+// hostsOf returns topic t's host list, nil for a topic never placed.
+func (tb *slotTable) hostsOf(t workload.TopicID) []hostRef {
+	if int(t) < len(tb.hosts) {
+		return tb.hosts[t]
+	}
+	return nil
+}
+
+// search returns the position of slot s in t's host list and whether s
+// hosts t; when it does not, the position is where s would go.
+func (tb *slotTable) search(t workload.TopicID, s int32) (int, bool) {
+	hs := tb.hostsOf(t)
+	lo, hi := 0, len(hs)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if hs[m].slot < s {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, lo < len(hs) && hs[lo].slot == s
+}
+
+// addHost inserts slot s, whose placement of t is at index pi, at
+// position h of t's host list (search's answer for s).
+func (tb *slotTable) addHost(t workload.TopicID, h int, s int32, pi int) {
+	if n := int(t) + 1; n > len(tb.hosts) {
+		tb.hosts = append(tb.hosts, make([][]hostRef, n-len(tb.hosts))...)
+	}
+	tb.hosts[t] = slices.Insert(tb.hosts[t], h, hostRef{slot: s, pi: int32(pi)})
+}
+
+// deploy appends a fresh VM of the given type and capacity and returns its
+// slot.
+func (tb *slotTable) deploy(it pricing.InstanceType, capacity int64) int32 {
+	s := len(tb.alloc.VMs)
+	tb.alloc.VMs = append(tb.alloc.VMs, &VM{ID: s, Instance: it, CapacityBytesPerHour: capacity})
+	tb.tree.add(capacity)
+	return int32(s)
+}
+
+// place assigns subs of topic t (rb bytes/hour each) to slot s, charging
+// rb per subscriber (outgoing) plus rb once when t is new to the slot
+// (incoming). The subscribers are copied; the caller has checked
+// capacity.
+func (tb *slotTable) place(s int32, t workload.TopicID, rb int64, subs []workload.SubID) {
+	vm := tb.alloc.VMs[s]
+	if h, ok := tb.search(t, s); ok {
+		p := &vm.Placements[tb.hosts[t][h].pi]
+		p.Subs = append(p.Subs, subs...)
+	} else {
+		tb.addHost(t, h, s, len(vm.Placements))
+		vm.Placements = append(vm.Placements, TopicPlacement{Topic: t, Subs: append([]workload.SubID(nil), subs...)})
+		vm.InBytesPerHour += rb
+	}
+	vm.OutBytesPerHour += rb * int64(len(subs))
+	tb.tree.set(int(s), vm.FreeBytesPerHour())
+}
+
+// removeSub drops subscriber v from slot s's placement of t, dissolving
+// the placement (and its ingress) when it empties.
+func (tb *slotTable) removeSub(s int32, t workload.TopicID, rb int64, v workload.SubID) {
+	vm := tb.alloc.VMs[s]
+	h, _ := tb.search(t, s)
+	p := &vm.Placements[tb.hosts[t][h].pi]
+	k := slices.Index(p.Subs, v)
+	p.Subs[k] = p.Subs[len(p.Subs)-1]
+	p.Subs = p.Subs[:len(p.Subs)-1]
+	vm.OutBytesPerHour -= rb
+	if len(p.Subs) == 0 {
+		tb.dropPlacement(s, h, t, rb)
+	}
+	tb.tree.set(int(s), vm.FreeBytesPerHour())
+}
+
+// removePlacement detaches slot s's whole placement of t, returning its
+// subscribers (ownership transfers to the caller).
+func (tb *slotTable) removePlacement(s int32, t workload.TopicID, rb int64) []workload.SubID {
+	vm := tb.alloc.VMs[s]
+	h, _ := tb.search(t, s)
+	p := &vm.Placements[tb.hosts[t][h].pi]
+	subs := p.Subs
+	p.Subs = nil
+	vm.OutBytesPerHour -= rb * int64(len(subs))
+	tb.dropPlacement(s, h, t, rb)
+	tb.tree.set(int(s), vm.FreeBytesPerHour())
+	return subs
+}
+
+// dropPlacement swap-removes slot s's placement of t, whose host entry is
+// at position h, and delists s from t's host list. Outgoing accounting is
+// the caller's; ingress is removed here. The placement moved into the
+// hole gets its host entry's index fixed up.
+func (tb *slotTable) dropPlacement(s int32, h int, t workload.TopicID, rb int64) {
+	vm := tb.alloc.VMs[s]
+	pi, last := tb.hosts[t][h].pi, int32(len(vm.Placements)-1)
+	if pi != last {
+		moved := vm.Placements[last].Topic
+		vm.Placements[pi] = vm.Placements[last]
+		m, _ := tb.search(moved, s)
+		tb.hosts[moved][m].pi = pi
+	}
+	vm.Placements[last] = TopicPlacement{}
+	vm.Placements = vm.Placements[:last]
+	vm.InBytesPerHour -= rb
+	tb.hosts[t] = slices.Delete(tb.hosts[t], h, h+1)
+}
+
+// move relocates the VM in slot from into the empty slot to, re-listing
+// its host entries; slot from is left empty for trimTrailingEmpty.
+func (tb *slotTable) move(from, to int32) {
+	vms := tb.alloc.VMs
+	vm := vms[from]
+	vm.ID = int(to)
+	vms[to] = vm
+	tb.tree.set(int(to), vm.FreeBytesPerHour())
+	vms[from] = &VM{}
+	tb.tree.set(int(from), 0)
+	for pi, p := range vm.Placements {
+		h, _ := tb.search(p.Topic, from)
+		tb.hosts[p.Topic] = slices.Delete(tb.hosts[p.Topic], h, h+1)
+		h, _ = tb.search(p.Topic, to)
+		tb.addHost(p.Topic, h, to, pi)
+	}
+}
+
+// trimTrailingEmpty releases empty VMs at the end of the slot table.
+func (tb *slotTable) trimTrailingEmpty() {
+	n := len(tb.alloc.VMs)
+	for n > 0 && len(tb.alloc.VMs[n-1].Placements) == 0 {
+		n--
+	}
+	tb.alloc.VMs = tb.alloc.VMs[:n]
+	tb.tree.shrink(n)
+}
+
+// freestHost returns the slot hosting t with the most free capacity ≥ need
+// (the lowest slot on ties), or -1.
+func (tb *slotTable) freestHost(t workload.TopicID, need int64) int32 {
+	best, bestFree := int32(-1), int64(-1)
+	for _, h := range tb.hostsOf(t) {
+		if f := tb.free(h.slot); f >= need && f > bestFree {
+			best, bestFree = h.slot, f
+		}
+	}
+	return best
+}
+
+// vmIndex is one Stage-2 packing run: a fresh slot table plus the queries
+// only a packing run makes. A packing run never removes a placement, so
+// free capacities only shrink, and a host that falls below a topic's
+// per-pair rate rb (fixed for the whole run) can never take another pair
+// of it: firstHost and tightestHost drop such hosts from the topic's list
+// as they pass them, which keeps their scans amortized O(1) and O(live
+// hosts). Dropping is sound only under that premise, so it lives in these
+// queries and not in the table, whose host lists the Rehomer needs exact.
+type vmIndex struct {
+	slotTable
 	// Scratch for cheaperToDistribute's what-if simulation: the touched
 	// leaves and their pre-simulation values, unwound after the decision.
 	simIdx []int32
 	simOld []int64
 }
 
-// newVMIndex builds the index for one packing run: ordered selects the
-// treap (best-fit) over the segment tree (first-fit/most-free).
-func newVMIndex(ordered bool) *vmIndex {
-	ix := &vmIndex{hosts: make(map[workload.TopicID][]int32)}
-	if ordered {
-		ix.order = newFreeOrder()
-	} else {
-		ix.tree = &freeTree{}
-	}
-	return ix
+// newVMIndex starts a packing run of sel against fleet; the run's
+// allocation is ix.alloc.
+func newVMIndex(sel *Selection, fleet pricing.Fleet, msg int64) *vmIndex {
+	alloc := &Allocation{Fleet: fleet, MessageBytes: msg}
+	return &vmIndex{slotTable: newSlotTable(alloc, sel.w.NumTopics())}
 }
 
-// deploy appends a fresh VM of the given type and registers it with the
-// indices.
-func (ix *vmIndex) deploy(it pricing.InstanceType, capacity int64) *vmState {
-	b := newVMState(len(ix.vms), it, capacity)
-	ix.vms = append(ix.vms, b)
-	if ix.tree != nil {
-		ix.tree.add(b.free)
-	}
-	if ix.order != nil {
-		ix.order.add(int32(b.vm.ID), b.free)
-	}
-	return b
-}
-
-// place assigns pairs to b exactly as vmState.place and refreshes the
-// indices: the free-capacity structure and, when the topic is new to b,
-// the topic's host list.
-func (ix *vmIndex) place(b *vmState, t workload.TopicID, rb int64, subs []workload.SubID) {
-	newTopic := b.place(t, rb, subs)
-	id := int32(b.vm.ID)
-	if ix.tree != nil {
-		ix.tree.set(b.vm.ID, b.free)
-	}
-	if ix.order != nil {
-		ix.order.update(id, b.free)
-	}
-	if newTopic {
-		hs := ix.hosts[t]
-		if n := len(hs); n == 0 || hs[n-1] < id {
-			ix.hosts[t] = append(hs, id)
-		} else {
-			i, _ := slices.BinarySearch(hs, id)
-			ix.hosts[t] = slices.Insert(hs, i, id)
-		}
-	}
-}
-
-// firstFree returns the lowest-index VM with free ≥ need, or -1.
-func (ix *vmIndex) firstFree(need int64) int { return ix.tree.firstAtLeast(need) }
-
-// firstHost returns the lowest-index VM hosting t with free ≥ rb, or -1,
-// pruning hosts that have fallen below rb for good.
+// firstHost returns the lowest slot hosting t with free ≥ rb, or -1,
+// dropping the hosts before it, which have fallen below rb for good.
 func (ix *vmIndex) firstHost(t workload.TopicID, rb int64) int {
 	hs := ix.hosts[t]
-	for i, id := range hs {
-		if ix.vms[id].free >= rb {
+	for i, h := range hs {
+		if ix.free(h.slot) >= rb {
 			if i > 0 {
-				n := copy(hs, hs[i:])
-				ix.hosts[t] = hs[:n]
+				ix.hosts[t] = hs[:copy(hs, hs[i:])]
 			}
-			return int(id)
+			return int(h.slot)
 		}
 	}
-	if len(hs) > 0 {
-		ix.hosts[t] = hs[:0]
-	}
+	ix.hosts[t] = hs[:0]
 	return -1
 }
 
-// scanHosts walks topic t's host list pruning entries below rb for good
-// and returns the extreme live host by free capacity — the least free
-// when tightest is set (best-fit), the most free otherwise — with ties
-// to the lowest index, or (-1, 0) when no host qualifies.
-func (ix *vmIndex) scanHosts(t workload.TopicID, rb int64, tightest bool) (int, int64) {
+// tightestHost returns the slot hosting t with the least free capacity
+// ≥ rb (the lowest slot on ties) and that capacity, or (-1, 0), dropping
+// the hosts that have fallen below rb for good.
+func (ix *vmIndex) tightestHost(t workload.TopicID, rb int64) (int32, int64) {
 	hs := ix.hosts[t]
-	w := 0
-	best := -1
+	w, best := 0, int32(-1)
 	var bestFree int64
-	for _, id := range hs {
-		f := ix.vms[id].free
+	for _, h := range hs {
+		f := ix.free(h.slot)
 		if f < rb {
-			continue // below rb for good: prune
+			continue
 		}
-		hs[w] = id
+		hs[w] = h
 		w++
-		if best < 0 || (tightest && f < bestFree) || (!tightest && f > bestFree) {
-			best, bestFree = int(id), f
+		if best < 0 || f < bestFree {
+			best, bestFree = h.slot, f
 		}
 	}
-	if w != len(hs) {
-		ix.hosts[t] = hs[:w]
-	}
+	ix.hosts[t] = hs[:w]
 	return best, bestFree
 }
 
-// freestHost returns the VM hosting t with the most free capacity among
-// those with free ≥ rb (ties to the lowest index), or -1.
-func (ix *vmIndex) freestHost(t workload.TopicID, rb int64) int {
-	best, _ := ix.scanHosts(t, rb, false)
-	return best
-}
-
-// tightestHost returns the VM hosting t with the least free capacity among
-// those with free ≥ rb (ties to the lowest index) and that capacity, or
-// (-1, 0).
-func (ix *vmIndex) tightestHost(t workload.TopicID, rb int64) (int, int64) {
-	return ix.scanHosts(t, rb, true)
-}
-
-// minIndex combines two first-fit candidates (-1 = none).
-func minIndex(a, b int) int {
-	if a < 0 {
-		return b
+// firstFit returns the lowest slot that fits one pair of t, or -1. A slot
+// fits iff free ≥ 2rb, or it already hosts t and free ≥ rb, so the answer
+// is the lower of the tree's first slot at 2rb and t's first host at rb.
+func (ix *vmIndex) firstFit(t workload.TopicID, rb int64) int32 {
+	a, b := ix.tree.firstAtLeast(2*rb), ix.firstHost(t, rb)
+	if a < 0 || (b >= 0 && b < a) {
+		return int32(b)
 	}
-	if b < 0 || a < b {
-		return a
-	}
-	return b
-}
-
-// finish converts the indexed fleet into the exported allocation.
-func (ix *vmIndex) finish(fleet pricing.Fleet, cfg Config) *Allocation {
-	return finishAllocation(ix.vms, fleet, cfg)
+	return int32(a)
 }
