@@ -302,7 +302,7 @@ func BenchmarkGreedySelectPairs(b *testing.B) {
 	}
 	rows = append(rows,
 		row{"spotify/tau=100", spotify, core.Config{Tau: 100}},
-		row{"twitter-3-regions/tau=100", tagged, core.Config{Tau: 100, Topology: mcss.SyntheticTopology(3)}})
+		row{"twitter-3-regions/tau=100", tagged, core.Config{Tau: 100, Topology: core.SyntheticTopology(3)}})
 	for _, r := range rows {
 		b.Run(r.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -357,7 +357,7 @@ func BenchmarkEndToEndSolve(b *testing.B) {
 			var res *core.Result
 			for i := 0; i < b.N; i++ {
 				var err error
-				res, err = core.Solve(w, cfg)
+				res, err = core.SolveContext(context.Background(), w, cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -368,12 +368,12 @@ func BenchmarkEndToEndSolve(b *testing.B) {
 	}
 }
 
-// BenchmarkSolve is the engine without the façade: core.Solve under the
-// paper's default config. Together with BenchmarkPlannerSolve it bounds
-// the cost of the Planner's context plumbing — CI runs the pair as a smoke
-// comparison, and the acceptance bar is ≤ 2% regression of PlannerSolve
-// vs Solve (both run the same engine; the ctx checks amortize to one poll
-// per 8192 loop units).
+// BenchmarkSolve is the engine without the façade: core.SolveContext
+// under the paper's default config. Together with BenchmarkPlannerSolve it
+// bounds the cost of the Planner's context plumbing — CI runs the pair as
+// a smoke comparison, and the acceptance bar is ≤ 2% regression of
+// PlannerSolve vs Solve (both run the same engine; the ctx checks amortize
+// to one poll per 8192 loop units).
 func BenchmarkSolve(b *testing.B) {
 	w, err := experiments.Generate(experiments.Twitter, benchScale())
 	if err != nil {
@@ -384,7 +384,7 @@ func BenchmarkSolve(b *testing.B) {
 	b.ResetTimer()
 	var res *core.Result
 	for i := 0; i < b.N; i++ {
-		res, err = core.Solve(w, cfg)
+		res, err = core.SolveContext(context.Background(), w, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -466,7 +466,7 @@ func BenchmarkSimulate(b *testing.B) {
 	model := pricing.NewModel(pricing.C3Large)
 	model.CapacityOverrideBytesPerHour = 8 * maxRate * 200
 	cfg := core.DefaultConfig(100, model)
-	res, err := core.Solve(w, cfg)
+	res, err := core.SolveContext(context.Background(), w, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -599,7 +599,7 @@ func BenchmarkPlanApplyIncremental(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	res, err := core.Solve(w, cfg)
+	res, err := core.SolveContext(context.Background(), w, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -681,7 +681,7 @@ func BenchmarkVerify(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	res, err := core.Solve(w, cfg)
+	res, err := core.SolveContext(context.Background(), w, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -717,7 +717,7 @@ func BenchmarkIndex(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	res, err := core.Solve(w, cfg)
+	res, err := core.SolveContext(context.Background(), w, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -823,7 +823,7 @@ func BenchmarkUpdateIncrementalVsFull(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	res, err := core.Solve(w, cfg)
+	res, err := core.SolveContext(context.Background(), w, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -286,7 +286,7 @@ var topologyFile = filepath.Join("..", "..", "internal", "traceio", "testdata", 
 // snapshot, the file -snapshot restores.
 func writeSnapshot(t *testing.T, w *workload.Workload, cfg core.Config) string {
 	t.Helper()
-	res, err := core.Solve(w, cfg)
+	res, err := core.SolveContext(context.Background(), w, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,7 +367,7 @@ func TestSnapshotHonorsTopology(t *testing.T) {
 		t.Fatal(err)
 	}
 	regional.LatencySLOMillis = 0
-	_, want := core.Solve(beyond, regional)
+	_, want := core.SolveContext(context.Background(), beyond, regional)
 	if want == nil {
 		t.Fatal("solve accepted region tags beyond the topology")
 	}

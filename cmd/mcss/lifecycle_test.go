@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	mcss "github.com/pubsub-systems/mcss"
+	"github.com/pubsub-systems/mcss/internal/dynamic"
 )
 
 // TestPlanApplyRoundTrip is the lifecycle acceptance test: `mcss plan -o
@@ -56,7 +57,7 @@ func TestPlanApplyRoundTrip(t *testing.T) {
 	if got, want := cur.Allocation.NumVMs(), plan.Diff.Stats.VMsAfter; got != want {
 		t.Fatalf("applied fleet %d VMs != plan forecast %d", got, want)
 	}
-	realized := mcss.StepsBetween(mcss.EmptyClusterState().Allocation, cur.Allocation)
+	realized := dynamic.StepsBetween(mcss.EmptyClusterState().Allocation, cur.Allocation)
 	if len(realized) != len(plan.Steps) {
 		t.Fatalf("realized state needs %d steps from empty, plan had %d", len(realized), len(plan.Steps))
 	}

@@ -306,8 +306,7 @@ func runTimeline(ctx context.Context, a timelineArgs) error {
 		if err != nil {
 			return err
 		}
-		rep, err = p.RunTimelineSpot(ctx, tl, mcss.DefaultElasticPolicy(), market,
-			mcss.SpotRunConfig{ChaosSeed: a.chaosSeed})
+		rep, err = p.RunTimelineSpot(ctx, tl, mcss.DefaultElasticPolicy(), market, a.chaosSeed)
 		if err != nil {
 			return err
 		}

@@ -5,9 +5,9 @@ import (
 	"errors"
 	"path/filepath"
 	"testing"
-	"time"
 
 	mcss "github.com/pubsub-systems/mcss"
+	"github.com/pubsub-systems/mcss/internal/deploy"
 )
 
 // deployDemoWorkload builds a small deterministic workload for the public
@@ -50,7 +50,7 @@ func TestPublicDeployLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan.IsNoop() || plan.CostAfter <= 0 {
+	if len(plan.Steps) == 0 || plan.CostAfter <= 0 {
 		t.Fatalf("bootstrap plan: %d steps, cost %v", len(plan.Steps), plan.CostAfter)
 	}
 
@@ -90,24 +90,20 @@ func TestPublicDeployLifecycle(t *testing.T) {
 		t.Fatalf("provisioner cost %v != forecast %v", prov.Cost(), plan.CostAfter)
 	}
 
-	// Diff reports the drift a re-plan would enact.
+	// A re-plan's diff reports the drift it enacts.
 	drifted, err := mcss.ApplyDelta(w, mcss.Delta{RateChanges: map[mcss.TopicID]int64{0: 240}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	diff, err := p.Diff(ctx, drifted, mcss.ClusterStateOf(prov))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(diff.Delta.RateChanges) != 1 {
-		t.Fatalf("diff has %d rate changes, want 1", len(diff.Delta.RateChanges))
-	}
-
-	// Apply the reconfiguration, then try the now-stale bootstrap plan.
 	next, err := p.Plan(ctx, drifted, mcss.ClusterStateOf(prov))
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(next.Diff.Delta.RateChanges) != 1 {
+		t.Fatalf("diff has %d rate changes, want 1", len(next.Diff.Delta.RateChanges))
+	}
+
+	// Apply the reconfiguration, then try the now-stale bootstrap plan.
 	if _, err := mcss.Apply(ctx, next, prov); err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +145,7 @@ func TestSnapshotPlanRejectsMalformedState(t *testing.T) {
 				t.Fatal(err)
 			}
 			c.corrupt(res.Allocation.VMs[0])
-			state := mcss.NewClusterState(w, res.Allocation)
+			state := deploy.NewState(w, res.Allocation)
 			if _, err := mcss.SnapshotPlan(p.Config(), state); !errors.Is(err, mcss.ErrInvalidPlan) {
 				t.Fatalf("snapshot plan: got %v, want ErrInvalidPlan", err)
 			}
@@ -182,7 +178,7 @@ func TestUpdateIncrementalRejectsMalformedAdopt(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			prov, err := mcss.RestoreProvisioner(mcss.NewClusterState(w, res.Allocation), p.Config())
+			prov, err := mcss.RestoreProvisioner(deploy.NewState(w, res.Allocation), p.Config())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -237,110 +233,5 @@ func TestElasticEpochPlansPublic(t *testing.T) {
 		if e > 0 && ep.Plan.BaseFingerprint != rep.Epochs[e-1].Plan.TargetFingerprint() {
 			t.Fatalf("epoch %d plan does not chain from epoch %d", e, e-1)
 		}
-	}
-}
-
-// TestPublicCrashSafeApply drives the crash-safety surface through the
-// exported API only: a journaled apply killed mid-plan by a fault
-// injector, journal recovery, and a resumed apply (through a retrying
-// executor that eats one transient fault) that lands on the plan's own
-// target fingerprint with every step effect exactly once.
-func TestPublicCrashSafeApply(t *testing.T) {
-	ctx := context.Background()
-	w := deployDemoWorkload(t)
-	p, err := mcss.NewPlanner(mcss.WithTau(40), mcss.WithModel(demoModel()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := p.Plan(ctx, w, mcss.EmptyClusterState())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(plan.Steps) < 3 {
-		t.Fatalf("bootstrap plan has %d steps, need >= 3", len(plan.Steps))
-	}
-	crashAt := len(plan.Steps) / 2
-	path := filepath.Join(t.TempDir(), "apply.journal")
-	nop := mcss.DeployExecutorFunc(func(context.Context, int, int, mcss.DeployStep) error { return nil })
-	effects := mcss.NewEffectLog()
-
-	// Phase 1: journaled apply, crash armed mid-plan.
-	j, err := mcss.OpenApplyJournal(path, mcss.JournalOptions{SyncEvery: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	prov, err := mcss.RestoreProvisioner(mcss.EmptyClusterState(), p.Config())
-	if err != nil {
-		t.Fatal(err)
-	}
-	crasher := mcss.NewFaultInjector(nop, mcss.FaultConfig{
-		Crash: true, CrashAtStep: crashAt, Effects: effects,
-	})
-	_, err = mcss.Apply(ctx, plan, prov,
-		mcss.WithApplyJournal(j), mcss.WithStepExecutor(crasher))
-	if !errors.Is(err, mcss.ErrSimulatedCrash) {
-		t.Fatalf("want ErrSimulatedCrash, got %v", err)
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Phase 2: recover — the plan is in flight, resumable at the crash step.
-	rec, err := mcss.RecoverApplyJournal(path)
-	if err != nil {
-		t.Fatalf("recovery: %v", err)
-	}
-	if rec.InFlight == nil || rec.NextStep != crashAt {
-		t.Fatalf("recovery: in-flight %v next %d, want plan at step %d",
-			rec.InFlight != nil, rec.NextStep, crashAt)
-	}
-
-	// Phase 3: resume through a retrying executor; the first executed step
-	// fails transiently once and must be retried, not aborted.
-	prov2, err := mcss.RestoreProvisioner(rec.State, p.Config())
-	if err != nil {
-		t.Fatal(err)
-	}
-	j2, err := mcss.OpenApplyJournal(path, mcss.JournalOptions{SyncEvery: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	flaked := false
-	flaky := mcss.DeployExecutorFunc(func(ctx context.Context, i, total int, s mcss.DeployStep) error {
-		if !flaked {
-			flaked = true
-			return mcss.Transient(errors.New("cloud API hiccup"))
-		}
-		return mcss.NewFaultInjector(nop, mcss.FaultConfig{Effects: effects}).Execute(ctx, i, total, s)
-	})
-	exec := mcss.NewRetryExecutor(flaky, mcss.RetryConfig{
-		Sleep: func(ctx context.Context, _ time.Duration) error { return ctx.Err() },
-	})
-	rep, err := mcss.Apply(ctx, rec.InFlight, prov2,
-		mcss.WithApplyJournal(j2), mcss.WithStepExecutor(exec),
-		mcss.ResumeFrom(rec.NextStep))
-	if err != nil {
-		t.Fatalf("resumed apply: %v", err)
-	}
-	if err := j2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if !flaked {
-		t.Error("transient fault never injected")
-	}
-	if got := mcss.ClusterStateOf(prov2).Fingerprint(); got != plan.TargetFingerprint() {
-		t.Fatalf("resumed fingerprint %s, plan target %s", got, plan.TargetFingerprint())
-	}
-	if rep.StepsApplied != len(plan.Steps) {
-		t.Errorf("resume reports %d steps applied, want the plan's %d", rep.StepsApplied, len(plan.Steps))
-	}
-	for i := range plan.Steps {
-		if n := effects.Executions(i); n != 1 {
-			t.Errorf("step %d executed %d times across the crash, want exactly once", i, n)
-		}
-	}
-	final, err := mcss.RecoverApplyJournal(path)
-	if err != nil || final.InFlight != nil {
-		t.Fatalf("post-resume journal: in-flight %v err %v, want committed", final.InFlight != nil, err)
 	}
 }

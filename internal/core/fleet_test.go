@@ -98,7 +98,7 @@ func TestCBPMixesInstanceSizes(t *testing.T) {
 func TestSolveFleetInfeasibleOnlyWhenLargestTooSmall(t *testing.T) {
 	w := mustWorkload(t, []int64{150}, [][]workload.TopicID{{0}})
 	f := testFleet(t, 100) // max cap 400 ≥ 2·150
-	res, err := Solve(w, fleetConfig(1000, f, CustomBinPackingContext, OptAll))
+	res, err := SolveContext(context.Background(), w, fleetConfig(1000, f, CustomBinPackingContext, OptAll))
 	if err != nil {
 		t.Fatalf("feasible fleet solve failed: %v", err)
 	}
@@ -107,7 +107,7 @@ func TestSolveFleetInfeasibleOnlyWhenLargestTooSmall(t *testing.T) {
 	}
 	// Rate 250 needs 500 > max capacity: infeasible.
 	w2 := mustWorkload(t, []int64{250}, [][]workload.TopicID{{0}})
-	if _, err := Solve(w2, fleetConfig(1000, f, CustomBinPackingContext, OptAll)); !errors.Is(err, ErrInfeasible) {
+	if _, err := SolveContext(context.Background(), w2, fleetConfig(1000, f, CustomBinPackingContext, OptAll)); !errors.Is(err, ErrInfeasible) {
 		t.Errorf("err = %v, want ErrInfeasible", err)
 	}
 }
@@ -122,7 +122,7 @@ func bestHomogeneousCost(t *testing.T, w *workload.Workload, f pricing.Fleet, cf
 	for i := 0; i < f.Len(); i++ {
 		sub := cfg
 		sub.Fleet = f.Single(i)
-		res, err := Solve(w, sub)
+		res, err := SolveContext(context.Background(), w, sub)
 		if errors.Is(err, ErrInfeasible) {
 			continue
 		}
@@ -152,7 +152,7 @@ func TestPropertyHeteroNeverWorseThanBestHomogeneous(t *testing.T) {
 		base := maxRate/2 + 1 + int64(capRaw%1000)
 		f := testFleet(t, base)
 		cfg := fleetConfig(tau, f, CustomBinPackingContext, OptAll)
-		res, err := Solve(w, cfg)
+		res, err := SolveContext(context.Background(), w, cfg)
 		if err != nil {
 			return false
 		}
@@ -249,7 +249,7 @@ func TestLowerBoundOverFleet(t *testing.T) {
 	if lb.Cost != 237 {
 		t.Errorf("Cost = %d µ$, want 237 µ$ (fractional rental bound)", int64(lb.Cost))
 	}
-	res, err := Solve(w, Config{
+	res, err := SolveContext(context.Background(), w, Config{
 		Tau: 1000, MessageBytes: 1, Model: cfg.Model, Fleet: f,
 		Opts: OptAll,
 	})

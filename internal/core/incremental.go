@@ -56,10 +56,6 @@ func newRehomer(vms []*VM, fleet pricing.Fleet, msg int64) *Rehomer {
 	return NewRehomer(&Allocation{VMs: vms, Fleet: fleet, MessageBytes: msg}, fleet)
 }
 
-// VMs returns the current slot table, including VMs deployed by PlacePair.
-// The slice and its VMs are live state and must not be modified directly.
-func (r *Rehomer) VMs() []*VM { return r.alloc.VMs }
-
 // PlacePair homes one pair of topic t (rb = ev_t·MessageBytes): a VM
 // already hosting the topic with room for one more egress stream (most
 // free first), else the most-free VM with room for ingress plus egress,

@@ -146,7 +146,7 @@ func TestSnapshotVMAppendDoesNotAlias(t *testing.T) {
 func TestIndexMirrorsSolvedAllocation(t *testing.T) {
 	w := incTestWorkload(t, 1)
 	cfg := incTestConfig(t)
-	res, err := Solve(w, cfg)
+	res, err := SolveContext(context.Background(), w, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestIndexMirrorsSolvedAllocation(t *testing.T) {
 func TestEmptyEpochIsNoOp(t *testing.T) {
 	w := incTestWorkload(t, 2)
 	cfg := incTestConfig(t)
-	res, err := Solve(w, cfg)
+	res, err := SolveContext(context.Background(), w, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestEmptyEpochIsNoOp(t *testing.T) {
 func TestRehomerEpochChurnKeepsInvariants(t *testing.T) {
 	w := incTestWorkload(t, 3)
 	cfg := incTestConfig(t)
-	res, err := Solve(w, cfg)
+	res, err := SolveContext(context.Background(), w, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,7 +376,7 @@ func TestDrainReleasesVMsAfterRemovalHeavyEpoch(t *testing.T) {
 	// drop frees capacity outright instead of being refilled by the τ_v
 	// top-up picking a replacement interest.
 	cfg.Tau = 1 << 40
-	res, err := Solve(w, cfg)
+	res, err := SolveContext(context.Background(), w, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,7 +32,7 @@ func TestIndexMatchesAppendBuild(t *testing.T) {
 			t.Fatal(err)
 		}
 		cfg := core.Config{Tau: 1 + rng.Int63n(200), MessageBytes: 1, Model: model, Opts: core.OptAll}
-		res, err := core.Solve(w, cfg)
+		res, err := core.SolveContext(context.Background(), w, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -46,7 +46,7 @@ func TestIndexMatchesAppendBuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.Solve(w, cfg)
+	res, err := core.SolveContext(context.Background(), w, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"testing"
 
 	"github.com/pubsub-systems/mcss/internal/core"
@@ -47,7 +48,7 @@ func TestStage2RoutesAndPins(t *testing.T) {
 	// With its broker in the publisher's region a pair's modeled RTT is
 	// one matrix entry (at most 60 ms here), so every pair stays feasible.
 	cfg.LatencySLOMillis = 60
-	res, err := core.Solve(w, cfg)
+	res, err := core.SolveContext(context.Background(), w, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,23 +8,16 @@ import (
 	"github.com/pubsub-systems/mcss/internal/workload"
 )
 
-// Solve runs the two-stage MCSS heuristic on the workload under the given
-// configuration and returns the selection, the allocation, and per-stage
-// wall times. It is SolveContext under context.Background(); long-running
-// callers (services, controllers, CLIs) should prefer SolveContext.
-func Solve(w *workload.Workload, cfg Config) (*Result, error) {
-	return SolveContext(context.Background(), w, cfg)
-}
-
-// SolveContext runs the MCSS solve under a context: cancellation (or
-// deadline expiry) is polled at bounded intervals inside every stage's hot
-// loop — the solve returns ctx.Err() promptly without finishing — and
-// Config.Observer receives per-stage progress callbacks. A non-nil
-// Config.Solver replaces the whole two-stage pipeline; otherwise Stage 1
-// runs Config.Stage1 (nil = GSP) and Stage 2 runs Config.Stage2 (nil =
-// CBP). A workload tagged with a region a multi-region Config.Topology
-// lacks, or a fleet type in a region it does not name, is an error before
-// either runs.
+// SolveContext runs the two-stage MCSS heuristic on the workload under
+// the given configuration and returns the selection, the allocation, and
+// per-stage wall times. Cancellation (or deadline expiry) is polled at
+// bounded intervals inside every stage's hot loop — the solve returns
+// ctx.Err() promptly without finishing — and Config.Observer receives
+// per-stage progress callbacks. A non-nil Config.Solver replaces the
+// whole two-stage pipeline; otherwise Stage 1 runs Config.Stage1 (nil =
+// GSP) and Stage 2 runs Config.Stage2 (nil = CBP). A workload tagged
+// with a region a multi-region Config.Topology lacks, or a fleet type in a
+// region it does not name, is an error before either runs.
 func SolveContext(ctx context.Context, w *workload.Workload, cfg Config) (*Result, error) {
 	cfg, err := cfg.normalize()
 	if err != nil {

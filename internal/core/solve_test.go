@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -20,26 +21,26 @@ func TestDefaultConfig(t *testing.T) {
 
 func TestConfigNormalizeRejectsBadInputs(t *testing.T) {
 	m := pricing.NewModel(pricing.C3Large)
-	if _, err := Solve(&workload.Workload{}, Config{Tau: 0, Model: m}); err == nil {
+	if _, err := SolveContext(context.Background(), &workload.Workload{}, Config{Tau: 0, Model: m}); err == nil {
 		t.Error("Tau=0 accepted")
 	}
-	if _, err := Solve(&workload.Workload{}, Config{Tau: 5, MessageBytes: -1, Model: m}); err == nil {
+	if _, err := SolveContext(context.Background(), &workload.Workload{}, Config{Tau: 5, MessageBytes: -1, Model: m}); err == nil {
 		t.Error("negative MessageBytes accepted")
 	}
 	var noCapacity pricing.Model
-	if _, err := Solve(&workload.Workload{}, Config{Tau: 5, Model: noCapacity}); err == nil {
+	if _, err := SolveContext(context.Background(), &workload.Workload{}, Config{Tau: 5, Model: noCapacity}); err == nil {
 		t.Error("zero-capacity model accepted")
 	}
 	// A latency ceiling bounds the topology's RTT model; without one it
 	// would bind nothing.
-	if _, err := Solve(&workload.Workload{}, Config{Tau: 5, Model: m, LatencySLOMillis: 50}); err == nil {
+	if _, err := SolveContext(context.Background(), &workload.Workload{}, Config{Tau: 5, Model: m, LatencySLOMillis: 50}); err == nil {
 		t.Error("latency SLO without a topology accepted")
 	}
 }
 
 func TestSolveReportsStageTimes(t *testing.T) {
 	w := mustWorkload(t, []int64{5, 7}, [][]workload.TopicID{{0, 1}, {0}})
-	res, err := Solve(w, configWith(6, 100, CustomBinPackingContext, OptAll))
+	res, err := SolveContext(context.Background(), w, configWith(6, 100, CustomBinPackingContext, OptAll))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +58,7 @@ func solveLadder(t *testing.T, w *workload.Workload, tau, capacity int64) []pric
 	configs := allLadderConfigs(tau, capacity)
 	costs := make([]pricing.MicroUSD, len(configs))
 	for i, cfg := range configs {
-		res, err := Solve(w, cfg)
+		res, err := SolveContext(context.Background(), w, cfg)
 		if err != nil {
 			t.Fatalf("rung %d: %v", i, err)
 		}
@@ -145,7 +146,7 @@ func TestSolveNearLowerBoundOnSpotify(t *testing.T) {
 		Model:        testModel(4 * maxRate),
 		Opts:         OptAll,
 	}
-	res, err := Solve(w, cfg)
+	res, err := SolveContext(context.Background(), w, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +210,7 @@ func TestLowerBoundRejectsBadConfig(t *testing.T) {
 func TestVerifyAllocationCatchesViolations(t *testing.T) {
 	w := mustWorkload(t, []int64{5, 7}, [][]workload.TopicID{{0, 1}, {0}})
 	cfg := configWith(6, 100, CustomBinPackingContext, OptAll)
-	res, err := Solve(w, cfg)
+	res, err := SolveContext(context.Background(), w, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +280,7 @@ func TestVerifyAllocationRejectsOutOfRange(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			res, err := Solve(w, cfg)
+			res, err := SolveContext(context.Background(), w, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -320,7 +321,7 @@ func TestVerifyRejectsRepeatsAndNonSubscriptions(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			res, err := Solve(w, cfg)
+			res, err := SolveContext(context.Background(), w, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -357,7 +358,7 @@ func TestVMAccessors(t *testing.T) {
 func TestAllocationCostUsesModel(t *testing.T) {
 	w := mustWorkload(t, []int64{5}, [][]workload.TopicID{{0}})
 	cfg := configWith(10, 100, CustomBinPackingContext, OptAll)
-	res, err := Solve(w, cfg)
+	res, err := SolveContext(context.Background(), w, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -213,7 +213,7 @@ func TestEvaluatorsRejectRegionsBeyondTopology(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := core.DefaultConfig(100, pricing.NewModel(pricing.C3Large))
-	res, err := core.Solve(five, cfg)
+	res, err := core.SolveContext(context.Background(), five, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +270,7 @@ func TestEvaluatorsRejectRegionsBeyondTopology(t *testing.T) {
 	if _, err := core.SolveContext(context.Background(), three, regional); err == nil || !strings.Contains(err.Error(), "which the topology does not name") {
 		t.Errorf("SolveContext with fleet regions beyond the topology: err = %v", err)
 	}
-	untagged, err := core.Solve(three, cfg)
+	untagged, err := core.SolveContext(context.Background(), three, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

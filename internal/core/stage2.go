@@ -159,10 +159,10 @@ func sortGroupsByVolume(groups []topicGroup) {
 //
 // Like FFBinPackingContext it packs on the slot table: most-free-VM picks
 // descend the free-capacity segment tree to the leftmost maximum,
-// first-fit picks combine a tree descent with the topic's host list, and
-// the Alg. 7 what-if simulation runs against the tree with rollback
-// instead of copying every VM's free capacity per group. Byte-identical to
-// the test-only CustomBinPackingNaive oracle.
+// first-fit picks to the first slot with room, and the Alg. 7 what-if
+// simulation runs against the tree with rollback instead of copying every
+// VM's free capacity per group. Byte-identical to the test-only
+// CustomBinPackingNaive oracle.
 func CustomBinPackingContext(ctx context.Context, sel *Selection, cfg Config) (*Allocation, error) {
 	cfg.Observer = ResolveObserver(ctx, cfg)
 	start := time.Now()
@@ -214,15 +214,8 @@ func CustomBinPackingContext(ctx context.Context, sel *Selection, cfg Config) (*
 			if b < 0 {
 				break
 			}
-			// Capacity available for pairs on b.
-			avail := ix.free(b)
-			if _, hosted := ix.search(g.topic, b); !hosted {
-				avail -= g.rb
-			}
-			k := min(avail/g.rb, int64(len(remaining)))
-			if k <= 0 {
-				break
-			}
+			// b has room for the incoming stream plus at least one pair.
+			k := min((ix.free(b)-g.rb)/g.rb, int64(len(remaining)))
 			put(b, g, remaining[:k])
 			remaining = remaining[k:]
 		}
@@ -244,20 +237,20 @@ func CustomBinPackingContext(ctx context.Context, sel *Selection, cfg Config) (*
 }
 
 // pickExisting is the indexed form of pickExistingVM, returning a slot or
-// -1. Most-free: the segment tree's leftmost global maximum is the answer
-// whenever it can host a new topic (free ≥ 2rb); otherwise only VMs
-// already hosting the topic are eligible and the host list is scanned.
-// First-fit: identical to FFBP's candidate combination.
+// -1: the first slot with room for the topic's incoming stream plus one
+// pair (free ≥ 2rb), or under mostFree the leftmost most-free slot if it
+// has that room. pickExistingVM also admits a VM already hosting the
+// topic with free ≥ rb, but within one CBP run none exists: the topic is
+// one group, and each distribute pick either leaves its VM below rb free
+// or takes the rest of the group.
 func (ix *vmIndex) pickExisting(g topicGroup, mostFree bool) int32 {
 	if !mostFree {
-		return ix.firstFit(g.topic, g.rb)
+		return int32(ix.tree.firstAtLeast(2 * g.rb))
 	}
-	if m, idx := ix.tree.maxFree(); idx < 0 || m >= 2*g.rb {
+	if m, idx := ix.tree.maxFree(); m >= 2*g.rb {
 		return int32(idx)
 	}
-	// No VM can take the topic's incoming stream plus a pair; only
-	// existing hosts (which need just rb) remain eligible.
-	return ix.freestHost(g.topic, g.rb)
+	return -1
 }
 
 // cheaperToDistribute is the indexed form of the naive helper of the same
@@ -274,14 +267,9 @@ func (ix *vmIndex) cheaperToDistribute(g topicGroup, f pricing.Fleet, totalBW in
 	if n == 0 {
 		return true
 	}
-	// (A) all pairs on fresh VMs.
-	freshRental, freshBW, _, ok := freshPlan(f, m, g.rb, n)
-	if !ok {
-		// No fleet type can host even one pair; distribution is the only
-		// option (the caller guards 2·rb ≤ maxCap, so this is
-		// unreachable, but keep the safe answer).
-		return true
-	}
+	// (A) all pairs on fresh VMs; the caller guards 2·rb ≤ maxCap, so
+	// some fleet type hosts a pair.
+	freshRental, freshBW, _, _ := freshPlan(f, m, g.rb, n)
 	costNew := freshRental + m.BandwidthCost(m.TransferBytes(totalBW+freshBW))
 
 	// (B) simulate distribution over existing VMs, most free first, on the

@@ -401,7 +401,7 @@ func TestPropertyAllConfigurationsProduceValidAllocations(t *testing.T) {
 		}
 		capacity := 2*maxRate + int64(capRaw%2000)
 		for _, cfg := range allLadderConfigs(tau, capacity) {
-			res, err := Solve(w, cfg)
+			res, err := SolveContext(context.Background(), w, cfg)
 			if err != nil {
 				return false
 			}
@@ -429,7 +429,7 @@ func TestPropertyLowerBoundHolds(t *testing.T) {
 		}
 		capacity := 2*maxRate + int64(capRaw%2000)
 		for _, cfg := range allLadderConfigs(tau, capacity) {
-			res, err := Solve(w, cfg)
+			res, err := SolveContext(context.Background(), w, cfg)
 			if err != nil {
 				return false
 			}

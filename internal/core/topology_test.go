@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -242,7 +243,7 @@ func TestDegenerateByteIdentity(t *testing.T) {
 			w := taggedWorkload(t, 1, seed)
 
 			paper := core.DefaultConfig(tau, pricing.NewModel(pricing.C3Large))
-			want, err := core.Solve(w, paper)
+			want, err := core.SolveContext(context.Background(), w, paper)
 			if err != nil {
 				t.Fatalf("seed %d τ=%d: paper solve: %v", seed, tau, err)
 			}
@@ -256,7 +257,7 @@ func TestDegenerateByteIdentity(t *testing.T) {
 			} {
 				cfg := topoConfig(t, tau)
 				cfg.Topology = tc.topo
-				got, err := core.Solve(w, cfg)
+				got, err := core.SolveContext(context.Background(), w, cfg)
 				if err != nil {
 					t.Fatalf("seed %d τ=%d %s: topo solve: %v", seed, tau, tc.name, err)
 				}
@@ -282,7 +283,7 @@ func TestPackTopoMultiRegion(t *testing.T) {
 	cfg.Fleet = fleet
 	cfg.Topology = topo
 	cfg.LatencySLOMillis = 120
-	res, err := core.Solve(w, cfg)
+	res, err := core.SolveContext(context.Background(), w, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,13 +345,13 @@ func TestPackTopoInfeasibleSLO(t *testing.T) {
 	cfg.Fleet = fleet
 	cfg.Topology = topo
 	cfg.LatencySLOMillis = 10
-	if _, err := core.Solve(w, cfg); !errors.Is(err, core.ErrInfeasible) {
+	if _, err := core.SolveContext(context.Background(), w, cfg); !errors.Is(err, core.ErrInfeasible) {
 		t.Fatalf("err = %v, want core.ErrInfeasible", err)
 	}
 
 	// Loosening the ceiling to the modeled path cost makes it feasible.
 	cfg.LatencySLOMillis = 45
-	res, err := core.Solve(w, cfg)
+	res, err := core.SolveContext(context.Background(), w, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,7 +394,7 @@ func TestPortfolioEgressAware(t *testing.T) {
 	cfg.Fleet = fleet
 	cfg.Topology = expensive
 	// No SLO ceiling: only the egress price stops a single-region collapse.
-	res, err := core.Solve(w, cfg)
+	res, err := core.SolveContext(context.Background(), w, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

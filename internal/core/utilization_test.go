@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -58,7 +59,7 @@ func TestPropertyUtilizationBounds(t *testing.T) {
 			}
 		}
 		cfg := configWith(tau, 2*maxRate+500, CustomBinPackingContext, OptAll)
-		res, err := Solve(w, cfg)
+		res, err := SolveContext(context.Background(), w, cfg)
 		if err != nil {
 			return false
 		}

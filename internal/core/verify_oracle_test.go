@@ -547,7 +547,7 @@ func TestVerifyAllocationMatchesMapOracle(t *testing.T) {
 		if seed%3 == 1 {
 			cfg.Stage2 = FFBinPackingContext
 		}
-		res, err := Solve(w, cfg)
+		res, err := SolveContext(context.Background(), w, cfg)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -652,7 +652,7 @@ func servesCases(t *testing.T, rng *rand.Rand) []namedCase {
 		maxRate = max(maxRate, w.Rate(workload.TopicID(tid)))
 	}
 	cfg := configWith(1+rng.Int63n(300), 2*maxRate+rng.Int63n(2000), nil, OptAll)
-	res, err := Solve(w, cfg)
+	res, err := SolveContext(context.Background(), w, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -699,7 +699,7 @@ func servesCases(t *testing.T, rng *rand.Rand) []namedCase {
 	// Incremental epochs: rates, one dropped and one added interest each.
 	iw := incTestWorkload(t, rng.Int63())
 	icfg := incTestConfig(t)
-	ires, err := Solve(iw, icfg)
+	ires, err := SolveContext(context.Background(), iw, icfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -748,7 +748,7 @@ func servesCases(t *testing.T, rng *rand.Rand) []namedCase {
 	// Headroom: pack against derated capacities.
 	f := testFleet(t, maxRate+rng.Int63n(200))
 	dcfg := fleetConfig(1+rng.Int63n(300), f.WithCapacityScale(0.8), nil, OptAll)
-	dres, err := Solve(w, dcfg)
+	dres, err := SolveContext(context.Background(), w, dcfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -230,9 +230,6 @@ func (p *Plan) StepMix() string {
 	return strings.Join(mix, ", ")
 }
 
-// IsNoop reports whether the plan changes nothing (zero steps).
-func (p *Plan) IsNoop() bool { return len(p.Steps) == 0 }
-
 // TargetFingerprint is the fingerprint Apply leaves the cluster at.
 func (p *Plan) TargetFingerprint() string { return p.Target.Fingerprint() }
 

@@ -41,7 +41,7 @@ func TestBootstrapPlanApply(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan.IsNoop() {
+	if len(plan.Steps) == 0 {
 		t.Fatal("bootstrap plan is a no-op")
 	}
 	if plan.CostBefore != 0 {
@@ -357,7 +357,7 @@ func TestPlanValidate(t *testing.T) {
 func TestNewPlanRejectsMalformedStates(t *testing.T) {
 	cfg := testConfig()
 	w := testWorkload(t, 7)
-	res, err := core.Solve(w, cfg)
+	res, err := core.SolveContext(context.Background(), w, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -429,7 +429,7 @@ func TestSnapshotIsNoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !snap.IsNoop() {
+	if len(snap.Steps) != 0 {
 		t.Fatalf("snapshot has %d steps", len(snap.Steps))
 	}
 	fp := StateOf(prov).Fingerprint()
@@ -502,7 +502,7 @@ func TestPlanIncrementalApply(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !noop.IsNoop() {
+	if len(noop.Steps) != 0 {
 		t.Fatalf("empty-delta incremental plan has %d steps", len(noop.Steps))
 	}
 }

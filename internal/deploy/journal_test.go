@@ -390,8 +390,9 @@ func assertStepMix(t *testing.T, links []crashLink, minSteps int) {
 // crash point i of a journaled apply, killing the apply after step i-1's
 // record and resuming from the recovered journal must land on exactly the
 // state an uninterrupted apply reaches, executing every step's effect
-// exactly once across both legs. The links' plans boot, reconfigure,
-// replace and retire brokers.
+// exactly once across both legs; the resumed apply reports every step and
+// leaves the plan committed in the journal. The links' plans boot,
+// reconfigure, replace and retire brokers.
 func TestCrashResumeProperty(t *testing.T) {
 	ctx := context.Background()
 	for seed := int64(1); seed <= 2; seed++ {
@@ -451,13 +452,21 @@ func TestCrashResumeProperty(t *testing.T) {
 					t.Fatal(err)
 				}
 				resumeExec := deploy.NewFaultInjector(deploy.NopExecutor, deploy.FaultConfig{Effects: effects})
-				if _, err := deploy.Apply(ctx, rec.InFlight, prov2,
+				rep, err := deploy.Apply(ctx, rec.InFlight, prov2,
 					deploy.WithJournal(j2), deploy.WithExecutor(resumeExec),
-					deploy.WithApplyEpoch(ci), deploy.ResumeFrom(rec.NextStep)); err != nil {
+					deploy.WithApplyEpoch(ci), deploy.ResumeFrom(rec.NextStep))
+				if err != nil {
 					t.Fatalf("%s: resume: %v", name, err)
 				}
 				if err := j2.Close(); err != nil {
 					t.Fatal(err)
+				}
+				if rep.StepsApplied != steps {
+					t.Fatalf("%s: resume reports %d steps applied, want the plan's %d", name, rep.StepsApplied, steps)
+				}
+				if final, err := traceio.RecoverJournal(path); err != nil || final.InFlight != nil {
+					t.Fatalf("%s: journal after resume: in-flight %v, err %v; want the plan committed",
+						name, final != nil && final.InFlight != nil, err)
 				}
 
 				if got := deploy.StateOf(prov2).Fingerprint(); got != wantFP {
@@ -659,7 +668,7 @@ func TestPlanRefusesRepeatedSubscriber(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.Solve(w, cfg)
+	res, err := core.SolveContext(context.Background(), w, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,7 +32,7 @@ func newLaneSetup(t *testing.T) laneSetup {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.Solve(w, cfg)
+	res, err := core.SolveContext(context.Background(), w, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

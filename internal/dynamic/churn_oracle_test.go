@@ -18,7 +18,7 @@ func TestDiffsMatchOraclesOnChurnSetup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.Solve(w, cfg)
+	res, err := core.SolveContext(context.Background(), w, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,7 +28,7 @@ var fingerprintPins = map[string]string{
 func TestStateFingerprintPinned(t *testing.T) {
 	cfg := stepsTestConfig()
 	w := stepsTestWorkload(t, 9)
-	res, err := core.Solve(w, cfg)
+	res, err := core.SolveContext(context.Background(), w, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestStateFingerprintPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rres, err := core.Solve(rw, cfg)
+	rres, err := core.SolveContext(context.Background(), rw, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func hasUnsortedSubs(a *core.Allocation) bool {
 func TestKnownFingerprint(t *testing.T) {
 	cfg := stepsTestConfig()
 	w := stepsTestWorkload(t, 9)
-	res, err := core.Solve(w, cfg)
+	res, err := core.SolveContext(context.Background(), w, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -362,7 +362,7 @@ func TestEnsureIndexRebuildsAfterExternalAdopt(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Adopt a freshly solved copy (different allocation pointer).
-	res, err := core.Solve(w, cfg)
+	res, err := core.SolveContext(context.Background(), w, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

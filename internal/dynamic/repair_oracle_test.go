@@ -255,7 +255,7 @@ func TestRepairMatchesOracle(t *testing.T) {
 	for seed := int64(0); seed < 12; seed++ {
 		w := sampleWorkload(t, 100+seed)
 		for _, capacity := range []int64{150, 300, 600, 1500} {
-			res, err := core.Solve(w, testConfig(30, capacity))
+			res, err := core.SolveContext(context.Background(), w, testConfig(30, capacity))
 			if err != nil {
 				t.Fatal(err)
 			}

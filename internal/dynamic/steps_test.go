@@ -84,7 +84,7 @@ func TestStepsBetweenReplayRoundTrip(t *testing.T) {
 func TestStepsBetweenBootstrap(t *testing.T) {
 	cfg := stepsTestConfig()
 	w := stepsTestWorkload(t, 11)
-	res, err := core.Solve(w, cfg)
+	res, err := core.SolveContext(context.Background(), w, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestStepsBetweenBootstrap(t *testing.T) {
 func TestStepsBetweenScaleDown(t *testing.T) {
 	cfg := stepsTestConfig()
 	w := stepsTestWorkload(t, 5)
-	res, err := core.Solve(w, cfg)
+	res, err := core.SolveContext(context.Background(), w, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestStepsBetweenScaleDown(t *testing.T) {
 func TestReplayStepsRejectsBadSteps(t *testing.T) {
 	cfg := stepsTestConfig()
 	w := stepsTestWorkload(t, 3)
-	res, err := core.Solve(w, cfg)
+	res, err := core.SolveContext(context.Background(), w, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestReplayStepsRejectsBadSteps(t *testing.T) {
 func TestStateFingerprintSensitivity(t *testing.T) {
 	cfg := stepsTestConfig()
 	w := stepsTestWorkload(t, 9)
-	res, err := core.Solve(w, cfg)
+	res, err := core.SolveContext(context.Background(), w, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +304,7 @@ func TestRepairCrashContextCancelled(t *testing.T) {
 func TestRestore(t *testing.T) {
 	cfg := stepsTestConfig()
 	w := stepsTestWorkload(t, 21)
-	res, err := core.Solve(w, cfg)
+	res, err := core.SolveContext(context.Background(), w, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

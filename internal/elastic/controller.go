@@ -496,9 +496,6 @@ func repriceAllocation(alloc *core.Allocation, fleet pricing.Fleet) *core.Alloca
 // Done reports whether every epoch has been stepped.
 func (wk *Walk) Done() bool { return wk.next >= wk.tl.NumEpochs() }
 
-// NumEpochs reports the timeline length.
-func (wk *Walk) NumEpochs() int { return wk.tl.NumEpochs() }
-
 // Allocation returns the allocation serving the last stepped epoch (nil
 // before the first Step). Live state — read between Steps, don't mutate.
 func (wk *Walk) Allocation() *core.Allocation {

@@ -221,7 +221,7 @@ func TestStaticPeakHoldsPerTypeMax(t *testing.T) {
 func TestKeepWithTopUpFallingRates(t *testing.T) {
 	tl, cfg := testTimeline(t, 2, 60)
 	fleet := cfg.EffectiveFleet()
-	res, err := core.Solve(tl.Epochs[0], cfg)
+	res, err := core.SolveContext(context.Background(), tl.Epochs[0], cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +260,7 @@ func TestKeepWithTopUpFallingRates(t *testing.T) {
 func TestKeepWithTopUpRejectsCapacityOvershoot(t *testing.T) {
 	tl, cfg := testTimeline(t, 2, 60)
 	fleet := cfg.EffectiveFleet()
-	res, err := core.Solve(tl.Epochs[0], cfg)
+	res, err := core.SolveContext(context.Background(), tl.Epochs[0], cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package elastic
 
 import (
+	"context"
 	"fmt"
 	"slices"
 	"sort"
@@ -153,7 +154,7 @@ func TestKeepWithTopUpMatchesMapOracle(t *testing.T) {
 				solveCfg.Fleet = trueFleet.WithCapacityScale(1 - headroom)
 			}
 			solveFleet := solveCfg.EffectiveFleet()
-			res, err := core.Solve(tl.Epochs[0], solveCfg)
+			res, err := core.SolveContext(context.Background(), tl.Epochs[0], solveCfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -168,7 +169,7 @@ func TestKeepWithTopUpMatchesMapOracle(t *testing.T) {
 				}
 				if !gotOK {
 					refused++
-					res, err := core.Solve(w, solveCfg)
+					res, err := core.SolveContext(context.Background(), w, solveCfg)
 					if err != nil {
 						t.Fatal(err)
 					}

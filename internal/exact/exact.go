@@ -47,10 +47,10 @@ type Solution struct {
 }
 
 // Solve computes the optimal MCSS solution. Config semantics match
-// core.Solve (Tau, MessageBytes, Model, Fleet); the Stage/Opts fields are
-// ignored. With a multi-type Fleet the packing DP branches over instance
-// choices: every VM (block of pairs) is billed at the cheapest fleet type
-// whose capacity covers the block, so the optimum is taken over
+// core.SolveContext (Tau, MessageBytes, Model, Fleet); the Stage/Opts
+// fields are ignored. With a multi-type Fleet the packing DP branches over
+// instance choices: every VM (block of pairs) is billed at the cheapest
+// fleet type whose capacity covers the block, so the optimum is taken over
 // mixed-instance deployments too. It returns ErrTooLarge for instances with
 // more than MaxPairs pairs and core.ErrInfeasible when no feasible solution
 // exists (some mandatory pair cannot fit in any VM).

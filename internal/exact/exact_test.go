@@ -1,6 +1,7 @@
 package exact
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
@@ -257,7 +258,7 @@ func TestPropertyHeuristicNeverBeatsExact(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		res, err := core.Solve(w, cfg)
+		res, err := core.SolveContext(context.Background(), w, cfg)
 		if err != nil {
 			return false
 		}
@@ -307,7 +308,7 @@ func TestHeuristicQualityOnMicroInstances(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := core.Solve(w, cfg)
+		res, err := core.SolveContext(context.Background(), w, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -401,7 +402,7 @@ func TestPropertyHeuristicNeverBeatsExactOnFleet(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		heur, err := core.Solve(w, cfg)
+		heur, err := core.SolveContext(context.Background(), w, cfg)
 		if err != nil {
 			return false
 		}

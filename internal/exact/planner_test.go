@@ -6,12 +6,13 @@ import (
 
 	mcss "github.com/pubsub-systems/mcss"
 	"github.com/pubsub-systems/mcss/internal/exact"
+	"github.com/pubsub-systems/mcss/internal/workload"
 )
 
 // WithStrategy("exact") must run the exact solver as an ordinary solve:
 // its result costs the DP's optimum and passes the solver's verifier.
 func TestExactStrategyByName(t *testing.T) {
-	w, err := mcss.FromCSR([]int64{5, 7}, []int64{0, 2, 3}, []mcss.TopicID{0, 1, 0}, nil, nil)
+	w, err := workload.FromCSR([]int64{5, 7}, []int64{0, 2, 3}, []workload.TopicID{0, 1, 0}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package exact
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -44,7 +45,7 @@ func TestRegressionBandwidthRoundingVsLowerBound(t *testing.T) {
 	if err != nil {
 		t.Fatalf("exact: %v", err)
 	}
-	res, err := core.Solve(w, cfg)
+	res, err := core.SolveContext(context.Background(), w, cfg)
 	if err != nil {
 		t.Fatalf("heuristic: %v", err)
 	}

@@ -353,8 +353,8 @@ func TestRunHeteroMixedNeverWorseThanBestHomogeneous(t *testing.T) {
 				t.Errorf("%v τ=%d: negative saving %.4f", d, tau, res.Savings(tau))
 			}
 		}
-		if res.Table().NumRows() == 0 {
-			t.Errorf("%v: empty table", d)
+		if len(res.Rows) == 0 {
+			t.Errorf("%v: no rows", d)
 		}
 	}
 }
@@ -369,7 +369,7 @@ func TestFleetForScalesWithLinkSpeed(t *testing.T) {
 		t.Errorf("calibrated fleet broke the 2:1 capacity ratio: %d vs %d",
 			f.CapacityOf("c3.xlarge"), f.CapacityOf("c3.large"))
 	}
-	if f.MinCapacity() <= 0 {
+	if f.Capacity(0) <= 0 {
 		t.Error("non-positive calibrated capacity")
 	}
 }

@@ -6,7 +6,6 @@ package slogx
 
 import (
 	"flag"
-	"fmt"
 	"io"
 	"log/slog"
 	"os"
@@ -48,14 +47,4 @@ func parseLevel(s string) (slog.Level, bool) {
 		return slog.LevelError, true
 	}
 	return slog.LevelInfo, false
-}
-
-// ParseLevel exposes level parsing for callers that need the value
-// without installing a logger; it errors on unknown names.
-func ParseLevel(s string) (slog.Level, error) {
-	lvl, ok := parseLevel(s)
-	if !ok {
-		return lvl, fmt.Errorf("unknown log level %q (want debug, info, warn, or error)", s)
-	}
-	return lvl, nil
 }

@@ -36,13 +36,13 @@ func TestParseLevel(t *testing.T) {
 		"debug": slog.LevelDebug, "info": slog.LevelInfo,
 		"WARN": slog.LevelWarn, "error": slog.LevelError, "": slog.LevelInfo,
 	} {
-		got, err := ParseLevel(in)
-		if err != nil || got != want {
-			t.Errorf("ParseLevel(%q) = %v, %v; want %v", in, got, err, want)
+		got, ok := parseLevel(in)
+		if !ok || got != want {
+			t.Errorf("parseLevel(%q) = %v, %v; want %v", in, got, ok, want)
 		}
 	}
-	if _, err := ParseLevel("loud"); err == nil {
-		t.Error("ParseLevel(loud) succeeded, want error")
+	if _, ok := parseLevel("loud"); ok {
+		t.Error("parseLevel(loud) succeeded, want failure")
 	}
 }
 

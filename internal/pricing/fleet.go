@@ -150,14 +150,6 @@ func (f Fleet) MaxCapacity() int64 {
 	return f.caps[len(f.caps)-1]
 }
 
-// MinCapacity reports the smallest per-VM capacity, or 0 for an empty fleet.
-func (f Fleet) MinCapacity() int64 {
-	if len(f.caps) == 0 {
-		return 0
-	}
-	return f.caps[0]
-}
-
 // MinHourlyRate reports the cheapest hourly rate in the fleet, or 0 for an
 // empty fleet.
 func (f Fleet) MinHourlyRate() MicroUSD {

@@ -24,8 +24,8 @@ func TestNewFleetSortsByCapacity(t *testing.T) {
 			t.Errorf("capacities not ascending: %d before %d", f.Capacity(i-1), f.Capacity(i))
 		}
 	}
-	if f.MinCapacity() != C3Large.CapacityBytesPerHour() {
-		t.Errorf("MinCapacity = %d", f.MinCapacity())
+	if f.Capacity(0) != C3Large.CapacityBytesPerHour() {
+		t.Errorf("smallest capacity = %d", f.Capacity(0))
 	}
 	if f.MaxCapacity() != C38XLarge.CapacityBytesPerHour() {
 		t.Errorf("MaxCapacity = %d", f.MaxCapacity())
@@ -124,7 +124,7 @@ func TestInstanceVMCost(t *testing.T) {
 
 func TestZeroFleet(t *testing.T) {
 	var f Fleet
-	if !f.IsZero() || f.Len() != 0 || f.MaxCapacity() != 0 || f.MinCapacity() != 0 {
+	if !f.IsZero() || f.Len() != 0 || f.MaxCapacity() != 0 {
 		t.Errorf("zero fleet misbehaves: %v", f)
 	}
 	if f.String() != "(empty fleet)" {

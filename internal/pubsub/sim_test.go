@@ -1,6 +1,7 @@
 package pubsub
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
@@ -41,7 +42,7 @@ func solveFor(t *testing.T, w *workload.Workload, tau, capacity int64) (*core.Re
 		Model:        testModel(capacity),
 		Opts:         core.OptAll,
 	}
-	res, err := core.Solve(w, cfg)
+	res, err := core.SolveContext(context.Background(), w, cfg)
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
@@ -267,7 +268,7 @@ func TestPropertySimulationMatchesExpectedEventCounts(t *testing.T) {
 			Tau: 30, MessageBytes: 1, Model: testModel(4 * maxRate),
 			Opts: core.OptAll,
 		}
-		res, err := core.Solve(w, cfg)
+		res, err := core.SolveContext(context.Background(), w, cfg)
 		if err != nil {
 			return false
 		}

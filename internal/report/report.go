@@ -38,9 +38,6 @@ func (t *Table) AddRow(cells ...any) *Table {
 	return t
 }
 
-// NumRows reports the number of data rows.
-func (t *Table) NumRows() int { return len(t.rows) }
-
 func trimFloat(v float64) string {
 	s := fmt.Sprintf("%.4f", v)
 	s = strings.TrimRight(s, "0")

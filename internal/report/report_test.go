@@ -25,17 +25,6 @@ func TestTableRender(t *testing.T) {
 	}
 }
 
-func TestTableNumRows(t *testing.T) {
-	tab := NewTable("", "a")
-	if tab.NumRows() != 0 {
-		t.Error("fresh table has rows")
-	}
-	tab.AddRow(1).AddRow(2)
-	if tab.NumRows() != 2 {
-		t.Errorf("NumRows = %d, want 2", tab.NumRows())
-	}
-}
-
 func TestTrimFloat(t *testing.T) {
 	tests := []struct {
 		in   float64

@@ -37,9 +37,6 @@ type Metrics struct {
 	MinRatio float64
 }
 
-// AllSatisfied reports whether every subscriber met its threshold.
-func (m Metrics) AllSatisfied() bool { return m.Satisfied == m.Total }
-
 // Ratio computes one subscriber's satisfaction ratio min(1, delivered/τ_v);
 // a subscriber with τ_v = 0 (no demand) is fully satisfied.
 func Ratio(delivered, tauV int64) float64 {

@@ -57,8 +57,8 @@ func TestMeasure(t *testing.T) {
 	if m.MinRatio != 0.5 {
 		t.Errorf("MinRatio = %v, want 0.5", m.MinRatio)
 	}
-	if m.AllSatisfied() {
-		t.Error("AllSatisfied should be false")
+	if m.Satisfied == m.Total {
+		t.Error("every subscriber satisfied, want one short")
 	}
 }
 
@@ -73,7 +73,7 @@ func TestMeasureHandlesShortDeliveredSlice(t *testing.T) {
 func TestMeasureEmptyWorkload(t *testing.T) {
 	w := mustWorkload(t, nil, nil)
 	m := Measure(w, nil, 10)
-	if m.Total != 0 || !m.AllSatisfied() {
+	if m.Total != 0 || m.Satisfied != 0 {
 		t.Errorf("empty metrics = %+v", m)
 	}
 }

@@ -35,19 +35,18 @@
 // homogeneous choice from the same fleet.
 //
 // Two axes the paper leaves out, regions and spot capacity, each come as
-// one concrete type. A Topology (NewTopology, SyntheticTopology,
-// LoadTopology) attached with WithTopology spreads the deployment over
-// regions: Stage 2 routes every pair to its cheapest region under an
-// optional latency ceiling (WithLatencySLO) and cross-region egress joins
-// the bill; a nil Topology is the paper's single region. A SpotMarket
-// handed to Planner.RunTimelineSpot reprices the fleet every epoch and
-// reclaims spot VMs in correlated groups that the controller repairs in
-// place.
+// one concrete type. A Topology built with NewTopology and attached with
+// WithTopology spreads the deployment over regions: Stage 2 routes every
+// pair to its cheapest region under an optional latency ceiling
+// (WithLatencySLO) and cross-region egress joins the bill; a nil Topology
+// is the paper's single region. A SpotMarket handed to
+// Planner.RunTimelineSpot reprices the fleet every epoch and reclaims spot
+// VMs in correlated groups that the controller repairs in place.
 //
 // Beyond the snapshot problem, the module models workloads that change
 // over the day: a Timeline is an epoch-indexed sequence of snapshots
 // (diurnal rate modulation, subscriber churn, flash crowds, via
-// GenerateDiurnal), and an ElasticController walks it — re-solving each
+// GenerateDiurnal), and Planner.RunTimeline walks it — re-solving each
 // epoch, applying a hysteresis policy (utilization-guarded scale-up,
 // cooldown-gated scale-down, a savings bar before migrating), and billing
 // every VM per started instance-hour in a BillingLedger, like EC2
@@ -79,7 +78,6 @@ import (
 	"github.com/pubsub-systems/mcss/internal/core"
 	"github.com/pubsub-systems/mcss/internal/dynamic"
 	"github.com/pubsub-systems/mcss/internal/elastic"
-	"github.com/pubsub-systems/mcss/internal/exact"
 	"github.com/pubsub-systems/mcss/internal/pricing"
 	"github.com/pubsub-systems/mcss/internal/pubsub"
 	"github.com/pubsub-systems/mcss/internal/satisfy"
@@ -108,12 +106,6 @@ type (
 // NewWorkloadBuilder returns an empty workload builder.
 func NewWorkloadBuilder() *WorkloadBuilder { return workload.NewBuilder() }
 
-// FromCSR builds a workload directly from CSR adjacency; see
-// workload.FromCSR for the exact contract.
-func FromCSR(rates []int64, subOff []int64, subTopics []TopicID, topicNames, subNames []string) (*Workload, error) {
-	return workload.FromCSR(rates, subOff, subTopics, topicNames, subNames)
-}
-
 // Pricing.
 type (
 	// InstanceType is one rentable VM flavor.
@@ -133,8 +125,6 @@ var (
 	C3Large   = pricing.C3Large
 	C3XLarge  = pricing.C3XLarge
 	C32XLarge = pricing.C32XLarge
-	C34XLarge = pricing.C34XLarge
-	C38XLarge = pricing.C38XLarge
 )
 
 // NewModel returns the paper's default pricing model (240 h rental,
@@ -188,11 +178,6 @@ const (
 // VM capacity.
 var ErrInfeasible = core.ErrInfeasible
 
-// SelectAllPairs returns the selection containing every pair (the no-τ
-// deployment) — an upper baseline, and a convenient building block for
-// custom Stage-1 strategies.
-func SelectAllPairs(w *Workload) *Selection { return core.SelectAllPairs(w) }
-
 // SelectionFromPairs builds a Selection from an explicit pair list in any
 // order (duplicates are dropped; out-of-range IDs are an error) — how
 // custom strategies and external tools re-enter the packing pipeline with
@@ -200,9 +185,6 @@ func SelectAllPairs(w *Workload) *Selection { return core.SelectAllPairs(w) }
 func SelectionFromPairs(w *Workload, pairs []Pair) (*Selection, error) {
 	return core.SelectionFromPairs(w, pairs)
 }
-
-// ExactMaxPairs is the exact solver's instance-size cap.
-const ExactMaxPairs = exact.MaxPairs
 
 // Trace generation.
 type (
@@ -281,21 +263,8 @@ type (
 	RepairStats = dynamic.RepairStats
 )
 
-// DeltaBetween computes the Delta transforming one workload snapshot into
-// its successor (IDs stable, counts may only grow) — the bridge from
-// timeline epochs to the provisioner.
-func DeltaBetween(old, next *Workload) (Delta, error) { return dynamic.DeltaBetween(old, next) }
-
 // ApplyDelta materializes a workload with the (validated) delta applied.
 func ApplyDelta(w *Workload, d Delta) (*Workload, error) { return dynamic.ApplyDelta(w, d) }
-
-// MigrationStatsBetween diffs primary pair hosts between two allocations
-// and fills the VM-count and cost fields under the model — the one helper
-// PreviewContext, UpdateIncremental, and the deploy planner all route
-// their stats through. Neither allocation may place a negative ID.
-func MigrationStatsBetween(before, after *Allocation, m Model) MigrationStats {
-	return dynamic.MigrationStatsBetween(before, after, m)
-}
 
 // Timelines and the elastic control plane.
 type (
@@ -307,8 +276,6 @@ type (
 	DiurnalTraceConfig = tracegen.DiurnalConfig
 	// ElasticPolicy is the hysteresis knob set of the elastic controller.
 	ElasticPolicy = elastic.Policy
-	// ElasticController walks a timeline, re-solving and billing per epoch.
-	ElasticController = elastic.Controller
 	// ElasticRunReport is a full controller run: decisions, allocations,
 	// and the bill.
 	ElasticRunReport = elastic.RunReport
@@ -320,11 +287,6 @@ type (
 	// Rental is one VM's billed lifetime in a BillingLedger.
 	Rental = elastic.Rental
 )
-
-// NewTimeline validates and assembles a timeline from epoch snapshots.
-func NewTimeline(epochMinutes int64, epochs []*Workload) (*Timeline, error) {
-	return timeline.New(epochMinutes, epochs)
-}
 
 // DefaultDiurnalTrace returns the Twitter-like daily cycle: 24 hourly
 // epochs peaking at 20:00 with a 4× peak-to-trough swing.
@@ -371,10 +333,6 @@ func StaticPeakReport(tl *Timeline, oracle *ElasticRunReport) (*ElasticRunReport
 	return elastic.StaticPeakReport(tl, oracle)
 }
 
-// NewBillingLedger returns an empty per-started-hour billing ledger
-// pricing transfer at perGB per decimal GB.
-func NewBillingLedger(perGB MicroUSD) *BillingLedger { return elastic.NewLedger(perGB) }
-
 // Spot markets: discounted, interruptible capacity with per-epoch price
 // timelines and correlated reclamation storms, consumed by the elastic
 // controller through Planner.RunTimelineSpot.
@@ -393,17 +351,6 @@ type (
 // structural violations as this one typed error; LoadSpotMarket reserves
 // traceio's ErrBadFormat for malformed bytes.
 var ErrInvalidSpotMarket = spot.ErrInvalidMarket
-
-// IsSpotInstance reports whether an instance-type name is a spot variant
-// ("<base>:spot") — e.g. for inspecting ElasticEpochReport.ActiveMix. A
-// fleet that offers spot variants pins single-subscriber topics to its
-// on-demand types, while replicated topics may ride the discount.
-func IsSpotInstance(name string) bool { return pricing.IsSpot(name) }
-
-// DefaultSpotMarketConfig returns the default spot trace: 24 hourly
-// epochs, 3 zones, a 70% mean discount with mild volatility, rare price
-// spikes, 2% baseline reclamation risk, and one storm in the second half.
-func DefaultSpotMarketConfig() SpotMarketConfig { return spot.DefaultMarketConfig() }
 
 // GenerateSpotMarket synthesizes a deterministic spot market over the base
 // fleet: mean-reverting log-price walks per type, demand spikes, price-
@@ -430,8 +377,7 @@ func LoadSpotMarket(path string) (*SpotMarket, error) { return traceio.LoadSpotM
 type (
 	// Topology is the validated network model the solver consumes: region
 	// names, an inter-region RTT matrix, and a per-GB egress price matrix
-	// with a zero diagonal. Build one with NewTopology or
-	// SyntheticTopology; SaveTopology/LoadTopology (de)serialize it.
+	// with a zero diagonal. Build one with NewTopology.
 	Topology = core.Topology
 	// LatencyReport summarizes an allocation's modeled delivery RTT
 	// distribution and egress bill under a topology.
@@ -440,9 +386,7 @@ type (
 
 // ErrInvalidTopology reports a structurally unusable topology (no regions,
 // duplicate names, mismatched matrix shapes, negative entries, non-zero
-// diagonal egress). Both SaveTopology and LoadTopology surface structural
-// violations as this one typed error; LoadTopology reserves traceio's
-// ErrBadFormat for malformed bytes.
+// diagonal egress), as NewTopology returns it.
 var ErrInvalidTopology = core.ErrInvalidTopology
 
 // NewTopology builds a validated topology from region names, an
@@ -451,16 +395,6 @@ var ErrInvalidTopology = core.ErrInvalidTopology
 func NewTopology(regions []string, rttMillis [][]int64, egressPerGB [][]MicroUSD) (*Topology, error) {
 	return core.NewTopology(regions, rttMillis, egressPerGB)
 }
-
-// SyntheticTopology returns a deterministic n-region topology with
-// distance-proportional RTTs and a flat cross-region egress price — the
-// default testbed of the latency experiments.
-func SyntheticTopology(n int) *Topology { return core.SyntheticTopology(n) }
-
-// RegionalFleet replicates a base fleet into every region of the topology,
-// tagging each copy "<name>@<region>". A single-region topology returns
-// the base fleet unchanged, preserving the paper's instance names.
-func RegionalFleet(base Fleet, t *Topology) (Fleet, error) { return core.RegionalFleet(base, t) }
 
 // EvalLatency scores an allocation under a topology: the modeled
 // publisher→broker→subscriber RTT distribution across placed pairs
@@ -478,32 +412,14 @@ func TagRegions(w *Workload, n int, seed int64) (*Workload, error) {
 	return tracegen.TagRegions(w, n, seed)
 }
 
-// SaveTopology writes a topology to path in the traceio topology format
-// (gzip when it ends in ".gz"). An invalid topology is rejected with
-// ErrInvalidTopology before anything is written.
-func SaveTopology(t *Topology, path string) error { return traceio.SaveTopology(t, path) }
-
-// LoadTopology reads a validated topology from path. Malformed bytes fail
-// with traceio's ErrBadFormat; bytes that parse into an invalid topology
-// fail with ErrInvalidTopology, mirroring SaveTopology.
-func LoadTopology(path string) (*Topology, error) { return traceio.LoadTopology(path) }
-
 // Satisfaction metrics (the companion INFOCOM'14 framework, paper ref [9]).
 type (
-	// SatisfactionMetrics aggregates per-subscriber satisfaction ratios.
-	SatisfactionMetrics = satisfy.Metrics
 	// SatisfyResult is the outcome of the single-engine capacity-budget
 	// maximization.
 	SatisfyResult = satisfy.Result
 	// Utilization summarizes packing quality of an allocation.
 	Utilization = core.Utilization
 )
-
-// MeasureSatisfaction computes satisfaction metrics for delivered event
-// rates against the workload's thresholds.
-func MeasureSatisfaction(w *Workload, delivered []int64, tau int64) SatisfactionMetrics {
-	return satisfy.Measure(w, delivered, tau)
-}
 
 // MaximizeSatisfied solves the single-engine problem: satisfy as many
 // subscribers as possible within a total bandwidth budget.

@@ -37,13 +37,6 @@ func ContextWithObserver(ctx context.Context, obs Observer) context.Context {
 	return core.ContextWithObserver(ctx, obs)
 }
 
-// NopObserver ignores every callback — the explicit-silence observer
-// WithObserver(nil) attaches.
-var NopObserver = core.NopObserver
-
-// ExactSolution is the exact solver's result type.
-type ExactSolution = exact.Solution
-
 // Option configures a Planner under construction.
 type Option func(*plannerBuilder)
 
@@ -140,7 +133,7 @@ func WithStage2(name string) Option {
 }
 
 // WithStrategy selects a full solver by name, replacing both stages:
-// "exact", the optimal DP for instances of at most ExactMaxPairs pairs.
+// "exact", the optimal DP for instances of at most 14 pairs.
 func WithStrategy(name string) Option {
 	return func(b *plannerBuilder) { b.cfg.Solver = lookupName(b, "WithStrategy", name, solverNames) }
 }
@@ -190,30 +183,21 @@ func WithLatencySLO(millis int64) Option {
 }
 
 // WithObserver streams progress callbacks from every long-running Planner
-// call to obs. Passing nil pins the planner to silence: it attaches
-// NopObserver, which also suppresses any ambient observer installed via
+// call to obs. Passing nil pins the planner to silence: it attaches a
+// no-op observer, which also suppresses any ambient observer installed via
 // ContextWithObserver.
 func WithObserver(obs Observer) Option {
 	return func(b *plannerBuilder) {
 		if obs == nil {
-			obs = NopObserver
+			obs = core.NopObserver
 		}
 		b.cfg.Observer = obs
 	}
 }
 
-// WithParallelism sets the solver's worker count (Config.Parallelism): 0
-// or 1 solve serially, n > 1 uses n goroutines, negative uses GOMAXPROCS.
-// It bounds both the Stage-1 subscriber sharding and the Stage-2
-// heterogeneous portfolio, whose members then pack concurrently. Results
-// are bit-identical regardless.
-func WithParallelism(workers int) Option {
-	return func(b *plannerBuilder) { b.cfg.Parallelism = workers }
-}
-
 // Planner is the context-aware entry point to the solver stack: build one
-// from functional options, then call Solve, LowerBound, SolveExact,
-// Provision, or RunTimeline with a context — every long-running path polls
+// from functional options, then call Solve, LowerBound, Provision, Plan,
+// or RunTimeline with a context — every long-running path polls
 // cancellation at bounded intervals and reports progress to the configured
 // Observer. A Planner is immutable after construction and safe for
 // concurrent use as long as its Observer is (the built-in paths call the
@@ -275,12 +259,6 @@ func (p *Planner) LowerBound(ctx context.Context, w *Workload) (Bound, error) {
 	return core.LowerBoundContext(ctx, w, p.cfg)
 }
 
-// SolveExact computes the optimal solution for tiny instances (at most
-// ExactMaxPairs pairs), branching over the planner's fleet.
-func (p *Planner) SolveExact(ctx context.Context, w *Workload) (ExactSolution, error) {
-	return exact.SolveContext(ctx, w, p.cfg)
-}
-
 // Verify checks the solver postconditions (satisfaction, capacity,
 // accounting, consistency) for a result obtained under this planner's
 // configuration and returns the first violation.
@@ -312,31 +290,12 @@ func (p *Planner) Plan(ctx context.Context, w *Workload, current *ClusterState) 
 	return deploy.NewPlan(p.cfg, current, deploy.NewState(w, res.Allocation))
 }
 
-// Diff is Plan without the commitment: it computes and returns only the
-// declarative difference (workload delta + placement churn, cost fields
-// included) between current and the solved w — what `mcss diff` prints.
-func (p *Planner) Diff(ctx context.Context, w *Workload, current *ClusterState) (DeployDiff, error) {
-	plan, err := p.Plan(ctx, w, current)
-	if err != nil {
-		return DeployDiff{}, err
-	}
-	return plan.Diff, nil
-}
-
 // RunTimeline walks a workload timeline with an elastic controller under
 // the given hysteresis policy, re-solving, scaling, and billing every
 // epoch. The context cancels between epochs and inside every per-epoch
 // solve; the planner's Observer additionally receives OnEpoch callbacks.
 func (p *Planner) RunTimeline(ctx context.Context, tl *Timeline, policy ElasticPolicy) (*ElasticRunReport, error) {
 	return elastic.NewController(p.cfg, policy).Run(ctx, tl)
-}
-
-// SpotRunConfig parameterizes a chaos-mode timeline run against a spot
-// market. The zero value is usable: chaos seed 0.
-type SpotRunConfig struct {
-	// ChaosSeed draws the per-VM reclamations against the market's
-	// per-epoch probabilities (storms fire regardless of the seed).
-	ChaosSeed int64
 }
 
 // RunTimelineSpot walks a timeline like RunTimeline but against a spot
@@ -346,10 +305,12 @@ type SpotRunConfig struct {
 // each reclaimed pair a 5-minute repair lag. The repriced fleet offers
 // spot variants, so every full solve pins single-subscriber topics to
 // on-demand types while replicated topics may ride the discount. The
-// market must cover the timeline's epochs.
-func (p *Planner) RunTimelineSpot(ctx context.Context, tl *Timeline, policy ElasticPolicy, market *SpotMarket, rc SpotRunConfig) (*ElasticRunReport, error) {
+// market must cover the timeline's epochs. chaosSeed draws the per-VM
+// reclamations against the market's per-epoch probabilities (storms fire
+// regardless of the seed).
+func (p *Planner) RunTimelineSpot(ctx context.Context, tl *Timeline, policy ElasticPolicy, market *SpotMarket, chaosSeed int64) (*ElasticRunReport, error) {
 	ctl := elastic.NewController(p.cfg, policy)
-	if err := ctl.SetSpotMarket(market, rc.ChaosSeed); err != nil {
+	if err := ctl.SetSpotMarket(market, chaosSeed); err != nil {
 		return nil, err
 	}
 	return ctl.Run(ctx, tl)

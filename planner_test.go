@@ -11,6 +11,8 @@ import (
 
 	mcss "github.com/pubsub-systems/mcss"
 	"github.com/pubsub-systems/mcss/internal/core"
+	"github.com/pubsub-systems/mcss/internal/dynamic"
+	"github.com/pubsub-systems/mcss/internal/spot"
 )
 
 func demoModel() mcss.Model {
@@ -103,7 +105,7 @@ func TestPlannerMatchesCoreSolve(t *testing.T) {
 	w := buildDemo(t)
 	p := demoPlanner(t, 40)
 	cfg := core.DefaultConfig(40, p.Config().Model)
-	old, err := core.Solve(w, cfg)
+	old, err := core.SolveContext(context.Background(), w, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +146,7 @@ func TestPlannerStrategyDispatch(t *testing.T) {
 	w := buildDemo(t)
 	cfg := demoPlanner(t, 40).Config()
 	cfg.Stage1, cfg.Stage2 = core.RandomSelectPairsContext, core.FFBinPackingContext
-	want, err := core.Solve(w, cfg)
+	want, err := core.SolveContext(context.Background(), w, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +155,7 @@ func TestPlannerStrategyDispatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g, d := mcss.StateFingerprint(w, got.Allocation), mcss.StateFingerprint(w, want.Allocation); g != d {
+	if g, d := dynamic.StateFingerprint(w, got.Allocation), dynamic.StateFingerprint(w, want.Allocation); g != d {
 		t.Errorf("named strategies fingerprint %s, direct functions %s", g, d)
 	}
 }
@@ -173,11 +175,11 @@ func TestNilStagesRunGSPAndCBP(t *testing.T) {
 		"bare":          {Tau: 40, MessageBytes: 200, Model: model, Opts: core.OptAll},
 		"DefaultConfig": core.DefaultConfig(40, model),
 	} {
-		got, err := core.Solve(w, cfg)
+		got, err := core.SolveContext(context.Background(), w, cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if g, d := mcss.StateFingerprint(w, got.Allocation), mcss.StateFingerprint(w, want.Allocation); g != d {
+		if g, d := dynamic.StateFingerprint(w, got.Allocation), dynamic.StateFingerprint(w, want.Allocation); g != d {
 			t.Errorf("%s: fingerprint %s, default planner %s", name, g, d)
 		}
 	}
@@ -200,7 +202,7 @@ func TestNilTopologySolvesSingleRegion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g, d := mcss.StateFingerprint(w, got.Allocation), mcss.StateFingerprint(w, want.Allocation); g != d {
+	if g, d := dynamic.StateFingerprint(w, got.Allocation), dynamic.StateFingerprint(w, want.Allocation); g != d {
 		t.Errorf("nil topology fingerprint %s, no topology %s", g, d)
 	}
 }
@@ -274,8 +276,8 @@ func (r *stageRecorder) OnEpoch(epoch, total int) {
 // multi-region topology whose fleet offers spot variants (split by region,
 // then by replication).
 func TestPlannerObserverStages(t *testing.T) {
-	net := mcss.SyntheticTopology(3)
-	regional, err := mcss.RegionalFleet(demoModel().SingleFleet(), net)
+	net := core.SyntheticTopology(3)
+	regional, err := core.RegionalFleet(demoModel().SingleFleet(), net)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +286,7 @@ func TestPlannerObserverStages(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := demoModel().SingleFleet()
-	market, err := mcss.GenerateSpotMarket(base, mcss.DefaultSpotMarketConfig())
+	market, err := mcss.GenerateSpotMarket(base, spot.DefaultMarketConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +294,7 @@ func TestPlannerObserverStages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	regionalMarket, err := mcss.GenerateSpotMarket(regional, mcss.DefaultSpotMarketConfig())
+	regionalMarket, err := mcss.GenerateSpotMarket(regional, spot.DefaultMarketConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,7 +412,7 @@ func TestPlannerRunTimelineSpot(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	mcfg := mcss.DefaultSpotMarketConfig()
+	mcfg := spot.DefaultMarketConfig()
 	mcfg.Epochs = tl.NumEpochs()
 	mcfg.EpochMinutes = tl.EpochMinutes
 	mcfg.BaseReclaimProb = 0.3 // hot market: reclamations certain at demo size
@@ -421,7 +423,7 @@ func TestPlannerRunTimelineSpot(t *testing.T) {
 	}
 
 	rep, err := p.RunTimelineSpot(context.Background(), tl, mcss.DefaultElasticPolicy(),
-		market, mcss.SpotRunConfig{ChaosSeed: 5})
+		market, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,7 +447,7 @@ func TestPlannerRunTimelineSpot(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := p.RunTimelineSpot(ctx, tl, mcss.DefaultElasticPolicy(),
-		market, mcss.SpotRunConfig{}); !errors.Is(err, context.Canceled) {
+		market, 0); !errors.Is(err, context.Canceled) {
 		t.Errorf("RunTimelineSpot err = %v, want context.Canceled", err)
 	}
 }
