@@ -99,7 +99,7 @@ func TestSolveCancelledMidStage2(t *testing.T) {
 }
 
 // Cancelling the sharded Stage 1 joins every worker goroutine before
-// returning: no goroutines leak from stage1_parallel.
+// returning: no goroutines leak from its fan-out.
 func TestParallelStage1CancelLeaksNoGoroutines(t *testing.T) {
 	w := bigWorkload(t)
 	before := runtime.NumGoroutine()

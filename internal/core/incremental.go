@@ -751,8 +751,8 @@ type drainMove struct {
 // pairs relocated, counted against the budget even on rollback: the work
 // was done either way.
 func (s *IncrementalState) drainSlot(a int32, budget int64) (int64, bool) {
-	saved := SnapshotVM(s.r.alloc.VMs[a], int(a))
 	var moves []drainMove
+	var popped []TopicPlacement
 	// A zero free-capacity leaf hides a from the most-free rule for the
 	// duration (its host-list entries disappear with each removePlacement
 	// below), so nothing re-fills the slot being drained.
@@ -763,6 +763,7 @@ drain:
 		t := s.r.alloc.VMs[a].Placements[len(s.r.alloc.VMs[a].Placements)-1].Topic
 		rb := s.w.Rate(t) * s.msg
 		subs := s.r.removePlacement(a, t, rb)
+		popped = append(popped, TopicPlacement{Topic: t, Subs: subs})
 		// removePlacement recomputed a's leaf from its true (grown) free —
 		// re-hide it, or the most-free rule hands the pairs straight back.
 		s.r.tree.set(int(a), 0)
@@ -786,24 +787,19 @@ drain:
 		s.improved += int64(len(moves))
 		return int64(len(moves)), true
 	}
-	// Rollback: undo the relocations newest-first (a placement opened by a
-	// drained group dissolves as its last subscriber leaves), then restore
-	// a's snapshot. The drain popped a's placements from the end, so the
-	// ones left are a prefix of the snapshot and keep their host entries;
-	// the popped ones get theirs back.
-	for i := len(moves) - 1; i >= 0; i-- {
-		m := moves[i]
+	// Rollback through the table: undo the relocations newest-first (a
+	// placement opened by a drained group dissolves as its last subscriber
+	// leaves), then place the popped placements back in reverse pop order,
+	// which appends each where it was and restores a's accounting, host
+	// entries and leaf.
+	for _, m := range slices.Backward(moves) {
 		s.r.removeSub(m.to, m.t, s.w.Rate(m.t)*s.msg, m.v)
 		j, _ := slices.BinarySearch(s.selRows[m.v], m.t)
 		s.hostRows[m.v][j] = a
 	}
-	for pi := len(s.r.alloc.VMs[a].Placements); pi < len(saved.Placements); pi++ {
-		t := saved.Placements[pi].Topic
-		h, _ := s.r.search(t, a)
-		s.r.addHost(t, h, a, pi)
+	for _, p := range slices.Backward(popped) {
+		s.r.place(a, p.Topic, s.w.Rate(p.Topic)*s.msg, p.Subs)
 	}
-	s.r.alloc.VMs[a] = saved
-	s.r.tree.set(int(a), saved.FreeBytesPerHour())
 	return int64(len(moves)), false
 }
 

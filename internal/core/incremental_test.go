@@ -497,3 +497,80 @@ func TestEvictOverfullBeyondTouchedPairs(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestDrainRollbackRestoresSlot: a drain that runs out of room partway
+// through a placement must leave the slot table as it found it — every
+// slot's placements in their order, the accounting, the host entries, the
+// drained slot's tree leaf and the pair rows.
+func TestDrainRollbackRestoresSlot(t *testing.T) {
+	// Rates 10, 10, 15, 25; one byte per message, capacity 100. Slot 0,
+	// the one drained, holds topic 0 for subscribers 0–1 and topic 1 for
+	// 2–3. The drain pops topic 1 and moves both pairs to slot 1, which
+	// hosts it with 30 free; then it pops topic 0, opens it on slot 2 (20
+	// free) for subscriber 0, and finds no room for subscriber 1.
+	w := mustWorkload(t, []int64{10, 10, 15, 25},
+		[][]workload.TopicID{{0}, {0}, {1}, {1}, {1}, {3}, {3}, {2}})
+	cfg := incTestConfig(t)
+	cfg.Model = incTestModel(100)
+	fleet := cfg.EffectiveFleet()
+	vm := func(id int, in, out int64, ps ...TopicPlacement) *VM {
+		return &VM{ID: id, Instance: fleet.Type(0), CapacityBytesPerHour: 100,
+			Placements: ps, InBytesPerHour: in, OutBytesPerHour: out}
+	}
+	alloc := &Allocation{
+		VMs: []*VM{
+			vm(0, 20, 40,
+				TopicPlacement{Topic: 0, Subs: []workload.SubID{0, 1}},
+				TopicPlacement{Topic: 1, Subs: []workload.SubID{2, 3}}),
+			vm(1, 35, 35,
+				TopicPlacement{Topic: 1, Subs: []workload.SubID{4}},
+				TopicPlacement{Topic: 3, Subs: []workload.SubID{5}}),
+			vm(2, 40, 40,
+				TopicPlacement{Topic: 3, Subs: []workload.SubID{6}},
+				TopicPlacement{Topic: 2, Subs: []workload.SubID{7}}),
+		},
+		Fleet:        fleet,
+		MessageBytes: 1,
+	}
+	s, err := alloc.Index(w, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkIndexInvariants(t, s)
+
+	want := &Allocation{}
+	for i, v := range s.r.alloc.VMs {
+		want.VMs = append(want.VMs, SnapshotVM(v, i))
+	}
+	hosts := make([][]hostRef, len(s.r.hosts))
+	for tt, hs := range s.r.hosts {
+		hosts[tt] = slices.Clone(hs)
+	}
+	leaf := s.r.tree.query(0)
+	selRows, hostRows := make([][]workload.TopicID, len(s.selRows)), make([][]int32, len(s.hostRows))
+	for v := range s.selRows {
+		selRows[v], hostRows[v] = slices.Clone(s.selRows[v]), slices.Clone(s.hostRows[v])
+	}
+
+	if moved, ok := s.drainSlot(0, 100); ok || moved != 3 {
+		t.Fatalf("drainSlot = (%d, %v), want 3 pairs moved and a rollback", moved, ok)
+	}
+	if err := allocationsEqual(want, s.r.alloc); err != nil {
+		t.Fatalf("after rollback: %v", err)
+	}
+	for tt := range hosts {
+		if !slices.Equal(hosts[tt], s.r.hostsOf(workload.TopicID(tt))) {
+			t.Fatalf("topic %d hosts %v after rollback, %v before", tt, s.r.hostsOf(workload.TopicID(tt)), hosts[tt])
+		}
+	}
+	if got := s.r.tree.query(0); got != leaf {
+		t.Fatalf("drained slot's leaf %d after rollback, %d before", got, leaf)
+	}
+	for v := range selRows {
+		if !slices.Equal(selRows[v], s.selRows[v]) || !slices.Equal(hostRows[v], s.hostRows[v]) {
+			t.Fatalf("subscriber %d rows %v on %v after rollback, %v on %v before",
+				v, s.selRows[v], s.hostRows[v], selRows[v], hostRows[v])
+		}
+	}
+	checkIndexInvariants(t, s)
+}

@@ -10,7 +10,8 @@ import (
 // controller's epoch walk. Implementations must be cheap — callbacks fire
 // from hot loops (throttled to checkInterval-sized batches) — and must not
 // retain the arguments beyond the call. A nil Observer is always legal and
-// disables all callbacks.
+// disables all callbacks. Callbacks fire on the goroutine that called the
+// solver, at every Config.Parallelism.
 //
 // Stage names are stable identifiers ("stage1", "stage2", "lowerbound",
 // "exact"); totals are in stage-specific units (subscribers, topic

@@ -157,27 +157,3 @@ func TestPortfolioPrimaryErrorPropagates(t *testing.T) {
 		}
 	}
 }
-
-// The sharded stage-1 propagates the first worker error, cancels the
-// sibling shards, and joins everything — the caller context's error wins
-// the report.
-func TestStage1ParallelFirstErrorCancelsSiblings(t *testing.T) {
-	w := bigWorkload(t)
-	before := runtime.NumGoroutine()
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	cfg := bigConfig(w, nil)
-	cfg.Parallelism = 8
-	if _, err := GreedySelectPairsContext(ctx, w, cfg); !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() > before {
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines: %d before, %d after failed parallel stage 1",
-				before, runtime.NumGoroutine())
-		}
-		runtime.Gosched()
-		time.Sleep(10 * time.Millisecond)
-	}
-}

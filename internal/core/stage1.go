@@ -169,7 +169,11 @@ func GreedySelectPairs(w *workload.Workload, tau int64) *Selection {
 // GreedySelectPairsContext is GreedySelectPairs with context cancellation
 // (checked every checkInterval subscribers), Config.Observer progress
 // callbacks, and Config.Parallelism-controlled sharding. It is the default
-// Stage 1, which the mcss Planner names "gsp".
+// Stage 1, which the mcss Planner names "gsp". Each subscriber's selection
+// is independent of the others', so the shards (contiguous subscriber
+// ranges, one per worker; one for a workload under two subscribers per
+// worker) merge into the same selection at every worker count. The first
+// shard runs on the calling goroutine and alone reports progress.
 //
 // Under a multi-region Config.Topology, on a workload with region tags,
 // each subscriber's interests are scanned home region first: topics
@@ -180,18 +184,39 @@ func GreedySelectPairs(w *workload.Workload, tau int64) *Selection {
 // is still the smallest-rate one skipped, a home topic on a rate tie. On
 // any other input no topic is home and the selection is the paper's GSP.
 func GreedySelectPairsContext(ctx context.Context, w *workload.Workload, cfg Config) (*Selection, error) {
-	cfg.Observer = ResolveObserver(ctx, cfg)
+	obs := ResolveObserver(ctx, cfg)
 	homeFirst := cfg.Topology != nil && cfg.Topology.NumRegions() > 1 && w.HasRegions()
-	if workers := stage1Workers(cfg.Parallelism, w.NumSubscribers()); workers > 1 {
-		return greedySelectParallel(ctx, w, cfg.Tau, homeFirst, workers, cfg.Observer)
-	}
 	start := time.Now()
-	tk := newTicker(ctx, cfg.Observer, StageSelect, int64(w.NumSubscribers()))
-	subOff, subTopics, err := greedySelectRange(w, 0, w.NumSubscribers(), cfg.Tau, homeFirst, tk)
+	n := w.NumSubscribers()
+	workers := workerCount(cfg.Parallelism)
+	shards, per := 1, n
+	if n >= 2*workers {
+		per = (n + workers - 1) / workers
+		shards = (n + per - 1) / per
+	}
+	offs := make([][]int64, shards)
+	topics := make([][]workload.TopicID, shards)
+	err := fanOut(ctx, shards, workers, func(ctx context.Context, k int) error {
+		tk := &ticker{ctx: ctx, left: checkInterval}
+		if k == 0 {
+			tk = newTicker(ctx, obs, StageSelect, int64(n))
+		}
+		var err error
+		offs[k], topics[k], err = greedySelectRange(w, k*per, min(n, (k+1)*per), cfg.Tau, homeFirst, tk)
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
-	tk.finish(time.Since(start))
+	subOff, subTopics := offs[0], topics[0]
+	for k := 1; k < shards; k++ {
+		base := int64(len(subTopics))
+		subTopics = append(subTopics, topics[k]...)
+		for _, off := range offs[k][1:] {
+			subOff = append(subOff, base+off)
+		}
+	}
+	FinishStage(obs, StageSelect, int64(n), int64(n), time.Since(start))
 	return &Selection{w: w, subOff: subOff, subTopics: subTopics}, nil
 }
 
@@ -199,7 +224,7 @@ func GreedySelectPairsContext(ctx context.Context, w *workload.Workload, cfg Con
 // CSR fragment (offsets relative to the fragment start). With homeFirst a
 // topic published in the subscriber's region is home. tk polls
 // cancellation once per checkInterval subscribers; it may be a ticker with
-// a nil observer (the parallel workers' setting).
+// a nil observer (every shard's but the first).
 func greedySelectRange(w *workload.Workload, lo, hi int, tau int64, homeFirst bool, tk *ticker) ([]int64, []workload.TopicID, error) {
 	subOff := make([]int64, 1, hi-lo+1)
 	var expect int64

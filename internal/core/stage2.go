@@ -4,9 +4,7 @@ import (
 	"cmp"
 	"context"
 	"fmt"
-	"runtime"
 	"slices"
-	"sync"
 	"time"
 
 	"github.com/pubsub-systems/mcss/internal/pricing"
@@ -264,9 +262,6 @@ func (ix *vmIndex) pickExisting(g topicGroup, mostFree bool) int32 {
 // decision is identical to the naive simulation's.
 func (ix *vmIndex) cheaperToDistribute(g topicGroup, f pricing.Fleet, totalBW int64, m pricing.Model) bool {
 	n := int64(len(g.subs))
-	if n == 0 {
-		return true
-	}
 	// (A) all pairs on fresh VMs; the caller guards 2·rb ≤ maxCap, so
 	// some fleet type hosts a pair.
 	freshRental, freshBW, _, _ := freshPlan(f, m, g.rb, n)
@@ -373,22 +368,6 @@ func PackSelection(ctx context.Context, sel *Selection, cfg Config) (*Allocation
 	return runStage2(ctx, sel, cfg)
 }
 
-// portfolioWorkers resolves Config.Parallelism for the stage-2 portfolio
-// with the same convention as stage 1: 0 or 1 is serial, negative means
-// GOMAXPROCS, and the count never exceeds the number of portfolio runs.
-// The serial zero-value default also means a custom Config.Stage2 is
-// never invoked concurrently unless the caller asked for parallelism.
-func portfolioWorkers(parallelism, runs int) int {
-	w := parallelism
-	if w < 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > runs {
-		w = runs
-	}
-	return w
-}
-
 // portfolioRun packs one portfolio member: j == 0 is the primary
 // mixed-fleet pack, j > 0 the restriction to the fleet's (j−1)-th type.
 // The restrictions run silently — the stage's observer events come once,
@@ -407,14 +386,14 @@ func portfolioRun(ctx context.Context, sel *Selection, cfg Config, fleet pricing
 // portfolio: the mixed-fleet greedy plus every single-type restriction of
 // the fleet, returning the cheapest feasible allocation — so by
 // construction the heterogeneous solve never costs more than the best
-// homogeneous choice from the same catalog. The portfolio members run
-// concurrently, bounded by Config.Parallelism workers (0 or 1 serial,
-// negative uses GOMAXPROCS); the winner is reduced in fixed order (mixed
-// first, then the types capacity-ascending, strictly-cheaper wins), so
-// the result is identical at every worker count. A failed restriction
-// (the type is too small for some topic) is skipped; a failure of the
-// primary mixed pack — or a context cancellation — cancels the remaining
-// members, and every goroutine is joined before returning.
+// homogeneous choice from the same catalog. The members fan out over
+// Config.Parallelism workers, the mixed pack first and on the calling
+// goroutine, where it alone reports to the observer. The winner is
+// reduced in fixed order (mixed first, then the types capacity-ascending,
+// strictly-cheaper wins), so the result is identical at every worker
+// count. A failed restriction (the type is too small for some topic) is
+// skipped; a failure of the mixed pack, or a context cancellation, stops
+// the members not yet done.
 func runStage2(ctx context.Context, sel *Selection, cfg Config) (*Allocation, error) {
 	fleet := cfg.EffectiveFleet()
 	if fleet.Len() <= 1 {
@@ -422,43 +401,16 @@ func runStage2(ctx context.Context, sel *Selection, cfg Config) (*Allocation, er
 	}
 	runs := fleet.Len() + 1
 	allocs := make([]*Allocation, runs)
-	errs := make([]error, runs)
-	if workers := portfolioWorkers(cfg.Parallelism, runs); workers <= 1 {
-		for j := 0; j < runs; j++ {
-			allocs[j], errs[j] = portfolioRun(ctx, sel, cfg, fleet, j)
-			if j == 0 && errs[0] != nil {
-				return nil, errs[0]
-			}
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
+	err := fanOut(ctx, runs, workerCount(cfg.Parallelism), func(ctx context.Context, j int) error {
+		a, err := portfolioRun(ctx, sel, cfg, fleet, j)
+		if err != nil && j > 0 {
+			return nil // the type is too small for some topic; skip it
 		}
-	} else {
-		pctx, cancel := context.WithCancel(ctx)
-		sem := make(chan struct{}, workers)
-		var wg sync.WaitGroup
-		for j := 0; j < runs; j++ {
-			wg.Add(1)
-			go func(j int) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				a, err := portfolioRun(pctx, sel, cfg, fleet, j)
-				allocs[j], errs[j] = a, err
-				if err != nil && (j == 0 || pctx.Err() != nil) {
-					// Primary failure or cancellation: stop the rest.
-					cancel()
-				}
-			}(j)
-		}
-		wg.Wait()
-		cancel()
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if errs[0] != nil {
-			return nil, errs[0]
-		}
+		allocs[j] = a
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	// With a multi-region topology the members are compared on the full
 	// objective, rental + transfer + egress over the rental duration —
@@ -476,8 +428,8 @@ func runStage2(ctx context.Context, sel *Selection, cfg Config) (*Allocation, er
 		return nil, err
 	}
 	for j := 1; j < runs; j++ {
-		if errs[j] != nil || allocs[j] == nil {
-			continue // the type is too small for some topic; skip it
+		if allocs[j] == nil {
+			continue
 		}
 		c, err := effCost(allocs[j])
 		if err != nil {

@@ -103,14 +103,16 @@ type Config struct {
 	// lower bound, the exact solver, and the elastic controller. Nil
 	// disables all callbacks (the zero-overhead default).
 	Observer Observer
-	// Parallelism is the worker count for the parallel solver paths,
-	// with one convention everywhere: 0 or 1 runs serially, n > 1 uses n
-	// goroutines, and any negative value uses GOMAXPROCS. It bounds both
-	// the Stage-1 subscriber sharding and the Stage-2 heterogeneous
-	// portfolio (the mixed pack plus every single-type restriction run
-	// concurrently). Results are bit-identical at every worker count:
-	// Stage-1 shards are independent and the portfolio reduces its
-	// members in a fixed deterministic order.
+	// Parallelism is the worker count of both solver stages, which fan
+	// out through one helper: Stage 1 over subscriber shards, Stage 2
+	// over the heterogeneous portfolio (the mixed pack plus every
+	// single-type restriction). 0 or 1 is one worker, the calling
+	// goroutine; n > 1 adds up to n−1 helper goroutines; any negative
+	// value means GOMAXPROCS. The first shard and the mixed pack always
+	// run on the calling goroutine and alone report to the Observer.
+	// Results are bit-identical at every worker count: Stage-1 shards are
+	// independent and the portfolio reduces its members in a fixed
+	// deterministic order.
 	Parallelism int
 
 	// Topology, when non-nil, is the multi-region network (regions, RTT

@@ -46,27 +46,22 @@ type Solution struct {
 	Allocation *core.Allocation
 }
 
-// Solve computes the optimal MCSS solution. Config semantics match
+// checkMasks is how many DP nodes are processed between context polls: the
+// per-node work is tens of nanoseconds, so a batch stays well under a
+// millisecond while keeping the check off the DP's profile.
+const checkMasks = 4096
+
+// SolveContext computes the optimal MCSS solution. Config semantics match
 // core.SolveContext (Tau, MessageBytes, Model, Fleet); the Stage/Opts
 // fields are ignored. With a multi-type Fleet the packing DP branches over
 // instance choices: every VM (block of pairs) is billed at the cheapest
 // fleet type whose capacity covers the block, so the optimum is taken over
 // mixed-instance deployments too. It returns ErrTooLarge for instances with
 // more than MaxPairs pairs and core.ErrInfeasible when no feasible solution
-// exists (some mandatory pair cannot fit in any VM).
-func Solve(w *workload.Workload, cfg core.Config) (Solution, error) {
-	return SolveContext(context.Background(), w, cfg)
-}
-
-// checkMasks is how many DP nodes are processed between context polls: the
-// per-node work is tens of nanoseconds, so a batch stays well under a
-// millisecond while keeping the check off the DP's profile.
-const checkMasks = 4096
-
-// SolveContext is Solve under a context: the subset-DP loops poll
-// cancellation every checkMasks nodes (a solve over the full 2^MaxPairs
-// state space aborts within a few thousand node visits), and cfg.Observer
-// receives StageExact progress over the DP mask space.
+// exists (some mandatory pair cannot fit in any VM). The subset-DP loops
+// poll cancellation every checkMasks nodes (a solve over the full
+// 2^MaxPairs state space aborts within a few thousand node visits), and
+// cfg.Observer receives StageExact progress over the DP mask space.
 func SolveContext(ctx context.Context, w *workload.Workload, cfg core.Config) (Solution, error) {
 	start := time.Now()
 	if err := ctx.Err(); err != nil {
@@ -343,7 +338,7 @@ func cheapestFit(f pricing.Fleet, m pricing.Model, bw int64) int {
 // Decision answers the paper's DCSS decision problem: is a total cost of at
 // most budget achievable?
 func Decision(w *workload.Workload, cfg core.Config, budget pricing.MicroUSD) (bool, error) {
-	sol, err := Solve(w, cfg)
+	sol, err := SolveContext(context.Background(), w, cfg)
 	if errors.Is(err, core.ErrInfeasible) {
 		return false, nil
 	}

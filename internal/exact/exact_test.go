@@ -39,7 +39,7 @@ func TestExactTrivialInstance(t *testing.T) {
 	// bw = 10 bytes/h on one VM.
 	w := mustWorkload(t, []int64{5}, [][]workload.TopicID{{0}})
 	cfg := core.Config{Tau: 3, MessageBytes: 1, Model: testModel(100)}
-	sol, err := Solve(w, cfg)
+	sol, err := SolveContext(context.Background(), w, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestExactDropsUnneededPairs(t *testing.T) {
 	// only the 7 (bw 14), not both (bw 24).
 	w := mustWorkload(t, []int64{5, 7}, [][]workload.TopicID{{0, 1}})
 	cfg := core.Config{Tau: 6, MessageBytes: 1, Model: testModel(100)}
-	sol, err := Solve(w, cfg)
+	sol, err := SolveContext(context.Background(), w, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestExactSharesIncomingStream(t *testing.T) {
 	// one VM pay the incoming stream once: bw = 5+5+5 = 15.
 	w := mustWorkload(t, []int64{5}, [][]workload.TopicID{{0}, {0}})
 	cfg := core.Config{Tau: 5, MessageBytes: 1, Model: testModel(100)}
-	sol, err := Solve(w, cfg)
+	sol, err := SolveContext(context.Background(), w, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestExactSplitsWhenCapacityForces(t *testing.T) {
 	// incoming: bw = 2×10.
 	w := mustWorkload(t, []int64{5}, [][]workload.TopicID{{0}, {0}})
 	cfg := core.Config{Tau: 5, MessageBytes: 1, Model: testModel(10)}
-	sol, err := Solve(w, cfg)
+	sol, err := SolveContext(context.Background(), w, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestExactSplitsWhenCapacityForces(t *testing.T) {
 func TestExactInfeasible(t *testing.T) {
 	w := mustWorkload(t, []int64{50}, [][]workload.TopicID{{0}})
 	cfg := core.Config{Tau: 5, MessageBytes: 1, Model: testModel(10)}
-	if _, err := Solve(w, cfg); !errors.Is(err, core.ErrInfeasible) {
+	if _, err := SolveContext(context.Background(), w, cfg); !errors.Is(err, core.ErrInfeasible) {
 		t.Errorf("err = %v, want ErrInfeasible", err)
 	}
 }
@@ -112,17 +112,17 @@ func TestExactTooLarge(t *testing.T) {
 	}
 	w := mustWorkload(t, []int64{1}, interests)
 	cfg := core.Config{Tau: 1, MessageBytes: 1, Model: testModel(100)}
-	if _, err := Solve(w, cfg); !errors.Is(err, ErrTooLarge) {
+	if _, err := SolveContext(context.Background(), w, cfg); !errors.Is(err, ErrTooLarge) {
 		t.Errorf("err = %v, want ErrTooLarge", err)
 	}
 }
 
 func TestExactRejectsBadConfig(t *testing.T) {
 	w := mustWorkload(t, []int64{1}, [][]workload.TopicID{{0}})
-	if _, err := Solve(w, core.Config{MessageBytes: 1, Model: testModel(10)}); err == nil {
+	if _, err := SolveContext(context.Background(), w, core.Config{MessageBytes: 1, Model: testModel(10)}); err == nil {
 		t.Error("Tau=0 accepted")
 	}
-	if _, err := Solve(w, core.Config{Tau: 1, MessageBytes: 1}); err == nil {
+	if _, err := SolveContext(context.Background(), w, core.Config{Tau: 1, MessageBytes: 1}); err == nil {
 		t.Error("zero-capacity model accepted")
 	}
 }
@@ -254,7 +254,7 @@ func TestPropertyHeuristicNeverBeatsExact(t *testing.T) {
 			Model:        testModel(2*maxRate + 40),
 			Opts:         core.OptAll,
 		}
-		opt, err := Solve(w, cfg)
+		opt, err := SolveContext(context.Background(), w, cfg)
 		if err != nil {
 			return false
 		}
@@ -304,7 +304,7 @@ func TestHeuristicQualityOnMicroInstances(t *testing.T) {
 			Model:        testModel(2*maxRate + 30),
 			Opts:         core.OptAll,
 		}
-		opt, err := Solve(w, cfg)
+		opt, err := SolveContext(context.Background(), w, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -339,7 +339,7 @@ func TestExactBranchesOverInstanceChoices(t *testing.T) {
 	w := mustWorkload(t, []int64{4, 1}, [][]workload.TopicID{{0}, {1}})
 	m := pricing.Model{Instance: large, Hours: 1, PerGB: 0}
 
-	mixed, err := Solve(w, core.Config{Tau: 100, MessageBytes: 1, Model: m, Fleet: fleet})
+	mixed, err := SolveContext(context.Background(), w, core.Config{Tau: 100, MessageBytes: 1, Model: m, Fleet: fleet})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +347,7 @@ func TestExactBranchesOverInstanceChoices(t *testing.T) {
 		t.Errorf("mixed = %d µ$ / %d VMs, want 6 µ$ / 2 VMs", int64(mixed.Cost), mixed.VMs)
 	}
 
-	largeOnly, err := Solve(w, core.Config{Tau: 100, MessageBytes: 1, Model: m, Fleet: fleet.Single(1)})
+	largeOnly, err := SolveContext(context.Background(), w, core.Config{Tau: 100, MessageBytes: 1, Model: m, Fleet: fleet.Single(1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,7 +355,7 @@ func TestExactBranchesOverInstanceChoices(t *testing.T) {
 		t.Errorf("large-only = %d µ$, want 10", int64(largeOnly.Cost))
 	}
 	// The small type alone cannot host the hot pair at all.
-	if _, err := Solve(w, core.Config{Tau: 100, MessageBytes: 1, Model: m, Fleet: fleet.Single(0)}); !errors.Is(err, core.ErrInfeasible) {
+	if _, err := SolveContext(context.Background(), w, core.Config{Tau: 100, MessageBytes: 1, Model: m, Fleet: fleet.Single(0)}); !errors.Is(err, core.ErrInfeasible) {
 		t.Errorf("small-only err = %v, want ErrInfeasible", err)
 	}
 }
@@ -395,7 +395,7 @@ func TestPropertyHeuristicNeverBeatsExactOnFleet(t *testing.T) {
 			Fleet:        fleet,
 			Opts:         core.OptAll,
 		}
-		opt, err := Solve(w, cfg)
+		opt, err := SolveContext(context.Background(), w, cfg)
 		if errors.Is(err, core.ErrInfeasible) {
 			return true
 		}

@@ -26,7 +26,7 @@ func TestExactStrategyByName(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sol, err := exact.Solve(w, p.Config())
+	sol, err := exact.SolveContext(context.Background(), w, p.Config())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,7 +41,7 @@ func TestRegressionBandwidthRoundingVsLowerBound(t *testing.T) {
 		Model:        testModel(2*maxRate + 40),
 		Opts:         core.OptAll,
 	}
-	opt, err := Solve(w, cfg)
+	opt, err := SolveContext(context.Background(), w, cfg)
 	if err != nil {
 		t.Fatalf("exact: %v", err)
 	}

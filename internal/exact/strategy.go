@@ -13,7 +13,7 @@ import (
 // replaces the two-stage heuristic with the optimal subset DP, returning
 // its selection and reconstructed allocation as an ordinary solver result.
 // It refuses instances beyond MaxPairs pairs with ErrTooLarge, exactly
-// like Solve.
+// like SolveContext.
 func SolveResult(ctx context.Context, w *workload.Workload, cfg core.Config) (*core.Result, error) {
 	start := time.Now()
 	sol, err := SolveContext(ctx, w, cfg)

@@ -16,7 +16,7 @@ func TestExactAllocationVerifies(t *testing.T) {
 	w := mustWorkload(t, []int64{5, 7, 3, 9},
 		[][]workload.TopicID{{0, 1}, {1, 2}, {2, 3}, {0, 3}})
 	cfg := core.Config{Tau: 6, MessageBytes: 1, Model: testModel(30)}
-	sol, err := Solve(w, cfg)
+	sol, err := SolveContext(context.Background(), w, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
